@@ -10,8 +10,10 @@ Run directly (CI uses ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_backends.py --quick
 
-The full sweep also exercises 10 qubits and batch 32.  Results are printed
-and written to ``benchmarks/results/bench_backends.txt``.
+The full sweep also exercises 10 qubits and batch 32; ``--qubits`` and
+``--batches`` pick other grids, e.g. ``--qubits 8 10 12 --batches 1 16`` to
+find where the loop catches up with einsum.  Results are printed and written
+to ``benchmarks/results/bench_backends.txt``.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ def main() -> int:
                         help="CI-sized sweep (fewer qubit counts and batches)")
     parser.add_argument("--blocks", type=int, default=12,
                         help="ansatz blocks (paper uses 12)")
+    parser.add_argument("--qubits", type=int, nargs="+", default=None,
+                        help="qubit counts to sweep (overrides the preset)")
+    parser.add_argument("--batches", type=int, nargs="+", default=None,
+                        help="batch sizes to sweep (overrides the preset)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per cell (best is reported)")
     parser.add_argument("--assert-speedup", type=float, default=None,
@@ -111,6 +117,8 @@ def main() -> int:
         qubit_counts, batch_sizes = (4, 6, 8), (1, 8)
     else:
         qubit_counts, batch_sizes = (4, 6, 8, 10), (1, 8, 32)
+    qubit_counts = args.qubits or qubit_counts
+    batch_sizes = args.batches or batch_sizes
     backend_names = [name for name in ("numpy", "einsum")
                      if name in available_backends()]
     # Optional array-module engines join the table when their library is

@@ -8,14 +8,16 @@ the :class:`SimulationBackend` interface and engines are resolved by name
 from a registry:
 
 >>> from repro.backends import get_backend
->>> get_backend("numpy")    # bit-exact per-gate loop (the default)
->>> get_backend("einsum")   # vectorised batched-statevector engine
+>>> get_backend("einsum")   # vectorised batched-statevector engine (the default)
+>>> get_backend("numpy")    # per-gate loop, the reference oracle
 
 The default is chosen per call site (an explicit argument or
 ``QuGeoVQCConfig.backend``), falling back to the ``QUGEO_BACKEND``
-environment variable and then to ``"numpy"``.  Future engines (GPU, sparse,
-remote hardware) plug in with :func:`register_backend` without touching any
-caller.
+environment variable and then to ``"einsum"``.  Gradients run as one
+reversible adjoint sweep on every engine (see
+:mod:`repro.quantum.autodiff`), so no engine stores per-gate intermediates.
+Future engines (GPU, sparse, remote hardware) plug in with
+:func:`register_backend` without touching any caller.
 
 The ``"torch"`` and ``"cupy"`` engines are the einsum engine re-based onto
 the corresponding :mod:`repro.xm` array module — same contraction strategy,

@@ -16,17 +16,12 @@ Conventions shared by all backends (see :mod:`repro.quantum.gates`):
 * gate matrices order ``targets[0]`` as the most significant qubit of the
   gate's own index space (for controlled gates: ``(control, target)``).
 
-The batched adjoint contract: ``run_batched(..., return_intermediate=True)``
-returns ``(outputs, intermediates)`` where ``intermediates[i]`` is the
-``(batch, 2**n)`` state stack *before* op ``i`` (gate fusion disabled), and
-:meth:`SimulationBackend.apply_gate_batched` applies one matrix to a whole
-stack.  Engines that implement them natively advertise
-``capabilities.batched_adjoint`` and are picked up by the trainer's batched
-gradient path; on every other backend
-:func:`repro.quantum.autodiff.circuit_gradients_batched` stays correct by
-driving the plain per-sample ``run`` / ``apply_gate`` contract instead (and
-the base class still provides correct loop fallbacks for both batched
-methods, so calling them directly is always safe).
+The adjoint gradient (:func:`repro.quantum.autodiff.circuit_gradients_batched`)
+needs only two calls: :meth:`SimulationBackend.run_batched` for the forward
+pass and :meth:`SimulationBackend.apply_gate_batched` to pull the stacked
+co-states and uncomputed states back through each ``U^dagger``.  The base
+class provides loop fallbacks for both, so one reversible sweep serves every
+backend; vectorised engines override them to make it fast.
 """
 
 from __future__ import annotations
@@ -60,25 +55,11 @@ class BackendCapabilities:
     gate_fusion:
         Adjacent single-qubit gates on the same wire are fused into one
         matrix before application.
-    adjoint:
-        ``run(..., return_intermediate=True)`` is supported, which the
-        reverse-mode gradient in :mod:`repro.quantum.autodiff` requires.
-    batched_adjoint:
-        ``run_batched(..., return_intermediate=True)`` and
-        :meth:`SimulationBackend.apply_gate_batched` execute natively on the
-        whole state stack, so
-        :func:`repro.quantum.autodiff.circuit_gradients_batched` runs a
-        mini-batch of adjoint sweeps as stacked contractions.  The base-class
-        fallbacks make the batched gradient path *correct* on every backend;
-        this flag tells callers (e.g. ``QuantumTrainer``) that it is also
-        *fast*.
     """
 
     batched_states: bool = False
     batched_params: bool = False
     gate_fusion: bool = False
-    adjoint: bool = True
-    batched_adjoint: bool = False
 
 
 class SimulationBackend(ABC):
@@ -112,8 +93,7 @@ class SimulationBackend(ABC):
     # ------------------------------------------------------------------ #
     @abstractmethod
     def run(self, circuit: "ParameterizedCircuit", state: np.ndarray,
-            params: Optional[np.ndarray] = None,
-            return_intermediate: bool = False):
+            params: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply ``circuit`` to one statevector.
 
         Parameters
@@ -125,48 +105,28 @@ class SimulationBackend(ABC):
         params:
             Flat parameter vector of length ``circuit.n_params`` (``None``
             means all-zero parameters).
-        return_intermediate:
-            Also return the list of statevectors *before* each gate, in op
-            order, as required by the adjoint gradient sweep.
 
         Returns
         -------
-        numpy.ndarray or (numpy.ndarray, list[numpy.ndarray])
-            The output statevector, plus the per-op intermediates when
-            ``return_intermediate`` is true.
+        numpy.ndarray
+            The output statevector.
         """
 
     def run_batched(self, circuit: "ParameterizedCircuit", states: np.ndarray,
-                    params: Optional[np.ndarray] = None,
-                    return_intermediate: bool = False):
+                    params: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply ``circuit`` to a ``(batch, 2**n)`` stack of statevectors.
 
         ``params`` may be a shared ``(n_params,)`` vector or — when the
         backend advertises ``batched_params`` — a ``(batch, n_params)``
-        matrix giving each state its own parameters.  With
-        ``return_intermediate`` the per-op pre-gate state stacks are also
-        returned (one ``(batch, 2**n)`` array per op, in op order), which is
-        the contract the batched adjoint sweep in
-        :func:`repro.quantum.autodiff.circuit_gradients_batched` relies on.
-        The default implementation loops over :meth:`run`.
+        matrix giving each state its own parameters.  The default
+        implementation loops over :meth:`run`.
         """
         states = np.asarray(states, dtype=self.policy.complex)
         if states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
         per_state_params = self._per_state_params(circuit, states.shape[0], params)
-        if not return_intermediate:
-            return np.stack([self.run(circuit, state, p)
-                             for state, p in zip(states, per_state_params)])
-        outputs: List[np.ndarray] = []
-        per_state: List[List[np.ndarray]] = []
-        for state, p in zip(states, per_state_params):
-            output, intermediates = self.run(circuit, state, p,
-                                             return_intermediate=True)
-            outputs.append(output)
-            per_state.append(intermediates)
-        stacked = [np.stack([row[index] for row in per_state])
-                   for index in range(len(circuit.ops))]
-        return np.stack(outputs), stacked
+        return np.stack([self.run(circuit, state, p)
+                         for state, p in zip(states, per_state_params)])
 
     def _per_state_params(self, circuit: "ParameterizedCircuit", batch: int,
                           params: Optional[np.ndarray]) -> List[Optional[np.ndarray]]:
@@ -224,9 +184,8 @@ class SimulationBackend(ABC):
                    targets: Sequence[int], n_qubits: int) -> np.ndarray:
         """Apply one gate matrix to one statevector.
 
-        The adjoint sweep uses this to pull the co-state back through
-        ``U^dagger``; the default delegates to the reference implementation
-        in :mod:`repro.quantum.gates`.
+        The default delegates to the reference implementation in
+        :mod:`repro.quantum.gates`.
         """
         from repro.quantum.gates import apply_matrix
 
@@ -237,10 +196,10 @@ class SimulationBackend(ABC):
                            targets: Sequence[int], n_qubits: int) -> np.ndarray:
         """Apply one gate matrix to a ``(batch, 2**n)`` state stack.
 
-        The batched adjoint sweep uses this to pull the whole co-state stack
-        back through ``U^dagger`` in one call.  The default loops over
-        :meth:`apply_gate`; backends advertising ``batched_adjoint``
-        override it with a vectorised kernel.
+        The adjoint sweep uses this to pull the stacked co-states and
+        uncomputed states back through ``U^dagger`` in one call.  The
+        default loops over :meth:`apply_gate`; vectorised engines override
+        it with one contraction.
         """
         states = np.asarray(states, dtype=self.policy.complex)
         if states.ndim != 2:

@@ -21,12 +21,12 @@ Three optimisations on top of the plain batched contraction:
   stack without a Python loop via
   :meth:`repro.quantum.parametric.ParametricGate.matrix_stack`.
 
-The engine also advertises ``batched_adjoint``: ``run_batched(...,
-return_intermediate=True)`` records the pre-gate state stack of every op and
-:meth:`EinsumBatchBackend.apply_gate_batched` pulls a whole co-state stack
-through one matrix in a single contraction, which is what lets
-:func:`repro.quantum.autodiff.circuit_gradients_batched` run a mini-batch of
-reverse-mode gradients as a handful of BLAS-dispatched contractions per gate.
+This is the registry default.  Training runs the reversible adjoint sweep
+of :func:`repro.quantum.autodiff.circuit_gradients_batched` on it: one fused
+:meth:`EinsumBatchBackend.run_batched` forward, then one
+:meth:`EinsumBatchBackend.apply_gate_batched` contraction per op that pulls
+the stacked co-states and uncomputed states of the whole mini-batch through
+``U^dagger``.
 """
 
 from __future__ import annotations
@@ -83,9 +83,7 @@ class EinsumBatchBackend(SimulationBackend):
     name = "einsum"
     capabilities = BackendCapabilities(batched_states=True,
                                        batched_params=True,
-                                       gate_fusion=True,
-                                       adjoint=True,
-                                       batched_adjoint=True)
+                                       gate_fusion=True)
 
     #: State tensors with at least this many elements route through a
     #: precomputed BLAS-dispatching contraction path; smaller ones stay on
@@ -229,8 +227,7 @@ class EinsumBatchBackend(SimulationBackend):
         return path
 
     def run_batched(self, circuit: "ParameterizedCircuit", states: np.ndarray,
-                    params: Optional[np.ndarray] = None,
-                    return_intermediate: bool = False):
+                    params: Optional[np.ndarray] = None) -> np.ndarray:
         host_states = np.asarray(states)
         if host_states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
@@ -247,23 +244,6 @@ class EinsumBatchBackend(SimulationBackend):
             telemetry.counter("backend.einsum.run_batched.samples").inc(batch)
             telemetry.gauge("backend.einsum.last_batch_size").set(batch)
         tensor = self.xm.reshape(states, (batch,) + (2,) * n)
-        if return_intermediate:
-            # Batched adjoint path: the gradient sweep needs the state stack
-            # before every op, so fusion is disabled and each op is applied
-            # individually (still one whole-batch contraction per op).  The
-            # intermediates cross the engine boundary as host arrays, which
-            # is the contract the adjoint sweep relies on.
-            with telemetry.span("einsum.run_batched"):
-                intermediates: List[np.ndarray] = []
-                for op in circuit.ops:
-                    intermediates.append(
-                        self.xm.to_numpy(self.xm.reshape(tensor, (batch, -1))))
-                    matrix, batched = self._op_matrix(op, params,
-                                                      params_batched)
-                    tensor = self._apply_batched(tensor, matrix, op.qubits, n,
-                                                 batched)
-                out = self.xm.to_numpy(self.xm.reshape(tensor, (batch, -1)))
-                return np.ascontiguousarray(out), intermediates
         with telemetry.span("einsum.run_batched"):
             for matrix, targets, batched in self._gate_stream(circuit, params,
                                                               params_batched):
@@ -287,27 +267,9 @@ class EinsumBatchBackend(SimulationBackend):
         return self.xm.to_numpy(self.xm.reshape(out, (batch, -1)))
 
     def run(self, circuit: "ParameterizedCircuit", state: np.ndarray,
-            params: Optional[np.ndarray] = None,
-            return_intermediate: bool = False):
+            params: Optional[np.ndarray] = None) -> np.ndarray:
         state = self.validate_state(circuit, state)
-        if not return_intermediate:
-            return self.run_batched(circuit, state[None, :], params)[0]
-        # Adjoint path: the gradient sweep needs the state before every op,
-        # so fusion is disabled and each op is applied individually.
-        params, params_batched = self._normalise_params(circuit, 1, params)
-        if params_batched:  # a single-row matrix is just a shared vector here
-            params = params.reshape(-1)
-        n = circuit.n_qubits
-        intermediates: List[np.ndarray] = []
-        current = self.xm.asarray(state, dtype=self.policy.complex)
-        for op in circuit.ops:
-            intermediates.append(self.xm.to_numpy(current))
-            matrix, _ = self._op_matrix(op, params, False)
-            tensor = self.xm.reshape(current, (1,) + (2,) * n)
-            current = self.xm.reshape(
-                self._apply_batched(tensor, matrix, op.qubits, n, False),
-                (-1,))
-        return self.xm.to_numpy(current), intermediates
+        return self.run_batched(circuit, state[None, :], params)[0]
 
     def _normalise_params(self, circuit: "ParameterizedCircuit", batch: int,
                           params: Optional[np.ndarray]

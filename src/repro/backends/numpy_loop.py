@@ -1,22 +1,17 @@
-"""The reference engine: one gate, one statevector at a time.
+"""The reference oracle: one gate, one statevector at a time.
 
-:class:`NumpyLoopBackend` reproduces the pre-subsystem execution path
-bit-for-bit — a Python loop over the circuit's ops calling
-:func:`repro.quantum.gates.apply_matrix` — so every existing test, trained
-model and benchmark number is preserved when it is the active backend (it is
-the registry default).  It is also the ground truth the vectorised engines
-are tested against.
-
-The engine does not advertise ``batched_adjoint``: the batched gradient path
-(:func:`repro.quantum.autodiff.circuit_gradients_batched`) still works here,
-it just drives the backend one sample at a time through the plain
-``run(..., return_intermediate=True)`` / ``apply_gate`` contract — which is
-exactly what the parity tests rely on.
+:class:`NumpyLoopBackend` is a Python loop over the circuit's ops calling
+:func:`repro.quantum.gates.apply_matrix`, sharing no contraction code with
+the default ``einsum`` engine.  It is the ground truth the vectorised
+engines are tested against, and ``QUGEO_BACKEND=numpy`` runs the whole
+stack on it.  The adjoint gradient runs here through the base-class loop
+fallbacks of ``run_batched`` and ``apply_gate_batched``: the same reversible
+sweep as on every other engine, one statevector at a time.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -28,28 +23,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class NumpyLoopBackend(SimulationBackend):
-    """Sequential per-gate NumPy statevector simulation (legacy path)."""
+    """Sequential per-gate NumPy statevector simulation (reference oracle)."""
 
     name = "numpy"
     capabilities = BackendCapabilities(batched_states=False,
                                        batched_params=False,
-                                       gate_fusion=False,
-                                       adjoint=True)
+                                       gate_fusion=False)
 
     def run(self, circuit: "ParameterizedCircuit", state: np.ndarray,
-            params: Optional[np.ndarray] = None,
-            return_intermediate: bool = False):
-        state = self.validate_state(circuit, state)
+            params: Optional[np.ndarray] = None) -> np.ndarray:
+        current = self.validate_state(circuit, state)
         params = self.validate_params(circuit, params)
-
-        intermediates: List[np.ndarray] = []
-        current = state
         for op in circuit.ops:
-            if return_intermediate:
-                intermediates.append(current)
             matrix = circuit.op_matrix(op, params)
             current = apply_matrix(current, matrix, op.qubits, circuit.n_qubits,
                                    dtype=self.policy.complex)
-        if return_intermediate:
-            return current, intermediates
         return current

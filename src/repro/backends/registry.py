@@ -8,7 +8,8 @@ the default backend mirrors entry-point-style tooling:
    :attr:`repro.core.config.QuGeoVQCConfig.backend`;
 2. the ``QUGEO_BACKEND`` environment variable;
 3. the process-wide default set with :func:`set_default_backend`
-   (``"numpy"`` out of the box, the bit-exact legacy engine).
+   (``"einsum"`` out of the box, the vectorised batched engine; ``"numpy"``
+   stays registered as the per-gate reference oracle).
 
 Factories are instantiated lazily and the instances cached, so repeated
 ``get_backend("einsum")`` calls share one engine (and therefore its memoised
@@ -27,7 +28,7 @@ BACKEND_ENV_VAR = env.BACKEND
 
 _FACTORIES: Dict[str, Callable[[], SimulationBackend]] = {}
 _INSTANCES: Dict[str, SimulationBackend] = {}
-_DEFAULT_NAME = "numpy"
+_DEFAULT_NAME = "einsum"
 
 BackendSpec = Union[None, str, SimulationBackend]
 

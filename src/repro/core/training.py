@@ -7,9 +7,7 @@ lives in a pluggable :class:`StepStrategy` (how one mini-batch turns into
 accumulated gradients) selected by :func:`select_step_strategy`:
 
 * :class:`QuantumBatchedAdjointStep` — :class:`~repro.core.vqc_model.QuGeoVQC`
-  on a backend with native batched-adjoint support: one stacked
-  forward/backward sweep per mini-batch.
-* :class:`QuantumPerSampleStep` — the same model on a per-sample backend.
+  on any backend: one reversible forward/backward sweep per mini-batch.
 * :class:`QuBatchStep` — :class:`~repro.core.qubatch.QuBatchVQC`, whose
   mini-batch size is the circuit's own batch capacity.
 * :class:`ClassicalAutogradStep` — :class:`~repro.core.classical_models.ClassicalFWIModel`
@@ -333,21 +331,6 @@ class QuantumBatchedAdjointStep(StepStrategy):
         return model.accumulate_gradients_batch(seismic, velocity)
 
 
-class QuantumPerSampleStep(StepStrategy):
-    """Per-sample adjoint sweeps for backends without batched support."""
-
-    name = "quantum-per-sample"
-
-    def step(self, model: QuGeoVQC, seismic: np.ndarray,
-             velocity: np.ndarray) -> float:
-        weight = 1.0 / len(seismic)
-        loss = 0.0
-        for sample, target in zip(seismic, velocity):
-            loss += weight * model.accumulate_gradients(sample, target,
-                                                        weight=weight)
-        return loss
-
-
 class QuBatchStep(StepStrategy):
     """QuBatch SIMD execution: the circuit itself carries the mini-batch."""
 
@@ -382,7 +365,7 @@ class ClassicalAutogradStep(StepStrategy):
 
 
 def select_step_strategy(model: Model) -> StepStrategy:
-    """Pick the step strategy matching ``model`` and its backend.
+    """Pick the step strategy matching ``model``.
 
     Custom model classes must either match one of the known families or be
     trained with an explicit ``Trainer(config, strategy=...)``.
@@ -391,15 +374,11 @@ def select_step_strategy(model: Model) -> StepStrategy:
         return QuBatchStep()
     if isinstance(model, ClassicalFWIModel):
         return ClassicalAutogradStep()
-    backend = getattr(model, "backend", None)
-    if (hasattr(model, "accumulate_gradients_batch") and backend is not None
-            and backend.capabilities.batched_adjoint):
+    if hasattr(model, "accumulate_gradients_batch"):
         return QuantumBatchedAdjointStep()
-    if hasattr(model, "accumulate_gradients"):
-        return QuantumPerSampleStep()
     raise TypeError(
         f"no step strategy for {type(model).__name__}: the model matches no "
-        "known family and has no accumulate_gradients method — pass an "
+        "known family and has no accumulate_gradients_batch method — pass an "
         "explicit strategy to Trainer(config, strategy=...)")
 
 
@@ -1109,8 +1088,8 @@ class Trainer:
 class QuantumTrainer(Trainer):
     """Backwards-compatible alias: the unified :class:`Trainer` engine.
 
-    Strategy selection (batched adjoint vs per-sample vs QuBatch) now lives
-    in :func:`select_step_strategy` rather than the epoch loop.
+    Strategy selection (batched adjoint vs QuBatch) lives in
+    :func:`select_step_strategy` rather than the epoch loop.
     """
 
 

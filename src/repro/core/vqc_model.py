@@ -17,12 +17,14 @@ The model is the composition described in Section 3.2 of the paper:
 
 Gradients with respect to the circuit parameters are computed with the
 reverse-mode (adjoint) method in :mod:`repro.quantum.autodiff`, so a full
-gradient costs roughly two circuit simulations regardless of the parameter
+gradient costs roughly three circuit simulations regardless of the parameter
 count.  Mini-batches go through :meth:`QuGeoVQC.loss_and_gradients_batch`,
-which runs the whole batch as one stacked forward/backward sweep
+which runs the whole batch as one reversible forward/backward sweep
 (:func:`repro.quantum.autodiff.circuit_gradients_batched`) with vectorised
-per-decoder loss heads; the per-sample API is a batch of one through the
-same path.
+per-decoder loss heads; the sweep uncomputes pre-gate states instead of
+storing them, so its memory does not grow with circuit depth.  The
+per-sample API is a batch of one through the same path, on every backend
+(``einsum`` by default, the ``numpy`` oracle with ``QUGEO_BACKEND=numpy``).
 """
 
 from __future__ import annotations
@@ -251,11 +253,9 @@ class QuGeoVQC:
                                  ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Per-sample losses and gradients of a whole mini-batch.
 
-        Runs one stacked forward pass and one stacked adjoint sweep
+        Runs one stacked forward pass and one reversible adjoint sweep
         (:func:`repro.quantum.autodiff.circuit_gradients_batched`) instead of
-        a Python loop over samples; on a backend without native
-        ``batched_adjoint`` support the engine falls back to per-sample
-        loops and stays correct.
+        a Python loop over samples, on every backend.
 
         Returns the ``(B,)`` loss vector and a dict with a ``(B, n_params)``
         ``"theta"`` gradient matrix and (for the trainable pixel decoder) a
@@ -320,7 +320,8 @@ class QuGeoVQC:
 
         Equivalent to calling :meth:`accumulate_gradients` on every sample
         with ``weight = 1 / B``, but computed with one stacked
-        forward/backward sweep.  Returns the mean loss over the batch.
+        forward/backward sweep; the trainer's quantum step.  Returns the
+        mean loss over the batch.
         """
         losses, gradients = self.loss_and_gradients_batch(seismic_batch,
                                                           targets)

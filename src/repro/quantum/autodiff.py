@@ -3,20 +3,19 @@
 Training a VQC needs ``dL/d(theta)`` for every circuit parameter.  Four
 methods are provided:
 
-* :func:`circuit_gradients` — reverse-mode ("adjoint") differentiation: one
-  forward pass plus one backward sweep over the gates, using the analytic
-  derivative matrices from :mod:`repro.quantum.parametric`.  For a real loss
-  ``L(psi_out)`` the parameter gradient is ``2 Re(lambda^dagger dU/dtheta
-  psi_before_gate)`` where ``lambda = dL/d(psi_out*)`` is pulled backwards
-  through the inverse gates.  Its cost is independent of the parameter count.
-* :func:`circuit_gradients_batched` — the same adjoint method over a whole
-  ``(batch, 2**n)`` stack of input states sharing one parameter vector: one
-  stacked forward pass with per-gate intermediates, one vectorised loss head
-  producing a ``(batch,)`` loss vector and a ``(batch, 2**n)`` co-state
-  stack, then one backward sweep pulling all co-states through each
-  ``U^dagger`` together.  This is the method used during mini-batch
-  training; a batch of B samples costs a handful of BLAS-dispatched
-  contractions per gate instead of B sequential Python-level sweeps.
+* :func:`circuit_gradients_batched` — reverse-mode ("adjoint")
+  differentiation of a whole ``(batch, 2**n)`` stack of input states sharing
+  one parameter vector.  For a real loss ``L(psi_out)`` the gradient of a
+  gate parameter is ``2 Re <lambda | dU/dtheta psi_before>`` where
+  ``lambda = dL/d(psi_out*)`` is pulled backwards through the inverse gates.
+  The sweep is *reversible* (Jones & Gacon, arXiv:2009.02823): one fused
+  forward pass keeps only the output stack, and the backward pass
+  uncomputes every pre-gate state as ``U^dagger psi`` alongside the
+  co-state instead of storing it, so memory is ``O(batch * 2**n)`` at any
+  circuit depth and the cost is independent of the parameter count.  This
+  is the one gradient path used for training, on every backend.
+* :func:`circuit_gradients` — the same sweep for a single input state (a
+  batch of one).
 * :func:`parameter_shift_gradients` — the hardware-compatible two-term
   parameter-shift rule (valid for gates generated by an involutory operator,
   e.g. RX/RY/RZ); used by the gradient-method ablation benchmark.
@@ -26,7 +25,7 @@ methods are provided:
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,17 +45,14 @@ BatchedLossHead = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 # chunk in :func:`parameter_shift_gradients`.
 _SHIFT_SWEEP_MAX_ELEMENTS = 1 << 21
 
-# Amplitude budget (~64 MB of complex128) for the per-gate intermediates one
-# chunk of the batched adjoint sweep keeps alive; peak memory stays
-# O(chunk * 2**n) per gate instead of O(n_gates * batch * 2**n).
-_ADJOINT_SWEEP_MAX_ELEMENTS = 1 << 22
-
 
 def circuit_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
                       input_state: np.ndarray,
                       loss_head: LossHead,
                       backend=None) -> Tuple[float, np.ndarray]:
     """Reverse-mode gradient of ``loss_head`` through ``circuit``.
+
+    A batch of one through :func:`circuit_gradients_batched`.
 
     Parameters
     ----------
@@ -69,85 +65,30 @@ def circuit_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
     loss_head:
         Function mapping the output statevector to ``(loss, dL/d(psi*))``.
     backend:
-        Simulation engine (name, instance or ``None`` for the default) used
-        for the forward pass and the backward gate applications.
+        Simulation engine (name, instance or ``None`` for the default).
 
     Returns
     -------
     (loss, gradients):
         The loss value and an array of ``circuit.n_params`` gradients.
     """
-    from repro.backends import get_backend
+    state = ensure_complex(input_state).reshape(1, -1)
 
-    engine = get_backend(backend)
-    if not engine.capabilities.adjoint:
-        raise ValueError(
-            f"backend {engine.name!r} does not support adjoint "
-            f"differentiation (capabilities.adjoint is False); use "
-            f"parameter_shift_gradients or a different backend")
-    params = np.asarray(params, dtype=np.float64).reshape(-1)
-    output, intermediates = circuit.run(input_state, params,
-                                        return_intermediate=True,
-                                        backend=engine)
-    loss, lam = loss_head(output)
-    lam = ensure_complex(lam).reshape(-1)
-    if lam.size != output.size:
-        raise ValueError("loss head returned a gradient of the wrong length")
+    def batched_head(outputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # A co-state of the wrong length fails the batched head check.
+        loss, lam = loss_head(outputs[0])
+        return np.array([float(loss)]), ensure_complex(lam).reshape(1, -1)
 
-    grads = np.zeros(circuit.n_params, dtype=np.float64)
-    _backward_sweep(engine, circuit, params, intermediates, lam, grads)
-    return float(loss), grads
-
-
-def _backward_sweep(engine, circuit: ParameterizedCircuit, params: np.ndarray,
-                    intermediates, lam: np.ndarray, grads: np.ndarray) -> None:
-    """Pull one co-state back through the circuit, accumulating ``grads``.
-
-    ``intermediates[i]`` is the statevector before op ``i``; ``grads`` is the
-    ``(n_params,)`` output buffer (written in place).
-    """
-    n = circuit.n_qubits
-    for index in range(len(circuit.ops) - 1, -1, -1):
-        op = circuit.ops[index]
-        state_before = intermediates[index]
-        matrix = circuit.op_matrix(op, params)
-        if op.is_parametric:
-            gate_params = [float(params[i]) for i in op.param_indices]
-            derivative_matrices = PARAMETRIC_GATES[op.name].derivatives(gate_params)
-            # All parameter derivatives of this gate share the contraction
-            # R[a, b] = sum_rest conj(lam)[a, rest] * psi_before[b, rest];
-            # each gradient is then 2 Re(sum_ab dU[a, b] R[a, b]), which avoids
-            # applying every derivative matrix to the full state.
-            reduced = _reduced_overlap(lam, state_before, op.qubits, n)
-            for d_matrix, param_index in zip(derivative_matrices, op.param_indices):
-                grads[param_index] += 2.0 * float(np.real(np.sum(d_matrix * reduced)))
-        # Pull the co-state back through the gate: lambda <- U^dagger lambda.
-        lam = engine.apply_gate(lam, matrix.conj().T, op.qubits, n)
-
-
-def _reduced_overlap(lam: np.ndarray, state: np.ndarray,
-                     targets, n_qubits: int) -> np.ndarray:
-    """Contract ``conj(lam)`` with ``state`` over all qubits except ``targets``.
-
-    Returns the ``2^k x 2^k`` matrix ``R[a, b] = <lam_a | state_b>`` where the
-    indices ``a`` / ``b`` run over the computational basis of the target
-    qubits (ordered as given).
-    """
-    k = len(targets)
-    lam_t = np.moveaxis(lam.reshape((2,) * n_qubits), targets, range(k))
-    state_t = np.moveaxis(state.reshape((2,) * n_qubits), targets, range(k))
-    lam_flat = lam_t.reshape(2**k, -1)
-    state_flat = state_t.reshape(2**k, -1)
-    return lam_flat.conj() @ state_flat.T
+    losses, grads = circuit_gradients_batched(circuit, params, state,
+                                              batched_head, backend=backend)
+    return float(losses[0]), grads[0]
 
 
 def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
                               input_states: np.ndarray,
                               loss_head: BatchedLossHead,
-                              backend=None,
-                              max_elements: int = _ADJOINT_SWEEP_MAX_ELEMENTS
-                              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode gradients of a whole mini-batch in one stacked sweep.
+                              backend=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Reverse-mode gradients of a whole mini-batch in one reversible sweep.
 
     Parameters
     ----------
@@ -163,16 +104,9 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
         ``lams`` is the ``(batch, 2**n)`` co-state stack ``dL_b/d(psi_b*)``.
         It is invoked exactly once per call, always on the full batch.
     backend:
-        Simulation engine (name, instance or ``None`` for the default).
-        Backends advertising ``batched_adjoint`` execute the sweep as stacked
-        contractions; any other backend with ``adjoint`` support is driven
-        one sample at a time through the plain ``run`` / ``apply_gate``
-        contract and stays correct (at per-sample cost).
-    max_elements:
-        Amplitude budget for the per-gate intermediates held by one backward
-        chunk.  Batches whose intermediates exceed it are re-run forward in
-        chunks (gradient checkpointing over the batch axis), so peak memory
-        is ``O(max_elements)`` rather than ``O(n_gates * batch * 2**n)``.
+        Simulation engine (name, instance or ``None`` for the default).  The
+        sweep needs only ``run_batched`` and ``apply_gate_batched``, which
+        every backend provides.
 
     Returns
     -------
@@ -183,15 +117,9 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
     from repro.backends import get_backend
 
     engine = get_backend(backend)
-    if not engine.capabilities.adjoint:
-        raise ValueError(
-            f"backend {engine.name!r} does not support adjoint "
-            f"differentiation (capabilities.adjoint is False); use "
-            f"parameter_shift_gradients or a different backend")
     params = np.asarray(params, dtype=np.float64).reshape(-1)
-    # Complex stacks keep their precision (a complex64 batch sweeps the
-    # adjoint at complex64 on batched_adjoint engines); real inputs are
-    # promoted to complex128 exactly as before.
+    # Complex stacks keep their precision (a complex64 batch sweeps at
+    # complex64 under the float32 policy); real inputs become complex128.
     states = ensure_complex(input_states)
     if states.ndim != 2:
         raise ValueError("input_states must have shape (batch, 2**n_qubits)")
@@ -202,90 +130,17 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
     if batch == 0:
         return np.zeros(0), np.zeros((0, circuit.n_params))
 
-    chunk_rows = max(1, int(max_elements) // ((len(circuit.ops) + 1) * dim))
-    grads = np.zeros((batch, circuit.n_params))
     telemetry = get_telemetry()
     if telemetry.enabled:
-        n_chunks = (1 if chunk_rows >= batch
-                    else -(-batch // chunk_rows))  # ceil division
         telemetry.counter("gradients.batched.calls").inc()
         telemetry.counter("gradients.batched.samples").inc(batch)
-        telemetry.counter("gradients.batched.chunks").inc(n_chunks)
-        telemetry.gauge("gradients.batched.amplitude_budget").set(max_elements)
-        telemetry.gauge("gradients.batched.chunk_rows").set(
-            min(chunk_rows, batch))
-    if not engine.capabilities.batched_adjoint:
-        # Per-sample fallback: drive the backend only through the PR-1
-        # ``run(..., return_intermediate=True)`` / ``apply_gate`` contract
-        # (so engines that predate the batched-adjoint API keep working) and
-        # skip the batch-of-one stacking overhead entirely.  The loss head
-        # still sees the full output stack exactly once.
-        with telemetry.span("gradients.per_sample"):
-            return _per_sample_fallback(engine, circuit, params, states,
-                                        loss_head, chunk_rows, grads)
-    if chunk_rows >= batch:
-        with telemetry.span("gradients.forward"):
-            outputs, intermediates = engine.run_batched(
-                circuit, states, params, return_intermediate=True)
-        losses, lams = _check_batched_head(loss_head(outputs), batch, dim)
-        with telemetry.span("gradients.backward"):
-            _batched_backward_sweep(engine, circuit, params, intermediates,
-                                    lams, grads)
-        return losses, grads
-    # Checkpointed path: one plain forward feeds the loss head on the full
-    # batch, then each chunk re-runs its forward with intermediates right
-    # before its backward sweep so only one chunk's intermediates are alive.
     with telemetry.span("gradients.forward"):
         outputs = engine.run_batched(circuit, states, params)
     losses, lams = _check_batched_head(loss_head(outputs), batch, dim)
-    for start in range(0, batch, chunk_rows):
-        stop = min(start + chunk_rows, batch)
-        with telemetry.span("gradients.forward"):
-            _, intermediates = engine.run_batched(circuit, states[start:stop],
-                                                  params,
-                                                  return_intermediate=True)
-        with telemetry.span("gradients.backward"):
-            _batched_backward_sweep(engine, circuit, params, intermediates,
-                                    lams[start:stop], grads[start:stop])
-    return losses, grads
-
-
-def _per_sample_fallback(engine, circuit: ParameterizedCircuit,
-                         params: np.ndarray, states: np.ndarray,
-                         loss_head: BatchedLossHead, chunk_rows: int,
-                         grads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched-gradient semantics on a backend without ``batched_adjoint``.
-
-    One scalar forward (keeping intermediates when the amplitude budget
-    allows, re-running them per sample otherwise), one loss-head call on the
-    stacked outputs, then one scalar backward sweep per sample — the same
-    cost as the legacy per-sample :func:`circuit_gradients` loop.
-    """
-    batch, dim = states.shape
-    if chunk_rows >= batch:
-        outputs = []
-        per_sample = []
-        for state in states:
-            output, intermediates = engine.run(circuit, state, params,
-                                               return_intermediate=True)
-            outputs.append(output)
-            per_sample.append(intermediates)
-        losses, lams = _check_batched_head(loss_head(np.stack(outputs)),
-                                           batch, dim)
-        for b in range(batch):
-            _backward_sweep(engine, circuit, params, per_sample[b], lams[b],
-                            grads[b])
-        return losses, grads
-    # Over budget: forward once for the loss head, re-forward per sample
-    # with intermediates right before its backward sweep.
-    outputs = np.stack([engine.run(circuit, state, params)
-                        for state in states])
-    losses, lams = _check_batched_head(loss_head(outputs), batch, dim)
-    for b in range(batch):
-        _, intermediates = engine.run(circuit, states[b], params,
-                                      return_intermediate=True)
-        _backward_sweep(engine, circuit, params, intermediates, lams[b],
-                        grads[b])
+    grads = np.zeros((batch, circuit.n_params))
+    with telemetry.span("gradients.backward"):
+        _reversible_backward_sweep(engine, circuit, params, lams, outputs,
+                                   grads)
     return losses, grads
 
 
@@ -306,41 +161,54 @@ def _check_batched_head(result, batch: int, dim: int
     return losses, lams
 
 
-def _batched_backward_sweep(engine, circuit: ParameterizedCircuit,
-                            params: np.ndarray, intermediates, lams: np.ndarray,
-                            grads: np.ndarray) -> None:
-    """Pull a co-state stack back through the circuit, accumulating ``grads``.
+def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
+                               params: np.ndarray, lams: np.ndarray,
+                               outputs: np.ndarray, grads: np.ndarray) -> None:
+    """Pull co-states and outputs back through the circuit, filling ``grads``.
 
-    ``intermediates[i]`` is the ``(batch, 2**n)`` state stack before op
-    ``i``; ``grads`` is the ``(batch, n_params)`` output buffer (written in
-    place).  Each parametric gate costs one batched reduced-overlap
-    contraction plus one ``(batch, 4**k) @ (4**k, n_gate_params)`` matmul.
+    The co-state stack and the output stack travel together as one
+    ``(2 * batch, 2**n)`` stack, so each op costs one
+    ``apply_gate_batched(U^dagger)`` call that yields both the co-state and
+    the (uncomputed) state before the op.  A parametric gate's gradient is
+    taken from the stacks *after* it: ``<lam | dU psi_before> =
+    <lam | (dU U^dagger) psi_after>``, i.e. one batched reduced overlap
+    ``R[b, a, c]`` of ``(lam, psi_after)`` and one ``(batch, 4**k) @
+    (4**k, n_gate_params)`` matmul.  ``grads`` is the ``(batch, n_params)``
+    output buffer (written in place).
     """
     n = circuit.n_qubits
     batch = lams.shape[0]
-    for index in range(len(circuit.ops) - 1, -1, -1):
+    parametric = [index for index, op in enumerate(circuit.ops)
+                  if op.is_parametric]
+    if not parametric:
+        return
+    first = parametric[0]
+    stack = np.concatenate([lams, outputs])
+    for index in range(len(circuit.ops) - 1, first - 1, -1):
         op = circuit.ops[index]
-        states_before = intermediates[index]
         matrix = circuit.op_matrix(op, params)
+        inverse = matrix.conj().T
         if op.is_parametric:
             gate_params = [float(params[i]) for i in op.param_indices]
             derivatives = PARAMETRIC_GATES[op.name].derivatives(gate_params)
             # R[b, a, c] = sum_rest conj(lam)[b, a, rest] * psi[b, c, rest];
-            # every parameter derivative of this gate then reduces to one
-            # row-wise dot 2 Re(sum_ac dU[a, c] R[b, a, c]).
-            reduced = _reduced_overlap_batched(lams, states_before, op.qubits,
-                                               n)
-            d_stack = np.stack(derivatives).reshape(len(derivatives), -1)
-            contrib = 2.0 * np.real(reduced.reshape(batch, -1) @ d_stack.T)
+            # every parameter derivative then reduces to one row-wise dot
+            # 2 Re(sum_ac (dU U^dagger)[a, c] R[b, a, c]).
+            reduced = _reduced_overlap_batched(stack[:batch], stack[batch:],
+                                               op.qubits, n)
+            d_stack = np.stack(derivatives) @ inverse
+            contrib = 2.0 * np.real(reduced.reshape(batch, -1)
+                                    @ d_stack.reshape(len(derivatives), -1).T)
             for column, param_index in enumerate(op.param_indices):
                 grads[:, param_index] += contrib[:, column]
-        # Pull the co-states back through the gate: lam <- U^dagger lam.
-        lams = engine.apply_gate_batched(lams, matrix.conj().T, op.qubits, n)
+        if index > first:
+            # lam <- U^dagger lam and psi_after <- U^dagger psi_after, at once.
+            stack = engine.apply_gate_batched(stack, inverse, op.qubits, n)
 
 
 def _reduced_overlap_batched(lams: np.ndarray, states: np.ndarray,
                              targets, n_qubits: int) -> np.ndarray:
-    """Batched :func:`_reduced_overlap`: ``R[b, a, c] = <lam_ba | state_bc>``.
+    """``R[b, a, c] = <lam_ba | state_bc>`` over all qubits except ``targets``.
 
     ``lams`` and ``states`` are ``(batch, 2**n)`` stacks; the result has
     shape ``(batch, 2**k, 2**k)`` with ``a`` / ``c`` running over the
@@ -355,26 +223,35 @@ def _reduced_overlap_batched(lams: np.ndarray, states: np.ndarray,
                           range(1, k + 1))
     lam_flat = lam_t.reshape(batch, 2**k, -1)
     state_flat = state_t.reshape(batch, 2**k, -1)
-    # Adjoint differentiation runs on the host reference simulator (float64
-    # numpy states throughout); it does not take an xm handle.
+    # Adjoint differentiation runs on host numpy stacks (apply_gate_batched
+    # returns host arrays on every engine); it does not take an xm handle.
     return np.matmul(lam_flat.conj(), state_flat.swapaxes(1, 2))  # qugeo-lint: disable=QG003 -- host-numpy adjoint path by design
 
 
 def finite_difference_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
                                 input_state: np.ndarray, loss_head: LossHead,
                                 epsilon: float = 1e-6,
-                                backend=None) -> Tuple[float, np.ndarray]:
-    """Central finite-difference gradients (reference implementation for tests)."""
+                                backend=None,
+                                indices: Optional[Sequence[int]] = None
+                                ) -> Tuple[float, np.ndarray]:
+    """Central finite-difference gradients (reference implementation for tests).
+
+    ``indices`` restricts the differentiation to those parameters (all of
+    them by default); the gradient array lists them in that order.
+    """
     params = np.asarray(params, dtype=np.float64).reshape(-1)
     loss, _ = _evaluate(circuit, params, input_state, loss_head, backend)
-    grads = np.zeros_like(params)
-    for i in range(params.size):
+    if indices is None:
+        indices = range(params.size)
+    indices = [int(i) for i in indices]
+    grads = np.zeros(len(indices))
+    for row, i in enumerate(indices):
         shifted = params.copy()
         shifted[i] += epsilon
         loss_plus, _ = _evaluate(circuit, shifted, input_state, loss_head, backend)
         shifted[i] -= 2 * epsilon
         loss_minus, _ = _evaluate(circuit, shifted, input_state, loss_head, backend)
-        grads[i] = (loss_plus - loss_minus) / (2 * epsilon)
+        grads[row] = (loss_plus - loss_minus) / (2 * epsilon)
     return loss, grads
 
 
@@ -385,10 +262,13 @@ def parameter_shift_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
     """Two-term parameter-shift gradients.
 
     Exact for parameters that enter through a rotation generated by an
-    involutory operator with eigenvalues +-1/2 (RX, RY, RZ, CRX and the theta
-    parameter of U3).  For other parameters the rule is an approximation; the
-    reproduction uses :func:`circuit_gradients` for training and keeps this
-    function for the ablation benchmark comparing gradient strategies.
+    operator with eigenvalues +-1/2, up to a global phase (RX, RY, RZ and all
+    three angles of U3).  Controlled rotations (CRX, CU3) also have a zero
+    eigenvalue, so for them the rule is exact only for observables that do
+    not couple the control states.  Otherwise it is an approximation; the
+    reproduction uses :func:`circuit_gradients_batched` for training and
+    keeps this function for the ablation benchmark comparing gradient
+    strategies.
 
     On a backend advertising ``batched_params`` (e.g. ``"einsum"``) the whole
     sweep — both shifted circuits for every parameter — executes as one

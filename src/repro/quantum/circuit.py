@@ -130,7 +130,7 @@ class ParameterizedCircuit:
         return GATES[op.name]
 
     def run(self, state: np.ndarray, params: Optional[np.ndarray] = None,
-            return_intermediate: bool = False, backend=None):
+            backend=None) -> np.ndarray:
         """Apply the full circuit to ``state``.
 
         Parameters
@@ -139,9 +139,6 @@ class ParameterizedCircuit:
             Input statevector of length ``2**n_qubits``.
         params:
             Flat parameter vector of length :attr:`n_params`.
-        return_intermediate:
-            Also return the list of statevectors *before* each gate (used by
-            the reverse-mode gradient computation).
         backend:
             Simulation engine: a registered name, a
             :class:`~repro.backends.base.SimulationBackend` instance, or
@@ -157,8 +154,7 @@ class ParameterizedCircuit:
         # validation lives in SimulationBackend.validate_state/params.
         from repro.backends import get_backend
 
-        return get_backend(backend).run(self, state, params,
-                                        return_intermediate=return_intermediate)
+        return get_backend(backend).run(self, state, params)
 
     def run_batched(self, states: np.ndarray,
                     params: Optional[np.ndarray] = None,

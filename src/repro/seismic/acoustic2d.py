@@ -157,6 +157,17 @@ class SimulationConfig:
                                 spatial_order=self.spatial_order, safety=safety)
 
 
+def _check_velocity(velocity: np.ndarray) -> None:
+    """Reject velocity models with NaN, infinite or non-positive cells.
+
+    ``velocity <= 0`` alone is False for NaN, and the CFL check on a NaN
+    maximum does not fire, so a NaN cell would otherwise run and return
+    non-finite gathers.
+    """
+    if not np.all(np.isfinite(velocity) & (velocity > 0)):
+        raise ValueError("velocities must be finite and strictly positive")
+
+
 def _check_positions(positions: Iterable[Tuple[int, int]], nz: int, nx: int,
                      kind: str) -> List[Tuple[int, int]]:
     """Validate grid positions and return them as a list."""
@@ -206,8 +217,7 @@ class AcousticSimulator2D:
         self.velocity = np.asarray(velocity, dtype=np.float64)
         if self.velocity.ndim != 2:
             raise ValueError("velocity must be a 2-D array [depth, offset]")
-        if np.any(self.velocity <= 0):
-            raise ValueError("velocities must be strictly positive")
+        _check_velocity(self.velocity)
         self.config = config or SimulationConfig()
         self.config.validate_cfl(float(self.velocity.max()))
         boundary = self.config.boundary
@@ -469,8 +479,7 @@ class BatchedAcousticSimulator2D:
                 "velocity must be [depth, offset] or [model, depth, offset]")
         if self.velocity.ndim == 3 and self.velocity.shape[0] == 0:
             raise ValueError("velocity batch must contain at least one model")
-        if np.any(self.velocity <= 0):
-            raise ValueError("velocities must be strictly positive")
+        _check_velocity(self.velocity)
         self.config = config or SimulationConfig()
         self.config.validate_cfl(float(self.velocity.max()))
         self.policy = get_dtype_policy(policy)

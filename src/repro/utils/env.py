@@ -18,7 +18,7 @@ Known variables
 ==========================  =====================================================
 Variable                    Meaning (default)
 ==========================  =====================================================
-``QUGEO_BACKEND``           Default simulation backend name (``numpy``)
+``QUGEO_BACKEND``           Default simulation backend name (``einsum``)
 ``QUGEO_PROPAGATOR``        Default acoustic propagator name (``batched``)
 ``QUGEO_SEISMIC_KERNEL``    Default propagator time-loop kernel (``python``;
                             also ``numba`` / ``cffi`` when installed)
@@ -85,7 +85,7 @@ class EnvVar:
 
 #: Every known variable with its documented default, in display order.
 KNOWN_VARS: Tuple[EnvVar, ...] = (
-    EnvVar(BACKEND, "numpy", "default simulation backend name"),
+    EnvVar(BACKEND, "einsum", "default simulation backend name"),
     EnvVar(PROPAGATOR, "batched", "default acoustic propagator name"),
     EnvVar(SEISMIC_KERNEL, "python",
            "default propagator time-loop kernel",

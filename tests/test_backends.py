@@ -4,7 +4,7 @@ The vectorised :class:`EinsumBatchBackend` must agree with the bit-exact
 :class:`NumpyLoopBackend` to 1e-10 on random circuits over 1-6 qubits,
 including the fixed two-qubit gates (CNOT/CZ/SWAP) and the parameterised
 U3/CU3 family, in every execution mode (single state, batched states,
-batched parameters, adjoint intermediates).
+batched parameters, batched gate application).
 """
 
 from __future__ import annotations
@@ -146,18 +146,14 @@ def test_fusion_can_be_disabled():
                                atol=ATOL)
 
 
-def test_intermediates_accept_single_row_param_matrix(loop, einsum):
-    """A (1, n_params) matrix is valid everywhere, incl. the adjoint path."""
+def test_run_accepts_single_row_param_matrix(loop, einsum):
+    """A (1, n_params) matrix is a valid parameter argument for one state."""
     rng = np.random.default_rng(19)
     circuit = random_circuit(3, n_ops=8, rng=rng)
     params = rng.normal(size=(1, circuit.n_params))
     state = random_states(3, 1, rng)[0]
-    out_a, inter_a = loop.run(circuit, state, params[0],
-                              return_intermediate=True)
-    out_b, inter_b = einsum.run(circuit, state, params,
-                                return_intermediate=True)
-    np.testing.assert_allclose(out_b, out_a, atol=ATOL)
-    np.testing.assert_allclose(inter_b[-1], inter_a[-1], atol=ATOL)
+    np.testing.assert_allclose(einsum.run(circuit, state, params),
+                               loop.run(circuit, state, params[0]), atol=ATOL)
 
 
 def test_matrix_stack_fallback_loop_matches_vectorised():
@@ -176,16 +172,37 @@ def test_matrix_stack_fallback_loop_matches_vectorised():
 
 
 def test_intermediate_states_parity(loop, einsum):
+    """Pre-gate states stepped forward on one engine are recovered by
+    uncomputing through ``U^dagger`` on the other, as the adjoint sweep does."""
     rng = np.random.default_rng(9)
     circuit = random_circuit(4, n_ops=12, rng=rng)
     params = rng.normal(size=circuit.n_params)
-    state = random_states(4, 1, rng)[0]
-    out_a, inter_a = loop.run(circuit, state, params, return_intermediate=True)
-    out_b, inter_b = einsum.run(circuit, state, params, return_intermediate=True)
-    np.testing.assert_allclose(out_b, out_a, atol=ATOL)
-    assert len(inter_a) == len(inter_b) == len(circuit.ops)
-    for a, b in zip(inter_a, inter_b):
-        np.testing.assert_allclose(b, a, atol=ATOL)
+    states = random_states(4, 3, rng)
+    forward = [states]
+    for op in circuit.ops:
+        forward.append(loop.apply_gate_batched(
+            forward[-1], circuit.op_matrix(op, params), op.qubits, 4))
+    np.testing.assert_allclose(forward[-1],
+                               einsum.run_batched(circuit, states, params),
+                               atol=ATOL)
+    current = forward[-1]
+    for index in range(len(circuit.ops) - 1, -1, -1):
+        op = circuit.ops[index]
+        current = einsum.apply_gate_batched(
+            current, circuit.op_matrix(op, params).conj().T, op.qubits, 4)
+        np.testing.assert_allclose(current, forward[index], atol=ATOL)
+
+
+@pytest.mark.parametrize("targets", [(0,), (3,), (2, 0), (1, 3)])
+def test_apply_gate_batched_parity(targets, loop, einsum):
+    """The adjoint sweep's one engine call agrees across engines."""
+    rng = np.random.default_rng(9)
+    states = random_states(4, 6, rng)
+    dim = 2**len(targets)
+    matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    np.testing.assert_allclose(
+        einsum.apply_gate_batched(states, matrix, targets, 4),
+        loop.apply_gate_batched(states, matrix, targets, 4), atol=ATOL)
 
 
 def test_expectation_parity(loop, einsum):
@@ -279,21 +296,6 @@ def test_parameter_shift_chunked_sweep_matches_loop(monkeypatch):
     np.testing.assert_allclose(grads_chunked, grads_whole, atol=ATOL)
 
 
-def test_adjoint_capability_enforced():
-    class NoAdjoint(NumpyLoopBackend):
-        name = "no-adjoint-test"
-        capabilities = NumpyLoopBackend.capabilities.__class__(adjoint=False)
-
-    rng = np.random.default_rng(17)
-    circuit = ParameterizedCircuit(2)
-    circuit.add_parametric_gate("RY", [0])
-    params = rng.normal(size=circuit.n_params)
-    state = random_states(2, 1, rng)[0]
-    with pytest.raises(ValueError, match="adjoint"):
-        circuit_gradients(circuit, params, state, _z0_loss_head(2),
-                          backend=NoAdjoint())
-
-
 def test_parameter_shift_stacked_sweep_matches_loop():
     rng = np.random.default_rng(13)
     circuit = ParameterizedCircuit(3)
@@ -370,12 +372,12 @@ def test_get_backend_passthrough_and_bad_spec():
 
 
 def test_env_var_selects_default(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "einsum")
-    assert default_backend_name() == "einsum"
-    assert isinstance(get_backend(None), EinsumBatchBackend)
-    monkeypatch.delenv(BACKEND_ENV_VAR)
+    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
     assert default_backend_name() == "numpy"
     assert isinstance(get_backend(None), NumpyLoopBackend)
+    monkeypatch.delenv(BACKEND_ENV_VAR)
+    assert default_backend_name() == "einsum"
+    assert isinstance(get_backend(None), EinsumBatchBackend)
 
 
 # --------------------------------------------------------------------------- #

@@ -2,9 +2,10 @@
 
 The contract: :func:`repro.quantum.autodiff.circuit_gradients_batched` (and
 the model/trainer layers built on it) must produce the same losses and
-gradients as the per-sample adjoint sweep and the finite-difference ground
-truth, on every backend, for both decoders, grouped and ungrouped ansätze,
-and regardless of how the batch is chunked.
+gradients for every row of a batch as for that sample alone, and match the
+finite-difference ground truth, on every backend, for both decoders and for
+grouped and ungrouped ansätze.  Oracles at the paper's depth and per gate
+live in ``test_gradient_oracles.py``.
 """
 
 import numpy as np
@@ -215,26 +216,6 @@ class TestCircuitGradientsBatched:
             assert losses[b] == pytest.approx(loss_s, abs=1e-12)
             np.testing.assert_allclose(grads[b], grad_s, atol=1e-10)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chunked_sweep_matches_single_pass(self, backend):
-        """A tiny amplitude budget (checkpointed re-forward) changes nothing."""
-        rng = np.random.default_rng(14)
-        n, batch = 3, 6
-        circuit = u3_cu3_ansatz(n, n_blocks=2)
-        params = rng.normal(size=circuit.n_params)
-        states = _random_states(n, batch, rng)
-        targets = rng.random((batch, n))
-        _, batched = _expectation_heads(n, targets)
-
-        losses_a, grads_a = circuit_gradients_batched(circuit, params, states,
-                                                      batched, backend=backend)
-        tiny = 2 * (len(circuit.ops) + 1) * 2**n
-        losses_b, grads_b = circuit_gradients_batched(circuit, params, states,
-                                                      batched, backend=backend,
-                                                      max_elements=tiny)
-        np.testing.assert_allclose(losses_a, losses_b, atol=1e-13)
-        np.testing.assert_allclose(grads_a, grads_b, atol=1e-12)
-
     def test_empty_batch(self):
         circuit = u3_cu3_ansatz(2, n_blocks=1)
         losses, grads = circuit_gradients_batched(
@@ -265,25 +246,8 @@ def _model_config(decoder, n_groups=1):
 
 
 class TestBaseClassBatchedFallbacks:
-    """The loop fallbacks behind the batched adjoint contract stay correct
-    on a backend that does not override them (``numpy``)."""
-
-    def test_run_batched_return_intermediate(self):
-        rng = np.random.default_rng(50)
-        backend = get_backend("numpy")
-        circuit = u3_cu3_ansatz(3, n_blocks=1)
-        params = rng.normal(size=circuit.n_params)
-        states = _random_states(3, 4, rng)
-        outputs, intermediates = backend.run_batched(circuit, states, params,
-                                                     return_intermediate=True)
-        assert len(intermediates) == len(circuit.ops)
-        for b in range(4):
-            out, inter = backend.run(circuit, states[b], params,
-                                     return_intermediate=True)
-            np.testing.assert_allclose(outputs[b], out, atol=1e-14)
-            for index in range(len(circuit.ops)):
-                np.testing.assert_allclose(intermediates[index][b],
-                                           inter[index], atol=1e-14)
+    """The loop fallback behind the adjoint sweep's one engine call stays
+    correct on a backend that does not override it (``numpy``)."""
 
     def test_apply_gate_batched_matches_per_state(self):
         rng = np.random.default_rng(51)
@@ -398,8 +362,8 @@ def _tiny_dataset(rng, n_samples, capacity):
 class TestTrainerBatchedPath:
     @pytest.mark.parametrize("decoder", ["pixel", "layer"])
     def test_trajectories_match_across_gradient_paths(self, decoder):
-        """Per-sample (numpy backend) and batched (einsum backend) training
-        must follow the same parameter trajectory for a fixed seed."""
+        """Training on the numpy oracle and on the einsum engine must
+        follow the same parameter trajectory for a fixed seed."""
         rng = np.random.default_rng(30)
         config = _model_config(decoder)
         dataset = _tiny_dataset(rng, 6, 2**config.qubits_per_group)

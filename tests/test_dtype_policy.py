@@ -129,10 +129,8 @@ def test_float32_backend_outputs_stay_complex64():
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     out = backend.run_batched(circuit, states, params)
     assert out.dtype == np.complex64
-    out, intermediates = backend.run_batched(circuit, states, params,
-                                             return_intermediate=True)
-    assert out.dtype == np.complex64
-    assert all(step.dtype == np.complex64 for step in intermediates)
+    pulled = backend.apply_gate_batched(out, np.eye(4), (0, 1), 3)
+    assert pulled.dtype == np.complex64
     single = backend.run(circuit, states[0], params)
     assert single.dtype == np.complex64
 

@@ -121,13 +121,6 @@ class TestParameterizedCircuit:
         with pytest.raises(ValueError):
             circuit.run(_random_state(2), np.zeros(circuit.n_params + 1))
 
-    def test_run_intermediates_count(self):
-        circuit = u3_cu3_ansatz(2, n_blocks=1)
-        params = np.zeros(circuit.n_params)
-        _, intermediates = circuit.run(_random_state(2), params,
-                                       return_intermediate=True)
-        assert len(intermediates) == len(circuit)
-
     def test_identity_params_give_identity_u3(self):
         circuit = ParameterizedCircuit(2)
         circuit.add_parametric_gate("U3", (0,))

@@ -308,6 +308,13 @@ class TestAcousticSimulator:
         with pytest.raises(ValueError):
             AcousticSimulator2D(np.ones(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_velocity(self, bad):
+        velocity = np.full((10, 10), 2000.0)
+        velocity[4, 6] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AcousticSimulator2D(velocity)
+
     def test_rejects_out_of_grid_source_or_receiver(self):
         simulator, config = self._small_sim(n_steps=5)
         wavelet = ricker_wavelet(5, config.dt, 10.0)

@@ -148,6 +148,15 @@ class TestBatchedScalarParity:
         with pytest.raises(ValueError):
             simulator.simulate_shots(SOURCES, np.zeros((2, 5)), RECEIVERS)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_velocity(self, bad):
+        velocities = np.stack([_layered_velocity(1), _layered_velocity(2)])
+        velocities[1, 7, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BatchedAcousticSimulator2D(velocities, _config(n_steps=5))
+        with pytest.raises(ValueError, match="finite"):
+            BatchedAcousticSimulator2D(velocities[1], _config(n_steps=5))
+
 
 class TestPropagatorRegistry:
     def test_builtin_engines_registered(self):

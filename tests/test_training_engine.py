@@ -41,7 +41,6 @@ from repro.core.data_scaling import (
 from repro.core.training import (
     ClassicalAutogradStep,
     QuantumBatchedAdjointStep,
-    QuantumPerSampleStep,
     QuBatchStep,
 )
 from repro.data.dataset import train_test_split
@@ -88,12 +87,11 @@ class TestStrategySelection:
                           QuBatchStep)
         assert isinstance(select_step_strategy(MODEL_BUILDERS["classical"]()),
                           ClassicalAutogradStep)
-        quantum = MODEL_BUILDERS["quantum"]()
-        strategy = select_step_strategy(quantum)
-        if quantum.backend.capabilities.batched_adjoint:
-            assert isinstance(strategy, QuantumBatchedAdjointStep)
-        else:
-            assert isinstance(strategy, QuantumPerSampleStep)
+        # One reversible adjoint sweep per mini-batch on every backend.
+        for backend in ("einsum", "numpy"):
+            quantum = QuGeoVQC(_vqc_config("layer"), rng=0, backend=backend)
+            assert isinstance(select_step_strategy(quantum),
+                              QuantumBatchedAdjointStep)
 
     def test_unknown_model_rejected_with_clear_error(self):
         class ProtocolOnlyModel:
@@ -111,17 +109,6 @@ class TestStrategySelection:
 
         with pytest.raises(TypeError, match="no step strategy"):
             select_step_strategy(ProtocolOnlyModel())
-
-    def test_per_sample_strategy_matches_batched(self, tiny_scaled_dataset):
-        """The engine produces the same trajectory under either quantum path."""
-        results = []
-        for strategy in (None, QuantumPerSampleStep()):
-            model = MODEL_BUILDERS["quantum"]()
-            trainer = Trainer(_training_config(epochs=3), strategy=strategy)
-            results.append(trainer.train(model, tiny_scaled_dataset))
-        np.testing.assert_allclose(results[0].history("train_loss"),
-                                   results[1].history("train_loss"),
-                                   rtol=1e-8)
 
 
 @pytest.mark.parametrize("family", sorted(MODEL_BUILDERS))

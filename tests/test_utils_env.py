@@ -64,11 +64,11 @@ def test_known_vars_documented_and_prefixed():
 
 
 def test_describe_reports_current_values(monkeypatch):
-    monkeypatch.setenv(env.BACKEND, "einsum")
+    monkeypatch.setenv(env.BACKEND, "numpy")
     monkeypatch.delenv(env.CACHE_DIR, raising=False)
     table = env.describe()
-    assert table[env.BACKEND]["value"] == "einsum"
-    assert table[env.BACKEND]["default"] == "numpy"
+    assert table[env.BACKEND]["value"] == "numpy"
+    assert table[env.BACKEND]["default"] == "einsum"
     assert table[env.CACHE_DIR]["value"] is None
 
 
@@ -78,10 +78,10 @@ def test_describe_reports_current_values(monkeypatch):
 def test_backend_default_resolves_via_env(monkeypatch):
     from repro.backends import default_backend_name
 
-    monkeypatch.setenv(env.BACKEND, "einsum")
-    assert default_backend_name() == "einsum"
-    monkeypatch.delenv(env.BACKEND)
+    monkeypatch.setenv(env.BACKEND, "numpy")
     assert default_backend_name() == "numpy"
+    monkeypatch.delenv(env.BACKEND)
+    assert default_backend_name() == "einsum"
 
 
 def test_propagator_default_resolves_via_env(monkeypatch):
