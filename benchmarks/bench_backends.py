@@ -27,8 +27,7 @@ import numpy as np
 from common import (add_cache_dir_argument, add_json_argument,
                     apply_cache_dir, write_json)
 
-from repro.backends import available_backends, get_backend
-from repro.xm import array_module_available
+from repro.backends import BACKENDS, get_backend
 from repro.quantum.ansatz import u3_cu3_ansatz
 from repro.utils.tables import format_table
 
@@ -119,13 +118,10 @@ def main() -> int:
         qubit_counts, batch_sizes = (4, 6, 8, 10), (1, 8, 32)
     qubit_counts = args.qubits or qubit_counts
     batch_sizes = args.batches or batch_sizes
-    backend_names = [name for name in ("numpy", "einsum")
-                     if name in available_backends()]
-    # Optional array-module engines join the table when their library is
-    # importable; on the core image they are registered but unavailable.
-    backend_names += [name for name in ("torch", "cupy")
-                      if name in available_backends()
-                      and array_module_available(name)]
+    # The numpy oracle leads (speedups are relative to it); optional engines
+    # join when their library is importable.
+    backend_names = ["numpy"] + [name for name in BACKENDS.names()
+                                 if name != "numpy" and BACKENDS.available(name)]
     rows, speedups = run_benchmark(qubit_counts, batch_sizes, args.blocks,
                                    args.repeats, backend_names)
     text = render(rows)

@@ -42,7 +42,7 @@ from repro.seismic import (
     ricker_wavelet,
     stable_time_step,
 )
-from repro.seismic.kernels import available_kernels, kernel_available
+from repro.seismic.kernels import KERNELS
 from repro.telemetry import capture
 from repro.utils.tables import format_table
 
@@ -149,8 +149,7 @@ DTYPES = ("float64", "float32")
 
 
 def _grid_kernels() -> List[str]:
-    return [name for name in available_kernels()
-            if kernel_available(name) and name != "cffi"]
+    return [name for name in KERNELS.names() if KERNELS.available(name)]
 
 
 def run_kernel_grid(n_steps: int, repeats: int

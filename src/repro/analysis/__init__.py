@@ -3,8 +3,7 @@
 An AST-based, zero-dependency linter enforcing the project invariants that
 generic linters cannot see — the env-variable waist, seeded-RNG
 determinism, the ``xm.ArrayOps`` narrow waist, monotonic telemetry clocks,
-fault-path exception hygiene, registry/parity-test lockstep, and
-fingerprint format-version discipline.  Run it with::
+fault-path exception hygiene and fingerprint format-version discipline.  Run it with::
 
     python -m repro.analysis [PATH ...]
     qugeo-lint --list-rules
@@ -23,39 +22,23 @@ from repro.analysis.base import (
 )
 from repro.analysis.engine import DEFAULT_PATHS, LintResult, lint_paths
 from repro.analysis.findings import PARSE_ERROR_CODE, Finding
-from repro.analysis.registry import (
-    DuplicateRuleError,
-    RuleError,
-    UnknownRuleError,
-    all_rules,
-    available_rules,
-    get_rule,
-    register_rule,
-    resolve_rules,
-    unregister_rule,
-)
+from repro.analysis.registry import RULES, get_rule, resolve_rules
 
 # Importing the rules package registers the built-in rules.
 import repro.analysis.rules  # noqa: F401  (imported for registration)
 
 __all__ = [
     "DEFAULT_PATHS",
-    "DuplicateRuleError",
     "Finding",
     "LintResult",
     "PARSE_ERROR_CODE",
     "Project",
+    "RULES",
     "Rule",
-    "RuleError",
     "SourceFile",
-    "UnknownRuleError",
-    "all_rules",
-    "available_rules",
     "find_project_root",
     "get_rule",
     "lint_paths",
     "load_source_file",
-    "register_rule",
     "resolve_rules",
-    "unregister_rule",
 ]

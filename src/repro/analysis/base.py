@@ -11,9 +11,7 @@ A finding is suppressed by a ``qugeo-lint`` comment on the *same line*::
 Several codes may be listed (``disable=QG001,QG005``) and ``disable=all``
 silences every rule on that line.  Anything after the code list is free-form
 rationale — suppressions without a *why* do not survive review, so the
-syntax encourages one.  :class:`~repro.analysis.rules.qg006_registry`
-additionally understands a ``# qugeo-lint: placeholder`` marker on registry
-registration lines (a declared-but-not-yet-shipped engine).
+syntax encourages one.
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ from repro.analysis.findings import Finding
 
 #: Matches the machine-readable head of a suppression comment.
 _DISABLE_RE = re.compile(r"qugeo-lint:\s*disable=([A-Za-z0-9_,\- ]+)")
-
-#: Marks a registry registration as a declared placeholder (QG006).
-_PLACEHOLDER_RE = re.compile(r"qugeo-lint:\s*placeholder\b")
 
 #: A valid rule code inside a ``disable=`` list.
 _CODE_RE = re.compile(r"^[A-Z]{2}\d{3}$")
@@ -100,11 +95,6 @@ class SourceFile:
             return False
         return "ALL" in codes or finding.rule in codes
 
-    def has_placeholder_marker(self, line: int) -> bool:
-        """Whether ``line`` carries a ``qugeo-lint: placeholder`` marker."""
-        comment = self.comments.get(line)
-        return bool(comment and _PLACEHOLDER_RE.search(comment))
-
     def finding(self, node: ast.AST, rule: str, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
         return Finding(path=self.rel_path, line=getattr(node, "lineno", 1),
@@ -166,37 +156,9 @@ def find_project_root(start: Path) -> Path:
 
 @dataclass(frozen=True)
 class Project:
-    """Project-level view for rules that reason across files (QG006/QG007)."""
+    """Project-level view for rules that reason across files (QG007)."""
 
     root: Path
-
-    @property
-    def src_root(self) -> Path:
-        return self.root / "src"
-
-    @property
-    def tests_root(self) -> Path:
-        return self.root / "tests"
-
-    def rel(self, path: Path) -> str:
-        try:
-            return path.resolve().relative_to(self.root.resolve()).as_posix()
-        except ValueError:
-            return path.as_posix()
-
-    def source_files(self) -> Iterator[Path]:
-        """Every python file under ``src/`` (empty when absent)."""
-        if self.src_root.is_dir():
-            yield from iter_python_files(self.src_root)
-
-    def test_files(self) -> Iterator[Path]:
-        """Every ``test_*.py`` under ``tests/`` (empty when absent)."""
-        if self.tests_root.is_dir():
-            for path in sorted(self.tests_root.rglob("test_*.py")):
-                yield path
-
-    def load(self, path: Path) -> SourceFile:
-        return load_source_file(path, self.root)
 
     def load_rel(self, rel_path: str) -> Optional[SourceFile]:
         """Load a project-relative path, or ``None`` when it does not exist."""
@@ -216,9 +178,8 @@ class Rule:
     * :meth:`check_file` — called once per linted file with its parsed
       :class:`SourceFile`; per-line suppressions are applied by the engine.
     * :meth:`check_project` — called once per run with the :class:`Project`
-      view, for invariants that span files (registry coverage, pinned
-      baselines).  Findings in files the engine also parsed still honour
-      same-line suppressions.
+      view, for invariants that span files (pinned baselines).  Findings
+      in files the engine also parsed still honour same-line suppressions.
     """
 
     code: str = ""

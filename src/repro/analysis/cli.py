@@ -15,7 +15,8 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis.engine import DEFAULT_PATHS, LintResult, lint_paths
-from repro.analysis.registry import UnknownRuleError, all_rules
+from repro.analysis.registry import resolve_rules
+from repro.utils.registry import UnknownNameError
 from repro.utils.tables import format_table
 
 
@@ -32,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qugeo-lint",
         description=("AST-based project-invariant linter for the QuGeo "
-                     "reproduction (rules QG001-QG007)."))
+                     "reproduction (rules QG001-QG005, QG007)."))
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help=(f"files or directories to lint (default: "
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_rules() -> None:
-    rows = [(rule.code, rule.name, rule.description) for rule in all_rules()]
+    rows = [(rule.code, rule.name, rule.description) for rule in resolve_rules()]
     print(format_table(("code", "name", "checks for"), rows,
                        title="qugeo-lint rules"))
 
@@ -87,7 +88,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ignore=_split_codes(args.ignore),
             project_root=args.project_root,
         )
-    except UnknownRuleError as exc:
+    except UnknownNameError as exc:
         print(f"qugeo-lint: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

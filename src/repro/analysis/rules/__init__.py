@@ -1,8 +1,8 @@
-"""Built-in invariant rules (QG001–QG007).
+"""Built-in invariant rules (QG001–QG005, QG007).
 
 Importing this package registers every built-in rule with
-:mod:`repro.analysis.registry` — the same eager-registration idiom the
-backend/propagator/kernel registries use.  Each rule module's docstring
+:data:`repro.analysis.registry.RULES` — the same eager-registration idiom
+the backend/propagator/kernel registries use.  Each rule module's docstring
 names the project contract it guards; the README's rule table links back
 to them.
 """
@@ -13,7 +13,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     qg003_xm,
     qg004_clock,
     qg005_except,
-    qg006_registry,
     qg007_fingerprint,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "qg003_xm",
     "qg004_clock",
     "qg005_except",
-    "qg006_registry",
     "qg007_fingerprint",
 ]

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from repro.analysis.base import Rule, SourceFile, dotted_name
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
+from repro.analysis.registry import RULES
 
 #: The sanctioned module — the only file allowed to touch ``os.environ``.
 ALLOWED_FILES = frozenset({"src/repro/utils/env.py"})
@@ -51,4 +51,4 @@ class EnvAccessRule(Rule):
                             f"reads/writes through repro.utils.env instead")
 
 
-register_rule(EnvAccessRule())
+RULES.register(EnvAccessRule.code, EnvAccessRule)

@@ -20,7 +20,7 @@ from typing import Iterator, Set
 
 from repro.analysis.base import Rule, SourceFile, call_name
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
+from repro.analysis.registry import RULES
 
 #: The sanctioned RNG waist (fresh entropy lives here, nowhere else).
 ALLOWED_FILES = frozenset({"src/repro/utils/rng.py"})
@@ -96,4 +96,4 @@ class SeededRngRule(Rule):
                         f"repro.utils.rng.ensure_rng instead")
 
 
-register_rule(SeededRngRule())
+RULES.register(SeededRngRule.code, SeededRngRule)

@@ -1,7 +1,7 @@
 """QG003 — xm-seamed modules route arithmetic kernels through ``ArrayOps``.
 
 Contract guarded: :class:`repro.xm.ArrayOps` is the narrow waist between the
-numeric engines and the array library (NumPy / CuPy / PyTorch).  Inside the
+numeric engines and the array library (NumPy / PyTorch).  Inside the
 seamed modules, a raw ``np.einsum`` / ``np.matmul`` pins the computation to
 host NumPy and silently breaks the GPU path for every engine built on the
 seam.
@@ -20,7 +20,7 @@ from typing import Iterator
 
 from repro.analysis.base import Rule, SourceFile, call_name
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
+from repro.analysis.registry import RULES
 
 #: Modules written against the ArrayOps seam (see ROADMAP PR 7).
 SEAMED_PREFIXES = (
@@ -67,4 +67,4 @@ class ArrayWaistRule(Rule):
                     f"branch is host-NumPy by design")
 
 
-register_rule(ArrayWaistRule())
+RULES.register(ArrayWaistRule.code, ArrayWaistRule)

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from repro.analysis.base import Rule, SourceFile, call_name
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
+from repro.analysis.registry import RULES
 
 #: Calls that read the wall clock (flagged unconditionally).
 _WALL_CLOCK_CALLS = frozenset({"time.time", "time.clock"})
@@ -75,4 +75,4 @@ class MonotonicClockRule(Rule):
                     f"or use a monotonic clock for durations")
 
 
-register_rule(MonotonicClockRule())
+RULES.register(MonotonicClockRule.code, MonotonicClockRule)

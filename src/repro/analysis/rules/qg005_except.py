@@ -19,7 +19,7 @@ from typing import Iterator
 
 from repro.analysis.base import Rule, SourceFile
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
+from repro.analysis.registry import RULES
 
 #: Fault-tolerance surfaces (prefix or exact project-relative path).
 SCOPE_PREFIXES = ("src/repro/robustness/",)
@@ -74,4 +74,4 @@ class SwallowedExceptionRule(Rule):
                     "is provably benign")
 
 
-register_rule(SwallowedExceptionRule())
+RULES.register(SwallowedExceptionRule.code, SwallowedExceptionRule)

@@ -26,7 +26,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.analysis.base import Project, Rule, SourceFile
 from repro.analysis.baselines import FINGERPRINT_BASELINES, FingerprintBaseline
 from repro.analysis.findings import Finding
-from repro.analysis.registry import register_rule
+from repro.analysis.registry import RULES
 
 BASELINE_MODULE = "src/repro/analysis/baselines.py"
 
@@ -149,4 +149,4 @@ class FingerprintHygieneRule(Rule):
                              f"pinned fields/version in {BASELINE_MODULE}"))
 
 
-register_rule(FingerprintHygieneRule())
+RULES.register(FingerprintHygieneRule.code, FingerprintHygieneRule)

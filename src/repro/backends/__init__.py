@@ -17,63 +17,44 @@ environment variable and then to ``"einsum"``.  Gradients run as one
 reversible adjoint sweep on every engine (see
 :mod:`repro.quantum.autodiff`), so no engine stores per-gate intermediates.
 Future engines (GPU, sparse, remote hardware) plug in with
-:func:`register_backend` without touching any caller.
+``BACKENDS.register(name, factory)`` without touching any caller; factories
+run lazily and the instance is cached per name, so repeated
+``get_backend("einsum")`` calls share one engine and its memoised tensors.
 
-The ``"torch"`` and ``"cupy"`` engines are the einsum engine re-based onto
-the corresponding :mod:`repro.xm` array module — same contraction strategy,
-device-resident tensors.  They are always *listed* but resolving them raises
-a clear error when the optional dependency is not installed.
+The ``"torch"`` engine is the einsum engine re-based onto the torch
+:mod:`repro.xm` array module: same contraction strategy, device-resident
+tensors.  It is always *listed*, but resolving it raises
+:class:`~repro.utils.registry.UnavailableError` when torch is not installed.
 """
 
 from repro.backends.base import BackendCapabilities, SimulationBackend
-from repro.backends.registry import (
-    BACKEND_ENV_VAR,
-    BackendError,
-    DuplicateBackendError,
-    UnknownBackendError,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    set_default_backend,
-    unregister_backend,
-)
 from repro.backends.numpy_loop import NumpyLoopBackend
 from repro.backends.einsum_batch import EinsumBatchBackend
+from repro.utils import env
+from repro.utils.registry import Registry
 
-def _array_module_backend(module_name: str):
-    """Factory for an einsum engine running on a non-NumPy array module.
 
-    Raises ``ArrayModuleUnavailableError`` (an ``ImportError``) at
-    resolution time when the optional dependency is missing, so the names
-    always appear in ``available_backends()`` but fail loudly on machines
-    without the package.
-    """
+def _torch_backend() -> SimulationBackend:
     from repro.xm import get_array_module
 
-    backend = EinsumBatchBackend(xm=get_array_module(module_name))
-    backend.name = module_name
+    backend = EinsumBatchBackend(xm=get_array_module("torch"))
+    backend.name = "torch"
     return backend
 
 
-register_backend("numpy", NumpyLoopBackend)
-register_backend("einsum", EinsumBatchBackend)
-register_backend("torch", lambda: _array_module_backend("torch"))
-register_backend("cupy", lambda: _array_module_backend("cupy"))
+BACKENDS: Registry[SimulationBackend] = Registry(
+    "simulation backend", env.BACKEND, "einsum", SimulationBackend)
+BACKENDS.register("numpy", NumpyLoopBackend)
+BACKENDS.register("einsum", EinsumBatchBackend)
+BACKENDS.register("torch", _torch_backend)
+
+get_backend = BACKENDS.get
 
 __all__ = [
-    "BACKEND_ENV_VAR",
+    "BACKENDS",
     "BackendCapabilities",
-    "BackendError",
-    "DuplicateBackendError",
     "EinsumBatchBackend",
     "NumpyLoopBackend",
     "SimulationBackend",
-    "UnknownBackendError",
-    "available_backends",
-    "default_backend_name",
     "get_backend",
-    "register_backend",
-    "set_default_backend",
-    "unregister_backend",
 ]

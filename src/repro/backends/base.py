@@ -68,7 +68,7 @@ class SimulationBackend(ABC):
     Concrete engines implement :meth:`run` (and usually override
     :meth:`run_batched` with something faster than the default loop) and
     register themselves under a string key with
-    :func:`repro.backends.registry.register_backend`.
+    ``repro.backends.BACKENDS.register``.
     """
 
     #: Registry key and display name of the engine.

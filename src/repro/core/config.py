@@ -90,7 +90,7 @@ class QuGeoVQCConfig:
         16 to match near-term devices).
     backend:
         Name of the simulation backend the model executes on (a key of
-        :func:`repro.backends.available_backends`, e.g. ``"numpy"`` or
+        :data:`repro.backends.BACKENDS`, e.g. ``"numpy"`` or
         ``"einsum"``).  ``None`` defers to the ``QUGEO_BACKEND`` environment
         variable and then the registry default.
     """

@@ -108,7 +108,9 @@ def dataset_fingerprint(config: OpenFWIConfig, seed: int,
     seed, the effective sample count, and the code-relevant physics
     parameters (the CFL-stable time step, the resolved propagator engine,
     the resolved boundary / time-loop kernel / recording stride, and
-    :data:`DATA_FORMAT_VERSION`).
+    :data:`DATA_FORMAT_VERSION`).  The kernel is the one that runs: a
+    requested kernel whose dependency is missing falls back to ``python``
+    and is digested as ``python``.
 
     Config fields at their bit-identity-preserving defaults (sponge
     boundary, ``record_every=1``, python kernel) are *omitted* from the
@@ -117,13 +119,13 @@ def dataset_fingerprint(config: OpenFWIConfig, seed: int,
     """
     from repro.seismic.acoustic2d import stable_time_step
     from repro.seismic.boundary import resolve_boundary_name
-    from repro.seismic.kernels import default_kernel_name
+    from repro.seismic.kernels import resolve_kernel
     from repro.seismic.propagators import default_propagator_name
 
     config_payload = _jsonable(config)
     boundary = resolve_boundary_name(config_payload.pop("boundary", None))
     record_every = int(config_payload.pop("record_every", 1) or 1)
-    kernel = default_kernel_name()
+    kernel = resolve_kernel(None)[0].name
     payload = {
         "format_version": DATA_FORMAT_VERSION,
         "seed": int(seed),

@@ -32,30 +32,15 @@ from repro.seismic.acoustic2d import (
     stable_time_step,
 )
 from repro.seismic.propagators import (
-    PROPAGATOR_ENV_VAR,
-    DuplicatePropagatorError,
-    PropagatorError,
-    UnknownPropagatorError,
-    available_propagators,
+    PROPAGATORS,
     default_propagator_name,
     get_propagator,
-    register_propagator,
-    set_default_propagator,
-    unregister_propagator,
 )
 from repro.seismic.kernels import (
-    KERNEL_ENV_VAR,
-    DuplicateKernelError,
-    KernelError,
-    KernelUnavailableError,
-    UnknownKernelError,
-    available_kernels,
+    KERNELS,
     default_kernel_name,
     get_kernel,
-    kernel_available,
-    register_kernel,
     resolve_kernel,
-    unregister_kernel,
 )
 from repro.seismic.diagnostics import edge_reflection_energy
 from repro.seismic.forward_modeling import (
@@ -85,34 +70,19 @@ __all__ = [
     "default_boundary_name",
     "resolve_boundary_name",
     "make_boundary",
-    "KERNEL_ENV_VAR",
-    "DuplicateKernelError",
-    "KernelError",
-    "KernelUnavailableError",
-    "UnknownKernelError",
-    "available_kernels",
+    "KERNELS",
     "default_kernel_name",
     "get_kernel",
-    "kernel_available",
-    "register_kernel",
     "resolve_kernel",
-    "unregister_kernel",
     "edge_reflection_energy",
     "SurveyGeometry",
     "AcousticSimulator2D",
     "BatchedAcousticSimulator2D",
     "SimulationConfig",
     "stable_time_step",
-    "PROPAGATOR_ENV_VAR",
-    "DuplicatePropagatorError",
-    "PropagatorError",
-    "UnknownPropagatorError",
-    "available_propagators",
+    "PROPAGATORS",
     "default_propagator_name",
     "get_propagator",
-    "register_propagator",
-    "set_default_propagator",
-    "unregister_propagator",
     "ForwardModel",
     "forward_model_shot_gather",
     "normalize_per_shot",

@@ -2,7 +2,7 @@
 
 Every process-level switch of the stack is an environment variable with the
 ``QUGEO_`` prefix.  Historically each subsystem parsed its own variable
-inline (``telemetry/core.py``, ``backends/registry.py``,
+inline (``telemetry/core.py``, the backend registry,
 ``seismic/propagators.py``, ``benchmarks/common.py``, ...); this module is
 now the single place that knows the variable names, their defaults and how
 to coerce their values, so the documented behaviour cannot drift between
@@ -21,7 +21,7 @@ Variable                    Meaning (default)
 ``QUGEO_BACKEND``           Default simulation backend name (``einsum``)
 ``QUGEO_PROPAGATOR``        Default acoustic propagator name (``batched``)
 ``QUGEO_SEISMIC_KERNEL``    Default propagator time-loop kernel (``python``;
-                            also ``numba`` / ``cffi`` when installed)
+                            also ``numba`` when installed)
 ``QUGEO_SEISMIC_BOUNDARY``  Default absorbing boundary (``sponge``; ``pml``)
 ``QUGEO_ARRAY_MODULE``      Default array module for numeric engines (``numpy``)
 ``QUGEO_DTYPE``             Default dtype policy (``float64``; also ``float32``)
@@ -89,12 +89,12 @@ KNOWN_VARS: Tuple[EnvVar, ...] = (
     EnvVar(PROPAGATOR, "batched", "default acoustic propagator name"),
     EnvVar(SEISMIC_KERNEL, "python",
            "default propagator time-loop kernel",
-           ("python", "numba", "cffi")),
+           ("python", "numba")),
     EnvVar(SEISMIC_BOUNDARY, "sponge",
            "default absorbing boundary condition", ("sponge", "pml")),
     EnvVar(ARRAY_MODULE, "numpy",
            "default array module for numeric engines",
-           ("numpy", "torch", "cupy")),
+           ("numpy", "torch")),
     EnvVar(DTYPE, "float64", "default dtype policy",
            ("float64", "float32")),
     EnvVar(TELEMETRY, "off", "telemetry mode", ("off", "summary", "trace")),

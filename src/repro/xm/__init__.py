@@ -5,7 +5,7 @@ run on and the precision they run at:
 
 * :class:`ArrayOps` / :func:`get_array_module` — a narrow operation set
   (allocation, reshape, einsum, matmul, host transfer) implemented for
-  NumPy today and for PyTorch / CuPy when installed, selected via the
+  NumPy today and for PyTorch when installed, selected via the
   ``QUGEO_ARRAY_MODULE`` environment variable or per-engine constructor
   arguments.
 * :class:`DTypePolicy` / :func:`get_dtype_policy` — named dtype bundles
@@ -16,19 +16,7 @@ The default ``numpy``/``float64`` combination reproduces the historical
 hard-coded behaviour bit-for-bit.
 """
 
-from repro.xm.ops import (
-    ArrayModuleError,
-    ArrayModuleUnavailableError,
-    ArrayOps,
-    NumpyOps,
-    UnknownArrayModuleError,
-    array_module_available,
-    available_array_modules,
-    default_array_module_name,
-    get_array_module,
-    register_array_module,
-    set_default_array_module,
-)
+from repro.xm.ops import ARRAY_MODULES, ArrayOps, NumpyOps, get_array_module
 from repro.xm.policy import (
     FLOAT32,
     FLOAT64,
@@ -37,21 +25,13 @@ from repro.xm.policy import (
     default_policy_name,
     ensure_complex,
     get_dtype_policy,
-    set_default_policy,
 )
 
 __all__ = [
-    "ArrayModuleError",
-    "ArrayModuleUnavailableError",
+    "ARRAY_MODULES",
     "ArrayOps",
     "NumpyOps",
-    "UnknownArrayModuleError",
-    "array_module_available",
-    "available_array_modules",
-    "default_array_module_name",
     "get_array_module",
-    "register_array_module",
-    "set_default_array_module",
     "FLOAT32",
     "FLOAT64",
     "DTypePolicy",
@@ -59,5 +39,4 @@ __all__ = [
     "default_policy_name",
     "ensure_complex",
     "get_dtype_policy",
-    "set_default_policy",
 ]

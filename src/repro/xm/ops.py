@@ -5,54 +5,23 @@ engines (the einsum simulation backend, the batched acoustic propagator)
 and the array library executing them.  It exposes exactly the operations
 those hot loops need — allocation, reshape, ``einsum``, ``matmul``, casting
 and host transfer — with NumPy semantics, so an engine written against it
-runs unchanged on NumPy, CuPy or PyTorch (CPU or GPU) arrays.
+runs unchanged on NumPy or PyTorch (CPU or GPU) arrays.
 
-Resolution mirrors the simulation-backend registry:
-
-1. an explicit name (or ready instance) passed by the caller;
-2. the ``QUGEO_ARRAY_MODULE`` environment variable;
-3. the process-wide default (``"numpy"`` out of the box).
-
-Modules with missing optional dependencies register normally but raise
-:class:`ArrayModuleUnavailableError` (naming the missing package) when
-resolved, so ``get_array_module("torch")`` fails loudly instead of at the
-first contraction.
+Modules live in :data:`ARRAY_MODULES`, a :class:`~repro.utils.registry.Registry`
+resolving an explicit name (or ready instance), then the
+``QUGEO_ARRAY_MODULE`` environment variable, then ``"numpy"``.  The torch
+module is always listed but raises
+:class:`~repro.utils.registry.UnavailableError` (naming the missing package)
+when resolved without torch installed, so ``get_array_module("torch")``
+fails loudly instead of at the first contraction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
-
 import numpy as np
 
 from repro.utils import env
-
-
-class ArrayModuleError(RuntimeError):
-    """Base class for array-module registry failures."""
-
-
-class UnknownArrayModuleError(ArrayModuleError, KeyError):
-    """Raised when resolving a name no module was registered under."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        available = ", ".join(sorted(_FACTORIES)) or "<none>"
-        super().__init__(
-            f"unknown array module {name!r}; registered modules: {available}")
-
-    def __str__(self) -> str:  # KeyError would quote the repr of args[0]
-        return self.args[0]
-
-
-class ArrayModuleUnavailableError(ArrayModuleError, ImportError):
-    """Raised when a registered module's import dependency is missing."""
-
-    def __init__(self, name: str, package: str) -> None:
-        self.name = name
-        super().__init__(
-            f"array module {name!r} requires the optional package "
-            f"{package!r}, which is not installed")
+from repro.utils.registry import Registry
 
 
 class ArrayOps:
@@ -155,83 +124,6 @@ class ArrayOps:
 #: The NumPy implementation is the base class itself.
 NumpyOps = ArrayOps
 
-_FACTORIES: Dict[str, Callable[[], ArrayOps]] = {}
-_INSTANCES: Dict[str, ArrayOps] = {}
-_DEFAULT_NAME = "numpy"
-
-ArrayModuleSpec = Union[None, str, ArrayOps]
-
-
-def register_array_module(name: str, factory: Callable[[], ArrayOps],
-                          *, replace: bool = False) -> None:
-    """Register ``factory`` (a zero-arg callable) under ``name``."""
-    if not name or not isinstance(name, str):
-        raise ValueError("array module name must be a non-empty string")
-    if not callable(factory):
-        raise TypeError("array module factory must be callable")
-    if name in _FACTORIES and not replace:
-        raise ArrayModuleError(
-            f"array module {name!r} is already registered; pass replace=True "
-            f"to override it")
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def available_array_modules() -> List[str]:
-    """Sorted names of every registered module (installed or not)."""
-    return sorted(_FACTORIES)
-
-
-def array_module_available(name: str) -> bool:
-    """Whether ``name`` is registered *and* its dependencies import."""
-    if name not in _FACTORIES:
-        return False
-    try:
-        get_array_module(name)
-    except ArrayModuleUnavailableError:
-        return False
-    return True
-
-
-def default_array_module_name() -> str:
-    """The name :func:`get_array_module` resolves when given ``None``."""
-    return env.get_str(env.ARRAY_MODULE, _DEFAULT_NAME)
-
-
-def set_default_array_module(name: str) -> None:
-    """Set the process-wide default module (must already be registered)."""
-    global _DEFAULT_NAME
-    if name not in _FACTORIES:
-        raise UnknownArrayModuleError(name)
-    _DEFAULT_NAME = name
-
-
-def get_array_module(spec: ArrayModuleSpec = None) -> ArrayOps:
-    """Resolve ``spec`` to a ready :class:`ArrayOps` instance.
-
-    ``spec`` may be ``None`` (use ``QUGEO_ARRAY_MODULE`` / the process
-    default), a registered name, or an already-constructed instance
-    (returned as-is).
-    """
-    if isinstance(spec, ArrayOps):
-        return spec
-    if spec is None:
-        spec = default_array_module_name()
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"array module spec must be None, a name or an ArrayOps "
-            f"instance, got {type(spec).__name__}")
-    if spec not in _FACTORIES:
-        raise UnknownArrayModuleError(spec)
-    if spec not in _INSTANCES:
-        instance = _FACTORIES[spec]()
-        if not isinstance(instance, ArrayOps):
-            raise TypeError(
-                f"factory for array module {spec!r} returned "
-                f"{type(instance).__name__}, not an ArrayOps")
-        _INSTANCES[spec] = instance
-    return _INSTANCES[spec]
-
 
 def _torch_factory() -> ArrayOps:
     from repro.xm.torch_ops import TorchOps
@@ -239,12 +131,9 @@ def _torch_factory() -> ArrayOps:
     return TorchOps()
 
 
-def _cupy_factory() -> ArrayOps:
-    from repro.xm.cupy_ops import CupyOps
+ARRAY_MODULES: Registry[ArrayOps] = Registry(
+    "array module", env.ARRAY_MODULE, "numpy", ArrayOps)
+ARRAY_MODULES.register("numpy", NumpyOps)
+ARRAY_MODULES.register("torch", _torch_factory)
 
-    return CupyOps()
-
-
-register_array_module("numpy", NumpyOps)
-register_array_module("torch", _torch_factory)
-register_array_module("cupy", _cupy_factory)
+get_array_module = ARRAY_MODULES.get

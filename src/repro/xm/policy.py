@@ -17,10 +17,9 @@ engine bit-identical to the historical hard-coded ``np.float64`` /
 bandwidth on the propagator and statevector hot paths at ~1e-3 relative
 accuracy.
 
-Resolution mirrors the backend/propagator registries: an explicit policy or
-name beats the ``QUGEO_DTYPE`` environment variable, which beats the
-process-wide default (:func:`set_default_policy`, ``float64`` out of the
-box).
+Resolution mirrors the engine registries: an explicit policy or name beats
+the ``QUGEO_DTYPE`` environment variable, which beats the ``float64``
+default.
 """
 
 from __future__ import annotations
@@ -96,20 +95,10 @@ def default_policy_name() -> str:
     return env.get_choice(env.DTYPE, _DEFAULT_NAME, _POLICIES)
 
 
-def set_default_policy(name: str) -> None:
-    """Set the process-wide default policy (beaten by ``QUGEO_DTYPE``)."""
-    global _DEFAULT_NAME
-    if name not in _POLICIES:
-        raise ValueError(
-            f"unknown dtype policy {name!r}; known policies: "
-            f"{available_policies()}")
-    _DEFAULT_NAME = name
-
-
 def get_dtype_policy(spec: PolicySpec = None) -> DTypePolicy:
     """Resolve ``spec`` to a :class:`DTypePolicy`.
 
-    ``spec`` may be ``None`` (use ``QUGEO_DTYPE`` / the process default), a
+    ``spec`` may be ``None`` (use ``QUGEO_DTYPE`` / the default), a
     policy name, or an already-constructed policy (returned as-is).
     """
     if isinstance(spec, DTypePolicy):

@@ -1,7 +1,7 @@
 """PyTorch implementation of :class:`~repro.xm.ops.ArrayOps`.
 
 Import-guarded: constructing :class:`TorchOps` raises
-:class:`~repro.xm.ops.ArrayModuleUnavailableError` when ``torch`` is not
+:class:`~repro.utils.registry.UnavailableError` when ``torch`` is not
 installed, so the registry can always *list* the module while resolution
 fails loudly on machines without the dependency.
 
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.xm.ops import ArrayModuleUnavailableError, ArrayOps
+from repro.utils.registry import UnavailableError
+from repro.xm.ops import ArrayOps
 
 try:  # pragma: no cover - exercised only where torch is installed
     import torch
@@ -30,7 +31,9 @@ class TorchOps(ArrayOps):
 
     def __init__(self, device=None):
         if torch is None:
-            raise ArrayModuleUnavailableError("torch", "torch")
+            raise UnavailableError(
+                "array module 'torch' requires the optional package "
+                "'torch', which is not installed")
         if device is None:
             device = "cuda" if torch.cuda.is_available() else "cpu"
         self.device = str(device)

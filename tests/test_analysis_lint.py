@@ -15,22 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    DuplicateRuleError,
-    Finding,
-    Rule,
-    UnknownRuleError,
-    available_rules,
-    get_rule,
-    lint_paths,
-    register_rule,
-    resolve_rules,
-    unregister_rule,
-)
+import repro.analysis.registry as rule_registry
+from repro.analysis import RULES, Finding, Rule, get_rule, lint_paths, resolve_rules
 from repro.analysis.baselines import FingerprintBaseline
 from repro.analysis.base import Project, parse_suppressions, scan_comments
 from repro.analysis.cli import main as cli_main
 from repro.analysis.rules.qg007_fingerprint import FingerprintHygieneRule
+from repro.utils.registry import DuplicateNameError, Registry, UnknownNameError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -265,77 +256,6 @@ def test_qg005_suppression(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# QG006 — registry / parity-test lockstep
-# --------------------------------------------------------------------------- #
-QG006_REGISTRATIONS = """\
-    def register_backend(name, factory):
-        pass
-    register_backend("numpy", object)
-    register_backend("torch", object)
-"""
-
-
-def test_qg006_flags_uncovered_registration(tmp_path):
-    root = make_project(tmp_path, {
-        "src/repro/backends/__init__.py": QG006_REGISTRATIONS,
-        "tests/test_backends.py": """\
-            import pytest
-            @pytest.mark.parametrize("name", ["numpy"])
-            def test_parity(name):
-                pass
-        """,
-    })
-    result = lint_fixture(root, "QG006")
-    assert codes(result) == ["QG006"]
-    assert "torch" in result.findings[0].message
-
-
-def test_qg006_dynamic_parametrize_covers_all(tmp_path):
-    root = make_project(tmp_path, {
-        "src/repro/backends/__init__.py": QG006_REGISTRATIONS,
-        "tests/test_backends.py": """\
-            import pytest
-            from repro.backends import available_backends
-            @pytest.mark.parametrize("name", available_backends())
-            def test_parity(name):
-                pass
-        """,
-    })
-    assert codes(lint_fixture(root, "QG006")) == []
-
-
-def test_qg006_resolver_literal_and_keyword_cover(tmp_path):
-    root = make_project(tmp_path, {
-        "src/repro/backends/__init__.py": QG006_REGISTRATIONS,
-        "tests/test_backends.py": """\
-            from repro.backends import get_backend
-            def test_numpy():
-                get_backend("numpy")
-            def test_torch(run):
-                run(backend="torch")
-        """,
-    })
-    assert codes(lint_fixture(root, "QG006")) == []
-
-
-def test_qg006_placeholder_marker_exempts(tmp_path):
-    root = make_project(tmp_path, {
-        "src/repro/backends/__init__.py": """\
-            def register_backend(name, factory):
-                pass
-            register_backend("numpy", object)
-            register_backend("cuda", object)  # qugeo-lint: placeholder -- fixture
-        """,
-        "tests/test_backends.py": """\
-            from repro.backends import get_backend
-            def test_numpy():
-                get_backend("numpy")
-        """,
-    })
-    assert codes(lint_fixture(root, "QG006")) == []
-
-
-# --------------------------------------------------------------------------- #
 # QG007 — fingerprint hygiene
 # --------------------------------------------------------------------------- #
 def _qg007_project(tmp_path, *, fields=("alpha", "beta"), version=1):
@@ -429,25 +349,30 @@ def test_select_and_ignore(tmp_path):
 
 
 def test_unknown_rule_raises():
-    with pytest.raises(UnknownRuleError):
+    with pytest.raises(UnknownNameError, match="QG001"):
         resolve_rules(["QG999"], None)
+    with pytest.raises(UnknownNameError):
+        resolve_rules(None, ["no-such-rule"])
 
 
-def test_registry_register_unregister():
+def test_registry_register_unregister(monkeypatch):
+    """A rule registered in a throwaway table resolves by code or short
+    name; the global table is untouched once the fixture is undone."""
     class FixtureRule(Rule):
         code = "ZZ901"
         name = "fixture-rule"
         description = "fixture"
 
-    register_rule(FixtureRule())
-    try:
-        assert "ZZ901" in available_rules()
-        assert get_rule("fixture-rule").code == "ZZ901"
-        with pytest.raises(DuplicateRuleError):
-            register_rule(FixtureRule())
-    finally:
-        unregister_rule("ZZ901")
-    assert "ZZ901" not in available_rules()
+    table = Registry("lint rule", None, None, Rule)
+    monkeypatch.setattr(rule_registry, "RULES", table)
+    table.register(FixtureRule.code, FixtureRule)
+    assert get_rule("fixture-rule").code == "ZZ901"
+    assert get_rule("zz901").code == "ZZ901"
+    assert [rule.code for rule in resolve_rules()] == ["ZZ901"]
+    with pytest.raises(DuplicateNameError):
+        table.register(FixtureRule.code, FixtureRule)
+    monkeypatch.undo()
+    assert "ZZ901" not in RULES.names()
 
 
 def test_cli_json_schema(tmp_path, capsys):
@@ -510,4 +435,4 @@ def test_repository_tree_has_zero_findings():
         finding.format() for finding in result.findings)
     assert len(result.files) > 100
     assert result.rules == [
-        "QG001", "QG002", "QG003", "QG004", "QG005", "QG006", "QG007"]
+        "QG001", "QG002", "QG003", "QG004", "QG005", "QG007"]

@@ -1,10 +1,12 @@
-"""Backend subsystem tests: engine parity, registry behaviour, model plumbing.
+"""Backend subsystem tests: engine parity, registry wiring, model plumbing.
 
 The vectorised :class:`EinsumBatchBackend` must agree with the bit-exact
 :class:`NumpyLoopBackend` to 1e-10 on random circuits over 1-6 qubits,
 including the fixed two-qubit gates (CNOT/CZ/SWAP) and the parameterised
 U3/CU3 family, in every execution mode (single state, batched states,
-batched parameters, batched gate application).
+batched parameters, batched gate application).  Every name in ``BACKENDS``
+gets a parity row against the ``numpy`` oracle by construction; the
+generic registry contract is tested once in ``tests/test_utils_registry.py``.
 """
 
 from __future__ import annotations
@@ -13,16 +15,10 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    BACKEND_ENV_VAR,
-    DuplicateBackendError,
+    BACKENDS,
     EinsumBatchBackend,
     NumpyLoopBackend,
-    UnknownBackendError,
-    available_backends,
-    default_backend_name,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.core.config import QuGeoVQCConfig
 from repro.core.qubatch import QuBatchVQC
@@ -33,6 +29,12 @@ from repro.quantum.autodiff import (
     parameter_shift_gradients,
 )
 from repro.quantum.circuit import ParameterizedCircuit
+from repro.utils import env
+from repro.utils.registry import (
+    DuplicateNameError,
+    UnavailableError,
+    UnknownNameError,
+)
 
 ATOL = 1e-10
 
@@ -315,17 +317,16 @@ def test_parameter_shift_stacked_sweep_matches_loop():
 
 
 # --------------------------------------------------------------------------- #
-# registry
+# registry wiring (the generic contract: tests/test_utils_registry.py)
 # --------------------------------------------------------------------------- #
 def test_known_backends_registered():
-    names = available_backends()
-    assert "numpy" in names and "einsum" in names
+    assert BACKENDS.names() == ["einsum", "numpy", "torch"]
     assert isinstance(get_backend("numpy"), NumpyLoopBackend)
     assert isinstance(get_backend("einsum"), EinsumBatchBackend)
 
 
 def test_get_backend_unknown_name():
-    with pytest.raises(UnknownBackendError) as excinfo:
+    with pytest.raises(UnknownNameError) as excinfo:
         get_backend("definitely-not-a-backend")
     message = str(excinfo.value)
     assert "definitely-not-a-backend" in message
@@ -333,35 +334,16 @@ def test_get_backend_unknown_name():
 
 
 def test_duplicate_registration_rejected():
-    with pytest.raises(DuplicateBackendError):
-        register_backend("numpy", NumpyLoopBackend)
-    # replace=True is the explicit override escape hatch.
-    register_backend("numpy", NumpyLoopBackend, replace=True)
+    with pytest.raises(DuplicateNameError):
+        BACKENDS.register("numpy", NumpyLoopBackend)
     assert isinstance(get_backend("numpy"), NumpyLoopBackend)
-
-
-def test_register_and_unregister_custom_backend():
-    class Custom(NumpyLoopBackend):
-        name = "custom-test"
-
-    register_backend("custom-test", Custom)
-    try:
-        assert isinstance(get_backend("custom-test"), Custom)
-        # Instances are cached per name.
-        assert get_backend("custom-test") is get_backend("custom-test")
-    finally:
-        unregister_backend("custom-test")
-    with pytest.raises(UnknownBackendError):
-        get_backend("custom-test")
-    with pytest.raises(UnknownBackendError):
-        unregister_backend("custom-test")
 
 
 def test_register_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        register_backend("", NumpyLoopBackend)
+        BACKENDS.register("", NumpyLoopBackend)
     with pytest.raises(TypeError):
-        register_backend("not-callable", object())
+        BACKENDS.register("not-callable", object())
 
 
 def test_get_backend_passthrough_and_bad_spec():
@@ -372,90 +354,61 @@ def test_get_backend_passthrough_and_bad_spec():
 
 
 def test_env_var_selects_default(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-    assert default_backend_name() == "numpy"
+    monkeypatch.setenv(env.BACKEND, "numpy")
     assert isinstance(get_backend(None), NumpyLoopBackend)
-    monkeypatch.delenv(BACKEND_ENV_VAR)
-    assert default_backend_name() == "einsum"
+    monkeypatch.delenv(env.BACKEND)
     assert isinstance(get_backend(None), EinsumBatchBackend)
 
 
 # --------------------------------------------------------------------------- #
-# array-module engines (torch / cupy) — exercised only where the package
-# (and for cupy, a GPU) is present; the registration itself is always tested.
+# every registered engine against the numpy oracle; engines whose optional
+# array library is missing (torch on the core image) skip their row.
 # --------------------------------------------------------------------------- #
-ARRAY_MODULE_ENGINES = ("torch", "cupy")
-
-
 def _engine_or_skip(name):
-    from repro.xm import array_module_available
-
-    if not array_module_available(name):
-        pytest.skip(f"array module {name!r} is not available here")
+    if not BACKENDS.available(name):
+        pytest.skip(f"backend {name!r} is not available here")
     return get_backend(name)
 
 
-@pytest.mark.parametrize("engine", ARRAY_MODULE_ENGINES)
+@pytest.mark.parametrize("engine", BACKENDS.names())
 def test_array_module_engines_registered_and_guarded(engine):
-    assert engine in available_backends()
-    from repro.xm import array_module_available
-
-    if array_module_available(engine):
-        backend = get_backend(engine)
-        assert backend.name == engine
-        assert backend.xm.name == engine
+    if BACKENDS.available(engine):
+        assert get_backend(engine).name == engine
     else:
         # The name resolves, but building the engine reports the missing
         # package instead of crashing deep inside the math.
-        with pytest.raises(ImportError, match=engine):
+        with pytest.raises(UnavailableError, match=engine):
             get_backend(engine)
 
 
-@pytest.mark.parametrize("engine", ARRAY_MODULE_ENGINES)
-@pytest.mark.parametrize("n_qubits", [1, 3, 5])
-def test_array_module_single_state_parity(engine, n_qubits, loop):
+@pytest.mark.parametrize("engine", BACKENDS.names())
+def test_engine_parity_with_numpy_oracle(engine, loop):
     backend = _engine_or_skip(engine)
-    rng = np.random.default_rng(400 + n_qubits)
-    for _ in range(2):
+    rng = np.random.default_rng(400)
+    for n_qubits in (1, 3, 5):
         circuit = random_circuit(n_qubits, n_ops=15, rng=rng)
         params = rng.normal(size=circuit.n_params)
         state = random_states(n_qubits, 1, rng)[0]
-        expected = loop.run(circuit, state, params)
         actual = backend.run(circuit, state, params)
         assert isinstance(actual, np.ndarray)
-        np.testing.assert_allclose(actual, expected, atol=ATOL)
-
-
-@pytest.mark.parametrize("engine", ARRAY_MODULE_ENGINES)
-@pytest.mark.parametrize("n_qubits,batch", [(2, 4), (4, 6)])
-def test_array_module_batched_parity(engine, n_qubits, batch, loop):
-    backend = _engine_or_skip(engine)
-    rng = np.random.default_rng(500 + 10 * n_qubits + batch)
-    circuit = random_circuit(n_qubits, n_ops=12, rng=rng)
-    states = random_states(n_qubits, batch, rng)
+        np.testing.assert_allclose(actual, loop.run(circuit, state, params),
+                                   atol=ATOL)
+    circuit = random_circuit(4, n_ops=12, rng=rng)
+    states = random_states(4, 6, rng)
     params = rng.normal(size=circuit.n_params)
     np.testing.assert_allclose(backend.run_batched(circuit, states, params),
                                loop.run_batched(circuit, states, params),
                                atol=ATOL)
-    param_matrix = rng.normal(size=(batch, circuit.n_params))
+    param_matrix = rng.normal(size=(6, circuit.n_params))
     expected = np.stack([loop.run(circuit, state, row)
                          for state, row in zip(states, param_matrix)])
     np.testing.assert_allclose(
         backend.run_batched(circuit, states, param_matrix), expected,
         atol=ATOL)
-
-
-@pytest.mark.parametrize("engine", ARRAY_MODULE_ENGINES)
-def test_array_module_adjoint_gradient_parity(engine):
-    backend = _engine_or_skip(engine)
-    rng = np.random.default_rng(600)
-    circuit = random_circuit(4, n_ops=10, rng=rng)
-    params = rng.normal(size=circuit.n_params)
-    state = random_states(4, 1, rng)[0]
     loss_head = _z0_loss_head(4)
-    loss_a, grads_a = circuit_gradients(circuit, params, state, loss_head,
+    loss_a, grads_a = circuit_gradients(circuit, params, states[0], loss_head,
                                         backend="numpy")
-    loss_b, grads_b = circuit_gradients(circuit, params, state, loss_head,
+    loss_b, grads_b = circuit_gradients(circuit, params, states[0], loss_head,
                                         backend=backend)
     assert abs(loss_a - loss_b) < ATOL
     np.testing.assert_allclose(grads_b, grads_a, atol=ATOL)
@@ -517,5 +470,5 @@ def test_config_rejects_non_string_backend():
 
 
 def test_unknown_config_backend_fails_at_model_build():
-    with pytest.raises(UnknownBackendError):
+    with pytest.raises(UnknownNameError):
         QuGeoVQC(_small_config(backend="no-such-engine"), rng=0)

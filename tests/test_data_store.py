@@ -26,7 +26,9 @@ from repro.seismic.acoustic2d import SimulationConfig
 from repro.seismic.boundary import SpongeBoundary
 from repro.seismic.forward_modeling import ForwardModel
 from repro.seismic.survey import SurveyGeometry
+from repro.seismic.kernels.fused import HAVE_NUMBA
 from repro.seismic.velocity_models import VelocityModelConfig
+from repro.utils.registry import Registry
 
 
 def small_config(**overrides) -> OpenFWIConfig:
@@ -104,10 +106,30 @@ class TestFingerprint:
         assert dataset_fingerprint(small_config(record_every=4), 7) != base
 
     def test_changes_with_kernel_env(self, monkeypatch):
+        # The digest names the kernel that runs, so make "numba" resolvable
+        # everywhere: a throwaway table serving the fused loops under that
+        # name (pure Python where numba itself is missing).
+        from repro.seismic import kernels
+        from repro.seismic.kernels.fused import FusedLoopKernel
+
+        table = Registry("propagator kernel", "QUGEO_SEISMIC_KERNEL",
+                         "python", kernels.PropagatorKernel)
+        table.register("python", kernels.PythonKernel)
+        table.register("numba", lambda: FusedLoopKernel(name="numba"))
+        monkeypatch.setattr(kernels, "KERNELS", table)
         base = dataset_fingerprint(small_config(), 7)
         monkeypatch.setenv("QUGEO_SEISMIC_KERNEL", "numba")
         assert dataset_fingerprint(small_config(), 7) != base
         monkeypatch.setenv("QUGEO_SEISMIC_KERNEL", "python")
+        assert dataset_fingerprint(small_config(), 7) == base
+
+    @pytest.mark.skipif(HAVE_NUMBA, reason="needs numba to be missing")
+    def test_unavailable_kernel_env_keeps_default_fingerprint(
+            self, monkeypatch):
+        # Without numba the python kernel builds the bytes, so requesting
+        # numba must not mint a numba-labelled fingerprint for them.
+        base = dataset_fingerprint(small_config(), 7)
+        monkeypatch.setenv("QUGEO_SEISMIC_KERNEL", "numba")
         assert dataset_fingerprint(small_config(), 7) == base
 
     def test_content_fingerprint_is_order_sensitive(self):

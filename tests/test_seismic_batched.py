@@ -19,24 +19,18 @@ from repro.seismic import (
     SpongeBoundary,
     SurveyGeometry,
     VelocityModelConfig,
-    available_propagators,
     default_propagator_name,
     flat_layer_model,
     forward_model_shot_gather,
     get_propagator,
     normalize_per_shot,
     nyquist_record_stride,
-    register_propagator,
     ricker_wavelet,
-    set_default_propagator,
     stable_time_step,
-    unregister_propagator,
 )
-from repro.seismic.kernels import available_kernels, kernel_available
-from repro.seismic.propagators import (
-    DuplicatePropagatorError,
-    UnknownPropagatorError,
-)
+from repro.seismic.kernels import KERNELS
+from repro.seismic.propagators import PROPAGATORS
+from repro.utils.registry import DuplicateNameError, UnknownNameError
 
 
 def _layered_velocity(seed, shape=(24, 24)):
@@ -160,9 +154,7 @@ class TestBatchedScalarParity:
 
 class TestPropagatorRegistry:
     def test_builtin_engines_registered(self):
-        names = available_propagators()
-        assert "scalar" in names
-        assert "batched" in names
+        assert PROPAGATORS.names() == ["batched", "scalar"]
 
     def test_default_is_batched(self):
         assert default_propagator_name() == "batched"
@@ -178,30 +170,36 @@ class TestPropagatorRegistry:
         assert get_propagator() is AcousticSimulator2D
 
     def test_unknown_name_raises(self):
-        with pytest.raises(UnknownPropagatorError):
+        with pytest.raises(UnknownNameError):
             get_propagator("bogus")
         with pytest.raises(TypeError):
             get_propagator(123)
 
     def test_register_unregister_roundtrip(self):
-        register_propagator("parity-test", AcousticSimulator2D)
+        with pytest.raises(DuplicateNameError):
+            PROPAGATORS.register("scalar", lambda: AcousticSimulator2D)
+        PROPAGATORS.register("scalar", lambda: BatchedAcousticSimulator2D,
+                             replace=True)
         try:
-            with pytest.raises(DuplicatePropagatorError):
-                register_propagator("parity-test", AcousticSimulator2D)
-            register_propagator("parity-test", BatchedAcousticSimulator2D,
-                                replace=True)
-            assert get_propagator("parity-test") is BatchedAcousticSimulator2D
+            assert get_propagator("scalar") is BatchedAcousticSimulator2D
         finally:
-            unregister_propagator("parity-test")
-        assert "parity-test" not in available_propagators()
+            PROPAGATORS.register("scalar", lambda: AcousticSimulator2D,
+                                 replace=True)
+        assert get_propagator("scalar") is AcousticSimulator2D
+        assert PROPAGATORS.names() == ["batched", "scalar"]
 
-    def test_set_default_roundtrip(self):
-        original = default_propagator_name()
-        set_default_propagator("scalar")
-        try:
-            assert default_propagator_name() == "scalar"
-        finally:
-            set_default_propagator(original)
+    @pytest.mark.parametrize("name", PROPAGATORS.names())
+    def test_registered_engine_matches_scalar_reference(self, name):
+        velocity = _layered_velocity(seed=21)
+        config = _config(n_steps=50)
+        wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
+        scalar = AcousticSimulator2D(velocity, config)
+        reference = np.stack([
+            scalar.simulate_shot(src, wavelet, RECEIVERS) for src in SOURCES])
+        gather = get_propagator(name)(velocity, config).simulate_shots(
+            SOURCES, wavelet, RECEIVERS)
+        assert np.abs(reference).max() > 1e-3
+        np.testing.assert_allclose(gather, reference, atol=1e-10, rtol=0)
 
 
 class TestForwardModelBatched:
@@ -317,9 +315,9 @@ class TestKernelParityMatrix:
     F32_ATOL = 1e-4
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("kernel", available_kernels())
+    @pytest.mark.parametrize("kernel", KERNELS.names())
     def test_kernel_matches_scalar_reference(self, kernel, dtype):
-        if not kernel_available(kernel):
+        if not KERNELS.available(kernel):
             pytest.skip(f"kernel {kernel!r} is unavailable here")
         velocity = _layered_velocity(7)
         config = _config(n_steps=60)

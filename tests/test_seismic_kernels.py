@@ -1,4 +1,4 @@
-"""Propagator kernel layer: registry behaviour, fused-loop parity, PML.
+"""Propagator kernel layer: registry wiring, fused-loop parity, PML.
 
 The fused kernel in :mod:`repro.seismic.kernels.fused` degrades to plain
 Python loops when numba is absent, so its parity tests run (slowly, on tiny
@@ -28,21 +28,21 @@ from repro.seismic import (
     stable_time_step,
 )
 from repro.seismic.kernels import (
-    DuplicateKernelError,
-    KernelUnavailableError,
+    KERNELS,
     PythonKernel,
-    UnknownKernelError,
-    available_kernels,
     default_kernel_name,
     get_kernel,
-    kernel_available,
-    register_kernel,
     resolve_kernel,
-    unregister_kernel,
 )
 from repro.seismic.kernels.fused import HAVE_NUMBA, FusedLoopKernel
 from repro.telemetry import capture
 from repro.utils import env
+from repro.utils.registry import (
+    DuplicateNameError,
+    UnavailableError,
+    UnknownNameError,
+)
+
 
 ATOL = 1e-12
 
@@ -69,11 +69,10 @@ def small_setup(nz=24, nx=24, n_steps=80, boundary=None, **config_kwargs):
 # --------------------------------------------------------------------------- #
 class TestKernelRegistry:
     def test_builtin_registrations(self):
-        assert set(available_kernels()) >= {"python", "numba", "cffi"}
-        assert kernel_available("python")
-        assert kernel_available("numba") == HAVE_NUMBA
-        assert not kernel_available("cffi")  # reserved, never built here
-        assert not kernel_available("no-such-kernel")
+        assert KERNELS.names() == ["numba", "python"]
+        assert KERNELS.available("python")
+        assert KERNELS.available("numba") == HAVE_NUMBA
+        assert not KERNELS.available("no-such-kernel")
 
     def test_default_resolves_python(self, monkeypatch):
         monkeypatch.delenv(env.SEISMIC_KERNEL, raising=False)
@@ -81,10 +80,13 @@ class TestKernelRegistry:
         assert isinstance(get_kernel(), PythonKernel)
 
     def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(env.SEISMIC_KERNEL, "cffi")
-        assert default_kernel_name() == "cffi"
-        with pytest.raises(KernelUnavailableError, match="cffi"):
-            get_kernel()
+        monkeypatch.setenv(env.SEISMIC_KERNEL, "numba")
+        assert default_kernel_name() == "numba"
+        if HAVE_NUMBA:
+            assert get_kernel().name == "numba"
+        else:
+            with pytest.raises(UnavailableError, match="numba"):
+                get_kernel()
 
     def test_instances_are_cached_per_name(self):
         assert get_kernel("python") is get_kernel("python")
@@ -94,7 +96,7 @@ class TestKernelRegistry:
         assert get_kernel(kernel) is kernel
 
     def test_unknown_name_raises_with_listing(self):
-        with pytest.raises(UnknownKernelError, match="python"):
+        with pytest.raises(UnknownNameError, match="python"):
             get_kernel("fortran")
 
     def test_bad_spec_type_raises(self):
@@ -102,23 +104,23 @@ class TestKernelRegistry:
             get_kernel(42)
 
     def test_register_duplicate_and_replace(self):
-        marker = PythonKernel()
-        register_kernel("test-kernel", lambda: marker)
+        original = get_kernel("python")
+        with pytest.raises(DuplicateNameError):
+            KERNELS.register("python", PythonKernel)
+        replacement = PythonKernel()
+        KERNELS.register("python", lambda: replacement, replace=True)
         try:
-            with pytest.raises(DuplicateKernelError):
-                register_kernel("test-kernel", lambda: marker)
-            replacement = PythonKernel()
-            register_kernel("test-kernel", lambda: replacement, replace=True)
-            assert get_kernel("test-kernel") is replacement
+            assert get_kernel("python") is replacement
         finally:
-            unregister_kernel("test-kernel")
-        with pytest.raises(UnknownKernelError):
-            get_kernel("test-kernel")
+            KERNELS.register("python", lambda: original, replace=True)
+        assert get_kernel("python") is original
+        assert KERNELS.names() == ["numba", "python"]
 
+    @pytest.mark.skipif(HAVE_NUMBA, reason="needs numba to be missing")
     def test_resolve_degrades_unavailable_to_python(self):
-        kernel, reason = resolve_kernel("cffi")
+        kernel, reason = resolve_kernel("numba")
         assert isinstance(kernel, PythonKernel)
-        assert "cffi" in reason
+        assert "numba" in reason
 
     def test_resolve_degrades_snapshot_incapable_to_python(self):
         fused = FusedLoopKernel()
@@ -129,7 +131,7 @@ class TestKernelRegistry:
         assert same is fused and reason is None
 
     def test_resolve_still_raises_for_unknown_names(self):
-        with pytest.raises(UnknownKernelError):
+        with pytest.raises(UnknownNameError):
             resolve_kernel("fortran")
 
 

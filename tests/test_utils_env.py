@@ -76,12 +76,12 @@ def test_describe_reports_current_values(monkeypatch):
 # the subsystems resolve through the central module
 # --------------------------------------------------------------------------- #
 def test_backend_default_resolves_via_env(monkeypatch):
-    from repro.backends import default_backend_name
+    from repro.backends import BACKENDS
 
     monkeypatch.setenv(env.BACKEND, "numpy")
-    assert default_backend_name() == "numpy"
+    assert BACKENDS.default_name() == "numpy"
     monkeypatch.delenv(env.BACKEND)
-    assert default_backend_name() == "einsum"
+    assert BACKENDS.default_name() == "einsum"
 
 
 def test_propagator_default_resolves_via_env(monkeypatch):
@@ -129,12 +129,12 @@ def test_seismic_boundary_default_resolves_via_env(monkeypatch):
 
 
 def test_array_module_and_dtype_resolve_via_env(monkeypatch):
-    from repro.xm import default_array_module_name, default_policy_name
+    from repro.xm import ARRAY_MODULES, default_policy_name
 
     monkeypatch.setenv(env.ARRAY_MODULE, "torch")
-    assert default_array_module_name() == "torch"
+    assert ARRAY_MODULES.default_name() == "torch"
     monkeypatch.delenv(env.ARRAY_MODULE)
-    assert default_array_module_name() == "numpy"
+    assert ARRAY_MODULES.default_name() == "numpy"
     monkeypatch.setenv(env.DTYPE, "float32")
     assert default_policy_name() == "float32"
     monkeypatch.delenv(env.DTYPE)
