@@ -62,8 +62,10 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 #: Bump when the generation code changes the bits it produces for the same
 #: configuration (new physics, different normalization, ...).  Part of the
-#: fingerprint, so stale cache entries are never served.
-DATA_FORMAT_VERSION = 1
+#: fingerprint, so stale cache entries are never served.  Version 2: the
+#: batched Laplacian is the banded matmul on every host, where version 1
+#: generated different rounding with and without SciPy.
+DATA_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 

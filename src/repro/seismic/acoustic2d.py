@@ -13,12 +13,14 @@ The solver records the pressure field at receiver locations every
 ``record_every``-th time step (every step by default), producing the shot
 gathers that constitute OpenFWI-style seismic data.
 
-The batched engine delegates its time loop to a kernel resolved from the
-:mod:`repro.seismic.kernels` registry (``QUGEO_SEISMIC_KERNEL``): the
-``"python"`` kernel is the vectorised numpy loop (bit-identical to the
-historical inline loop), the ``"numba"`` kernel fuses the whole update into
-one compiled pass per wavefield when numba is installed.  Boundaries may be
-a :class:`~repro.seismic.boundary.SpongeBoundary` or a
+The batched engine evaluates the Laplacian as two dense banded-operator
+matmuls per step (one per axis) at every dtype, and delegates its time
+loop to a kernel resolved from the :mod:`repro.seismic.kernels` registry
+(``QUGEO_SEISMIC_KERNEL``): the ``"python"`` kernel is the vectorised
+numpy loop (bit-identical to the historical inline loop), the ``"numba"``
+kernel fuses the whole update into one compiled pass per wavefield when
+numba is installed.  Boundaries may be a
+:class:`~repro.seismic.boundary.SpongeBoundary` or a
 :class:`~repro.seismic.boundary.PMLBoundary`, optionally padded outside the
 velocity model (``pad_grid``).
 """
@@ -31,12 +33,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # SciPy is optional: the batched engine falls back to banded matmuls.
-    from scipy.ndimage import correlate1d as _correlate1d
+try:  # SciPy is optional: without BLAS axpy the update takes three passes.
     from scipy.linalg.blas import daxpy as _daxpy
     from scipy.linalg.blas import saxpy as _saxpy
-except ImportError:  # pragma: no cover - exercised via the fallback test
-    _correlate1d = None
+except ImportError:  # pragma: no cover - exercised via the three-pass test
     _daxpy = None
     _saxpy = None
 
@@ -440,14 +440,12 @@ class BatchedAcousticSimulator2D:
     whole-batch array operations instead of one Python loop per shot.
 
     The Laplacian is evaluated in one pass per axis instead of ~5 numpy
-    temporaries per stencil tap: through ``scipy.ndimage.correlate1d``
-    (whose ``mode="nearest"`` boundary is exactly the scalar reference's
-    edge-replicated padding) when SciPy is available, otherwise through two
-    dense banded-operator matmuls (``D_z @ p`` and ``p @ D_x^T``) whose
-    rows encode the same clamped stencil.  Both paths differ from the
-    scalar loop only in floating-point summation order (~1e-16 per step),
-    so gathers agree with :class:`AcousticSimulator2D` to well inside 1e-10
-    rather than bit-for-bit.
+    temporaries per stencil tap: two dense banded-operator matmuls
+    (``D_z @ p`` and ``p @ D_x^T``, see :func:`_stencil_matrix`) whose rows
+    encode the scalar reference's edge-replicated stencil.  They differ
+    from the scalar loop only in floating-point summation order (~1e-16
+    per step), so gathers agree with :class:`AcousticSimulator2D` to well
+    inside 1e-10 rather than bit-for-bit.
 
     Parameters
     ----------
@@ -516,35 +514,21 @@ class BatchedAcousticSimulator2D:
             self._pml_profiles = None
         self._telemetry = get_telemetry()
         coeffs = _LAPLACIAN_COEFFS[self.config.spatial_order]
+        # Per-axis stencil taps, read by the fused (numba) kernels.
         self._coeffs_z = (coeffs / self.config.dz**2).astype(real, copy=False)
         self._coeffs_x = (coeffs / self.config.dx**2).astype(real, copy=False)
-        # ndimage.correlate1d accumulates in double precision internally, so
-        # under float32 it saves nothing; the BLAS matmul path (sgemm) runs
-        # ~2x faster at reduced precision and holds the same stencil, so the
-        # float32 policy prefers it even when SciPy is present.
-        self._use_ndimage = (_correlate1d is not None
-                             and real == np.dtype(np.float64))
-        if self._use_ndimage:
-            self._dz_op = self._dx_op_t = None
-        else:
-            # Dense banded operators: the fallback without SciPy, and the
-            # primary engine at reduced precision.
-            self._dz_op = (_stencil_matrix(nz, coeffs)
-                           / self.config.dz**2).astype(real, copy=False)
-            self._dx_op_t = ((_stencil_matrix(nx, coeffs)
-                              / self.config.dx**2)
-                             .astype(real, copy=False).T)
+        self._dz_op = (_stencil_matrix(nz, coeffs)
+                       / self.config.dz**2).astype(real, copy=False)
+        self._dx_op_t = ((_stencil_matrix(nx, coeffs) / self.config.dx**2)
+                         .astype(real, copy=False).T)
         if self._is_pml:
             # Centred first-derivative operators for the PML memory-variable
             # recursions (same clamped-edge treatment as the Laplacian).
             d1 = np.array([-0.5, 0.0, 0.5])
-            self._d1_z = (d1 / self.config.dz).astype(real, copy=False)
-            self._d1_x = (d1 / self.config.dx).astype(real, copy=False)
-            if not self._use_ndimage:
-                self._d1z_op = (_stencil_matrix(nz, d1)
-                                / self.config.dz).astype(real, copy=False)
-                self._d1x_op_t = ((_stencil_matrix(nx, d1) / self.config.dx)
-                                  .astype(real, copy=False).T)
+            self._d1z_op = (_stencil_matrix(nz, d1)
+                            / self.config.dz).astype(real, copy=False)
+            self._d1x_op_t = ((_stencil_matrix(nx, d1) / self.config.dx)
+                              .astype(real, copy=False).T)
 
     @property
     def grid_shape(self) -> Tuple[int, int]:
@@ -571,20 +555,12 @@ class BatchedAcousticSimulator2D:
     # ------------------------------------------------------------------ #
     def _lap_z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Second z-derivative of ``field`` written into ``out``."""
-        if self._use_ndimage:
-            _correlate1d(field, self._coeffs_z, axis=-2, mode="nearest",
-                         output=out)
-        else:
-            np.matmul(self._dz_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(self._dz_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     def _lap_x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Second x-derivative of ``field`` written into ``out``."""
-        if self._use_ndimage:
-            _correlate1d(field, self._coeffs_x, axis=-1, mode="nearest",
-                         output=out)
-        else:
-            np.matmul(field, self._dx_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(field, self._dx_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     def _laplacian_into(self, field: np.ndarray, out: np.ndarray,
@@ -597,20 +573,12 @@ class BatchedAcousticSimulator2D:
 
     def _d1z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Centred first z-derivative (PML recursions only)."""
-        if self._use_ndimage:
-            _correlate1d(field, self._d1_z, axis=-2, mode="nearest",
-                         output=out)
-        else:
-            np.matmul(self._d1z_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(self._d1z_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     def _d1x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Centred first x-derivative (PML recursions only)."""
-        if self._use_ndimage:
-            _correlate1d(field, self._d1_x, axis=-1, mode="nearest",
-                         output=out)
-        else:
-            np.matmul(field, self._d1x_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(field, self._d1x_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
         return out
 
     # ------------------------------------------------------------------ #

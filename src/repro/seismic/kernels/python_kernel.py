@@ -13,7 +13,7 @@ recursions of Pasalic & McGarry (2010): per axis, ``psi`` convolves the
 first spatial derivative and ``zeta`` the corrected second derivative, and
 ``lap + d(psi) + zeta`` stands in for the plain laplacian inside the pads.
 Elementwise recursion updates run on the pad strips only; the derivative
-passes reuse the simulator's stencil operators (ndimage or banded matmul).
+passes reuse the simulator's banded-matmul stencil operators.
 """
 
 from __future__ import annotations
