@@ -2,9 +2,9 @@
 
 Times a batched forward pass of the paper's U3+CU3 ansatz on every registered
 simulation backend.  The loop backend executes the batch as a Python loop of
-per-gate statevector updates; the einsum backend executes the whole batch as
-stacked contractions, which is where QuBatch mini-batches and stacked
-parameter-shift sweeps get their speedup.
+per-gate statevector updates; the einsum backend updates the whole batch
+with one strided-view pass per gate, which is where QuBatch mini-batches and
+stacked parameter-shift sweeps get their speedup.
 
 Run directly (CI uses ``--quick``)::
 
@@ -66,7 +66,7 @@ def run_benchmark(qubit_counts: Sequence[int], batch_sizes: Sequence[int],
             timings = {}
             for name in backend_names:
                 backend = get_backend(name)
-                # Warm up caches (einsum subscripts, fixed-gate tensors).
+                # One untimed pass first (imports, allocator warm-up).
                 backend.run_batched(circuit, states, params)
                 timings[name] = time_backend(backend, circuit, states, params,
                                              repeats)

@@ -1,7 +1,7 @@
 """Telemetry: profile a tiny training run and export a JSONL trace.
 
 The observability subsystem (:mod:`repro.telemetry`) instruments the hot
-paths of the whole stack — the einsum backend's caches, the batched
+paths of the whole stack — the einsum backend's forward passes, the batched
 gradient sweeps, the acoustic propagator's per-phase loop, the dataset
 store's shard/LRU traffic and the trainer's epoch loop.  This example:
 

@@ -8,9 +8,8 @@ seam.
 
 The rule checks the *arithmetic kernels* ``ArrayOps`` dispatches (einsum,
 matmul, multiply, dot, tensordot).  Deliberate host-NumPy branches — the
-einsum backend's ``einsum_path``-optimised fast path, the per-gate
-reference engine, the BLAS-matmul Laplacian — carry per-line suppressions
-with rationale; new code should reach for ``self.xm`` instead.
+per-gate reference engine, the BLAS-matmul Laplacian — carry per-line
+suppressions with rationale; new code should reach for ``self.xm`` instead.
 """
 
 from __future__ import annotations

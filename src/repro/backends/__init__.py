@@ -19,11 +19,11 @@ reversible adjoint sweep on every engine (see
 Future engines (GPU, sparse, remote hardware) plug in with
 ``BACKENDS.register(name, factory)`` without touching any caller; factories
 run lazily and the instance is cached per name, so repeated
-``get_backend("einsum")`` calls share one engine and its memoised tensors.
+``get_backend("einsum")`` calls share one engine.
 
 The ``"torch"`` engine is the einsum engine re-based onto the torch
-:mod:`repro.xm` array module: same contraction strategy, device-resident
-tensors.  It is always *listed*, but resolving it raises
+:mod:`repro.xm` array module: the same strided-view kernel on
+device-resident tensors.  It is always *listed*, but resolving it raises
 :class:`~repro.utils.registry.UnavailableError` when torch is not installed.
 """
 

@@ -18,10 +18,10 @@ Conventions shared by all backends (see :mod:`repro.quantum.gates`):
 
 The adjoint gradient (:func:`repro.quantum.autodiff.circuit_gradients_batched`)
 needs only two calls: :meth:`SimulationBackend.run_batched` for the forward
-pass and :meth:`SimulationBackend.apply_gate_batched` to pull the stacked
-co-states and uncomputed states back through each ``U^dagger``.  The base
-class provides loop fallbacks for both, so one reversible sweep serves every
-backend; vectorised engines override them to make it fast.
+pass and :meth:`SimulationBackend.apply_gate_batched_inplace` to pull the
+stacked co-states and uncomputed states back through each ``U^dagger``.
+The base class provides loop fallbacks for both, so one reversible sweep
+serves every backend; vectorised engines override them to make it fast.
 """
 
 from __future__ import annotations
@@ -196,16 +196,22 @@ class SimulationBackend(ABC):
                            targets: Sequence[int], n_qubits: int) -> np.ndarray:
         """Apply one gate matrix to a ``(batch, 2**n)`` state stack.
 
-        The adjoint sweep uses this to pull the stacked co-states and
-        uncomputed states back through ``U^dagger`` in one call.  The
-        default loops over :meth:`apply_gate`; vectorised engines override
-        it with one contraction.
+        The input stack is left untouched.  The default loops over
+        :meth:`apply_gate`; vectorised engines override it with one pass
+        over the whole stack.
         """
         states = np.asarray(states, dtype=self.policy.complex)
         if states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
         return np.stack([self.apply_gate(state, matrix, targets, n_qubits)
                          for state in states])
+
+    def apply_gate_batched_inplace(self, stack: np.ndarray, matrix: np.ndarray,
+                                   targets: Sequence[int],
+                                   n_qubits: int) -> None:
+        """Apply one gate matrix to a ``(batch, 2**n)`` stack the caller owns,
+        in place; the default writes :meth:`apply_gate_batched` back."""
+        stack[...] = self.apply_gate_batched(stack, matrix, targets, n_qubits)
 
     # ------------------------------------------------------------------ #
     # measurement heads

@@ -134,8 +134,16 @@ class QuGeoVQC:
     # forward pass
     # ------------------------------------------------------------------ #
     def encode(self, seismic: np.ndarray) -> np.ndarray:
-        """Amplitude-encode one flattened (or shaped) scaled seismic sample."""
-        return self.encoder.encode(np.asarray(seismic, dtype=np.float64).reshape(-1))
+        """Amplitude-encode one flattened (or shaped) scaled seismic sample.
+
+        Every circuit entry point encodes through here, so a NaN or infinite
+        cell is rejected before it becomes a NaN map or NaN gradients.
+        """
+        seismic = np.asarray(seismic, dtype=np.float64).reshape(-1)
+        if not np.isfinite(seismic).all():
+            raise ValueError("seismic input is non-finite (NaN or inf); the "
+                             "circuit cannot encode it")
+        return self.encoder.encode(seismic)
 
     def run_circuit(self, seismic: np.ndarray) -> np.ndarray:
         """Return the output statevector for one sample."""
@@ -179,7 +187,7 @@ class QuGeoVQC:
         """Predict velocity maps for a sequence of samples.
 
         On a backend with ``batched_states`` the whole mini-batch of circuit
-        executions runs as one stacked contraction.
+        executions runs as one stacked pass.
         """
         if len(seismic_batch) > 1 and self.backend.capabilities.batched_states:
             states = np.stack([self.encode(sample) for sample in seismic_batch])

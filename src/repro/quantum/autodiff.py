@@ -12,8 +12,11 @@ methods are provided:
   forward pass keeps only the output stack, and the backward pass
   uncomputes every pre-gate state as ``U^dagger psi`` alongside the
   co-state instead of storing it, so memory is ``O(batch * 2**n)`` at any
-  circuit depth and the cost is independent of the parameter count.  This
-  is the one gradient path used for training, on every backend.
+  circuit depth and the cost is independent of the parameter count.  Gate
+  matrices and ``dU U^dagger`` products come from one vectorised call per
+  gate family; the engine updates the sweep's stack in place, and each
+  gradient reads the reduced overlap straight from strided views of it.
+  This is the one gradient path used for training, on every backend.
 * :func:`circuit_gradients` — the same sweep for a single input state (a
   batch of one).
 * :func:`parameter_shift_gradients` — the hardware-compatible two-term
@@ -29,8 +32,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.quantum.circuit import ParameterizedCircuit
-from repro.quantum.parametric import PARAMETRIC_GATES
+from repro.quantum.circuit import GATE_TABLE_WINDOW, ParameterizedCircuit
+from repro.quantum.gates import GATES
+from repro.quantum.kernel import control_block, empty_stack, gate_views
 from repro.telemetry import get_telemetry
 from repro.xm import ensure_complex
 
@@ -44,6 +48,10 @@ BatchedLossHead = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 # Amplitude budget (~32 MB of complex128) for one stacked parameter-shift
 # chunk in :func:`parameter_shift_gradients`.
 _SHIFT_SWEEP_MAX_ELEMENTS = 1 << 21
+
+# Ops per window of sweep tables: each op keeps ``U^dagger`` and up to three
+# ``dU U^dagger`` products, about four gate matrices.
+_SWEEP_WINDOW = GATE_TABLE_WINDOW // 4
 
 
 def circuit_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
@@ -105,8 +113,8 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
         It is invoked exactly once per call, always on the full batch.
     backend:
         Simulation engine (name, instance or ``None`` for the default).  The
-        sweep needs only ``run_batched`` and ``apply_gate_batched``, which
-        every backend provides.
+        sweep needs only ``run_batched`` and ``apply_gate_batched_inplace``,
+        which every backend provides.
 
     Returns
     -------
@@ -166,66 +174,100 @@ def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
                                outputs: np.ndarray, grads: np.ndarray) -> None:
     """Pull co-states and outputs back through the circuit, filling ``grads``.
 
-    The co-state stack and the output stack travel together as one
-    ``(2 * batch, 2**n)`` stack, so each op costs one
-    ``apply_gate_batched(U^dagger)`` call that yields both the co-state and
-    the (uncomputed) state before the op.  A parametric gate's gradient is
-    taken from the stacks *after* it: ``<lam | dU psi_before> =
-    <lam | (dU U^dagger) psi_after>``, i.e. one batched reduced overlap
-    ``R[b, a, c]`` of ``(lam, psi_after)`` and one ``(batch, 4**k) @
-    (4**k, n_gate_params)`` matmul.  ``grads`` is the ``(batch, n_params)``
-    output buffer (written in place).
+    The co-state and output stacks travel as one ``(2 * batch, 2**n)`` stack
+    the sweep owns: one in-place ``apply_gate_batched_inplace(U^dagger)`` per
+    op yields both the co-state and the (uncomputed) state before the op.  A
+    parametric gate's gradient comes from the stacks *after* it,
+    ``<lam | dU psi_before> = <lam | (dU U^dagger) psi_after>``: the reduced
+    overlap of ``(lam, psi_after)`` on the gate's targets (the control=1
+    half for a controlled gate), read from strided views of the stack, times
+    the ``dU U^dagger`` weights of :func:`_sweep_tables`.  ``grads`` is the
+    ``(batch, n_params)`` output buffer (written in place).
     """
     n = circuit.n_qubits
-    batch = lams.shape[0]
+    batch, dim = lams.shape
     parametric = [index for index, op in enumerate(circuit.ops)
                   if op.is_parametric]
     if not parametric:
         return
     first = parametric[0]
-    stack = np.concatenate([lams, outputs])
-    for index in range(len(circuit.ops) - 1, first - 1, -1):
-        op = circuit.ops[index]
-        matrix = circuit.op_matrix(op, params)
-        inverse = matrix.conj().T
-        if op.is_parametric:
-            gate_params = [float(params[i]) for i in op.param_indices]
-            derivatives = PARAMETRIC_GATES[op.name].derivatives(gate_params)
-            # R[b, a, c] = sum_rest conj(lam)[b, a, rest] * psi[b, c, rest];
-            # every parameter derivative then reduces to one row-wise dot
-            # 2 Re(sum_ac (dU U^dagger)[a, c] R[b, a, c]).
-            reduced = _reduced_overlap_batched(stack[:batch], stack[batch:],
-                                               op.qubits, n)
-            d_stack = np.stack(derivatives) @ inverse
-            contrib = 2.0 * np.real(reduced.reshape(batch, -1)
-                                    @ d_stack.reshape(len(derivatives), -1).T)
-            for column, param_index in enumerate(op.param_indices):
-                grads[:, param_index] += contrib[:, column]
-        if index > first:
-            # lam <- U^dagger lam and psi_after <- U^dagger psi_after, at once.
-            stack = engine.apply_gate_batched(stack, inverse, op.qubits, n)
+    stack = empty_stack(2 * batch, dim, engine.policy.complex)
+    stack[:batch] = lams
+    stack[batch:] = outputs
+    for stop in range(len(circuit.ops), first, -_SWEEP_WINDOW):
+        window = range(max(first, stop - _SWEEP_WINDOW), stop)
+        inverses, weights = _sweep_tables(circuit, params, window)
+        for index in reversed(window):
+            op = circuit.ops[index]
+            if op.is_parametric:
+                controlled, weight = weights[index]
+                overlap = _reduced_overlap(stack, batch, n, op.qubits,
+                                           controlled)
+                # add.at: an op may list one parameter slot twice.
+                np.add.at(grads, (slice(None), op.param_indices),
+                          2.0 * (overlap @ weight).real)
+            if index > first:
+                # lam <- U^dagger lam and psi_after <- U^dagger psi_after.
+                engine.apply_gate_batched_inplace(stack, inverses[index],
+                                                  op.qubits, n)
 
 
-def _reduced_overlap_batched(lams: np.ndarray, states: np.ndarray,
-                             targets, n_qubits: int) -> np.ndarray:
-    """``R[b, a, c] = <lam_ba | state_bc>`` over all qubits except ``targets``.
+def _sweep_tables(circuit: ParameterizedCircuit, params: np.ndarray,
+                  window: range):
+    """``U^dagger`` and overlap weights of the ops in ``window``.
 
-    ``lams`` and ``states`` are ``(batch, 2**n)`` stacks; the result has
-    shape ``(batch, 2**k, 2**k)`` with ``a`` / ``c`` running over the
-    computational basis of the target qubits (ordered as given).
+    One vectorised constructor call per gate family builds every matrix and
+    derivative at once.  ``weights[index] = (controlled, W)`` for a
+    parametric op, where ``W`` is the ``(d * d, n_gate_params)`` matrix
+    with ``W[a * d + c, p] = (dU_p U^dagger)[a, c]`` matching
+    :func:`_reduced_overlap`; ``d`` is 2 on the control=1 block of a
+    controlled gate, else ``2**k``.  Only these two tables are kept.
     """
-    k = len(targets)
-    batch = lams.shape[0]
-    shifted = [t + 1 for t in targets]
-    lam_t = np.moveaxis(lams.reshape((batch,) + (2,) * n_qubits), shifted,
-                        range(1, k + 1))
-    state_t = np.moveaxis(states.reshape((batch,) + (2,) * n_qubits), shifted,
-                          range(1, k + 1))
-    lam_flat = lam_t.reshape(batch, 2**k, -1)
-    state_flat = state_t.reshape(batch, 2**k, -1)
-    # Adjoint differentiation runs on host numpy stacks (apply_gate_batched
-    # returns host arrays on every engine); it does not take an xm handle.
-    return np.matmul(lam_flat.conj(), state_flat.swapaxes(1, 2))  # qugeo-lint: disable=QG003 -- host-numpy adjoint path by design
+    inverses = {index: GATES[circuit.ops[index].name].conj().T
+                for index in window if not circuit.ops[index].is_parametric}
+    weights = {}
+    for gate, members, columns in circuit.gate_families(params, window):
+        inverse = gate.matrix_stack(columns).conj().swapaxes(-1, -2)
+        derivatives = gate.derivative_stack(columns)
+        # dU U^dagger lives on the control=1 block when both U and every dU
+        # vanish outside it.
+        controlled = (control_block(inverse) is not None
+                      and not derivatives[..., :2, :].any()
+                      and not derivatives[..., :, :2].any())
+        if controlled:
+            pullback = derivatives[..., 2:, 2:] @ inverse[:, None, 2:, 2:]
+        else:
+            pullback = derivatives @ inverse[:, None]
+        del derivatives
+        weight = pullback.reshape(pullback.shape[:2] + (-1,)).swapaxes(-1, -2)
+        for row, index in enumerate(members):
+            inverses[index] = inverse[row]
+            weights[index] = (controlled, weight[row])
+    return inverses, weights
+
+
+def _reduced_overlap(stack: np.ndarray, batch: int, n_qubits: int,
+                     targets, controlled: bool) -> np.ndarray:
+    """``h[b, a * d + c] = <lam_{b,a} | psi_{b,c}>`` on the target basis.
+
+    ``stack`` is the sweep's co-state-then-state stack; the sum runs over
+    every qubit but ``targets`` (on the control=1 half of the first target
+    when ``controlled``), through the gate kernel's own strided views.
+    """
+    if controlled:
+        views = gate_views(stack, n_qubits, targets[1:], control=targets[0])
+    else:
+        views = gate_views(stack, n_qubits, targets)
+    rest = tuple(range(1, views[0].ndim))
+    out = np.empty((batch, len(views) ** 2), dtype=stack.dtype)
+    column = 0
+    for lam_view in views:
+        lam = np.conj(lam_view[:batch])
+        for psi_view in views:
+            np.add.reduce(lam * psi_view[batch:], axis=rest,
+                          out=out[:, column])
+            column += 1
+    return out
 
 
 def finite_difference_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
@@ -272,7 +314,7 @@ def parameter_shift_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
 
     On a backend advertising ``batched_params`` (e.g. ``"einsum"``) the whole
     sweep — both shifted circuits for every parameter — executes as one
-    stacked contraction over a ``(2 * n_params, n_params)`` parameter matrix
+    stacked pass over a ``(2 * n_params, n_params)`` parameter matrix
     instead of ``2 * n_params`` sequential simulations.
     """
     from repro.backends import get_backend

@@ -11,12 +11,18 @@ gradient computation in :mod:`repro.quantum.autodiff` straightforward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.quantum.gates import GATES
-from repro.quantum.parametric import PARAMETRIC_GATES
+from repro.quantum.parametric import PARAMETRIC_GATES, ParametricGate
+
+# Most gate matrices built at once (ops times parameter rows): the tables
+# of :meth:`ParameterizedCircuit.op_matrices` and the adjoint sweep then stay
+# O(window) instead of growing with circuit depth.  Each window costs a few
+# numpy calls per gate family, which a single-state predict notices.
+GATE_TABLE_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,51 @@ class ParameterizedCircuit:
             return PARAMETRIC_GATES[op.name].matrix(gate_params)
         return GATES[op.name]
 
+    def gate_families(self, params: np.ndarray,
+                      indices: Optional[Sequence[int]] = None
+                      ) -> Iterator[Tuple[ParametricGate, List[int],
+                                          Tuple[np.ndarray, ...]]]:
+        """``(gate, op indices, parameter columns)`` per parametric family.
+
+        ``indices`` restricts the grouping to those ops (all by default).
+        ``params`` is a flat vector or a ``(batch, n_params)`` matrix; each
+        column then has shape ``(n_members,)`` or ``(batch, n_members)``,
+        ready for ``matrix_stack``/``derivative_stack``.
+        """
+        families: Dict[str, List[int]] = {}
+        for index in range(len(self.ops)) if indices is None else indices:
+            if self.ops[index].is_parametric:
+                families.setdefault(self.ops[index].name, []).append(index)
+        params = np.asarray(params)
+        for name, members in families.items():
+            slots = np.array([self.ops[i].param_indices for i in members])
+            columns = np.moveaxis(params[..., slots], -1, 0)
+            yield PARAMETRIC_GATES[name], members, tuple(columns)
+
+    def op_matrices(self, params: np.ndarray
+                    ) -> Iterator[Tuple[GateOp, np.ndarray]]:
+        """Every op with its unitary, in circuit order.
+
+        The parametric matrices of a window of ops come from one constructor
+        call per gate family.  A window holds at most
+        :data:`GATE_TABLE_WINDOW` matrices (ops times parameter rows), so
+        the tables stay bounded however deep the circuit and however tall a
+        ``(batch, n_params)`` parameter matrix is; the parametric entries
+        are then ``(batch, 2**k, 2**k)`` stacks.
+        """
+        params = np.asarray(params)
+        rows = params.shape[0] if params.ndim == 2 else 1
+        step = max(1, GATE_TABLE_WINDOW // rows)
+        for start in range(0, len(self.ops), step):
+            window = range(start, min(start + step, len(self.ops)))
+            tables = {}
+            for gate, members, columns in self.gate_families(params, window):
+                table = gate.matrix_stack(columns)
+                tables.update(zip(members, np.moveaxis(table, -3, 0)))
+            for index in window:
+                op = self.ops[index]
+                yield op, tables[index] if op.is_parametric else GATES[op.name]
+
     def run(self, state: np.ndarray, params: Optional[np.ndarray] = None,
             backend=None) -> np.ndarray:
         """Apply the full circuit to ``state``.
@@ -163,8 +214,8 @@ class ParameterizedCircuit:
 
         ``params`` is a shared vector or, on backends advertising
         ``batched_params``, a ``(batch, n_params)`` matrix.  Backends with
-        ``batched_states`` (e.g. ``"einsum"``) execute the whole stack as
-        vectorised contractions; others fall back to a loop.
+        ``batched_states`` (e.g. ``"einsum"``) update the whole stack gate by
+        gate; others fall back to a loop.
         """
         from repro.backends import get_backend
 

@@ -1,11 +1,15 @@
 """Parameterised gates with analytic parameter derivatives.
 
-Each gate is described by a :class:`ParametricGate`: a function producing the
-unitary matrix from its parameter values and a function producing the list of
-derivative matrices (one per parameter).  The reverse-mode differentiation in
-:mod:`repro.quantum.autodiff` consumes these derivative matrices directly, so
-no finite differences or parameter-shift evaluations are needed during
-training.
+Each gate family is described by a :class:`ParametricGate` built from two
+vectorised constructors: one maps per-parameter value arrays to a stack of
+unitaries ``(..., 2^k, 2^k)``, the other to the stack of their parameter
+derivatives ``(..., n_params, 2^k, 2^k)``.  The scalar forms
+(:func:`u3_matrix`, ``gate.matrix(params)``, ``gate.derivatives(params)``)
+are the same constructors on 0-d inputs, so each gate's formula has one
+source of truth.  The reverse-mode differentiation in
+:mod:`repro.quantum.autodiff` builds every op's matrix and derivative for a
+parameter vector with one call per gate family, so no finite differences or
+parameter-shift evaluations are needed during training.
 
 The ansatz of the paper uses the TorchQuantum ``U3 + CU3`` block: a general
 single-qubit rotation ``U3(theta, phi, lambda)`` on every qubit followed by a
@@ -15,184 +19,89 @@ ring of controlled ``CU3`` gates, each carrying three parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
+from repro.quantum.gates import GATES
 
-# --------------------------------------------------------------------------- #
-# single-qubit rotations
-# --------------------------------------------------------------------------- #
-def rx_matrix(params: Sequence[float]) -> np.ndarray:
-    """Rotation about X: ``exp(-i theta X / 2)``."""
-    (theta,) = params
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+_ONE = np.diag([0.0, 1.0])  # projector on |1>
 
 
-def rx_derivatives(params: Sequence[float]) -> List[np.ndarray]:
-    (theta,) = params
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return [0.5 * np.array([[-s, -1j * c], [-1j * c, -s]], dtype=np.complex128)]
+def _angles(*columns) -> List[np.ndarray]:
+    return [np.asarray(column, dtype=np.float64) for column in columns]
 
 
-def ry_matrix(params: Sequence[float]) -> np.ndarray:
-    """Rotation about Y: ``exp(-i theta Y / 2)``."""
-    (theta,) = params
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def rotation_stack(generator: np.ndarray) -> Callable[..., np.ndarray]:
+    """``theta -> exp(-i theta G / 2) = cos(theta/2) I - i sin(theta/2) G``
+    for an involutory generator ``G``, over an array of angles."""
+    def stack(theta) -> np.ndarray:
+        (half,) = _angles(theta)
+        half = half[..., None, None] / 2
+        return np.cos(half) * GATES["I"] - 1j * np.sin(half) * generator
+    return stack
 
 
-def ry_derivatives(params: Sequence[float]) -> List[np.ndarray]:
-    (theta,) = params
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return [0.5 * np.array([[-s, -c], [c, -s]], dtype=np.complex128)]
+def half_turn_derivative(stack: Callable[..., np.ndarray]
+                         ) -> Callable[..., np.ndarray]:
+    """``dU/dtheta = U(theta + pi) / 2`` for a gate whose only parameter is
+    the angle of ``cos(theta/2)``/``sin(theta/2)``, as ``(..., 1, d, d)``."""
+    def derivative(theta) -> np.ndarray:
+        (theta,) = _angles(theta)
+        return 0.5 * stack(theta + np.pi)[..., None, :, :]
+    return derivative
 
 
-def rz_matrix(params: Sequence[float]) -> np.ndarray:
-    """Rotation about Z: ``exp(-i theta Z / 2)``."""
-    (theta,) = params
-    return np.array([[np.exp(-0.5j * theta), 0],
-                     [0, np.exp(0.5j * theta)]], dtype=np.complex128)
+rx_stack = rotation_stack(GATES["X"])
+ry_stack = rotation_stack(GATES["Y"])
+rz_stack = rotation_stack(GATES["Z"])
 
 
-def rz_derivatives(params: Sequence[float]) -> List[np.ndarray]:
-    (theta,) = params
-    return [np.array([[-0.5j * np.exp(-0.5j * theta), 0],
-                      [0, 0.5j * np.exp(0.5j * theta)]], dtype=np.complex128)]
-
-
-# --------------------------------------------------------------------------- #
-# U3 and controlled-U3
-# --------------------------------------------------------------------------- #
-def u3_matrix(params: Sequence[float]) -> np.ndarray:
+def u3_stack(theta, phi, lam) -> np.ndarray:
     """General single-qubit unitary ``U3(theta, phi, lam)`` (OpenQASM convention)."""
-    theta, phi, lam = params
+    theta, phi, lam = _angles(theta, phi, lam)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([
-        [c, -np.exp(1j * lam) * s],
-        [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-    ], dtype=np.complex128)
-
-
-def u3_derivatives(params: Sequence[float]) -> List[np.ndarray]:
-    """Partial derivatives of :func:`u3_matrix` w.r.t. theta, phi, lam."""
-    theta, phi, lam = params
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    d_theta = 0.5 * np.array([
-        [-s, -np.exp(1j * lam) * c],
-        [np.exp(1j * phi) * c, -np.exp(1j * (phi + lam)) * s],
-    ], dtype=np.complex128)
-    d_phi = np.array([
-        [0, 0],
-        [1j * np.exp(1j * phi) * s, 1j * np.exp(1j * (phi + lam)) * c],
-    ], dtype=np.complex128)
-    d_lam = np.array([
-        [0, -1j * np.exp(1j * lam) * s],
-        [0, 1j * np.exp(1j * (phi + lam)) * c],
-    ], dtype=np.complex128)
-    return [d_theta, d_phi, d_lam]
-
-
-def cu3_matrix(params: Sequence[float]) -> np.ndarray:
-    """Controlled-U3 on (control, target): identity block plus ``U3`` block."""
-    u = u3_matrix(params)
-    out = np.eye(4, dtype=np.complex128)
-    out[2:, 2:] = u
+    out = np.empty(np.broadcast_shapes(theta.shape, phi.shape, lam.shape)
+                   + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -np.exp(1j * lam) * s
+    out[..., 1, 0] = np.exp(1j * phi) * s
+    out[..., 1, 1] = np.exp(1j * (phi + lam)) * c
     return out
 
 
-def cu3_derivatives(params: Sequence[float]) -> List[np.ndarray]:
-    derivatives = []
-    for du in u3_derivatives(params):
-        d = np.zeros((4, 4), dtype=np.complex128)
-        d[2:, 2:] = du
-        derivatives.append(d)
-    return derivatives
+def u3_derivative_stack(theta, phi, lam) -> np.ndarray:
+    """Partial derivatives of :func:`u3_stack` w.r.t. theta, phi, lam.
+
+    ``phi`` and ``lam`` enter as phases on ``|1>`` before and after the
+    rotation, so their derivatives are ``i P1 U`` and ``i U P1``.
+    """
+    theta, phi, lam = _angles(theta, phi, lam)
+    u = u3_stack(theta, phi, lam)
+    return np.stack([0.5 * u3_stack(theta + np.pi, phi, lam),
+                     1j * (_ONE @ u), 1j * (u @ _ONE)], axis=-3)
 
 
-def crx_matrix(params: Sequence[float]) -> np.ndarray:
-    """Controlled-RX on (control, target)."""
-    out = np.eye(4, dtype=np.complex128)
-    out[2:, 2:] = rx_matrix(params)
-    return out
+def controlled_stack(block: np.ndarray, identity: bool = True) -> np.ndarray:
+    """Embed ``(..., 2, 2)`` blocks as the control=1 block of ``(..., 4, 4)``.
 
-
-def crx_derivatives(params: Sequence[float]) -> List[np.ndarray]:
-    d = np.zeros((4, 4), dtype=np.complex128)
-    d[2:, 2:] = rx_derivatives(params)[0]
-    return [d]
-
-
-# --------------------------------------------------------------------------- #
-# vectorised constructors: per-parameter value arrays -> (batch, 2^k, 2^k)
-#
-# These are the batched twins of the scalar matrix functions above (kept in
-# this module so each gate's unitary has a single source of truth); the
-# einsum backend uses them to build a whole stack of gate matrices without a
-# Python loop when executing batched parameter sweeps.
-# --------------------------------------------------------------------------- #
-def rx_stack(theta: np.ndarray) -> np.ndarray:
-    """Batched :func:`rx_matrix` for an array of angles."""
-    theta = np.asarray(theta, dtype=np.float64)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.empty(theta.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -1j * s
-    m[..., 1, 0] = -1j * s
-    m[..., 1, 1] = c
-    return m
-
-
-def ry_stack(theta: np.ndarray) -> np.ndarray:
-    """Batched :func:`ry_matrix` for an array of angles."""
-    theta = np.asarray(theta, dtype=np.float64)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.empty(theta.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 1, 1] = c
-    return m
-
-
-def rz_stack(theta: np.ndarray) -> np.ndarray:
-    """Batched :func:`rz_matrix` for an array of angles."""
-    theta = np.asarray(theta, dtype=np.float64)
-    m = np.zeros(theta.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = np.exp(-0.5j * theta)
-    m[..., 1, 1] = np.exp(0.5j * theta)
-    return m
-
-
-def u3_stack(theta: np.ndarray, phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Batched :func:`u3_matrix` for arrays of (theta, phi, lam)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.empty(theta.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -np.exp(1j * lam) * s
-    m[..., 1, 0] = np.exp(1j * phi) * s
-    m[..., 1, 1] = np.exp(1j * (phi + lam)) * c
-    return m
-
-
-def controlled_stack(block: np.ndarray) -> np.ndarray:
-    """Embed a ``(batch, 2, 2)`` block as the 11-block of a controlled gate."""
+    ``identity=False`` leaves the control=0 block zero, which embeds the
+    derivative of a controlled gate.
+    """
     out = np.zeros(block.shape[:-2] + (4, 4), dtype=np.complex128)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
+    if identity:
+        out[..., 0, 0] = out[..., 1, 1] = 1.0
     out[..., 2:, 2:] = block
     return out
 
 
-def cu3_stack(theta: np.ndarray, phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Batched :func:`cu3_matrix`."""
+def cu3_stack(theta, phi, lam) -> np.ndarray:
+    """Controlled-U3 on (control, target): identity block plus ``U3`` block."""
     return controlled_stack(u3_stack(theta, phi, lam))
 
 
-def crx_stack(theta: np.ndarray) -> np.ndarray:
-    """Batched :func:`crx_matrix`."""
+def crx_stack(theta) -> np.ndarray:
+    """Controlled-RX on (control, target)."""
     return controlled_stack(rx_stack(theta))
 
 
@@ -208,53 +117,61 @@ class ParametricGate:
         Number of qubits the gate acts on.
     n_params:
         Number of real parameters.
-    matrix_fn:
-        ``params -> unitary matrix``.
-    derivative_fn:
-        ``params -> [d(unitary)/d(param_i)]``.
     stack_fn:
-        Optional vectorised constructor ``(*param_columns) -> (batch, 2^k,
-        2^k)`` building one matrix per row of a parameter batch; ``None``
-        falls back to a per-row :attr:`matrix_fn` loop.
+        Vectorised constructor ``(*param_columns) -> (..., 2^k, 2^k)``
+        building one matrix per entry of the parameter columns.
+    derivative_stack_fn:
+        Vectorised ``(*param_columns) -> (..., n_params, 2^k, 2^k)``
+        parameter derivatives, one set per entry.
     """
 
     name: str
     n_qubits: int
     n_params: int
-    matrix_fn: Callable[[Sequence[float]], np.ndarray]
-    derivative_fn: Callable[[Sequence[float]], List[np.ndarray]]
-    stack_fn: Optional[Callable[..., np.ndarray]] = None
+    stack_fn: Callable[..., np.ndarray]
+    derivative_stack_fn: Callable[..., np.ndarray]
+
+    def _check(self, count: int) -> None:
+        if count != self.n_params:
+            raise ValueError(f"{self.name} expects {self.n_params} parameters, "
+                             f"got {count}")
 
     def matrix(self, params: Sequence[float]) -> np.ndarray:
-        if len(params) != self.n_params:
-            raise ValueError(f"{self.name} expects {self.n_params} parameters, "
-                             f"got {len(params)}")
-        return self.matrix_fn(params)
+        """The unitary for one parameter set."""
+        return self.matrix_stack(params)
 
     def derivatives(self, params: Sequence[float]) -> List[np.ndarray]:
-        if len(params) != self.n_params:
-            raise ValueError(f"{self.name} expects {self.n_params} parameters, "
-                             f"got {len(params)}")
-        return self.derivative_fn(params)
+        """``[dU/d(param_i)]`` for one parameter set."""
+        return list(self.derivative_stack(params))
 
     def matrix_stack(self, columns: Sequence[np.ndarray]) -> np.ndarray:
-        """One gate matrix per batch row, given per-parameter value arrays."""
-        if len(columns) != self.n_params:
-            raise ValueError(f"{self.name} expects {self.n_params} parameter "
-                             f"columns, got {len(columns)}")
-        if self.stack_fn is not None:
-            return self.stack_fn(*columns)
-        batch = len(columns[0]) if columns else 0
-        return np.stack([self.matrix_fn([float(column[row])
-                                         for column in columns])
-                         for row in range(batch)])
+        """One gate matrix per entry of the per-parameter value arrays."""
+        self._check(len(columns))
+        return self.stack_fn(*columns)
+
+    def derivative_stack(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """``(..., n_params, 2^k, 2^k)`` derivatives, one set per entry."""
+        self._check(len(columns))
+        return self.derivative_stack_fn(*columns)
 
 
 PARAMETRIC_GATES: Dict[str, ParametricGate] = {
-    "RX": ParametricGate("RX", 1, 1, rx_matrix, rx_derivatives, rx_stack),
-    "RY": ParametricGate("RY", 1, 1, ry_matrix, ry_derivatives, ry_stack),
-    "RZ": ParametricGate("RZ", 1, 1, rz_matrix, rz_derivatives, rz_stack),
-    "U3": ParametricGate("U3", 1, 3, u3_matrix, u3_derivatives, u3_stack),
-    "CU3": ParametricGate("CU3", 2, 3, cu3_matrix, cu3_derivatives, cu3_stack),
-    "CRX": ParametricGate("CRX", 2, 1, crx_matrix, crx_derivatives, crx_stack),
+    gate.name: gate for gate in (
+        ParametricGate("RX", 1, 1, rx_stack, half_turn_derivative(rx_stack)),
+        ParametricGate("RY", 1, 1, ry_stack, half_turn_derivative(ry_stack)),
+        ParametricGate("RZ", 1, 1, rz_stack, half_turn_derivative(rz_stack)),
+        ParametricGate("U3", 1, 3, u3_stack, u3_derivative_stack),
+        ParametricGate(
+            "CU3", 2, 3, cu3_stack,
+            lambda *p: controlled_stack(u3_derivative_stack(*p), False)),
+        ParametricGate(
+            "CRX", 2, 1, crx_stack,
+            lambda t: controlled_stack(half_turn_derivative(rx_stack)(t),
+                                       False)),
+    )
 }
+
+# The one-matrix forms ``params -> U``.
+rx_matrix, ry_matrix, rz_matrix, u3_matrix, cu3_matrix, crx_matrix = (
+    PARAMETRIC_GATES[name].matrix
+    for name in ("RX", "RY", "RZ", "U3", "CU3", "CRX"))

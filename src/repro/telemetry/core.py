@@ -441,7 +441,9 @@ def capture(mode: str = "summary") -> Iterator[Telemetry]:
             run_workload()
             assert telem.snapshot()["counters"]["store.shard_reads"] > 0
 
-    The previous mode is restored (and the registry cleared) on exit.
+    The previous mode is restored (and the registry cleared) on exit, so
+    take a snapshot — or render the report, ``render_report(telem)`` — inside
+    the block: one taken after it says "nothing recorded".
     """
     telemetry = get_telemetry()
     previous = telemetry.mode

@@ -8,8 +8,9 @@ same helper the benchmark harnesses use.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Union
 
+from repro.telemetry.core import Telemetry
 from repro.utils.tables import format_table
 
 
@@ -57,12 +58,15 @@ def counters_table(snapshot: Dict[str, object]) -> str:
                         title="Telemetry counters")
 
 
-def render_report(snapshot: Dict[str, object]) -> str:
+def render_report(source: Union[Telemetry, Dict[str, object]]) -> str:
     """Full profile: span tree, then timers, then counters and gauges.
 
-    Sections with nothing recorded are omitted; an entirely empty snapshot
-    renders as a one-line notice.
+    ``source`` is a snapshot dict or a :class:`Telemetry` registry (such as
+    the one :func:`~repro.telemetry.capture` yields), whose current snapshot
+    is rendered.  Sections with nothing recorded are omitted; an entirely
+    empty snapshot renders as a one-line notice.
     """
+    snapshot = source.snapshot() if isinstance(source, Telemetry) else source
     sections = []
     if snapshot.get("spans"):
         sections.append(spans_table(snapshot))

@@ -36,11 +36,6 @@ class ArrayOps:
     #: Registry key and display name.
     name: str = "numpy"
 
-    #: Whether :func:`numpy.einsum_path`-style precomputed contraction paths
-    #: apply (the optimised-path cache in the einsum backend is NumPy-only;
-    #: other libraries dispatch their own contraction planning).
-    supports_einsum_path: bool = True
-
     #: Device the module computes on ("cpu" for NumPy).
     device: str = "cpu"
 

@@ -27,7 +27,6 @@ class TorchOps(ArrayOps):
     """ArrayOps over ``torch.Tensor`` (CUDA when available, else CPU)."""
 
     name = "torch"
-    supports_einsum_path = False
 
     def __init__(self, device=None):
         if torch is None:

@@ -4,7 +4,10 @@ The vectorised :class:`EinsumBatchBackend` must agree with the bit-exact
 :class:`NumpyLoopBackend` to 1e-10 on random circuits over 1-6 qubits,
 including the fixed two-qubit gates (CNOT/CZ/SWAP) and the parameterised
 U3/CU3 family, in every execution mode (single state, batched states,
-batched parameters, batched gate application).  Every name in ``BACKENDS``
+batched parameters, batched gate application).  Its strided-view kernel is
+also checked gate by gate: every ``GATES`` and ``PARAMETRIC_GATES`` entry on
+every target (and ordered target pair) of a 5-qubit register, under both
+dtype policies.  Every name in ``BACKENDS``
 gets a parity row against the ``numpy`` oracle by construction; the
 generic registry contract is tested once in ``tests/test_utils_registry.py``.
 """
@@ -137,17 +140,6 @@ def test_fusion_of_adjacent_single_qubit_gates(loop, einsum):
                                loop.run(circuit, state, params), atol=ATOL)
 
 
-def test_fusion_can_be_disabled():
-    backend = EinsumBatchBackend(fuse_single_qubit_gates=False)
-    rng = np.random.default_rng(8)
-    circuit = random_circuit(3, n_ops=10, rng=rng)
-    params = rng.normal(size=circuit.n_params)
-    state = random_states(3, 1, rng)[0]
-    np.testing.assert_allclose(backend.run(circuit, state, params),
-                               get_backend("numpy").run(circuit, state, params),
-                               atol=ATOL)
-
-
 def test_run_accepts_single_row_param_matrix(loop, einsum):
     """A (1, n_params) matrix is a valid parameter argument for one state."""
     rng = np.random.default_rng(19)
@@ -158,19 +150,56 @@ def test_run_accepts_single_row_param_matrix(loop, einsum):
                                loop.run(circuit, state, params[0]), atol=ATOL)
 
 
-def test_matrix_stack_fallback_loop_matches_vectorised():
-    """ParametricGate.matrix_stack without stack_fn (per-row loop) agrees."""
-    from dataclasses import replace
+def _batched_params_run_peak_bytes(n_blocks):
+    import tracemalloc
 
+    from repro.quantum.ansatz import u3_cu3_ansatz
+
+    rng = np.random.default_rng(21)
+    circuit = u3_cu3_ansatz(8, n_blocks=n_blocks)
+    params = rng.normal(size=(32, circuit.n_params))
+    states = random_states(8, 32, rng)
+    engine = get_backend("einsum")
+    engine.run_batched(circuit, states, params)
+    tracemalloc.start()
+    try:
+        engine.run_batched(circuit, states, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batched_params_run_memory_does_not_grow_with_depth():
+    """Per-row gate tables are built window by window: with a (32, n_params)
+    parameter matrix the peak stays that of a few (32, 256) stacks."""
+    peak_12 = _batched_params_run_peak_bytes(12)
+    peak_24 = _batched_params_run_peak_bytes(24)
+    assert peak_12 < 2**20, peak_12
+    assert peak_24 <= 1.2 * peak_12, (peak_12, peak_24)
+
+
+def test_matrix_stack_fallback_loop_matches_vectorised():
+    """matrix_stack/derivative_stack agree with a per-entry loop over the
+    one-set forms matrix/derivatives, for vector and matrix columns."""
     from repro.quantum.parametric import PARAMETRIC_GATES
 
     rng = np.random.default_rng(20)
-    for name in ("RZ", "U3", "CU3"):
-        gate = PARAMETRIC_GATES[name]
-        columns = tuple(rng.normal(size=5) for _ in range(gate.n_params))
-        vectorised = gate.matrix_stack(columns)
-        fallback = replace(gate, stack_fn=None).matrix_stack(columns)
-        np.testing.assert_allclose(vectorised, fallback, atol=ATOL)
+    for gate in PARAMETRIC_GATES.values():
+        for shape in ((5,), (2, 5)):
+            columns = tuple(rng.normal(size=shape)
+                            for _ in range(gate.n_params))
+            matrices = gate.matrix_stack(columns)
+            derivatives = gate.derivative_stack(columns)
+            dim = 2**gate.n_qubits
+            assert matrices.shape == shape + (dim, dim)
+            assert derivatives.shape == shape + (gate.n_params, dim, dim)
+            for index in np.ndindex(shape):
+                params = [float(column[index]) for column in columns]
+                np.testing.assert_allclose(matrices[index],
+                                           gate.matrix(params), atol=ATOL)
+                np.testing.assert_allclose(derivatives[index],
+                                           np.stack(gate.derivatives(params)),
+                                           atol=ATOL)
 
 
 def test_intermediate_states_parity(loop, einsum):
@@ -205,6 +234,115 @@ def test_apply_gate_batched_parity(targets, loop, einsum):
     np.testing.assert_allclose(
         einsum.apply_gate_batched(states, matrix, targets, 4),
         loop.apply_gate_batched(states, matrix, targets, 4), atol=ATOL)
+
+
+# --------------------------------------------------------------------------- #
+# the strided-view kernel against the numpy oracle, gate by gate
+# --------------------------------------------------------------------------- #
+KERNEL_QUBITS = 5
+#: Every ordered pair: control above and below the target, adjacent, the
+#: wrap-around (4, 0) and non-adjacent pairs such as (0, 3).
+KERNEL_PAIRS = [(a, b) for a in range(KERNEL_QUBITS)
+                for b in range(KERNEL_QUBITS) if a != b]
+#: float32 runs both engines in complex64, so they agree to its precision.
+KERNEL_ATOL = {"float64": ATOL, "float32": 1e-5}
+
+
+def _gate_targets(name):
+    from repro.quantum.gates import GATES
+    from repro.quantum.parametric import PARAMETRIC_GATES
+
+    k = (PARAMETRIC_GATES[name].n_qubits if name in PARAMETRIC_GATES
+         else int(np.log2(GATES[name].shape[0])))
+    return KERNEL_PAIRS if k == 2 else [(q,) for q in range(KERNEL_QUBITS)]
+
+
+def _all_gate_names():
+    from repro.quantum.gates import GATES
+    from repro.quantum.parametric import PARAMETRIC_GATES
+
+    return sorted(GATES) + sorted(PARAMETRIC_GATES)
+
+
+@pytest.mark.parametrize("policy", ["float64", "float32"])
+@pytest.mark.parametrize("name", _all_gate_names())
+def test_kernel_matches_oracle_on_every_target(name, policy):
+    from repro.quantum.parametric import PARAMETRIC_GATES
+
+    fast = EinsumBatchBackend(policy=policy)
+    oracle = NumpyLoopBackend(policy=policy)
+    atol = KERNEL_ATOL[policy]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    batch = 4
+    for targets in _gate_targets(name):
+        circuit = ParameterizedCircuit(KERNEL_QUBITS)
+        if name in PARAMETRIC_GATES:
+            circuit.add_parametric_gate(name, targets)
+        else:
+            circuit.add_gate(name, targets)
+        op = circuit.ops[0]
+        params = rng.uniform(-np.pi, np.pi, size=circuit.n_params)
+        states = random_states(KERNEL_QUBITS, batch, rng)
+        before = states.copy()
+        # One gate matrix on the whole stack; the input stays untouched.
+        matrix = circuit.op_matrix(op, params)
+        np.testing.assert_allclose(
+            fast.apply_gate_batched(states, matrix, targets, KERNEL_QUBITS),
+            oracle.apply_gate_batched(states, matrix, targets, KERNEL_QUBITS),
+            atol=atol)
+        np.testing.assert_array_equal(states, before)
+        # The forward pass with shared parameters ...
+        np.testing.assert_allclose(fast.run_batched(circuit, states, params),
+                                   oracle.run_batched(circuit, states, params),
+                                   atol=atol)
+        np.testing.assert_array_equal(states, before)
+        if not circuit.n_params:
+            continue
+        # ... and with one parameter row per state.
+        rows = rng.uniform(-np.pi, np.pi, size=(batch, circuit.n_params))
+        expected = np.stack([oracle.run(circuit, state, row)
+                             for state, row in zip(states, rows)])
+        np.testing.assert_allclose(fast.run_batched(circuit, states, rows),
+                                   expected, atol=atol)
+
+
+@pytest.mark.parametrize("engine", ["einsum", "numpy"])
+def test_apply_gate_batched_inplace_updates_the_stack(engine):
+    from repro.quantum.gates import GATES
+
+    backend = get_backend(engine)
+    oracle = get_backend("numpy")
+    rng = np.random.default_rng(21)
+    for name, targets in (("H", (2,)), ("CNOT", (3, 1)), ("SWAP", (0, 4))):
+        states = random_states(5, 3, rng)
+        expected = oracle.apply_gate_batched(states, GATES[name], targets, 5)
+        backend.apply_gate_batched_inplace(states, GATES[name], targets, 5)
+        np.testing.assert_allclose(states, expected, atol=ATOL)
+
+
+def test_control_block_is_read_from_the_matrix():
+    from repro.quantum.kernel import control_block
+    from repro.quantum.gates import GATES
+    from repro.quantum.parametric import PARAMETRIC_GATES
+
+    rng = np.random.default_rng(22)
+    for name in ("CU3", "CRX"):
+        gate = PARAMETRIC_GATES[name]
+        params = rng.normal(size=gate.n_params)
+        matrix = gate.matrix(params)
+        np.testing.assert_array_equal(control_block(matrix), matrix[2:, 2:])
+        columns = [rng.normal(size=3) for _ in range(gate.n_params)]
+        stack = gate.matrix_stack(columns)
+        np.testing.assert_array_equal(control_block(stack), stack[:, 2:, 2:])
+    for name in ("CNOT", "CZ"):
+        np.testing.assert_array_equal(control_block(GATES[name]),
+                                      GATES[name][2:, 2:])
+    assert control_block(GATES["SWAP"]) is None
+    assert control_block(GATES["H"]) is None
+    assert control_block(rng.normal(size=(4, 4))) is None
+    # One uncontrolled row makes the whole per-row stack uncontrolled.
+    mixed = np.stack([GATES["CNOT"], GATES["SWAP"]])
+    assert control_block(mixed) is None
 
 
 def test_expectation_parity(loop, einsum):

@@ -94,6 +94,36 @@ class TestQuGeoVQCForward:
         assert np.linalg.norm(state) == pytest.approx(1.0)
 
 
+class TestQuGeoVQCInputValidation:
+    """Non-finite seismic input is rejected at encode time, on every path."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        model = QuGeoVQC(_small_config("layer"), rng=1)
+        seismic, target = _sample(6)
+        poisoned = seismic.copy()
+        poisoned[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            model.encode(poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict(poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict_batch([seismic, poisoned])
+        with pytest.raises(ValueError, match="non-finite"):
+            model.loss_and_gradients_batch([seismic, poisoned],
+                                           [target, target])
+
+    def test_finite_input_gives_finite_outputs(self):
+        model = QuGeoVQC(_small_config("pixel"), rng=1)
+        (seismic, target), (other, _) = _sample(6), _sample(7)
+        assert np.isfinite(model.predict(seismic)).all()
+        assert np.isfinite(model.predict_batch([seismic, other])).all()
+        losses, grads = model.loss_and_gradients_batch([seismic, other],
+                                                       [target, target])
+        assert np.isfinite(losses).all()
+        assert np.isfinite(grads["theta"]).all()
+
+
 class TestQuGeoVQCGradients:
     @pytest.mark.parametrize("decoder", ["layer", "pixel"])
     def test_gradients_match_finite_differences(self, decoder):

@@ -97,20 +97,38 @@ def test_sign_matrix_cache_is_dtype_keyed():
     np.testing.assert_allclose(s32, s64)
 
 
-def test_einsum_fixed_tensor_cache_is_dtype_keyed():
-    b64 = EinsumBatchBackend()
-    b32 = EinsumBatchBackend(policy="float32")
-    circuit = ParameterizedCircuit(2)
-    circuit.add_gate("H", [0])
-    circuit.add_gate("CNOT", [0, 1])
-    state = np.zeros(4, dtype=np.complex128)
-    state[0] = 1.0
-    b64.run(circuit, state)
-    b32.run(circuit, state)
-    assert all(key[1] == np.dtype(np.complex128).str
-               for key in b64._fixed_tensors)
-    assert all(key[1] == np.dtype(np.complex64).str
-               for key in b32._fixed_tensors)
+def test_einsum_kernel_computes_in_the_stack_dtype():
+    """Every view and temporary the kernel makes from a complex64 stack is
+    complex64: a shared matrix enters as weakly typed Python scalars and a
+    per-row stack is cast to the stack's dtype."""
+    from repro.quantum.kernel import apply_gate_inplace
+    from repro.quantum.gates import GATES, apply_matrix
+    from repro.quantum.parametric import PARAMETRIC_GATES
+
+    class Recorder(np.ndarray):
+        dtypes = set()
+
+        def __array_finalize__(self, obj):
+            Recorder.dtypes.add(self.dtype)
+
+    rng = np.random.default_rng(3)
+    u3, cu3 = PARAMETRIC_GATES["U3"], PARAMETRIC_GATES["CU3"]
+    cases = [(u3.matrix(rng.normal(size=3)), (1,)),
+             (u3.matrix_stack([rng.normal(size=4) for _ in range(3)]), (2,)),
+             (cu3.matrix(rng.normal(size=3)), (2, 0)),
+             (cu3.matrix_stack([rng.normal(size=4) for _ in range(3)]),
+              (0, 1)),
+             (GATES["SWAP"], (0, 2))]
+    for matrix, targets in cases:
+        states = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        stack = states.astype(np.complex64).view(Recorder)
+        apply_gate_inplace(stack, matrix, targets, 3)
+        rows = matrix if matrix.ndim == 3 else [matrix] * 4
+        expected = np.stack([apply_matrix(state, row, targets, 3)
+                             for state, row in zip(states, rows)])
+        np.testing.assert_allclose(np.asarray(stack), expected,
+                                   atol=F32_ATOL, rtol=0)
+    assert Recorder.dtypes == {np.dtype(np.complex64)}
 
 
 # --------------------------------------------------------------------------- #

@@ -126,6 +126,45 @@ class TestSSIM:
         assert ssim(shifted, image, data_range=1.0) < 0.95
 
 
+class TestSSIMClosedForm:
+    """Constant images: every window sees means ``a``/``b`` and zero
+    variance, so the structure term is ``C2 / C2`` and SSIM is exactly
+    ``(2ab + C1) / (a^2 + b^2 + C1)`` with ``C1 = (k1 L)^2``."""
+
+    PAIRS = [(0.2, 0.7), (1.5, 0.25), (0.0, 1.0), (3.0, 3.0)]
+
+    @staticmethod
+    def _closed_form(a, b, data_range=1.0, k1=0.01):
+        c1 = (k1 * data_range) ** 2
+        return (2 * a * b + c1) / (a * a + b * b + c1)
+
+    @pytest.mark.parametrize("gaussian", [True, False])
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_single_image(self, a, b, gaussian):
+        image, reference = np.full((9, 11), a), np.full((9, 11), b)
+        expected = self._closed_form(a, b)
+        values = ssim_map(image, reference, gaussian=gaussian)
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+        assert ssim(image, reference, gaussian=gaussian) == pytest.approx(
+            expected, rel=0, abs=1e-12)
+        # An explicit dynamic range enters through C1 only.
+        assert ssim(image, reference, gaussian=gaussian,
+                    data_range=2.0) == pytest.approx(
+            self._closed_form(a, b, data_range=2.0), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("gaussian", [True, False])
+    def test_stack(self, gaussian):
+        images = np.stack([np.full((8, 8), a) for a, _ in self.PAIRS])
+        references = np.stack([np.full((8, 8), b) for _, b in self.PAIRS])
+        expected = np.array([self._closed_form(a, b) for a, b in self.PAIRS])
+        values = ssim_map(images, references, gaussian=gaussian)
+        np.testing.assert_allclose(values, np.broadcast_to(
+            expected[:, None, None], values.shape), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ssim(images, references,
+                                        gaussian=gaussian),
+                                   expected, rtol=0, atol=1e-12)
+
+
 class TestSSIMProperties:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
