@@ -8,7 +8,9 @@ velocity models — at once) and the batched engine under the ``float32``
 dtype policy (half the memory traffic; receiver traces still accumulate in
 float64).  Scalar and batched float64 agree to machine precision, so that
 speedup is pure wall-clock; the float32 rows trade ~1e-6 relative error for
-additional throughput.
+additional throughput.  A second grid times the batched propagator per
+boundary x dtype in pad_grid mode; its wavefield-steps/s are what
+``check_seismic_regression.py`` gates.
 
 Run directly (CI uses ``--quick``)::
 
@@ -30,8 +32,8 @@ from common import (add_cache_dir_argument, add_json_argument,
                     apply_cache_dir, write_json)
 
 from repro.seismic import (
+    AcousticSimulator2D,
     BatchedAcousticSimulator2D,
-    ForwardModel,
     PMLBoundary,
     SimulationConfig,
     SpongeBoundary,
@@ -42,8 +44,6 @@ from repro.seismic import (
     ricker_wavelet,
     stable_time_step,
 )
-from repro.seismic.kernels import KERNELS
-from repro.telemetry import capture
 from repro.utils.tables import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -62,27 +62,45 @@ def _velocities(n_maps: int) -> np.ndarray:
                      for seed in range(n_maps)])
 
 
-#: Engine column order: the float32 row reuses the batched engine under the
-#: reduced-precision dtype policy (resolved through a propagator factory).
-ENGINES = ("scalar", "batched", "batched-f32")
+#: Engine columns, each a ``(velocity, config) -> simulator`` factory: the
+#: scalar reference, the batched propagator, and the batched propagator
+#: under the reduced-precision dtype policy.
+ENGINES = {
+    "scalar": AcousticSimulator2D,
+    "batched": BatchedAcousticSimulator2D,
+    "batched-f32": lambda velocity, config: BatchedAcousticSimulator2D(
+        velocity, config, policy="float32"),
+}
 
 
-def _propagator_spec(name: str):
-    if name == "batched-f32":
-        return lambda velocity, config: BatchedAcousticSimulator2D(
-            velocity, config, policy="float32")
-    return name
+def _survey_runner(n_steps: int, engine: str, velocities: np.ndarray,
+                   chunk: int):
+    """A no-argument callable modelling every shot over a map stack.
 
-
-def _forward_model(n_steps: int, propagator: str) -> ForwardModel:
+    The scalar reference takes one map per simulator; the batched engines
+    advance ``chunk`` maps per shared time loop.
+    """
     dt = stable_time_step(MAX_VELOCITY, dx=DX, spatial_order=4)
     config = SimulationConfig(dx=DX, dz=DX, dt=dt, n_steps=n_steps,
                               spatial_order=4,
                               boundary=SpongeBoundary(width=12))
     survey = SurveyGeometry(n_sources=N_SOURCES, n_receivers=N_RECEIVERS,
                             nx=GRID[1])
-    return ForwardModel(survey=survey, config=config,
-                        propagator=_propagator_spec(propagator))
+    sources = survey.source_positions()
+    receivers = survey.receiver_positions()
+    wavelet = ricker_wavelet(n_steps, dt, 15.0)
+    factory = ENGINES[engine]
+    if engine == "scalar":
+        batches = list(velocities)
+    else:
+        batches = [velocities[start:start + chunk]
+                   for start in range(0, len(velocities), chunk)]
+
+    def run():
+        return [factory(batch, config).simulate_shots(sources, wavelet,
+                                                      receivers)
+                for batch in batches]
+    return run
 
 
 def _time_interleaved(fns: Dict[str, object], repeats: int) -> Dict[str, float]:
@@ -110,17 +128,15 @@ def run_benchmark(n_steps: int, map_batch: int, chunk: int, repeats: int
     float32_speedups: Dict[str, float] = {}
 
     scenarios = [
-        (f"1 map x {N_SOURCES} shots", 1,
-         lambda model: model.model_shots(velocities[0])),
-        (f"{map_batch} maps x {N_SOURCES} shots (chunk {chunk})", map_batch,
-         lambda model: model.model_shots_batch(velocities, chunk_size=chunk)),
+        (f"1 map x {N_SOURCES} shots", velocities[:1]),
+        (f"{map_batch} maps x {N_SOURCES} shots (chunk {chunk})", velocities),
     ]
-    for label, n_maps, runner in scenarios:
+    for label, maps in scenarios:
+        n_maps = len(maps)
         runs = {}
         for name in ENGINES:
-            model = _forward_model(n_steps, propagator=name)
-            runner(model)  # warm-up (allocator, caches)
-            runs[name] = (lambda m=model: runner(m))
+            runs[name] = _survey_runner(n_steps, name, maps, chunk)
+            runs[name]()  # warm-up (allocator, caches)
         timings = _time_interleaved(runs, repeats)
         speedups[label] = (timings["scalar"] / timings["batched"]
                            if timings["batched"] > 0 else float("inf"))
@@ -136,7 +152,7 @@ def run_benchmark(n_steps: int, map_batch: int, chunk: int, repeats: int
     return rows, speedups, float32_speedups
 
 
-#: Boundary columns of the kernel grid: the historical sponge default
+#: Boundary columns of the timing grid: the historical sponge default
 #: (20-cell pad) against the thin PML pad it can shrink to.  Both run in
 #: pad_grid mode so the padded-cell count is the figure of merit for the
 #: full-grid work per time step.
@@ -148,16 +164,12 @@ BOUNDARIES: Dict[str, object] = {
 DTYPES = ("float64", "float32")
 
 
-def _grid_kernels() -> List[str]:
-    return [name for name in KERNELS.names() if KERNELS.available(name)]
+def run_boundary_grid(n_steps: int, repeats: int
+                      ) -> Tuple[List[List[object]], Dict[str, float],
+                                 Dict[str, int], Dict[str, float]]:
+    """Time every boundary x dtype on a 5-shot map.
 
-
-def run_kernel_grid(n_steps: int, repeats: int
-                    ) -> Tuple[List[List[object]], Dict[str, float],
-                               Dict[str, int], Dict[str, float]]:
-    """Time every available kernel x boundary x dtype on a 5-shot map.
-
-    Returns table rows, a ``"kernel|boundary|dtype" -> wavefield-steps/s``
+    Returns table rows, a ``"boundary|dtype" -> wavefield-steps/s``
     throughput dict (the regression-gate metric), the padded-cell count per
     boundary, and each boundary's edge-reflection energy score.
     """
@@ -169,32 +181,30 @@ def run_kernel_grid(n_steps: int, repeats: int
     dt = stable_time_step(MAX_VELOCITY, dx=DX, spatial_order=4)
     wavelet = ricker_wavelet(n_steps, dt, 15.0)
 
-    kernels = _grid_kernels()
     simulators: Dict[str, BatchedAcousticSimulator2D] = {}
     runs: Dict[str, object] = {}
-    for kernel in kernels:
-        for boundary_name, make in BOUNDARIES.items():
-            config = SimulationConfig(dx=DX, dz=DX, dt=dt, n_steps=n_steps,
-                                      spatial_order=4, boundary=make())
-            for dtype in DTYPES:
-                key = f"{kernel}|{boundary_name}|{dtype}"
-                simulator = BatchedAcousticSimulator2D(
-                    velocity, config, policy=dtype, kernel=kernel)
-                simulators[key] = simulator
-                runs[key] = (lambda s=simulator: s.simulate_shots(
-                    sources, wavelet, receivers))
-                runs[key]()  # warm-up (allocator, caches, JIT compilation)
+    for boundary_name, make in BOUNDARIES.items():
+        config = SimulationConfig(dx=DX, dz=DX, dt=dt, n_steps=n_steps,
+                                  spatial_order=4, boundary=make())
+        for dtype in DTYPES:
+            key = f"{boundary_name}|{dtype}"
+            simulator = BatchedAcousticSimulator2D(velocity, config,
+                                                   policy=dtype)
+            simulators[key] = simulator
+            runs[key] = (lambda s=simulator: s.simulate_shots(
+                sources, wavelet, receivers))
+            runs[key]()  # warm-up (allocator, caches)
     timings = _time_interleaved(runs, repeats)
 
     rows: List[List[object]] = []
     throughput: Dict[str, float] = {}
     padded_cells: Dict[str, int] = {}
     for key, elapsed in timings.items():
-        kernel, boundary_name, dtype = key.split("|")
+        boundary_name, dtype = key.split("|")
         cells = simulators[key].padded_cells
         padded_cells[boundary_name] = cells
         throughput[key] = N_SOURCES * n_steps / elapsed if elapsed > 0 else 0.0
-        rows.append([kernel, boundary_name, dtype, cells, elapsed * 1e3,
+        rows.append([boundary_name, dtype, cells, elapsed * 1e3,
                      elapsed * 1e3 / N_SOURCES, throughput[key]])
 
     reflection = {name: edge_reflection_energy(make())
@@ -202,39 +212,14 @@ def run_kernel_grid(n_steps: int, repeats: int
     return rows, throughput, padded_cells, reflection
 
 
-def count_kernel_dispatches(n_steps: int = 8) -> Dict[str, int]:
-    """One cheap dispatch per available kernel, counted through telemetry.
-
-    CI asserts on these counts to prove the optional compiled kernel really
-    ran (rather than silently degrading to the python loop).
-    """
-    velocity = _velocities(1)[0]
-    survey = SurveyGeometry(n_sources=1, n_receivers=8, nx=GRID[1])
-    dt = stable_time_step(MAX_VELOCITY, dx=DX, spatial_order=4)
-    config = SimulationConfig(dx=DX, dz=DX, dt=dt, n_steps=n_steps,
-                              spatial_order=4,
-                              boundary=SpongeBoundary(width=12))
-    wavelet = ricker_wavelet(n_steps, dt, 15.0)
-    with capture("summary") as telemetry:
-        for kernel in _grid_kernels():
-            BatchedAcousticSimulator2D(
-                velocity, config, kernel=kernel).simulate_shots(
-                    survey.source_positions(), wavelet,
-                    survey.receiver_positions())
-        counters = telemetry.snapshot()["counters"]
-    return {name.split(".")[-1]: int(count)
-            for name, count in counters.items()
-            if name.startswith("propagator.kernel.")}
-
-
-def render_kernel_grid(rows: List[List[object]], n_steps: int) -> str:
-    formatted = [row[:4] + [f"{row[4]:.1f}", f"{row[5]:.2f}", f"{row[6]:,.0f}"]
+def render_boundary_grid(rows: List[List[object]], n_steps: int) -> str:
+    formatted = [row[:3] + [f"{row[3]:.1f}", f"{row[4]:.2f}", f"{row[5]:,.0f}"]
                  for row in sorted(rows)]
     return format_table(
-        ["kernel", "boundary", "dtype", "padded cells", "total ms",
-         "ms/shot", "wavefield steps/s"],
+        ["boundary", "dtype", "padded cells", "total ms", "ms/shot",
+         "wavefield steps/s"],
         formatted,
-        title=f"Kernel x boundary x dtype grid: {GRID[0]}x{GRID[1]} model, "
+        title=f"Boundary x dtype grid: {GRID[0]}x{GRID[1]} model, "
               f"{N_SOURCES} shots, {n_steps} steps")
 
 
@@ -271,11 +256,10 @@ def main() -> int:
 
     rows, speedups, float32_speedups = run_benchmark(n_steps, map_batch,
                                                      chunk, args.repeats)
-    grid_rows, throughput, padded_cells, reflection = run_kernel_grid(
+    grid_rows, throughput, padded_cells, reflection = run_boundary_grid(
         n_steps, args.repeats)
-    dispatches = count_kernel_dispatches()
     text = (render(rows, n_steps) + "\n\n"
-            + render_kernel_grid(grid_rows, n_steps))
+            + render_boundary_grid(grid_rows, n_steps))
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / "bench_seismic.txt"
     path.write_text(text + "\n")
@@ -284,25 +268,21 @@ def main() -> int:
     for name, energy in reflection.items():
         print(f"edge-reflection energy {name} "
               f"({padded_cells[name]:,} padded cells): {energy:.3e}")
-    for name, count in sorted(dispatches.items()):
-        print(f"kernel dispatches {name}: {count}")
     if args.json is not None:
         header = ["propagator", "scenario", "steps", "shots", "total_ms",
                   "ms_per_shot", "vs_scalar"]
-        grid_header = ["kernel", "boundary", "dtype", "padded_grid_cells",
+        grid_header = ["boundary", "dtype", "padded_grid_cells",
                        "total_ms", "ms_per_shot", "wavefield_steps_per_sec"]
         write_json("bench_seismic",
                    {"n_steps": n_steps, "map_batch": map_batch,
                     "rows": [dict(zip(header, row)) for row in rows],
                     "speedups": speedups,
                     "float32_speedups": float32_speedups,
-                    "kernel_grid": [dict(zip(grid_header, row))
-                                    for row in grid_rows],
+                    "boundary_grid": [dict(zip(grid_header, row))
+                                      for row in grid_rows],
                     "throughput": throughput,
                     "padded_grid_cells": padded_cells,
-                    "edge_reflection_energy": reflection,
-                    "kernel_dispatch": dispatches,
-                    "kernels": _grid_kernels()},
+                    "edge_reflection_energy": reflection},
                    path=args.json)
 
     single_map = next(iter(speedups.values()))

@@ -2,16 +2,15 @@
 
 Compares the ``throughput`` section of a ``bench_seismic.py --quick --json``
 result against ``benchmarks/baselines/bench_seismic_quick.json`` and exits
-non-zero when any shared ``kernel|boundary|dtype`` cell drops more than
+non-zero when any shared ``boundary|dtype`` cell drops more than
 ``--max-drop`` (default 25%) below its baseline wavefield-steps/s.
 
 The baseline is deliberately conservative (well under a healthy runner's
 measurement) so ordinary CI noise passes while a real hot-loop regression —
-an accidental copy, a de-vectorised stencil, a kernel silently degrading to
-a slower path — fails the job.  Cells present in the baseline but missing
-from the results are reported and fail the gate only with ``--require-all``
-(the CI job with numba installed uses it; local runs without numba lack the
-``numba|...`` cells).
+an accidental copy, a de-vectorised stencil, a silent detour through a
+slower path — fails the job.  Cells present in the baseline but missing
+from the results are reported and fail the gate only with
+``--require-all``, which CI uses.
 
 Usage::
 
@@ -71,7 +70,7 @@ def main() -> int:
                              "below baseline (default 0.25)")
     parser.add_argument("--require-all", action="store_true",
                         help="fail when a baseline cell is missing from the "
-                             "results (use where every kernel is installed)")
+                             "results")
     args = parser.parse_args()
 
     results = json.loads(Path(args.results).read_text())

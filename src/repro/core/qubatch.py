@@ -123,8 +123,15 @@ class QuBatchVQC:
     # forward
     # ------------------------------------------------------------------ #
     def encode(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
-        """Encode up to ``batch_capacity`` flattened seismic samples."""
+        """Encode up to ``batch_capacity`` flattened seismic samples.
+
+        A NaN or infinite cell is rejected here, as in
+        :meth:`QuGeoVQC.encode`, before it becomes a NaN prediction.
+        """
         flat = [np.asarray(s, dtype=np.float64).reshape(-1) for s in seismic_batch]
+        if not all(np.isfinite(s).all() for s in flat):
+            raise ValueError("seismic input is non-finite (NaN or inf); the "
+                             "circuit cannot encode it")
         return self.encoder.encode(flat)
 
     def _block_view(self, state: np.ndarray) -> np.ndarray:

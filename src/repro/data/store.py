@@ -4,8 +4,8 @@ Forward modelling dominates the cost of every experiment once training is
 batched, and nothing used to survive between runs.  This module persists
 generated datasets as compressed ``.npz`` shards under a **content
 fingerprint** of the generating configuration — ``OpenFWIConfig`` + root RNG
-seed + the code-relevant physics parameters (time step, propagator engine,
-format version) — so that:
+seed + the code-relevant physics parameters (time step, boundary, recording
+stride, format version) — so that:
 
 * a second run with the same configuration is a pure cache hit (zero
   forward-modelling calls),
@@ -31,9 +31,9 @@ few shards in memory at a time.
 Fingerprints invalidate whenever any input that can change the generated
 bits changes: every ``OpenFWIConfig`` field (including ``chunk_size``, which
 determines how samples map onto RNG streams), the seed, the sample count,
-the CFL time step derived from the physics, the resolved propagator engine
-and :data:`DATA_FORMAT_VERSION` (bumped when generation code changes
-behaviour).
+the CFL time step derived from the physics, the resolved boundary, the
+recording stride and :data:`DATA_FORMAT_VERSION` (bumped when generation
+code changes behaviour).
 """
 
 from __future__ import annotations
@@ -108,26 +108,21 @@ def dataset_fingerprint(config: OpenFWIConfig, seed: int,
     Two builds share a fingerprint exactly when they produce bit-identical
     data: the fingerprint digests every ``OpenFWIConfig`` field, the root
     seed, the effective sample count, and the code-relevant physics
-    parameters (the CFL-stable time step, the resolved propagator engine,
-    the resolved boundary / time-loop kernel / recording stride, and
-    :data:`DATA_FORMAT_VERSION`).  The kernel is the one that runs: a
-    requested kernel whose dependency is missing falls back to ``python``
-    and is digested as ``python``.
+    parameters (the CFL-stable time step, the resolved boundary and
+    recording stride, and :data:`DATA_FORMAT_VERSION`).
 
     Config fields at their bit-identity-preserving defaults (sponge
-    boundary, ``record_every=1``, python kernel) are *omitted* from the
-    digest payload, so every fingerprint minted before those fields existed
-    still addresses the same cached shards.
+    boundary, ``record_every=1``) are *omitted* from the digest payload, so
+    every fingerprint minted before those fields existed still addresses
+    the same cached shards.  For the same reason the payload still names
+    the ``"batched"`` propagator, the one engine that generates data.
     """
     from repro.seismic.acoustic2d import stable_time_step
     from repro.seismic.boundary import resolve_boundary_name
-    from repro.seismic.kernels import resolve_kernel
-    from repro.seismic.propagators import default_propagator_name
 
     config_payload = _jsonable(config)
     boundary = resolve_boundary_name(config_payload.pop("boundary", None))
     record_every = int(config_payload.pop("record_every", 1) or 1)
-    kernel = resolve_kernel(None)[0].name
     payload = {
         "format_version": DATA_FORMAT_VERSION,
         "seed": int(seed),
@@ -137,14 +132,12 @@ def dataset_fingerprint(config: OpenFWIConfig, seed: int,
         "dt": stable_time_step(config.model_config.max_velocity,
                                dx=config.dx, dz=config.dx,
                                spatial_order=config.spatial_order),
-        "propagator": default_propagator_name(),
+        "propagator": "batched",
     }
     if boundary != "sponge":
         payload["boundary"] = boundary
     if record_every != 1:
         payload["record_every"] = record_every
-    if kernel != "python":
-        payload["kernel"] = kernel
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

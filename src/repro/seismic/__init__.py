@@ -31,17 +31,6 @@ from repro.seismic.acoustic2d import (
     SimulationConfig,
     stable_time_step,
 )
-from repro.seismic.propagators import (
-    PROPAGATORS,
-    default_propagator_name,
-    get_propagator,
-)
-from repro.seismic.kernels import (
-    KERNELS,
-    default_kernel_name,
-    get_kernel,
-    resolve_kernel,
-)
 from repro.seismic.diagnostics import edge_reflection_energy
 from repro.seismic.forward_modeling import (
     ForwardModel,
@@ -70,19 +59,12 @@ __all__ = [
     "default_boundary_name",
     "resolve_boundary_name",
     "make_boundary",
-    "KERNELS",
-    "default_kernel_name",
-    "get_kernel",
-    "resolve_kernel",
     "edge_reflection_energy",
     "SurveyGeometry",
     "AcousticSimulator2D",
     "BatchedAcousticSimulator2D",
     "SimulationConfig",
     "stable_time_step",
-    "PROPAGATORS",
-    "default_propagator_name",
-    "get_propagator",
     "ForwardModel",
     "forward_model_shot_gather",
     "normalize_per_shot",

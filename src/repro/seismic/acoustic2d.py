@@ -13,13 +13,12 @@ The solver records the pressure field at receiver locations every
 ``record_every``-th time step (every step by default), producing the shot
 gathers that constitute OpenFWI-style seismic data.
 
-The batched engine evaluates the Laplacian as two dense banded-operator
-matmuls per step (one per axis) at every dtype, and delegates its time
-loop to a kernel resolved from the :mod:`repro.seismic.kernels` registry
-(``QUGEO_SEISMIC_KERNEL``): the ``"python"`` kernel is the vectorised
-numpy loop (bit-identical to the historical inline loop), the ``"numba"``
-kernel fuses the whole update into one compiled pass per wavefield when
-numba is installed.  Boundaries may be a
+Two engines share the discretisation.  :class:`AcousticSimulator2D` is the
+per-shot reference oracle with per-tap stencil slicing.
+:class:`BatchedAcousticSimulator2D` is the production propagator every
+forward-modelling call runs: one vectorised numpy time loop over a batch of
+wavefields, with the Laplacian evaluated as two dense banded-operator
+matmuls per step (one per axis) at every dtype.  Its boundaries may be a
 :class:`~repro.seismic.boundary.SpongeBoundary` or a
 :class:`~repro.seismic.boundary.PMLBoundary`, optionally padded outside the
 velocity model (``pad_grid``).
@@ -33,16 +32,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # SciPy is optional: without BLAS axpy the update takes three passes.
-    from scipy.linalg.blas import daxpy as _daxpy
-    from scipy.linalg.blas import saxpy as _saxpy
-except ImportError:  # pragma: no cover - exercised via the three-pass test
-    _daxpy = None
-    _saxpy = None
-
 from repro.seismic.boundary import PMLBoundary, SpongeBoundary
-from repro.seismic.kernels import resolve_kernel
-from repro.seismic.kernels.base import KernelPlan, PMLState
 from repro.telemetry import get_telemetry
 from repro.xm import get_dtype_policy
 
@@ -209,9 +199,6 @@ class AcousticSimulator2D:
         Discretisation parameters.  ``config.dt`` is checked against the CFL
         condition on construction.
     """
-
-    #: Whether instances accept a leading velocity-model batch axis.
-    supports_model_batch = False
 
     def __init__(self, velocity: np.ndarray, config: SimulationConfig = None) -> None:
         self.velocity = np.asarray(velocity, dtype=np.float64)
@@ -434,10 +421,12 @@ def _bool_runs(mask: np.ndarray) -> List[slice]:
 class BatchedAcousticSimulator2D:
     """Leap-frog propagator advancing a batch of wavefields per time step.
 
-    One time loop carries a leading batch axis over shots — and optionally
+    The production propagator: every forward-modelling call runs it.  One
+    numpy time loop carries a leading batch axis over shots — and optionally
     over velocity models sharing the same grid, geometry and config — so the
-    Laplacian, the leap-frog update and the sponge damping are evaluated as
-    whole-batch array operations instead of one Python loop per shot.
+    Laplacian, the leap-frog update and the boundary treatment (sponge
+    damping or the CFS-PML recursions) are evaluated as whole-batch array
+    operations instead of one Python loop per shot.
 
     The Laplacian is evaluated in one pass per axis instead of ~5 numpy
     temporaries per stencil tap: two dense banded-operator matmuls
@@ -464,13 +453,8 @@ class BatchedAcousticSimulator2D:
         always accumulated in ``policy.accum_real`` (float64).
     """
 
-    #: Instances accept a leading velocity-model batch axis.
-    supports_model_batch = True
-    #: Instances accept a time-loop kernel selection.
-    supports_kernel = True
-
     def __init__(self, velocity: np.ndarray, config: SimulationConfig = None,
-                 policy=None, kernel=None) -> None:
+                 policy=None) -> None:
         self.velocity = np.asarray(velocity, dtype=np.float64)
         if self.velocity.ndim not in (2, 3):
             raise ValueError(
@@ -482,7 +466,6 @@ class BatchedAcousticSimulator2D:
         self.config.validate_cfl(float(self.velocity.max()))
         self.policy = get_dtype_policy(policy)
         real = self.policy.real
-        self._kernel_spec = kernel
 
         # Optionally extend the grid so the absorbing band lives outside
         # the velocity model: edge-replicated velocity pad, no pad above a
@@ -514,9 +497,6 @@ class BatchedAcousticSimulator2D:
             self._pml_profiles = None
         self._telemetry = get_telemetry()
         coeffs = _LAPLACIAN_COEFFS[self.config.spatial_order]
-        # Per-axis stencil taps, read by the fused (numba) kernels.
-        self._coeffs_z = (coeffs / self.config.dz**2).astype(real, copy=False)
-        self._coeffs_x = (coeffs / self.config.dx**2).astype(real, copy=False)
         self._dz_op = (_stencil_matrix(nz, coeffs)
                        / self.config.dz**2).astype(real, copy=False)
         self._dx_op_t = ((_stencil_matrix(nx, coeffs) / self.config.dx**2)
@@ -684,8 +664,6 @@ class BatchedAcousticSimulator2D:
         lap_x = np.empty_like(p_prev)
         flat_views = {id(buf): buf.reshape(-1, nz * nx)
                       for buf in (p_prev, p_curr, p_next)}
-        line_views = {id(buf): buf.reshape(-1)
-                      for buf in (p_prev, p_curr, p_next)}
 
         total_batch = int(np.prod(batch_shape))
         # Every (step, receiver) entry is assigned exactly once in the loop.
@@ -699,17 +677,7 @@ class BatchedAcousticSimulator2D:
         inject_cols = np.tile(src_flat, total_batch // n_shots)
         inject_amps = scaled_wavelets.reshape(total_batch, n_steps)
 
-        # Hoist per-step lookups out of the hot loop.  BLAS axpy is picked to
-        # match the buffer precision (daxpy for float64, saxpy for float32);
-        # other precisions fall back to the three-pass in-place update.
         mask = self._mask
-        if real == np.dtype(np.float64):
-            axpy = _daxpy
-        elif real == np.dtype(np.float32):
-            axpy = _saxpy
-        else:  # pragma: no cover - no such policy today
-            axpy = None
-
         # The causal edge of the discrete wavefront decays super-exponentially
         # through every representable magnitude, so at reduced precision a
         # band of cells is always sitting in subnormal range — and subnormal
@@ -717,59 +685,137 @@ class BatchedAcousticSimulator2D:
         # flushing magnitudes below ~1e-24 (fifteen orders under any signal
         # the float32 gather could resolve) to exact zero keeps that band
         # empty at a cost of two vectorised passes every 16 steps.
-        if real != np.dtype(np.float64):
-            flush_cutoff = float(np.finfo(real).tiny / np.finfo(real).eps ** 2)
-        else:
-            flush_cutoff = None
+        flush_tiny = real != np.dtype(np.float64)
+        flush_cutoff = float(np.finfo(real).tiny / np.finfo(real).eps ** 2)
 
-        pml_state = None
-        if self._is_pml:
+        is_pml = self._is_pml
+        if is_pml:
+            # CFS-PML memory variables (Pasalic & McGarry 2010): per axis,
+            # psi convolves the first spatial derivative and zeta the
+            # corrected second derivative, and ``lap + d(psi) + zeta`` stands
+            # in for the plain Laplacian inside the pads.  The coefficient
+            # tables are exactly zero outside the pads, so the recursions run
+            # on the pad strips only and the corrections on the strips
+            # dilated by one cell (the reach of the psi derivative).
             a_x, b_x, a_z, b_z = self._pml_profiles
             pad_x = a_x != 0.0
             pad_z = a_z != 0.0
-            halo_x = _dilate_bool(pad_x)
-            halo_z = _dilate_bool(pad_z)
-            pml_state = PMLState(
-                a_x=a_x, b_x=b_x, a_z=a_z, b_z=b_z,
-                x_active=halo_x, z_active=halo_z,
-                half_dx_inv=0.5 / self.config.dx,
-                half_dz_inv=0.5 / self.config.dz,
-                psi_x=np.zeros_like(p_prev), psi_z=np.zeros_like(p_prev),
-                zeta_x=np.zeros_like(p_prev), zeta_z=np.zeros_like(p_prev),
-                x_strips=_bool_runs(pad_x), z_strips=_bool_runs(pad_z),
-                x_halo=_bool_runs(halo_x), z_halo=_bool_runs(halo_z))
+            x_strips, z_strips = _bool_runs(pad_x), _bool_runs(pad_z)
+            x_halo = _bool_runs(_dilate_bool(pad_x))
+            z_halo = _bool_runs(_dilate_bool(pad_z))
+            psi_x = np.zeros_like(p_prev)
+            psi_z = np.zeros_like(p_prev)
+            zeta_x = np.zeros_like(p_prev)
+            zeta_z = np.zeros_like(p_prev)
+            # First-derivative scratch (two buffers reused per axis phase).
+            d1 = np.empty_like(p_prev)
+            d1_psi = np.empty_like(p_prev)
 
-        plan = KernelPlan(
-            ops=self, telemetry=self._telemetry,
-            n_steps=n_steps, record_every=record_every,
-            record_wavefield=record_wavefield,
-            wavefield_stride=wavefield_stride,
-            grid=(nz, nx), batch_shape=batch_shape,
-            total_batch=total_batch, n_shots=n_shots,
-            real=real, flush_cutoff=flush_cutoff,
-            p_prev=p_prev, p_curr=p_curr, p_next=p_next,
-            lap=lap, lap_x=lap_x, c2dt2=c2dt2, mask=mask, pml=pml_state,
-            src_rows=src_rows, src_cols=src_cols,
-            rec_rows=rec_rows, rec_cols=rec_cols, rec_flat=rec_flat,
-            inject_rows=inject_rows, inject_cols=inject_cols,
-            inject_amps=inject_amps,
-            flat_views=flat_views, line_views=line_views, axpy=axpy,
-            gather=gather, gather_flat=gather_flat)
-
-        kernel, fallback_reason = resolve_kernel(
-            self._kernel_spec, need_snapshots=record_wavefield)
+        snapshots: List[np.ndarray] = []
+        # Per-phase profiling accumulates into plain local floats and is
+        # flushed to the registry once after the loop; when telemetry is off
+        # the loop pays one local-bool check per phase and nothing else.
         telemetry = self._telemetry
         timing = telemetry.enabled
-        if timing:
-            telemetry.counter(f"propagator.kernel.{kernel.name}").inc()
-            if fallback_reason is not None:
-                telemetry.counter("propagator.kernel.fallbacks").inc()
+        t_laplacian = t_update = t_inject = t_boundary = t_record = 0.0
 
         loop_start = perf_counter()
-        kernel.run(plan)
+        for step in range(n_steps):
+            if timing:
+                t0 = perf_counter()
+            if is_pml:
+                # Split-axis second derivatives: d2z in lap, d2x in lap_x.
+                self._lap_z_into(p_curr, lap)
+                self._lap_x_into(p_curr, lap_x)
+                if timing:
+                    t1 = perf_counter()
+                    t_laplacian += t1 - t0
+                    t0 = t1
+
+                # Memory-variable recursions, x axis then z axis.
+                self._d1x_into(p_curr, d1)
+                for sl in x_strips:
+                    psi_x[..., :, sl] *= b_x[sl]
+                    psi_x[..., :, sl] += a_x[sl] * d1[..., :, sl]
+                self._d1x_into(psi_x, d1_psi)
+                for sl in x_strips:
+                    zeta_x[..., :, sl] *= b_x[sl]
+                    zeta_x[..., :, sl] += a_x[sl] * (lap_x[..., :, sl]
+                                                     + d1_psi[..., :, sl])
+                for sl in x_halo:
+                    lap_x[..., :, sl] += (d1_psi[..., :, sl]
+                                          + zeta_x[..., :, sl])
+
+                self._d1z_into(p_curr, d1)
+                for sl in z_strips:
+                    psi_z[..., sl, :] *= b_z[sl, None]
+                    psi_z[..., sl, :] += a_z[sl, None] * d1[..., sl, :]
+                self._d1z_into(psi_z, d1_psi)
+                for sl in z_strips:
+                    zeta_z[..., sl, :] *= b_z[sl, None]
+                    zeta_z[..., sl, :] += a_z[sl, None] * (
+                        lap[..., sl, :] + d1_psi[..., sl, :])
+                for sl in z_halo:
+                    lap[..., sl, :] += d1_psi[..., sl, :] + zeta_z[..., sl, :]
+                lap += lap_x
+                if timing:
+                    t1 = perf_counter()
+                    t_boundary += t1 - t0
+            else:
+                self._laplacian_into(p_curr, lap, lap_x)
+                if timing:
+                    t1 = perf_counter()
+                    t_laplacian += t1 - t0
+
+            # p_next = 2 p_curr - p_prev + dt^2 c^2 laplacian(p_curr), summed
+            # as (c2dt2 * lap - p_prev) + 2 p_curr: the rounding order every
+            # dataset fingerprint was minted with.  The doubling (exact) goes
+            # into the lap_x scratch, which is free again here.
+            np.multiply(lap, c2dt2, out=p_next)  # qugeo-lint: disable=QG003 -- out= update into preallocated buffer, host-numpy hot loop
+            p_next -= p_prev
+            np.add(p_curr, p_curr, out=lap_x)
+            p_next += lap_x
+            if timing:
+                t2 = perf_counter()
+                t_update += t2 - t1
+            p_flat = flat_views[id(p_next)]
+            p_flat[inject_rows, inject_cols] += inject_amps[:, step]
+            if timing:
+                t3 = perf_counter()
+                t_inject += t3 - t2
+
+            if not is_pml:
+                # Sponge damping on both time levels keeps the scheme stable;
+                # the 2-D mask broadcasts over the leading batch axes.
+                p_next *= mask
+                p_curr *= mask
+                if timing:
+                    t4 = perf_counter()
+                    t_boundary += t4 - t3
+                    t3 = t4
+
+            if step % record_every == 0:
+                gather_flat[:, step // record_every, :] = p_flat[:, rec_flat]
+            if record_wavefield and step % wavefield_stride == 0:
+                snapshots.append(p_next.copy())
+            if timing:
+                t_record += perf_counter() - t3
+
+            if flush_tiny and step % 16 == 15:
+                np.copyto(p_next, 0.0, where=np.abs(p_next) < flush_cutoff)
+                np.copyto(p_curr, 0.0, where=np.abs(p_curr) < flush_cutoff)
+
+            p_prev, p_curr, p_next = p_curr, p_next, p_prev
         elapsed = perf_counter() - loop_start
 
         if timing:
+            for phase, total in (("laplacian", t_laplacian),
+                                 ("update", t_update),
+                                 ("inject", t_inject),
+                                 ("boundary", t_boundary),
+                                 ("record", t_record)):
+                telemetry.record_timer(f"propagator.{phase}", total,
+                                       count=n_steps)
             telemetry.counter("propagator.steps").inc(n_steps)
             telemetry.counter("propagator.shots").inc(n_shots)
             telemetry.counter("propagator.wavefields").inc(total_batch)
@@ -780,7 +826,6 @@ class BatchedAcousticSimulator2D:
                     n_steps * total_batch / elapsed)
 
         if record_wavefield:
-            snapshots = plan.snapshots
             if row_off or col_off:
                 # Crop padded-grid snapshots back to model coordinates.
                 snapshots = [snap[..., row_off:row_off + model_nz,

@@ -13,7 +13,7 @@ suite use to claim "equal or better absorption from a thinner pad".
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def edge_reflection_energy(boundary,
                            velocity: float = 2000.0,
                            dx: float = 10.0,
                            n_steps: int = 240,
-                           peak_frequency: float = 15.0,
-                           kernel: Optional[object] = None) -> float:
+                           peak_frequency: float = 15.0) -> float:
     """Relative reflected-energy score of an absorbing ``boundary``.
 
     Parameters
@@ -65,8 +64,6 @@ def edge_reflection_energy(boundary,
         boundary round trips on the default grid.
     peak_frequency:
         Ricker source peak frequency in Hz.
-    kernel:
-        Optional time-loop kernel selection forwarded to the propagator.
 
     Returns
     -------
@@ -97,12 +94,10 @@ def edge_reflection_energy(boundary,
                           np.arange(2, nx - 2)], axis=1)
     wavelet = ricker_wavelet(int(n_steps), dt, float(peak_frequency))
 
-    gather = BatchedAcousticSimulator2D(
-        model, config, kernel=kernel).simulate_shots(
-            sources, wavelet, receivers)
-    reference = BatchedAcousticSimulator2D(
-        model, ref_config, kernel=kernel).simulate_shots(
-            sources, wavelet, receivers)
+    gather = BatchedAcousticSimulator2D(model, config).simulate_shots(
+        sources, wavelet, receivers)
+    reference = BatchedAcousticSimulator2D(model, ref_config).simulate_shots(
+        sources, wavelet, receivers)
 
     reference_energy = float(np.sum(reference ** 2))
     if reference_energy == 0.0:

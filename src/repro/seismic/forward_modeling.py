@@ -6,11 +6,12 @@ pressure wavefield of every source with the acoustic propagator and record
 it at every receiver.  The result has OpenFWI's layout
 ``(n_sources, n_time_steps, n_receivers)``.
 
-Shots are propagated through the engine selected from the
-:mod:`repro.seismic.propagators` registry — by default the batched engine,
-which advances every shot (and, on the multi-map path, several velocity
-models) in one shared time loop while matching the scalar reference to
-machine precision.
+Shots are propagated by
+:class:`~repro.seismic.acoustic2d.BatchedAcousticSimulator2D`, which
+advances every shot (and, on the multi-map path, several velocity models)
+in one shared time loop while matching the scalar reference
+:class:`~repro.seismic.acoustic2d.AcousticSimulator2D` to machine
+precision.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.seismic.acoustic2d import SimulationConfig, stable_time_step
-from repro.seismic.propagators import PropagatorSpec, get_propagator
+from repro.seismic.acoustic2d import (
+    BatchedAcousticSimulator2D,
+    SimulationConfig,
+    stable_time_step,
+)
 from repro.seismic.survey import SurveyGeometry
 from repro.seismic.wavelets import ricker_wavelet
 from repro.telemetry import get_telemetry
@@ -59,23 +63,12 @@ class ForwardModel:
         If ``True``, each shot gather is scaled by its own maximum absolute
         amplitude so gathers from different velocity models (and shots of
         different strengths) are comparable.
-    propagator:
-        Propagation engine: ``None`` (registry default), a registered name
-        (``"scalar"``, ``"batched"``) or a factory callable — see
-        :func:`repro.seismic.propagators.get_propagator`.
-    kernel:
-        Time-loop kernel selection for engines that support one (``None`` =
-        ambient ``QUGEO_SEISMIC_KERNEL`` default) — see
-        :func:`repro.seismic.kernels.get_kernel`.  Passing an explicit
-        kernel to an engine without kernel support raises.
     """
 
     survey: SurveyGeometry
     config: SimulationConfig = field(default_factory=SimulationConfig)
     peak_frequency: float = 15.0
     normalize: bool = True
-    propagator: PropagatorSpec = None
-    kernel: object = None
 
     def source_wavelet(self) -> np.ndarray:
         """Return the Ricker source wavelet used for every shot."""
@@ -88,43 +81,22 @@ class ForwardModel:
                 f"velocity width {velocity.shape[-1]} does not match survey "
                 f"nx {self.survey.nx}")
 
-    def _build_simulator(self, factory, velocity):
-        if self.kernel is None:
-            return factory(velocity, self.config)
-        if not getattr(factory, "supports_kernel", False):
-            raise ValueError(
-                f"propagator {factory!r} does not accept a kernel selection")
-        return factory(velocity, self.config, kernel=self.kernel)
-
     def model_shots(self, velocity: np.ndarray) -> np.ndarray:
         """Simulate every shot of the survey over ``velocity``.
 
-        Returns an array of shape ``(n_sources, n_steps, n_receivers)``.
+        A batch of one through :meth:`model_shots_batch`.  Returns an array
+        of shape ``(n_sources, n_steps, n_receivers)``.
         """
         velocity = np.asarray(velocity, dtype=np.float64)
         if velocity.ndim != 2:
             raise ValueError("velocity must be a 2-D map [depth, offset]")
-        self._check_width(velocity)
-        telemetry = get_telemetry()
-        telemetry.counter("forward_model.calls").inc()
-        telemetry.counter("forward_model.models").inc()
-        with telemetry.span("forward_model.shots"):
-            simulator = self._build_simulator(get_propagator(self.propagator),
-                                              velocity)
-            data = simulator.simulate_shots(self.survey.source_positions(),
-                                            self.source_wavelet(),
-                                            self.survey.receiver_positions())
-            if self.normalize:
-                data = normalize_per_shot(data)
-            return data
+        return self.model_shots_batch(velocity[None])[0]
 
     def model_shots_batch(self, velocities: np.ndarray,
                           chunk_size: Optional[int] = None) -> np.ndarray:
         """Simulate the survey over a stack of velocity maps at once.
 
-        Engines that support a model batch axis (``supports_model_batch``)
-        advance ``chunk_size`` maps per shared time loop; other engines fall
-        back to one :meth:`model_shots` call per map.
+        Each chunk of ``chunk_size`` maps advances in one shared time loop.
 
         Parameters
         ----------
@@ -146,10 +118,6 @@ class ForwardModel:
         if velocities.shape[0] == 0:
             raise ValueError("velocity stack must contain at least one model")
         self._check_width(velocities)
-        factory = get_propagator(self.propagator)
-        if not getattr(factory, "supports_model_batch", False):
-            return np.stack([self.model_shots(v) for v in velocities])
-
         sources = self.survey.source_positions()
         receivers = self.survey.receiver_positions()
         wavelet = self.source_wavelet()
@@ -161,8 +129,8 @@ class ForwardModel:
         with telemetry.span("forward_model.shots"):
             blocks = []
             for start in range(0, n_models, chunk):
-                simulator = self._build_simulator(
-                    factory, velocities[start:start + chunk])
+                simulator = BatchedAcousticSimulator2D(
+                    velocities[start:start + chunk], self.config)
                 blocks.append(
                     simulator.simulate_shots(sources, wavelet, receivers))
             data = np.concatenate(blocks, axis=0)
@@ -179,8 +147,7 @@ def forward_model_shot_gather(velocity: np.ndarray,
                               dt: Optional[float] = None,
                               peak_frequency: float = 15.0,
                               boundary_width: int = 8,
-                              normalize: bool = True,
-                              propagator: PropagatorSpec = None) -> np.ndarray:
+                              normalize: bool = True) -> np.ndarray:
     """Convenience wrapper: build a survey + config and model all shots.
 
     Parameters mirror :class:`ForwardModel`; ``dt`` defaults to a CFL-stable
@@ -208,6 +175,5 @@ def forward_model_shot_gather(velocity: np.ndarray,
     config.validate_cfl(max_velocity)
     survey = SurveyGeometry(n_sources=n_sources, n_receivers=n_receivers, nx=nx)
     model = ForwardModel(survey=survey, config=config,
-                         peak_frequency=peak_frequency, normalize=normalize,
-                         propagator=propagator)
+                         peak_frequency=peak_frequency, normalize=normalize)
     return model.model_shots(velocity)

@@ -2,11 +2,10 @@
 
 Every process-level switch of the stack is an environment variable with the
 ``QUGEO_`` prefix.  Historically each subsystem parsed its own variable
-inline (``telemetry/core.py``, the backend registry,
-``seismic/propagators.py``, ``benchmarks/common.py``, ...); this module is
-now the single place that knows the variable names, their defaults and how
-to coerce their values, so the documented behaviour cannot drift between
-call sites.
+inline (``telemetry/core.py``, the backend registry, ``benchmarks/common.py``,
+...); this module is now the single place that knows the variable names,
+their defaults and how to coerce their values, so the documented behaviour
+cannot drift between call sites.
 
 The module is stdlib-only and imports nothing from the rest of the stack,
 so every layer (including :mod:`repro.telemetry`, which must stay
@@ -19,9 +18,6 @@ Known variables
 Variable                    Meaning (default)
 ==========================  =====================================================
 ``QUGEO_BACKEND``           Default simulation backend name (``einsum``)
-``QUGEO_PROPAGATOR``        Default acoustic propagator name (``batched``)
-``QUGEO_SEISMIC_KERNEL``    Default propagator time-loop kernel (``python``;
-                            also ``numba`` when installed)
 ``QUGEO_SEISMIC_BOUNDARY``  Default absorbing boundary (``sponge``; ``pml``)
 ``QUGEO_ARRAY_MODULE``      Default array module for numeric engines (``numpy``)
 ``QUGEO_DTYPE``             Default dtype policy (``float64``; also ``float32``)
@@ -57,8 +53,6 @@ ENV_PREFIX = "QUGEO_"
 
 # Canonical variable names (import these instead of retyping strings).
 BACKEND = "QUGEO_BACKEND"
-PROPAGATOR = "QUGEO_PROPAGATOR"
-SEISMIC_KERNEL = "QUGEO_SEISMIC_KERNEL"
 SEISMIC_BOUNDARY = "QUGEO_SEISMIC_BOUNDARY"
 ARRAY_MODULE = "QUGEO_ARRAY_MODULE"
 DTYPE = "QUGEO_DTYPE"
@@ -86,12 +80,9 @@ class EnvVar:
 #: Every known variable with its documented default, in display order.
 KNOWN_VARS: Tuple[EnvVar, ...] = (
     EnvVar(BACKEND, "einsum", "default simulation backend name"),
-    EnvVar(PROPAGATOR, "batched", "default acoustic propagator name"),
-    EnvVar(SEISMIC_KERNEL, "python",
-           "default propagator time-loop kernel",
-           ("python", "numba")),
     EnvVar(SEISMIC_BOUNDARY, "sponge",
-           "default absorbing boundary condition", ("sponge", "pml")),
+           "default absorbing boundary of the acoustic propagator",
+           ("sponge", "pml")),
     EnvVar(ARRAY_MODULE, "numpy",
            "default array module for numeric engines",
            ("numpy", "torch")),

@@ -1,8 +1,8 @@
 """One string-keyed engine table: :class:`Registry`.
 
-Every pluggable layer of the stack (simulation backends, acoustic
-propagators, propagator kernels, array modules, lint rules) is a
-module-level ``Registry`` instance.  Engines register a zero-argument
+Every pluggable layer of the stack (simulation backends, array modules,
+lint rules) is a module-level ``Registry`` instance; the acoustic
+propagator has one engine and no table.  Engines register a zero-argument
 factory under a short name; :meth:`Registry.get` resolves, in order,
 
 1. a ready instance passed by the caller (returned as-is after the owner's

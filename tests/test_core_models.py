@@ -218,6 +218,22 @@ class TestQuBatchVQC:
         plain = QuGeoVQC(_small_config("layer"), rng=5)
         assert batched.num_parameters() == plain.num_parameters()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        model = QuBatchVQC(_small_config("layer", n_batch_qubits=1), rng=5)
+        seismic, poisoned = _sample(6)[0], _sample(7)[0]
+        poisoned[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            model.encode([seismic, poisoned])
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict_batch([seismic, poisoned])
+
+    def test_finite_input_gives_finite_predictions(self):
+        model = QuBatchVQC(_small_config("pixel", n_batch_qubits=1), rng=5)
+        samples = [_sample(6)[0], _sample(7)[0]]
+        assert np.isfinite(model.encode(samples)).all()
+        assert np.isfinite(model.predict_batch(samples)).all()
+
     def test_batched_prediction_matches_unbatched_model(self):
         """With identical parameters, QuBatch must reproduce the per-sample
         predictions of the plain model (the SIMD property of Figure 3)."""

@@ -163,7 +163,7 @@ def _gradient_peak_bytes(n_blocks):
     params = rng.normal(size=circuit.n_params)
     states = _random_states(N_QUBITS, BATCH, rng)
     _, batched = _linear_z_heads(N_QUBITS, rng.normal(size=N_QUBITS))
-    # Warm the engine's subscript and contraction-path caches first.
+    # Run once first so one-time setup stays out of the measured peak.
     circuit_gradients_batched(circuit, params, states, batched,
                               backend="einsum")
     tracemalloc.start()

@@ -1,9 +1,12 @@
-"""Tests for the batched multi-shot acoustic propagator and its registry.
+"""Tests for the batched multi-shot acoustic propagator.
 
-The batched engine must reproduce the scalar reference bit-for-bit (well
-inside the 1e-10 acceptance tolerance) on random layered models across every
-supported spatial order, with and without wavefield recording, and on the
-multi-velocity-model path used by dataset generation.
+The batched engine must reproduce the scalar reference
+:class:`AcousticSimulator2D` (well inside the 1e-10 acceptance tolerance) on
+random layered models across every supported spatial order, with and without
+wavefield recording, and on the multi-velocity-model path used by dataset
+generation.  Two oracles share no code with either engine: the Laplacian's
+convergence order against a closed form, and a trace against the 2-D
+Green's function of the wave equation.
 """
 
 import dataclasses
@@ -19,18 +22,14 @@ from repro.seismic import (
     SpongeBoundary,
     SurveyGeometry,
     VelocityModelConfig,
-    default_propagator_name,
     flat_layer_model,
     forward_model_shot_gather,
-    get_propagator,
     normalize_per_shot,
     nyquist_record_stride,
     ricker_wavelet,
     stable_time_step,
 )
-from repro.seismic.kernels import KERNELS
-from repro.seismic.propagators import PROPAGATORS
-from repro.utils.registry import DuplicateNameError, UnknownNameError
+from repro.seismic.propagators import default_propagator_name
 
 
 def _layered_velocity(seed, shape=(24, 24)):
@@ -50,10 +49,18 @@ SOURCES = [(1, 3), (1, 12), (1, 20)]
 RECEIVERS = [(1, c) for c in range(0, 24, 3)]
 
 
-def _forward_model(propagator=None, normalize=True):
+def _forward_model(normalize=True):
     survey = SurveyGeometry(n_sources=3, n_receivers=12, nx=24)
     return ForwardModel(survey=survey, config=_config(n_steps=50),
-                        normalize=normalize, propagator=propagator)
+                        normalize=normalize)
+
+
+def _scalar_shots(model, velocity):
+    """``model.model_shots(velocity)`` run on the scalar reference engine."""
+    data = AcousticSimulator2D(velocity, model.config).simulate_shots(
+        model.survey.source_positions(), model.source_wavelet(),
+        model.survey.receiver_positions())
+    return normalize_per_shot(data) if model.normalize else data
 
 
 class TestBatchedScalarParity:
@@ -109,11 +116,8 @@ class TestBatchedScalarParity:
             reference = scalar_sim.simulate_shot(source, wavelet, RECEIVERS)
             np.testing.assert_allclose(batched[s], reference, atol=1e-10, rtol=0)
 
-    def test_three_pass_update_matches_scalar(self, monkeypatch):
-        """Without BLAS axpy the three-pass leap-frog update holds parity too."""
-        import repro.seismic.acoustic2d as acoustic2d
-
-        monkeypatch.setattr(acoustic2d, "_daxpy", None)
+    def test_three_pass_update_matches_scalar(self):
+        """The in-place three-pass leap-frog update holds parity."""
         velocity = _layered_velocity(seed=6)
         config = _config(n_steps=50)
         wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
@@ -185,62 +189,74 @@ class TestLaplacianConvergenceOracle:
         np.testing.assert_allclose(slopes, order, atol=0.3)
 
 
-class TestPropagatorRegistry:
-    def test_builtin_engines_registered(self):
-        assert PROPAGATORS.names() == ["batched", "scalar"]
+class TestAnalyticGreensFunctionOracle:
+    """One trace against the closed-form 2-D wave solution.
 
+    The injection ``c^2 dt^2 / (dx dz) * w`` at one cell discretises
+    ``p_tt - c^2 lap(p) = c^2 w(t) delta(x)``, whose solution at distance
+    ``r`` is ``w`` convolved with ``c / (2 pi sqrt(c^2 t^2 - r^2))`` for
+    ``t > r / c``.  Substituting ``t' = (r / c) cosh(u)`` removes the
+    singularity: ``p(t) = 1/(2 pi) int_0^acosh(ct/r) w(t - r cosh(u)/c) du``.
+    Gather row ``n`` holds the field after step ``n``, at ``(n + 1) dt``.
+    The grid is wide enough that no edge reflection reaches the receiver
+    inside the window.
+    """
+
+    C, DX, F = 2000.0, 5.0, 15.0
+    N, OFFSET = 121, 24
+
+    def _ricker(self, t):
+        arg = (np.pi * self.F * (t - 1.5 / self.F)) ** 2
+        return np.where(t >= 0.0, (1.0 - 2.0 * arg) * np.exp(-arg), 0.0)
+
+    def _analytic(self, times, r):
+        trace = np.zeros(times.size)
+        for i, t in enumerate(times):
+            if self.C * t > r:
+                u = np.linspace(0.0, np.arccosh(self.C * t / r), 2001)
+                w = self._ricker(t - r * np.cosh(u) / self.C)
+                # Trapezoid rule on the uniform u grid.
+                trace[i] = ((w.sum() - 0.5 * (w[0] + w[-1])) * (u[1] - u[0])
+                            / (2.0 * np.pi))
+        return trace
+
+    def test_trace_matches_greens_function(self):
+        dt = stable_time_step(self.C, dx=self.DX, spatial_order=4)
+        half = self.N // 2
+        # Earliest edge reflection: source -> nearest edge -> receiver.
+        reflection_t = (2 * half - self.OFFSET) * self.DX / self.C
+        n_steps = int(0.95 * reflection_t / dt)
+        config = SimulationConfig(dx=self.DX, dz=self.DX, dt=dt,
+                                  n_steps=n_steps, spatial_order=4,
+                                  boundary=SpongeBoundary(width=10))
+        wavelet = ricker_wavelet(n_steps, dt, self.F)
+        trace = BatchedAcousticSimulator2D(
+            np.full((self.N, self.N), self.C), config).simulate_shots(
+                [(half, half)], wavelet, [(half, half + self.OFFSET)])[0, :, 0]
+        analytic = self._analytic((np.arange(n_steps) + 1) * dt,
+                                  self.OFFSET * self.DX)
+
+        lag = np.argmax(np.correlate(trace, analytic, "full")) - (n_steps - 1)
+        correlation = trace @ analytic / np.sqrt(
+            (trace @ trace) * (analytic @ analytic))
+        assert abs(lag) <= 1
+        assert correlation >= 0.99
+        assert np.abs(trace).max() / np.abs(analytic).max() == pytest.approx(
+            1.0, rel=0.05)
+
+
+class TestPropagatorRegistry:
     def test_default_is_batched(self):
         assert default_propagator_name() == "batched"
-        assert get_propagator() is BatchedAcousticSimulator2D
-
-    def test_resolve_by_name_and_factory(self):
-        assert get_propagator("scalar") is AcousticSimulator2D
-        assert get_propagator(AcousticSimulator2D) is AcousticSimulator2D
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("QUGEO_PROPAGATOR", "scalar")
-        assert default_propagator_name() == "scalar"
-        assert get_propagator() is AcousticSimulator2D
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(UnknownNameError):
-            get_propagator("bogus")
-        with pytest.raises(TypeError):
-            get_propagator(123)
-
-    def test_register_unregister_roundtrip(self):
-        with pytest.raises(DuplicateNameError):
-            PROPAGATORS.register("scalar", lambda: AcousticSimulator2D)
-        PROPAGATORS.register("scalar", lambda: BatchedAcousticSimulator2D,
-                             replace=True)
-        try:
-            assert get_propagator("scalar") is BatchedAcousticSimulator2D
-        finally:
-            PROPAGATORS.register("scalar", lambda: AcousticSimulator2D,
-                                 replace=True)
-        assert get_propagator("scalar") is AcousticSimulator2D
-        assert PROPAGATORS.names() == ["batched", "scalar"]
-
-    @pytest.mark.parametrize("name", PROPAGATORS.names())
-    def test_registered_engine_matches_scalar_reference(self, name):
-        velocity = _layered_velocity(seed=21)
-        config = _config(n_steps=50)
-        wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
-        scalar = AcousticSimulator2D(velocity, config)
-        reference = np.stack([
-            scalar.simulate_shot(src, wavelet, RECEIVERS) for src in SOURCES])
-        gather = get_propagator(name)(velocity, config).simulate_shots(
-            SOURCES, wavelet, RECEIVERS)
-        assert np.abs(reference).max() > 1e-3
-        np.testing.assert_allclose(gather, reference, atol=1e-10, rtol=0)
 
 
 class TestForwardModelBatched:
     def test_scalar_and_batched_engines_agree(self):
         velocity = _layered_velocity(seed=9)
-        scalar = _forward_model(propagator="scalar").model_shots(velocity)
-        batched = _forward_model(propagator="batched").model_shots(velocity)
-        np.testing.assert_allclose(batched, scalar, atol=1e-10, rtol=0)
+        model = _forward_model()
+        np.testing.assert_allclose(model.model_shots(velocity),
+                                   _scalar_shots(model, velocity),
+                                   atol=1e-10, rtol=0)
 
     def test_model_shots_batch_matches_per_map(self):
         velocities = np.stack([_layered_velocity(seed) for seed in (11, 13, 17, 19)])
@@ -252,11 +268,12 @@ class TestForwardModelBatched:
         np.testing.assert_allclose(stacked, per_map, atol=1e-10, rtol=0)
         np.testing.assert_allclose(chunked, per_map, atol=1e-10, rtol=0)
 
-    def test_model_shots_batch_scalar_fallback(self):
+    def test_model_shots_batch_matches_scalar_per_map(self):
         velocities = np.stack([_layered_velocity(seed) for seed in (11, 13)])
-        batched = _forward_model().model_shots_batch(velocities)
-        fallback = _forward_model(propagator="scalar").model_shots_batch(velocities)
-        np.testing.assert_allclose(fallback, batched, atol=1e-10, rtol=0)
+        model = _forward_model()
+        reference = np.stack([_scalar_shots(model, v) for v in velocities])
+        np.testing.assert_allclose(model.model_shots_batch(velocities),
+                                   reference, atol=1e-10, rtol=0)
 
     def test_model_shots_batch_rejects_2d(self):
         with pytest.raises(ValueError):
@@ -338,48 +355,6 @@ class TestCflUpFront:
             stable_time_step(4500.0, dx=10.0, spatial_order=3)
         with pytest.raises(ValueError):
             stable_time_step(-1.0, dx=10.0)
-
-
-class TestKernelParityMatrix:
-    """Every registered time-loop kernel x dtype agrees with the scalar
-    reference (kernels whose optional dependency is missing are skipped,
-    mirroring the optional-engine treatment in tests/test_backends.py)."""
-
-    F32_ATOL = 1e-4
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("kernel", KERNELS.names())
-    def test_kernel_matches_scalar_reference(self, kernel, dtype):
-        if not KERNELS.available(kernel):
-            pytest.skip(f"kernel {kernel!r} is unavailable here")
-        velocity = _layered_velocity(7)
-        config = _config(n_steps=60)
-        wavelet = ricker_wavelet(60, config.dt, 12.0)
-        scalar = AcousticSimulator2D(velocity, config)
-        reference = np.stack([
-            scalar.simulate_shot(src, wavelet, RECEIVERS) for src in SOURCES])
-        gather = BatchedAcousticSimulator2D(
-            velocity, config, policy=dtype, kernel=kernel).simulate_shots(
-                SOURCES, wavelet, RECEIVERS)
-        atol = 1e-10 if dtype == "float64" else self.F32_ATOL
-        assert np.abs(reference).max() > 1e-3
-        np.testing.assert_allclose(gather, reference, atol=atol, rtol=0.0)
-
-    def test_forward_model_threads_kernel_selection(self):
-        survey = SurveyGeometry(n_sources=2, n_receivers=12, nx=24)
-        velocity = _layered_velocity(3)
-        base = ForwardModel(survey=survey, config=_config(n_steps=50))
-        explicit = ForwardModel(survey=survey, config=_config(n_steps=50),
-                                kernel="python")
-        np.testing.assert_array_equal(base.model_shots(velocity),
-                                      explicit.model_shots(velocity))
-
-    def test_forward_model_rejects_kernel_on_scalar_engine(self):
-        survey = SurveyGeometry(n_sources=1, n_receivers=12, nx=24)
-        model = ForwardModel(survey=survey, config=_config(n_steps=20),
-                             propagator="scalar", kernel="python")
-        with pytest.raises(ValueError, match="kernel"):
-            model.model_shots(_layered_velocity(3))
 
 
 class TestRecordEveryDecimation:

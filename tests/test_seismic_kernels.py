@@ -1,11 +1,9 @@
-"""Propagator kernel layer: registry wiring, fused-loop parity, PML.
+"""Propagator time loop: per-cell reference parity, PML physics, pad_grid.
 
-The fused kernel in :mod:`repro.seismic.kernels.fused` degrades to plain
-Python loops when numba is absent, so its parity tests run (slowly, on tiny
-grids) in every environment; when numba is installed the same tests cover
-the compiled code paths.  The ``"numba"`` registry entry itself is only
-available when numba imports — mirroring how ``tests/test_backends.py``
-treats optional engines.
+The batched propagator's vectorised loop is checked against plain per-cell
+Python loops defined below.  They share no code with it: every stencil tap,
+clamped edge, CFS-PML memory recursion, injection and receiver sample is
+spelled out cell by cell.  They are slow, so the grids are tiny.
 """
 
 from __future__ import annotations
@@ -27,24 +25,13 @@ from repro.seismic import (
     ricker_wavelet,
     stable_time_step,
 )
-from repro.seismic.kernels import (
-    KERNELS,
-    PythonKernel,
-    default_kernel_name,
-    get_kernel,
-    resolve_kernel,
-)
-from repro.seismic.kernels.fused import HAVE_NUMBA, FusedLoopKernel
-from repro.telemetry import capture
-from repro.utils import env
-from repro.utils.registry import (
-    DuplicateNameError,
-    UnavailableError,
-    UnknownNameError,
-)
+from repro.seismic.kernels import resolve_kernel
 
 
 ATOL = 1e-12
+
+#: 4th-order central second-derivative taps.
+LAPLACIAN_4TH = np.array([-1.0 / 12, 4.0 / 3, -5.0 / 2, 4.0 / 3, -1.0 / 12])
 
 
 def small_setup(nz=24, nx=24, n_steps=80, boundary=None, **config_kwargs):
@@ -65,90 +52,192 @@ def small_setup(nz=24, nx=24, n_steps=80, boundary=None, **config_kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# registry behaviour
+# per-cell reference loops
+# --------------------------------------------------------------------------- #
+def _clamp(i, n):
+    return 0 if i < 0 else (n - 1 if i >= n else i)
+
+
+def leapfrog_sponge(p_prev, p_curr, p_next, c2dt2, model_of, mask,
+                    coeffs_z, coeffs_x, pad, src_z, src_x, inject_amps,
+                    rec_rows, rec_cols, gather, n_steps, record_every):
+    """Advance ``n_steps`` sponge-damped leap-frog steps, cell by cell."""
+    n_batch, nz, nx = p_curr.shape
+    for step in range(n_steps):
+        for b in range(n_batch):
+            pp, pc, pn = p_prev[b], p_curr[b], p_next[b]
+            cd = c2dt2[model_of[b]]
+            for z in range(nz):
+                for x in range(nx):
+                    d2 = 0.0
+                    for k in range(coeffs_z.shape[0]):
+                        off = k - pad
+                        d2 += (coeffs_z[k] * pc[_clamp(z + off, nz), x]
+                               + coeffs_x[k] * pc[z, _clamp(x + off, nx)])
+                    pn[z, x] = 2.0 * pc[z, x] - pp[z, x] + cd[z, x] * d2
+            pn[src_z[b], src_x[b]] += inject_amps[b, step]
+            # Sponge damping on both time levels keeps the scheme stable.
+            for z in range(nz):
+                for x in range(nx):
+                    pn[z, x] *= mask[z, x]
+                    pc[z, x] *= mask[z, x]
+            if step % record_every == 0:
+                for r in range(rec_rows.shape[0]):
+                    gather[b, step // record_every, r] = pn[rec_rows[r],
+                                                            rec_cols[r]]
+        p_prev, p_curr, p_next = p_curr, p_next, p_prev
+
+
+def leapfrog_pml(p_prev, p_curr, p_next, c2dt2, model_of,
+                 coeffs_z, coeffs_x, pad,
+                 a_x, b_x, a_z, b_z, x_active, z_active,
+                 half_dx_inv, half_dz_inv,
+                 psi_x, psi_z, zeta_x, zeta_z,
+                 src_z, src_x, inject_amps,
+                 rec_rows, rec_cols, gather, n_steps, record_every):
+    """Advance ``n_steps`` CFS-PML leap-frog steps, cell by cell.
+
+    Two passes per step: the psi recursions need the *previous* psi of
+    neighbouring cells, so they complete over the whole grid before the
+    update pass reads their spatial derivative.
+    """
+    n_batch, nz, nx = p_curr.shape
+    for step in range(n_steps):
+        # Pass 1: psi recursions (first-derivative memory variables).
+        for b in range(n_batch):
+            pc = p_curr[b]
+            for z in range(nz):
+                for x in range(nx):
+                    if a_x[x] != 0.0:
+                        dpx = (pc[z, _clamp(x + 1, nx)]
+                               - pc[z, _clamp(x - 1, nx)]) * half_dx_inv
+                        psi_x[b, z, x] = b_x[x] * psi_x[b, z, x] + a_x[x] * dpx
+                    if a_z[z] != 0.0:
+                        dpz = (pc[_clamp(z + 1, nz), x]
+                               - pc[_clamp(z - 1, nz), x]) * half_dz_inv
+                        psi_z[b, z, x] = b_z[z] * psi_z[b, z, x] + a_z[z] * dpz
+        # Pass 2: zeta recursions + corrected laplacian + time update.
+        for b in range(n_batch):
+            pp, pc, pn = p_prev[b], p_curr[b], p_next[b]
+            cd = c2dt2[model_of[b]]
+            for z in range(nz):
+                for x in range(nx):
+                    d2x = 0.0
+                    d2z = 0.0
+                    for k in range(coeffs_z.shape[0]):
+                        off = k - pad
+                        d2z += coeffs_z[k] * pc[_clamp(z + off, nz), x]
+                        d2x += coeffs_x[k] * pc[z, _clamp(x + off, nx)]
+                    lap = d2x + d2z
+                    if x_active[x]:
+                        dpsx = (psi_x[b, z, _clamp(x + 1, nx)]
+                                - psi_x[b, z, _clamp(x - 1, nx)]) * half_dx_inv
+                        zx = zeta_x[b, z, x]
+                        if a_x[x] != 0.0:
+                            zx = b_x[x] * zx + a_x[x] * (d2x + dpsx)
+                            zeta_x[b, z, x] = zx
+                        lap += dpsx + zx
+                    if z_active[z]:
+                        dpsz = (psi_z[b, _clamp(z + 1, nz), x]
+                                - psi_z[b, _clamp(z - 1, nz), x]) * half_dz_inv
+                        zz = zeta_z[b, z, x]
+                        if a_z[z] != 0.0:
+                            zz = b_z[z] * zz + a_z[z] * (d2z + dpsz)
+                            zeta_z[b, z, x] = zz
+                        lap += dpsz + zz
+                    pn[z, x] = 2.0 * pc[z, x] - pp[z, x] + cd[z, x] * lap
+            pn[src_z[b], src_x[b]] += inject_amps[b, step]
+            if step % record_every == 0:
+                for r in range(rec_rows.shape[0]):
+                    gather[b, step // record_every, r] = pn[rec_rows[r],
+                                                            rec_cols[r]]
+        p_prev, p_curr, p_next = p_curr, p_next, p_prev
+
+
+def _dilate(mask):
+    out = mask.copy()
+    out[:-1] |= mask[1:]
+    out[1:] |= mask[:-1]
+    return out
+
+
+def reference_gather(velocity, config, sources, receivers, wavelet):
+    """Shot gathers of the per-cell loops, shaped like the simulator's."""
+    assert config.spatial_order == 4
+    boundary = config.boundary
+    velocity = np.asarray(velocity, dtype=np.float64)
+    side = boundary.width if boundary.pad_grid else 0
+    top = 0 if boundary.free_surface else side
+    models = np.pad(velocity.reshape((-1,) + velocity.shape[-2:]),
+                    ((0, 0), (top, side), (side, side)), mode="edge")
+    n_models, nz, nx = models.shape
+    n_shots = len(sources)
+    n_batch = n_models * n_shots
+    model_of = np.repeat(np.arange(n_models), n_shots)
+    src_z = np.array([r + top for r, _ in sources] * n_models)
+    src_x = np.array([c + side for _, c in sources] * n_models)
+    rec_rows = np.array([r + top for r, _ in receivers])
+    rec_cols = np.array([c + side for _, c in receivers])
+    dt, n_steps = config.dt, config.n_steps
+    c2 = models ** 2
+    inject_amps = np.stack([
+        c2[model_of[b], src_z[b], src_x[b]] * dt**2 / (config.dx * config.dz)
+        * np.asarray(wavelet, dtype=np.float64)[:n_steps]
+        for b in range(n_batch)])
+    p = [np.zeros((n_batch, nz, nx)) for _ in range(3)]
+    gather = np.zeros((n_batch, config.n_recorded, len(receivers)))
+    coeffs_z = LAPLACIAN_4TH / config.dz**2
+    coeffs_x = LAPLACIAN_4TH / config.dx**2
+    common = (coeffs_z, coeffs_x, LAPLACIAN_4TH.size // 2)
+    tail = (src_z, src_x, inject_amps, rec_rows, rec_cols, gather, n_steps,
+            config.record_every)
+    if isinstance(boundary, PMLBoundary):
+        a_x, b_x, a_z, b_z = boundary.profiles(
+            (nz, nx), config.dx, config.dz, dt, float(velocity.max()))
+        memory = [np.zeros((n_batch, nz, nx)) for _ in range(4)]
+        leapfrog_pml(*p, c2 * dt**2, model_of, *common,
+                     a_x, b_x, a_z, b_z, _dilate(a_x != 0.0),
+                     _dilate(a_z != 0.0), 0.5 / config.dx, 0.5 / config.dz,
+                     *memory, *tail)
+    else:
+        leapfrog_sponge(*p, c2 * dt**2, model_of,
+                        boundary.build_mask((nz, nx)), *common, *tail)
+    return gather.reshape(velocity.shape[:-2] + (n_shots,)
+                          + gather.shape[1:])
+
+
+# --------------------------------------------------------------------------- #
+# the name the benchmark records
 # --------------------------------------------------------------------------- #
 class TestKernelRegistry:
-    def test_builtin_registrations(self):
-        assert KERNELS.names() == ["numba", "python"]
-        assert KERNELS.available("python")
-        assert KERNELS.available("numba") == HAVE_NUMBA
-        assert not KERNELS.available("no-such-kernel")
+    """``resolve_kernel`` only names the loop for the benchmark record."""
 
-    def test_default_resolves_python(self, monkeypatch):
-        monkeypatch.delenv(env.SEISMIC_KERNEL, raising=False)
-        assert default_kernel_name() == "python"
-        assert isinstance(get_kernel(), PythonKernel)
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(env.SEISMIC_KERNEL, "numba")
-        assert default_kernel_name() == "numba"
-        if HAVE_NUMBA:
-            assert get_kernel().name == "numba"
-        else:
-            with pytest.raises(UnavailableError, match="numba"):
-                get_kernel()
-
-    def test_instances_are_cached_per_name(self):
-        assert get_kernel("python") is get_kernel("python")
-
-    def test_instance_spec_passes_through(self):
-        kernel = PythonKernel()
-        assert get_kernel(kernel) is kernel
-
-    def test_unknown_name_raises_with_listing(self):
-        with pytest.raises(UnknownNameError, match="python"):
-            get_kernel("fortran")
-
-    def test_bad_spec_type_raises(self):
-        with pytest.raises(TypeError, match="kernel spec"):
-            get_kernel(42)
-
-    def test_register_duplicate_and_replace(self):
-        original = get_kernel("python")
-        with pytest.raises(DuplicateNameError):
-            KERNELS.register("python", PythonKernel)
-        replacement = PythonKernel()
-        KERNELS.register("python", lambda: replacement, replace=True)
-        try:
-            assert get_kernel("python") is replacement
-        finally:
-            KERNELS.register("python", lambda: original, replace=True)
-        assert get_kernel("python") is original
-        assert KERNELS.names() == ["numba", "python"]
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="needs numba to be missing")
-    def test_resolve_degrades_unavailable_to_python(self):
-        kernel, reason = resolve_kernel("numba")
-        assert isinstance(kernel, PythonKernel)
-        assert "numba" in reason
-
-    def test_resolve_degrades_snapshot_incapable_to_python(self):
-        fused = FusedLoopKernel()
-        kernel, reason = resolve_kernel(fused, need_snapshots=True)
-        assert isinstance(kernel, PythonKernel)
-        assert "snapshots" in reason
-        same, reason = resolve_kernel(fused, need_snapshots=False)
-        assert same is fused and reason is None
-
-    def test_resolve_still_raises_for_unknown_names(self):
-        with pytest.raises(UnknownNameError):
-            resolve_kernel("fortran")
+    def test_default_resolves_python(self):
+        kernel, fallback = resolve_kernel(None)
+        assert kernel.name == "python"
+        assert fallback is None
 
 
 # --------------------------------------------------------------------------- #
-# fused-loop parity (degraded pure-Python loops when numba is absent)
+# vectorised loop vs the per-cell reference loops
 # --------------------------------------------------------------------------- #
 class TestFusedKernelParity:
-    def test_sponge_matches_python_kernel(self):
-        velocity, config, sources, receivers, wavelet = small_setup()
-        expected = BatchedAcousticSimulator2D(
-            velocity, config, kernel="python").simulate_shots(
-                sources, wavelet, receivers)
-        fused = BatchedAcousticSimulator2D(
-            velocity, config, kernel=FusedLoopKernel()).simulate_shots(
-                sources, wavelet, receivers)
+    """The vectorised loop against the per-cell loops above, which fuse
+    every phase of a time step into one pass per cell."""
+
+    def _assert_matches_reference(self, velocity, config, sources, receivers,
+                                  wavelet):
+        expected = reference_gather(velocity, config, sources, receivers,
+                                    wavelet)
+        gather = BatchedAcousticSimulator2D(velocity, config).simulate_shots(
+            sources, wavelet, receivers)
         assert np.abs(expected).max() > 1e-3  # non-trivial signal
-        np.testing.assert_allclose(fused, expected, atol=ATOL, rtol=0.0)
+        assert gather.shape == expected.shape
+        np.testing.assert_allclose(gather, expected, atol=ATOL, rtol=0.0)
+        return gather
+
+    def test_sponge_matches_python_kernel(self):
+        self._assert_matches_reference(*small_setup())
 
     def test_sponge_matches_scalar_reference(self):
         velocity, config, sources, receivers, wavelet = small_setup()
@@ -156,83 +245,31 @@ class TestFusedKernelParity:
         expected = np.stack([
             scalar.simulate_shot(tuple(src), wavelet, receivers)
             for src in sources])
-        fused = BatchedAcousticSimulator2D(
-            velocity, config, kernel=FusedLoopKernel()).simulate_shots(
-                sources, wavelet, receivers)
-        np.testing.assert_allclose(fused, expected, atol=1e-10, rtol=0.0)
+        gather = BatchedAcousticSimulator2D(velocity, config).simulate_shots(
+            sources, wavelet, receivers)
+        np.testing.assert_allclose(gather, expected, atol=1e-10, rtol=0.0)
 
     def test_pml_matches_python_kernel(self):
-        velocity, config, sources, receivers, wavelet = small_setup(
-            boundary=PMLBoundary(width=6))
-        expected = BatchedAcousticSimulator2D(
-            velocity, config, kernel="python").simulate_shots(
-                sources, wavelet, receivers)
-        fused = BatchedAcousticSimulator2D(
-            velocity, config, kernel=FusedLoopKernel()).simulate_shots(
-                sources, wavelet, receivers)
-        assert np.abs(expected).max() > 1e-3
-        np.testing.assert_allclose(fused, expected, atol=ATOL, rtol=0.0)
+        self._assert_matches_reference(*small_setup(
+            boundary=PMLBoundary(width=6)))
 
     def test_pad_grid_pml_matches_python_kernel(self):
-        velocity, config, sources, receivers, wavelet = small_setup(
-            boundary=PMLBoundary(width=6, pad_grid=True))
-        expected = BatchedAcousticSimulator2D(
-            velocity, config, kernel="python").simulate_shots(
-                sources, wavelet, receivers)
-        fused = BatchedAcousticSimulator2D(
-            velocity, config, kernel=FusedLoopKernel()).simulate_shots(
-                sources, wavelet, receivers)
-        np.testing.assert_allclose(fused, expected, atol=ATOL, rtol=0.0)
+        self._assert_matches_reference(*small_setup(
+            boundary=PMLBoundary(width=6, pad_grid=True)))
 
     def test_record_every_matches_python_kernel(self):
         velocity, config, sources, receivers, wavelet = small_setup(
             record_every=4)
-        expected = BatchedAcousticSimulator2D(
-            velocity, config, kernel="python").simulate_shots(
-                sources, wavelet, receivers)
-        fused = BatchedAcousticSimulator2D(
-            velocity, config, kernel=FusedLoopKernel()).simulate_shots(
-                sources, wavelet, receivers)
-        assert expected.shape[1] == config.n_recorded
-        np.testing.assert_allclose(fused, expected, atol=ATOL, rtol=0.0)
+        gather = self._assert_matches_reference(
+            velocity, config, sources, receivers, wavelet)
+        assert gather.shape[1] == config.n_recorded
 
     def test_multi_model_batch_matches_python_kernel(self):
         velocity, config, sources, receivers, wavelet = small_setup()
         stack = np.stack([velocity, velocity * 0.9])
-        expected = BatchedAcousticSimulator2D(
-            stack, config, kernel="python").simulate_shots(
-                sources, wavelet, receivers)
-        fused = BatchedAcousticSimulator2D(
-            stack, config, kernel=FusedLoopKernel()).simulate_shots(
-                sources, wavelet, receivers)
-        assert expected.shape[0] == 2
-        np.testing.assert_allclose(fused, expected, atol=ATOL, rtol=0.0)
-
-    def test_snapshot_requests_fall_back_to_python(self):
-        velocity, config, sources, receivers, wavelet = small_setup(
-            n_steps=20)
-        simulator = BatchedAcousticSimulator2D(
-            velocity, config, kernel=FusedLoopKernel())
-        with capture("summary") as telemetry:
-            gather, snapshots = simulator.simulate_shots(
-                sources, wavelet, receivers, record_wavefield=True,
-                wavefield_stride=5)
-            counters = telemetry.snapshot()["counters"]
-        assert counters["propagator.kernel.fallbacks"] == 1
-        assert counters["propagator.kernel.python"] == 1
-        assert len(snapshots) == 4
-        assert snapshots[0].shape == (len(sources),) + velocity.shape
-
-    def test_kernel_dispatch_is_counted(self):
-        velocity, config, sources, receivers, wavelet = small_setup(
-            n_steps=20)
-        simulator = BatchedAcousticSimulator2D(
-            velocity, config, kernel=FusedLoopKernel())
-        with capture("summary") as telemetry:
-            simulator.simulate_shots(sources, wavelet, receivers)
-            counters = telemetry.snapshot()["counters"]
-        assert counters["propagator.kernel.numba"] == 1
-        assert "propagator.kernel.fallbacks" not in counters
+        gather = self._assert_matches_reference(
+            stack, config, sources, receivers, wavelet)
+        assert gather.shape[0] == 2
 
 
 # --------------------------------------------------------------------------- #

@@ -56,10 +56,10 @@ def test_known_vars_documented_and_prefixed():
         assert var.name.startswith(env.ENV_PREFIX)
         assert var.description
     # The canonical constants all appear in the documentation table.
-    for name in (env.BACKEND, env.PROPAGATOR, env.ARRAY_MODULE, env.DTYPE,
+    for name in (env.BACKEND, env.ARRAY_MODULE, env.DTYPE,
                  env.TELEMETRY, env.BENCH_SCALE, env.CACHE_DIR,
                  env.DATAGEN_WORKERS, env.CHECKPOINT_DIR,
-                 env.SEISMIC_KERNEL, env.SEISMIC_BOUNDARY):
+                 env.SEISMIC_BOUNDARY):
         assert name in names
 
 
@@ -84,15 +84,6 @@ def test_backend_default_resolves_via_env(monkeypatch):
     assert BACKENDS.default_name() == "einsum"
 
 
-def test_propagator_default_resolves_via_env(monkeypatch):
-    from repro.seismic.propagators import default_propagator_name
-
-    monkeypatch.setenv(env.PROPAGATOR, "scalar")
-    assert default_propagator_name() == "scalar"
-    monkeypatch.delenv(env.PROPAGATOR)
-    assert default_propagator_name() == "batched"
-
-
 def test_telemetry_mode_resolves_via_env(monkeypatch):
     from repro.telemetry.core import _resolve_mode
 
@@ -103,16 +94,6 @@ def test_telemetry_mode_resolves_via_env(monkeypatch):
     monkeypatch.setenv(env.TELEMETRY, "nonsense")
     with pytest.raises(ValueError):
         _resolve_mode(None)
-
-
-def test_seismic_kernel_default_resolves_via_env(monkeypatch):
-    from repro.seismic.kernels import default_kernel_name
-
-    monkeypatch.setenv(env.SEISMIC_KERNEL, "numba")
-    assert default_kernel_name() == "numba"
-    monkeypatch.delenv(env.SEISMIC_KERNEL)
-    assert default_kernel_name() == "python"
-    assert env.describe()[env.SEISMIC_KERNEL]["default"] == "python"
 
 
 def test_seismic_boundary_default_resolves_via_env(monkeypatch):

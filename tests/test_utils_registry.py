@@ -1,8 +1,7 @@
 """The one registry contract every engine table shares.
 
 Each test builds a throwaway :class:`Registry`, so the global tables
-(``BACKENDS``, ``PROPAGATORS``, ``KERNELS``, ``ARRAY_MODULES``, ``RULES``)
-are never mutated here.
+(``BACKENDS``, ``ARRAY_MODULES``, ``RULES``) are never mutated here.
 """
 
 from __future__ import annotations
