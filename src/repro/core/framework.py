@@ -183,12 +183,17 @@ class QuGeo:
         """Rebuild a pipeline saved with :meth:`save`, ready to predict.
 
         Pipeline files are pickles: only load files you trust (unpickling
-        executes embedded code).
+        executes embedded code).  A model state holding NaN or inf raises
+        ``ValueError`` naming the offending key.
         """
         payload = load_checkpoint(path)
         version = payload.get("version")
         if version != PIPELINE_VERSION:
             raise ValueError(f"unsupported pipeline version {version!r}")
+        for key, value in payload["model"].items():
+            if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+                raise ValueError(f"pipeline {path}: model state {key!r} "
+                                 "holds NaN or inf")
         config = config_from_dict(payload["config"])
         pipeline = cls(config, rng=rng)
         pipeline.scaler = scaler_from_state(payload["scaler"], config.data)

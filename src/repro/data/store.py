@@ -287,12 +287,17 @@ class DatasetStore:
         The shard file lands atomically first, then the updated manifest —
         so a crash between the two leaves a shard the next resume simply
         re-registers-or-regenerates, never a manifest pointing at missing
-        data.
+        data.  A chunk holding NaN or inf raises ``ValueError`` before
+        anything is written, so no checksum ever certifies garbage.
         """
         seismic = np.ascontiguousarray(seismic, dtype=np.float64)
         velocity = np.ascontiguousarray(velocity, dtype=np.float64)
         if seismic.shape[0] != velocity.shape[0]:
             raise ValueError("seismic / velocity chunk lengths differ")
+        for name, array in (("seismic", seismic), ("velocity", velocity)):
+            if not np.isfinite(array).all():
+                raise ValueError(f"chunk {chunk_index}: {name} holds NaN or "
+                                 "inf; refusing to store it")
         path = self.shard_path(fingerprint, chunk_index)
         telemetry = get_telemetry()
         telemetry.counter("store.shard_writes").inc()

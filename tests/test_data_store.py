@@ -201,6 +201,39 @@ class TestStoreRoundTrip:
         with pytest.raises(ValueError, match="incomplete"):
             store.load(fingerprint)
 
+    @staticmethod
+    def _fresh_entry(tmp_path):
+        """An empty store entry plus the first generated chunk."""
+        config = small_config()
+        store = DatasetStore(tmp_path)
+        fingerprint = dataset_fingerprint(config, 5)
+        manifest = store.init_manifest(fingerprint,
+                                       n_samples=config.n_samples,
+                                       chunk_size=config.chunk_size)
+        velocities, seismic = SyntheticOpenFWI(config, rng=5).build_chunk(0, 3)
+        return store, fingerprint, manifest, {"seismic": seismic,
+                                              "velocity": velocities}
+
+    @pytest.mark.parametrize("field", ["seismic", "velocity"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_chunk_is_refused(self, tmp_path, field, bad):
+        store, fingerprint, manifest, chunk = self._fresh_entry(tmp_path)
+        manifest_before = store.manifest_path(fingerprint).read_bytes()
+        chunk[field][1].flat[7] = bad
+        with pytest.raises(ValueError, match=f"{field} holds NaN or inf"):
+            store.write_shard(fingerprint, manifest, 0, 0,
+                              chunk["seismic"], chunk["velocity"])
+        assert not store.shard_path(fingerprint, 0).exists()
+        assert manifest["shards"] == {}
+        assert store.manifest_path(fingerprint).read_bytes() == manifest_before
+
+    def test_finite_chunk_writes_and_verifies(self, tmp_path):
+        store, fingerprint, manifest, chunk = self._fresh_entry(tmp_path)
+        record = store.write_shard(fingerprint, manifest, 0, 0,
+                                   chunk["seismic"], chunk["velocity"])
+        assert store.verify_shard(fingerprint, 0, record) is None
+        assert store.read_manifest(fingerprint)["shards"]["0"] == record
+
     def test_format_version_mismatch_rejected(self, tmp_path):
         config = small_config(n_samples=4, chunk_size=2)
         open_or_build(config, seed=5, cache_dir=tmp_path)

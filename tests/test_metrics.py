@@ -1,5 +1,9 @@
 """Tests for repro.metrics (SSIM and error metrics)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +128,88 @@ class TestSSIM:
         image[4:8, :] = 1.0
         shifted = np.roll(image, 4, axis=0)
         assert ssim(shifted, image, data_range=1.0) < 0.95
+
+    @pytest.mark.parametrize("data_range", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_explicit_data_range_raises(self, data_range):
+        a, b = _random_image(21), _random_image(22)
+        with pytest.raises(ValueError, match="data_range"):
+            ssim_map(a, b, data_range=data_range)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
+    def test_non_finite_reference_range_raises(self, shape):
+        """A NaN in the reference makes the derived range NaN; that must not
+        slip past the positivity check as an all-NaN map."""
+        reference = _random_image(23, shape=shape)
+        reference.flat[5] = np.nan
+        with pytest.raises(ValueError, match="data_range"):
+            ssim_map(_random_image(24, shape=shape), reference)
+
+
+class TestSSIMScipyParity:
+    """The banded reflect-boundary filters against ``scipy.ndimage``, whose
+    ``gaussian_filter``/``uniform_filter`` define the reference windows."""
+
+    SHAPES = [(16, 16), (9, 11), (8, 8), (2, 9), (1, 6),
+              (3, 8, 8), (4, 2, 9), (2, 1, 6)]
+
+    @staticmethod
+    def _scipy_ssim_map(image, reference, window_size, gaussian,
+                        sigma=1.5, k1=0.01, k2=0.03):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        batched = image.ndim == 3
+        if batched:
+            flat = reference.reshape(reference.shape[0], -1)
+            data_range = np.ptp(flat, axis=1)
+            data_range = np.where(data_range == 0, 1.0, data_range)[:, None, None]
+        else:
+            data_range = float(np.ptp(reference)) or 1.0
+        window_size = min(window_size, *image.shape[-2:])
+        if gaussian:
+            truncate = max((window_size - 1) / 2.0, 0.5) / sigma
+            sigmas = (0, sigma, sigma) if batched else sigma
+
+            def smooth(x):
+                return ndimage.gaussian_filter(x, sigma=sigmas, truncate=truncate,
+                                               mode="reflect")
+        else:
+            sizes = (1, window_size, window_size) if batched else window_size
+
+            def smooth(x):
+                return ndimage.uniform_filter(x, size=sizes, mode="reflect")
+
+        c1, c2 = (k1 * data_range) ** 2, (k2 * data_range) ** 2
+        mu_x, mu_y = smooth(image), smooth(reference)
+        var_x = smooth(image * image) - mu_x * mu_x
+        var_y = smooth(reference * reference) - mu_y * mu_y
+        cov_xy = smooth(image * reference) - mu_x * mu_y
+        return ((2 * mu_x * mu_y + c1) * (2 * cov_xy + c2)
+                / ((mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)))
+
+    @pytest.mark.parametrize("gaussian", [True, False])
+    @pytest.mark.parametrize("window_size", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_scipy(self, shape, window_size, gaussian):
+        rng = np.random.default_rng(sum(shape) + 10 * window_size)
+        image, reference = rng.random(shape), rng.random(shape)
+        expected = self._scipy_ssim_map(image, reference, window_size, gaussian)
+        kwargs = dict(window_size=window_size, gaussian=gaussian)
+        np.testing.assert_allclose(ssim_map(image, reference, **kwargs),
+                                   expected, rtol=0, atol=1e-12)
+        means = expected.mean(axis=(-2, -1))
+        np.testing.assert_allclose(ssim(image, reference, **kwargs), means,
+                                   rtol=0, atol=1e-12)
+
+
+def test_import_loads_no_scipy():
+    """SSIM is pure numpy: importing the library must not pull in scipy."""
+    code = ("import sys, repro.core, repro.data; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSSIMClosedForm:

@@ -870,3 +870,18 @@ class TestPipelineSaveLoad:
     def test_save_before_fit_rejected(self, tmp_path):
         with pytest.raises(RuntimeError):
             QuGeo().save(str(tmp_path / "nothing.qugeo"))
+
+    def test_non_finite_model_state_rejected(self, fitted_pipeline, tmp_path):
+        pipeline, test = fitted_pipeline
+        path = str(tmp_path / "pipeline.qugeo")
+        pipeline.save(path)
+        payload = load_checkpoint(path)
+        payload["model"]["theta"] = np.full_like(payload["model"]["theta"],
+                                                 np.nan)
+        poisoned = str(tmp_path / "poisoned.qugeo")
+        save_checkpoint(poisoned, payload)
+        with pytest.raises(ValueError, match="'theta' holds NaN or inf"):
+            QuGeo.load(poisoned)
+        served = QuGeo.load(path)
+        np.testing.assert_array_equal(served.predict_dataset(test),
+                                      pipeline.predict_dataset(test))
