@@ -8,7 +8,7 @@ Times the synthetic OpenFWI-style dataset build three ways:
   (:class:`repro.data.store.ParallelGenerator`).  Because every chunk owns a
   seeded RNG stream, the output is **bit-identical** to serial (asserted);
 * **cache-hit** — :func:`repro.data.store.open_or_build` against a warm
-  sharded store: the dataset is read back from compressed shards with
+  sharded store: the dataset is read back from its ``.npz`` shards with
   **zero** forward-modelling calls (asserted via an instrumented
   ``ForwardModel``).
 

@@ -5,7 +5,7 @@ sharded dataset store (:mod:`repro.data.store`) persists generated datasets
 under a content fingerprint of ``(OpenFWIConfig, seed, physics)``:
 
 1. ``open_or_build`` generates the dataset (here across a small worker pool
-   — bit-identical to a serial build) and writes compressed ``.npz`` shards
+   — bit-identical to a serial build) and writes ``.npz`` shards
    as chunks complete,
 2. a second ``open_or_build`` with the same configuration is a pure cache
    hit: zero forward-modelling calls, the shards are just read back,

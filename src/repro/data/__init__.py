@@ -9,7 +9,7 @@ the 400/100 train/test split of the paper; :mod:`repro.data.resample`
 implements the nearest-neighbour baseline ("D-Sample") and other resampling
 utilities; :mod:`repro.data.normalization` maps velocities to the unit range
 used by the losses and metrics; :mod:`repro.data.store` persists generated
-datasets as fingerprint-keyed compressed shards (with resumable, parallel,
+datasets as fingerprint-keyed ``.npz`` shards (with resumable, parallel,
 bit-identical generation) and streams them back through
 :class:`~repro.data.store.ShardLoader`.
 """

@@ -237,7 +237,7 @@ class SyntheticOpenFWI:
         ----------
         store:
             ``None`` builds in memory.  A cache directory path or
-            :class:`repro.data.store.DatasetStore` writes compressed shards
+            :class:`repro.data.store.DatasetStore` writes ``.npz`` shards
             as chunks complete; a partial previous build under the same
             fingerprint is resumed (only missing chunks are generated).
         workers:

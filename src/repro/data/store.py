@@ -2,7 +2,7 @@
 
 Forward modelling dominates the cost of every experiment once training is
 batched, and nothing used to survive between runs.  This module persists
-generated datasets as compressed ``.npz`` shards under a **content
+generated datasets as uncompressed ``.npz`` shards under a **content
 fingerprint** of the generating configuration — ``OpenFWIConfig`` + root RNG
 seed + the code-relevant physics parameters (time step, boundary, recording
 stride, format version) — so that:
@@ -20,6 +20,13 @@ Layout on disk::
     <cache_dir>/<fingerprint>/shard-00000.npz   # float64 seismic + velocity
     <cache_dir>/<fingerprint>/shard-00001.npz
     ...
+
+Shards are written uncompressed (zip ``STORED``): zlib shrinks float64
+gathers by only ~7%, yet took ~40% of a FlatVelA-size build and re-open.  The
+manifest's sha256 certifies the on-disk bytes and the zip CRC-32 still
+guards every read.  ``np.load`` reads deflated shards written by older
+releases just as well, so those entries stay valid under the same format
+version.
 
 The manifest records, per shard, the sample count and the per-sample content
 sums; :class:`ShardLoader` uses them to compute the same order-sensitive
@@ -302,7 +309,7 @@ class DatasetStore:
         telemetry = get_telemetry()
         telemetry.counter("store.shard_writes").inc()
         with telemetry.span("store.write_shard"):
-            _atomic_replace(path, lambda handle: np.savez_compressed(
+            _atomic_replace(path, lambda handle: np.savez(
                 handle, seismic=seismic, velocity=velocity))
         record = {
             "file": path.name,
@@ -310,7 +317,7 @@ class DatasetStore:
             "count": int(seismic.shape[0]),
             # Checksum of the on-disk bytes: a torn copy, bit rot, or a
             # truncated file is caught by validate_entry before the shard
-            # is ever decompressed into training data.
+            # is ever loaded into training data.
             "sha256": _file_sha256(path),
             "seismic_sums": [float(s) for s in
                              seismic.reshape(seismic.shape[0], -1).sum(axis=1)],
@@ -339,7 +346,7 @@ class DatasetStore:
                     f"shard {path} is corrupt: {exc}") from exc
         if telemetry.enabled:
             telemetry.counter("store.shard_reads").inc()
-            telemetry.counter("store.bytes_decompressed").inc(
+            telemetry.counter("store.bytes_read").inc(
                 int(seismic.nbytes) + int(velocity.nbytes))
         return seismic, velocity
 
@@ -351,7 +358,7 @@ class DatasetStore:
         Returns a problem description, or ``None`` when the shard is
         healthy.  Records carrying a ``sha256`` are verified byte-exactly;
         records written before checksums existed fall back to a
-        decompress-and-count check.
+        read-and-count check.
         """
         path = self.shard_path(fingerprint, chunk_index)
         if not path.exists():
@@ -462,7 +469,7 @@ class ShardLoader:
     :class:`~repro.data.dataset.FWIDataset` surface (iteration, indexing,
     ``subset``, ``batches``) that ``train_test_split`` and the evaluation
     helpers work unchanged — while keeping at most ``max_cached_shards``
-    decompressed shards in memory.
+    loaded shards in memory.
 
     Access-pattern note: within one :meth:`gather` call every needed shard
     is read at most once, so sequential sweeps (evaluation, prediction)
@@ -470,7 +477,7 @@ class ShardLoader:
     (the trainer's epoch loop) touch up to ``min(batch_size, n_shards)``
     shards per batch; when the dataset spans more shards than
     ``max_cached_shards``, each batch re-reads its shards from disk —
-    bounded memory traded for decompression time.  If the shard count is
+    bounded memory traded for shard read time.  If the shard count is
     modest, raise ``max_cached_shards`` toward it to make shuffled epochs
     disk-free after the first.
     """

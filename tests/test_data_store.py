@@ -1,7 +1,9 @@
 """Tests for the sharded dataset store and parallel generation."""
 
+import hashlib
 import json
 import pickle
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,7 +23,12 @@ from repro.data import (
     save_dataset,
     train_test_split,
 )
-from repro.data.store import DATA_FORMAT_VERSION, content_fingerprint
+from repro.data.store import (
+    DATA_FORMAT_VERSION,
+    QUARANTINE_DIR,
+    ShardIntegrityError,
+    content_fingerprint,
+)
 from repro.seismic.acoustic2d import SimulationConfig
 from repro.seismic.boundary import SpongeBoundary
 from repro.seismic.forward_modeling import ForwardModel
@@ -245,6 +252,86 @@ class TestStoreRoundTrip:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="format version"):
             store.read_manifest(fingerprint)
+
+
+class TestShardCodec:
+    """Shards are stored uncompressed; deflated shards stay readable."""
+
+    @staticmethod
+    def _built_entry(tmp_path):
+        config = small_config()  # 10 samples in chunks of 3 -> 4 shards
+        open_or_build(config, seed=9, cache_dir=tmp_path)
+        serial = SyntheticOpenFWI(config, rng=9).build()
+        return config, DatasetStore(tmp_path), dataset_fingerprint(config, 9), serial
+
+    def test_shard_members_are_stored(self, tmp_path):
+        _, store, fingerprint, _ = self._built_entry(tmp_path)
+        with zipfile.ZipFile(store.shard_path(fingerprint, 0)) as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == ["seismic.npy",
+                                                       "velocity.npy"]
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+    def test_deflated_legacy_entry_serves_bit_identically(self, tmp_path,
+                                                         counting_forward):
+        config, store, fingerprint, serial = self._built_entry(tmp_path)
+        # Rewrite every shard the way older releases wrote them: deflated,
+        # with the manifest's sha256 certifying the deflated bytes.
+        manifest = store.read_manifest(fingerprint)
+        for key, record in manifest["shards"].items():
+            path = store.shard_path(fingerprint, int(key))
+            with np.load(str(path)) as data:
+                seismic, velocity = data["seismic"], data["velocity"]
+            with open(str(path), "wb") as handle:
+                np.savez_compressed(handle, seismic=seismic, velocity=velocity)
+            record["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            with zipfile.ZipFile(path) as archive:
+                assert all(m.compress_type == zipfile.ZIP_DEFLATED
+                           for m in archive.infolist())
+        store.write_manifest(fingerprint, manifest)
+
+        counting_forward["calls"] = 0
+        served = open_or_build(config, seed=9, cache_dir=tmp_path)
+        assert counting_forward["calls"] == 0
+        assert store.validate_entry(fingerprint) == []
+        np.testing.assert_array_equal(served.seismic_array(),
+                                      serial.seismic_array())
+        np.testing.assert_array_equal(served.velocity_array(),
+                                      serial.velocity_array())
+
+    def test_flipped_payload_byte_is_caught(self, tmp_path, monkeypatch,
+                                            counting_forward):
+        config, store, fingerprint, serial = self._built_entry(tmp_path)
+        record = store.read_manifest(fingerprint)["shards"]["1"]
+        path = store.shard_path(fingerprint, 1)
+        original_seismic, original_velocity = store.read_shard(fingerprint, 1)
+        raw = bytearray(path.read_bytes())
+        # A stored member holds the array bytes verbatim.
+        payload = original_seismic.tobytes()
+        offset = bytes(raw).find(payload)
+        assert offset > 0
+        raw[offset + len(payload) // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+
+        assert "checksum mismatch" in store.verify_shard(fingerprint, 1,
+                                                         record)
+        # The zip CRC-32 catches it even with manifest checksums switched off.
+        monkeypatch.setenv("QUGEO_ROBUSTNESS_VALIDATE", "0")
+        with pytest.raises(ShardIntegrityError, match="CRC"):
+            store.read_shard(fingerprint, 1)
+        monkeypatch.delenv("QUGEO_ROBUSTNESS_VALIDATE")
+
+        counting_forward["calls"] = 0
+        with pytest.warns(UserWarning, match="shard 1: checksum mismatch"):
+            repaired = open_or_build(config, seed=9, cache_dir=tmp_path)
+        assert counting_forward["calls"] == 1
+        assert (store.entry_dir(fingerprint) / QUARANTINE_DIR
+                / path.name).exists()
+        seismic, velocity = store.read_shard(fingerprint, 1)
+        np.testing.assert_array_equal(seismic, original_seismic)
+        np.testing.assert_array_equal(velocity, original_velocity)
+        np.testing.assert_array_equal(repaired.seismic_array(),
+                                      serial.seismic_array())
 
 
 class TestResume:
@@ -497,7 +584,7 @@ class TestStoreTelemetry:
         assert "forward_model.calls" not in snapshot["counters"]
         # The hit is served from shards, which the registry does see.
         assert snapshot["counters"]["store.shard_reads"] > 0
-        assert snapshot["counters"]["store.bytes_decompressed"] > 0
+        assert snapshot["counters"]["store.bytes_read"] > 0
 
     def test_cold_build_records_forward_model_and_writes(self, tmp_path):
         from repro.telemetry import capture

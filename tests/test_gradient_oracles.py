@@ -5,7 +5,8 @@ finite differences and the parameter-shift rule, which only evaluate the
 forward circuit and the loss value:
 
 * at the paper's depth (8 qubits, 12 blocks, 576 parameters, batch 16) for
-  both decoders on both engines;
+  both decoders on both engines, plus a golden pin of one seeded batch's
+  gradient that both engines must reproduce;
 * on a single-gate circuit for every entry of ``PARAMETRIC_GATES``;
 * for its memory, which must not grow with circuit depth;
 * end to end, through a golden pin of a seeded quickstart-scale
@@ -108,6 +109,41 @@ def test_paper_depth_gradients_match_finite_differences(backend, decoder):
             model.circuit, model.theta.data, states[row], loss_only,
             backend=backend, indices=subset)
         np.testing.assert_allclose(grads[row, subset], expected, atol=1e-6)
+
+
+#: L2 norm and index-weighted sum (weights 1..9216 over the flattened
+#: ``(16, 576)`` gradient) of the seeded paper-depth layer-decoder batch.
+#: Two scalars at rtol 1e-10 survive BLAS and numpy rounding differences,
+#: yet catch any change to what the adjoint sweep computes.
+GOLDEN_PAPER_GRADIENT = {"l2_norm": 0.07065665180632913,
+                         "weighted_sum": -650.6483559814743}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_paper_depth_gradient_pin(backend):
+    rng = np.random.default_rng(2024)
+    model = QuGeoVQC(QuGeoVQCConfig(qubits_per_group=N_QUBITS,
+                                    n_blocks=N_BLOCKS, decoder="layer",
+                                    output_shape=(8, 8)),
+                     rng=11, backend=backend)
+    seismic = rng.normal(size=(BATCH, model.encoder.capacity))
+    targets = rng.random((BATCH, 8, 8))
+    states = np.stack([model.encode(sample) for sample in seismic])
+
+    def batched_head(outputs):
+        losses, lams, _ = model._loss_terms(outputs, targets)
+        return losses, lams
+
+    _, grads = circuit_gradients_batched(model.circuit, model.theta.data,
+                                         states, batched_head,
+                                         backend=backend)
+    assert grads.shape == (BATCH, 576)
+    flat = grads.reshape(-1)
+    weights = np.arange(1, flat.size + 1, dtype=np.float64)
+    assert np.linalg.norm(flat) == pytest.approx(
+        GOLDEN_PAPER_GRADIENT["l2_norm"], rel=1e-10, abs=0.0)
+    assert float(weights @ flat) == pytest.approx(
+        GOLDEN_PAPER_GRADIENT["weighted_sum"], rel=1e-10, abs=0.0)
 
 
 # --------------------------------------------------------------------------- #
