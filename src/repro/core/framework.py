@@ -29,7 +29,12 @@ from repro.core.data_scaling import (
     scaler_state,
 )
 from repro.core.qubatch import QuBatchVQC
-from repro.core.training import Callback, Trainer, TrainingResult
+from repro.core.training import (
+    Callback,
+    Trainer,
+    TrainingResult,
+    predict_in_batches,
+)
 from repro.core.vqc_model import QuGeoVQC
 from repro.data.dataset import FWIDataset, FWISample
 from repro.data.normalization import VelocityNormalizer
@@ -140,20 +145,31 @@ class QuGeo:
         """Predict the velocity map of one full-resolution sample.
 
         Returns the map in physical units (m/s) unless ``denormalize=False``.
+        A batch of one through :meth:`predict_dataset`.
         """
-        if self.scaler is None or self.model is None:
-            raise RuntimeError("call fit() before predict()")
-        scaled = self.scaler.scale_sample(sample)
-        prediction = self.model.predict(scaled.seismic_vector())
-        if denormalize:
-            return self.normalizer.denormalize(prediction)
-        return prediction
+        return self.predict_dataset(FWIDataset([sample]), denormalize)[0]
 
     def predict_dataset(self, dataset: FWIDataset,
                         denormalize: bool = True) -> np.ndarray:
-        """Predict velocity maps for every sample of a full-resolution dataset."""
-        return np.stack([self.predict(sample, denormalize=denormalize)
-                         for sample in dataset])
+        """Predict velocity maps for every sample of a full-resolution dataset.
+
+        The samples are scaled, then predicted in stacked circuit passes of
+        at most ``config.training.eval_batch_size`` samples
+        (:func:`~repro.core.training.predict_in_batches`), and the whole
+        ``(n, depth, width)`` result is de-normalised at once.
+        """
+        if self.scaler is None or self.model is None:
+            raise RuntimeError("call fit() before predict()")
+        if len(dataset) == 0:
+            raise ValueError("empty dataset: no samples to predict")
+        scaled = self.scaler.scale_dataset(dataset)
+        seismic = np.stack([sample.seismic_vector() for sample in scaled])
+        predictions = predict_in_batches(
+            self.model, seismic,
+            batch_size=self.config.training.eval_batch_size)
+        if denormalize:
+            return self.normalizer.denormalize(predictions)
+        return predictions
 
     # ------------------------------------------------------------------ #
     # serialisation: save a trained pipeline, load it for inference

@@ -25,6 +25,9 @@ per-decoder loss heads; the sweep uncomputes pre-gate states instead of
 storing them, so its memory does not grow with circuit depth.  The
 per-sample API is a batch of one through the same path, on every backend
 (``einsum`` by default, the ``numpy`` oracle with ``QUGEO_BACKEND=numpy``).
+Prediction has one path too: :meth:`QuGeoVQC.predict` runs a
+``(batch, n_features)`` stack as one stacked circuit pass, and a single
+sample is a stack of one.
 """
 
 from __future__ import annotations
@@ -180,21 +183,30 @@ class QuGeoVQC:
         return self.decode_probabilities(all_probabilities(state))
 
     def predict(self, seismic: np.ndarray) -> np.ndarray:
-        """Predict the normalised velocity map of one scaled seismic sample."""
-        return self.decode(self.run_circuit(seismic))
+        """Predict normalised velocity maps of scaled seismic input.
+
+        A 2-D ``(batch, n_features)`` stack returns ``(batch, depth, width)``
+        maps from one stacked circuit pass
+        (:meth:`~repro.quantum.circuit.ParameterizedCircuit.run_batched`);
+        any other shape is one sample, flattened, and returns one
+        ``(depth, width)`` map.
+        """
+        seismic = np.asarray(seismic, dtype=np.float64)
+        single = seismic.ndim != 2
+        rows = seismic.reshape(1, -1) if single else seismic
+        if rows.shape[0] == 0:
+            raise ValueError("empty batch: no seismic samples to predict")
+        states = np.stack([self.encode(row) for row in rows])
+        outputs = self.circuit.run_batched(states, self.theta.data,
+                                           backend=self.backend)
+        maps = np.stack([self.decode(output) for output in outputs])
+        return maps[0] if single else maps
 
     def predict_batch(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
-        """Predict velocity maps for a sequence of samples.
-
-        On a backend with ``batched_states`` the whole mini-batch of circuit
-        executions runs as one stacked pass.
-        """
-        if len(seismic_batch) > 1 and self.backend.capabilities.batched_states:
-            states = np.stack([self.encode(sample) for sample in seismic_batch])
-            outputs = self.circuit.run_batched(states, self.theta.data,
-                                               backend=self.backend)
-            return np.stack([self.decode(output) for output in outputs])
-        return np.stack([self.predict(sample) for sample in seismic_batch])
+        """``Model``-protocol alias: :meth:`predict` on the stacked batch."""
+        if len(seismic_batch) == 0:
+            raise ValueError("empty batch: no seismic samples to predict")
+        return self.predict(np.stack([np.ravel(s) for s in seismic_batch]))
 
     # ------------------------------------------------------------------ #
     # loss and gradients

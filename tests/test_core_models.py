@@ -124,6 +124,60 @@ class TestQuGeoVQCInputValidation:
         assert np.isfinite(grads["theta"]).all()
 
 
+@pytest.mark.parametrize("engine", ["einsum", "numpy"])
+class TestQuGeoVQCStack:
+    """``predict`` on a ``(B, n_features)`` stack runs one circuit pass."""
+
+    @staticmethod
+    def _stack(n=5):
+        return np.stack([_sample(seed)[0] for seed in range(n)])
+
+    @pytest.mark.parametrize("decoder", ["layer", "pixel"])
+    def test_stack_matches_per_sample(self, engine, decoder):
+        model = QuGeoVQC(_small_config(decoder), rng=1, backend=engine)
+        stack = self._stack()
+        maps = model.predict(stack)
+        assert maps.shape == (5, 6, 6)
+        for row, got in zip(stack, maps):
+            expected = model.decode(model.run_circuit(row))
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(model.predict_batch(list(stack)), maps)
+
+    def test_any_other_shape_is_one_sample(self, engine):
+        model = QuGeoVQC(_small_config("layer"), rng=1, backend=engine)
+        seismic = _sample()[0]
+        single = model.predict(seismic)
+        assert single.shape == (6, 6)
+        np.testing.assert_array_equal(model.predict(seismic.reshape(1, 8, 8)),
+                                      single)
+        np.testing.assert_array_equal(model.predict(seismic[None, :])[0],
+                                      single)
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_non_finite_row_rejected(self, engine, position):
+        model = QuGeoVQC(_small_config("layer"), rng=1, backend=engine)
+        stack = self._stack()
+        stack[position, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict(stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict_batch(list(stack))
+
+    def test_empty_batch_rejected(self, engine):
+        model = QuGeoVQC(_small_config("layer"), rng=1, backend=engine)
+        with pytest.raises(ValueError, match="empty batch"):
+            model.predict_batch([])
+        with pytest.raises(ValueError, match="empty batch"):
+            model.predict(np.empty((0, 64)))
+
+    def test_batch_of_one_accepted(self, engine):
+        model = QuGeoVQC(_small_config("layer"), rng=1, backend=engine)
+        seismic = _sample()[0]
+        maps = model.predict_batch([seismic])
+        assert maps.shape == (1, 6, 6)
+        np.testing.assert_array_equal(maps[0], model.predict(seismic))
+
+
 class TestQuGeoVQCGradients:
     @pytest.mark.parametrize("decoder", ["layer", "pixel"])
     def test_gradients_match_finite_differences(self, decoder):

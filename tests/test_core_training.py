@@ -5,6 +5,9 @@ on the session-scoped fixture datasets, checking that the training machinery
 improves the objective and that the harness reports coherent results.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.core import (
     evaluate_model,
 )
 from repro.core.config import QuGeoDataConfig, QuGeoVQCConfig, TrainingConfig
+from repro.core.data_scaling import CNNScaler, ForwardModelingScaler
 from repro.core.experiment import (
     ExperimentResult,
     count_interface_matches,
@@ -27,7 +31,8 @@ from repro.core.experiment import (
     vertical_profile,
 )
 from repro.core.training import TrainingResult, evaluate_predictions
-from repro.data.dataset import train_test_split
+from repro.data.dataset import FWIDataset, train_test_split
+from repro.telemetry import capture
 
 
 def _vqc_config(decoder="layer", n_batch_qubits=0):
@@ -306,3 +311,126 @@ class TestQuGeoFramework:
         pipeline = QuGeo(config, rng=0)
         pipeline.fit(tiny_dataset[:4], tiny_dataset[4:])
         assert isinstance(pipeline.model, QuBatchVQC)
+
+
+def _serve_one(pipeline, sample):
+    """Per-sample reference: scale_sample -> circuit.run -> decode."""
+    model = pipeline.model
+    vector = pipeline.scaler.scale_sample(sample).seismic_vector()
+    if isinstance(model, QuBatchVQC):
+        output = model.circuit.run(model.encode([vector]), model.theta.data,
+                                   backend=model.backend)
+        blocks = np.abs(output.reshape(model.batch_capacity, -1)) ** 2
+        return model.decode_block_probabilities(blocks, 1)[0]
+    output = model.circuit.run(model.encode(vector), model.theta.data,
+                               backend=model.backend)
+    return model.decode(output)
+
+
+def _with_eval_batch_size(pipeline, size):
+    """A pipeline sharing ``pipeline``'s scaler and model, other chunking."""
+    training = replace(pipeline.config.training, eval_batch_size=size)
+    served = QuGeo(replace(pipeline.config, training=training))
+    served.scaler, served.model = pipeline.scaler, pipeline.model
+    return served
+
+
+class TestBatchedServing:
+    """``predict_dataset`` predicts in stacked chunks yet equals per-sample
+    serving, for every scaler and for QuBatch."""
+
+    @pytest.fixture(scope="class",
+                    params=[("d_sample", "layer", 0),
+                            ("forward_modeling", "layer", 0),
+                            ("cnn", "pixel", 0),
+                            ("d_sample", "layer", 1)],
+                    ids=["d_sample", "forward_modeling", "cnn", "qubatch"])
+    def pipeline(self, request, tiny_dataset, small_data_config):
+        method, decoder, n_batch_qubits = request.param
+        config = QuGeoConfig(data=small_data_config,
+                             vqc=_vqc_config(decoder, n_batch_qubits),
+                             training=TrainingConfig(eval_batch_size=2),
+                             scaling_method=method)
+        pipeline = QuGeo(config, rng=0)
+        reference = ForwardModelingScaler(small_data_config,
+                                          simulation_shape=(16, 16),
+                                          simulation_steps=64)
+        if method == "d_sample":
+            pipeline.build_scaler()
+        elif method == "forward_modeling":
+            pipeline.scaler = reference
+        else:
+            pipeline.scaler = CNNScaler.train(
+                tiny_dataset[:3], config=small_data_config,
+                reference_scaler=reference, epochs=2, rng=0)
+        pipeline.build_model()
+        return pipeline
+
+    def test_matches_per_sample_reference(self, pipeline, tiny_dataset):
+        expected = np.stack([_serve_one(pipeline, s) for s in tiny_dataset])
+        np.testing.assert_allclose(
+            pipeline.predict_dataset(tiny_dataset, denormalize=False),
+            expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            pipeline.predict_dataset(tiny_dataset),
+            pipeline.normalizer.denormalize(expected), rtol=1e-12, atol=0.0)
+
+    def test_predict_is_a_batch_of_one(self, pipeline, tiny_dataset):
+        for sample in tiny_dataset[:2]:
+            for denormalize in (True, False):
+                np.testing.assert_array_equal(
+                    pipeline.predict(sample, denormalize=denormalize),
+                    pipeline.predict_dataset(FWIDataset([sample]),
+                                             denormalize=denormalize)[0])
+
+    def test_eval_batch_size_does_not_change_results(self, pipeline,
+                                                     tiny_dataset):
+        results = [_with_eval_batch_size(pipeline, size)
+                   .predict_dataset(tiny_dataset)
+                   for size in (1, 3, None)]
+        assert results[0].shape == (len(tiny_dataset), 6, 6)
+        for other in results[1:]:
+            if isinstance(pipeline.model, QuBatchVQC):
+                # QuBatch normalises the samples of one register jointly,
+                # so another chunking moves the last bit.
+                np.testing.assert_allclose(other, results[0], rtol=1e-12)
+            else:
+                np.testing.assert_array_equal(other, results[0])
+
+    def test_denormalize_false_returns_normalised_maps(self, pipeline,
+                                                       tiny_dataset):
+        physical = pipeline.predict_dataset(tiny_dataset)
+        normalised = pipeline.predict_dataset(tiny_dataset, denormalize=False)
+        assert physical.min() > normalised.max()
+        np.testing.assert_allclose(pipeline.normalizer.denormalize(normalised),
+                                   physical, rtol=1e-12)
+
+    def test_empty_dataset_rejected_before_scaling(self, pipeline,
+                                                   monkeypatch):
+        def no_scaling(dataset):
+            raise AssertionError("scaled an empty dataset")
+
+        monkeypatch.setattr(pipeline.scaler, "scale_dataset", no_scaling)
+        with pytest.raises(ValueError, match="empty dataset"):
+            pipeline.predict_dataset(FWIDataset([]))
+
+    def test_single_sample_dataset_accepted(self, pipeline, tiny_dataset):
+        predictions = pipeline.predict_dataset(tiny_dataset[:1])
+        assert predictions.shape == (1, 6, 6)
+        assert np.isfinite(predictions).all()
+
+    def test_one_circuit_pass_per_eval_chunk(self, tiny_dataset,
+                                             small_data_config):
+        vqc = replace(_vqc_config("layer"), backend="einsum")
+        config = QuGeoConfig(data=small_data_config, vqc=vqc,
+                             training=TrainingConfig(eval_batch_size=2),
+                             scaling_method="d_sample")
+        pipeline = QuGeo(config, rng=0)
+        pipeline.build_scaler()
+        pipeline.build_model()
+        requests = tiny_dataset[:5]
+        with capture("summary") as telemetry:
+            pipeline.predict_dataset(requests)
+            counters = telemetry.snapshot()["counters"]
+        assert counters["backend.einsum.run_batched.calls"] == math.ceil(5 / 2)
+        assert counters["backend.einsum.run_batched.samples"] == 5
