@@ -118,10 +118,9 @@ def main() -> int:
         qubit_counts, batch_sizes = (4, 6, 8, 10), (1, 8, 32)
     qubit_counts = args.qubits or qubit_counts
     batch_sizes = args.batches or batch_sizes
-    # The numpy oracle leads (speedups are relative to it); optional engines
-    # join when their library is importable.
+    # The numpy oracle leads (speedups are relative to it).
     backend_names = ["numpy"] + [name for name in BACKENDS.names()
-                                 if name != "numpy" and BACKENDS.available(name)]
+                                 if name != "numpy"]
     rows, speedups = run_benchmark(qubit_counts, batch_sizes, args.blocks,
                                    args.repeats, backend_names)
     text = render(rows)

@@ -2,15 +2,15 @@
 
 An AST-based, zero-dependency linter enforcing the project invariants that
 generic linters cannot see — the env-variable waist, seeded-RNG
-determinism, the ``xm.ArrayOps`` narrow waist, monotonic telemetry clocks,
-fault-path exception hygiene and fingerprint format-version discipline.  Run it with::
+determinism, monotonic telemetry clocks, fault-path exception hygiene and
+fingerprint format-version discipline.  Run it with::
 
     python -m repro.analysis [PATH ...]
     qugeo-lint --list-rules
 
 Rules live in :mod:`repro.analysis.rules` and are registered by string
 code (``QG001``...) in :mod:`repro.analysis.registry`, mirroring the
-backend/propagator/kernel registries.
+backend registry.
 """
 
 from repro.analysis.base import (

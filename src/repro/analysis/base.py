@@ -6,7 +6,7 @@ Suppression contract
 
 A finding is suppressed by a ``qugeo-lint`` comment on the *same line*::
 
-    risky_call()  # qugeo-lint: disable=QG003 -- host-numpy path by design
+    except OSError:  # qugeo-lint: disable=QG005 -- best-effort temp cleanup
 
 Several codes may be listed (``disable=QG001,QG005``) and ``disable=all``
 silences every rule on that line.  Anything after the code list is free-form

@@ -5,8 +5,8 @@ A :class:`SimulationBackend` owns the execution of a
 rest of the codebase (circuit ``run``, the adjoint differentiation, the
 QuGeoVQC / QuBatchVQC models and every benchmark) talks to simulation only
 through this interface, so alternative engines — vectorised NumPy, GPU,
-sparse, remote hardware — can be swapped in via the registry in
-:mod:`repro.backends.registry` without touching callers.
+sparse, remote hardware — can be swapped in via the registry
+:data:`repro.backends.BACKENDS` without touching callers.
 
 Conventions shared by all backends (see :mod:`repro.quantum.gates`):
 
@@ -27,39 +27,15 @@ serves every backend; vectorised engines override them to make it fast.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.xm import get_array_module, get_dtype_policy
+from repro.xm import get_dtype_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.quantum.circuit import ParameterizedCircuit
-    from repro.xm import ArrayOps, DTypePolicy
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can do natively (callers may use these to pick paths).
-
-    Attributes
-    ----------
-    batched_states:
-        ``run_batched`` executes a whole stack of states in one vectorised
-        pass instead of looping.
-    batched_params:
-        ``run_batched`` accepts a ``(batch, n_params)`` parameter matrix and
-        evaluates a *different* parameter vector per state in the same pass
-        (used to stack parameter-shift sweeps).
-    gate_fusion:
-        Adjacent single-qubit gates on the same wire are fused into one
-        matrix before application.
-    """
-
-    batched_states: bool = False
-    batched_params: bool = False
-    gate_fusion: bool = False
+    from repro.xm import DTypePolicy
 
 
 class SimulationBackend(ABC):
@@ -74,18 +50,13 @@ class SimulationBackend(ABC):
     #: Registry key and display name of the engine.
     name: str = "abstract"
 
-    #: Capability flags; override in subclasses.
-    capabilities: BackendCapabilities = BackendCapabilities()
+    def __init__(self, policy: "DTypePolicy" = None) -> None:
+        """Bind the engine to a dtype policy.
 
-    def __init__(self, xm: "ArrayOps" = None,
-                 policy: "DTypePolicy" = None) -> None:
-        """Bind the engine to an array module and a dtype policy.
-
-        Both default to the ambient resolution (``QUGEO_ARRAY_MODULE`` /
-        ``QUGEO_DTYPE`` environment variables, then ``numpy`` / ``float64``),
-        which reproduces the historical hard-coded behaviour exactly.
+        It defaults to the ambient resolution (the ``QUGEO_DTYPE``
+        environment variable, then ``float64``), which reproduces the
+        historical hard-coded behaviour exactly.
         """
-        self.xm = get_array_module(xm)
         self.policy = get_dtype_policy(policy)
 
     # ------------------------------------------------------------------ #
@@ -116,10 +87,9 @@ class SimulationBackend(ABC):
                     params: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply ``circuit`` to a ``(batch, 2**n)`` stack of statevectors.
 
-        ``params`` may be a shared ``(n_params,)`` vector or — when the
-        backend advertises ``batched_params`` — a ``(batch, n_params)``
-        matrix giving each state its own parameters.  The default
-        implementation loops over :meth:`run`.
+        ``params`` may be a shared ``(n_params,)`` vector or a
+        ``(batch, n_params)`` matrix giving each state its own parameters.
+        The default implementation loops over :meth:`run`.
         """
         states = np.asarray(states, dtype=self.policy.complex)
         if states.ndim != 2:
@@ -212,37 +182,6 @@ class SimulationBackend(ABC):
         """Apply one gate matrix to a ``(batch, 2**n)`` stack the caller owns,
         in place; the default writes :meth:`apply_gate_batched` back."""
         stack[...] = self.apply_gate_batched(stack, matrix, targets, n_qubits)
-
-    # ------------------------------------------------------------------ #
-    # measurement heads
-    # ------------------------------------------------------------------ #
-    def expectation(self, circuit: "ParameterizedCircuit", state: np.ndarray,
-                    params: Optional[np.ndarray] = None,
-                    qubits: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Pauli-Z expectations of ``qubits`` on the circuit's output state.
-
-        ``qubits`` defaults to the full register.  This is the read-out used
-        by the layer-wise (Q-M-LY) decoder.
-        """
-        from repro.quantum.measurement import z_expectations
-
-        if qubits is None:
-            qubits = tuple(range(circuit.n_qubits))
-        output = self.run(circuit, state, params)
-        return z_expectations(output, qubits, circuit.n_qubits)
-
-    def expectation_batched(self, circuit: "ParameterizedCircuit",
-                            states: np.ndarray,
-                            params: Optional[np.ndarray] = None,
-                            qubits: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Per-state Z expectations, shape ``(batch, len(qubits))``."""
-        from repro.quantum.measurement import z_expectations
-
-        if qubits is None:
-            qubits = tuple(range(circuit.n_qubits))
-        outputs = self.run_batched(circuit, states, params)
-        return np.stack([z_expectations(out, qubits, circuit.n_qubits)
-                         for out in outputs])
 
     # ------------------------------------------------------------------ #
     # misc

@@ -10,9 +10,6 @@ CNOT, CZ) — updates only the control=1 sub-view with its 2x2 block; other
 multi-qubit gates (SWAP) mix the ``2**k`` sub-views of their targets the
 same way.  Per-row matrices (a ``(batch, n_params)`` parameter matrix)
 broadcast through the same code, and temporaries keep the stack's dtype.
-Only reshape, basic slicing, elementwise arithmetic and slice assignment are
-used, which NumPy and torch arrays share, so the ``torch`` engine runs the
-kernel unchanged.
 
 The op matrices come from one constructor call per gate family and window
 of ops (:meth:`repro.quantum.circuit.ParameterizedCircuit.op_matrices`), and
@@ -29,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities, SimulationBackend
+from repro.backends.base import SimulationBackend
 from repro.quantum.kernel import apply_gate_inplace, empty_stack
 from repro.telemetry import get_telemetry
 
@@ -41,9 +38,6 @@ class EinsumBatchBackend(SimulationBackend):
     """Batched statevector simulation via in-place strided-view gate updates."""
 
     name = "einsum"
-    capabilities = BackendCapabilities(batched_states=True,
-                                       batched_params=True,
-                                       gate_fusion=True)
 
     # ------------------------------------------------------------------ #
     # fused gate stream
@@ -77,14 +71,14 @@ class EinsumBatchBackend(SimulationBackend):
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _owned_stack(self, states: np.ndarray):
-        """A fresh native :func:`empty_stack` copy of a ``(batch, 2**n)``
-        stack at the policy dtype, which the kernel may update in place."""
-        host = np.asarray(states)
-        if host.ndim != 2:
+    def _owned_stack(self, states: np.ndarray) -> np.ndarray:
+        """A fresh :func:`empty_stack` copy of a ``(batch, 2**n)`` stack at
+        the policy dtype, which the kernel may update in place."""
+        states = np.asarray(states)
+        if states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
-        stack = empty_stack(*host.shape, self.policy.complex, self.xm.empty)
-        stack[...] = self.xm.asarray(host, dtype=self.policy.complex)
+        stack = empty_stack(*states.shape, self.policy.complex)
+        stack[...] = states
         return stack
 
     def run_batched(self, circuit: "ParameterizedCircuit", states: np.ndarray,
@@ -103,22 +97,19 @@ class EinsumBatchBackend(SimulationBackend):
             telemetry.gauge("backend.einsum.last_batch_size").set(batch)
         with telemetry.span("einsum.run_batched"):
             for matrix, targets in self._gate_stream(circuit, params):
-                apply_gate_inplace(stack, matrix, targets, n, self.xm.asarray)
-            return np.ascontiguousarray(self.xm.to_numpy(stack))
+                apply_gate_inplace(stack, matrix, targets, n)
+            return np.ascontiguousarray(stack)
 
     def apply_gate_batched(self, states: np.ndarray, matrix: np.ndarray,
                            targets, n_qubits: int) -> np.ndarray:
         """Apply one gate matrix to a copy of the whole stack."""
         stack = self._owned_stack(states)
-        apply_gate_inplace(stack, matrix, targets, n_qubits, self.xm.asarray)
-        return np.ascontiguousarray(self.xm.to_numpy(stack))
+        apply_gate_inplace(stack, matrix, targets, n_qubits)
+        return np.ascontiguousarray(stack)
 
     def apply_gate_batched_inplace(self, stack: np.ndarray, matrix: np.ndarray,
                                    targets, n_qubits: int) -> None:
-        native = self.xm.asarray(stack)
-        apply_gate_inplace(native, matrix, targets, n_qubits, self.xm.asarray)
-        if native is not stack:
-            stack[...] = self.xm.to_numpy(native)
+        apply_gate_inplace(stack, matrix, targets, n_qubits)
 
     def run(self, circuit: "ParameterizedCircuit", state: np.ndarray,
             params: Optional[np.ndarray] = None) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities, SimulationBackend
+from repro.backends.base import SimulationBackend
 from repro.quantum.gates import apply_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -26,9 +26,6 @@ class NumpyLoopBackend(SimulationBackend):
     """Sequential per-gate NumPy statevector simulation (reference oracle)."""
 
     name = "numpy"
-    capabilities = BackendCapabilities(batched_states=False,
-                                       batched_params=False,
-                                       gate_fusion=False)
 
     def run(self, circuit: "ParameterizedCircuit", state: np.ndarray,
             params: Optional[np.ndarray] = None) -> np.ndarray:

@@ -89,9 +89,7 @@ def conv2d(inputs: Tensor, weight: Tensor, bias: Tensor = None,
 
     cols, (out_h, out_w) = _im2col(inputs.data, (kh, kw), stride, padding)
     w_mat = weight.data.reshape(c_out, -1)
-    # The autodiff NN stack is a deliberately host-NumPy training harness
-    # (Tensor wraps np.ndarray); it sits outside the xm simulation waist.
-    out = np.einsum("ok,nkl->nol", w_mat, cols)  # qugeo-lint: disable=QG003 -- host-numpy autodiff stack by design
+    out = np.einsum("ok,nkl->nol", w_mat, cols)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1)
     out = out.reshape(n, c_out, out_h, out_w)
@@ -101,12 +99,12 @@ def conv2d(inputs: Tensor, weight: Tensor, bias: Tensor = None,
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(n, c_out, out_h * out_w)
         if weight.requires_grad:
-            grad_w = np.einsum("nol,nkl->ok", grad_mat, cols).reshape(weight.shape)  # qugeo-lint: disable=QG003 -- host-numpy autodiff stack by design
+            grad_w = np.einsum("nol,nkl->ok", grad_mat, cols).reshape(weight.shape)
             weight._accumulate(grad_w)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 2)))
         if inputs.requires_grad:
-            grad_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat)  # qugeo-lint: disable=QG003 -- host-numpy autodiff stack by design
+            grad_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat)
             grad_input = _col2im(grad_cols, inputs.shape, (kh, kw), stride, padding)
             inputs._accumulate(grad_input)
 

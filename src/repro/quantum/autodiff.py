@@ -312,50 +312,40 @@ def parameter_shift_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
     keeps this function for the ablation benchmark comparing gradient
     strategies.
 
-    On a backend advertising ``batched_params`` (e.g. ``"einsum"``) the whole
-    sweep — both shifted circuits for every parameter — executes as one
-    stacked pass over a ``(2 * n_params, n_params)`` parameter matrix
-    instead of ``2 * n_params`` sequential simulations.
+    The whole sweep — both shifted circuits for every parameter — runs as
+    stacked :meth:`~repro.backends.SimulationBackend.run_batched` passes
+    over a ``(2 * n_params, n_params)`` parameter matrix, chunked to a
+    bounded number of amplitudes.  The vectorised engine evaluates each
+    chunk in one pass; the numpy oracle loops over its rows.
     """
     from repro.backends import get_backend
 
     engine = get_backend(backend)
     params = np.asarray(params, dtype=np.float64).reshape(-1)
     loss, _ = _evaluate(circuit, params, input_state, loss_head, engine)
-    grads = np.zeros_like(params)
     if params.size == 0:
-        return loss, grads
-    if engine.capabilities.batched_params and engine.capabilities.batched_states:
-        offsets = np.zeros((2 * params.size, params.size))
-        rows = np.arange(params.size)
-        offsets[2 * rows, rows] = shift
-        offsets[2 * rows + 1, rows] = -shift
-        shifted = params[None, :] + offsets
-        state = np.asarray(input_state, dtype=np.complex128).reshape(-1)
-        # Chunk the sweep so one stacked run holds a bounded number of
-        # amplitudes: peak memory stays O(chunk) instead of
-        # O(n_params * 2**n) however many parameters the circuit has.
-        max_rows = max(1, _SHIFT_SWEEP_MAX_ELEMENTS // state.size)
-        losses = np.empty(shifted.shape[0])
-        for start in range(0, shifted.shape[0], max_rows):
-            block = shifted[start:start + max_rows]
-            states = np.broadcast_to(state, (block.shape[0], state.size))
-            outputs = engine.run_batched(circuit, states, block)
-            # Write each loss straight into its slot instead of building a
-            # throwaway Python list per chunk.
-            for row in range(outputs.shape[0]):
-                losses[start + row] = loss_head(outputs[row])[0]
-        grads = 0.5 * (losses[0::2] - losses[1::2])
-        return loss, grads
-    for i in range(params.size):
-        shifted = params.copy()
-        shifted[i] += shift
-        loss_plus, _ = _evaluate(circuit, shifted, input_state, loss_head, engine)
-        shifted[i] -= 2 * shift
-        loss_minus, _ = _evaluate(circuit, shifted, input_state, loss_head, engine)
-        grads[i] = 0.5 * (loss_plus - loss_minus)
+        return loss, np.zeros_like(params)
+    offsets = np.zeros((2 * params.size, params.size))
+    rows = np.arange(params.size)
+    offsets[2 * rows, rows] = shift
+    offsets[2 * rows + 1, rows] = -shift
+    shifted = params[None, :] + offsets
+    state = np.asarray(input_state, dtype=np.complex128).reshape(-1)
+    # Chunk the sweep so one stacked run holds a bounded number of
+    # amplitudes: peak memory stays O(chunk) instead of
+    # O(n_params * 2**n) however many parameters the circuit has.
+    max_rows = max(1, _SHIFT_SWEEP_MAX_ELEMENTS // state.size)
+    losses = np.empty(shifted.shape[0])
+    for start in range(0, shifted.shape[0], max_rows):
+        block = shifted[start:start + max_rows]
+        states = np.broadcast_to(state, (block.shape[0], state.size))
+        outputs = engine.run_batched(circuit, states, block)
+        # Write each loss straight into its slot instead of building a
+        # throwaway Python list per chunk.
+        for row in range(outputs.shape[0]):
+            losses[start + row] = loss_head(outputs[row])[0]
+    grads = 0.5 * (losses[0::2] - losses[1::2])
     return loss, grads
-
 
 def _evaluate(circuit: ParameterizedCircuit, params: np.ndarray,
               input_state: np.ndarray, loss_head: LossHead,

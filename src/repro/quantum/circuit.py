@@ -212,10 +212,9 @@ class ParameterizedCircuit:
                     backend=None) -> np.ndarray:
         """Apply the circuit to a ``(batch, 2**n_qubits)`` stack of states.
 
-        ``params`` is a shared vector or, on backends advertising
-        ``batched_params``, a ``(batch, n_params)`` matrix.  Backends with
-        ``batched_states`` (e.g. ``"einsum"``) update the whole stack gate by
-        gate; others fall back to a loop.
+        ``params`` is a shared vector or a ``(batch, n_params)`` matrix.
+        The ``"einsum"`` engine updates the whole stack gate by gate; the
+        ``"numpy"`` oracle loops over the states.
         """
         from repro.backends import get_backend
 

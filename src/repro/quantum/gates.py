@@ -101,7 +101,7 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray,
     tensor = state.reshape((2,) * n_qubits)
     gate = matrix.reshape((2,) * (2 * k))
     # Contract the gate's input indices (last k axes) with the target axes.
-    moved = np.tensordot(gate, tensor, axes=(tuple(range(k, 2 * k)), targets))  # qugeo-lint: disable=QG003 -- reference simulator is host-numpy by design
+    moved = np.tensordot(gate, tensor, axes=(tuple(range(k, 2 * k)), targets))
     # tensordot puts the gate's output axes first; move them back into place.
     moved = np.moveaxis(moved, tuple(range(k)), targets)
     return np.ascontiguousarray(moved.reshape(-1))

@@ -6,9 +6,7 @@ length-2 axis per gate qubit; a gate on target ``t`` updates the two halves
 ``x0``/``x1`` of ``(batch, 2**t, 2, 2**(n-1-t))`` in place with the four
 multiply-adds of its 2x2 block.  A controlled gate, recognised from its
 matrix, updates only the control=1 sub-view; other multi-qubit gates mix the
-``2**k`` sub-views of their targets.  Only reshape, basic slicing,
-elementwise arithmetic and slice assignment are used, which NumPy and torch
-arrays share.
+``2**k`` sub-views of their targets.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 _CONTROL_ROWS = np.eye(2, 4)
 
 
-def empty_stack(batch: int, dim: int, dtype, empty=np.empty):
+def empty_stack(batch: int, dim: int, dtype) -> np.ndarray:
     """An uninitialised ``(batch, dim)`` state stack stored batch-innermost.
 
     It is the transposed view of a ``(dim, batch)`` buffer, so every gate
@@ -31,13 +29,13 @@ def empty_stack(batch: int, dim: int, dtype, empty=np.empty):
     strided runs; a gate then measured up to 1.7x slower (8 qubits, 2-vCPU
     Xeon VM).
     """
-    return empty((dim, batch), dtype).T
+    return np.empty((dim, batch), dtype).T
 
 
 def control_block(matrix: np.ndarray) -> Optional[np.ndarray]:
     """The control=1 block of a controlled two-qubit gate, else ``None``.
 
-    ``matrix`` is a host ``(4, 4)`` matrix or ``(batch, 4, 4)`` stack; it is
+    ``matrix`` is a ``(4, 4)`` matrix or ``(batch, 4, 4)`` stack; it is
     controlled (first target as control) when every row has the identity as
     its upper-left block and zero off-diagonal blocks.
     """
@@ -111,15 +109,14 @@ def _mix(views: List, coeffs) -> None:
         view[...] = value
 
 
-def apply_gate_inplace(stack, matrix: np.ndarray, targets: Sequence[int],
-                       n_qubits: int, asarray=np.asarray) -> None:
-    """Apply a host gate matrix to every row of ``stack`` in place.
+def apply_gate_inplace(stack: np.ndarray, matrix: np.ndarray,
+                       targets: Sequence[int], n_qubits: int) -> None:
+    """Apply a gate matrix to every row of ``stack`` in place.
 
     ``matrix`` is ``(2**k, 2**k)`` or a per-row ``(batch, 2**k, 2**k)``
     stack.  A shared matrix enters as Python scalars, which are weakly
     typed, so every temporary keeps the stack's dtype; a per-row stack is
-    moved next to the stack by ``asarray(rows, dtype)`` (the identity on
-    NumPy) at the stack's dtype.
+    cast to the stack's dtype.
     """
     matrix = np.asarray(matrix)
     targets, control = tuple(targets), None
@@ -131,7 +128,7 @@ def apply_gate_inplace(stack, matrix: np.ndarray, targets: Sequence[int],
     if matrix.ndim == 2:
         coeffs = matrix.tolist()
     else:
-        rows = asarray(matrix.reshape((matrix.shape[0],) + (1,) * (
+        rows = np.asarray(matrix.reshape((matrix.shape[0],) + (1,) * (
             views[0].ndim - 1) + matrix.shape[1:]), dtype=stack.dtype)
         coeffs = [[rows[..., r, c] for c in range(len(views))]
                   for r in range(len(views))]

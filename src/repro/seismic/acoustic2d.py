@@ -535,12 +535,12 @@ class BatchedAcousticSimulator2D:
     # ------------------------------------------------------------------ #
     def _lap_z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Second z-derivative of ``field`` written into ``out``."""
-        np.matmul(self._dz_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(self._dz_op, field, out=out)
         return out
 
     def _lap_x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Second x-derivative of ``field`` written into ``out``."""
-        np.matmul(field, self._dx_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(field, self._dx_op_t, out=out)
         return out
 
     def _laplacian_into(self, field: np.ndarray, out: np.ndarray,
@@ -553,12 +553,12 @@ class BatchedAcousticSimulator2D:
 
     def _d1z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Centred first z-derivative (PML recursions only)."""
-        np.matmul(self._d1z_op, field, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(self._d1z_op, field, out=out)
         return out
 
     def _d1x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Centred first x-derivative (PML recursions only)."""
-        np.matmul(field, self._d1x_op_t, out=out)  # qugeo-lint: disable=QG003 -- out= stencil into preallocated scratch, host-numpy hot loop
+        np.matmul(field, self._d1x_op_t, out=out)
         return out
 
     # ------------------------------------------------------------------ #
@@ -771,7 +771,7 @@ class BatchedAcousticSimulator2D:
             # as (c2dt2 * lap - p_prev) + 2 p_curr: the rounding order every
             # dataset fingerprint was minted with.  The doubling (exact) goes
             # into the lap_x scratch, which is free again here.
-            np.multiply(lap, c2dt2, out=p_next)  # qugeo-lint: disable=QG003 -- out= update into preallocated buffer, host-numpy hot loop
+            np.multiply(lap, c2dt2, out=p_next)
             p_next -= p_prev
             np.add(p_curr, p_curr, out=lap_x)
             p_next += lap_x

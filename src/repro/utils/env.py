@@ -19,7 +19,6 @@ Variable                    Meaning (default)
 ==========================  =====================================================
 ``QUGEO_BACKEND``           Default simulation backend name (``einsum``)
 ``QUGEO_SEISMIC_BOUNDARY``  Default absorbing boundary (``sponge``; ``pml``)
-``QUGEO_ARRAY_MODULE``      Default array module for numeric engines (``numpy``)
 ``QUGEO_DTYPE``             Default dtype policy (``float64``; also ``float32``)
 ``QUGEO_TELEMETRY``         Telemetry mode (``off``; ``summary`` / ``trace``)
 ``QUGEO_BENCH_SCALE``       Benchmark scale (``small``; ``medium`` / ``full``)
@@ -54,7 +53,6 @@ ENV_PREFIX = "QUGEO_"
 # Canonical variable names (import these instead of retyping strings).
 BACKEND = "QUGEO_BACKEND"
 SEISMIC_BOUNDARY = "QUGEO_SEISMIC_BOUNDARY"
-ARRAY_MODULE = "QUGEO_ARRAY_MODULE"
 DTYPE = "QUGEO_DTYPE"
 TELEMETRY = "QUGEO_TELEMETRY"
 BENCH_SCALE = "QUGEO_BENCH_SCALE"
@@ -83,9 +81,6 @@ KNOWN_VARS: Tuple[EnvVar, ...] = (
     EnvVar(SEISMIC_BOUNDARY, "sponge",
            "default absorbing boundary of the acoustic propagator",
            ("sponge", "pml")),
-    EnvVar(ARRAY_MODULE, "numpy",
-           "default array module for numeric engines",
-           ("numpy", "torch")),
     EnvVar(DTYPE, "float64", "default dtype policy",
            ("float64", "float32")),
     EnvVar(TELEMETRY, "off", "telemetry mode", ("off", "summary", "trace")),

@@ -1,8 +1,8 @@
 """One string-keyed engine table: :class:`Registry`.
 
-Every pluggable layer of the stack (simulation backends, array modules,
-lint rules) is a module-level ``Registry`` instance; the acoustic
-propagator has one engine and no table.  Engines register a zero-argument
+Every pluggable layer of the stack (simulation backends, lint rules) is a
+module-level ``Registry`` instance; the acoustic propagator has one engine
+and no table.  Engines register a zero-argument
 factory under a short name; :meth:`Registry.get` resolves, in order,
 
 1. a ready instance passed by the caller (returned as-is after the owner's
@@ -10,10 +10,7 @@ factory under a short name; :meth:`Registry.get` resolves, in order,
 2. a registered name;
 3. ``None``: the table's environment variable, else its default name.
 
-Factories run lazily on first lookup and their result is cached per name,
-so registering an engine never imports its optional dependency.  A factory
-whose dependency is missing raises :class:`UnavailableError`, which makes
-:meth:`Registry.available` report ``False`` for that name.
+Factories run lazily on first lookup and their result is cached per name.
 
 The module depends only on the standard library and the stdlib-only
 :mod:`repro.utils.env`.
@@ -42,10 +39,6 @@ class UnknownNameError(KeyError):
 
 class DuplicateNameError(ValueError):
     """Raised when registering a name that is already taken."""
-
-
-class UnavailableError(ImportError):
-    """Raised by a factory whose optional dependency is missing."""
 
 
 class Registry(Generic[T]):
@@ -85,7 +78,7 @@ class Registry(Generic[T]):
         self._instances.pop(name, None)
 
     def names(self) -> List[str]:
-        """Sorted names of every registered engine (available or not)."""
+        """Sorted names of every registered engine."""
         return sorted(self._factories)
 
     def default_name(self) -> str:
@@ -108,16 +101,6 @@ class Registry(Generic[T]):
                 f"{self.kind} spec must be None, a name or a "
                 f"{self._type.__name__}, got {type(spec).__name__}")
         return spec
-
-    def available(self, name: str) -> bool:
-        """Whether ``name`` is registered *and* its dependencies import."""
-        if name not in self._factories:
-            return False
-        try:
-            self._instance(name)
-        except UnavailableError:
-            return False
-        return True
 
     def _instance(self, name: str) -> T:
         if name in self._instances:

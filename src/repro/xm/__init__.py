@@ -1,22 +1,14 @@
-"""Array-module + dtype-policy seam for the numeric stack.
+"""The dtype policy of the numeric stack.
 
-``repro.xm`` decouples the numeric engines from both the array library they
-run on and the precision they run at:
-
-* :class:`ArrayOps` / :func:`get_array_module` — a narrow operation set
-  (allocation, reshape, einsum, matmul, host transfer) implemented for
-  NumPy today and for PyTorch when installed, selected via the
-  ``QUGEO_ARRAY_MODULE`` environment variable or per-engine constructor
-  arguments.
-* :class:`DTypePolicy` / :func:`get_dtype_policy` — named dtype bundles
-  (``float64`` default, ``float32`` compute with float64 accumulation),
-  selected via ``QUGEO_DTYPE``.
-
-The default ``numpy``/``float64`` combination reproduces the historical
+:class:`DTypePolicy` / :func:`get_dtype_policy` name the dtype bundles the
+engines run at (``float64`` default, ``float32`` compute with float64
+accumulation), selected per engine or via ``QUGEO_DTYPE``.  Every engine
+runs on NumPy; the default ``float64`` policy reproduces the historical
 hard-coded behaviour bit-for-bit.
 """
 
-from repro.xm.ops import ARRAY_MODULES, ArrayOps, NumpyOps, get_array_module
+from types import SimpleNamespace
+
 from repro.xm.policy import (
     FLOAT32,
     FLOAT64,
@@ -27,16 +19,23 @@ from repro.xm.policy import (
     get_dtype_policy,
 )
 
+
+def get_array_module():
+    """Return an object whose ``.name`` is ``"numpy"``.
+
+    Exists only for the benchmark's resolved-engine record: NumPy is the
+    one array library, so there is nothing to resolve.
+    """
+    return SimpleNamespace(name="numpy")
+
+
 __all__ = [
-    "ARRAY_MODULES",
-    "ArrayOps",
-    "NumpyOps",
-    "get_array_module",
     "FLOAT32",
     "FLOAT64",
     "DTypePolicy",
     "available_policies",
     "default_policy_name",
     "ensure_complex",
+    "get_array_module",
     "get_dtype_policy",
 ]

@@ -53,7 +53,7 @@ def test_qg001_flags_direct_environ(tmp_path):
     root = make_project(tmp_path, {
         "src/repro/foo.py": """\
             import os
-            os.environ["QUGEO_BACKEND"] = "torch"
+            os.environ["QUGEO_BACKEND"] = "numpy"
             value = os.getenv("QUGEO_DTYPE")
         """,
     })
@@ -123,46 +123,6 @@ def test_qg002_suppression(tmp_path):
         """,
     })
     assert codes(lint_fixture(root, "QG002")) == []
-
-
-# --------------------------------------------------------------------------- #
-# QG003 — raw numpy in xm-seamed modules
-# --------------------------------------------------------------------------- #
-def test_qg003_flags_raw_einsum_in_seamed_module(tmp_path):
-    root = make_project(tmp_path, {
-        "src/repro/backends/fast.py": """\
-            import numpy as np
-            def contract(a, b):
-                return np.einsum("ij,jk->ik", a, b)
-        """,
-    })
-    assert codes(lint_fixture(root, "QG003")) == ["QG003"]
-
-
-def test_qg003_ignores_unseamed_modules_and_xm_calls(tmp_path):
-    root = make_project(tmp_path, {
-        "src/repro/metrics/foo.py": """\
-            import numpy as np
-            def contract(a, b):
-                return np.einsum("ij,jk->ik", a, b)
-        """,
-        "src/repro/backends/good.py": """\
-            def contract(xm, a, b):
-                return xm.einsum("ij,jk->ik", a, b)
-        """,
-    })
-    assert codes(lint_fixture(root, "QG003")) == []
-
-
-def test_qg003_suppression(tmp_path):
-    root = make_project(tmp_path, {
-        "src/repro/quantum/sim.py": """\
-            import numpy as np
-            def f(a, b):
-                return np.matmul(a, b)  # qugeo-lint: disable=QG003 -- fixture
-        """,
-    })
-    assert codes(lint_fixture(root, "QG003")) == []
 
 
 # --------------------------------------------------------------------------- #
@@ -325,11 +285,11 @@ def test_parse_error_reported_as_qg000(tmp_path):
 
 def test_suppression_parser_rationale_and_all():
     comments = scan_comments(
-        'x = 1  # qugeo-lint: disable=QG001,QG003 -- why\n'
+        'x = 1  # qugeo-lint: disable=QG001,QG005 -- why\n'
         'y = 2  # qugeo-lint: disable=all\n'
         's = "# qugeo-lint: disable=QG001"\n')
     suppressions = parse_suppressions(comments)
-    assert suppressions == {1: {"QG001", "QG003"}, 2: {"ALL"}}
+    assert suppressions == {1: {"QG001", "QG005"}, 2: {"ALL"}}
 
 
 def test_select_and_ignore(tmp_path):
@@ -435,4 +395,4 @@ def test_repository_tree_has_zero_findings():
         finding.format() for finding in result.findings)
     assert len(result.files) > 100
     assert result.rules == [
-        "QG001", "QG002", "QG003", "QG004", "QG005", "QG007"]
+        "QG001", "QG002", "QG004", "QG005", "QG007"]

@@ -32,12 +32,9 @@ from repro.quantum.autodiff import (
     parameter_shift_gradients,
 )
 from repro.quantum.circuit import ParameterizedCircuit
+from repro.quantum.measurement import z_expectations, z_expectations_batched
 from repro.utils import env
-from repro.utils.registry import (
-    DuplicateNameError,
-    UnavailableError,
-    UnknownNameError,
-)
+from repro.utils.registry import DuplicateNameError, UnknownNameError
 
 ATOL = 1e-10
 
@@ -346,16 +343,21 @@ def test_control_block_is_read_from_the_matrix():
 
 
 def test_expectation_parity(loop, einsum):
+    """The layer-wise (Q-M-LY) read-out of both engines' outputs agrees."""
     rng = np.random.default_rng(10)
     circuit = random_circuit(4, n_ops=10, rng=rng)
     params = rng.normal(size=circuit.n_params)
     states = random_states(4, 5, rng)
-    expected = loop.expectation_batched(circuit, states, params, qubits=(0, 2))
-    actual = einsum.expectation_batched(circuit, states, params, qubits=(0, 2))
+    expected = z_expectations_batched(
+        loop.run_batched(circuit, states, params), (0, 2), 4)
+    actual = z_expectations_batched(
+        einsum.run_batched(circuit, states, params), (0, 2), 4)
     np.testing.assert_allclose(actual, expected, atol=ATOL)
-    np.testing.assert_allclose(einsum.expectation(circuit, states[0], params),
-                               loop.expectation(circuit, states[0], params),
-                               atol=ATOL)
+    qubits = tuple(range(4))
+    np.testing.assert_allclose(
+        z_expectations(einsum.run(circuit, states[0], params), qubits, 4),
+        z_expectations(loop.run(circuit, states[0], params), qubits, 4),
+        atol=ATOL)
 
 
 def test_circuit_run_accepts_backend_name():
@@ -437,6 +439,7 @@ def test_parameter_shift_chunked_sweep_matches_loop(monkeypatch):
 
 
 def test_parameter_shift_stacked_sweep_matches_loop():
+    """Both engines' stacked sweeps match a per-parameter loop of runs."""
     rng = np.random.default_rng(13)
     circuit = ParameterizedCircuit(3)
     for q in range(3):
@@ -446,19 +449,29 @@ def test_parameter_shift_stacked_sweep_matches_loop():
     params = rng.normal(size=circuit.n_params)
     state = random_states(3, 1, rng)[0]
     loss_head = _z0_loss_head(3)
-    loss_a, grads_a = parameter_shift_gradients(circuit, params, state,
-                                                loss_head, backend="numpy")
-    loss_b, grads_b = parameter_shift_gradients(circuit, params, state,
-                                                loss_head, backend="einsum")
-    assert abs(loss_a - loss_b) < ATOL
-    np.testing.assert_allclose(grads_b, grads_a, atol=ATOL)
+    for engine in BACKENDS.names():
+        expected = np.empty(circuit.n_params)
+        for i in range(circuit.n_params):
+            shifted = params.copy()
+            shifted[i] += np.pi / 2
+            plus = loss_head(circuit.run(state, shifted, backend=engine))[0]
+            shifted[i] = params[i] - np.pi / 2
+            minus = loss_head(circuit.run(state, shifted, backend=engine))[0]
+            expected[i] = 0.5 * (plus - minus)
+        loss, grads = parameter_shift_gradients(circuit, params, state,
+                                                loss_head, backend=engine)
+        assert loss == loss_head(circuit.run(state, params, backend=engine))[0]
+        np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12,
+                                   err_msg=engine)
 
 
 # --------------------------------------------------------------------------- #
 # registry wiring (the generic contract: tests/test_utils_registry.py)
 # --------------------------------------------------------------------------- #
 def test_known_backends_registered():
-    assert BACKENDS.names() == ["einsum", "numpy", "torch"]
+    assert BACKENDS.names() == ["einsum", "numpy"]
+    assert [get_backend(name).name for name in BACKENDS.names()] == [
+        "einsum", "numpy"]
     assert isinstance(get_backend("numpy"), NumpyLoopBackend)
     assert isinstance(get_backend("einsum"), EinsumBatchBackend)
 
@@ -498,30 +511,27 @@ def test_env_var_selects_default(monkeypatch):
     assert isinstance(get_backend(None), EinsumBatchBackend)
 
 
-# --------------------------------------------------------------------------- #
-# every registered engine against the numpy oracle; engines whose optional
-# array library is missing (torch on the core image) skip their row.
-# --------------------------------------------------------------------------- #
-def _engine_or_skip(name):
-    if not BACKENDS.available(name):
-        pytest.skip(f"backend {name!r} is not available here")
-    return get_backend(name)
-
-
-@pytest.mark.parametrize("engine", BACKENDS.names())
-def test_array_module_engines_registered_and_guarded(engine):
-    if BACKENDS.available(engine):
+@pytest.mark.parametrize("engine", ["einsum", "numpy", "torch"])
+def test_array_module_engines_registered_and_guarded(engine, monkeypatch):
+    """NumPy is the one array library: the numpy engines resolve by name and
+    from the environment; ``torch`` names no engine either way."""
+    monkeypatch.setenv(env.BACKEND, engine)
+    if engine in BACKENDS.names():
         assert get_backend(engine).name == engine
-    else:
-        # The name resolves, but building the engine reports the missing
-        # package instead of crashing deep inside the math.
-        with pytest.raises(UnavailableError, match=engine):
-            get_backend(engine)
+        assert get_backend(None).name == engine
+        return
+    with pytest.raises(UnknownNameError, match="registered: einsum, numpy$"):
+        get_backend(engine)
+    with pytest.raises(UnknownNameError, match="registered: einsum, numpy$"):
+        get_backend(None)
 
 
+# --------------------------------------------------------------------------- #
+# every registered engine against the numpy oracle
+# --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("engine", BACKENDS.names())
 def test_engine_parity_with_numpy_oracle(engine, loop):
-    backend = _engine_or_skip(engine)
+    backend = get_backend(engine)
     rng = np.random.default_rng(400)
     for n_qubits in (1, 3, 5):
         circuit = random_circuit(n_qubits, n_ops=15, rng=rng)

@@ -56,7 +56,7 @@ def test_known_vars_documented_and_prefixed():
         assert var.name.startswith(env.ENV_PREFIX)
         assert var.description
     # The canonical constants all appear in the documentation table.
-    for name in (env.BACKEND, env.ARRAY_MODULE, env.DTYPE,
+    for name in (env.BACKEND, env.DTYPE,
                  env.TELEMETRY, env.BENCH_SCALE, env.CACHE_DIR,
                  env.DATAGEN_WORKERS, env.CHECKPOINT_DIR,
                  env.SEISMIC_BOUNDARY):
@@ -109,13 +109,9 @@ def test_seismic_boundary_default_resolves_via_env(monkeypatch):
     assert env.describe()[env.SEISMIC_BOUNDARY]["default"] == "sponge"
 
 
-def test_array_module_and_dtype_resolve_via_env(monkeypatch):
-    from repro.xm import ARRAY_MODULES, default_policy_name
+def test_dtype_resolves_via_env(monkeypatch):
+    from repro.xm import default_policy_name
 
-    monkeypatch.setenv(env.ARRAY_MODULE, "torch")
-    assert ARRAY_MODULES.default_name() == "torch"
-    monkeypatch.delenv(env.ARRAY_MODULE)
-    assert ARRAY_MODULES.default_name() == "numpy"
     monkeypatch.setenv(env.DTYPE, "float32")
     assert default_policy_name() == "float32"
     monkeypatch.delenv(env.DTYPE)

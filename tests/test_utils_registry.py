@@ -1,7 +1,7 @@
 """The one registry contract every engine table shares.
 
 Each test builds a throwaway :class:`Registry`, so the global tables
-(``BACKENDS``, ``ARRAY_MODULES``, ``RULES``) are never mutated here.
+(``BACKENDS``, ``RULES``) are never mutated here.
 """
 
 from __future__ import annotations
@@ -9,12 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.utils import env
-from repro.utils.registry import (
-    DuplicateNameError,
-    Registry,
-    UnavailableError,
-    UnknownNameError,
-)
+from repro.utils.registry import DuplicateNameError, Registry, UnknownNameError
 
 
 class Engine:
@@ -74,20 +69,6 @@ def test_one_cached_instance_per_name():
     assert table.get("counted") is table.get("counted")
     assert table.get("alpha") is not table.get("beta")
     assert len(calls) == 1
-
-
-def test_unavailable_factory_is_listed_but_not_available():
-    def missing():
-        raise UnavailableError("test engine 'gamma' needs a missing package")
-
-    table = make_registry()
-    table.register("gamma", missing)
-    assert "gamma" in table.names()
-    assert table.available("alpha")
-    assert not table.available("gamma")
-    assert not table.available("delta")  # never registered
-    with pytest.raises(UnavailableError, match="missing package"):
-        table.get("gamma")
 
 
 def test_env_var_selects_default(monkeypatch):
