@@ -14,8 +14,10 @@ environment variable:
   matches classical at equal parameter count) are preserved; absolute SSIM
   values sit below the paper's because the paper trains 500 epochs on 400
   samples of the full-resolution OpenFWI data.
-* ``medium`` — a few hundred epochs on ~100 samples (roughly an hour).
-* ``full`` — the paper's 400/100 split and 500 epochs (several hours).
+* ``medium`` — a few hundred epochs on ~100 samples (Figure 5 took ~90 s
+  on a 2-core host with a cold dataset store).
+* ``full`` — the paper's 400/100 split and 500 epochs (Figure 5 took
+  ~20 min on a 2-core host with a cold dataset store).
 
 Results are printed and also written to ``benchmarks/results/*.txt`` (human
 readable) and ``benchmarks/results/*.json`` (machine readable, one payload

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.dataset import FWIDataset, FWISample
 from repro.seismic.acoustic2d import SimulationConfig, stable_time_step
-from repro.seismic.boundary import make_boundary, resolve_boundary_name
+from repro.seismic.boundary import SpongeBoundary, resolve_boundary_name
 from repro.seismic.forward_modeling import ForwardModel
 from repro.seismic.survey import SurveyGeometry
 from repro.seismic.velocity_models import (
@@ -46,10 +46,10 @@ class OpenFWIConfig:
     keep the working set cache-resident; large chunks only help on machines
     with large caches.
 
-    ``boundary`` selects the absorbing boundary kind (``None`` resolves the
-    ``QUGEO_SEISMIC_BOUNDARY`` default, ``"sponge"`` out of the box);
-    ``record_every`` decimates receiver recording in time (default 1 =
-    every step — the historical, fingerprint-preserving behaviour).
+    ``boundary`` names the absorbing boundary kind; only ``None`` and
+    ``"sponge"`` (the same Cerjan sponge) are accepted.  ``record_every``
+    decimates receiver recording in time (default 1 = every step — the
+    historical, fingerprint-preserving behaviour).
     """
 
     n_samples: int = 500
@@ -74,9 +74,8 @@ class OpenFWIConfig:
             raise ValueError("n_time_steps must be positive")
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self.boundary is not None:
-            # Validate eagerly so a typo fails at config time, not mid-build.
-            resolve_boundary_name(self.boundary)
+        # Validate eagerly so a typo fails at config time, not mid-build.
+        resolve_boundary_name(self.boundary)
         if int(self.record_every) != self.record_every or self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
         self.record_every = int(self.record_every)
@@ -148,8 +147,7 @@ class SyntheticOpenFWI:
     def _build_forward_model(self) -> ForwardModel:
         config = self.config
         nz, nx = config.velocity_shape
-        boundary = make_boundary(
-            config.boundary,
+        boundary = SpongeBoundary(
             width=min(config.boundary_width, max(1, min(nz, nx) // 3 - 1)))
         # Pick a CFL-stable dt for the fastest velocity the generator can emit.
         dt = stable_time_step(config.model_config.max_velocity,

@@ -4,8 +4,8 @@ Forward modelling dominates the cost of every experiment once training is
 batched, and nothing used to survive between runs.  This module persists
 generated datasets as uncompressed ``.npz`` shards under a **content
 fingerprint** of the generating configuration — ``OpenFWIConfig`` + root RNG
-seed + the code-relevant physics parameters (time step, boundary, recording
-stride, format version) — so that:
+seed + the code-relevant physics parameters (time step, recording stride,
+format version) — so that:
 
 * a second run with the same configuration is a pure cache hit (zero
   forward-modelling calls),
@@ -38,9 +38,9 @@ few shards in memory at a time.
 Fingerprints invalidate whenever any input that can change the generated
 bits changes: every ``OpenFWIConfig`` field (including ``chunk_size``, which
 determines how samples map onto RNG streams), the seed, the sample count,
-the CFL time step derived from the physics, the resolved boundary, the
-recording stride and :data:`DATA_FORMAT_VERSION` (bumped when generation
-code changes behaviour).
+the CFL time step derived from the physics, the recording stride and
+:data:`DATA_FORMAT_VERSION` (bumped when generation code changes
+behaviour).
 """
 
 from __future__ import annotations
@@ -115,12 +115,12 @@ def dataset_fingerprint(config: OpenFWIConfig, seed: int,
     Two builds share a fingerprint exactly when they produce bit-identical
     data: the fingerprint digests every ``OpenFWIConfig`` field, the root
     seed, the effective sample count, and the code-relevant physics
-    parameters (the CFL-stable time step, the resolved boundary and
-    recording stride, and :data:`DATA_FORMAT_VERSION`).
+    parameters (the CFL-stable time step, the recording stride and
+    :data:`DATA_FORMAT_VERSION`).
 
-    Config fields at their bit-identity-preserving defaults (sponge
-    boundary, ``record_every=1``) are *omitted* from the digest payload, so
-    every fingerprint minted before those fields existed still addresses
+    The ``boundary`` field is validated (only the sponge exists) and left
+    out of the digest, and ``record_every`` is left out at its default 1,
+    so every fingerprint minted before those fields existed still addresses
     the same cached shards.  For the same reason the payload still names
     the ``"batched"`` propagator, the one engine that generates data.
     """
@@ -128,7 +128,7 @@ def dataset_fingerprint(config: OpenFWIConfig, seed: int,
     from repro.seismic.boundary import resolve_boundary_name
 
     config_payload = _jsonable(config)
-    boundary = resolve_boundary_name(config_payload.pop("boundary", None))
+    resolve_boundary_name(config_payload.pop("boundary", None))
     record_every = int(config_payload.pop("record_every", 1) or 1)
     payload = {
         "format_version": DATA_FORMAT_VERSION,
@@ -141,8 +141,6 @@ def dataset_fingerprint(config: OpenFWIConfig, seed: int,
                                spatial_order=config.spatial_order),
         "propagator": "batched",
     }
-    if boundary != "sponge":
-        payload["boundary"] = boundary
     if record_every != 1:
         payload["record_every"] = record_every
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

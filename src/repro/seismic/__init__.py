@@ -14,13 +14,7 @@ from repro.seismic.wavelets import (
     nyquist_record_stride,
 )
 from repro.seismic.boundary import (
-    BOUNDARY_ENV_VAR,
-    BOUNDARY_KINDS,
-    PMLBoundary,
     SpongeBoundary,
-    default_boundary_name,
-    make_boundary,
-    pml_profiles,
     resolve_boundary_name,
     sponge_profile,
 )
@@ -31,7 +25,6 @@ from repro.seismic.acoustic2d import (
     SimulationConfig,
     stable_time_step,
 )
-from repro.seismic.diagnostics import edge_reflection_energy
 from repro.seismic.forward_modeling import (
     ForwardModel,
     forward_model_shot_gather,
@@ -51,15 +44,8 @@ __all__ = [
     "dominant_frequency",
     "nyquist_record_stride",
     "sponge_profile",
-    "pml_profiles",
     "SpongeBoundary",
-    "PMLBoundary",
-    "BOUNDARY_ENV_VAR",
-    "BOUNDARY_KINDS",
-    "default_boundary_name",
     "resolve_boundary_name",
-    "make_boundary",
-    "edge_reflection_energy",
     "SurveyGeometry",
     "AcousticSimulator2D",
     "BatchedAcousticSimulator2D",

@@ -18,10 +18,7 @@ per-shot reference oracle with per-tap stencil slicing.
 :class:`BatchedAcousticSimulator2D` is the production propagator every
 forward-modelling call runs: one vectorised numpy time loop over a batch of
 wavefields, with the Laplacian evaluated as two dense banded-operator
-matmuls per step (one per axis) at every dtype.  Its boundaries may be a
-:class:`~repro.seismic.boundary.SpongeBoundary` or a
-:class:`~repro.seismic.boundary.PMLBoundary`, optionally padded outside the
-velocity model (``pad_grid``).
+matmuls per step (one per axis) at every dtype.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.seismic.boundary import PMLBoundary, SpongeBoundary
+from repro.seismic.boundary import SpongeBoundary
 from repro.telemetry import get_telemetry
 from repro.xm import get_dtype_policy
 
@@ -84,9 +81,7 @@ class SimulationConfig:
     spatial_order:
         Order of the spatial stencil (2, 4 or 8).
     boundary:
-        Absorbing boundary configuration (:class:`SpongeBoundary` or
-        :class:`~repro.seismic.boundary.PMLBoundary`; PML requires the
-        batched engine).
+        The :class:`SpongeBoundary` damping the absorbing edges.
     record_every:
         Receiver recording stride in time steps.  The default 1 records
         every step (bit-identical to the historical behaviour); larger
@@ -207,15 +202,7 @@ class AcousticSimulator2D:
         _check_velocity(self.velocity)
         self.config = config or SimulationConfig()
         self.config.validate_cfl(float(self.velocity.max()))
-        boundary = self.config.boundary
-        if not isinstance(boundary, SpongeBoundary):
-            raise ValueError(
-                "AcousticSimulator2D only supports SpongeBoundary; use the "
-                "batched propagator for PML boundaries")
-        if boundary.pad_grid:
-            raise ValueError(
-                "pad_grid boundaries require the batched propagator")
-        self._mask = boundary.build_mask(self.velocity.shape)
+        self._mask = self.config.boundary.build_mask(self.velocity.shape)
         self._coeffs = _LAPLACIAN_COEFFS[self.config.spatial_order]
         self._pad = len(self._coeffs) // 2
         # Stencil coefficients pre-scaled per axis (hoists the / dh**2 out
@@ -395,38 +382,14 @@ def _stencil_matrix(n: int, coeffs: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _dilate_bool(mask: np.ndarray) -> np.ndarray:
-    """1-D boolean dilation by one cell (marks the pad halo)."""
-    out = mask.copy()
-    out[:-1] |= mask[1:]
-    out[1:] |= mask[:-1]
-    return out
-
-
-def _bool_runs(mask: np.ndarray) -> List[slice]:
-    """Contiguous ``True`` runs of a 1-D boolean array, as slices."""
-    runs: List[slice] = []
-    start = None
-    for index, value in enumerate(mask):
-        if value and start is None:
-            start = index
-        elif not value and start is not None:
-            runs.append(slice(start, index))
-            start = None
-    if start is not None:
-        runs.append(slice(start, mask.size))
-    return runs
-
-
 class BatchedAcousticSimulator2D:
     """Leap-frog propagator advancing a batch of wavefields per time step.
 
     The production propagator: every forward-modelling call runs it.  One
     numpy time loop carries a leading batch axis over shots — and optionally
     over velocity models sharing the same grid, geometry and config — so the
-    Laplacian, the leap-frog update and the boundary treatment (sponge
-    damping or the CFS-PML recursions) are evaluated as whole-batch array
-    operations instead of one Python loop per shot.
+    Laplacian, the leap-frog update and the sponge damping are evaluated
+    as whole-batch array operations instead of one Python loop per shot.
 
     The Laplacian is evaluated in one pass per axis instead of ~5 numpy
     temporaries per stencil tap: two dense banded-operator matmuls
@@ -466,64 +429,20 @@ class BatchedAcousticSimulator2D:
         self.config.validate_cfl(float(self.velocity.max()))
         self.policy = get_dtype_policy(policy)
         real = self.policy.real
-
-        # Optionally extend the grid so the absorbing band lives outside
-        # the velocity model: edge-replicated velocity pad, no pad above a
-        # free surface.  Sources/receivers stay in model coordinates and
-        # are shifted on use.
-        boundary = self.config.boundary
-        self._is_pml = isinstance(boundary, PMLBoundary)
-        pad = int(boundary.width) if getattr(boundary, "pad_grid", False) else 0
-        free_surface = bool(getattr(boundary, "free_surface", True))
-        self._pad_top = 0 if free_surface else pad
-        self._pad_side = pad
-        if pad:
-            spec = ([(0, 0)] * (self.velocity.ndim - 2)
-                    + [(self._pad_top, pad), (pad, pad)])
-            self._grid_velocity = np.pad(self.velocity, spec, mode="edge")
-        else:
-            self._grid_velocity = self.velocity
-        nz, nx = self._grid_velocity.shape[-2:]
-        self._grid_nz, self._grid_nx = nz, nx
-
-        if self._is_pml:
-            boundary.validate_grid((nz, nx))
-            self._mask = None
-            self._pml_profiles = boundary.profiles(
-                (nz, nx), self.config.dx, self.config.dz, self.config.dt,
-                float(self.velocity.max()))
-        else:
-            self._mask = boundary.build_mask((nz, nx)).astype(real, copy=False)
-            self._pml_profiles = None
+        nz, nx = self.grid_shape
+        self._mask = self.config.boundary.build_mask((nz, nx)).astype(
+            real, copy=False)
         self._telemetry = get_telemetry()
         coeffs = _LAPLACIAN_COEFFS[self.config.spatial_order]
         self._dz_op = (_stencil_matrix(nz, coeffs)
                        / self.config.dz**2).astype(real, copy=False)
         self._dx_op_t = ((_stencil_matrix(nx, coeffs) / self.config.dx**2)
                          .astype(real, copy=False).T)
-        if self._is_pml:
-            # Centred first-derivative operators for the PML memory-variable
-            # recursions (same clamped-edge treatment as the Laplacian).
-            d1 = np.array([-0.5, 0.0, 0.5])
-            self._d1z_op = (_stencil_matrix(nz, d1)
-                            / self.config.dz).astype(real, copy=False)
-            self._d1x_op_t = ((_stencil_matrix(nx, d1) / self.config.dx)
-                              .astype(real, copy=False).T)
 
     @property
     def grid_shape(self) -> Tuple[int, int]:
-        """``(nz, nx)`` of the velocity model (source/receiver coordinates)."""
+        """``(nz, nx)`` of the velocity model and the propagation grid."""
         return self.velocity.shape[-2:]
-
-    @property
-    def padded_grid_shape(self) -> Tuple[int, int]:
-        """``(nz, nx)`` of the propagation grid including ``pad_grid`` pads."""
-        return (self._grid_nz, self._grid_nx)
-
-    @property
-    def padded_cells(self) -> int:
-        """Cell count of the propagation grid (every pass scales with it)."""
-        return self._grid_nz * self._grid_nx
 
     @property
     def n_models(self) -> Optional[int]:
@@ -533,32 +452,12 @@ class BatchedAcousticSimulator2D:
     # ------------------------------------------------------------------ #
     # numerics
     # ------------------------------------------------------------------ #
-    def _lap_z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Second z-derivative of ``field`` written into ``out``."""
-        np.matmul(self._dz_op, field, out=out)
-        return out
-
-    def _lap_x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Second x-derivative of ``field`` written into ``out``."""
-        np.matmul(field, self._dx_op_t, out=out)
-        return out
-
     def _laplacian_into(self, field: np.ndarray, out: np.ndarray,
                         scratch: np.ndarray) -> np.ndarray:
         """Batched Laplacian of ``field`` written into ``out`` (one pass per axis)."""
-        self._lap_z_into(field, out)
-        self._lap_x_into(field, scratch)
+        np.matmul(self._dz_op, field, out=out)
+        np.matmul(field, self._dx_op_t, out=scratch)
         out += scratch
-        return out
-
-    def _d1z_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Centred first z-derivative (PML recursions only)."""
-        np.matmul(self._d1z_op, field, out=out)
-        return out
-
-    def _d1x_into(self, field: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Centred first x-derivative (PML recursions only)."""
-        np.matmul(field, self._d1x_op_t, out=out)
         return out
 
     # ------------------------------------------------------------------ #
@@ -593,17 +492,14 @@ class BatchedAcousticSimulator2D:
             for a stacked velocity batch.
         list of numpy.ndarray, optional
             When ``record_wavefield`` is true, snapshots with the same
-            leading batch axes and trailing (model) grid shape.
+            leading batch axes and trailing grid shape.
         """
-        model_nz, model_nx = self.grid_shape
-        nz, nx = self._grid_nz, self._grid_nx
-        row_off, col_off = self._pad_top, self._pad_side
+        nz, nx = self.grid_shape
         sources = list(source_positions)
         if not sources:
             raise ValueError("need at least one source position")
-        sources = _check_positions(sources, model_nz, model_nx, "source")
-        receivers = _check_positions(receiver_positions, model_nz, model_nx,
-                                     "receiver")
+        sources = _check_positions(sources, nz, nx, "source")
+        receivers = _check_positions(receiver_positions, nz, nx, "receiver")
 
         n_shots = len(sources)
         n_steps = self.config.n_steps
@@ -612,14 +508,14 @@ class BatchedAcousticSimulator2D:
         wavelets = _shot_wavelets(source_wavelet, n_shots, n_steps)
 
         dt2 = self.config.dt**2
-        c2 = self._grid_velocity**2
-        src_rows = np.array([r + row_off for r, _ in sources], dtype=np.intp)
-        src_cols = np.array([c + col_off for _, c in sources], dtype=np.intp)
+        c2 = self.velocity**2
+        src_rows = np.array([r for r, _ in sources], dtype=np.intp)
+        src_cols = np.array([c for _, c in sources], dtype=np.intp)
         # Flattened-grid indices: single-axis fancy indexing on a reshaped
         # view is measurably cheaper per step than a (row, col) index pair.
         src_flat = src_rows * nx + src_cols
-        rec_rows = np.array([r + row_off for r, _ in receivers], dtype=np.intp)
-        rec_cols = np.array([c + col_off for _, c in receivers], dtype=np.intp)
+        rec_rows = np.array([r for r, _ in receivers], dtype=np.intp)
+        rec_cols = np.array([c for _, c in receivers], dtype=np.intp)
         rec_flat = rec_rows * nx + rec_cols
 
         cell_area = self.config.dx * self.config.dz
@@ -688,29 +584,6 @@ class BatchedAcousticSimulator2D:
         flush_tiny = real != np.dtype(np.float64)
         flush_cutoff = float(np.finfo(real).tiny / np.finfo(real).eps ** 2)
 
-        is_pml = self._is_pml
-        if is_pml:
-            # CFS-PML memory variables (Pasalic & McGarry 2010): per axis,
-            # psi convolves the first spatial derivative and zeta the
-            # corrected second derivative, and ``lap + d(psi) + zeta`` stands
-            # in for the plain Laplacian inside the pads.  The coefficient
-            # tables are exactly zero outside the pads, so the recursions run
-            # on the pad strips only and the corrections on the strips
-            # dilated by one cell (the reach of the psi derivative).
-            a_x, b_x, a_z, b_z = self._pml_profiles
-            pad_x = a_x != 0.0
-            pad_z = a_z != 0.0
-            x_strips, z_strips = _bool_runs(pad_x), _bool_runs(pad_z)
-            x_halo = _bool_runs(_dilate_bool(pad_x))
-            z_halo = _bool_runs(_dilate_bool(pad_z))
-            psi_x = np.zeros_like(p_prev)
-            psi_z = np.zeros_like(p_prev)
-            zeta_x = np.zeros_like(p_prev)
-            zeta_z = np.zeros_like(p_prev)
-            # First-derivative scratch (two buffers reused per axis phase).
-            d1 = np.empty_like(p_prev)
-            d1_psi = np.empty_like(p_prev)
-
         snapshots: List[np.ndarray] = []
         # Per-phase profiling accumulates into plain local floats and is
         # flushed to the registry once after the loop; when telemetry is off
@@ -723,49 +596,10 @@ class BatchedAcousticSimulator2D:
         for step in range(n_steps):
             if timing:
                 t0 = perf_counter()
-            if is_pml:
-                # Split-axis second derivatives: d2z in lap, d2x in lap_x.
-                self._lap_z_into(p_curr, lap)
-                self._lap_x_into(p_curr, lap_x)
-                if timing:
-                    t1 = perf_counter()
-                    t_laplacian += t1 - t0
-                    t0 = t1
-
-                # Memory-variable recursions, x axis then z axis.
-                self._d1x_into(p_curr, d1)
-                for sl in x_strips:
-                    psi_x[..., :, sl] *= b_x[sl]
-                    psi_x[..., :, sl] += a_x[sl] * d1[..., :, sl]
-                self._d1x_into(psi_x, d1_psi)
-                for sl in x_strips:
-                    zeta_x[..., :, sl] *= b_x[sl]
-                    zeta_x[..., :, sl] += a_x[sl] * (lap_x[..., :, sl]
-                                                     + d1_psi[..., :, sl])
-                for sl in x_halo:
-                    lap_x[..., :, sl] += (d1_psi[..., :, sl]
-                                          + zeta_x[..., :, sl])
-
-                self._d1z_into(p_curr, d1)
-                for sl in z_strips:
-                    psi_z[..., sl, :] *= b_z[sl, None]
-                    psi_z[..., sl, :] += a_z[sl, None] * d1[..., sl, :]
-                self._d1z_into(psi_z, d1_psi)
-                for sl in z_strips:
-                    zeta_z[..., sl, :] *= b_z[sl, None]
-                    zeta_z[..., sl, :] += a_z[sl, None] * (
-                        lap[..., sl, :] + d1_psi[..., sl, :])
-                for sl in z_halo:
-                    lap[..., sl, :] += d1_psi[..., sl, :] + zeta_z[..., sl, :]
-                lap += lap_x
-                if timing:
-                    t1 = perf_counter()
-                    t_boundary += t1 - t0
-            else:
-                self._laplacian_into(p_curr, lap, lap_x)
-                if timing:
-                    t1 = perf_counter()
-                    t_laplacian += t1 - t0
+            self._laplacian_into(p_curr, lap, lap_x)
+            if timing:
+                t1 = perf_counter()
+                t_laplacian += t1 - t0
 
             # p_next = 2 p_curr - p_prev + dt^2 c^2 laplacian(p_curr), summed
             # as (c2dt2 * lap - p_prev) + 2 p_curr: the rounding order every
@@ -784,15 +618,14 @@ class BatchedAcousticSimulator2D:
                 t3 = perf_counter()
                 t_inject += t3 - t2
 
-            if not is_pml:
-                # Sponge damping on both time levels keeps the scheme stable;
-                # the 2-D mask broadcasts over the leading batch axes.
-                p_next *= mask
-                p_curr *= mask
-                if timing:
-                    t4 = perf_counter()
-                    t_boundary += t4 - t3
-                    t3 = t4
+            # Sponge damping on both time levels keeps the scheme stable;
+            # the 2-D mask broadcasts over the leading batch axes.
+            p_next *= mask
+            p_curr *= mask
+            if timing:
+                t4 = perf_counter()
+                t_boundary += t4 - t3
+                t3 = t4
 
             if step % record_every == 0:
                 gather_flat[:, step // record_every, :] = p_flat[:, rec_flat]
@@ -826,10 +659,5 @@ class BatchedAcousticSimulator2D:
                     n_steps * total_batch / elapsed)
 
         if record_wavefield:
-            if row_off or col_off:
-                # Crop padded-grid snapshots back to model coordinates.
-                snapshots = [snap[..., row_off:row_off + model_nz,
-                                  col_off:col_off + model_nx]
-                             for snap in snapshots]
             return gather, snapshots
         return gather

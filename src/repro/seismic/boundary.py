@@ -1,4 +1,4 @@
-"""Absorbing boundary conditions for the acoustic propagator.
+"""Absorbing boundary of the acoustic propagator.
 
 The QuGeo paper follows the KAUST 2-8 finite-difference modelling lab, which
 uses a sponge (damping) layer to absorb outgoing energy at the model edges.
@@ -7,32 +7,15 @@ exponential taper applied to the pressure wavefields after every time step.
 The free surface at the top of the model is preserved by default, mirroring
 land-acquisition geometry where receivers sit on the surface.
 
-:class:`PMLBoundary` implements a convolutional perfectly-matched layer
-(CFS-PML) for the second-order wave equation, following Pasalic & McGarry
-(SEG 2010): two auxiliary memory fields per axis turn the absorbing pad into
-an analytically reflectionless medium, so 10-15 PML cells absorb as well as
-a sponge several times wider.  Both boundaries support ``pad_grid``, which
-moves the absorbing band *outside* the velocity model (edge-replicated pad)
-instead of damping interior model cells.
-
-The default boundary kind is resolved through ``QUGEO_SEISMIC_BOUNDARY``
-(:func:`default_boundary_name`), mirroring the propagator/kernel registries.
+The sponge is the only boundary kind; :func:`resolve_boundary_name` names it
+for dataset fingerprints and sample metadata, and rejects anything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
-
-from repro.utils import env
-
-#: Environment variable consulted when no explicit boundary is requested.
-BOUNDARY_ENV_VAR = env.SEISMIC_BOUNDARY
-
-#: Boundary kinds constructable through :func:`make_boundary`.
-BOUNDARY_KINDS = ("sponge", "pml")
 
 
 def sponge_profile(width: int, strength: float = 0.0053) -> np.ndarray:
@@ -63,17 +46,11 @@ class SpongeBoundary:
     free_surface:
         If ``True`` the top edge is a free surface (no damping there), which
         matches surface seismic acquisition.
-    pad_grid:
-        If ``True`` the batched propagator extends the grid by ``width``
-        edge-replicated cells on each absorbing edge so the sponge damps
-        pad cells instead of interior model cells (sources, receivers and
-        returned snapshots stay in model coordinates).
     """
 
     width: int = 20
     strength: float = 0.0053
     free_surface: bool = True
-    pad_grid: bool = False
 
     def build_mask(self, shape) -> np.ndarray:
         """Return the 2-D multiplicative damping mask for a ``shape`` grid.
@@ -116,163 +93,12 @@ class SpongeBoundary:
         return wavefield
 
 
-def pml_profiles(n: int, width: int, dh: float, dt: float,
-                 max_velocity: float, *, exponent: float = 2.0,
-                 target_reflection: float = 1e-6, alpha_max: float = 47.12,
-                 damp_start: bool = True,
-                 damp_end: bool = True) -> Tuple[np.ndarray, np.ndarray]:
-    """Return the 1-D CFS-PML recursion coefficients ``(a, b)`` for one axis.
-
-    The memory-variable update of Pasalic & McGarry (2010) is, per cell and
-    per time step, ``psi = b * psi + a * d(p)`` with
-
-        ``b = exp(-(sigma + alpha) * dt)``
-        ``a = sigma / (sigma + alpha) * (b - 1)``
-
-    where ``sigma`` ramps polynomially from 0 at the interior edge of the
-    pad to ``sigma_max`` at the outer grid edge, and the frequency-shift
-    ``alpha`` ramps the opposite way (``alpha_max`` at the interior edge,
-    0 at the outer edge) to keep grazing-incidence energy absorbed.
-    ``sigma_max`` follows the classic reflection-coefficient choice
-    ``-(m+1) * c * ln(R0) / (2 * L)`` for a pad of physical thickness
-    ``L = width * dh``.  Outside the pad ``a == b == 0`` exactly, so memory
-    variables stay zero there and the interior scheme is untouched.
-    """
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    if n < 1:
-        raise ValueError("axis length must be positive")
-    if dh <= 0 or dt <= 0 or max_velocity <= 0:
-        raise ValueError("dh, dt and max_velocity must be positive")
-    if not (0 < target_reflection < 1):
-        raise ValueError("target_reflection must be in (0, 1)")
-    sigma = np.zeros(n, dtype=np.float64)
-    alpha = np.zeros(n, dtype=np.float64)
-    if width > 0:
-        thickness = width * dh
-        sigma_max = (-(exponent + 1.0) * max_velocity
-                     * np.log(target_reflection) / (2.0 * thickness))
-        # depth = 1 at the outer grid edge, -> 1/width at the interior edge.
-        depth = (width - np.arange(width, dtype=np.float64)) / width
-        ramp_sigma = sigma_max * depth ** exponent
-        ramp_alpha = alpha_max * (1.0 - depth)
-        if damp_start:
-            sigma[:width] = ramp_sigma
-            alpha[:width] = ramp_alpha
-        if damp_end:
-            sigma[n - width:] = ramp_sigma[::-1]
-            alpha[n - width:] = ramp_alpha[::-1]
-    b = np.exp(-(sigma + alpha) * dt)
-    total = sigma + alpha
-    a = np.where(sigma > 0.0, sigma / np.where(total > 0.0, total, 1.0)
-                 * (b - 1.0), 0.0)
-    b = np.where(sigma > 0.0, b, 0.0)
-    return a, b
-
-
-@dataclass
-class PMLBoundary:
-    """Convolutional perfectly-matched layer (CFS-PML) absorbing boundary.
-
-    A PML pad is analytically reflectionless at the interior interface, so
-    10-15 cells absorb outgoing energy as well as (or better than) a sponge
-    layer several times wider — shrinking every full-grid pass of the
-    propagator when used with ``pad_grid=True``.
-
-    Only the batched propagator implements the memory-variable updates; the
-    scalar reference engine rejects PML configs.
-
-    Parameters
-    ----------
-    width:
-        PML thickness in grid cells on each absorbing edge.
-    exponent:
-        Polynomial order of the damping ramp (2 is standard).
-    target_reflection:
-        Theoretical normal-incidence reflection coefficient the ramp is
-        tuned for.
-    alpha_max:
-        Peak CFS frequency shift (rad/s) at the interior edge of the pad;
-        ``pi * f_peak`` is the usual choice (the default assumes ~15 Hz).
-    free_surface:
-        If ``True`` the top edge is a free surface (no absorbing pad there).
-    pad_grid:
-        If ``True`` the batched propagator extends the grid by ``width``
-        edge-replicated cells per absorbing edge so the PML lives outside
-        the velocity model.
-    """
-
-    width: int = 12
-    exponent: float = 2.0
-    target_reflection: float = 1e-6
-    alpha_max: float = 47.12
-    free_surface: bool = True
-    pad_grid: bool = False
-
-    def __post_init__(self) -> None:
-        if self.width < 2:
-            raise ValueError("PML width must be at least 2 cells")
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
-        if not (0 < self.target_reflection < 1):
-            raise ValueError("target_reflection must be in (0, 1)")
-        if self.alpha_max < 0:
-            raise ValueError("alpha_max must be non-negative")
-
-    def validate_grid(self, shape) -> None:
-        """Raise :class:`ValueError` when the pad overruns the grid."""
-        if len(shape) < 2:
-            raise ValueError(
-                f"grid shape needs at least 2 dimensions, got {tuple(shape)}")
-        nz, nx = shape[-2], shape[-1]
-        if self.width * 2 >= nx or (self.width >= nz if self.free_surface
-                                    else self.width * 2 >= nz):
-            raise ValueError(
-                f"PML width {self.width} too large for grid {tuple(shape)}")
-
-    def profiles(self, shape, dx: float, dz: float, dt: float,
-                 max_velocity: float) -> Tuple[np.ndarray, np.ndarray,
-                                               np.ndarray, np.ndarray]:
-        """Per-axis recursion coefficients ``(a_x, b_x, a_z, b_z)``.
-
-        ``shape`` may carry leading batch axes; coefficients are built for
-        the trailing ``(nz, nx)`` grid.  The top edge carries no pad when
-        ``free_surface`` is set.
-        """
-        self.validate_grid(shape)
-        nz, nx = shape[-2], shape[-1]
-        a_x, b_x = pml_profiles(
-            nx, self.width, dx, dt, max_velocity, exponent=self.exponent,
-            target_reflection=self.target_reflection, alpha_max=self.alpha_max)
-        a_z, b_z = pml_profiles(
-            nz, self.width, dz, dt, max_velocity, exponent=self.exponent,
-            target_reflection=self.target_reflection, alpha_max=self.alpha_max,
-            damp_start=not self.free_surface)
-        return a_x, b_x, a_z, b_z
-
-
-def default_boundary_name() -> str:
-    """The boundary kind selected by ``QUGEO_SEISMIC_BOUNDARY`` (``sponge``)."""
-    return env.get_choice(env.SEISMIC_BOUNDARY, "sponge", BOUNDARY_KINDS)
-
-
 def resolve_boundary_name(name=None) -> str:
-    """``name`` when given, else the environment/default boundary kind."""
+    """Validate a boundary kind: ``None`` and ``"sponge"`` give ``"sponge"``."""
     if name is None:
-        return default_boundary_name()
+        return "sponge"
     value = str(name).strip().lower()
-    if value not in BOUNDARY_KINDS:
+    if value != "sponge":
         raise ValueError(
-            f"unknown boundary kind {name!r}; expected one of {BOUNDARY_KINDS}")
+            f"unknown boundary kind {name!r}; the sponge is the only one")
     return value
-
-
-def make_boundary(name=None, *, width: int, free_surface: bool = True,
-                  pad_grid: bool = False):
-    """Build a boundary of kind ``name`` (``None`` = environment default)."""
-    kind = resolve_boundary_name(name)
-    if kind == "pml":
-        return PMLBoundary(width=max(2, int(width)), free_surface=free_surface,
-                           pad_grid=pad_grid)
-    return SpongeBoundary(width=int(width), free_surface=free_surface,
-                          pad_grid=pad_grid)

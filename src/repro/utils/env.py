@@ -18,7 +18,6 @@ Known variables
 Variable                    Meaning (default)
 ==========================  =====================================================
 ``QUGEO_BACKEND``           Default simulation backend name (``einsum``)
-``QUGEO_SEISMIC_BOUNDARY``  Default absorbing boundary (``sponge``; ``pml``)
 ``QUGEO_DTYPE``             Default dtype policy (``float64``; also ``float32``)
 ``QUGEO_TELEMETRY``         Telemetry mode (``off``; ``summary`` / ``trace``)
 ``QUGEO_BENCH_SCALE``       Benchmark scale (``small``; ``medium`` / ``full``)
@@ -52,7 +51,6 @@ ENV_PREFIX = "QUGEO_"
 
 # Canonical variable names (import these instead of retyping strings).
 BACKEND = "QUGEO_BACKEND"
-SEISMIC_BOUNDARY = "QUGEO_SEISMIC_BOUNDARY"
 DTYPE = "QUGEO_DTYPE"
 TELEMETRY = "QUGEO_TELEMETRY"
 BENCH_SCALE = "QUGEO_BENCH_SCALE"
@@ -78,9 +76,6 @@ class EnvVar:
 #: Every known variable with its documented default, in display order.
 KNOWN_VARS: Tuple[EnvVar, ...] = (
     EnvVar(BACKEND, "einsum", "default simulation backend name"),
-    EnvVar(SEISMIC_BOUNDARY, "sponge",
-           "default absorbing boundary of the acoustic propagator",
-           ("sponge", "pml")),
     EnvVar(DTYPE, "float64", "default dtype policy",
            ("float64", "float32")),
     EnvVar(TELEMETRY, "off", "telemetry mode", ("off", "summary", "trace")),

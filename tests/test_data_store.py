@@ -97,8 +97,6 @@ class TestFingerprint:
         # Cached shards live under these addresses.  Moving them orphans
         # every cache, so it must be deliberate: a DATA_FORMAT_VERSION bump.
         assert dataset_fingerprint(small_config(), 7) == "8e7bdfefa6415144"
-        assert (dataset_fingerprint(small_config(boundary="pml"), 7)
-                == "0bfb471bd79f8c96")
 
     def test_default_boundary_kernel_stride_leave_fingerprint_unchanged(self):
         # The bit-identity-preserving defaults must hash exactly like configs
@@ -108,18 +106,23 @@ class TestFingerprint:
         assert dataset_fingerprint(small_config(record_every=1), 7) == base
 
     def test_changes_with_boundary_and_record_every(self):
+        # The sponge is the only boundary: any other kind fails at config
+        # time instead of minting a fingerprint.
+        for kind in ("pml", "mirror"):
+            with pytest.raises(ValueError, match="unknown boundary"):
+                small_config(boundary=kind)
         base = dataset_fingerprint(small_config(), 7)
-        assert dataset_fingerprint(small_config(boundary="pml"), 7) != base
         assert dataset_fingerprint(small_config(record_every=4), 7) != base
 
     def test_unavailable_kernel_env_keeps_default_fingerprint(
             self, monkeypatch):
-        # QUGEO_PROPAGATOR and QUGEO_SEISMIC_KERNEL select nothing; a shell
-        # that still exports them must keep the same cache address.
-        base = dataset_fingerprint(small_config(), 7)
+        # QUGEO_PROPAGATOR, QUGEO_SEISMIC_KERNEL and QUGEO_SEISMIC_BOUNDARY
+        # select nothing; a shell that still exports them must keep the
+        # same cache address.
         monkeypatch.setenv("QUGEO_SEISMIC_KERNEL", "numba")
         monkeypatch.setenv("QUGEO_PROPAGATOR", "scalar")
-        assert dataset_fingerprint(small_config(), 7) == base
+        monkeypatch.setenv("QUGEO_SEISMIC_BOUNDARY", "pml")
+        assert dataset_fingerprint(small_config(), 7) == "8e7bdfefa6415144"
 
     def test_content_fingerprint_is_order_sensitive(self):
         sums = np.array([1.0, 2.0, 3.0])

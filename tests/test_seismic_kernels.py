@@ -1,14 +1,14 @@
-"""Propagator time loop: per-cell reference parity, PML physics, pad_grid.
+"""Propagator time loop: per-cell reference parity and grid positions.
 
-The batched propagator's vectorised loop is checked against plain per-cell
-Python loops defined below.  They share no code with it: every stencil tap,
-clamped edge, CFS-PML memory recursion, injection and receiver sample is
-spelled out cell by cell.  They are slow, so the grids are tiny.
+The batched propagator's vectorised loop is checked against a plain per-cell
+Python loop defined below.  It shares no code with it: every stencil tap,
+clamped edge, Cerjan damping factor, injection and receiver sample is
+spelled out cell by cell.  It is slow, so the grids are tiny.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,12 +16,8 @@ import pytest
 from repro.seismic import (
     AcousticSimulator2D,
     BatchedAcousticSimulator2D,
-    PMLBoundary,
     SimulationConfig,
     SpongeBoundary,
-    edge_reflection_energy,
-    make_boundary,
-    pml_profiles,
     ricker_wavelet,
     stable_time_step,
 )
@@ -58,6 +54,26 @@ def _clamp(i, n):
     return 0 if i < 0 else (n - 1 if i >= n else i)
 
 
+def cerjan_damping(z, x, nz, nx, boundary):
+    """Sponge factor of cell ``(z, x)`` from the Cerjan closed form.
+
+    Every absorbing edge the cell lies within ``width`` cells of multiplies
+    in ``exp(-(strength * d)**2)``, where ``d`` runs from 1 at the inner
+    sponge cell to ``width`` at the outer grid cell.
+    """
+    width, strength = boundary.width, boundary.strength
+    distances = [width - x,               # left edge
+                 x - (nx - width) + 1,    # right edge
+                 z - (nz - width) + 1]    # bottom edge
+    if not boundary.free_surface:
+        distances.append(width - z)       # top edge
+    factor = 1.0
+    for d in distances:
+        if 1 <= d <= width:
+            factor *= math.exp(-(strength * d) ** 2)
+    return factor
+
+
 def leapfrog_sponge(p_prev, p_curr, p_next, c2dt2, model_of, mask,
                     coeffs_z, coeffs_x, pad, src_z, src_x, inject_amps,
                     rec_rows, rec_cols, gather, n_steps, record_every):
@@ -88,121 +104,34 @@ def leapfrog_sponge(p_prev, p_curr, p_next, c2dt2, model_of, mask,
         p_prev, p_curr, p_next = p_curr, p_next, p_prev
 
 
-def leapfrog_pml(p_prev, p_curr, p_next, c2dt2, model_of,
-                 coeffs_z, coeffs_x, pad,
-                 a_x, b_x, a_z, b_z, x_active, z_active,
-                 half_dx_inv, half_dz_inv,
-                 psi_x, psi_z, zeta_x, zeta_z,
-                 src_z, src_x, inject_amps,
-                 rec_rows, rec_cols, gather, n_steps, record_every):
-    """Advance ``n_steps`` CFS-PML leap-frog steps, cell by cell.
-
-    Two passes per step: the psi recursions need the *previous* psi of
-    neighbouring cells, so they complete over the whole grid before the
-    update pass reads their spatial derivative.
-    """
-    n_batch, nz, nx = p_curr.shape
-    for step in range(n_steps):
-        # Pass 1: psi recursions (first-derivative memory variables).
-        for b in range(n_batch):
-            pc = p_curr[b]
-            for z in range(nz):
-                for x in range(nx):
-                    if a_x[x] != 0.0:
-                        dpx = (pc[z, _clamp(x + 1, nx)]
-                               - pc[z, _clamp(x - 1, nx)]) * half_dx_inv
-                        psi_x[b, z, x] = b_x[x] * psi_x[b, z, x] + a_x[x] * dpx
-                    if a_z[z] != 0.0:
-                        dpz = (pc[_clamp(z + 1, nz), x]
-                               - pc[_clamp(z - 1, nz), x]) * half_dz_inv
-                        psi_z[b, z, x] = b_z[z] * psi_z[b, z, x] + a_z[z] * dpz
-        # Pass 2: zeta recursions + corrected laplacian + time update.
-        for b in range(n_batch):
-            pp, pc, pn = p_prev[b], p_curr[b], p_next[b]
-            cd = c2dt2[model_of[b]]
-            for z in range(nz):
-                for x in range(nx):
-                    d2x = 0.0
-                    d2z = 0.0
-                    for k in range(coeffs_z.shape[0]):
-                        off = k - pad
-                        d2z += coeffs_z[k] * pc[_clamp(z + off, nz), x]
-                        d2x += coeffs_x[k] * pc[z, _clamp(x + off, nx)]
-                    lap = d2x + d2z
-                    if x_active[x]:
-                        dpsx = (psi_x[b, z, _clamp(x + 1, nx)]
-                                - psi_x[b, z, _clamp(x - 1, nx)]) * half_dx_inv
-                        zx = zeta_x[b, z, x]
-                        if a_x[x] != 0.0:
-                            zx = b_x[x] * zx + a_x[x] * (d2x + dpsx)
-                            zeta_x[b, z, x] = zx
-                        lap += dpsx + zx
-                    if z_active[z]:
-                        dpsz = (psi_z[b, _clamp(z + 1, nz), x]
-                                - psi_z[b, _clamp(z - 1, nz), x]) * half_dz_inv
-                        zz = zeta_z[b, z, x]
-                        if a_z[z] != 0.0:
-                            zz = b_z[z] * zz + a_z[z] * (d2z + dpsz)
-                            zeta_z[b, z, x] = zz
-                        lap += dpsz + zz
-                    pn[z, x] = 2.0 * pc[z, x] - pp[z, x] + cd[z, x] * lap
-            pn[src_z[b], src_x[b]] += inject_amps[b, step]
-            if step % record_every == 0:
-                for r in range(rec_rows.shape[0]):
-                    gather[b, step // record_every, r] = pn[rec_rows[r],
-                                                            rec_cols[r]]
-        p_prev, p_curr, p_next = p_curr, p_next, p_prev
-
-
-def _dilate(mask):
-    out = mask.copy()
-    out[:-1] |= mask[1:]
-    out[1:] |= mask[:-1]
-    return out
-
-
 def reference_gather(velocity, config, sources, receivers, wavelet):
-    """Shot gathers of the per-cell loops, shaped like the simulator's."""
+    """Shot gathers of the per-cell loop, shaped like the simulator's."""
     assert config.spatial_order == 4
-    boundary = config.boundary
-    velocity = np.asarray(velocity, dtype=np.float64)
-    side = boundary.width if boundary.pad_grid else 0
-    top = 0 if boundary.free_surface else side
-    models = np.pad(velocity.reshape((-1,) + velocity.shape[-2:]),
-                    ((0, 0), (top, side), (side, side)), mode="edge")
+    models = np.asarray(velocity, dtype=np.float64)
+    models = models.reshape((-1,) + models.shape[-2:])
     n_models, nz, nx = models.shape
     n_shots = len(sources)
     n_batch = n_models * n_shots
     model_of = np.repeat(np.arange(n_models), n_shots)
-    src_z = np.array([r + top for r, _ in sources] * n_models)
-    src_x = np.array([c + side for _, c in sources] * n_models)
-    rec_rows = np.array([r + top for r, _ in receivers])
-    rec_cols = np.array([c + side for _, c in receivers])
+    src_z = np.array([r for r, _ in sources] * n_models)
+    src_x = np.array([c for _, c in sources] * n_models)
+    rec_rows = np.array([r for r, _ in receivers])
+    rec_cols = np.array([c for _, c in receivers])
     dt, n_steps = config.dt, config.n_steps
     c2 = models ** 2
     inject_amps = np.stack([
         c2[model_of[b], src_z[b], src_x[b]] * dt**2 / (config.dx * config.dz)
         * np.asarray(wavelet, dtype=np.float64)[:n_steps]
         for b in range(n_batch)])
+    mask = np.array([[cerjan_damping(z, x, nz, nx, config.boundary)
+                      for x in range(nx)] for z in range(nz)])
     p = [np.zeros((n_batch, nz, nx)) for _ in range(3)]
     gather = np.zeros((n_batch, config.n_recorded, len(receivers)))
-    coeffs_z = LAPLACIAN_4TH / config.dz**2
-    coeffs_x = LAPLACIAN_4TH / config.dx**2
-    common = (coeffs_z, coeffs_x, LAPLACIAN_4TH.size // 2)
-    tail = (src_z, src_x, inject_amps, rec_rows, rec_cols, gather, n_steps,
-            config.record_every)
-    if isinstance(boundary, PMLBoundary):
-        a_x, b_x, a_z, b_z = boundary.profiles(
-            (nz, nx), config.dx, config.dz, dt, float(velocity.max()))
-        memory = [np.zeros((n_batch, nz, nx)) for _ in range(4)]
-        leapfrog_pml(*p, c2 * dt**2, model_of, *common,
-                     a_x, b_x, a_z, b_z, _dilate(a_x != 0.0),
-                     _dilate(a_z != 0.0), 0.5 / config.dx, 0.5 / config.dz,
-                     *memory, *tail)
-    else:
-        leapfrog_sponge(*p, c2 * dt**2, model_of,
-                        boundary.build_mask((nz, nx)), *common, *tail)
-    return gather.reshape(velocity.shape[:-2] + (n_shots,)
+    leapfrog_sponge(*p, c2 * dt**2, model_of, mask,
+                    LAPLACIAN_4TH / config.dz**2, LAPLACIAN_4TH / config.dx**2,
+                    LAPLACIAN_4TH.size // 2, src_z, src_x, inject_amps,
+                    rec_rows, rec_cols, gather, n_steps, config.record_every)
+    return gather.reshape(np.shape(velocity)[:-2] + (n_shots,)
                           + gather.shape[1:])
 
 
@@ -249,14 +178,6 @@ class TestFusedKernelParity:
             sources, wavelet, receivers)
         np.testing.assert_allclose(gather, expected, atol=1e-10, rtol=0.0)
 
-    def test_pml_matches_python_kernel(self):
-        self._assert_matches_reference(*small_setup(
-            boundary=PMLBoundary(width=6)))
-
-    def test_pad_grid_pml_matches_python_kernel(self):
-        self._assert_matches_reference(*small_setup(
-            boundary=PMLBoundary(width=6, pad_grid=True)))
-
     def test_record_every_matches_python_kernel(self):
         velocity, config, sources, receivers, wavelet = small_setup(
             record_every=4)
@@ -273,115 +194,32 @@ class TestFusedKernelParity:
 
 
 # --------------------------------------------------------------------------- #
-# PML boundary physics
+# the sponge mask against the closed form
 # --------------------------------------------------------------------------- #
-class TestPMLBoundary:
-    def test_profiles_vanish_outside_the_pad(self):
-        a, b = pml_profiles(50, 10, 10.0, 1e-3, 3000.0)
-        assert np.all(a[10:40] == 0.0) and np.all(b[10:40] == 0.0)
-        assert np.all(a[:10] < 0.0)  # a = sigma/(sigma+alpha) * (b-1) < 0
-        assert np.all((0.0 < b[:10]) & (b[:10] < 1.0))
-        np.testing.assert_allclose(a[:10], a[40:][::-1])
-        np.testing.assert_allclose(b[:10], b[40:][::-1])
-
-    def test_free_surface_skips_top_pad(self):
-        boundary = PMLBoundary(width=6)
-        a_x, b_x, a_z, b_z = boundary.profiles((40, 40), 10.0, 10.0,
-                                               1e-3, 3000.0)
-        assert np.all(a_z[:6] == 0.0)  # free surface: no top pad
-        assert np.all(a_z[-6:] != 0.0)
-        assert np.all(a_x[:6] != 0.0) and np.all(a_x[-6:] != 0.0)
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            PMLBoundary(width=1)
-        with pytest.raises(ValueError, match="too large"):
-            PMLBoundary(width=12).validate_grid((40, 20))
-
-    def test_make_boundary_builds_both_kinds(self):
-        assert isinstance(make_boundary("sponge", width=8), SpongeBoundary)
-        pml = make_boundary("pml", width=8, pad_grid=True)
-        assert isinstance(pml, PMLBoundary)
-        assert pml.pad_grid
-        with pytest.raises(ValueError, match="unknown boundary"):
-            make_boundary("mirror", width=8)
-
-    def test_scalar_simulator_rejects_pml(self):
-        velocity, config, _, _, _ = small_setup(
-            boundary=PMLBoundary(width=6))
-        with pytest.raises(ValueError, match="SpongeBoundary"):
-            AcousticSimulator2D(velocity, config)
-
-    def test_scalar_simulator_rejects_pad_grid(self):
-        velocity, config, _, _, _ = small_setup(
-            boundary=SpongeBoundary(width=6, pad_grid=True))
-        with pytest.raises(ValueError, match="pad_grid"):
-            AcousticSimulator2D(velocity, config)
-
-    def test_pml_wavefield_stays_bounded(self):
-        velocity, config, sources, receivers, wavelet = small_setup(
-            boundary=PMLBoundary(width=6), n_steps=400)
-        gather = BatchedAcousticSimulator2D(
-            velocity, config).simulate_shots(sources, wavelet, receivers)
-        assert np.isfinite(gather).all()
-        # After the source rings down, the PML must have drained the energy:
-        # the late-time coda is far weaker than the direct arrivals.
-        peak = np.abs(gather).max()
-        late = np.abs(gather[:, -40:, :]).max()
-        assert late < 0.05 * peak
-
-    def test_pml_reflects_less_than_sponge_at_equal_width(self):
-        pml = edge_reflection_energy(PMLBoundary(width=12))
-        sponge = edge_reflection_energy(SpongeBoundary(width=12))
-        assert pml < 0.1 * sponge
-
-    def test_thin_pml_beats_default_sponge(self):
-        # The headline claim: 12 PML cells absorb better than the 20-cell
-        # sponge default, so padded grids shrink at equal-or-better quality.
-        pml = edge_reflection_energy(PMLBoundary(width=12))
-        sponge = edge_reflection_energy(SpongeBoundary(width=20))
-        assert pml <= sponge
-        assert pml < 1e-3  # absolute quality floor
+class TestSpongeClosedForm:
+    @pytest.mark.parametrize("free_surface", [True, False])
+    def test_mask_matches_cerjan_closed_form(self, free_surface):
+        boundary = SpongeBoundary(width=6, free_surface=free_surface)
+        nz, nx = 20, 24
+        expected = np.array([[cerjan_damping(z, x, nz, nx, boundary)
+                              for x in range(nx)] for z in range(nz)])
+        np.testing.assert_allclose(boundary.build_mask((nz, nx)), expected,
+                                   rtol=1e-15, atol=0.0)
 
 
 # --------------------------------------------------------------------------- #
-# pad_grid geometry
+# grid positions
 # --------------------------------------------------------------------------- #
 class TestPaddedGrid:
-    def test_padded_shape_and_cells(self):
-        velocity, config, _, _, _ = small_setup(
-            boundary=SpongeBoundary(width=6, pad_grid=True))
-        simulator = BatchedAcousticSimulator2D(velocity, config)
-        assert simulator.grid_shape == (24, 24)
-        assert simulator.padded_grid_shape == (30, 36)  # free surface: no top
-        assert simulator.padded_cells == 30 * 36
-        no_pad = BatchedAcousticSimulator2D(
-            velocity, dataclasses.replace(
-                config, boundary=SpongeBoundary(width=6)))
-        assert no_pad.padded_grid_shape == (24, 24)
-
-    def test_pad_grid_equals_manually_padded_model(self):
-        # pad_grid=True must be exactly the interior-damping run on a model
-        # edge-padded by hand, with sources/receivers shifted into pad
-        # coordinates — same mask, same medium, bit-identical gathers.
-        width = 6
-        velocity, config, sources, receivers, wavelet = small_setup(
-            boundary=SpongeBoundary(width=width, pad_grid=True))
-        padded = BatchedAcousticSimulator2D(
-            velocity, config).simulate_shots(sources, wavelet, receivers)
-        manual_model = np.pad(velocity, ((0, width), (width, width)),
-                              mode="edge")  # free surface: no top pad
-        shift = np.array([0, width])
-        manual = BatchedAcousticSimulator2D(
-            manual_model, dataclasses.replace(
-                config, boundary=SpongeBoundary(width=width))
-        ).simulate_shots(sources + shift, wavelet, receivers + shift)
-        assert padded.shape == manual.shape
-        np.testing.assert_array_equal(padded, manual)
+    """The propagation grid is the velocity model's grid: a run with the
+    sponge outside the model pads the model by hand (see
+    ``benchmarks/bench_seismic.py``), so positions are checked against it."""
 
     def test_positions_validated_against_model_grid(self):
         velocity, config, sources, receivers, wavelet = small_setup(
-            boundary=SpongeBoundary(width=6, pad_grid=True))
+            boundary=SpongeBoundary(width=6))
         simulator = BatchedAcousticSimulator2D(velocity, config)
         with pytest.raises(ValueError, match="source"):
             simulator.simulate_shots([[2, 24]], wavelet, receivers)
+        with pytest.raises(ValueError, match="receiver"):
+            simulator.simulate_shots(sources, wavelet, [[1, 3], [24, 3]])

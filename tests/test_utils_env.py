@@ -58,8 +58,7 @@ def test_known_vars_documented_and_prefixed():
     # The canonical constants all appear in the documentation table.
     for name in (env.BACKEND, env.DTYPE,
                  env.TELEMETRY, env.BENCH_SCALE, env.CACHE_DIR,
-                 env.DATAGEN_WORKERS, env.CHECKPOINT_DIR,
-                 env.SEISMIC_BOUNDARY):
+                 env.DATAGEN_WORKERS, env.CHECKPOINT_DIR):
         assert name in names
 
 
@@ -94,19 +93,6 @@ def test_telemetry_mode_resolves_via_env(monkeypatch):
     monkeypatch.setenv(env.TELEMETRY, "nonsense")
     with pytest.raises(ValueError):
         _resolve_mode(None)
-
-
-def test_seismic_boundary_default_resolves_via_env(monkeypatch):
-    from repro.seismic.boundary import default_boundary_name
-
-    monkeypatch.setenv(env.SEISMIC_BOUNDARY, "pml")
-    assert default_boundary_name() == "pml"
-    monkeypatch.setenv(env.SEISMIC_BOUNDARY, "mirror")
-    with pytest.raises(ValueError, match="QUGEO_SEISMIC_BOUNDARY"):
-        default_boundary_name()
-    monkeypatch.delenv(env.SEISMIC_BOUNDARY)
-    assert default_boundary_name() == "sponge"
-    assert env.describe()[env.SEISMIC_BOUNDARY]["default"] == "sponge"
 
 
 def test_dtype_resolves_via_env(monkeypatch):
