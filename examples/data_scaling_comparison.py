@@ -1,10 +1,11 @@
 """Compare the three QuGeoData scaling methods (the Figure 5/6 story).
 
-The script builds a small synthetic dataset, scales one sample with
-D-Sample (nearest neighbour), Q-D-FW (physics-guided forward modelling) and
-Q-D-CNN (the learned compressor), and prints how faithful each scaled
-waveform is to the physics-guided reference — before and after the
-normalisation imposed by amplitude encoding.
+The script builds a small synthetic dataset, scales the held-out samples
+with D-Sample (nearest neighbour), Q-D-FW (physics-guided forward
+modelling) and Q-D-CNN (the learned compressor, one pass over the split),
+and prints how faithful the first scaled waveform is to the physics-guided
+reference — before and after the normalisation imposed by amplitude
+encoding.
 
 Run with::
 
@@ -53,7 +54,7 @@ def main() -> None:
 
     rows = []
     for name, scaler in scalers.items():
-        scaled = scaler.scale_sample(sample)
+        scaled = scaler.scale_dataset(evaluation_split)[0]
         waveform = scaled.seismic.reshape(n_time, n_receivers)
         raw_score = ssim(waveform, reference,
                          data_range=float(np.ptp(reference)) or 1.0)

@@ -18,7 +18,7 @@ quantum models uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -257,11 +257,28 @@ class CompressionCNN(Module):
     def forward(self, inputs: Tensor) -> Tensor:
         return self.head(self.features(inputs))
 
-    def compress(self, seismic: np.ndarray) -> np.ndarray:
-        """Compress one raw seismic cube to ``output_size`` scaled values."""
-        seismic = np.asarray(seismic, dtype=np.float64)
-        if seismic.shape != self.input_shape:
-            raise ValueError(
-                f"seismic shape {seismic.shape} does not match {self.input_shape}")
-        output = self(Tensor(seismic.reshape((1,) + self.input_shape)))
-        return output.numpy().reshape(-1)
+    def compress(self, seismic: Union[np.ndarray, Sequence[np.ndarray]]
+                 ) -> np.ndarray:
+        """Compress raw seismic cubes to ``output_size`` scaled values each.
+
+        A 3-D cube is a batch of one and returns ``(output_size,)``; a 4-D
+        stack or a sequence of cubes returns ``(n, output_size)``.  The
+        convolutional features run once per cube, which bounds the im2col
+        columns to one cube's worth, and the dense head runs once on the
+        stacked features.  Cubes are never stacked into a new array.
+        """
+        if isinstance(seismic, np.ndarray) and seismic.ndim not in (3, 4):
+            raise ValueError(f"seismic shape {seismic.shape} is neither a cube "
+                             f"{self.input_shape} nor a stack of them")
+        single = isinstance(seismic, np.ndarray) and seismic.ndim == 3
+        features = []
+        for cube in ([seismic] if single else seismic):
+            cube = np.asarray(cube, dtype=np.float64)
+            if cube.shape != self.input_shape:
+                raise ValueError(f"seismic shape {cube.shape} does not match "
+                                 f"{self.input_shape}")
+            features.append(self.features(Tensor(cube[np.newaxis])).numpy())
+        if not features:
+            raise ValueError("empty batch: no seismic cubes to compress")
+        output = self.head(Tensor(np.concatenate(features))).numpy()
+        return output[0] if single else output

@@ -85,7 +85,11 @@ class BaseScaler:
 
     def scale_sample(self, sample: FWISample) -> ScaledSample:
         """Scale one full-resolution sample."""
-        seismic = self.scale_seismic(sample)
+        return self._scaled_sample(sample, self.scale_seismic(sample))
+
+    def _scaled_sample(self, sample: FWISample,
+                       seismic: np.ndarray) -> ScaledSample:
+        """Pair already-scaled ``seismic`` with ``sample``'s scaled velocity."""
         velocity = self.scale_velocity(sample.velocity, method=self.velocity_method)
         metadata = dict(sample.metadata)
         metadata["scaling_method"] = self.name
@@ -263,9 +267,26 @@ class CNNScaler(BaseScaler):
         return cls(compressor, config)
 
     def scale_seismic(self, sample: FWISample) -> np.ndarray:
+        """Compress one sample: a batch of one through the compressor."""
         compressed = self.compressor.compress(np.asarray(sample.seismic,
                                                          dtype=np.float64))
         return compressed.reshape(self.config.scaled_seismic_shape)
+
+    def scale_dataset(self, dataset: Iterable[FWISample]) -> FWIDataset:
+        """Scale every sample with one compressor pass over their cubes.
+
+        The cubes go to :meth:`CompressionCNN.compress` as a sequence, not
+        a stacked copy, so peak memory does not grow with the raw data.
+        """
+        samples = list(dataset)
+        if not samples:
+            return FWIDataset([], name=f"scaled-{self.name}")
+        compressed = self.compressor.compress([sample.seismic
+                                               for sample in samples])
+        shape = self.config.scaled_seismic_shape
+        scaled = [self._scaled_sample(sample, row.reshape(shape))
+                  for sample, row in zip(samples, compressed)]
+        return FWIDataset(scaled, name=f"scaled-{self.name}")
 
     def state_dict(self) -> dict:
         return {"input_shape": self.compressor.input_shape,

@@ -1,8 +1,10 @@
 """Functional building blocks: convolution and pooling with autograd support.
 
-The convolution is implemented with the classic ``im2col`` trick so that both
-the forward pass and the gradients reduce to matrix multiplications, which
+The convolution is implemented with the classic ``im2col`` trick so that the
+forward pass and both gradients reduce to ``np.matmul`` calls (BLAS), which
 keeps the tiny CNNs in this repository fast enough to train inside tests.
+The columns are a window view of the padded input made contiguous in one
+copy; pooling unfolds its windows with the same helper.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.tensor import Tensor
 
@@ -24,7 +27,12 @@ def _pair(value) -> Tuple[int, int]:
 
 def _im2col(images: np.ndarray, kernel: Tuple[int, int],
             stride: Tuple[int, int], padding: Tuple[int, int]):
-    """Unfold ``images`` (N, C, H, W) into columns for convolution."""
+    """Unfold ``images`` (N, C, H, W) into columns ``(N, C*kH*kW, oH*oW)``.
+
+    The input is copied once into a zero-padded buffer (skipped without
+    padding); the columns are a strided window view of that buffer, made
+    contiguous by the final reshape.
+    """
     n, c, h, w = images.shape
     kh, kw = kernel
     sh, sw = stride
@@ -33,14 +41,14 @@ def _im2col(images: np.ndarray, kernel: Tuple[int, int],
     out_w = (w + 2 * pw - kw) // sw + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError("kernel larger than padded input")
-    padded = np.pad(images, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=images.dtype)
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            cols[:, :, i, j, :, :] = padded[:, :, i:i_end:sh, j:j_end:sw]
-    return cols.reshape(n, c * kh * kw, out_h * out_w), (out_h, out_w)
+    padded = images
+    if ph or pw:
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=images.dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = images
+    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw,
+                                                       out_h * out_w)
+    return cols, (out_h, out_w)
 
 
 def _col2im(cols: np.ndarray, image_shape, kernel, stride, padding) -> np.ndarray:
@@ -89,7 +97,7 @@ def conv2d(inputs: Tensor, weight: Tensor, bias: Tensor = None,
 
     cols, (out_h, out_w) = _im2col(inputs.data, (kh, kw), stride, padding)
     w_mat = weight.data.reshape(c_out, -1)
-    out = np.einsum("ok,nkl->nol", w_mat, cols)
+    out = np.matmul(w_mat, cols)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1)
     out = out.reshape(n, c_out, out_h, out_w)
@@ -99,12 +107,12 @@ def conv2d(inputs: Tensor, weight: Tensor, bias: Tensor = None,
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(n, c_out, out_h * out_w)
         if weight.requires_grad:
-            grad_w = np.einsum("nol,nkl->ok", grad_mat, cols).reshape(weight.shape)
-            weight._accumulate(grad_w)
+            grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+            weight._accumulate(grad_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 2)))
         if inputs.requires_grad:
-            grad_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat)
+            grad_cols = np.matmul(w_mat.T, grad_mat)
             grad_input = _col2im(grad_cols, inputs.shape, (kh, kw), stride, padding)
             inputs._accumulate(grad_input)
 

@@ -413,6 +413,33 @@ class TestClassicalModels:
         with pytest.raises(ValueError):
             model.compress(np.zeros((2, 32, 16)))
 
+    def test_compression_cnn_stack_rows_match_single_cubes(self):
+        model = CompressionCNN(input_shape=(3, 32, 16), output_size=64, rng=0)
+        cubes = np.random.default_rng(1).normal(size=(5, 3, 32, 16))
+        singles = np.stack([model.compress(cube) for cube in cubes])
+        assert singles.shape == (5, 64)
+        for stack in (cubes, list(cubes)):
+            out = model.compress(stack)
+            assert out.shape == (5, 64)
+            np.testing.assert_allclose(out, singles, rtol=1e-12, atol=0.0)
+
+    def test_compression_cnn_stack_of_one_keeps_batch_axis(self):
+        model = CompressionCNN(input_shape=(3, 32, 16), output_size=64, rng=0)
+        cube = np.random.default_rng(2).normal(size=(3, 32, 16))
+        assert model.compress(cube[np.newaxis]).shape == (1, 64)
+        assert model.compress([cube]).shape == (1, 64)
+
+    def test_compression_cnn_rejects_wrong_trailing_shape(self):
+        model = CompressionCNN(input_shape=(3, 32, 16), output_size=64, rng=0)
+        with pytest.raises(ValueError, match=r"\(3, 32, 15\)"):
+            model.compress(np.zeros((4, 3, 32, 15)))
+        with pytest.raises(ValueError, match=r"\(2, 32, 16\)"):
+            model.compress([np.zeros((3, 32, 16)), np.zeros((2, 32, 16))])
+        with pytest.raises(ValueError, match=r"\(32, 16\)"):
+            model.compress(np.zeros((32, 16)))
+        with pytest.raises(ValueError, match="empty"):
+            model.compress([])
+
     def test_compression_cnn_invalid_config(self):
         with pytest.raises(ValueError):
             CompressionCNN(input_shape=(0, 8, 8), output_size=4)

@@ -6,6 +6,7 @@ improves the objective and that the harness reports coherent results.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core import (
     build_cnn_px,
     evaluate_model,
 )
+from repro.core.classical_models import CompressionCNN
 from repro.core.config import QuGeoDataConfig, QuGeoVQCConfig, TrainingConfig
 from repro.core.data_scaling import CNNScaler, ForwardModelingScaler
 from repro.core.experiment import (
@@ -31,7 +33,7 @@ from repro.core.experiment import (
     vertical_profile,
 )
 from repro.core.training import TrainingResult, evaluate_predictions
-from repro.data.dataset import FWIDataset, train_test_split
+from repro.data.dataset import FWIDataset, FWISample, train_test_split
 from repro.telemetry import capture
 
 
@@ -434,3 +436,79 @@ class TestBatchedServing:
             counters = telemetry.snapshot()["counters"]
         assert counters["backend.einsum.run_batched.calls"] == math.ceil(5 / 2)
         assert counters["backend.einsum.run_batched.samples"] == 5
+
+
+class TestCNNScalerDataset:
+    """``CNNScaler.scale_dataset`` is one compressor pass over the cubes."""
+
+    @pytest.fixture(scope="class")
+    def scaler(self, tiny_dataset, small_data_config):
+        compressor = CompressionCNN(
+            input_shape=tiny_dataset[0].seismic.shape,
+            output_size=small_data_config.scaled_seismic_size, rng=0)
+        return CNNScaler(compressor, small_data_config)
+
+    @staticmethod
+    def _count_compress(monkeypatch):
+        calls = []
+        original = CompressionCNN.compress
+
+        def counted(self, seismic):
+            calls.append(seismic)
+            return original(self, seismic)
+
+        monkeypatch.setattr(CompressionCNN, "compress", counted)
+        return calls
+
+    def test_one_compress_call_per_dataset(self, scaler, tiny_dataset,
+                                           monkeypatch):
+        calls = self._count_compress(monkeypatch)
+        scaled = scaler.scale_dataset(tiny_dataset)
+        assert len(calls) == 1
+        assert len(calls[0]) == len(tiny_dataset) == len(scaled)
+
+    def test_matches_per_sample_scale_seismic(self, scaler, tiny_dataset,
+                                              small_data_config):
+        scaled = scaler.scale_dataset(tiny_dataset)
+        assert scaled.name == "scaled-Q-D-CNN"
+        for sample, out in zip(tiny_dataset, scaled):
+            assert out.seismic.shape == small_data_config.scaled_seismic_shape
+            assert out.method == "Q-D-CNN"
+            np.testing.assert_allclose(out.seismic,
+                                       scaler.scale_seismic(sample),
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(out.velocity,
+                                          scaler.scale_sample(sample).velocity)
+
+    def test_empty_dataset_skips_the_compressor(self, scaler, monkeypatch):
+        calls = self._count_compress(monkeypatch)
+        scaled = scaler.scale_dataset(FWIDataset([]))
+        assert isinstance(scaled, FWIDataset)
+        assert len(scaled) == 0
+        assert calls == []
+
+    def test_peak_memory_holds_no_stacked_copy_of_the_cubes(self):
+        # Serving-sized cubes (4 shots x 300 steps x 32 receivers): 16 of
+        # them take 4.9 MB stacked, one cube's conv1 columns take 2.8 MB.
+        rng = np.random.default_rng(0)
+        shape, n = (4, 300, 32), 16
+        config = QuGeoDataConfig()
+        scaler = CNNScaler(CompressionCNN(shape, config.scaled_seismic_size,
+                                          rng=0), config)
+        requests = FWIDataset([
+            FWISample(seismic=rng.normal(size=shape),
+                      velocity=rng.uniform(1500.0, 4500.0, size=(32, 32)))
+            for _ in range(n)])
+        stacked_bytes = n * requests[0].seismic.nbytes
+
+        def peak_bytes(dataset):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                scaler.scale_dataset(dataset)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        growth = peak_bytes(requests) - peak_bytes(requests[:1])
+        assert growth < stacked_bytes / 2, (growth, stacked_bytes)

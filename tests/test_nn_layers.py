@@ -144,6 +144,114 @@ class TestConv2d:
                                    atol=1e-5)
 
 
+def _per_cell_reference(x, kernel, stride, padding, cell):
+    """Independent sliding-window loop: one output cell at a time.
+
+    For every batch row and output position it gathers the zero-padded
+    ``(C, kH, kW)`` window element by element and reduces it with
+    ``cell(window) -> (out_channels,)``.  It shares no code with im2col.
+    """
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    out_h = (h + 2 * ph - kh) // sh + 1
+    out_w = (w + 2 * pw - kw) // sw + 1
+    out = None
+    for b in range(n):
+        for i in range(out_h):
+            for j in range(out_w):
+                window = np.zeros((c, kh, kw))
+                for p in range(kh):
+                    for q in range(kw):
+                        row, col = i * sh + p - ph, j * sw + q - pw
+                        if 0 <= row < h and 0 <= col < w:
+                            window[:, p, q] = x[b, :, row, col]
+                values = cell(window)
+                if out is None:
+                    out = np.zeros((n, len(values), out_h, out_w))
+                out[b, :, i, j] = values
+    return out
+
+
+def _conv_reference(x, weight, bias, stride, padding):
+    def cell(window):
+        return (weight * window).sum(axis=(1, 2, 3)) + bias
+    return _per_cell_reference(x, weight.shape[2:], stride, padding, cell)
+
+
+class TestConv2dOracle:
+    """conv2d and the pools against the per-cell loop, off the stride-1 path."""
+
+    STRIDE, PADDING = (2, 1), (1, 2)
+
+    @pytest.fixture
+    def problem(self):
+        rng = np.random.default_rng(11)
+        return (rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(2, 3, 3, 2)),
+                rng.normal(size=2), rng.normal(size=(2, 2, 4, 9)))
+
+    def test_forward_matches_per_cell_loop(self, problem):
+        x, weight, bias, _ = problem
+        out = F.conv2d(Tensor(x), Tensor(weight), Tensor(bias),
+                       stride=self.STRIDE, padding=self.PADDING).numpy()
+        expected = _conv_reference(x, weight, bias, self.STRIDE, self.PADDING)
+        assert out.shape == expected.shape == (2, 2, 4, 9)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride", [((2, 2), None), ((3, 2), (2, 1))])
+    def test_pool_forwards_match_per_cell_loop(self, kernel, stride):
+        x = np.random.default_rng(12).normal(size=(2, 3, 7, 6))
+        for pool, reduce in ((F.avg_pool2d, np.mean), (F.max_pool2d, np.max)):
+            out = pool(Tensor(x), kernel, stride).numpy()
+            expected = _per_cell_reference(
+                x, kernel, stride or kernel, (0, 0),
+                lambda window: reduce(window, axis=(1, 2)))
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_backward_satisfies_adjoint_identity(self, problem):
+        x_data, w_data, b_data, g = problem
+        x = Tensor(x_data, requires_grad=True)
+        weight = Tensor(w_data, requires_grad=True)
+        bias = Tensor(b_data, requires_grad=True)
+        out = F.conv2d(x, weight, bias, stride=self.STRIDE, padding=self.PADDING)
+        (out * Tensor(g)).sum().backward()
+        # conv(x) - bias is bilinear in (x, weight): <conv(x) - b, g> equals
+        # <x, dx> and <weight, dweight>; the bias gradient sums g.
+        linear_part = float(np.sum((out.numpy() - b_data[None, :, None, None]) * g))
+        assert np.sum(x_data * x.grad) == pytest.approx(linear_part, rel=1e-12)
+        assert np.sum(w_data * weight.grad) == pytest.approx(linear_part, rel=1e-12)
+        np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    def test_gradients_match_finite_differences_at_stride_2(self):
+        rng = np.random.default_rng(13)
+        x_data = rng.normal(size=(2, 2, 6, 5))
+        w_data = rng.normal(size=(2, 2, 3, 3))
+        b_data = rng.normal(size=2)
+        g = rng.normal(size=(2, 2, 3, 3))
+
+        def value():
+            return float(np.sum(_conv_reference(x_data, w_data, b_data,
+                                                (2, 2), (1, 1)) * g))
+
+        x = Tensor(x_data, requires_grad=True)
+        weight = Tensor(w_data, requires_grad=True)
+        out = F.conv2d(x, weight, Tensor(b_data), stride=2, padding=1)
+        assert out.shape == g.shape
+        (out * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(x.grad, numerical_gradient(value, x_data),
+                                   atol=1e-7)
+        np.testing.assert_allclose(weight.grad,
+                                   numerical_gradient(value, w_data), atol=1e-7)
+
+    def test_avg_pool_backward_satisfies_adjoint_identity(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(2, 3, 7, 6)), requires_grad=True)
+        out = F.avg_pool2d(x, (3, 2), (2, 1))
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        assert np.sum(x.data * x.grad) == pytest.approx(
+            float(np.sum(out.numpy() * g)), rel=1e-12)
+
+
 class TestPooling:
     def test_avg_pool_value(self):
         image = np.arange(16.0).reshape(1, 1, 4, 4)
