@@ -1,8 +1,9 @@
 """Benchmark — simulation backends across qubit counts and batch sizes.
 
-Times a batched forward pass of the paper's U3+CU3 ansatz on every registered
-simulation backend.  The loop backend executes the batch as a Python loop of
-per-gate statevector updates; the einsum backend updates the whole batch
+Times a batched forward pass of the paper's U3+CU3 ansatz on the two
+simulation engines.  The ``numpy`` oracle (``NumpyLoopBackend``) executes the
+batch as a Python loop of per-gate statevector updates; the ``einsum`` engine
+(``EinsumBatchBackend``) updates the whole batch
 with one strided-view pass per gate, which is where QuBatch mini-batches and
 stacked parameter-shift sweeps get their speedup.
 
@@ -27,7 +28,7 @@ import numpy as np
 from common import (add_cache_dir_argument, add_json_argument,
                     apply_cache_dir, write_json)
 
-from repro.backends import BACKENDS, get_backend
+from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.quantum.ansatz import u3_cu3_ansatz
 from repro.utils.tables import format_table
 
@@ -51,27 +52,29 @@ def time_backend(backend, circuit, states, params, repeats: int) -> float:
 
 
 def run_benchmark(qubit_counts: Sequence[int], batch_sizes: Sequence[int],
-                  n_blocks: int, repeats: int,
-                  backend_names: Sequence[str]) -> Tuple[List[List[object]], Dict]:
-    """Return table rows and the speedup map ``{(n_qubits, batch): factor}``."""
+                  n_blocks: int, repeats: int) -> Tuple[List[List[object]], Dict]:
+    """Return table rows and the speedup map ``{(n_qubits, batch): factor}``.
+
+    The ``numpy`` oracle leads; speedups are the engine's relative to it.
+    """
     rng = np.random.default_rng(0)
     rows: List[List[object]] = []
     speedups: Dict[Tuple[int, int], float] = {}
-    baseline_name = backend_names[0]
+    backends = [NumpyLoopBackend(), EinsumBatchBackend()]
+    baseline_name = backends[0].name
     for n_qubits in qubit_counts:
         circuit = u3_cu3_ansatz(n_qubits, n_blocks=n_blocks)
         params = rng.normal(size=circuit.n_params)
         for batch in batch_sizes:
             states = _random_states(n_qubits, batch, rng)
             timings = {}
-            for name in backend_names:
-                backend = get_backend(name)
+            for backend in backends:
                 # One untimed pass first (imports, allocator warm-up).
                 backend.run_batched(circuit, states, params)
-                timings[name] = time_backend(backend, circuit, states, params,
-                                             repeats)
+                timings[backend.name] = time_backend(backend, circuit, states,
+                                                     params, repeats)
             baseline = timings[baseline_name]
-            for name in backend_names:
+            for name in timings:
                 elapsed = timings[name]
                 factor = baseline / elapsed if elapsed > 0 else float("inf")
                 if name != baseline_name:
@@ -118,11 +121,8 @@ def main() -> int:
         qubit_counts, batch_sizes = (4, 6, 8, 10), (1, 8, 32)
     qubit_counts = args.qubits or qubit_counts
     batch_sizes = args.batches or batch_sizes
-    # The numpy oracle leads (speedups are relative to it).
-    backend_names = ["numpy"] + [name for name in BACKENDS.names()
-                                 if name != "numpy"]
     rows, speedups = run_benchmark(qubit_counts, batch_sizes, args.blocks,
-                                   args.repeats, backend_names)
+                                   args.repeats)
     text = render(rows)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / "bench_backends.txt"

@@ -45,7 +45,7 @@ def _build_model(n_qubits: int, n_blocks: int, decoder: str) -> QuGeoVQC:
     config = QuGeoVQCConfig(n_groups=1, qubits_per_group=n_qubits,
                             n_blocks=n_blocks, decoder=decoder,
                             output_shape=(8, 8))
-    return QuGeoVQC(config, rng=1, backend="einsum")
+    return QuGeoVQC(config, rng=1)
 
 
 def _epoch_per_sample(model: QuGeoVQC, seismic: np.ndarray,
@@ -114,7 +114,7 @@ def run_benchmark(batch_sizes: Sequence[int], n_qubits: int, n_blocks: int,
                      else float("inf")})
     return {"n_qubits": n_qubits, "n_blocks": n_blocks, "decoder": decoder,
             "n_params": model.circuit.n_params, "n_samples": n_samples,
-            "backend": "einsum", "max_gradient_gap": gradient_gap,
+            "backend": model.backend.name, "max_gradient_gap": gradient_gap,
             "rows": rows}
 
 

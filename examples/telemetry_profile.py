@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backends import get_backend
 from repro.core import QuGeoVQC, QuGeoVQCConfig, Trainer, TrainingConfig
 from repro.core.training import ArrayDataSource
 from repro.telemetry import configure
@@ -35,7 +34,7 @@ def main() -> None:
 
     config = QuGeoVQCConfig(n_groups=1, qubits_per_group=4, n_blocks=2,
                             decoder="layer", output_shape=(4, 4))
-    model = QuGeoVQC(config, rng=0, backend=get_backend("einsum"))
+    model = QuGeoVQC(config, rng=0)
     rng = np.random.default_rng(0)
     train = ArrayDataSource(rng.normal(size=(12, 16)),
                             rng.uniform(size=(12, 4, 4)))

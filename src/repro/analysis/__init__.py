@@ -9,8 +9,7 @@ fingerprint format-version discipline.  Run it with::
     qugeo-lint --list-rules
 
 Rules live in :mod:`repro.analysis.rules` and are registered by string
-code (``QG001``...) in :mod:`repro.analysis.registry`, mirroring the
-backend registry.
+code (``QG001``...) in :mod:`repro.analysis.registry`.
 """
 
 from repro.analysis.base import (

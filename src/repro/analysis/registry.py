@@ -1,9 +1,8 @@
 """String-keyed registry of lint rules.
 
 Rules register their class under their code (``QG001``) in :data:`RULES`,
-a :class:`~repro.utils.registry.Registry` like the engine tables, and
-callers resolve them by code *or* short name (``env-access``),
-case-insensitively.  ``--select`` / ``--ignore`` on the CLI go through
+a :class:`~repro.utils.registry.Registry`, and callers resolve them by code
+*or* short name (``env-access``), case-insensitively.  ``--select`` / ``--ignore`` on the CLI go through
 :func:`resolve_rules`.
 """
 
@@ -14,7 +13,7 @@ from typing import Iterable, List, Optional
 from repro.analysis.base import Rule
 from repro.utils.registry import Registry, UnknownNameError
 
-RULES: Registry[Rule] = Registry("lint rule", None, None, Rule)
+RULES: Registry[Rule] = Registry("lint rule", Rule)
 
 
 def get_rule(spec: str) -> Rule:

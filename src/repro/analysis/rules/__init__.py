@@ -1,9 +1,8 @@
 """Built-in invariant rules (QG001, QG002, QG004, QG005, QG007).
 
 Importing this package registers every built-in rule with
-:data:`repro.analysis.registry.RULES` — the same eager-registration idiom
-the backend registry uses.  Each rule module's docstring names the project
-contract it guards; the README's rule table links back to them.
+:data:`repro.analysis.registry.RULES`.  Each rule module's docstring names
+the project contract it guards; the README's rule table links back to them.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)

@@ -1,41 +1,46 @@
-"""Pluggable statevector simulation backends.
+"""Statevector simulation: one production engine and one reference oracle.
 
-Simulation is a first-class, swappable subsystem: every consumer
-(:class:`~repro.quantum.circuit.ParameterizedCircuit`, the adjoint gradients
-in :mod:`repro.quantum.autodiff`, :class:`~repro.core.vqc_model.QuGeoVQC`,
-:class:`~repro.core.qubatch.QuBatchVQC` and the benchmarks) executes through
-the :class:`SimulationBackend` interface and engines are resolved by name
-from a registry:
+Every consumer (:class:`~repro.quantum.circuit.ParameterizedCircuit`, the
+adjoint gradients in :mod:`repro.quantum.autodiff`,
+:class:`~repro.core.vqc_model.QuGeoVQC`, :class:`~repro.core.qubatch.QuBatchVQC`
+and the benchmarks) executes through the :class:`SimulationBackend`
+interface.  No setting selects the engine:
 
->>> from repro.backends import get_backend
->>> get_backend("einsum")   # vectorised batched-statevector engine (the default)
->>> get_backend("numpy")    # per-gate loop, the reference oracle
+>>> from repro.backends import get_backend, NumpyLoopBackend
+>>> get_backend()                    # a fresh EinsumBatchBackend, the engine
+>>> get_backend(NumpyLoopBackend())  # an instance is used as it is
 
-The default is chosen per call site (an explicit argument or
-``QuGeoVQCConfig.backend``), falling back to the ``QUGEO_BACKEND``
-environment variable and then to ``"einsum"``.  Gradients run as one
-reversible adjoint sweep on every engine (see
-:mod:`repro.quantum.autodiff`), so no engine stores per-gate intermediates.
-Future engines plug in with ``BACKENDS.register(name, factory)`` without
-touching any caller; factories run lazily and the instance is cached per
-name, so repeated ``get_backend("einsum")`` calls share one engine.
+:class:`EinsumBatchBackend` is the vectorised production engine.
+:class:`NumpyLoopBackend` is the per-gate reference oracle; tests pass it in
+explicitly to check the engine against code it shares nothing with.  An
+engine binds its dtype policy when it is built, so the default engine reads
+``QUGEO_DTYPE`` when a model is built, as the acoustic propagator does.
+Gradients run as one reversible adjoint sweep on either engine (see
+:mod:`repro.quantum.autodiff`).
 """
+
+from typing import Optional
 
 from repro.backends.base import SimulationBackend
 from repro.backends.numpy_loop import NumpyLoopBackend
 from repro.backends.einsum_batch import EinsumBatchBackend
-from repro.utils import env
-from repro.utils.registry import Registry
 
-BACKENDS: Registry[SimulationBackend] = Registry(
-    "simulation backend", env.BACKEND, "einsum", SimulationBackend)
-BACKENDS.register("numpy", NumpyLoopBackend)
-BACKENDS.register("einsum", EinsumBatchBackend)
 
-get_backend = BACKENDS.get
+def get_backend(engine: Optional[SimulationBackend] = None) -> SimulationBackend:
+    """``engine`` as it is, or a fresh :class:`EinsumBatchBackend` for ``None``.
+
+    Anything else, engine names included, raises :class:`TypeError`.
+    """
+    if engine is None:
+        return EinsumBatchBackend()
+    if isinstance(engine, SimulationBackend):
+        return engine
+    raise TypeError(
+        f"backend must be None or a SimulationBackend instance such as "
+        f"EinsumBatchBackend() or NumpyLoopBackend(), got {engine!r}")
+
 
 __all__ = [
-    "BACKENDS",
     "EinsumBatchBackend",
     "NumpyLoopBackend",
     "SimulationBackend",

@@ -4,9 +4,11 @@ A :class:`SimulationBackend` owns the execution of a
 :class:`~repro.quantum.circuit.ParameterizedCircuit` on statevectors.  The
 rest of the codebase (circuit ``run``, the adjoint differentiation, the
 QuGeoVQC / QuBatchVQC models and every benchmark) talks to simulation only
-through this interface, so alternative engines — vectorised NumPy, GPU,
-sparse, remote hardware — can be swapped in via the registry
-:data:`repro.backends.BACKENDS` without touching callers.
+through this interface.  Two engines implement it: the vectorised
+:class:`~repro.backends.einsum_batch.EinsumBatchBackend`, which runs by
+default, and the per-gate reference oracle
+:class:`~repro.backends.numpy_loop.NumpyLoopBackend`, which tests pass in
+as an instance.
 
 Conventions shared by all backends (see :mod:`repro.quantum.gates`):
 
@@ -41,13 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 class SimulationBackend(ABC):
     """Abstract statevector simulation engine.
 
-    Concrete engines implement :meth:`run` (and usually override
-    :meth:`run_batched` with something faster than the default loop) and
-    register themselves under a string key with
-    ``repro.backends.BACKENDS.register``.
+    Concrete engines implement :meth:`run` and usually override
+    :meth:`run_batched` with something faster than the default loop.
     """
 
-    #: Registry key and display name of the engine.
+    #: Display name of the engine (telemetry and run records).
     name: str = "abstract"
 
     def __init__(self, policy: "DTypePolicy" = None) -> None:

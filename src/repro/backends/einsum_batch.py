@@ -14,7 +14,7 @@ broadcast through the same code, and temporaries keep the stack's dtype.
 The op matrices come from one constructor call per gate family and window
 of ops (:meth:`repro.quantum.circuit.ParameterizedCircuit.op_matrices`), and
 adjacent single-qubit gates on a wire are fused into one 2x2 matrix.  The
-registry name stays ``einsum``.  Training runs the reversible adjoint sweep
+engine's name stays ``einsum``.  Training runs the reversible adjoint sweep
 of :func:`repro.quantum.autodiff.circuit_gradients_batched` on it: one
 :meth:`EinsumBatchBackend.run_batched` forward, then one
 :meth:`EinsumBatchBackend.apply_gate_batched_inplace` per op.

@@ -3,10 +3,11 @@
 :class:`NumpyLoopBackend` is a Python loop over the circuit's ops calling
 :func:`repro.quantum.gates.apply_matrix`, sharing no gate-application code
 with the default ``einsum`` engine.  It is the ground truth the vectorised
-engines are tested against, and ``QUGEO_BACKEND=numpy`` runs the whole
-stack on it.  The adjoint gradient runs here through the base-class loop
-fallbacks of ``run_batched`` and ``apply_gate_batched_inplace``: the same
-reversible sweep as on every other engine, one statevector at a time.
+engine is tested against: tests pass ``NumpyLoopBackend()`` to a model or
+a circuit as its ``backend``.  The adjoint gradient runs here through the
+base-class loop fallbacks of ``run_batched`` and
+``apply_gate_batched_inplace``: the same reversible sweep as on the default
+engine, one statevector at a time.
 """
 
 from __future__ import annotations

@@ -88,11 +88,10 @@ class QuGeoVQCConfig:
     max_qubits:
         Hardware qubit budget; construction fails if exceeded (the paper uses
         16 to match near-term devices).
-    backend:
-        Name of the simulation backend the model executes on (a key of
-        :data:`repro.backends.BACKENDS`, e.g. ``"numpy"`` or
-        ``"einsum"``).  ``None`` defers to the ``QUGEO_BACKEND`` environment
-        variable and then the registry default.
+
+    The configuration names no simulation engine: models run on
+    :class:`~repro.backends.EinsumBatchBackend` unless a ``backend``
+    instance is passed to them.
     """
 
     n_groups: int = 1
@@ -104,13 +103,10 @@ class QuGeoVQCConfig:
     inter_group_blocks: int = 1
     max_qubits: int = 16
     trainable_output_scale: bool = True
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.decoder not in ("pixel", "layer"):
             raise ValueError("decoder must be 'pixel' or 'layer'")
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ValueError("backend must be None or a backend name string")
         if self.n_groups <= 0 or self.qubits_per_group <= 0:
             raise ValueError("group layout must be positive")
         if self.n_blocks <= 0:
@@ -173,11 +169,6 @@ class TrainingConfig:
     once during test-set evaluation (peak-memory control for large test
     sets); ``None`` evaluates in a single pass.
 
-    ``dtype`` names the compute precision policy (a key accepted by
-    :func:`repro.xm.get_dtype_policy`, e.g. ``"float64"`` or ``"float32"``);
-    ``None`` defers to the ``QUGEO_DTYPE`` environment variable and then the
-    process default (float64).
-
     ``nan_policy`` decides what a non-finite mini-batch loss does:
     ``"stop"`` (default) halts the run before the poisoned optimiser update
     is applied and records a ``nan_loss`` flag in the metric history;
@@ -192,18 +183,9 @@ class TrainingConfig:
     verbose: bool = False
     eval_every: int = 10
     eval_batch_size: Optional[int] = 256
-    dtype: Optional[str] = None
     nan_policy: str = "stop"
 
     def __post_init__(self) -> None:
-        if self.dtype is not None:
-            if not isinstance(self.dtype, str):
-                raise ValueError("dtype must be None or a policy name string")
-            from repro.xm import available_policies
-            if self.dtype not in available_policies():
-                raise ValueError(
-                    f"unknown dtype policy '{self.dtype}'; "
-                    f"choose from {available_policies()}")
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.learning_rate <= 0:
@@ -249,14 +231,19 @@ def config_to_dict(config: QuGeoConfig) -> dict:
 
 
 def config_from_dict(payload: dict) -> QuGeoConfig:
-    """Rebuild a :class:`QuGeoConfig` from :func:`config_to_dict` output."""
-    def _clean(section: dict) -> dict:
+    """Rebuild a :class:`QuGeoConfig` from :func:`config_to_dict` output.
+
+    Files written by older versions may carry ``vqc.backend`` (an engine
+    name) and ``training.dtype`` (a precision the trainer never applied);
+    both settings are gone and their keys are dropped.
+    """
+    def _clean(section: dict, legacy: str = "") -> dict:
         return {key: (tuple(value) if isinstance(value, list) else value)
-                for key, value in section.items()}
+                for key, value in section.items() if key != legacy}
 
     return QuGeoConfig(
         data=QuGeoDataConfig(**_clean(payload["data"])),
-        vqc=QuGeoVQCConfig(**_clean(payload["vqc"])),
-        training=TrainingConfig(**_clean(payload["training"])),
+        vqc=QuGeoVQCConfig(**_clean(payload["vqc"], "backend")),
+        training=TrainingConfig(**_clean(payload["training"], "dtype")),
         scaling_method=str(payload["scaling_method"]),
     )

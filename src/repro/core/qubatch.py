@@ -51,8 +51,9 @@ class QuBatchVQC:
     rng:
         Seed / generator for parameter initialisation.
     backend:
-        Simulation engine (name, instance or ``None``).  ``None`` resolves
-        ``config.backend`` and then the process default.
+        Simulation engine instance; ``None`` builds the default
+        :class:`~repro.backends.EinsumBatchBackend` (see
+        :func:`repro.backends.get_backend`).
     """
 
     def __init__(self, config: QuGeoVQCConfig, rng: RngLike = None,
@@ -62,8 +63,7 @@ class QuBatchVQC:
         if config.n_groups != 1:
             raise ValueError("QuBatchVQC currently supports a single encoder group")
         self.config = config
-        self.backend = get_backend(backend if backend is not None
-                                   else config.backend)
+        self.backend = get_backend(backend)
         rng = ensure_rng(rng)
         st_encoder = STEncoder(n_groups=1,
                                qubits_per_group=config.qubits_per_group)

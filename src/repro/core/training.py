@@ -7,7 +7,7 @@ lives in a pluggable :class:`StepStrategy` (how one mini-batch turns into
 accumulated gradients) selected by :func:`select_step_strategy`:
 
 * :class:`QuantumBatchedAdjointStep` — :class:`~repro.core.vqc_model.QuGeoVQC`
-  on any backend: one reversible forward/backward sweep per mini-batch.
+  on either engine: one reversible forward/backward sweep per mini-batch.
 * :class:`QuBatchStep` — :class:`~repro.core.qubatch.QuBatchVQC`, whose
   mini-batch size is the circuit's own batch capacity.
 * :class:`ClassicalAutogradStep` — :class:`~repro.core.classical_models.ClassicalFWIModel`
@@ -65,7 +65,6 @@ from repro.utils.serialization import (
     resolve_checkpoint,
     save_checkpoint,
 )
-from repro.xm import DTypePolicy, get_dtype_policy
 
 # Version 2: dataset fingerprints are computed from per-sample content sums
 # (shared with repro.data.store.content_fingerprint) instead of full-array
@@ -397,9 +396,6 @@ class TrainerState:
     scheduler: CosineAnnealingLR
     rng: np.random.Generator
     logger: RunLogger
-    #: Compute-precision policy resolved from ``config.dtype`` (or the
-    #: ``QUGEO_DTYPE`` environment variable when the config leaves it unset).
-    policy: Optional[DTypePolicy] = None
     #: Data sources (``ArrayDataSource`` or a streaming ShardLoader).
     train_source: object = None
     test_source: Optional[object] = None
@@ -756,10 +752,6 @@ class Trainer:
                  strategy: Optional[StepStrategy] = None) -> None:
         self.config = config or TrainingConfig()
         self.strategy = strategy
-        # config.dtype = None defers to QUGEO_DTYPE and then float64, so the
-        # default path is unchanged; the resolved policy is recorded here and
-        # handed to callbacks/strategies through TrainerState.policy.
-        self.policy = get_dtype_policy(self.config.dtype)
 
     def train(self, model: Model,
               train_dataset: FWIDataset,
@@ -823,7 +815,6 @@ class Trainer:
         state = TrainerState(trainer=self, config=config, model=model,
                              strategy=strategy, optimizer=optimizer,
                              scheduler=scheduler, rng=rng, logger=logger,
-                             policy=self.policy,
                              train_source=train_source,
                              test_source=test_source, callbacks=callbacks,
                              train_fingerprint=_dataset_fingerprint(train_source),
@@ -1017,11 +1008,11 @@ class Trainer:
         # and unchunked evaluation agree), so both may differ.
         saved_config = dict(payload.get("config", {}))
         current_config = dataclasses.asdict(state.config)
-        # Checkpoints written before the dtype field existed mean float64,
-        # which is exactly what dtype=None resolves to; likewise pre-existing
-        # checkpoints predate the nan_policy field, whose default is "stop"
-        # (trajectory-identical on finite losses).
-        saved_config.setdefault("dtype", None)
+        # ``dtype`` is a removed setting the trainer never applied, so a
+        # saved value is dropped.  Older checkpoints predate the nan_policy
+        # field, whose default is "stop" (trajectory-identical on finite
+        # losses).
+        saved_config.pop("dtype", None)
         saved_config.setdefault("nan_policy", "stop")
         for neutral in ("verbose", "eval_batch_size"):
             saved_config.pop(neutral, None)

@@ -23,8 +23,8 @@ which runs the whole batch as one reversible forward/backward sweep
 (:func:`repro.quantum.autodiff.circuit_gradients_batched`) with vectorised
 per-decoder loss heads; the sweep uncomputes pre-gate states instead of
 storing them, so its memory does not grow with circuit depth.  The
-per-sample API is a batch of one through the same path, on every backend
-(``einsum`` by default, the ``numpy`` oracle with ``QUGEO_BACKEND=numpy``).
+per-sample API is a batch of one through the same path, on the default
+``einsum`` engine and on the ``numpy`` oracle tests pass in.
 Prediction has one path too: :meth:`QuGeoVQC.predict` runs a
 ``(batch, n_features)`` stack as one stacked circuit pass, and a single
 sample is a stack of one.
@@ -69,8 +69,9 @@ class QuGeoVQC:
     rng:
         Seed / generator for the parameter initialisation.
     backend:
-        Simulation engine (name, instance or ``None``).  ``None`` resolves
-        ``config.backend`` and then the process default.
+        Simulation engine instance; ``None`` builds the default
+        :class:`~repro.backends.EinsumBatchBackend` (see
+        :func:`repro.backends.get_backend`).
     """
 
     name = "QuGeoVQC"
@@ -80,8 +81,7 @@ class QuGeoVQC:
         self.config = config or QuGeoVQCConfig()
         if self.config.n_batch_qubits != 0:
             raise ValueError("QuGeoVQC does not batch; use QuBatchVQC instead")
-        self.backend = get_backend(backend if backend is not None
-                                   else self.config.backend)
+        self.backend = get_backend(backend)
         rng = ensure_rng(rng)
         self.encoder = STEncoder(n_groups=self.config.n_groups,
                                  qubits_per_group=self.config.qubits_per_group)

@@ -16,7 +16,7 @@ methods are provided:
   matrices and ``dU U^dagger`` products come from one vectorised call per
   gate family; the engine updates the sweep's stack in place, and each
   gradient reads the reduced overlap straight from strided views of it.
-  This is the one gradient path used for training, on every backend.
+  This is the one gradient path used for training, on either engine.
 * :func:`circuit_gradients` — the same sweep for a single input state (a
   batch of one).
 * :func:`parameter_shift_gradients` — the hardware-compatible two-term
@@ -73,7 +73,7 @@ def circuit_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
     loss_head:
         Function mapping the output statevector to ``(loss, dL/d(psi*))``.
     backend:
-        Simulation engine (name, instance or ``None`` for the default).
+        Simulation engine instance, or ``None`` for the default.
 
     Returns
     -------
@@ -112,9 +112,9 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
         ``lams`` is the ``(batch, 2**n)`` co-state stack ``dL_b/d(psi_b*)``.
         It is invoked exactly once per call, always on the full batch.
     backend:
-        Simulation engine (name, instance or ``None`` for the default).  The
+        Simulation engine instance, or ``None`` for the default.  The
         sweep needs only ``run_batched`` and ``apply_gate_batched_inplace``,
-        which every backend provides.
+        which both engines provide.
 
     Returns
     -------
@@ -281,8 +281,11 @@ def finite_difference_gradients(circuit: ParameterizedCircuit, params: np.ndarra
     ``indices`` restricts the differentiation to those parameters (all of
     them by default); the gradient array lists them in that order.
     """
+    from repro.backends import get_backend
+
+    engine = get_backend(backend)
     params = np.asarray(params, dtype=np.float64).reshape(-1)
-    loss, _ = _evaluate(circuit, params, input_state, loss_head, backend)
+    loss, _ = _evaluate(circuit, params, input_state, loss_head, engine)
     if indices is None:
         indices = range(params.size)
     indices = [int(i) for i in indices]
@@ -290,9 +293,9 @@ def finite_difference_gradients(circuit: ParameterizedCircuit, params: np.ndarra
     for row, i in enumerate(indices):
         shifted = params.copy()
         shifted[i] += epsilon
-        loss_plus, _ = _evaluate(circuit, shifted, input_state, loss_head, backend)
+        loss_plus, _ = _evaluate(circuit, shifted, input_state, loss_head, engine)
         shifted[i] -= 2 * epsilon
-        loss_minus, _ = _evaluate(circuit, shifted, input_state, loss_head, backend)
+        loss_minus, _ = _evaluate(circuit, shifted, input_state, loss_head, engine)
         grads[row] = (loss_plus - loss_minus) / (2 * epsilon)
     return loss, grads
 

@@ -191,9 +191,8 @@ class ParameterizedCircuit:
         params:
             Flat parameter vector of length :attr:`n_params`.
         backend:
-            Simulation engine: a registered name, a
-            :class:`~repro.backends.base.SimulationBackend` instance, or
-            ``None`` for the process default (see :mod:`repro.backends`).
+            A :class:`~repro.backends.base.SimulationBackend` instance, or
+            ``None`` for the default engine (see :mod:`repro.backends`).
 
         Returns
         -------
@@ -213,8 +212,9 @@ class ParameterizedCircuit:
         """Apply the circuit to a ``(batch, 2**n_qubits)`` stack of states.
 
         ``params`` is a shared vector or a ``(batch, n_params)`` matrix.
-        The ``"einsum"`` engine updates the whole stack gate by gate; the
-        ``"numpy"`` oracle loops over the states.
+        The default engine updates the whole stack gate by gate; the
+        :class:`~repro.backends.NumpyLoopBackend` oracle loops over the
+        states.
         """
         from repro.backends import get_backend
 

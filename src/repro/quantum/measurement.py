@@ -281,8 +281,7 @@ def sample_counts(state: np.ndarray, n_shots: int,
     does — an integer seed, a :class:`numpy.random.SeedSequence`, an existing
     generator, or ``None``.  The same ``(state, n_shots, seed)`` triple
     always returns bit-identical counts, so sampled readouts are exactly
-    reproducible across runs and across the ``sampled_*`` helpers built on
-    top of this one.
+    reproducible across runs and through :func:`sampled_probabilities`.
     """
     from repro.utils.rng import ensure_rng
 
@@ -299,58 +298,8 @@ def sampled_probabilities(state: np.ndarray, n_shots: int,
                           rng=None) -> np.ndarray:
     """Shot-noise estimate of the basis-state probabilities.
 
-    Seed-deterministic: see :func:`sample_counts`.
+    Seed-deterministic: see :func:`sample_counts`.  The finite-shot readout
+    decodes it with the exact decoders' ``*_from_probabilities`` forms.
     """
     counts = sample_counts(state, n_shots, rng=rng)
     return counts / float(n_shots)
-
-
-def sampled_z_expectations(state: np.ndarray, qubits: Sequence[int],
-                           n_qubits: int, n_shots: int,
-                           rng=None) -> np.ndarray:
-    """Shot-noise estimate of the Pauli-Z expectations used by Q-M-LY.
-
-    Seed-deterministic: see :func:`sample_counts`.  All randomness lives in
-    the single :func:`sampled_probabilities` draw; the decode is the same
-    sign-matrix contraction as the exact :func:`z_expectations`.
-    """
-    state = np.asarray(state, dtype=np.complex128).reshape(-1)
-    if state.size != 2**n_qubits:
-        raise ValueError("state length does not match n_qubits")
-    estimated = sampled_probabilities(state, n_shots, rng=rng)
-    return z_expectations_from_probabilities(estimated, qubits, n_qubits)
-
-
-def sampled_marginal_probabilities(state: np.ndarray, qubits: Sequence[int],
-                                   n_qubits: int, n_shots: int,
-                                   rng=None) -> np.ndarray:
-    """Shot-noise estimate of the marginal outcome probabilities (Q-M-PX).
-
-    Seed-deterministic: see :func:`sample_counts`.
-    """
-    state = np.asarray(state, dtype=np.complex128).reshape(-1)
-    if state.size != 2**n_qubits:
-        raise ValueError("state length does not match n_qubits")
-    estimated = sampled_probabilities(state, n_shots, rng=rng)
-    return marginal_probabilities_from_probabilities(estimated, qubits,
-                                                     n_qubits)
-
-
-def conditional_block_probabilities(state: np.ndarray, batch_qubits: int,
-                                    n_qubits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Split the probability vector into QuBatch blocks.
-
-    With ``batch_qubits`` most-significant qubits indexing the batch, the
-    state's probability vector splits into ``2**batch_qubits`` contiguous
-    blocks of ``2**(n_qubits - batch_qubits)`` entries.  Returns the block
-    matrix ``(n_batches, block_size)`` and the per-block total probability.
-    """
-    state = np.asarray(state, dtype=np.complex128).reshape(-1)
-    if state.size != 2**n_qubits:
-        raise ValueError("state length does not match n_qubits")
-    if not 0 <= batch_qubits < n_qubits:
-        raise ValueError("batch_qubits must be in [0, n_qubits)")
-    n_batches = 2**batch_qubits
-    block = state.reshape(n_batches, -1)
-    probs = np.abs(block) ** 2
-    return probs, probs.sum(axis=1)

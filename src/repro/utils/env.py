@@ -2,10 +2,10 @@
 
 Every process-level switch of the stack is an environment variable with the
 ``QUGEO_`` prefix.  Historically each subsystem parsed its own variable
-inline (``telemetry/core.py``, the backend registry, ``benchmarks/common.py``,
-...); this module is now the single place that knows the variable names,
-their defaults and how to coerce their values, so the documented behaviour
-cannot drift between call sites.
+inline (``telemetry/core.py``, ``benchmarks/common.py``, ...); this module
+is now the single place that knows the variable names, their defaults and
+how to coerce their values, so the documented behaviour cannot drift
+between call sites.
 
 The module is stdlib-only and imports nothing from the rest of the stack,
 so every layer (including :mod:`repro.telemetry`, which must stay
@@ -17,8 +17,8 @@ Known variables
 ==========================  =====================================================
 Variable                    Meaning (default)
 ==========================  =====================================================
-``QUGEO_BACKEND``           Default simulation backend name (``einsum``)
-``QUGEO_DTYPE``             Default dtype policy (``float64``; also ``float32``)
+``QUGEO_DTYPE``             Dtype policy engines bind when built (``float64``;
+                            also ``float32``)
 ``QUGEO_TELEMETRY``         Telemetry mode (``off``; ``summary`` / ``trace``)
 ``QUGEO_BENCH_SCALE``       Benchmark scale (``small``; ``medium`` / ``full``)
 ``QUGEO_CACHE_DIR``         Sharded dataset-store directory (unset = no cache)
@@ -50,7 +50,6 @@ from typing import Dict, Iterator, Optional, Tuple
 ENV_PREFIX = "QUGEO_"
 
 # Canonical variable names (import these instead of retyping strings).
-BACKEND = "QUGEO_BACKEND"
 DTYPE = "QUGEO_DTYPE"
 TELEMETRY = "QUGEO_TELEMETRY"
 BENCH_SCALE = "QUGEO_BENCH_SCALE"
@@ -75,7 +74,6 @@ class EnvVar:
 
 #: Every known variable with its documented default, in display order.
 KNOWN_VARS: Tuple[EnvVar, ...] = (
-    EnvVar(BACKEND, "einsum", "default simulation backend name"),
     EnvVar(DTYPE, "float64", "default dtype policy",
            ("float64", "float32")),
     EnvVar(TELEMETRY, "off", "telemetry mode", ("off", "summary", "trace")),

@@ -1,32 +1,24 @@
-"""One string-keyed engine table: :class:`Registry`.
+"""One string-keyed table: :class:`Registry`.
 
-Every pluggable layer of the stack (simulation backends, lint rules) is a
-module-level ``Registry`` instance; the acoustic propagator has one engine
-and no table.  Engines register a zero-argument
-factory under a short name; :meth:`Registry.get` resolves, in order,
+The lint rules (:data:`repro.analysis.registry.RULES`) are its one table;
+the simulation engine and the acoustic propagator have no table.  Entries
+register a zero-argument factory under a short name; :meth:`Registry.get`
+resolves a registered name, or returns a ready instance as it is after a
+type check.  Factories run lazily on first lookup and their result is
+cached per name.
 
-1. a ready instance passed by the caller (returned as-is after the owner's
-   type check);
-2. a registered name;
-3. ``None``: the table's environment variable, else its default name.
-
-Factories run lazily on first lookup and their result is cached per name.
-
-The module depends only on the standard library and the stdlib-only
-:mod:`repro.utils.env`.
+The module depends only on the standard library.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, List, Optional, TypeVar, Union
-
-from repro.utils import env
+from typing import Callable, Dict, Generic, List, TypeVar, Union
 
 T = TypeVar("T")
 
 
 class UnknownNameError(KeyError):
-    """Raised when resolving a name no engine was registered under."""
+    """Raised when resolving a name nothing was registered under."""
 
     def __init__(self, kind: str, name: str, registered: List[str]) -> None:
         super().__init__(
@@ -44,17 +36,13 @@ class DuplicateNameError(ValueError):
 class Registry(Generic[T]):
     """Name -> lazily built, cached instance of ``instance_type``.
 
-    ``kind`` labels the table in error messages; ``env_var`` and
-    ``default`` give the name :meth:`get` resolves for ``None``.
-    ``instance_type`` (a class or ABC) checks ready instances passed to
-    :meth:`get` and the objects factories build.
+    ``kind`` labels the table in error messages.  ``instance_type`` (a
+    class or ABC) checks ready instances passed to :meth:`get` and the
+    objects factories build.
     """
 
-    def __init__(self, kind: str, env_var: Optional[str],
-                 default: Optional[str], instance_type: type) -> None:
+    def __init__(self, kind: str, instance_type: type) -> None:
         self.kind = kind
-        self._env_var = env_var
-        self._default = default
         self._type = instance_type
         self._factories: Dict[str, Callable[[], T]] = {}
         self._instances: Dict[str, T] = {}
@@ -78,27 +66,16 @@ class Registry(Generic[T]):
         self._instances.pop(name, None)
 
     def names(self) -> List[str]:
-        """Sorted names of every registered engine."""
+        """Sorted names of every registered entry."""
         return sorted(self._factories)
 
-    def default_name(self) -> str:
-        """The name :meth:`get` resolves when given ``None``."""
-        name = self._default
-        if self._env_var is not None:
-            name = env.get_str(self._env_var, name)
-        if name is None:
-            raise TypeError(f"{self.kind} lookups need an explicit name")
-        return name
-
-    def get(self, spec: Union[None, str, T] = None) -> T:
-        """Resolve ``spec`` (``None``, a name or a ready instance)."""
-        if spec is None:
-            spec = self.default_name()
+    def get(self, spec: Union[str, T]) -> T:
+        """Resolve ``spec`` (a name or a ready instance)."""
         if isinstance(spec, str):
             return self._instance(spec)
         if not isinstance(spec, self._type):
             raise TypeError(
-                f"{self.kind} spec must be None, a name or a "
+                f"{self.kind} spec must be a name or a "
                 f"{self._type.__name__}, got {type(spec).__name__}")
         return spec
 

@@ -53,7 +53,7 @@ def test_qg001_flags_direct_environ(tmp_path):
     root = make_project(tmp_path, {
         "src/repro/foo.py": """\
             import os
-            os.environ["QUGEO_BACKEND"] = "numpy"
+            os.environ["QUGEO_DTYPE"] = "float32"
             value = os.getenv("QUGEO_DTYPE")
         """,
     })
@@ -65,7 +65,7 @@ def test_qg001_allows_env_module_and_from_import_flagged(tmp_path):
     root = make_project(tmp_path, {
         "src/repro/utils/env.py": """\
             import os
-            os.environ["QUGEO_BACKEND"] = "numpy"
+            os.environ["QUGEO_DTYPE"] = "float32"
         """,
         "src/repro/bar.py": """\
             from os import getenv
@@ -323,7 +323,7 @@ def test_registry_register_unregister(monkeypatch):
         name = "fixture-rule"
         description = "fixture"
 
-    table = Registry("lint rule", None, None, Rule)
+    table = Registry("lint rule", Rule)
     monkeypatch.setattr(rule_registry, "RULES", table)
     table.register(FixtureRule.code, FixtureRule)
     assert get_rule("fixture-rule").code == "ZZ901"

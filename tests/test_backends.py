@@ -1,4 +1,4 @@
-"""Backend subsystem tests: engine parity, registry wiring, model plumbing.
+"""Backend subsystem tests: engine parity, engine resolution, model plumbing.
 
 The vectorised :class:`EinsumBatchBackend` must agree with the bit-exact
 :class:`NumpyLoopBackend` to 1e-10 on random circuits over 1-6 qubits,
@@ -7,9 +7,8 @@ U3/CU3 family, in every execution mode (single state, batched states,
 batched parameters, batched gate application).  Its strided-view kernel is
 also checked gate by gate: every ``GATES`` and ``PARAMETRIC_GATES`` entry on
 every target (and ordered target pair) of a 5-qubit register, under both
-dtype policies.  Every name in ``BACKENDS``
-gets a parity row against the ``numpy`` oracle by construction; the
-generic registry contract is tested once in ``tests/test_utils_registry.py``.
+dtype policies.  No name or setting selects an engine: ``get_backend()``
+builds the einsum engine and the oracle is passed in as an instance.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.backends
 from repro.backends import (
-    BACKENDS,
     EinsumBatchBackend,
     NumpyLoopBackend,
     get_backend,
@@ -34,9 +33,13 @@ from repro.quantum.autodiff import (
 from repro.quantum.circuit import ParameterizedCircuit
 from repro.quantum.measurement import z_expectations, z_expectations_batched
 from repro.utils import env
-from repro.utils.registry import DuplicateNameError, UnknownNameError
+from repro.xm import FLOAT32, FLOAT64
 
 ATOL = 1e-10
+
+#: Both engines, each test id the engine's ``name``.
+ENGINES = [pytest.param(EinsumBatchBackend(), id="einsum"),
+           pytest.param(NumpyLoopBackend(), id="numpy")]
 
 FIXED_SINGLE = ("H", "X", "Y", "Z", "S", "T")
 FIXED_DOUBLE = ("CNOT", "CZ", "SWAP")
@@ -71,12 +74,12 @@ def random_states(n_qubits: int, batch: int, rng) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def loop():
-    return get_backend("numpy")
+    return NumpyLoopBackend()
 
 
 @pytest.fixture(scope="module")
 def einsum():
-    return get_backend("einsum")
+    return EinsumBatchBackend()
 
 
 # --------------------------------------------------------------------------- #
@@ -156,7 +159,7 @@ def _batched_params_run_peak_bytes(n_blocks):
     circuit = u3_cu3_ansatz(8, n_blocks=n_blocks)
     params = rng.normal(size=(32, circuit.n_params))
     states = random_states(8, 32, rng)
-    engine = get_backend("einsum")
+    engine = EinsumBatchBackend()
     engine.run_batched(circuit, states, params)
     tracemalloc.start()
     try:
@@ -303,12 +306,11 @@ def test_kernel_matches_oracle_on_every_target(name, policy):
                                    expected, atol=atol)
 
 
-@pytest.mark.parametrize("engine", ["einsum", "numpy"])
-def test_apply_gate_batched_inplace_updates_the_stack(engine):
+@pytest.mark.parametrize("backend", ENGINES)
+def test_apply_gate_batched_inplace_updates_the_stack(backend):
     from repro.quantum.gates import GATES
 
-    backend = get_backend(engine)
-    oracle = get_backend("numpy")
+    oracle = NumpyLoopBackend()
     rng = np.random.default_rng(21)
     for name, targets in (("H", (2,)), ("CNOT", (3, 1)), ("SWAP", (0, 4))):
         states = random_states(5, 3, rng)
@@ -361,19 +363,26 @@ def test_expectation_parity(loop, einsum):
 
 
 def test_circuit_run_accepts_backend_name():
+    """``circuit.run`` takes an engine instance or ``None``; a name is a
+    ``TypeError``, no longer a lookup."""
     rng = np.random.default_rng(11)
     circuit = random_circuit(3, n_ops=8, rng=rng)
     params = rng.normal(size=circuit.n_params)
     state = random_states(3, 1, rng)[0]
-    np.testing.assert_allclose(circuit.run(state, params, backend="einsum"),
-                               circuit.run(state, params, backend="numpy"),
+    oracle = NumpyLoopBackend()
+    np.testing.assert_allclose(circuit.run(state, params),
+                               circuit.run(state, params, backend=oracle),
                                atol=ATOL)
     states = random_states(3, 4, rng)
-    np.testing.assert_allclose(circuit.run_batched(states, params,
-                                                   backend="einsum"),
+    np.testing.assert_allclose(circuit.run_batched(states, params),
                                circuit.run_batched(states, params,
-                                                   backend="numpy"),
+                                                   backend=oracle),
                                atol=ATOL)
+    for name in ("einsum", "numpy"):
+        with pytest.raises(TypeError, match="NumpyLoopBackend"):
+            circuit.run(state, params, backend=name)
+        with pytest.raises(TypeError, match="EinsumBatchBackend"):
+            circuit.run_batched(states, params, backend=name)
 
 
 def test_einsum_rejects_bad_shapes(einsum):
@@ -410,9 +419,8 @@ def test_adjoint_gradients_match_across_backends():
     state = random_states(4, 1, rng)[0]
     loss_head = _z0_loss_head(4)
     loss_a, grads_a = circuit_gradients(circuit, params, state, loss_head,
-                                        backend="numpy")
-    loss_b, grads_b = circuit_gradients(circuit, params, state, loss_head,
-                                        backend="einsum")
+                                        backend=NumpyLoopBackend())
+    loss_b, grads_b = circuit_gradients(circuit, params, state, loss_head)
     assert abs(loss_a - loss_b) < ATOL
     np.testing.assert_allclose(grads_b, grads_a, atol=ATOL)
     _, grads_fd = finite_difference_gradients(circuit, params, state, loss_head)
@@ -431,10 +439,10 @@ def test_parameter_shift_chunked_sweep_matches_loop(monkeypatch):
     state = random_states(3, 1, rng)[0]
     loss_head = _z0_loss_head(3)
     _, grads_whole = parameter_shift_gradients(circuit, params, state,
-                                               loss_head, backend="einsum")
+                                               loss_head)
     monkeypatch.setattr(autodiff, "_SHIFT_SWEEP_MAX_ELEMENTS", 1)
     _, grads_chunked = parameter_shift_gradients(circuit, params, state,
-                                                 loss_head, backend="einsum")
+                                                 loss_head)
     np.testing.assert_allclose(grads_chunked, grads_whole, atol=ATOL)
 
 
@@ -449,7 +457,7 @@ def test_parameter_shift_stacked_sweep_matches_loop():
     params = rng.normal(size=circuit.n_params)
     state = random_states(3, 1, rng)[0]
     loss_head = _z0_loss_head(3)
-    for engine in BACKENDS.names():
+    for engine in (EinsumBatchBackend(), NumpyLoopBackend()):
         expected = np.empty(circuit.n_params)
         for i in range(circuit.n_params):
             shifted = params.copy()
@@ -462,76 +470,73 @@ def test_parameter_shift_stacked_sweep_matches_loop():
                                                 loss_head, backend=engine)
         assert loss == loss_head(circuit.run(state, params, backend=engine))[0]
         np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12,
-                                   err_msg=engine)
+                                   err_msg=engine.name)
 
 
 # --------------------------------------------------------------------------- #
-# registry wiring (the generic contract: tests/test_utils_registry.py)
+# engine resolution: no registry, no names, no environment switch
 # --------------------------------------------------------------------------- #
 def test_known_backends_registered():
-    assert BACKENDS.names() == ["einsum", "numpy"]
-    assert [get_backend(name).name for name in BACKENDS.names()] == [
-        "einsum", "numpy"]
-    assert isinstance(get_backend("numpy"), NumpyLoopBackend)
-    assert isinstance(get_backend("einsum"), EinsumBatchBackend)
+    """The two engines exist as classes; ``repro.backends`` keeps no table."""
+    assert not hasattr(repro.backends, "BACKENDS")
+    assert EinsumBatchBackend.name == "einsum"
+    assert NumpyLoopBackend.name == "numpy"
+    assert isinstance(get_backend(), EinsumBatchBackend)
+    assert get_backend().name == "einsum"
 
 
 def test_get_backend_unknown_name():
-    with pytest.raises(UnknownNameError) as excinfo:
-        get_backend("definitely-not-a-backend")
-    message = str(excinfo.value)
-    assert "definitely-not-a-backend" in message
-    assert "numpy" in message  # the error lists what *is* registered
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(DuplicateNameError):
-        BACKENDS.register("numpy", NumpyLoopBackend)
-    assert isinstance(get_backend("numpy"), NumpyLoopBackend)
-
-
-def test_register_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        BACKENDS.register("", NumpyLoopBackend)
-    with pytest.raises(TypeError):
-        BACKENDS.register("not-callable", object())
+    """Every string is rejected, and the message names both classes."""
+    for name in ("numpy", "einsum", "definitely-not-a-backend"):
+        with pytest.raises(TypeError) as excinfo:
+            get_backend(name)
+        message = str(excinfo.value)
+        assert name in message
+        assert "EinsumBatchBackend" in message
+        assert "NumpyLoopBackend" in message
 
 
 def test_get_backend_passthrough_and_bad_spec():
-    instance = EinsumBatchBackend()
-    assert get_backend(instance) is instance
-    with pytest.raises(TypeError):
-        get_backend(123)
+    for instance in (EinsumBatchBackend(), NumpyLoopBackend()):
+        assert get_backend(instance) is instance
+    # None builds a fresh engine per call: nothing is cached process-wide.
+    assert get_backend(None) is not get_backend(None)
+    for bad in (123, NumpyLoopBackend):
+        with pytest.raises(TypeError):
+            get_backend(bad)
 
 
 def test_env_var_selects_default(monkeypatch):
-    monkeypatch.setenv(env.BACKEND, "numpy")
-    assert isinstance(get_backend(None), NumpyLoopBackend)
-    monkeypatch.delenv(env.BACKEND)
-    assert isinstance(get_backend(None), EinsumBatchBackend)
+    """``QUGEO_DTYPE`` is the one setting the default engine reads, when it
+    is built; ``QUGEO_BACKEND`` is no longer a known variable."""
+    assert "QUGEO_BACKEND" not in {var.name for var in env.KNOWN_VARS}
+    monkeypatch.setenv("QUGEO_BACKEND", "numpy")
+    monkeypatch.delenv(env.DTYPE, raising=False)
+    before = get_backend(None)
+    assert isinstance(before, EinsumBatchBackend)
+    assert before.policy is FLOAT64
+    monkeypatch.setenv(env.DTYPE, "float32")
+    assert get_backend(None).policy is FLOAT32
+    assert before.policy is FLOAT64
 
 
 @pytest.mark.parametrize("engine", ["einsum", "numpy", "torch"])
 def test_array_module_engines_registered_and_guarded(engine, monkeypatch):
-    """NumPy is the one array library: the numpy engines resolve by name and
-    from the environment; ``torch`` names no engine either way."""
-    monkeypatch.setenv(env.BACKEND, engine)
-    if engine in BACKENDS.names():
-        assert get_backend(engine).name == engine
-        assert get_backend(None).name == engine
-        return
-    with pytest.raises(UnknownNameError, match="registered: einsum, numpy$"):
+    """NumPy is the one array library and no name selects an engine: each
+    name is a ``TypeError``, and the environment cannot pick one either."""
+    monkeypatch.setenv("QUGEO_BACKEND", engine)
+    with pytest.raises(TypeError, match="EinsumBatchBackend"):
         get_backend(engine)
-    with pytest.raises(UnknownNameError, match="registered: einsum, numpy$"):
-        get_backend(None)
+    with pytest.raises(TypeError, match="NumpyLoopBackend"):
+        QuGeoVQC(_small_config(), rng=0, backend=engine)
+    assert get_backend(None).name == "einsum"
 
 
 # --------------------------------------------------------------------------- #
-# every registered engine against the numpy oracle
+# both engines against the numpy oracle
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", BACKENDS.names())
-def test_engine_parity_with_numpy_oracle(engine, loop):
-    backend = get_backend(engine)
+@pytest.mark.parametrize("backend", ENGINES)
+def test_engine_parity_with_numpy_oracle(backend, loop):
     rng = np.random.default_rng(400)
     for n_qubits in (1, 3, 5):
         circuit = random_circuit(n_qubits, n_ops=15, rng=rng)
@@ -555,7 +560,7 @@ def test_engine_parity_with_numpy_oracle(engine, loop):
         atol=ATOL)
     loss_head = _z0_loss_head(4)
     loss_a, grads_a = circuit_gradients(circuit, params, states[0], loss_head,
-                                        backend="numpy")
+                                        backend=loop)
     loss_b, grads_b = circuit_gradients(circuit, params, states[0], loss_head,
                                         backend=backend)
     assert abs(loss_a - loss_b) < ATOL
@@ -573,8 +578,8 @@ def _small_config(**kwargs) -> QuGeoVQCConfig:
 def test_qugeovqc_backend_parity():
     rng = np.random.default_rng(14)
     seismic = [rng.normal(size=16) for _ in range(3)]
-    model_loop = QuGeoVQC(_small_config(backend="numpy"), rng=3)
-    model_einsum = QuGeoVQC(_small_config(backend="einsum"), rng=3)
+    model_loop = QuGeoVQC(_small_config(), rng=3, backend=NumpyLoopBackend())
+    model_einsum = QuGeoVQC(_small_config(), rng=3)
     assert isinstance(model_loop.backend, NumpyLoopBackend)
     assert isinstance(model_einsum.backend, EinsumBatchBackend)
     for sample in seismic:
@@ -595,10 +600,11 @@ def test_qubatchvqc_backend_parity():
     config_kwargs = dict(n_batch_qubits=1)
     seismic = [rng.normal(size=16) for _ in range(2)]
     targets = [rng.normal(size=(4, 4)) for _ in range(2)]
-    model_loop = QuBatchVQC(_small_config(backend="numpy", **config_kwargs),
-                            rng=4)
-    model_einsum = QuBatchVQC(_small_config(backend="einsum", **config_kwargs),
-                              rng=4)
+    model_loop = QuBatchVQC(_small_config(**config_kwargs), rng=4,
+                            backend=NumpyLoopBackend())
+    model_einsum = QuBatchVQC(_small_config(**config_kwargs), rng=4)
+    assert isinstance(model_loop.backend, NumpyLoopBackend)
+    assert isinstance(model_einsum.backend, EinsumBatchBackend)
     np.testing.assert_allclose(model_einsum.predict_batch(seismic),
                                model_loop.predict_batch(seismic), atol=ATOL)
     loss_a, grads_a = model_loop.loss_and_gradients(seismic, targets)
@@ -608,15 +614,28 @@ def test_qubatchvqc_backend_parity():
 
 
 def test_explicit_backend_argument_overrides_config():
-    model = QuGeoVQC(_small_config(backend="numpy"), rng=5, backend="einsum")
-    assert isinstance(model.backend, EinsumBatchBackend)
+    """The ``backend`` argument is the only way to pick an engine: an
+    instance is used as it is, and ``None`` builds the default engine."""
+    oracle = NumpyLoopBackend()
+    assert QuGeoVQC(_small_config(), rng=5, backend=oracle).backend is oracle
+    assert isinstance(QuGeoVQC(_small_config(), rng=5).backend,
+                      EinsumBatchBackend)
+    qubatch = QuBatchVQC(_small_config(n_batch_qubits=1), rng=5,
+                         backend=oracle)
+    assert qubatch.backend is oracle
 
 
 def test_config_rejects_non_string_backend():
-    with pytest.raises(ValueError):
-        _small_config(backend=123)
+    """``QuGeoVQCConfig`` has no ``backend`` field any more."""
+    for value in (123, "numpy", None):
+        with pytest.raises(TypeError):
+            _small_config(backend=value)
+    assert not hasattr(QuGeoVQCConfig(), "backend")
 
 
 def test_unknown_config_backend_fails_at_model_build():
-    with pytest.raises(UnknownNameError):
-        QuGeoVQC(_small_config(backend="no-such-engine"), rng=0)
+    """An engine name fails at model build, for both model classes."""
+    with pytest.raises(TypeError, match="NumpyLoopBackend"):
+        QuGeoVQC(_small_config(), rng=0, backend="no-such-engine")
+    with pytest.raises(TypeError, match="EinsumBatchBackend"):
+        QuBatchVQC(_small_config(n_batch_qubits=1), rng=0, backend="numpy")

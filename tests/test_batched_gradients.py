@@ -3,7 +3,7 @@
 The contract: :func:`repro.quantum.autodiff.circuit_gradients_batched` (and
 the model/trainer layers built on it) must produce the same losses and
 gradients for every row of a batch as for that sample alone, and match the
-finite-difference ground truth, on every backend, for both decoders and for
+finite-difference ground truth, on both engines, for both decoders and for
 grouped and ungrouped ansätze.  Oracles at the paper's depth and per gate
 live in ``test_gradient_oracles.py``.
 """
@@ -11,7 +11,7 @@ live in ``test_gradient_oracles.py``.
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.core.config import QuGeoVQCConfig, TrainingConfig
 from repro.core.training import QuantumTrainer, evaluate_predictions
 from repro.core.vqc_model import QuGeoVQC
@@ -36,7 +36,9 @@ from repro.quantum.measurement import (
     z_expectations_batched,
 )
 
-BACKENDS = ("numpy", "einsum")
+#: The per-gate oracle and the default engine, as instances.
+ENGINES = (pytest.param(NumpyLoopBackend(), id="numpy"),
+           pytest.param(EinsumBatchBackend(), id="einsum"))
 
 
 def _random_states(n_qubits, batch, rng):
@@ -137,7 +139,7 @@ class TestBatchedMeasurementHeads:
 
 
 class TestCircuitGradientsBatched:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize("batch", [1, 5])
     def test_matches_per_sample_adjoint_expectation_loss(self, backend, batch):
         rng = np.random.default_rng(10)
@@ -159,7 +161,7 @@ class TestCircuitGradientsBatched:
             assert losses[b] == pytest.approx(loss_s, abs=1e-12)
             np.testing.assert_allclose(grads[b], grad_s, atol=1e-10)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_matches_per_sample_adjoint_probability_loss(self, backend):
         rng = np.random.default_rng(11)
         n, batch = 3, 4
@@ -178,7 +180,7 @@ class TestCircuitGradientsBatched:
             assert losses[b] == pytest.approx(loss_s, abs=1e-12)
             np.testing.assert_allclose(grads[b], grad_s, atol=1e-10)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_matches_finite_difference(self, backend):
         rng = np.random.default_rng(12)
         n, batch = 3, 3
@@ -197,7 +199,7 @@ class TestCircuitGradientsBatched:
                                                      backend=backend)
             np.testing.assert_allclose(grads[b], grad_fd, atol=1e-6)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_grouped_ansatz(self, backend):
         rng = np.random.default_rng(13)
         n, batch = 4, 3
@@ -251,7 +253,7 @@ class TestBaseClassBatchedFallbacks:
 
     def test_apply_gate_batched_matches_per_state(self):
         rng = np.random.default_rng(51)
-        backend = get_backend("numpy")
+        backend = NumpyLoopBackend()
         states = _random_states(3, 4, rng)
         matrix = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         batched = backend.apply_gate_batched(states, matrix, (2, 0), 3)
@@ -261,7 +263,7 @@ class TestBaseClassBatchedFallbacks:
 
 
 class TestModelBatchedGradients:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize("decoder", ["pixel", "layer"])
     @pytest.mark.parametrize("n_groups", [1, 2])
     def test_batch_matches_per_sample(self, backend, decoder, n_groups):
@@ -287,7 +289,7 @@ class TestModelBatchedGradients:
     @pytest.mark.parametrize("decoder", ["pixel", "layer"])
     def test_batch_matches_finite_difference(self, decoder):
         rng = np.random.default_rng(21)
-        model = QuGeoVQC(_model_config(decoder), rng=2, backend="einsum")
+        model = QuGeoVQC(_model_config(decoder), rng=2)
         capacity = model.encoder.capacity
         seismic = rng.normal(size=(2, capacity))
         targets = rng.random((2, 4, 4))
@@ -312,7 +314,7 @@ class TestModelBatchedGradients:
         differences and parameter-shift sweeps do) must not clobber the
         read-out-scale gradient — it is an explicit return value now."""
         rng = np.random.default_rng(22)
-        model = QuGeoVQC(_model_config("pixel"), rng=3, backend="einsum")
+        model = QuGeoVQC(_model_config("pixel"), rng=3)
         seismic = rng.normal(size=model.encoder.capacity)
         target = rng.random((4, 4))
         _, reference = model.loss_and_gradients(seismic, target)
@@ -329,8 +331,8 @@ class TestModelBatchedGradients:
 
     def test_accumulate_batch_equals_weighted_accumulation(self):
         rng = np.random.default_rng(23)
-        model_a = QuGeoVQC(_model_config("pixel"), rng=4, backend="einsum")
-        model_b = QuGeoVQC(_model_config("pixel"), rng=4, backend="einsum")
+        model_a = QuGeoVQC(_model_config("pixel"), rng=4)
+        model_b = QuGeoVQC(_model_config("pixel"), rng=4)
         batch = 3
         seismic = rng.normal(size=(batch, model_a.encoder.capacity))
         targets = rng.random((batch, 4, 4))
@@ -372,11 +374,11 @@ class TestTrainerBatchedPath:
 
         final = {}
         losses = {}
-        for backend in BACKENDS:
+        for backend in (NumpyLoopBackend(), EinsumBatchBackend()):
             model = QuGeoVQC(_model_config(decoder), rng=5, backend=backend)
             result = QuantumTrainer(training).train(model, dataset)
-            final[backend] = model.theta.data.copy()
-            losses[backend] = result.history("train_loss")
+            final[backend.name] = model.theta.data.copy()
+            losses[backend.name] = result.history("train_loss")
         np.testing.assert_allclose(final["einsum"], final["numpy"], atol=1e-9)
         np.testing.assert_allclose(losses["einsum"], losses["numpy"],
                                    atol=1e-10)
@@ -385,7 +387,7 @@ class TestTrainerBatchedPath:
         rng = np.random.default_rng(31)
         config = _model_config("layer")
         dataset = _tiny_dataset(rng, 4, 2**config.qubits_per_group)
-        model = QuGeoVQC(config, rng=6, backend="einsum")
+        model = QuGeoVQC(config, rng=6)
         calls = {"batched": 0}
         original = model.accumulate_gradients_batch
 

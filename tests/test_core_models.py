@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.core.classical_models import (
     ClassicalFWIModel,
     CompressionCNN,
@@ -124,7 +125,9 @@ class TestQuGeoVQCInputValidation:
         assert np.isfinite(grads["theta"]).all()
 
 
-@pytest.mark.parametrize("engine", ["einsum", "numpy"])
+@pytest.mark.parametrize("engine", [
+    pytest.param(EinsumBatchBackend(), id="einsum"),
+    pytest.param(NumpyLoopBackend(), id="numpy")])
 class TestQuGeoVQCStack:
     """``predict`` on a ``(B, n_features)`` stack runs one circuit pass."""
 

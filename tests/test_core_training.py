@@ -423,8 +423,7 @@ class TestBatchedServing:
 
     def test_one_circuit_pass_per_eval_chunk(self, tiny_dataset,
                                              small_data_config):
-        vqc = replace(_vqc_config("layer"), backend="einsum")
-        config = QuGeoConfig(data=small_data_config, vqc=vqc,
+        config = QuGeoConfig(data=small_data_config, vqc=_vqc_config("layer"),
                              training=TrainingConfig(eval_batch_size=2),
                              scaling_method="d_sample")
         pipeline = QuGeo(config, rng=0)

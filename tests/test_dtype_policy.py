@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import EinsumBatchBackend, get_backend
+from repro.backends import EinsumBatchBackend, NumpyLoopBackend, get_backend
 from repro.quantum.autodiff import circuit_gradients_batched
 from repro.quantum.circuit import ParameterizedCircuit
 from repro.quantum.statevector import Statevector
@@ -222,7 +222,8 @@ def test_float32_batched_adjoint_parity_relaxed():
         return losses, signs * psis
 
     loss64, grads64 = circuit_gradients_batched(
-        circuit, params, states, loss_head, backend=get_backend("einsum"))
+        circuit, params, states, loss_head,
+        backend=EinsumBatchBackend(policy="float64"))
     loss32, grads32 = circuit_gradients_batched(
         circuit, params, states, loss_head,
         backend=EinsumBatchBackend(policy="float32"))
@@ -297,20 +298,69 @@ def test_normalizers_accept_dtype():
     assert MinMaxNormalizer().fit(vel).transform(vel).dtype == np.float64
 
 
-def test_training_config_dtype_validated_and_resolved():
+def test_training_config_dtype_validated_and_resolved(monkeypatch):
+    """The trainer has no precision setting (it never applied one);
+    precision is resolved where it acts, by the engine a model is built
+    with: ``QUGEO_DTYPE`` or the engine's ``policy=`` argument."""
     from repro.core.config import TrainingConfig
     from repro.core.training import Trainer
+    from repro.core.vqc_model import QuGeoVQC
 
-    assert Trainer(TrainingConfig(dtype="float32")).policy is FLOAT32
-    assert Trainer(TrainingConfig()).policy is FLOAT64
+    for value in ("float32", "float16", None):
+        with pytest.raises(TypeError):
+            TrainingConfig(dtype=value)
+    assert not hasattr(Trainer(TrainingConfig()), "policy")
+    config = _small_vqc_config()
+    monkeypatch.delenv("QUGEO_DTYPE", raising=False)
+    assert QuGeoVQC(config, rng=0).backend.policy is FLOAT64
+    explicit = EinsumBatchBackend(policy="float32")
+    assert QuGeoVQC(config, rng=0, backend=explicit).backend.policy is FLOAT32
     with pytest.raises(ValueError, match="float16"):
-        TrainingConfig(dtype="float16")
+        EinsumBatchBackend(policy="float16")
 
 
 def test_checkpoint_config_roundtrips_dtype():
-    from dataclasses import asdict
+    """Configs saved with the removed ``training.dtype`` and ``vqc.backend``
+    keys still load; both keys are dropped."""
+    from repro.core.config import QuGeoConfig, config_from_dict, config_to_dict
 
-    from repro.core.config import TrainingConfig
+    payload = config_to_dict(QuGeoConfig())
+    assert "dtype" not in payload["training"]
+    assert "backend" not in payload["vqc"]
+    for dtype, backend in ((None, None), ("float32", "numpy")):
+        legacy = config_to_dict(QuGeoConfig())
+        legacy["training"]["dtype"] = dtype
+        legacy["vqc"]["backend"] = backend
+        assert config_from_dict(legacy) == QuGeoConfig()
 
-    config = TrainingConfig(dtype="float32")
-    assert TrainingConfig(**asdict(config)).dtype == "float32"
+
+def _small_vqc_config():
+    from repro.core.config import QuGeoVQCConfig
+
+    return QuGeoVQCConfig(n_groups=1, qubits_per_group=4, n_blocks=2,
+                          decoder="layer", output_shape=(4, 4))
+
+
+def test_dtype_set_after_a_model_reaches_the_next_model(monkeypatch):
+    """Each model builds its own default engine, so a ``QUGEO_DTYPE`` change
+    reaches every model built after it; nothing caches the first policy."""
+    from repro.core.vqc_model import QuGeoVQC
+
+    monkeypatch.delenv("QUGEO_DTYPE", raising=False)
+    first = QuGeoVQC(_small_vqc_config(), rng=0)
+    assert first.backend.policy is FLOAT64
+    monkeypatch.setenv("QUGEO_DTYPE", "float32")
+    assert get_dtype_policy(None) is FLOAT32
+    second = QuGeoVQC(_small_vqc_config(), rng=0)
+    assert second.backend.policy is FLOAT32
+    assert first.backend.policy is FLOAT64
+    for build in (lambda: get_backend("numpy"),
+                  lambda: QuGeoVQC(_small_vqc_config(), rng=0,
+                                   backend="einsum")):
+        with pytest.raises(TypeError) as excinfo:
+            build()
+        assert "EinsumBatchBackend" in str(excinfo.value)
+        assert "NumpyLoopBackend" in str(excinfo.value)
+    oracle = NumpyLoopBackend(policy="float64")
+    assert QuGeoVQC(_small_vqc_config(), rng=0,
+                    backend=oracle).backend.policy is FLOAT64

@@ -20,6 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.core import QuGeo
 from repro.core.config import (
     QuGeoConfig,
@@ -43,7 +44,9 @@ from repro.quantum.measurement import (
 )
 from repro.quantum.parametric import PARAMETRIC_GATES
 
-BACKENDS = ("einsum", "numpy")
+#: The default engine and the per-gate oracle, as instances.
+ENGINES = (pytest.param(EinsumBatchBackend(), id="einsum"),
+           pytest.param(NumpyLoopBackend(), id="numpy"))
 
 # Gates whose every parameter enters as exp(-i theta G / 2) with G**2 = 1
 # (up to a global phase), for which the two-term shift rule is exact.
@@ -77,7 +80,7 @@ def _paper_parameter_subset(rng):
     return [int(i) for i in picked]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("decoder", ["pixel", "layer"])
 def test_paper_depth_gradients_match_finite_differences(backend, decoder):
     rng = np.random.default_rng(2009)
@@ -119,7 +122,7 @@ GOLDEN_PAPER_GRADIENT = {"l2_norm": 0.07065665180632913,
                          "weighted_sum": -650.6483559814743}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_paper_depth_gradient_pin(backend):
     rng = np.random.default_rng(2024)
     model = QuGeoVQC(QuGeoVQCConfig(qubits_per_group=N_QUBITS,
@@ -163,7 +166,7 @@ def _linear_z_heads(n_qubits, weights):
     return single, batched
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("name", sorted(PARAMETRIC_GATES))
 def test_single_gate_gradient(name, backend):
     gate = PARAMETRIC_GATES[name]
@@ -200,12 +203,10 @@ def _gradient_peak_bytes(n_blocks):
     states = _random_states(N_QUBITS, BATCH, rng)
     _, batched = _linear_z_heads(N_QUBITS, rng.normal(size=N_QUBITS))
     # Run once first so one-time setup stays out of the measured peak.
-    circuit_gradients_batched(circuit, params, states, batched,
-                              backend="einsum")
+    circuit_gradients_batched(circuit, params, states, batched)
     tracemalloc.start()
     try:
-        circuit_gradients_batched(circuit, params, states, batched,
-                                  backend="einsum")
+        circuit_gradients_batched(circuit, params, states, batched)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,18 +242,22 @@ def _quickstart_fit(split, backend=None):
         data=QuGeoDataConfig(scaled_seismic_shape=(1, 8, 8),
                              scaled_velocity_shape=(6, 6)),
         vqc=QuGeoVQCConfig(n_groups=1, qubits_per_group=6, n_blocks=4,
-                           decoder="layer", output_shape=(6, 6),
-                           backend=backend),
+                           decoder="layer", output_shape=(6, 6)),
         training=TrainingConfig(epochs=25, learning_rate=0.1, batch_size=4,
                                 eval_every=5, seed=0),
         scaling_method="forward_modeling",
     )
-    return QuGeo(config, rng=0).fit(train, test).final_metrics
+    pipeline = QuGeo(config, rng=0)
+    if backend is not None:
+        # Build in fit's order, then swap in the engine before training.
+        pipeline.build_scaler()
+        pipeline.build_model().backend = backend
+    return pipeline.fit(train, test).final_metrics
 
 
 def test_quickstart_golden_pin_holds_on_default_and_oracle(quickstart_split):
     default = _quickstart_fit(quickstart_split)
-    oracle = _quickstart_fit(quickstart_split, backend="numpy")
+    oracle = _quickstart_fit(quickstart_split, backend=NumpyLoopBackend())
     for key, pinned in GOLDEN_QUICKSTART.items():
         assert default[key] == pytest.approx(pinned, rel=1e-9, abs=0.0), key
         assert oracle[key] == pytest.approx(default[key], rel=1e-9, abs=0.0), key

@@ -88,10 +88,14 @@ def test_data_source_instance_conformance():
     assert source is _accepts_data_source(source)
 
 
-@pytest.mark.parametrize("name", ("numpy", "einsum"))
-def test_registered_backends_are_simulation_backends(name):
-    backend = get_backend(name)
+@pytest.mark.parametrize("backend", (
+    pytest.param(NumpyLoopBackend(), id="numpy"),
+    pytest.param(EinsumBatchBackend(), id="einsum")))
+def test_registered_backends_are_simulation_backends(backend):
+    """Both engines are ``SimulationBackend`` instances that
+    :func:`~repro.backends.get_backend` passes through as they are."""
     assert isinstance(backend, SimulationBackend)
+    assert get_backend(backend) is backend
     assert backend is _accepts_backend(backend)
 
 

@@ -16,7 +16,6 @@ from repro.quantum import (
 from repro.quantum.ansatz import ansatz_parameter_count, u3_cu3_block
 from repro.quantum.measurement import (
     all_probabilities,
-    conditional_block_probabilities,
     marginal_probabilities_backward,
     z_expectations_backward,
 )
@@ -240,12 +239,6 @@ class TestMeasurement:
             z_expectations(state, [5], 2)
         with pytest.raises(ValueError):
             marginal_probabilities(state, (0, 0), 2)
-
-    def test_conditional_block_probabilities(self):
-        state = _random_state(3, 14)
-        blocks, totals = conditional_block_probabilities(state, 1, 3)
-        assert blocks.shape == (2, 4)
-        assert totals.sum() == pytest.approx(1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 5000))

@@ -1,4 +1,9 @@
-"""Tests for finite-shot (sampled) measurement estimates."""
+"""Tests for finite-shot (sampled) measurement estimates.
+
+The finite-shot readout draws one :func:`sampled_probabilities` estimate and
+decodes it with the exact decoders' ``*_from_probabilities`` forms; the
+tests below exercise that composition.
+"""
 
 import numpy as np
 import pytest
@@ -7,12 +12,20 @@ from repro.quantum.measurement import (
     marginal_probabilities,
     marginal_probabilities_from_probabilities,
     sample_counts,
-    sampled_marginal_probabilities,
     sampled_probabilities,
-    sampled_z_expectations,
     z_expectations,
     z_expectations_from_probabilities,
 )
+
+
+def _sampled_z(state, qubits, n_qubits, n_shots, rng):
+    return z_expectations_from_probabilities(
+        sampled_probabilities(state, n_shots, rng=rng), qubits, n_qubits)
+
+
+def _sampled_marginals(state, qubits, n_qubits, n_shots, rng):
+    return marginal_probabilities_from_probabilities(
+        sampled_probabilities(state, n_shots, rng=rng), qubits, n_qubits)
 
 
 def _random_state(n_qubits, seed=0):
@@ -46,19 +59,19 @@ class TestSampling:
     def test_sampled_z_expectations_converge(self):
         state = _random_state(4, seed=4)
         exact = z_expectations(state, range(4), 4)
-        estimate = sampled_z_expectations(state, range(4), 4, n_shots=20_000, rng=5)
+        estimate = _sampled_z(state, range(4), 4, n_shots=20_000, rng=5)
         np.testing.assert_allclose(estimate, exact, atol=0.03)
 
     def test_sampled_z_bounds(self):
-        values = sampled_z_expectations(_random_state(3, 6), range(3), 3,
-                                        n_shots=100, rng=7)
+        values = _sampled_z(_random_state(3, 6), range(3), 3, n_shots=100,
+                            rng=7)
         assert np.all(np.abs(values) <= 1.0)
 
     def test_sampled_z_validates_inputs(self):
         with pytest.raises(ValueError):
-            sampled_z_expectations(_random_state(2), [5], 2, n_shots=10)
+            _sampled_z(_random_state(2), [5], 2, n_shots=10, rng=0)
         with pytest.raises(ValueError):
-            sampled_z_expectations(np.ones(3, dtype=complex), [0], 2, n_shots=10)
+            _sampled_z(np.ones(3, dtype=complex), [0], 2, n_shots=10, rng=0)
 
     def test_reproducible_with_seed(self):
         state = _random_state(3, seed=8)
@@ -87,10 +100,10 @@ class TestSeededDeterminism:
     def test_sampled_helpers_bit_identical_under_fixed_seed(self):
         state = _random_state(4, seed=13)
         for draw in (lambda rng: sampled_probabilities(state, 500, rng=rng),
-                     lambda rng: sampled_z_expectations(
-                         state, range(4), 4, n_shots=500, rng=rng),
-                     lambda rng: sampled_marginal_probabilities(
-                         state, [0, 2], 4, n_shots=500, rng=rng)):
+                     lambda rng: _sampled_z(state, range(4), 4, n_shots=500,
+                                            rng=rng),
+                     lambda rng: _sampled_marginals(state, [0, 2], 4,
+                                                    n_shots=500, rng=rng)):
             np.testing.assert_array_equal(draw(14), draw(14))
 
     def test_spawned_streams_are_independent(self):
@@ -125,8 +138,8 @@ class TestFromProbabilitiesDecoders:
     def test_sampled_marginals_converge_to_exact(self):
         state = _random_state(4, seed=19)
         exact = marginal_probabilities(state, [0, 1], 4)
-        estimate = sampled_marginal_probabilities(state, [0, 1], 4,
-                                                  n_shots=20_000, rng=20)
+        estimate = _sampled_marginals(state, [0, 1], 4, n_shots=20_000,
+                                      rng=20)
         np.testing.assert_allclose(estimate, exact, atol=0.02)
 
     def test_from_probabilities_validates_length(self):

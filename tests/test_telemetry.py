@@ -277,13 +277,12 @@ class TestInstrumentation:
     """End-to-end: the instrumented hot paths feed the registry."""
 
     def test_einsum_backend_records_run_batched(self):
-        from repro.backends import get_backend
         from repro.core.config import QuGeoVQCConfig
         from repro.core.vqc_model import QuGeoVQC
 
         config = QuGeoVQCConfig(n_groups=1, qubits_per_group=4, n_blocks=2,
                                 decoder="layer", output_shape=(4, 4))
-        model = QuGeoVQC(config, rng=0, backend=get_backend("einsum"))
+        model = QuGeoVQC(config, rng=0)
         rng = np.random.default_rng(1)
         batch = rng.normal(size=(3, 16))
         with capture("summary") as telemetry:
@@ -297,14 +296,13 @@ class TestInstrumentation:
         assert snapshot["spans"]["einsum.run_batched"]["count"] == 2
 
     def test_batched_gradients_record_sweeps(self):
-        from repro.backends import get_backend
         from repro.core.config import QuGeoVQCConfig, TrainingConfig
         from repro.core.vqc_model import QuGeoVQC
         from repro.core.training import ArrayDataSource, Trainer
 
         config = QuGeoVQCConfig(n_groups=1, qubits_per_group=4, n_blocks=2,
                                 decoder="layer", output_shape=(4, 4))
-        model = QuGeoVQC(config, rng=0, backend=get_backend("einsum"))
+        model = QuGeoVQC(config, rng=0)
         rng = np.random.default_rng(2)
         seismic = rng.normal(size=(6, 16))
         velocity = rng.uniform(size=(6, 4, 4))

@@ -9,6 +9,7 @@ evaluation chunking, and pipeline save/load serving.
 import numpy as np
 import pytest
 
+from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.core import (
     BestModelTracker,
     Callback,
@@ -87,11 +88,36 @@ class TestStrategySelection:
                           QuBatchStep)
         assert isinstance(select_step_strategy(MODEL_BUILDERS["classical"]()),
                           ClassicalAutogradStep)
-        # One reversible adjoint sweep per mini-batch on every backend.
-        for backend in ("einsum", "numpy"):
+        # One reversible adjoint sweep per mini-batch on either engine.
+        for backend in (EinsumBatchBackend(), NumpyLoopBackend()):
             quantum = QuGeoVQC(_vqc_config("layer"), rng=0, backend=backend)
             assert isinstance(select_step_strategy(quantum),
                               QuantumBatchedAdjointStep)
+
+    def test_training_on_the_oracle_matches_the_default_engine(
+            self, tiny_scaled_dataset):
+        """Two epochs of ``Trainer.train`` on ``NumpyLoopBackend()`` land
+        where the default engine does: the oracle run that CI used to get
+        from an environment switch."""
+        config = _training_config(epochs=2, eval_every=1)
+        train, test = train_test_split(tiny_scaled_dataset, train_size=4,
+                                       rng=0)
+        runs = {}
+        for backend in (None, NumpyLoopBackend()):
+            model = QuGeoVQC(_vqc_config("pixel"), rng=0, backend=backend)
+            result = Trainer(config).train(model, train, test)
+            runs[model.backend.name] = (model, result)
+        (default, default_run), (oracle, oracle_run) = (runs["einsum"],
+                                                        runs["numpy"])
+        np.testing.assert_allclose(oracle.theta.data, default.theta.data,
+                                   rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(oracle.output_scale.data,
+                                   default.output_scale.data, rtol=1e-9)
+        assert set(oracle_run.final_metrics) == set(default_run.final_metrics)
+        assert "test_ssim" in default_run.final_metrics
+        for key, value in default_run.final_metrics.items():
+            assert oracle_run.final_metrics[key] == pytest.approx(
+                value, rel=1e-9, abs=0.0), key
 
     def test_unknown_model_rejected_with_clear_error(self):
         class ProtocolOnlyModel:
@@ -418,6 +444,30 @@ class TestCheckpointCorruptionRecovery:
                 MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
                 resume_from=path)
         assert recovered.history("train_loss") == fresh.history("train_loss")
+
+    def test_legacy_dtype_key_resumes_to_the_same_theta(self,
+                                                      tiny_scaled_dataset,
+                                                      tmp_path):
+        """A checkpoint whose config still carries the removed ``dtype``
+        key resumes onto the uninterrupted trajectory."""
+        config = _training_config(epochs=6)
+        reference = MODEL_BUILDERS["quantum"]()
+        full = Trainer(config).train(reference, tiny_scaled_dataset)
+        path = str(tmp_path / "quantum.ckpt")
+        Trainer(config).train(MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
+                              callbacks=[Checkpoint(path, every=3),
+                                         StopAfter(2)])
+        payload = load_checkpoint(path)
+        assert "dtype" not in payload["config"]
+        payload["config"]["dtype"] = None
+        legacy = str(tmp_path / "legacy.ckpt")
+        save_checkpoint(legacy, payload)
+        resumed_model = MODEL_BUILDERS["quantum"]()
+        resumed = Trainer(config).train(resumed_model, tiny_scaled_dataset,
+                                        resume_from=legacy)
+        np.testing.assert_array_equal(resumed_model.theta.data,
+                                      reference.theta.data)
+        assert resumed.final_metrics == full.final_metrics
 
     def test_legacy_raw_pickle_checkpoint_still_loads(self, tmp_path):
         import pickle
@@ -866,6 +916,23 @@ class TestPipelineSaveLoad:
         assert (served.training_result.history("train_loss")
                 == pipeline.training_result.history("train_loss"))
         assert "test_ssim" in served.summary()
+
+    def test_legacy_backend_and_dtype_keys_load(self, fitted_pipeline,
+                                                tmp_path):
+        """A pipeline file whose config carries the removed ``vqc.backend``
+        and ``training.dtype`` keys loads and serves bit-identically."""
+        pipeline, test = fitted_pipeline
+        path = str(tmp_path / "pipeline.qugeo")
+        pipeline.save(path)
+        payload = load_checkpoint(path)
+        payload["config"]["vqc"]["backend"] = None
+        payload["config"]["training"]["dtype"] = None
+        legacy = str(tmp_path / "legacy.qugeo")
+        save_checkpoint(legacy, payload)
+        served = QuGeo.load(legacy)
+        assert served.config == pipeline.config
+        np.testing.assert_array_equal(served.predict_dataset(test),
+                                      pipeline.predict_dataset(test))
 
     def test_save_before_fit_rejected(self, tmp_path):
         with pytest.raises(RuntimeError):

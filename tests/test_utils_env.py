@@ -17,13 +17,13 @@ from repro.utils import env
 # parsing primitives
 # --------------------------------------------------------------------------- #
 def test_get_str_unset_and_empty_fall_back(monkeypatch):
-    monkeypatch.delenv(env.BACKEND, raising=False)
-    assert env.get_str(env.BACKEND, "numpy") == "numpy"
-    assert env.get_str(env.BACKEND) is None
-    monkeypatch.setenv(env.BACKEND, "")
-    assert env.get_str(env.BACKEND, "numpy") == "numpy"
-    monkeypatch.setenv(env.BACKEND, "einsum")
-    assert env.get_str(env.BACKEND, "numpy") == "einsum"
+    monkeypatch.delenv(env.DTYPE, raising=False)
+    assert env.get_str(env.DTYPE, "float64") == "float64"
+    assert env.get_str(env.DTYPE) is None
+    monkeypatch.setenv(env.DTYPE, "")
+    assert env.get_str(env.DTYPE, "float64") == "float64"
+    monkeypatch.setenv(env.DTYPE, "float32")
+    assert env.get_str(env.DTYPE, "float64") == "float32"
 
 
 def test_get_choice_normalises_and_validates(monkeypatch):
@@ -56,18 +56,18 @@ def test_known_vars_documented_and_prefixed():
         assert var.name.startswith(env.ENV_PREFIX)
         assert var.description
     # The canonical constants all appear in the documentation table.
-    for name in (env.BACKEND, env.DTYPE,
+    for name in (env.DTYPE,
                  env.TELEMETRY, env.BENCH_SCALE, env.CACHE_DIR,
                  env.DATAGEN_WORKERS, env.CHECKPOINT_DIR):
         assert name in names
 
 
 def test_describe_reports_current_values(monkeypatch):
-    monkeypatch.setenv(env.BACKEND, "numpy")
+    monkeypatch.setenv(env.DTYPE, "float32")
     monkeypatch.delenv(env.CACHE_DIR, raising=False)
     table = env.describe()
-    assert table[env.BACKEND]["value"] == "numpy"
-    assert table[env.BACKEND]["default"] == "einsum"
+    assert table[env.DTYPE]["value"] == "float32"
+    assert table[env.DTYPE]["default"] == "float64"
     assert table[env.CACHE_DIR]["value"] is None
 
 
@@ -75,12 +75,17 @@ def test_describe_reports_current_values(monkeypatch):
 # the subsystems resolve through the central module
 # --------------------------------------------------------------------------- #
 def test_backend_default_resolves_via_env(monkeypatch):
-    from repro.backends import BACKENDS
+    """No variable names the engine: the default engine reads only
+    ``QUGEO_DTYPE``, when it is built."""
+    from repro.backends import EinsumBatchBackend, get_backend
 
-    monkeypatch.setenv(env.BACKEND, "numpy")
-    assert BACKENDS.default_name() == "numpy"
-    monkeypatch.delenv(env.BACKEND)
-    assert BACKENDS.default_name() == "einsum"
+    assert not hasattr(env, "BACKEND")
+    assert "QUGEO_BACKEND" not in env.describe()
+    monkeypatch.setenv("QUGEO_BACKEND", "numpy")
+    monkeypatch.setenv(env.DTYPE, "float32")
+    engine = get_backend()
+    assert isinstance(engine, EinsumBatchBackend)
+    assert engine.policy.name == "float32"
 
 
 def test_telemetry_mode_resolves_via_env(monkeypatch):

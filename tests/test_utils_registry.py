@@ -1,7 +1,7 @@
-"""The one registry contract every engine table shares.
+"""The registry contract of the lint-rule table.
 
-Each test builds a throwaway :class:`Registry`, so the global tables
-(``BACKENDS``, ``RULES``) are never mutated here.
+Each test builds a throwaway :class:`Registry`, so the global ``RULES``
+table is never mutated here.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ class Other:
 
 
 def make_registry() -> Registry[Engine]:
-    table: Registry[Engine] = Registry("test engine", env.BACKEND, "alpha",
-                                       Engine)
+    table: Registry[Engine] = Registry("test engine", Engine)
     table.register("alpha", Engine)
     table.register("beta", Engine)
     return table
@@ -72,19 +71,22 @@ def test_one_cached_instance_per_name():
 
 
 def test_env_var_selects_default(monkeypatch):
+    """No environment variable or default name selects an entry: the
+    constructor takes neither, and the environment changes no lookup."""
+    with pytest.raises(TypeError):
+        Registry("test engine", env.DTYPE, "alpha", Engine)
     table = make_registry()
-    monkeypatch.delenv(env.BACKEND, raising=False)
-    assert table.default_name() == "alpha"
-    assert table.get() is table.get("alpha")
-    monkeypatch.setenv(env.BACKEND, "beta")
-    assert table.default_name() == "beta"
-    assert table.get() is table.get("beta")
+    monkeypatch.setenv(env.DTYPE, "beta")
+    assert not hasattr(table, "default_name")
+    assert table.get("alpha") is not table.get("beta")
 
 
 def test_table_without_default_needs_a_name():
-    table: Registry[Engine] = Registry("test engine", None, None, Engine)
+    table = make_registry()
     with pytest.raises(TypeError):
         table.get()
+    with pytest.raises(TypeError, match="a name or a Engine"):
+        table.get(None)
 
 
 def test_ready_instance_passes_through():
