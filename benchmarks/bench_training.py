@@ -3,13 +3,15 @@
 Times one epoch of mini-batch gradient computation of the paper's 8-qubit /
 12-block QuGeoVQC (576 parameters) two ways:
 
-* **per-sample** — the legacy path: one ``accumulate_gradients`` call (one
-  forward pass plus one Python-level adjoint sweep) per sample;
+* **per-sample** — one ``accumulate_gradients`` call per sample: a batch
+  of one through the stacked sweep, so every sample pays the sweep's
+  per-gate overhead alone;
 * **batched** — ``accumulate_gradients_batch``: one stacked forward pass and
   one stacked backward sweep per mini-batch via
   :func:`repro.quantum.autodiff.circuit_gradients_batched`.
 
-Both paths produce matching gradients (asserted below to 1e-10); the table
+Both run the same code at different batch heights and produce matching
+gradients (asserted below to 1e-10); the table
 reports epoch wall time and speedup per batch size.  Run directly (CI uses
 ``--quick --json``)::
 

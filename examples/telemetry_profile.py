@@ -9,7 +9,8 @@ store's shard/LRU traffic and the trainer's epoch loop.  This example:
    ``QUGEO_TELEMETRY=trace`` does from the environment),
 2. trains a tiny 4-qubit QuGeoVQC for a few epochs on random data,
 3. prints the ASCII profile (span tree, per-phase timers, counters), and
-4. dumps every recorded span event as JSONL for offline analysis.
+4. dumps every recorded span event as JSONL into a temporary directory,
+   which is removed when the example exits.
 
 Run with::
 
@@ -52,10 +53,12 @@ def main() -> None:
     print("\n3) Profile of everything the run recorded:\n")
     print(telemetry.profile_table())
 
-    trace_path = Path(tempfile.mkdtemp(prefix="qugeo-telemetry-")) / "run.jsonl"
-    telemetry.dump_jsonl(trace_path)
-    snapshot = telemetry.snapshot()
-    print(f"\n4) {snapshot['trace_events']} span events dumped to {trace_path}")
+    with tempfile.TemporaryDirectory(prefix="qugeo-telemetry-") as trace_dir:
+        trace_path = Path(trace_dir) / "run.jsonl"
+        telemetry.dump_jsonl(trace_path)
+        lines = len(trace_path.read_text().splitlines())
+        print(f"\n4) {telemetry.snapshot()['trace_events']} span events dumped "
+              f"to {trace_path} ({lines} lines; removed on exit)")
 
     configure("off", reset=True)
 

@@ -33,6 +33,8 @@ from repro.core.training import (
     Callback,
     Trainer,
     TrainingResult,
+    check_compute_policy,
+    compute_policy,
     predict_in_batches,
 )
 from repro.core.vqc_model import QuGeoVQC
@@ -175,7 +177,8 @@ class QuGeo:
     # serialisation: save a trained pipeline, load it for inference
     # ------------------------------------------------------------------ #
     def save(self, path: str) -> None:
-        """Persist the fitted pipeline (config, scaler, model, history).
+        """Persist the fitted pipeline (config, scaler, model, compute
+        precision, history).
 
         The saved file is self-contained: :meth:`load` rebuilds a pipeline
         whose :meth:`predict` matches this one's output exactly, without
@@ -188,6 +191,7 @@ class QuGeo:
             "config": config_to_dict(self.config),
             "scaler": scaler_state(self.scaler),
             "model": self.model.state_dict(),
+            "policy": compute_policy(self.model),
         }
         if self.training_result is not None:
             payload["final_metrics"] = dict(self.training_result.final_metrics)
@@ -200,7 +204,9 @@ class QuGeo:
 
         Pipeline files are pickles: only load files you trust (unpickling
         executes embedded code).  A model state holding NaN or inf raises
-        ``ValueError`` naming the offending key.
+        ``ValueError`` naming the offending key, and so does a pipeline
+        saved under another dtype policy than the rebuilt model computes in
+        (``QUGEO_DTYPE``).
         """
         payload = load_checkpoint(path)
         version = payload.get("version")
@@ -214,6 +220,7 @@ class QuGeo:
         pipeline = cls(config, rng=rng)
         pipeline.scaler = scaler_from_state(payload["scaler"], config.data)
         pipeline.build_model()
+        check_compute_policy(payload, pipeline.model, f"pipeline {path}")
         pipeline.model.load_state_dict(payload["model"])
         if "final_metrics" in payload:
             logger = RunLogger(name=getattr(pipeline.model, "name", "quantum"))

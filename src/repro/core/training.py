@@ -74,6 +74,26 @@ from repro.utils.serialization import (
 CHECKPOINT_VERSION = 2
 
 
+def compute_policy(model) -> Optional[str]:
+    """Name of the dtype policy ``model`` computes in (``"float64"`` or
+    ``"float32"``); ``None`` for a model without a simulation backend."""
+    backend = getattr(model, "backend", None)
+    return None if backend is None else backend.policy.name
+
+
+def check_compute_policy(payload: Dict[str, object], model,
+                         source: str) -> None:
+    """Refuse a ``payload`` written under another dtype policy than
+    ``model`` computes in: resuming or serving it would silently change
+    precision.  Files written before the policy was recorded load as
+    before."""
+    current = compute_policy(model)
+    if "policy" in payload and payload["policy"] != current:
+        raise ValueError(
+            f"{source} was computed under the {payload['policy']!r} dtype "
+            f"policy, but this model computes under {current!r}")
+
+
 # --------------------------------------------------------------------------- #
 # the Model protocol
 # --------------------------------------------------------------------------- #
@@ -286,14 +306,6 @@ def evaluate_data_source(model: Model, source, split: str = "test",
                                        np.concatenate(targets, axis=0))
     return {f"{split}_ssim": metrics["ssim"],
             f"{split}_mse": metrics["mse"]}
-
-
-def evaluate_model_arrays(model: Model, seismic: np.ndarray,
-                          velocity: np.ndarray, split: str = "test",
-                          batch_size: Optional[int] = None) -> Dict[str, float]:
-    """Split-prefixed SSIM / MSE of ``model`` over stacked arrays."""
-    return evaluate_data_source(model, ArrayDataSource(seismic, velocity),
-                                split=split, batch_size=batch_size)
 
 
 # --------------------------------------------------------------------------- #
@@ -976,6 +988,7 @@ class Trainer:
             "version": CHECKPOINT_VERSION,
             "epoch": state.epoch + 1,
             "model_class": type(state.model).__name__,
+            "policy": compute_policy(state.model),
             "model": state.model.state_dict(),
             "optimizer": state.optimizer.state_dict(),
             "scheduler": state.scheduler.state_dict(),
@@ -1002,6 +1015,7 @@ class Trainer:
         if found != expected:
             raise ValueError(f"checkpoint holds a {found}, cannot resume a "
                              f"{expected}")
+        check_compute_policy(payload, state.model, "checkpoint")
         # The trajectory is only reproducible under the configuration that
         # produced the checkpoint; refuse silent divergence.  ``verbose`` is
         # cosmetic and ``eval_batch_size`` is trajectory-neutral (chunked

@@ -27,7 +27,10 @@ per-sample API is a batch of one through the same path, on the default
 ``einsum`` engine and on the ``numpy`` oracle tests pass in.
 Prediction has one path too: :meth:`QuGeoVQC.predict` runs a
 ``(batch, n_features)`` stack as one stacked circuit pass, and a single
-sample is a stack of one.
+sample is a stack of one.  Prediction, both loss heads and the finite-shot
+readout decode through the one vectorised read-out
+:meth:`~repro.core.vqc_core.VQCCore.readout`, which this model shares with
+:class:`~repro.core.qubatch.QuBatchVQC` together with its parameters.
 """
 
 from __future__ import annotations
@@ -38,26 +41,19 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.core.config import QuGeoVQCConfig
-from repro.nn.tensor import Tensor
+from repro.core.vqc_core import VQCCore
 from repro.quantum.ansatz import grouped_st_ansatz, u3_cu3_ansatz
 from repro.quantum.autodiff import circuit_gradients_batched
 from repro.quantum.circuit import ParameterizedCircuit
 from repro.quantum.encoding import STEncoder
 from repro.quantum.measurement import (
-    all_probabilities,
     marginal_probabilities_backward_batched,
-    marginal_probabilities_batched,
-    marginal_probabilities_from_probabilities,
     z_expectations_backward_batched,
-    z_expectations_batched,
-    z_expectations_from_probabilities,
 )
 from repro.utils.rng import RngLike, ensure_rng
 
-_EPS = 1e-12
 
-
-class QuGeoVQC:
+class QuGeoVQC(VQCCore):
     """Quantum seismic-to-velocity regressor.
 
     Parameters
@@ -87,11 +83,7 @@ class QuGeoVQC:
                                  qubits_per_group=self.config.qubits_per_group)
         self.n_qubits = self.config.total_qubits
         self.circuit = self._build_circuit()
-        self.theta = Tensor(rng.normal(0.0, 0.3, size=self.circuit.n_params),
-                            requires_grad=True)
-        initial_scale = float(np.sqrt(np.prod(self.config.output_shape)) * 0.5)
-        self.output_scale = Tensor(np.array([initial_scale]),
-                                   requires_grad=self.config.trainable_output_scale)
+        self._init_parameters(rng)
         self.name = "Q-M-PX" if self.config.decoder == "pixel" else "Q-M-LY"
 
     # ------------------------------------------------------------------ #
@@ -106,34 +98,6 @@ class QuGeoVQC:
                                  inter_group_blocks=self.config.inter_group_blocks)
 
     # ------------------------------------------------------------------ #
-    # parameters
-    # ------------------------------------------------------------------ #
-    def parameter_tensors(self) -> Tuple[Tensor, ...]:
-        """Tensors the optimiser updates (circuit angles and read-out scale)."""
-        if self.config.decoder == "pixel" and self.config.trainable_output_scale:
-            return (self.theta, self.output_scale)
-        return (self.theta,)
-
-    def num_parameters(self, include_readout: bool = False) -> int:
-        """Number of quantum circuit parameters (576 for the paper's setup).
-
-        ``include_readout=True`` also counts the classical read-out scale of
-        the pixel decoder.
-        """
-        count = self.circuit.n_params
-        if include_readout and self.config.decoder == "pixel" \
-                and self.config.trainable_output_scale:
-            count += 1
-        return count
-
-    @property
-    def readout_qubits(self) -> Tuple[int, ...]:
-        """Qubits measured by the decoder."""
-        if self.config.decoder == "pixel":
-            return tuple(range(self.config.readout_qubits_needed))
-        return tuple(range(self.config.output_shape[0]))
-
-    # ------------------------------------------------------------------ #
     # forward pass
     # ------------------------------------------------------------------ #
     def encode(self, seismic: np.ndarray) -> np.ndarray:
@@ -142,45 +106,18 @@ class QuGeoVQC:
         Every circuit entry point encodes through here, so a NaN or infinite
         cell is rejected before it becomes a NaN map or NaN gradients.
         """
-        seismic = np.asarray(seismic, dtype=np.float64).reshape(-1)
-        if not np.isfinite(seismic).all():
-            raise ValueError("seismic input is non-finite (NaN or inf); the "
-                             "circuit cannot encode it")
-        return self.encoder.encode(seismic)
+        return self.encoder.encode(self._flat_finite(seismic))
 
     def run_circuit(self, seismic: np.ndarray) -> np.ndarray:
         """Return the output statevector for one sample."""
         state = self.encode(seismic)
         return self.circuit.run(state, self.theta.data, backend=self.backend)
 
-    def decode_probabilities(self, probs: np.ndarray) -> np.ndarray:
-        """Map a full-register probability vector to a velocity map.
-
-        The probabilities may be exact (``|psi|^2`` — the :meth:`decode`
-        path) or a shot-noise estimate from
-        :func:`repro.quantum.measurement.sampled_probabilities` — the
-        finite-shot readout policy in :mod:`repro.robustness` feeds estimated
-        probabilities through this same decoder so ideal and sampled
-        prediction differ only in the probability vector.
-        """
-        depth, width = self.config.output_shape
-        if self.config.decoder == "pixel":
-            marginal = marginal_probabilities_from_probabilities(
-                probs, self.readout_qubits, self.n_qubits)
-            amplitudes = np.sqrt(marginal[:depth * width] + _EPS)
-            scale = float(self.output_scale.data[0])
-            return (scale * amplitudes).reshape(depth, width)
-        z = z_expectations_from_probabilities(probs, self.readout_qubits,
-                                              self.n_qubits)
-        rows = (z + 1.0) / 2.0
-        return np.repeat(rows[:, None], width, axis=1)
-
-    def decode(self, state: np.ndarray) -> np.ndarray:
-        """Map an output statevector to a normalised velocity map."""
-        state = np.asarray(state, dtype=np.complex128).reshape(-1)
-        if state.size != 2**self.n_qubits:
-            raise ValueError("state length does not match n_qubits")
-        return self.decode_probabilities(all_probabilities(state))
+    def output_states(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
+        """Output states of a batch, one stacked circuit pass: ``(B, 2**n)``."""
+        states = np.stack([self.encode(sample) for sample in seismic_batch])
+        return self.circuit.run_batched(states, self.theta.data,
+                                        backend=self.backend)
 
     def predict(self, seismic: np.ndarray) -> np.ndarray:
         """Predict normalised velocity maps of scaled seismic input.
@@ -196,10 +133,7 @@ class QuGeoVQC:
         rows = seismic.reshape(1, -1) if single else seismic
         if rows.shape[0] == 0:
             raise ValueError("empty batch: no seismic samples to predict")
-        states = np.stack([self.encode(row) for row in rows])
-        outputs = self.circuit.run_batched(states, self.theta.data,
-                                           backend=self.backend)
-        maps = np.stack([self.decode(output) for output in outputs])
+        maps = self._predict_stack(rows)
         return maps[0] if single else maps
 
     def predict_batch(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
@@ -222,19 +156,16 @@ class QuGeoVQC:
         side effect, so probing these terms repeatedly (finite differences,
         parameter-shift sweeps) cannot clobber it.
         """
-        depth, width = self.config.output_shape
         scale = float(self.output_scale.data[0])
-        probs = marginal_probabilities_batched(outputs, self.readout_qubits,
-                                               self.n_qubits)
-        amplitudes = np.sqrt(probs[:, :depth * width] + _EPS)
-        predictions = (scale * amplitudes).reshape(-1, depth, width)
-        diffs = predictions - targets
+        decoded = self.readout(np.abs(outputs) ** 2)
+        diffs = decoded.maps - targets
         flat_diffs = diffs.reshape(diffs.shape[0], -1)
         losses = np.mean(flat_diffs**2, axis=1)
         dloss_dpred = 2.0 * flat_diffs / flat_diffs.shape[1]
-        scale_grads = np.sum(dloss_dpred * amplitudes, axis=1)
-        dloss_dprob = np.zeros_like(probs)
-        dloss_dprob[:, :depth * width] = dloss_dpred * scale * 0.5 / amplitudes
+        scale_grads = np.sum(dloss_dpred * decoded.amplitudes, axis=1)
+        dloss_dprob = np.zeros_like(decoded.values)
+        dloss_dprob[:, :flat_diffs.shape[1]] = (dloss_dpred * scale * 0.5
+                                                / decoded.amplitudes)
         lams = marginal_probabilities_backward_batched(
             outputs, self.readout_qubits, self.n_qubits, dloss_dprob)
         return losses, lams, scale_grads
@@ -243,9 +174,7 @@ class QuGeoVQC:
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised layer-decoder loss terms of an output-state stack."""
         depth, width = self.config.output_shape
-        z = z_expectations_batched(outputs, self.readout_qubits, self.n_qubits)
-        rows = (z + 1.0) / 2.0
-        diffs = rows[:, :, None] - targets
+        diffs = self.readout(np.abs(outputs) ** 2).maps - targets
         losses = np.mean(diffs.reshape(diffs.shape[0], -1)**2, axis=1)
         dloss_dpred = 2.0 * diffs / (depth * width)
         dloss_dz = 0.5 * dloss_dpred.sum(axis=2)
@@ -317,23 +246,6 @@ class QuGeoVQC:
             gradients["output_scale"] = batch_gradients["output_scale"].copy()
         return float(losses[0]), gradients
 
-    def accumulate_gradients(self, seismic: np.ndarray,
-                             target: np.ndarray, weight: float = 1.0) -> float:
-        """Add ``weight``-scaled gradients of one sample into the parameter tensors."""
-        loss, gradients = self.loss_and_gradients(seismic, target)
-        theta_grad = weight * gradients["theta"]
-        if self.theta.grad is None:
-            self.theta.grad = theta_grad
-        else:
-            self.theta.grad = self.theta.grad + theta_grad
-        if "output_scale" in gradients:
-            scale_grad = weight * gradients["output_scale"]
-            if self.output_scale.grad is None:
-                self.output_scale.grad = scale_grad
-            else:
-                self.output_scale.grad = self.output_scale.grad + scale_grad
-        return loss
-
     def accumulate_gradients_batch(self, seismic_batch: Sequence[np.ndarray],
                                    targets: Sequence[np.ndarray]) -> float:
         """Accumulate the batch-mean gradients into the parameter tensors.
@@ -345,35 +257,6 @@ class QuGeoVQC:
         """
         losses, gradients = self.loss_and_gradients_batch(seismic_batch,
                                                           targets)
-        theta_grad = gradients["theta"].mean(axis=0)
-        if self.theta.grad is None:
-            self.theta.grad = theta_grad
-        else:
-            self.theta.grad = self.theta.grad + theta_grad
-        if "output_scale" in gradients:
-            scale_grad = np.array([gradients["output_scale"].mean()])
-            if self.output_scale.grad is None:
-                self.output_scale.grad = scale_grad
-            else:
-                self.output_scale.grad = self.output_scale.grad + scale_grad
+        self._add_gradients({name: np.atleast_1d(grad.mean(axis=0))
+                             for name, grad in gradients.items()})
         return float(losses.mean())
-
-    # ------------------------------------------------------------------ #
-    # serialisation
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Copy of the trainable arrays."""
-        return {"theta": self.theta.data.copy(),
-                "output_scale": self.output_scale.data.copy()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load arrays produced by :meth:`state_dict`."""
-        theta = np.asarray(state["theta"], dtype=np.float64)
-        if theta.shape != self.theta.data.shape:
-            raise ValueError("theta shape mismatch")
-        self.theta.data = theta.copy()
-        if "output_scale" in state:
-            scale = np.asarray(state["output_scale"], dtype=np.float64)
-            if scale.shape != self.output_scale.data.shape:
-                raise ValueError("output_scale shape mismatch")
-            self.output_scale.data = scale.copy()

@@ -28,7 +28,6 @@ from repro.quantum.measurement import (
     z_expectations_batched,
     marginal_probabilities,
     marginal_probabilities_batched,
-    all_probabilities,
 )
 from repro.quantum.encoding import (
     amplitude_encode,
@@ -55,7 +54,6 @@ __all__ = [
     "z_expectations_batched",
     "marginal_probabilities",
     "marginal_probabilities_batched",
-    "all_probabilities",
     "amplitude_encode",
     "STEncoder",
     "QuBatchEncoder",

@@ -14,13 +14,16 @@ loss ``L`` of the complex state ``psi``, the gradient with respect to a
 circuit parameter is ``2 Re(lambda^dagger dU/dtheta psi)`` where ``lambda =
 dL/d(psi*)``.
 
-Every read-out comes in two forms: the scalar one taking a single state of
-length ``2**n`` and a ``*_batched`` twin taking a ``(batch, 2**n)`` stack
-and vectorising over the leading axis.  The batched forms feed the stacked
-adjoint sweep in :func:`repro.quantum.autodiff.circuit_gradients_batched`.
-The index material both need — the ``(len(qubits), 2**n)`` Z-sign matrix and
-the basis-index -> outcome-index map of a marginal — depends only on
-``(n_qubits, qubits)`` and is memoised.
+The scalar forms take one state of length ``2**n``.  The ``*_batched``
+forward read-outs take a ``(batch, 2**n)`` stack of *probabilities* —
+exact ``|psi|**2`` rows or the shot-noise estimates of
+:func:`sampled_probabilities` — and are what the models' decoders run
+(:meth:`repro.core.vqc_core.VQCCore.readout`).  Their ``*_backward_batched``
+twins take the ``(batch, 2**n)`` state stack, feeding the stacked adjoint
+sweep in :func:`repro.quantum.autodiff.circuit_gradients_batched`.  The
+index material all of them need — the ``(len(qubits), 2**n)`` Z-sign
+matrix and the basis-index -> outcome-index map of a marginal — depends
+only on ``(n_qubits, qubits)`` and is memoised.
 """
 
 from __future__ import annotations
@@ -97,10 +100,18 @@ def _validate_batched(states: np.ndarray, n_qubits: int) -> np.ndarray:
     return states
 
 
-def all_probabilities(state: np.ndarray) -> np.ndarray:
-    """Probabilities of every computational basis state."""
-    state = np.asarray(state)
-    return np.abs(state) ** 2
+def _validate_probabilities(probs: np.ndarray, n_qubits: int) -> np.ndarray:
+    # Kept at the caller's precision (float32 squares of a complex64 stack
+    # are measured as float32).  A complex stack is a state, not |psi|^2.
+    probs = np.asarray(probs)
+    if np.iscomplexobj(probs):
+        raise TypeError("expected a real probability stack |psi|**2, got "
+                        "complex amplitudes")
+    if probs.ndim != 2 or probs.shape[1] != 2**n_qubits:
+        raise ValueError(
+            f"probabilities must have shape (batch, {2**n_qubits}), got "
+            f"{probs.shape}")
+    return probs
 
 
 def z_expectations(state: np.ndarray, qubits: Sequence[int],
@@ -113,15 +124,19 @@ def z_expectations(state: np.ndarray, qubits: Sequence[int],
     return _sign_matrix(n_qubits, tuple(int(q) for q in qubits)) @ probs
 
 
-def z_expectations_batched(states: np.ndarray, qubits: Sequence[int],
+def z_expectations_batched(probs: np.ndarray, qubits: Sequence[int],
                            n_qubits: int) -> np.ndarray:
-    """Per-state Z expectations of a ``(batch, 2**n)`` stack.
+    """Z expectations of each row of a ``(batch, 2**n)`` probability stack.
 
     Returns an array of shape ``(batch, len(qubits))``.
     """
-    states = _validate_batched(states, n_qubits)
-    probs = np.abs(states) ** 2
-    return probs @ _sign_matrix(n_qubits, tuple(int(q) for q in qubits)).T
+    probs = _validate_probabilities(probs, n_qubits)
+    signs = _sign_matrix(n_qubits, tuple(int(q) for q in qubits))
+    # One matrix-vector product per row.  A matrix-matrix product rounds a
+    # row differently depending on how many rows share the call, and a
+    # decoded sample must not depend on its batch: chunked and unchunked
+    # prediction agree bit for bit.
+    return (signs @ probs[:, :, None])[:, :, 0]
 
 
 def z_expectations_backward(state: np.ndarray, qubits: Sequence[int],
@@ -178,21 +193,23 @@ def marginal_probabilities(state: np.ndarray, qubits: Sequence[int],
     return marginal.reshape(-1)
 
 
-def marginal_probabilities_batched(states: np.ndarray, qubits: Sequence[int],
+def marginal_probabilities_batched(probs: np.ndarray, qubits: Sequence[int],
                                    n_qubits: int) -> np.ndarray:
-    """Batched :func:`marginal_probabilities`.
+    """Marginals of each row of a ``(batch, 2**n)`` probability stack.
 
-    Returns a ``(batch, 2**len(qubits))`` matrix of per-state marginals.
+    Returns a ``(batch, 2**len(qubits))`` matrix; outcome index treats
+    ``qubits[0]`` as its most significant bit, as
+    :func:`marginal_probabilities` does.
     """
-    states = _validate_batched(states, n_qubits)
+    probs = _validate_probabilities(probs, n_qubits)
     qubits = tuple(int(q) for q in qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("duplicate qubits")
     for q in qubits:
         if not 0 <= q < n_qubits:
             raise ValueError(f"qubit {q} outside register")
-    batch = states.shape[0]
-    probs = (np.abs(states) ** 2).reshape((batch,) + (2,) * n_qubits)
+    batch = probs.shape[0]
+    probs = probs.reshape((batch,) + (2,) * n_qubits)
     others = tuple(q + 1 for q in range(n_qubits) if q not in qubits)
     marginal = probs.sum(axis=others) if others else probs
     remaining_order = [q for q in range(n_qubits) if q in qubits]
@@ -234,39 +251,6 @@ def marginal_probabilities_backward_batched(states: np.ndarray,
     return grad_outputs[:, _outcome_indices(n_qubits, qubits)] * states
 
 
-def z_expectations_from_probabilities(probs: np.ndarray,
-                                      qubits: Sequence[int],
-                                      n_qubits: int) -> np.ndarray:
-    """Pauli-Z expectations computed from a full-register probability vector.
-
-    ``probs`` may be exact (``|psi|^2``) or a shot-noise estimate from
-    :func:`sampled_probabilities`; the same sign-matrix contraction serves
-    both, which is what lets the finite-shot readout policy reuse the ideal
-    decoders unchanged.
-    """
-    probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-    if probs.size != 2**n_qubits:
-        raise ValueError("probability vector length does not match n_qubits")
-    return _sign_matrix(n_qubits, tuple(int(q) for q in qubits)) @ probs
-
-
-def marginal_probabilities_from_probabilities(probs: np.ndarray,
-                                              qubits: Sequence[int],
-                                              n_qubits: int) -> np.ndarray:
-    """Marginal outcome probabilities from a full-register probability vector.
-
-    Accumulates each basis-state probability into its outcome bucket through
-    the memoised basis-index -> outcome-index map, so exact and shot-noise
-    probability vectors share one marginalisation path.
-    """
-    probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-    if probs.size != 2**n_qubits:
-        raise ValueError("probability vector length does not match n_qubits")
-    qubits = tuple(int(q) for q in qubits)
-    outcome = _outcome_indices(n_qubits, qubits)
-    return np.bincount(outcome, weights=probs, minlength=2**len(qubits))
-
-
 def sample_counts(state: np.ndarray, n_shots: int,
                   rng=None) -> np.ndarray:
     """Sample measurement outcomes of the full register.
@@ -287,7 +271,7 @@ def sample_counts(state: np.ndarray, n_shots: int,
 
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
-    probs = all_probabilities(np.asarray(state).reshape(-1))
+    probs = np.abs(np.asarray(state).reshape(-1)) ** 2
     probs = probs / probs.sum()
     rng = ensure_rng(rng)
     outcomes = rng.choice(probs.size, size=n_shots, p=probs)
@@ -299,7 +283,8 @@ def sampled_probabilities(state: np.ndarray, n_shots: int,
     """Shot-noise estimate of the basis-state probabilities.
 
     Seed-deterministic: see :func:`sample_counts`.  The finite-shot readout
-    decodes it with the exact decoders' ``*_from_probabilities`` forms.
+    decodes it through the same ``*_batched`` read-outs as exact
+    probabilities.
     """
     counts = sample_counts(state, n_shots, rng=rng)
     return counts / float(n_shots)

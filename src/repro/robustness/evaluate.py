@@ -124,8 +124,8 @@ def evaluate_robustness(model, source,
     model:
         A fitted model with ``predict_batch`` (QuGeoVQC, QuBatchVQC,
         classical — anything :func:`evaluate_data_source` accepts).  The
-        ``finite-shot`` axis additionally requires the quantum decode-
-        from-probabilities surface.
+        ``finite-shot`` axis additionally requires a quantum model
+        (:class:`~repro.core.vqc_core.VQCCore`).
     source:
         Clean *scaled* evaluation data as a data-source-protocol object
         (``ArrayDataSource``, ``ShardLoader``, ...).

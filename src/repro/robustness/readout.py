@@ -5,10 +5,12 @@ estimates them from a finite number of measurement shots.
 :class:`FiniteShotReadout` wraps a fitted :class:`~repro.core.vqc_model.QuGeoVQC`
 or :class:`~repro.core.qubatch.QuBatchVQC` so that *prediction* runs through
 :func:`repro.quantum.measurement.sampled_probabilities` with a configurable
-``n_shots``, then feeds the estimated probability vector through the model's
-own decode path (``decode_probabilities`` / ``decode_block_probabilities``)
-— ideal and sampled prediction differ only in the probability estimate, so
-shot-noise degradation curves isolate exactly the measurement effect.
+``n_shots``, then feeds the estimated probabilities through the model's own
+read-out (:meth:`~repro.core.vqc_core.VQCCore.readout`, the one both models'
+``predict`` and loss heads decode with) — ideal and sampled prediction
+differ only in the probability estimate, so shot-noise degradation curves
+isolate exactly the measurement effect.  Each sample runs as its own
+circuit execution (a QuBatch register holds it alone), sampled once.
 
 The wrapper satisfies the prediction surface the evaluation helpers consume
 (``predict`` / ``predict_batch``), so it drops straight into
@@ -26,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.vqc_core import VQCCore
 from repro.quantum.measurement import sampled_probabilities
 from repro.telemetry import get_telemetry
 from repro.utils.rng import RngLike, ensure_rng
@@ -37,9 +40,8 @@ class FiniteShotReadout:
     Parameters
     ----------
     model:
-        A fitted ``QuGeoVQC`` (exposes ``decode_probabilities``) or
-        ``QuBatchVQC`` (exposes ``decode_block_probabilities``).  Training
-        is unaffected — only this wrapper's predictions are sampled.
+        A fitted ``QuGeoVQC`` or ``QuBatchVQC``.  Training is unaffected —
+        only this wrapper's predictions are sampled.
     n_shots:
         Measurement shots per circuit execution.  More shots converge to
         the ideal decoder's output at the usual ``1/sqrt(n_shots)`` rate.
@@ -50,12 +52,10 @@ class FiniteShotReadout:
     def __init__(self, model, n_shots: int, rng: RngLike = 0) -> None:
         if n_shots <= 0:
             raise ValueError("n_shots must be positive")
-        if not (hasattr(model, "decode_probabilities")
-                or hasattr(model, "decode_block_probabilities")):
+        if not isinstance(model, VQCCore):
             raise TypeError(
-                f"{type(model).__name__} exposes neither decode_probabilities "
-                "nor decode_block_probabilities; FiniteShotReadout wraps "
-                "QuGeoVQC or QuBatchVQC")
+                f"{type(model).__name__} has no quantum decoder read-out; "
+                "FiniteShotReadout wraps QuGeoVQC or QuBatchVQC")
         self.model = model
         self.n_shots = int(n_shots)
         self._rng = ensure_rng(rng)
@@ -69,20 +69,9 @@ class FiniteShotReadout:
         """Predict one sample from ``n_shots`` sampled measurements."""
         telemetry = get_telemetry()
         with telemetry.span("robustness.finite_shot"):
-            if hasattr(self.model, "decode_probabilities"):
-                state = self.model.run_circuit(seismic)
-                probs = sampled_probabilities(state, self.n_shots,
-                                              rng=self._rng)
-                prediction = self.model.decode_probabilities(probs)
-            else:
-                state = self.model.encode([seismic])
-                output = self.model.circuit.run(state, self.model.theta.data,
-                                                backend=self.model.backend)
-                probs = sampled_probabilities(output, self.n_shots,
-                                              rng=self._rng)
-                blocks = probs.reshape(self.model.batch_capacity, -1)
-                prediction = self.model.decode_block_probabilities(blocks,
-                                                                   1)[0]
+            state = self.model.output_states([seismic])[0]
+            probs = sampled_probabilities(state, self.n_shots, rng=self._rng)
+            prediction = self.model.readout(probs[None]).maps[0]
         if telemetry.enabled:
             telemetry.counter("robustness.sampled_predictions").inc()
         return prediction

@@ -351,9 +351,9 @@ def test_expectation_parity(loop, einsum):
     params = rng.normal(size=circuit.n_params)
     states = random_states(4, 5, rng)
     expected = z_expectations_batched(
-        loop.run_batched(circuit, states, params), (0, 2), 4)
+        np.abs(loop.run_batched(circuit, states, params))**2, (0, 2), 4)
     actual = z_expectations_batched(
-        einsum.run_batched(circuit, states, params), (0, 2), 4)
+        np.abs(einsum.run_batched(circuit, states, params))**2, (0, 2), 4)
     np.testing.assert_allclose(actual, expected, atol=ATOL)
     qubits = tuple(range(4))
     np.testing.assert_allclose(

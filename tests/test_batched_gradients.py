@@ -60,7 +60,8 @@ def _expectation_heads(n_qubits, targets):
         return head
 
     def batched(outputs):
-        z = z_expectations_batched(outputs, range(n_qubits), n_qubits)
+        z = z_expectations_batched(np.abs(outputs)**2, range(n_qubits),
+                                   n_qubits)
         diff = (z + 1.0) / 2.0 - targets
         losses = np.mean(diff**2, axis=1)
         grads = diff * (2.0 / n_qubits) * 0.5
@@ -83,7 +84,8 @@ def _probability_heads(n_qubits, qubits, targets):
         return head
 
     def batched(outputs):
-        probs = marginal_probabilities_batched(outputs, qubits, n_qubits)
+        probs = marginal_probabilities_batched(np.abs(outputs)**2, qubits,
+                                               n_qubits)
         diff = probs - targets
         losses = np.sum(diff**2, axis=1)
         return losses, marginal_probabilities_backward_batched(
@@ -99,7 +101,7 @@ class TestBatchedMeasurementHeads:
     def test_z_expectations_batched(self, qubits):
         rng = np.random.default_rng(0)
         states = _random_states(4, 5, rng)
-        batched = z_expectations_batched(states, qubits, 4)
+        batched = z_expectations_batched(np.abs(states)**2, qubits, 4)
         singles = np.stack([z_expectations(state, qubits, 4)
                             for state in states])
         np.testing.assert_allclose(batched, singles, atol=1e-14)
@@ -108,7 +110,8 @@ class TestBatchedMeasurementHeads:
     def test_marginal_probabilities_batched(self, qubits):
         rng = np.random.default_rng(1)
         states = _random_states(4, 5, rng)
-        batched = marginal_probabilities_batched(states, qubits, 4)
+        batched = marginal_probabilities_batched(np.abs(states)**2, qubits,
+                                                 4)
         singles = np.stack([marginal_probabilities(state, qubits, 4)
                             for state in states])
         np.testing.assert_allclose(batched, singles, atol=1e-14)
@@ -131,11 +134,14 @@ class TestBatchedMeasurementHeads:
         np.testing.assert_allclose(batched, singles, atol=1e-14)
 
     def test_invalid_qubit_raises(self):
-        states = np.zeros((2, 8), dtype=complex)
+        probs = np.zeros((2, 8))
         with pytest.raises(ValueError):
-            z_expectations_batched(states, (5,), 3)
+            z_expectations_batched(probs, (5,), 3)
         with pytest.raises(ValueError):
-            marginal_probabilities_batched(states, (0, 0), 3)
+            marginal_probabilities_batched(probs, (0, 0), 3)
+        # The forward read-outs take |psi|**2, never the amplitudes.
+        with pytest.raises(TypeError, match="probability"):
+            z_expectations_batched(probs.astype(complex), (0,), 3)
 
 
 class TestCircuitGradientsBatched:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from readout_oracle import state_maps
 from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.core.classical_models import (
     ClassicalFWIModel,
@@ -142,7 +143,9 @@ class TestQuGeoVQCStack:
         maps = model.predict(stack)
         assert maps.shape == (5, 6, 6)
         for row, got in zip(stack, maps):
-            expected = model.decode(model.run_circuit(row))
+            expected = state_maps(model.config,
+                                  float(model.output_scale.data[0]),
+                                  model.run_circuit(row))[0]
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(model.predict_batch(list(stack)), maps)
 

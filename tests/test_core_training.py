@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from readout_oracle import state_maps
 from repro.core import (
     ClassicalTrainer,
     QuantumTrainer,
@@ -316,17 +317,16 @@ class TestQuGeoFramework:
 
 
 def _serve_one(pipeline, sample):
-    """Per-sample reference: scale_sample -> circuit.run -> decode."""
+    """Per-sample reference: scale_sample -> circuit.run -> the
+    per-basis-state read-out oracle."""
     model = pipeline.model
     vector = pipeline.scaler.scale_sample(sample).seismic_vector()
-    if isinstance(model, QuBatchVQC):
-        output = model.circuit.run(model.encode([vector]), model.theta.data,
-                                   backend=model.backend)
-        blocks = np.abs(output.reshape(model.batch_capacity, -1)) ** 2
-        return model.decode_block_probabilities(blocks, 1)[0]
-    output = model.circuit.run(model.encode(vector), model.theta.data,
+    encoded = (model.encode([vector]) if isinstance(model, QuBatchVQC)
+               else model.encode(vector))
+    output = model.circuit.run(encoded, model.theta.data,
                                backend=model.backend)
-    return model.decode(output)
+    return state_maps(model.config, float(model.output_scale.data[0]),
+                      output)[0]
 
 
 def _with_eval_batch_size(pipeline, size):

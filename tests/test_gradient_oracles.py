@@ -158,7 +158,8 @@ def _linear_z_heads(n_qubits, weights):
         return float(z_expectations(psi, range(n_qubits), n_qubits) @ weights), None
 
     def batched(outputs):
-        z = z_expectations_batched(outputs, range(n_qubits), n_qubits)
+        z = z_expectations_batched(np.abs(outputs)**2, range(n_qubits),
+                                   n_qubits)
         grads = np.broadcast_to(weights, z.shape)
         return z @ weights, z_expectations_backward_batched(
             outputs, range(n_qubits), n_qubits, grads)

@@ -15,7 +15,6 @@ from repro.quantum import (
 )
 from repro.quantum.ansatz import ansatz_parameter_count, u3_cu3_block
 from repro.quantum.measurement import (
-    all_probabilities,
     marginal_probabilities_backward,
     z_expectations_backward,
 )
@@ -228,10 +227,6 @@ class TestMeasurement:
                                    [0, 1, 0, 0])
         np.testing.assert_allclose(marginal_probabilities(state, (1, 0), 2),
                                    [0, 0, 1, 0])
-
-    def test_all_probabilities(self):
-        state = _random_state(3, 12)
-        np.testing.assert_allclose(all_probabilities(state), np.abs(state) ** 2)
 
     def test_invalid_qubits_raise(self):
         state = _random_state(2, 13)

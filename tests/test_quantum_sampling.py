@@ -1,8 +1,8 @@
 """Tests for finite-shot (sampled) measurement estimates.
 
 The finite-shot readout draws one :func:`sampled_probabilities` estimate and
-decodes it with the exact decoders' ``*_from_probabilities`` forms; the
-tests below exercise that composition.
+decodes it with the same ``*_batched`` probability-stack read-outs as exact
+probabilities; the tests below exercise that composition.
 """
 
 import numpy as np
@@ -10,22 +10,22 @@ import pytest
 
 from repro.quantum.measurement import (
     marginal_probabilities,
-    marginal_probabilities_from_probabilities,
+    marginal_probabilities_batched,
     sample_counts,
     sampled_probabilities,
     z_expectations,
-    z_expectations_from_probabilities,
+    z_expectations_batched,
 )
 
 
 def _sampled_z(state, qubits, n_qubits, n_shots, rng):
-    return z_expectations_from_probabilities(
-        sampled_probabilities(state, n_shots, rng=rng), qubits, n_qubits)
+    probs = sampled_probabilities(state, n_shots, rng=rng)
+    return z_expectations_batched(probs[None], qubits, n_qubits)[0]
 
 
 def _sampled_marginals(state, qubits, n_qubits, n_shots, rng):
-    return marginal_probabilities_from_probabilities(
-        sampled_probabilities(state, n_shots, rng=rng), qubits, n_qubits)
+    probs = sampled_probabilities(state, n_shots, rng=rng)
+    return marginal_probabilities_batched(probs[None], qubits, n_qubits)[0]
 
 
 def _random_state(n_qubits, seed=0):
@@ -124,15 +124,15 @@ class TestFromProbabilitiesDecoders:
     def test_z_from_probabilities_matches_statevector_path(self):
         state = _random_state(4, seed=17)
         exact = z_expectations(state, range(4), 4)
-        via_probs = z_expectations_from_probabilities(
-            np.abs(state) ** 2, range(4), 4)
+        via_probs = z_expectations_batched(np.abs(state)[None] ** 2,
+                                           range(4), 4)[0]
         np.testing.assert_allclose(via_probs, exact, atol=1e-12)
 
     def test_marginal_from_probabilities_matches_statevector_path(self):
         state = _random_state(4, seed=18)
         exact = marginal_probabilities(state, [1, 3], 4)
-        via_probs = marginal_probabilities_from_probabilities(
-            np.abs(state) ** 2, [1, 3], 4)
+        via_probs = marginal_probabilities_batched(np.abs(state)[None] ** 2,
+                                                   [1, 3], 4)[0]
         np.testing.assert_allclose(via_probs, exact, atol=1e-12)
 
     def test_sampled_marginals_converge_to_exact(self):
@@ -144,7 +144,6 @@ class TestFromProbabilitiesDecoders:
 
     def test_from_probabilities_validates_length(self):
         with pytest.raises(ValueError):
-            z_expectations_from_probabilities(np.ones(5) / 5.0, [0], 2)
+            z_expectations_batched(np.ones((1, 5)) / 5.0, [0], 2)
         with pytest.raises(ValueError):
-            marginal_probabilities_from_probabilities(np.ones(3) / 3.0,
-                                                      [0], 2)
+            marginal_probabilities_batched(np.ones((1, 3)) / 3.0, [0], 2)

@@ -40,6 +40,7 @@ from repro.core.data_scaling import (
     scaler_state,
 )
 from repro.core.training import (
+    ArrayDataSource,
     ClassicalAutogradStep,
     QuantumBatchedAdjointStep,
     QuBatchStep,
@@ -468,6 +469,48 @@ class TestCheckpointCorruptionRecovery:
         np.testing.assert_array_equal(resumed_model.theta.data,
                                       reference.theta.data)
         assert resumed.final_metrics == full.final_metrics
+
+    @staticmethod
+    def _policy_run(policy, tmp_path=None, resume_from=None, stop=None):
+        """A 4-qubit layer run on an engine under ``policy``."""
+        rng = np.random.default_rng(0)
+        source = ArrayDataSource(rng.normal(size=(6, 16)),
+                                 rng.random(size=(6, 4, 4)))
+        config = QuGeoVQCConfig(n_groups=1, qubits_per_group=4, n_blocks=2,
+                                decoder="layer", output_shape=(4, 4))
+        model = QuGeoVQC(config, rng=0,
+                         backend=EinsumBatchBackend(policy=policy))
+        callbacks = []
+        if stop is not None:
+            callbacks = [Checkpoint(str(tmp_path / "run.ckpt"), every=2),
+                         StopAfter(stop)]
+        Trainer(_training_config(epochs=4)).train(
+            model, source, callbacks=callbacks, resume_from=resume_from)
+        return model
+
+    def test_compute_policy_recorded_and_enforced(self, tmp_path):
+        """A float32 checkpoint resumes bit for bit under float32 and is
+        refused under float64; a file without the key still resumes."""
+        reference = self._policy_run("float32")
+        self._policy_run("float32", tmp_path, stop=2)
+        path = str(tmp_path / "run.ckpt")
+        payload = load_checkpoint(path)
+        assert payload["policy"] == "float32"
+        resumed = self._policy_run("float32", resume_from=path)
+        np.testing.assert_array_equal(resumed.theta.data,
+                                      reference.theta.data)
+        with pytest.raises(ValueError, match="'float32'.*'float64'"):
+            self._policy_run("float64", resume_from=path)
+        del payload["policy"]
+        self._policy_run("float64", resume_from=payload)
+
+    def test_classical_checkpoint_records_no_policy(self, tiny_scaled_dataset,
+                                                    tmp_path):
+        path = str(tmp_path / "classical.ckpt")
+        Trainer(_training_config(epochs=3)).train(
+            MODEL_BUILDERS["classical"](), tiny_scaled_dataset,
+            callbacks=[Checkpoint(path, every=3)])
+        assert load_checkpoint(path)["policy"] is None
 
     def test_legacy_raw_pickle_checkpoint_still_loads(self, tmp_path):
         import pickle
@@ -932,6 +975,27 @@ class TestPipelineSaveLoad:
         served = QuGeo.load(legacy)
         assert served.config == pipeline.config
         np.testing.assert_array_equal(served.predict_dataset(test),
+                                      pipeline.predict_dataset(test))
+
+    def test_compute_policy_recorded_and_enforced(self, fitted_pipeline,
+                                                  tmp_path):
+        """The payload names the engine's dtype policy; loading it into a
+        model under another policy is refused, and a file without the key
+        (written before the policy was recorded) still serves."""
+        pipeline, test = fitted_pipeline
+        path = str(tmp_path / "pipeline.qugeo")
+        pipeline.save(path)
+        payload = load_checkpoint(path)
+        assert payload["policy"] == "float64"
+        payload["policy"] = "float32"
+        mismatched = str(tmp_path / "float32.qugeo")
+        save_checkpoint(mismatched, payload)
+        with pytest.raises(ValueError, match="'float32'.*'float64'"):
+            QuGeo.load(mismatched)
+        del payload["policy"]
+        legacy = str(tmp_path / "legacy.qugeo")
+        save_checkpoint(legacy, payload)
+        np.testing.assert_array_equal(QuGeo.load(legacy).predict_dataset(test),
                                       pipeline.predict_dataset(test))
 
     def test_save_before_fit_rejected(self, tmp_path):
