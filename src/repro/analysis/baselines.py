@@ -47,7 +47,7 @@ FINGERPRINT_BASELINES: Tuple[FingerprintBaseline, ...] = (
         config_module="src/repro/data/openfwi.py",
         version_const="DATA_FORMAT_VERSION",
         version_module="src/repro/data/store.py",
-        pinned_version=2,
+        pinned_version=3,
         pinned_fields=(
             "n_samples", "velocity_shape", "n_sources", "n_receivers",
             "n_time_steps", "dx", "peak_frequency", "family", "model_config",
@@ -60,7 +60,7 @@ FINGERPRINT_BASELINES: Tuple[FingerprintBaseline, ...] = (
         config_module="src/repro/seismic/velocity_models.py",
         version_const="DATA_FORMAT_VERSION",
         version_module="src/repro/data/store.py",
-        pinned_version=2,
+        pinned_version=3,
         pinned_fields=(
             "shape", "min_velocity", "max_velocity", "min_layers",
             "max_layers", "increasing_velocity",

@@ -105,6 +105,10 @@ class QuBatchVQC(VQCCore):
         """
         return self.encoder.encode([self._flat_finite(s) for s in seismic_batch])
 
+    def encode_each(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
+        """Encode every sample alone in its own register: ``(B, 2**n)``."""
+        return np.stack([self.encode([sample]) for sample in seismic_batch])
+
     def output_states(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
         """Output states of the circuit executions a batch needs.
 

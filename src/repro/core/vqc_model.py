@@ -113,11 +113,14 @@ class QuGeoVQC(VQCCore):
         state = self.encode(seismic)
         return self.circuit.run(state, self.theta.data, backend=self.backend)
 
+    def encode_each(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
+        """Encode every sample as its own circuit execution: ``(B, 2**n)``."""
+        return np.stack([self.encode(sample) for sample in seismic_batch])
+
     def output_states(self, seismic_batch: Sequence[np.ndarray]) -> np.ndarray:
         """Output states of a batch, one stacked circuit pass: ``(B, 2**n)``."""
-        states = np.stack([self.encode(sample) for sample in seismic_batch])
-        return self.circuit.run_batched(states, self.theta.data,
-                                        backend=self.backend)
+        return self.circuit.run_batched(self.encode_each(seismic_batch),
+                                        self.theta.data, backend=self.backend)
 
     def predict(self, seismic: np.ndarray) -> np.ndarray:
         """Predict normalised velocity maps of scaled seismic input.

@@ -71,8 +71,10 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: configuration (new physics, different normalization, ...).  Part of the
 #: fingerprint, so stale cache entries are never served.  Version 2: the
 #: batched Laplacian is the banded matmul on every host, where version 1
-#: generated different rounding with and without SciPy.
-DATA_FORMAT_VERSION = 2
+#: generated different rounding with and without SciPy.  Version 3: grid
+#: axes of 40 cells or more multiply only the stencil band, block by block,
+#: which moves the last bits of the gathers at some grid shapes.
+DATA_FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 

@@ -17,8 +17,10 @@ Two engines share the discretisation.  :class:`AcousticSimulator2D` is the
 per-shot reference oracle with per-tap stencil slicing.
 :class:`BatchedAcousticSimulator2D` is the production propagator every
 forward-modelling call runs: one vectorised numpy time loop over a batch of
-wavefields, with the Laplacian evaluated as two dense banded-operator
-matmuls per step (one per axis) at every dtype.
+wavefields, with the Laplacian evaluated per axis as block-banded matmuls:
+each block of output rows multiplies only the columns its stencil taps
+reach (:func:`_band_blocks`).  A grid axis shorter than
+:data:`_BAND_CROSSOVER` cells keeps one block, the whole dense operator.
 """
 
 from __future__ import annotations
@@ -382,6 +384,55 @@ def _stencil_matrix(n: int, coeffs: np.ndarray) -> np.ndarray:
     return matrix
 
 
+#: Output rows per block of the block-banded Laplacian.  Sixteen was the
+#: fastest or tied for it at every measured grid from 40 to 110 cells
+#: (batches 4 to 20, orders 4 and 8, one BLAS thread); blocks of 8, 12, 20,
+#: 24 and even splits of the axis were no faster.
+_BAND_BLOCK = 16
+
+#: Shortest grid axis that is split into blocks.  At batch 4 the split
+#: breaks even at 32 and 36 cells and wins from 40 on.  A shorter axis
+#: keeps one block, the dense operator, where the split would save little
+#: and would move the last bits of the 32x32 Q-D-FW gathers.
+_BAND_CROSSOVER = 40
+
+
+def _band_blocks(op: np.ndarray, half: int, axis: int
+                 ) -> List[Tuple[slice, slice, np.ndarray]]:
+    """Split a banded operator into blocks that skip its zero columns.
+
+    Returns ``(rows, cols, block)`` triples covering the output axis in
+    blocks of :data:`_BAND_BLOCK`.  ``cols`` is the span
+    ``[r0 - half, r1 + half)`` (clipped to the grid) that the stencil taps
+    of output ``rows = [r0, r1)`` reach.  With ``axis=0`` ``op`` is
+    ``D_z`` and ``block = D_z[rows, cols]``, for ``out[rows] = block @
+    p[cols]``; with ``axis=1`` ``op`` is ``D_x^T`` and ``block =
+    D_x^T[cols, rows]``, for ``out[:, rows] = p[:, cols] @ block``.  Every
+    block is a contiguous copy (a strided slice of the transposed ``D_x^T``
+    view multiplies about half as fast) except a single block, which is
+    ``op`` itself, so a short axis runs exactly the dense product.
+    """
+    n = op.shape[0]
+    if n < _BAND_CROSSOVER:
+        return [(slice(0, n), slice(0, n), op)]
+    blocks = []
+    for r0 in range(0, n, _BAND_BLOCK):
+        rows = slice(r0, min(r0 + _BAND_BLOCK, n))
+        cols = slice(max(r0 - half, 0), min(rows.stop + half, n))
+        block = op[rows, cols] if axis == 0 else op[cols, rows]
+        blocks.append((rows, cols, np.ascontiguousarray(block)))
+    return blocks
+
+
+def _apply_laplacian(plan, out: np.ndarray, scratch: np.ndarray
+                     ) -> np.ndarray:
+    """Run a :meth:`BatchedAcousticSimulator2D._laplacian_plan` into ``out``."""
+    for a, b, target in plan:
+        np.matmul(a, b, out=target)
+    out += scratch
+    return out
+
+
 class BatchedAcousticSimulator2D:
     """Leap-frog propagator advancing a batch of wavefields per time step.
 
@@ -391,13 +442,18 @@ class BatchedAcousticSimulator2D:
     Laplacian, the leap-frog update and the sponge damping are evaluated
     as whole-batch array operations instead of one Python loop per shot.
 
-    The Laplacian is evaluated in one pass per axis instead of ~5 numpy
-    temporaries per stencil tap: two dense banded-operator matmuls
-    (``D_z @ p`` and ``p @ D_x^T``, see :func:`_stencil_matrix`) whose rows
-    encode the scalar reference's edge-replicated stencil.  They differ
-    from the scalar loop only in floating-point summation order (~1e-16
-    per step), so gathers agree with :class:`AcousticSimulator2D` to well
-    inside 1e-10 rather than bit-for-bit.
+    The Laplacian is evaluated per axis as matmuls instead of ~5 numpy
+    temporaries per stencil tap: ``D_z @ p`` and ``p @ D_x^T``, whose
+    operator rows (:func:`_stencil_matrix`) encode the scalar reference's
+    edge-replicated stencil.  The operators are banded, so each is split
+    into blocks of :data:`_BAND_BLOCK` output rows that multiply only the
+    ``2 * half`` extra columns their taps reach (:func:`_band_blocks`):
+    O(1) work per cell instead of O(n).  An axis shorter than
+    :data:`_BAND_CROSSOVER` keeps one block, the dense product.  The
+    products differ from the scalar loop only in floating-point summation
+    order (~1e-16 per step), so gathers agree with
+    :class:`AcousticSimulator2D` to well inside 1e-10 rather than
+    bit-for-bit.
 
     Parameters
     ----------
@@ -434,10 +490,13 @@ class BatchedAcousticSimulator2D:
             real, copy=False)
         self._telemetry = get_telemetry()
         coeffs = _LAPLACIAN_COEFFS[self.config.spatial_order]
-        self._dz_op = (_stencil_matrix(nz, coeffs)
-                       / self.config.dz**2).astype(real, copy=False)
-        self._dx_op_t = ((_stencil_matrix(nx, coeffs) / self.config.dx**2)
-                         .astype(real, copy=False).T)
+        half = len(coeffs) // 2
+        dz_op = (_stencil_matrix(nz, coeffs)
+                 / self.config.dz**2).astype(real, copy=False)
+        dx_op_t = ((_stencil_matrix(nx, coeffs) / self.config.dx**2)
+                   .astype(real, copy=False).T)
+        self._z_blocks = _band_blocks(dz_op, half, axis=0)
+        self._x_blocks = _band_blocks(dx_op_t, half, axis=1)
 
     @property
     def grid_shape(self) -> Tuple[int, int]:
@@ -452,13 +511,27 @@ class BatchedAcousticSimulator2D:
     # ------------------------------------------------------------------ #
     # numerics
     # ------------------------------------------------------------------ #
+    def _laplacian_plan(self, field: np.ndarray, out: np.ndarray,
+                        scratch: np.ndarray
+                        ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The block products of the Laplacian of ``field``.
+
+        One ``(a, b, target)`` triple per block, for ``np.matmul(a, b,
+        out=target)``: the z-axis blocks write ``out``, the x-axis blocks
+        ``scratch`` (both shaped like ``field``, ``(..., nz, nx)``).  The
+        views are built once, so a time loop that keeps one plan per
+        wavefield buffer slices nothing per step.
+        """
+        return ([(block, field[..., cols, :], out[..., rows, :])
+                 for rows, cols, block in self._z_blocks]
+                + [(field[..., cols], block, scratch[..., rows])
+                   for rows, cols, block in self._x_blocks])
+
     def _laplacian_into(self, field: np.ndarray, out: np.ndarray,
                         scratch: np.ndarray) -> np.ndarray:
-        """Batched Laplacian of ``field`` written into ``out`` (one pass per axis)."""
-        np.matmul(self._dz_op, field, out=out)
-        np.matmul(field, self._dx_op_t, out=scratch)
-        out += scratch
-        return out
+        """Batched Laplacian of ``field`` written into ``out``."""
+        return _apply_laplacian(self._laplacian_plan(field, out, scratch),
+                                out, scratch)
 
     # ------------------------------------------------------------------ #
     # simulation
@@ -560,6 +633,8 @@ class BatchedAcousticSimulator2D:
         lap_x = np.empty_like(p_prev)
         flat_views = {id(buf): buf.reshape(-1, nz * nx)
                       for buf in (p_prev, p_curr, p_next)}
+        plans = {id(buf): self._laplacian_plan(buf, lap, lap_x)
+                 for buf in (p_prev, p_curr, p_next)}
 
         total_batch = int(np.prod(batch_shape))
         # Every (step, receiver) entry is assigned exactly once in the loop.
@@ -596,7 +671,7 @@ class BatchedAcousticSimulator2D:
         for step in range(n_steps):
             if timing:
                 t0 = perf_counter()
-            self._laplacian_into(p_curr, lap, lap_x)
+            _apply_laplacian(plans[id(p_curr)], lap, lap_x)
             if timing:
                 t1 = perf_counter()
                 t_laplacian += t1 - t0

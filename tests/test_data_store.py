@@ -96,7 +96,7 @@ class TestFingerprint:
     def test_pinned_default_fingerprints(self):
         # Cached shards live under these addresses.  Moving them orphans
         # every cache, so it must be deliberate: a DATA_FORMAT_VERSION bump.
-        assert dataset_fingerprint(small_config(), 7) == "8e7bdfefa6415144"
+        assert dataset_fingerprint(small_config(), 7) == "98a794d9959c7fa8"
 
     def test_default_boundary_kernel_stride_leave_fingerprint_unchanged(self):
         # The bit-identity-preserving defaults must hash exactly like configs
@@ -122,7 +122,7 @@ class TestFingerprint:
         monkeypatch.setenv("QUGEO_SEISMIC_KERNEL", "numba")
         monkeypatch.setenv("QUGEO_PROPAGATOR", "scalar")
         monkeypatch.setenv("QUGEO_SEISMIC_BOUNDARY", "pml")
-        assert dataset_fingerprint(small_config(), 7) == "8e7bdfefa6415144"
+        assert dataset_fingerprint(small_config(), 7) == "98a794d9959c7fa8"
 
     def test_content_fingerprint_is_order_sensitive(self):
         sums = np.array([1.0, 2.0, 3.0])

@@ -142,6 +142,21 @@ class TestFiniteShotReadout:
             np.testing.assert_allclose(prediction, expected, rtol=0.0,
                                        atol=1e-12)
 
+    def test_batch_is_bit_identical_to_per_sample_loop(self, decoder,
+                                                       batched):
+        """One stacked pass draws and decodes what one pass per sample did."""
+        model = self._model(decoder, batched)
+        seismic = _seismic(5)
+        got = FiniteShotReadout(model, n_shots=512, rng=11).predict_batch(
+            seismic)
+        draws = np.random.default_rng(11)
+        loop = []
+        for row in seismic:
+            state = model.output_states([row])[0]
+            probs = sampled_probabilities(state, 512, rng=draws)
+            loop.append(model.readout(probs[None]).maps[0])
+        assert np.array_equal(got, np.stack(loop))
+
     def test_many_shots_approach_the_exact_maps(self, decoder, batched):
         model = self._model(decoder, batched)
         seismic = _seismic(2)

@@ -4,9 +4,10 @@ The batched engine must reproduce the scalar reference
 :class:`AcousticSimulator2D` (well inside the 1e-10 acceptance tolerance) on
 random layered models across every supported spatial order, with and without
 wavefield recording, and on the multi-velocity-model path used by dataset
-generation.  Two oracles share no code with either engine: the Laplacian's
-convergence order against a closed form, and a trace against the 2-D
-Green's function of the wave equation.
+generation, on grids both below and above the crossover where the
+Laplacian is split into stencil-band blocks.  Two oracles share no code
+with either engine: the Laplacian's convergence order against a closed
+form, and a trace against the 2-D Green's function of the wave equation.
 """
 
 import dataclasses
@@ -28,6 +29,13 @@ from repro.seismic import (
     nyquist_record_stride,
     ricker_wavelet,
     stable_time_step,
+)
+from repro.seismic.acoustic2d import (
+    _BAND_BLOCK,
+    _BAND_CROSSOVER,
+    _LAPLACIAN_COEFFS,
+    _band_blocks,
+    _stencil_matrix,
 )
 from repro.seismic.propagators import default_propagator_name
 
@@ -104,6 +112,40 @@ class TestBatchedScalarParity:
                 SOURCES, wavelet, RECEIVERS)
             np.testing.assert_allclose(result[m], reference, atol=1e-10, rtol=0)
 
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    @pytest.mark.parametrize("shape", [(70, 70), (50, 60)],
+                             ids=["70x70", "50x60"])
+    def test_band_blocked_grids_match_scalar_reference(self, shape, order):
+        """Grids above the crossover, where the Laplacian runs block by block.
+
+        Sources sit near the top, centre and bottom-right corner, so after
+        80 steps the wavefield crosses every row and column block of both
+        axes, including the clipped first and last ones.
+        """
+        nz, nx = shape
+        sources = [(1, 3), (nz // 2, nx // 2), (nz - 8, nx - 4)]
+        receivers = ([(1, c) for c in range(0, nx, 5)]
+                     + [(r, nx // 3) for r in range(0, nz, 7)])
+        velocities = np.stack([_layered_velocity(seed, shape)
+                               for seed in (order, order + 1)])
+        config = _config(n_steps=80, order=order)
+        wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
+        single = BatchedAcousticSimulator2D(velocities[0], config)
+        assert len(single._z_blocks) > 1 and len(single._x_blocks) > 1
+        stacked = BatchedAcousticSimulator2D(velocities, config)
+        single_result = single.simulate_shots(sources, wavelet, receivers)
+        stacked_result = stacked.simulate_shots(sources, wavelet, receivers)
+        assert stacked_result.shape == (2, 3, config.n_steps, len(receivers))
+        for m, velocity in enumerate(velocities):
+            reference = AcousticSimulator2D(velocity, config).simulate_shots(
+                sources, wavelet, receivers)
+            assert np.abs(reference).max() > 0.1
+            np.testing.assert_allclose(stacked_result[m], reference,
+                                       atol=1e-10, rtol=0)
+            if m == 0:
+                np.testing.assert_allclose(single_result, reference,
+                                           atol=1e-10, rtol=0)
+
     def test_per_shot_wavelets(self):
         velocity = _layered_velocity(seed=2)
         config = _config(n_steps=50)
@@ -152,6 +194,62 @@ class TestBatchedScalarParity:
             BatchedAcousticSimulator2D(velocities, _config(n_steps=5))
         with pytest.raises(ValueError, match="finite"):
             BatchedAcousticSimulator2D(velocities[1], _config(n_steps=5))
+
+
+class TestBandBlockLayout:
+    """The block-banded Laplacian against the dense operator it splits."""
+
+    @staticmethod
+    def _reassemble(blocks, n, axis):
+        """Put the blocks back into an ``(n, n)`` operator, counting rows."""
+        matrix = np.zeros((n, n))
+        covered = np.zeros(n, dtype=int)
+        for rows, cols, block in blocks:
+            if axis == 0:
+                matrix[rows, cols] += block
+            else:
+                matrix[cols, rows] += block
+            covered[rows] += 1
+        return matrix, covered
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_blocks_rebuild_the_dense_operator(self, order):
+        coeffs = _LAPLACIAN_COEFFS[order]
+        half = len(coeffs) // 2
+        for n in range(_BAND_CROSSOVER - 12, 3 * _BAND_CROSSOVER, 3):
+            dense = _stencil_matrix(n, coeffs)
+            for axis, op in ((0, dense), (1, dense.T)):
+                blocks = _band_blocks(op, half, axis)
+                expected = (1 if n < _BAND_CROSSOVER
+                            else -(-n // _BAND_BLOCK))
+                assert len(blocks) == expected, (n, axis)
+                matrix, covered = self._reassemble(blocks, n, axis)
+                # Every output row in exactly one block, every tap kept.
+                assert np.array_equal(covered, np.ones(n, dtype=int)), n
+                assert np.array_equal(matrix, op), (n, axis)
+
+    @pytest.mark.parametrize("batch, n", [(10, 70), (20, 70),
+                                          (4, 32), (16, 32)])
+    def test_laplacian_equals_dense_product(self, batch, n):
+        """Bit-equal to ``D_z @ p + p @ D_x^T`` at the benchmark shapes.
+
+        A block skips only zero operator entries, so each output still
+        accumulates the same taps in the same column order; on a BLAS whose
+        kernels accumulate along ``k`` in order, the skipped exact zeros
+        change no bit.  Below the crossover the products are the dense ones.
+        """
+        config = _config(n_steps=1, dx=7.0)
+        coeffs = _LAPLACIAN_COEFFS[config.spatial_order]
+        simulator = BatchedAcousticSimulator2D(np.full((n, n), 2000.0),
+                                               config)
+        field = np.random.default_rng(n + batch).standard_normal(
+            (batch, n, n))
+        d_z = _stencil_matrix(n, coeffs) / config.dz**2
+        d_x = _stencil_matrix(n, coeffs) / config.dx**2
+        dense = np.matmul(d_z, field) + np.matmul(field, d_x.T)
+        lap = simulator._laplacian_into(field, np.empty_like(field),
+                                        np.empty_like(field))
+        assert np.array_equal(lap, dense)
 
 
 class TestLaplacianConvergenceOracle:
