@@ -2,15 +2,13 @@
 
 Times the QuGeoData "Forward Modeling" hot path: a 5-shot survey over
 OpenFWI-sized (70x70) layered velocity maps, propagated by the ``scalar``
-engine (one Python time loop per shot), the ``batched`` engine (one shared
-time loop advancing every shot — and, on the multi-map rows, several
-velocity models — at once) and the batched engine under the ``float32``
-dtype policy (half the memory traffic; receiver traces still accumulate in
-float64).  Scalar and batched float64 agree to machine precision, so that
-speedup is pure wall-clock; the float32 rows trade ~1e-6 relative error for
-additional throughput.  A second grid times the batched propagator per
-dtype on the model edge-padded by the 20-cell sponge (90x110 cells, so the
-sponge damps pad cells, not model cells); its wavefield-steps/s are what
+engine (one Python time loop per shot) and the ``batched`` engine (one
+shared time loop advancing every shot — and, on the multi-map rows, several
+velocity models — at once).  Both compute in float64 and agree to machine
+precision, so the speedup is pure wall-clock.  A second table times the
+batched propagator on the model edge-padded by the 20-cell sponge (90x110
+cells, so the sponge damps pad cells, not model cells); its
+wavefield-steps/s, keyed ``sponge20|float64``, are what
 ``check_seismic_regression.py`` gates.
 
 Run directly (CI uses ``--quick``)::
@@ -62,13 +60,10 @@ def _velocities(n_maps: int) -> np.ndarray:
 
 
 #: Engine columns, each a ``(velocity, config) -> simulator`` factory: the
-#: scalar reference, the batched propagator, and the batched propagator
-#: under the reduced-precision dtype policy.
+#: scalar reference and the batched propagator.
 ENGINES = {
     "scalar": AcousticSimulator2D,
     "batched": BatchedAcousticSimulator2D,
-    "batched-f32": lambda velocity, config: BatchedAcousticSimulator2D(
-        velocity, config, policy="float32"),
 }
 
 
@@ -118,13 +113,11 @@ def _time_interleaved(fns: Dict[str, object], repeats: int) -> Dict[str, float]:
 
 
 def run_benchmark(n_steps: int, map_batch: int, chunk: int, repeats: int
-                  ) -> Tuple[List[List[object]], Dict[str, float],
-                             Dict[str, float]]:
-    """Return table rows, batched-vs-scalar and float32-vs-float64 speedups."""
+                  ) -> Tuple[List[List[object]], Dict[str, float]]:
+    """Return table rows and batched-vs-scalar speedups."""
     velocities = _velocities(map_batch)
     rows: List[List[object]] = []
     speedups: Dict[str, float] = {}
-    float32_speedups: Dict[str, float] = {}
 
     scenarios = [
         (f"1 map x {N_SOURCES} shots", velocities[:1]),
@@ -139,36 +132,32 @@ def run_benchmark(n_steps: int, map_batch: int, chunk: int, repeats: int
         timings = _time_interleaved(runs, repeats)
         speedups[label] = (timings["scalar"] / timings["batched"]
                            if timings["batched"] > 0 else float("inf"))
-        float32_speedups[label] = (
-            timings["batched"] / timings["batched-f32"]
-            if timings["batched-f32"] > 0 else float("inf"))
         n_shots = n_maps * N_SOURCES
         for name in ENGINES:
             elapsed = timings[name]
             rows.append([name, label, n_steps, n_shots, elapsed * 1e3,
                          elapsed * 1e3 / n_shots,
                          f"{(timings['scalar'] / elapsed):.2f}x"])
-    return rows, speedups, float32_speedups
+    return rows, speedups
 
 
 #: The timed boundary: the historical 20-cell sponge default, laid in pads
 #: outside the model so that it damps pad cells instead of model cells.
-#: Its name keys the gated throughput rows.
+#: Its name and the one precision key the gated throughput row.
 SPONGE_NAME, SPONGE = "sponge20", SpongeBoundary(width=20)
-
-DTYPES = ("float64", "float32")
+DTYPE = "float64"
 
 
 def run_boundary_grid(n_steps: int, repeats: int
                       ) -> Tuple[List[List[object]], Dict[str, float],
                                  Dict[str, int]]:
-    """Time the padded sponge run at every dtype on a 5-shot map.
+    """Time the padded sponge run on a 5-shot map.
 
     The 70x70 model is edge-padded by the sponge width below and on both
     sides (the top is a free surface), and the sources and receivers move
-    with it.  Returns table rows, a ``"boundary|dtype" -> wavefield-steps/s``
-    throughput dict (the regression-gate metric) and the propagated cell
-    count per boundary.
+    with it.  Returns the table row, a ``"boundary|dtype" ->
+    wavefield-steps/s`` throughput dict (the regression-gate metric) and the
+    propagated cell count per boundary.
     """
     width = SPONGE.width
     model = np.pad(_velocities(1)[0], ((0, width), (width, width)),
@@ -183,21 +172,17 @@ def run_boundary_grid(n_steps: int, repeats: int
     config = SimulationConfig(dx=DX, dz=DX, dt=dt, n_steps=n_steps,
                               spatial_order=4, boundary=SPONGE)
 
-    runs: Dict[str, object] = {}
-    for dtype in DTYPES:
-        simulator = BatchedAcousticSimulator2D(model, config, policy=dtype)
-        runs[dtype] = (lambda s=simulator: s.simulate_shots(
-            sources, wavelet, receivers))
-        runs[dtype]()  # warm-up (allocator, caches)
-    timings = _time_interleaved(runs, repeats)
+    simulator = BatchedAcousticSimulator2D(model, config)
 
-    rows: List[List[object]] = []
-    throughput: Dict[str, float] = {}
-    for dtype, elapsed in timings.items():
-        key = f"{SPONGE_NAME}|{dtype}"
-        throughput[key] = N_SOURCES * n_steps / elapsed if elapsed > 0 else 0.0
-        rows.append([SPONGE_NAME, dtype, model.size, elapsed * 1e3,
-                     elapsed * 1e3 / N_SOURCES, throughput[key]])
+    def run():
+        return simulator.simulate_shots(sources, wavelet, receivers)
+    run()  # warm-up (allocator, caches)
+    elapsed = _time_interleaved({DTYPE: run}, repeats)[DTYPE]
+
+    key = f"{SPONGE_NAME}|{DTYPE}"
+    throughput = {key: N_SOURCES * n_steps / elapsed if elapsed > 0 else 0.0}
+    rows = [[SPONGE_NAME, DTYPE, model.size, elapsed * 1e3,
+             elapsed * 1e3 / N_SOURCES, throughput[key]]]
     return rows, throughput, {SPONGE_NAME: model.size}
 
 
@@ -208,7 +193,7 @@ def render_boundary_grid(rows: List[List[object]], n_steps: int) -> str:
         ["boundary", "dtype", "padded cells", "total ms", "ms/shot",
          "wavefield steps/s"],
         formatted,
-        title=f"Sponge x dtype grid: {GRID[0]}x{GRID[1]} model in "
+        title=f"Sponge throughput: {GRID[0]}x{GRID[1]} model in "
               f"{SPONGE.width}-cell pads, {N_SOURCES} shots, {n_steps} steps")
 
 
@@ -243,8 +228,7 @@ def main() -> int:
     else:
         n_steps, map_batch, chunk = 1000, 16, 4
 
-    rows, speedups, float32_speedups = run_benchmark(n_steps, map_batch,
-                                                     chunk, args.repeats)
+    rows, speedups = run_benchmark(n_steps, map_batch, chunk, args.repeats)
     grid_rows, throughput, grid_cells = run_boundary_grid(n_steps,
                                                             args.repeats)
     text = (render(rows, n_steps) + "\n\n"
@@ -263,7 +247,6 @@ def main() -> int:
                    {"n_steps": n_steps, "map_batch": map_batch,
                     "rows": [dict(zip(header, row)) for row in rows],
                     "speedups": speedups,
-                    "float32_speedups": float32_speedups,
                     "boundary_grid": [dict(zip(grid_header, row))
                                       for row in grid_rows],
                     "throughput": throughput,
@@ -273,8 +256,6 @@ def main() -> int:
     single_map = next(iter(speedups.values()))
     for label, factor in speedups.items():
         print(f"batched vs scalar, {label}: {factor:.2f}x")
-    for label, factor in float32_speedups.items():
-        print(f"float32 vs float64 (batched), {label}: {factor:.2f}x")
     if args.assert_speedup is not None and single_map < args.assert_speedup:
         print(f"FAIL: expected >= {args.assert_speedup:.2f}x on the "
               f"single-map scenario, got {single_map:.2f}x")

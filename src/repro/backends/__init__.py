@@ -12,10 +12,9 @@ interface.  No setting selects the engine:
 
 :class:`EinsumBatchBackend` is the vectorised production engine.
 :class:`NumpyLoopBackend` is the per-gate reference oracle; tests pass it in
-explicitly to check the engine against code it shares nothing with.  An
-engine binds its dtype policy when it is built, so the default engine reads
-``QUGEO_DTYPE`` when a model is built, as the acoustic propagator does.
-Gradients run as one reversible adjoint sweep on either engine (see
+explicitly to check the engine against code it shares nothing with.  Both
+compute in ``complex128``; no setting changes the precision.  Gradients
+run as one reversible adjoint sweep on either engine (see
 :mod:`repro.quantum.autodiff`).
 """
 

@@ -33,11 +33,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.xm import get_dtype_policy
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.quantum.circuit import ParameterizedCircuit
-    from repro.xm import DTypePolicy
 
 
 class SimulationBackend(ABC):
@@ -49,15 +46,6 @@ class SimulationBackend(ABC):
 
     #: Display name of the engine (telemetry and run records).
     name: str = "abstract"
-
-    def __init__(self, policy: "DTypePolicy" = None) -> None:
-        """Bind the engine to a dtype policy.
-
-        It defaults to the ambient resolution (the ``QUGEO_DTYPE``
-        environment variable, then ``float64``), which reproduces the
-        historical hard-coded behaviour exactly.
-        """
-        self.policy = get_dtype_policy(policy)
 
     # ------------------------------------------------------------------ #
     # core execution
@@ -91,7 +79,7 @@ class SimulationBackend(ABC):
         ``(batch, n_params)`` matrix giving each state its own parameters.
         The default implementation loops over :meth:`run`.
         """
-        states = np.asarray(states, dtype=self.policy.complex)
+        states = np.asarray(states, dtype=np.complex128)
         if states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
         per_state_params = self._per_state_params(circuit, states.shape[0], params)
@@ -119,12 +107,9 @@ class SimulationBackend(ABC):
     # ------------------------------------------------------------------ #
     def validate_state(self, circuit: "ParameterizedCircuit",
                        state: np.ndarray) -> np.ndarray:
-        """Coerce ``state`` to a flat complex vector of the register size.
-
-        The vector is cast to the policy's complex compute dtype
-        (``complex128`` by default, ``complex64`` under the float32 policy).
-        """
-        state = np.asarray(state, dtype=self.policy.complex).reshape(-1)
+        """Coerce ``state`` to a flat ``complex128`` vector of the register
+        size."""
+        state = np.asarray(state, dtype=np.complex128).reshape(-1)
         if state.size != 2**circuit.n_qubits:
             raise ValueError(
                 f"state length {state.size} does not match "
@@ -133,15 +118,10 @@ class SimulationBackend(ABC):
 
     def validate_params(self, circuit: "ParameterizedCircuit",
                         params: Optional[np.ndarray]) -> np.ndarray:
-        """Coerce ``params`` to a flat float vector (``None`` -> zeros).
-
-        Parameters (gate angles) always stay in the accumulation precision:
-        they are few, they parameterise trig evaluations, and gradients with
-        respect to them are accumulated in float64 under every policy.
-        """
+        """Coerce ``params`` to a flat float64 vector (``None`` -> zeros)."""
         if params is None:
-            return np.zeros(circuit.n_params, dtype=self.policy.accum_real)
-        params = np.asarray(params, dtype=self.policy.accum_real).reshape(-1)
+            return np.zeros(circuit.n_params, dtype=np.float64)
+        params = np.asarray(params, dtype=np.float64).reshape(-1)
         if params.size != circuit.n_params:
             raise ValueError(
                 f"expected {circuit.n_params} parameters, got {params.size}")
@@ -159,8 +139,7 @@ class SimulationBackend(ABC):
         """
         from repro.quantum.gates import apply_matrix
 
-        return apply_matrix(state, matrix, targets, n_qubits,
-                            dtype=self.policy.complex)
+        return apply_matrix(state, matrix, targets, n_qubits)
 
     def apply_gate_batched(self, states: np.ndarray, matrix: np.ndarray,
                            targets: Sequence[int], n_qubits: int) -> np.ndarray:
@@ -170,7 +149,7 @@ class SimulationBackend(ABC):
         :meth:`apply_gate`; vectorised engines override it with one pass
         over the whole stack.
         """
-        states = np.asarray(states, dtype=self.policy.complex)
+        states = np.asarray(states, dtype=np.complex128)
         if states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
         return np.stack([self.apply_gate(state, matrix, targets, n_qubits)

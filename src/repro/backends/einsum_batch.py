@@ -72,12 +72,12 @@ class EinsumBatchBackend(SimulationBackend):
     # execution
     # ------------------------------------------------------------------ #
     def _owned_stack(self, states: np.ndarray) -> np.ndarray:
-        """A fresh :func:`empty_stack` copy of a ``(batch, 2**n)`` stack at
-        the policy dtype, which the kernel may update in place."""
+        """A fresh ``complex128`` :func:`empty_stack` copy of a
+        ``(batch, 2**n)`` stack, which the kernel may update in place."""
         states = np.asarray(states)
         if states.ndim != 2:
             raise ValueError("states must have shape (batch, 2**n_qubits)")
-        stack = empty_stack(*states.shape, self.policy.complex)
+        stack = empty_stack(*states.shape)
         stack[...] = states
         return stack
 
@@ -121,7 +121,7 @@ class EinsumBatchBackend(SimulationBackend):
         """Validate a shared vector or a ``(batch, n_params)`` matrix."""
         if params is None or np.ndim(params) <= 1:
             return self.validate_params(circuit, params)
-        params = np.asarray(params, dtype=self.policy.accum_real)
+        params = np.asarray(params, dtype=np.float64)
         if params.ndim == 2:
             if params.shape[1] != circuit.n_params:
                 raise ValueError(

@@ -34,6 +34,5 @@ class NumpyLoopBackend(SimulationBackend):
         params = self.validate_params(circuit, params)
         for op in circuit.ops:
             matrix = circuit.op_matrix(op, params)
-            current = apply_matrix(current, matrix, op.qubits, circuit.n_qubits,
-                                   dtype=self.policy.complex)
+            current = apply_matrix(current, matrix, op.qubits, circuit.n_qubits)
         return current

@@ -15,13 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.classical_models import ClassicalFWIModel, build_cnn_ly, build_cnn_px
-from repro.core.config import QuGeoDataConfig, QuGeoVQCConfig, TrainingConfig
-from repro.core.data_scaling import (
-    BaseScaler,
-    CNNScaler,
-    DSampleScaler,
-    ForwardModelingScaler,
-)
+from repro.core.config import QuGeoVQCConfig, TrainingConfig
 from repro.core.qubatch import QuBatchVQC
 from repro.core.training import (
     Callback,
@@ -108,24 +102,16 @@ def train_model(model, train_set: FWIDataset, test_set: Optional[FWIDataset],
                                    callbacks=callbacks)
 
 
-def _result_row(model, dataset_label: str, outcome: TrainingResult,
-                extra_metrics: Optional[Dict[str, float]] = None,
-                keep_history: bool = False) -> ExperimentResult:
-    """Standard table row: final SSIM/MSE plus whatever a study adds."""
+def _result_row(model, dataset_label: str,
+                outcome: TrainingResult) -> ExperimentResult:
+    """Standard table row: final SSIM/MSE and the parameter count."""
     metrics = {"ssim": final_metric(outcome, "ssim"),
                "mse": final_metric(outcome, "mse")}
     if hasattr(model, "num_parameters"):
         metrics["parameters"] = model.num_parameters()
-    if extra_metrics:
-        metrics.update(extra_metrics)
-    extras: Dict[str, object] = {"result": outcome}
-    if keep_history:
-        extras.update({"history_ssim": outcome.history("test_ssim"),
-                       "history_mse": outcome.history("test_mse"),
-                       "history_loss": outcome.history("train_loss")})
     return ExperimentResult(model=getattr(model, "name", str(model)),
                             dataset=dataset_label, metrics=metrics,
-                            extras=extras)
+                            extras={"result": outcome})
 
 
 # --------------------------------------------------------------------------- #
@@ -158,103 +144,9 @@ def prepare_dataset(config, seed: int = 0,
         count=count, workers=workers, progress=progress)
 
 
-def build_scalers(methods: Sequence[str],
-                  data_config: QuGeoDataConfig,
-                  compressor_dataset: Optional[FWIDataset] = None,
-                  compressor_epochs: int = 40,
-                  rng: RngLike = None) -> Dict[str, BaseScaler]:
-    """Instantiate the requested QuGeoData scalers.
-
-    ``methods`` entries are ``"D-Sample"``, ``"Q-D-FW"`` and ``"Q-D-CNN"``.
-    The CNN scaler is trained on ``compressor_dataset`` (the paper uses 500
-    samples disjoint from the FWI train/test split).
-    """
-    rng = ensure_rng(rng)
-    scalers: Dict[str, BaseScaler] = {}
-    for method in methods:
-        if method == "D-Sample":
-            scalers[method] = DSampleScaler(data_config)
-        elif method == "Q-D-FW":
-            scalers[method] = ForwardModelingScaler(data_config)
-        elif method == "Q-D-CNN":
-            if compressor_dataset is None or not len(compressor_dataset):
-                raise ValueError("Q-D-CNN needs a compressor training dataset")
-            scalers[method] = CNNScaler.train(compressor_dataset,
-                                              config=data_config,
-                                              epochs=compressor_epochs,
-                                              rng=rng)
-        else:
-            raise ValueError(f"unknown scaling method {method!r}")
-    return scalers
-
-
-def prepare_scaled_datasets(scalers: Dict[str, BaseScaler],
-                            train: FWIDataset,
-                            test: FWIDataset) -> Dict[str, Tuple[FWIDataset, FWIDataset]]:
-    """Scale the train/test splits with every scaler."""
-    return {name: (scaler.scale_dataset(train), scaler.scale_dataset(test))
-            for name, scaler in scalers.items()}
-
-
 # --------------------------------------------------------------------------- #
 # experiments
 # --------------------------------------------------------------------------- #
-def compare_scaling_methods(scaled: Dict[str, Tuple[FWIDataset, FWIDataset]],
-                            vqc_config: QuGeoVQCConfig,
-                            training: TrainingConfig,
-                            rng: RngLike = None) -> List[ExperimentResult]:
-    """Figure 5: train the same VQC on each scaled dataset and compare.
-
-    Returns one result per scaling method, carrying the final SSIM/MSE and
-    the per-epoch convergence history used for Figures 5(b)-(c).
-    """
-    rng = ensure_rng(rng)
-    results = []
-    for method, (train_set, test_set) in scaled.items():
-        model = QuGeoVQC(vqc_config, rng=rng)
-        outcome = train_model(model, train_set, test_set, training)
-        results.append(_result_row(model, method, outcome, keep_history=True))
-    return results
-
-
-def compare_decoders(scaled: Dict[str, Tuple[FWIDataset, FWIDataset]],
-                     base_config: QuGeoVQCConfig,
-                     training: TrainingConfig,
-                     rng: RngLike = None) -> List[ExperimentResult]:
-    """Figure 8: Q-M-PX vs Q-M-LY on every scaled dataset."""
-    rng = ensure_rng(rng)
-    results = []
-    for decoder in ("pixel", "layer"):
-        config = replace(base_config, decoder=decoder, n_batch_qubits=0)
-        for method, (train_set, test_set) in scaled.items():
-            model = QuGeoVQC(config, rng=rng)
-            outcome = train_model(model, train_set, test_set, training)
-            results.append(_result_row(model, method, outcome))
-    return results
-
-
-def qubatch_study(train_set: FWIDataset, test_set: FWIDataset,
-                  base_config: QuGeoVQCConfig,
-                  training: TrainingConfig,
-                  batch_qubit_counts: Sequence[int] = (0, 1, 2),
-                  rng: RngLike = None) -> List[ExperimentResult]:
-    """Table 1: train Q-M-LY with increasing QuBatch batch sizes."""
-    rng = ensure_rng(rng)
-    results = []
-    for n_batch_qubits in batch_qubit_counts:
-        config = replace(base_config, n_batch_qubits=n_batch_qubits)
-        if n_batch_qubits == 0:
-            model: Union[QuGeoVQC, QuBatchVQC] = QuGeoVQC(config, rng=rng)
-        else:
-            model = QuBatchVQC(config, rng=rng)
-        outcome = train_model(model, train_set, test_set, training)
-        results.append(_result_row(
-            model, "Q-D-FW", outcome,
-            extra_metrics={"batch": 2**n_batch_qubits if n_batch_qubits else 0,
-                           "extra_qubits": n_batch_qubits}))
-    return results
-
-
 def quantum_vs_classical(scaled: Dict[str, Tuple[FWIDataset, FWIDataset]],
                          vqc_config: QuGeoVQCConfig,
                          training: TrainingConfig,

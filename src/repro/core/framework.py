@@ -205,8 +205,8 @@ class QuGeo:
         Pipeline files are pickles: only load files you trust (unpickling
         executes embedded code).  A model state holding NaN or inf raises
         ``ValueError`` naming the offending key, and so does a pipeline
-        saved under another dtype policy than the rebuilt model computes in
-        (``QUGEO_DTYPE``).
+        whose recorded ``policy`` is not the rebuilt model's (``"float64"``,
+        or ``None`` for a classical model); a file without the key loads.
         """
         payload = load_checkpoint(path)
         version = payload.get("version")

@@ -75,23 +75,25 @@ CHECKPOINT_VERSION = 2
 
 
 def compute_policy(model) -> Optional[str]:
-    """Name of the dtype policy ``model`` computes in (``"float64"`` or
-    ``"float32"``); ``None`` for a model without a simulation backend."""
-    backend = getattr(model, "backend", None)
-    return None if backend is None else backend.policy.name
+    """The precision recorded for ``model`` in checkpoints and pipeline
+    files: ``"float64"``, the one precision every simulation backend
+    computes in, or ``None`` for a model without a backend."""
+    return None if getattr(model, "backend", None) is None else "float64"
 
 
 def check_compute_policy(payload: Dict[str, object], model,
                          source: str) -> None:
-    """Refuse a ``payload`` written under another dtype policy than
-    ``model`` computes in: resuming or serving it would silently change
-    precision.  Files written before the policy was recorded load as
-    before."""
+    """Refuse a ``payload`` recorded under another precision than ``model``
+    computes in, such as a file written by a reduced-precision engine:
+    resuming or serving it would silently change precision.  Files written
+    before the precision was recorded carry no key and load as before."""
     current = compute_policy(model)
-    if "policy" in payload and payload["policy"] != current:
+    saved = payload.get("policy", current)
+    if saved != current:
         raise ValueError(
-            f"{source} was computed under the {payload['policy']!r} dtype "
-            f"policy, but this model computes under {current!r}")
+            f"{source} was computed under the {saved!r} dtype policy, but "
+            f"this model computes under {current!r}; only float64 files "
+            f"can be resumed or served, so retrain it")
 
 
 # --------------------------------------------------------------------------- #

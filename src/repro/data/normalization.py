@@ -26,33 +26,28 @@ class VelocityNormalizer:
 
     min_velocity: float = 1500.0
     max_velocity: float = 4500.0
-    dtype: object = None
 
     def __post_init__(self) -> None:
         if self.max_velocity <= self.min_velocity:
             raise ValueError("max_velocity must exceed min_velocity")
 
-    def _dtype(self) -> np.dtype:
-        return np.dtype(np.float64 if self.dtype is None else self.dtype)
-
     def normalize(self, velocity: np.ndarray) -> np.ndarray:
         """Map velocities to [0, 1]."""
-        velocity = np.asarray(velocity, dtype=self._dtype())
+        velocity = np.asarray(velocity, dtype=np.float64)
         return (velocity - self.min_velocity) / (self.max_velocity - self.min_velocity)
 
     def denormalize(self, normalized: np.ndarray) -> np.ndarray:
         """Map unit-interval values back to physical velocities."""
-        normalized = np.asarray(normalized, dtype=self._dtype())
+        normalized = np.asarray(normalized, dtype=np.float64)
         return normalized * (self.max_velocity - self.min_velocity) + self.min_velocity
 
 
 class MinMaxNormalizer:
     """Min-max normaliser fit from data (per-array or global)."""
 
-    def __init__(self, dtype=None) -> None:
+    def __init__(self) -> None:
         self.minimum: float = 0.0
         self.maximum: float = 1.0
-        self.dtype = np.dtype(np.float64 if dtype is None else dtype)
         self._fitted = False
 
     def fit(self, data: np.ndarray) -> "MinMaxNormalizer":
@@ -73,7 +68,7 @@ class MinMaxNormalizer:
         """Map ``data`` to [0, 1] using the fitted range."""
         if not self._fitted:
             raise RuntimeError("call fit() before transform()")
-        data = np.asarray(data, dtype=self.dtype)
+        data = np.asarray(data, dtype=np.float64)
         span = self.maximum - self.minimum
         if span == 0.0:
             # Constant fit: every in-range value maps to 0, and
@@ -85,5 +80,5 @@ class MinMaxNormalizer:
         """Map unit-interval values back to the fitted range."""
         if not self._fitted:
             raise RuntimeError("call fit() before inverse_transform()")
-        data = np.asarray(data, dtype=self.dtype)
+        data = np.asarray(data, dtype=np.float64)
         return data * (self.maximum - self.minimum) + self.minimum

@@ -24,11 +24,3 @@ def uniform_bias(shape, fan_in: int, rng: RngLike = None) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
-
-def xavier_uniform(shape, fan_in: int, fan_out: int, rng: RngLike = None) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    rng = ensure_rng(rng)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)

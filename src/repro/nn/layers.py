@@ -94,9 +94,7 @@ class Module:
             raise KeyError(f"state mismatch: missing={sorted(missing)}, "
                            f"unexpected={sorted(unexpected)}")
         for name, param in own.items():
-            # Cast to the live tensor's dtype so loading a float64 checkpoint
-            # into a float32 module keeps the module's working precision.
-            value = np.asarray(state[name], dtype=param.data.dtype)
+            value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{value.shape} vs {param.shape}")

@@ -16,23 +16,18 @@ from repro.nn.tensor import Tensor
 
 
 def _copy_arrays(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
-    return [np.asarray(array).copy() for array in arrays]
+    return [np.asarray(array, dtype=np.float64).copy() for array in arrays]
 
 
 def _load_arrays(target: List[np.ndarray],
                  arrays: Sequence[np.ndarray], name: str) -> None:
-    """Replace ``target``'s buffers with copies of ``arrays``, validating shapes.
-
-    Loaded values are cast to each buffer's own dtype, so restoring a
-    float64 checkpoint into a float32 run (or vice versa) lands at the
-    optimiser's working precision instead of silently changing it.
-    """
+    """Replace ``target``'s buffers with copies of ``arrays``, validating shapes."""
     if len(arrays) != len(target):
         raise ValueError(f"{name} count mismatch: "
                          f"{len(arrays)} vs {len(target)}")
     loaded = []
     for current, value in zip(target, arrays):
-        value = np.asarray(value, dtype=current.dtype)
+        value = np.asarray(value, dtype=np.float64)
         if value.shape != current.shape:
             raise ValueError(f"{name} shape mismatch: "
                              f"{value.shape} vs {current.shape}")
@@ -78,7 +73,6 @@ class SGD(Optimizer):
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        # Velocity accumulates in float64 whatever the parameter precision.
         self._velocity = [np.zeros(p.data.shape, dtype=np.float64)
                           for p in self.parameters]
 
@@ -96,11 +90,7 @@ class SGD(Optimizer):
                 update = velocity
             else:
                 update = grad
-            # The update is computed in float64 (gradients and moments are
-            # accumulation-precision) and cast back to the parameter dtype.
-            dtype = param.data.dtype
-            param.data = (param.data - self.lr * update).astype(dtype,
-                                                                copy=False)
+            param.data = param.data - self.lr * update
 
     def state_dict(self) -> Dict[str, object]:
         state = super().state_dict()
@@ -127,7 +117,6 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        # Moments accumulate in float64 whatever the parameter precision.
         self._m = [np.zeros(p.data.shape, dtype=np.float64)
                    for p in self.parameters]
         self._v = [np.zeros(p.data.shape, dtype=np.float64)
@@ -150,10 +139,8 @@ class Adam(Optimizer):
             v += (1.0 - self.beta2) * grad * grad
             m_hat = m / bias1
             v_hat = v / bias2
-            dtype = param.data.dtype
             param.data = (param.data
-                          - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-                          ).astype(dtype, copy=False)
+                          - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
     def state_dict(self) -> Dict[str, object]:
         state = super().state_dict()

@@ -38,29 +38,16 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload.  Float32 arrays keep their dtype (the reduced
-        precision of :class:`repro.xm.DTypePolicy`'s ``float32``); anything
-        else is converted to ``float64`` exactly as before.  Pass ``dtype``
-        to force a precision.
+        Array-like payload; converted to ``float64``.
     requires_grad:
         Track operations on this tensor so gradients can flow back to it.
-        Gradients are always accumulated in ``float64`` regardless of the
-        data precision.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "name")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
-                 _parents: Tuple["Tensor", ...] = (), name: str = "",
-                 dtype=None) -> None:
-        if dtype is not None:
-            self.data = np.asarray(data, dtype=dtype)
-        else:
-            data = np.asarray(data)
-            if data.dtype == np.float32:
-                self.data = data
-            else:
-                self.data = np.asarray(data, dtype=np.float64)
+                 _parents: Tuple["Tensor", ...] = (), name: str = "") -> None:
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
@@ -105,12 +92,9 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # graph construction helpers
     # ------------------------------------------------------------------ #
-    def _coerce(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        # Constants join the graph at this tensor's precision so a float32
-        # network is not silently upcast by every scalar coefficient.
-        return Tensor(other, dtype=self.data.dtype)
+    @staticmethod
+    def _coerce(other: Union["Tensor", ArrayLike]) -> "Tensor":
+        return other if isinstance(other, Tensor) else Tensor(other)
 
     def _make(self, data: np.ndarray, parents: Tuple["Tensor", ...],
               backward: Callable[[np.ndarray], None]) -> "Tensor":

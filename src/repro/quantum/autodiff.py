@@ -36,7 +36,6 @@ from repro.quantum.circuit import GATE_TABLE_WINDOW, ParameterizedCircuit
 from repro.quantum.gates import GATES
 from repro.quantum.kernel import control_block, empty_stack, gate_views
 from repro.telemetry import get_telemetry
-from repro.xm import ensure_complex
 
 # A loss head maps the output statevector to (loss value, dL/d(psi*)).
 LossHead = Callable[[np.ndarray], Tuple[float, np.ndarray]]
@@ -80,12 +79,13 @@ def circuit_gradients(circuit: ParameterizedCircuit, params: np.ndarray,
     (loss, gradients):
         The loss value and an array of ``circuit.n_params`` gradients.
     """
-    state = ensure_complex(input_state).reshape(1, -1)
+    state = np.asarray(input_state, dtype=np.complex128).reshape(1, -1)
 
     def batched_head(outputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # A co-state of the wrong length fails the batched head check.
         loss, lam = loss_head(outputs[0])
-        return np.array([float(loss)]), ensure_complex(lam).reshape(1, -1)
+        return (np.array([float(loss)]),
+                np.asarray(lam, dtype=np.complex128).reshape(1, -1))
 
     losses, grads = circuit_gradients_batched(circuit, params, state,
                                               batched_head, backend=backend)
@@ -126,9 +126,7 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
 
     engine = get_backend(backend)
     params = np.asarray(params, dtype=np.float64).reshape(-1)
-    # Complex stacks keep their precision (a complex64 batch sweeps at
-    # complex64 under the float32 policy); real inputs become complex128.
-    states = ensure_complex(input_states)
+    states = np.asarray(input_states, dtype=np.complex128)
     if states.ndim != 2:
         raise ValueError("input_states must have shape (batch, 2**n_qubits)")
     batch, dim = states.shape
@@ -157,7 +155,7 @@ def _check_batched_head(result, batch: int, dim: int
     """Validate the ``(losses, lams)`` pair returned by a batched loss head."""
     losses, lams = result
     losses = np.asarray(losses, dtype=np.float64).reshape(-1)
-    lams = ensure_complex(lams)
+    lams = np.asarray(lams, dtype=np.complex128)
     if losses.size != batch:
         raise ValueError(
             f"batched loss head returned {losses.size} losses for a batch "
@@ -191,7 +189,7 @@ def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
     if not parametric:
         return
     first = parametric[0]
-    stack = empty_stack(2 * batch, dim, engine.policy.complex)
+    stack = empty_stack(2 * batch, dim)
     stack[:batch] = lams
     stack[batch:] = outputs
     for stop in range(len(circuit.ops), first, -_SWEEP_WINDOW):

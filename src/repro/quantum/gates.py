@@ -51,8 +51,7 @@ def is_unitary(matrix: np.ndarray, atol: float = 1e-10) -> bool:
 
 
 def apply_matrix(state: np.ndarray, matrix: np.ndarray,
-                 targets: Sequence[int], n_qubits: int,
-                 dtype=None) -> np.ndarray:
+                 targets: Sequence[int], n_qubits: int) -> np.ndarray:
     """Apply a ``2^k x 2^k`` matrix to ``targets`` qubits of ``state``.
 
     Parameters
@@ -67,10 +66,6 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray,
         Distinct qubit indices the gate acts on.
     n_qubits:
         Total number of qubits of the register.
-    dtype:
-        Complex dtype the state and matrix are computed in.  ``None`` (the
-        default) keeps the historical ``complex128`` behaviour; backends
-        pass their policy's complex compute dtype.
 
     Returns
     -------
@@ -84,12 +79,11 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray,
     for t in targets:
         if not 0 <= t < n_qubits:
             raise ValueError(f"target qubit {t} outside register of {n_qubits}")
-    dtype = np.dtype(np.complex128 if dtype is None else dtype)
-    matrix = _cast_gate(np.asarray(matrix), dtype)
+    matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (2**k, 2**k):
         raise ValueError(
             f"matrix shape {matrix.shape} does not match {k} target qubit(s)")
-    state = np.asarray(state, dtype=dtype)
+    state = np.asarray(state, dtype=np.complex128)
     if state.size != 2**n_qubits:
         raise ValueError(
             f"state length {state.size} does not match {n_qubits} qubits")
@@ -173,39 +167,10 @@ def _apply_two_qubit(state: np.ndarray, matrix: np.ndarray,
 
 
 # The module-level GATES matrices are immortal and frozen read-only, so
-# their ids are stable cache keys for the memoised term structures.  The
-# set also admits the per-dtype casts minted by _cast_gate below (equally
-# immortal and frozen), so reduced-precision runs keep the memoised path.
-_FIXED_GATE_IDS = set(id(m) for m in GATES.values())
+# their ids are stable cache keys for the memoised term structures.
+_FIXED_GATE_IDS = frozenset(id(m) for m in GATES.values())
 _FIXED_GATE_TERMS: Dict[Tuple[int, bool],
                         Tuple[Tuple[Tuple[int, complex], ...], ...]] = {}
-
-# Per-dtype casts of the canonical matrices, keyed by (id, dtype) so a
-# complex64 request can never be served a stale complex128 cast (or vice
-# versa).  Non-canonical (parameterised) matrices are never cached here.
-_CAST_GATES: Dict[Tuple[int, str], np.ndarray] = {}
-
-
-def _cast_gate(matrix: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Cast a gate matrix to ``dtype``, memoising casts of ``GATES`` constants.
-
-    Casting a canonical matrix would otherwise mint a fresh array per call,
-    losing the identity that keys the fixed-gate term memoisation.  The cast
-    is frozen and its id registered as canonical, so every dtype gets its own
-    stable, memoisable copy.
-    """
-    if matrix.dtype == dtype:
-        return matrix
-    if id(matrix) not in _FIXED_GATE_IDS:
-        return matrix.astype(dtype)
-    key = (id(matrix), dtype.str)
-    cached = _CAST_GATES.get(key)
-    if cached is None:
-        cached = matrix.astype(dtype)
-        cached.setflags(write=False)
-        _FIXED_GATE_IDS.add(id(cached))
-        _CAST_GATES[key] = cached
-    return cached
 
 
 def _fixed_two_qubit_terms(matrix: np.ndarray, low_is_first: bool):

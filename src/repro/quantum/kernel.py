@@ -20,8 +20,9 @@ import numpy as np
 _CONTROL_ROWS = np.eye(2, 4)
 
 
-def empty_stack(batch: int, dim: int, dtype) -> np.ndarray:
-    """An uninitialised ``(batch, dim)`` state stack stored batch-innermost.
+def empty_stack(batch: int, dim: int) -> np.ndarray:
+    """An uninitialised ``(batch, dim)`` ``complex128`` state stack stored
+    batch-innermost.
 
     It is the transposed view of a ``(dim, batch)`` buffer, so every gate
     view keeps contiguous runs of at least ``batch`` amplitudes whatever the
@@ -29,7 +30,7 @@ def empty_stack(batch: int, dim: int, dtype) -> np.ndarray:
     strided runs; a gate then measured up to 1.7x slower (8 qubits, 2-vCPU
     Xeon VM).
     """
-    return np.empty((dim, batch), dtype).T
+    return np.empty((dim, batch), np.complex128).T
 
 
 def control_block(matrix: np.ndarray) -> Optional[np.ndarray]:

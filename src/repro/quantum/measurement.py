@@ -33,8 +33,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.xm import ensure_complex
-
 
 def _bit_signs(n_qubits: int, qubit: int) -> np.ndarray:
     """Return +-1 for each basis index depending on the value of ``qubit``.
@@ -48,20 +46,17 @@ def _bit_signs(n_qubits: int, qubit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sign_matrix(n_qubits: int, qubits: Tuple[int, ...],
-                 dtype: np.dtype = np.dtype(np.float64)) -> np.ndarray:
+def _sign_matrix(n_qubits: int, qubits: Tuple[int, ...]) -> np.ndarray:
     """Memoised ``(len(qubits), 2**n)`` matrix of per-qubit basis signs.
 
     Row ``r`` is :func:`_bit_signs` of ``qubits[r]``, so Z expectations of
     every read-out qubit reduce to one matmul with the probability vector
-    instead of rebuilding the sign array per qubit per call.  ``dtype`` is
-    part of the memoisation key, so a float32 request can never be served a
-    float64 matrix (or vice versa) from an earlier call.
+    instead of rebuilding the sign array per qubit per call.
     """
     for qubit in qubits:
         if not 0 <= qubit < n_qubits:
             raise ValueError(f"qubit {qubit} outside register")
-    signs = np.empty((len(qubits), 2**n_qubits), dtype=dtype)
+    signs = np.empty((len(qubits), 2**n_qubits))
     for row, qubit in enumerate(qubits):
         signs[row] = _bit_signs(n_qubits, qubit)
     signs.setflags(write=False)
@@ -90,10 +85,7 @@ def _outcome_indices(n_qubits: int, qubits: Tuple[int, ...]) -> np.ndarray:
 
 
 def _validate_batched(states: np.ndarray, n_qubits: int) -> np.ndarray:
-    # Complex stacks keep their precision (a complex64 batch from a float32
-    # engine is measured as complex64); real inputs are promoted to
-    # complex128 exactly as before.
-    states = ensure_complex(states)
+    states = np.asarray(states, dtype=np.complex128)
     if states.ndim != 2 or states.shape[1] != 2**n_qubits:
         raise ValueError(
             f"states must have shape (batch, {2**n_qubits}), got {states.shape}")
@@ -101,8 +93,7 @@ def _validate_batched(states: np.ndarray, n_qubits: int) -> np.ndarray:
 
 
 def _validate_probabilities(probs: np.ndarray, n_qubits: int) -> np.ndarray:
-    # Kept at the caller's precision (float32 squares of a complex64 stack
-    # are measured as float32).  A complex stack is a state, not |psi|^2.
+    # A complex stack is a state, not |psi|^2.
     probs = np.asarray(probs)
     if np.iscomplexobj(probs):
         raise TypeError("expected a real probability stack |psi|**2, got "

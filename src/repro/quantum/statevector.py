@@ -24,18 +24,10 @@ class Statevector:
     amplitudes:
         Complex vector of length ``2**n``.  Normalised on construction unless
         ``normalize=False`` (in which case it must already have unit norm).
-    dtype:
-        Complex dtype of the stored amplitudes.  ``None`` (the default)
-        keeps the historical ``complex128``; pass ``numpy.complex64`` (or a
-        :class:`repro.xm.DTypePolicy`'s ``complex``) for reduced precision.
     """
 
-    def __init__(self, amplitudes, normalize: bool = True,
-                 dtype=None) -> None:
-        dtype = np.dtype(np.complex128 if dtype is None else dtype)
-        if dtype.kind != "c":
-            raise ValueError(f"Statevector dtype must be complex, got {dtype}")
-        data = np.asarray(amplitudes, dtype=dtype).reshape(-1)
+    def __init__(self, amplitudes, normalize: bool = True) -> None:
+        data = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         n_qubits = int(np.log2(data.size))
         if 2**n_qubits != data.size:
             raise ValueError(f"amplitude length {data.size} is not a power of two")
@@ -44,11 +36,8 @@ class Statevector:
             raise ValueError("cannot build a state from the zero vector")
         if normalize:
             data = data / norm
-        else:
-            # Normalisation drift scales with the amplitude precision.
-            atol = 1e-9 if np.finfo(dtype).eps < 1e-10 else 1e-5
-            if not np.isclose(norm, 1.0, atol=atol):
-                raise ValueError(f"state is not normalised (norm={norm})")
+        elif not np.isclose(norm, 1.0, atol=1e-9):
+            raise ValueError(f"state is not normalised (norm={norm})")
         self._data = data
         self._n_qubits = n_qubits
 
@@ -56,25 +45,22 @@ class Statevector:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def zero_state(cls, n_qubits: int, dtype=None) -> "Statevector":
+    def zero_state(cls, n_qubits: int) -> "Statevector":
         """Return the computational basis state ``|0...0>``."""
         if n_qubits <= 0:
             raise ValueError("n_qubits must be positive")
-        data = np.zeros(2**n_qubits,
-                        dtype=np.complex128 if dtype is None else dtype)
+        data = np.zeros(2**n_qubits, dtype=np.complex128)
         data[0] = 1.0
-        return cls(data, normalize=False, dtype=dtype)
+        return cls(data, normalize=False)
 
     @classmethod
-    def basis_state(cls, n_qubits: int, index: int,
-                    dtype=None) -> "Statevector":
+    def basis_state(cls, n_qubits: int, index: int) -> "Statevector":
         """Return the computational basis state ``|index>``."""
         if not 0 <= index < 2**n_qubits:
             raise ValueError("basis index out of range")
-        data = np.zeros(2**n_qubits,
-                        dtype=np.complex128 if dtype is None else dtype)
+        data = np.zeros(2**n_qubits, dtype=np.complex128)
         data[index] = 1.0
-        return cls(data, normalize=False, dtype=dtype)
+        return cls(data, normalize=False)
 
     # ------------------------------------------------------------------ #
     # properties
@@ -101,9 +87,8 @@ class Statevector:
     # ------------------------------------------------------------------ #
     def apply(self, matrix: np.ndarray, targets: Sequence[int]) -> "Statevector":
         """Return the state after applying ``matrix`` to ``targets`` qubits."""
-        new = apply_matrix(self._data, matrix, targets, self._n_qubits,
-                           dtype=self._data.dtype)
-        return Statevector(new, normalize=False, dtype=self._data.dtype)
+        new = apply_matrix(self._data, matrix, targets, self._n_qubits)
+        return Statevector(new, normalize=False)
 
     def fidelity(self, other: "Statevector") -> float:
         """Squared overlap ``|<self|other>|^2`` with another state."""

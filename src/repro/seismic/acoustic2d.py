@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.seismic.boundary import SpongeBoundary
 from repro.telemetry import get_telemetry
-from repro.xm import get_dtype_policy
 
 
 # Central finite-difference coefficients for the second derivative.
@@ -464,16 +463,13 @@ class BatchedAcousticSimulator2D:
     config:
         Discretisation parameters.  ``config.dt`` is checked against the CFL
         condition of the fastest cell across the whole batch.
-    policy:
-        Dtype policy (name, instance or ``None`` for the ambient
-        ``QUGEO_DTYPE`` / ``float64`` default).  The wavefield buffers,
-        stencil material and sponge mask are carried in ``policy.real``
-        (halving memory traffic under ``float32``); receiver gathers are
-        always accumulated in ``policy.accum_real`` (float64).
+
+    Wavefields, stencil operators, the sponge mask and the gathers are all
+    float64.
     """
 
-    def __init__(self, velocity: np.ndarray, config: SimulationConfig = None,
-                 policy=None) -> None:
+    def __init__(self, velocity: np.ndarray,
+                 config: SimulationConfig = None) -> None:
         self.velocity = np.asarray(velocity, dtype=np.float64)
         if self.velocity.ndim not in (2, 3):
             raise ValueError(
@@ -483,18 +479,13 @@ class BatchedAcousticSimulator2D:
         _check_velocity(self.velocity)
         self.config = config or SimulationConfig()
         self.config.validate_cfl(float(self.velocity.max()))
-        self.policy = get_dtype_policy(policy)
-        real = self.policy.real
         nz, nx = self.grid_shape
-        self._mask = self.config.boundary.build_mask((nz, nx)).astype(
-            real, copy=False)
+        self._mask = self.config.boundary.build_mask((nz, nx))
         self._telemetry = get_telemetry()
         coeffs = _LAPLACIAN_COEFFS[self.config.spatial_order]
         half = len(coeffs) // 2
-        dz_op = (_stencil_matrix(nz, coeffs)
-                 / self.config.dz**2).astype(real, copy=False)
-        dx_op_t = ((_stencil_matrix(nx, coeffs) / self.config.dx**2)
-                   .astype(real, copy=False).T)
+        dz_op = _stencil_matrix(nz, coeffs) / self.config.dz**2
+        dx_op_t = (_stencil_matrix(nx, coeffs) / self.config.dx**2).T
         self._z_blocks = _band_blocks(dz_op, half, axis=0)
         self._x_blocks = _band_blocks(dx_op_t, half, axis=1)
 
@@ -592,32 +583,17 @@ class BatchedAcousticSimulator2D:
         rec_flat = rec_rows * nx + rec_cols
 
         cell_area = self.config.dx * self.config.dz
-        real = self.policy.real
         if self.velocity.ndim == 2:
             batch_shape: Tuple[int, ...] = (n_shots,)
-            c2dt2 = (dt2 * c2).astype(real, copy=False)   # (nz, nx)
+            c2dt2 = dt2 * c2                                           # (nz, nx)
             src_scale = c2[src_rows, src_cols] * dt2 / cell_area       # (S,)
         else:
             batch_shape = (self.velocity.shape[0], n_shots)
-            c2dt2 = (dt2 * c2[:, None]).astype(real, copy=False)
+            c2dt2 = dt2 * c2[:, None]
             src_scale = c2[:, src_rows, src_cols] * dt2 / cell_area    # (M, S)
         # Injection amplitudes for every step, scaled once up front:
-        # (S, n_steps) or (M, S, n_steps).  Scaling happens in float64 and
-        # only the result is cast, so the float32 path loses precision once
-        # rather than per factor.
-        scaled_wavelets = (src_scale[..., None] * wavelets).astype(
-            real, copy=False)
-        if real != np.dtype(np.float64):
-            # A band-limited wavelet's far skirt (the Ricker's Gaussian
-            # envelope) injects amplitudes tens of orders below the peak.
-            # At reduced precision those seeds underflow into subnormals as
-            # they spread, and subnormal microcode assists then dominate the
-            # time loop.  Amplitudes below eps^2 of the per-shot peak are far
-            # outside measurable range, so flush them to exact zeros.
-            scaled_wavelets = scaled_wavelets.copy()
-            peak = np.abs(scaled_wavelets).max(axis=-1, keepdims=True)
-            cutoff = (np.finfo(real).eps ** 2) * peak
-            scaled_wavelets[np.abs(scaled_wavelets) < cutoff] = 0.0
+        # (S, n_steps) or (M, S, n_steps).
+        scaled_wavelets = src_scale[..., None] * wavelets
 
         # Three rotating wavefield buffers plus two scratch arrays: every
         # whole-batch operation of the time loop writes into preallocated
@@ -625,7 +601,7 @@ class BatchedAcousticSimulator2D:
         # with no allocations.  Injection and trace recording run on
         # flattened ``(total_batch, nz*nx)`` views — single-axis fancy
         # indexing is measurably cheaper per step than an N-d index tuple.
-        p_prev = np.zeros(batch_shape + (nz, nx), dtype=real)
+        p_prev = np.zeros(batch_shape + (nz, nx))
         p_curr = np.zeros_like(p_prev)
         p_next = np.zeros_like(p_prev)
         # Scratch buffers are fully overwritten before first read.
@@ -638,26 +614,13 @@ class BatchedAcousticSimulator2D:
 
         total_batch = int(np.prod(batch_shape))
         # Every (step, receiver) entry is assigned exactly once in the loop.
-        # Gathers accumulate in float64 under every policy: recorded traces
-        # are the caller-facing result, and keeping them at accumulation
-        # precision costs nothing on the per-step hot path.
-        gather = np.empty(batch_shape + (n_recorded, len(receivers)),
-                          dtype=self.policy.accum_real)
+        gather = np.empty(batch_shape + (n_recorded, len(receivers)))
         gather_flat = gather.reshape(total_batch, n_recorded, len(receivers))
         inject_rows = np.arange(total_batch)
         inject_cols = np.tile(src_flat, total_batch // n_shots)
         inject_amps = scaled_wavelets.reshape(total_batch, n_steps)
 
         mask = self._mask
-        # The causal edge of the discrete wavefront decays super-exponentially
-        # through every representable magnitude, so at reduced precision a
-        # band of cells is always sitting in subnormal range — and subnormal
-        # microcode assists would dominate the whole time loop.  Periodically
-        # flushing magnitudes below ~1e-24 (fifteen orders under any signal
-        # the float32 gather could resolve) to exact zero keeps that band
-        # empty at a cost of two vectorised passes every 16 steps.
-        flush_tiny = real != np.dtype(np.float64)
-        flush_cutoff = float(np.finfo(real).tiny / np.finfo(real).eps ** 2)
 
         snapshots: List[np.ndarray] = []
         # Per-phase profiling accumulates into plain local floats and is
@@ -708,10 +671,6 @@ class BatchedAcousticSimulator2D:
                 snapshots.append(p_next.copy())
             if timing:
                 t_record += perf_counter() - t3
-
-            if flush_tiny and step % 16 == 15:
-                np.copyto(p_next, 0.0, where=np.abs(p_next) < flush_cutoff)
-                np.copyto(p_curr, 0.0, where=np.abs(p_curr) < flush_cutoff)
 
             p_prev, p_curr, p_next = p_curr, p_next, p_prev
         elapsed = perf_counter() - loop_start

@@ -17,8 +17,6 @@ Known variables
 ==========================  =====================================================
 Variable                    Meaning (default)
 ==========================  =====================================================
-``QUGEO_DTYPE``             Dtype policy engines bind when built (``float64``;
-                            also ``float32``)
 ``QUGEO_TELEMETRY``         Telemetry mode (``off``; ``summary`` / ``trace``)
 ``QUGEO_BENCH_SCALE``       Benchmark scale (``small``; ``medium`` / ``full``)
 ``QUGEO_CACHE_DIR``         Sharded dataset-store directory (unset = no cache)
@@ -50,7 +48,6 @@ from typing import Dict, Iterator, Optional, Tuple
 ENV_PREFIX = "QUGEO_"
 
 # Canonical variable names (import these instead of retyping strings).
-DTYPE = "QUGEO_DTYPE"
 TELEMETRY = "QUGEO_TELEMETRY"
 BENCH_SCALE = "QUGEO_BENCH_SCALE"
 CACHE_DIR = "QUGEO_CACHE_DIR"
@@ -74,8 +71,6 @@ class EnvVar:
 
 #: Every known variable with its documented default, in display order.
 KNOWN_VARS: Tuple[EnvVar, ...] = (
-    EnvVar(DTYPE, "float64", "default dtype policy",
-           ("float64", "float32")),
     EnvVar(TELEMETRY, "off", "telemetry mode", ("off", "summary", "trace")),
     EnvVar(BENCH_SCALE, "small", "benchmark scale",
            ("small", "medium", "full")),

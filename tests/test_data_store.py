@@ -114,15 +114,35 @@ class TestFingerprint:
         base = dataset_fingerprint(small_config(), 7)
         assert dataset_fingerprint(small_config(record_every=4), 7) != base
 
+    STALE_ENV = {"QUGEO_SEISMIC_KERNEL": "numba",
+                 "QUGEO_PROPAGATOR": "scalar",
+                 "QUGEO_SEISMIC_BOUNDARY": "pml",
+                 "QUGEO_DTYPE": "float32"}
+
     def test_unavailable_kernel_env_keeps_default_fingerprint(
             self, monkeypatch):
-        # QUGEO_PROPAGATOR, QUGEO_SEISMIC_KERNEL and QUGEO_SEISMIC_BOUNDARY
-        # select nothing; a shell that still exports them must keep the
-        # same cache address.
-        monkeypatch.setenv("QUGEO_SEISMIC_KERNEL", "numba")
-        monkeypatch.setenv("QUGEO_PROPAGATOR", "scalar")
-        monkeypatch.setenv("QUGEO_SEISMIC_BOUNDARY", "pml")
+        # QUGEO_PROPAGATOR, QUGEO_SEISMIC_KERNEL, QUGEO_SEISMIC_BOUNDARY and
+        # QUGEO_DTYPE select nothing; a shell that still exports them must
+        # keep the same cache address.
+        for name, value in self.STALE_ENV.items():
+            monkeypatch.setenv(name, value)
         assert dataset_fingerprint(small_config(), 7) == "98a794d9959c7fa8"
+
+    def test_stale_env_builds_the_data_its_fingerprint_names(
+            self, monkeypatch):
+        """The fingerprint promises bit-identical data, so a build under the
+        stale variables must equal the build without them."""
+        config = small_config(n_samples=2, chunk_size=2)
+        for name, value in self.STALE_ENV.items():
+            monkeypatch.setenv(name, value)
+        stale = SyntheticOpenFWI(config, rng=7).build()
+        for name in self.STALE_ENV:
+            monkeypatch.delenv(name)
+        clean = SyntheticOpenFWI(config, rng=7).build()
+        for got, want in zip(stale, clean):
+            np.testing.assert_array_equal(got.seismic, want.seismic)
+            np.testing.assert_array_equal(got.velocity, want.velocity)
+            assert got.seismic.dtype == want.seismic.dtype == np.float64
 
     def test_content_fingerprint_is_order_sensitive(self):
         sums = np.array([1.0, 2.0, 3.0])

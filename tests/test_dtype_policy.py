@@ -1,12 +1,12 @@
-"""Dtype-policy tests: resolution, cache keying, no-silent-upcast, parity.
+"""One precision: every engine computes in float64 / complex128.
 
-The float64 policy is the default and must leave every numeric path
-bit-identical to the historical behaviour (the existing parity suites pin
-that).  These tests cover the float32 side: resolution through
-``QUGEO_DTYPE`` and explicit specs, dtype-aware memoisation caches, an
-end-to-end check that a float32 run stays in float32 on the hot path, and
-relaxed-tolerance parity of the float32 engines against their float64
-references.
+No setting selects a precision: the engines take no ``policy=`` and
+``TrainingConfig`` takes no ``dtype``.  These tests pin what is left of the
+old dtype policy: the gate kernel makes no temporary at another dtype,
+optimiser moments stay float64, reduced-precision input is promoted on
+entry, and configs saved with the removed keys still load.  Refusing a
+checkpoint or pipeline file recorded under ``"float32"`` is tested with the
+trainer and ``QuGeo.load`` in ``test_training_engine.py``.
 """
 
 from __future__ import annotations
@@ -14,92 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import EinsumBatchBackend, NumpyLoopBackend, get_backend
-from repro.quantum.autodiff import circuit_gradients_batched
-from repro.quantum.circuit import ParameterizedCircuit
-from repro.quantum.statevector import Statevector
-from repro.seismic import (
-    AcousticSimulator2D,
-    BatchedAcousticSimulator2D,
-    SimulationConfig,
-    SpongeBoundary,
-    VelocityModelConfig,
-    flat_layer_model,
-    ricker_wavelet,
-    stable_time_step,
-)
-from repro.xm import (
-    FLOAT32,
-    FLOAT64,
-    available_policies,
-    ensure_complex,
-    get_dtype_policy,
-)
-
-#: float32 carries ~7 decimal digits; accumulated over a short circuit or a
-#: few dozen propagation steps the error stays well inside 1e-4.
-F32_ATOL = 1e-4
-
-
-# --------------------------------------------------------------------------- #
-# policy resolution
-# --------------------------------------------------------------------------- #
-def test_policy_singletons_and_resolution(monkeypatch):
-    assert set(available_policies()) == {"float64", "float32"}
-    assert get_dtype_policy(None) is FLOAT64
-    assert get_dtype_policy("float32") is FLOAT32
-    assert get_dtype_policy(FLOAT32) is FLOAT32
-    monkeypatch.setenv("QUGEO_DTYPE", "float32")
-    assert get_dtype_policy(None) is FLOAT32
-    with pytest.raises(ValueError):
-        get_dtype_policy("float16")
-
-
-def test_policy_dtypes():
-    assert FLOAT64.real == np.dtype(np.float64)
-    assert FLOAT64.complex == np.dtype(np.complex128)
-    assert FLOAT32.real == np.dtype(np.float32)
-    assert FLOAT32.complex == np.dtype(np.complex64)
-    # Accumulation stays at double precision under both policies.
-    for policy in (FLOAT64, FLOAT32):
-        assert policy.accum_real == np.dtype(np.float64)
-        assert policy.accum_complex == np.dtype(np.complex128)
-
-
-def test_ensure_complex_preserves_complex_kind():
-    c64 = np.ones(4, dtype=np.complex64)
-    assert ensure_complex(c64).dtype == np.complex64
-    real = np.ones(4, dtype=np.float64)
-    assert ensure_complex(real).dtype == np.complex128
-    assert ensure_complex(real, FLOAT32).dtype == np.complex64
-
-
-# --------------------------------------------------------------------------- #
-# dtype-keyed caches
-# --------------------------------------------------------------------------- #
-def test_gate_cast_cache_is_dtype_keyed():
-    from repro.quantum.gates import GATES, _cast_gate
-
-    h64 = _cast_gate(GATES["H"], np.dtype(np.complex128))
-    h32 = _cast_gate(GATES["H"], np.dtype(np.complex64))
-    assert h64.dtype == np.complex128 and h32.dtype == np.complex64
-    # Casts of the canonical gates are memoised (stable identity) and frozen.
-    assert _cast_gate(GATES["H"], np.dtype(np.complex64)) is h32
-    assert not h32.flags.writeable
-
-
-def test_sign_matrix_cache_is_dtype_keyed():
-    from repro.quantum.measurement import _sign_matrix
-
-    s64 = _sign_matrix(3, (0, 2))
-    s32 = _sign_matrix(3, (0, 2), dtype=np.dtype(np.float32))
-    assert s64.dtype == np.float64 and s32.dtype == np.float32
-    np.testing.assert_allclose(s32, s64)
+from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 
 
 def test_einsum_kernel_computes_in_the_stack_dtype():
-    """Every view and temporary the kernel makes from a complex64 stack is
-    complex64: a shared matrix enters as weakly typed Python scalars and a
+    """Every view and temporary the kernel makes from a complex128 stack is
+    complex128: a shared matrix enters as weakly typed Python scalars and a
     per-row stack is cast to the stack's dtype."""
     from repro.quantum.kernel import apply_gate_inplace
     from repro.quantum.gates import GATES, apply_matrix
@@ -121,188 +41,61 @@ def test_einsum_kernel_computes_in_the_stack_dtype():
              (GATES["SWAP"], (0, 2))]
     for matrix, targets in cases:
         states = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        stack = states.astype(np.complex64).view(Recorder)
+        stack = states.copy().view(Recorder)
         apply_gate_inplace(stack, matrix, targets, 3)
         rows = matrix if matrix.ndim == 3 else [matrix] * 4
         expected = np.stack([apply_matrix(state, row, targets, 3)
                              for state, row in zip(states, rows)])
         np.testing.assert_allclose(np.asarray(stack), expected,
-                                   atol=F32_ATOL, rtol=0)
-    assert Recorder.dtypes == {np.dtype(np.complex64)}
+                                   atol=1e-12, rtol=0)
+    assert Recorder.dtypes == {np.dtype(np.complex128)}
 
 
-# --------------------------------------------------------------------------- #
-# no silent upcast on the float32 hot path
-# --------------------------------------------------------------------------- #
-def test_float32_backend_outputs_stay_complex64():
-    backend = EinsumBatchBackend(policy="float32")
-    assert backend.policy is FLOAT32
-    rng = np.random.default_rng(0)
-    circuit = ParameterizedCircuit(3)
-    for q in range(3):
-        circuit.add_parametric_gate("U3", [q])
-    circuit.add_gate("CNOT", [0, 1])
-    params = rng.normal(size=circuit.n_params)
-    states = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    out = backend.run_batched(circuit, states, params)
-    assert out.dtype == np.complex64
-    pulled = backend.apply_gate_batched(out, np.eye(4), (0, 1), 3)
-    assert pulled.dtype == np.complex64
-    single = backend.run(circuit, states[0], params)
-    assert single.dtype == np.complex64
-
-
-def test_float32_statevector_round_trip():
-    state = Statevector.zero_state(3, dtype=np.complex64)
-    assert state.amplitudes.dtype == np.complex64
-    evolved = state.apply(np.asarray([[1, 1], [1, -1]]) / np.sqrt(2.0), [0])
-    assert evolved.amplitudes.dtype == np.complex64
-
-
-def test_float32_propagator_computes_in_float32_and_accumulates_in_float64():
-    velocity = flat_layer_model(
-        VelocityModelConfig(shape=(24, 24), min_velocity=1500.0,
-                            max_velocity=3500.0), rng=1)
-    dt = stable_time_step(3500.0, dx=10.0, spatial_order=4)
-    config = SimulationConfig(dx=10.0, dz=10.0, dt=dt, n_steps=40,
-                              spatial_order=4,
-                              boundary=SpongeBoundary(width=4))
-    sim = BatchedAcousticSimulator2D(velocity, config, policy="float32")
-    # Stencil operators and the boundary mask sit on the hot path: float32.
-    assert sim._mask.dtype == np.float32
-    blocks = [block for _, _, block in sim._z_blocks + sim._x_blocks]
-    assert {block.dtype for block in blocks} == {np.dtype(np.float32)}
-    wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
-    sources = [(1, 4), (1, 18)]
-    receivers = [(1, c) for c in range(0, 24, 4)]
-    gather, snaps = sim.simulate_shots(sources, wavelet, receivers,
-                                       record_wavefield=True,
-                                       wavefield_stride=10)
-    # Receiver traces are gathered at accumulation precision; the recorded
-    # wavefield snapshots are the raw compute buffers.
-    assert gather.dtype == np.float64
-    assert all(snap.dtype == np.float32 for snap in snaps)
-
-
-# --------------------------------------------------------------------------- #
-# float32 vs float64 relaxed-tolerance parity
-# --------------------------------------------------------------------------- #
-def test_float32_einsum_parity_relaxed():
-    rng = np.random.default_rng(21)
-    circuit = ParameterizedCircuit(4)
-    for q in range(4):
-        circuit.add_parametric_gate("U3", [q])
-    circuit.add_gate("CNOT", [0, 1])
-    circuit.add_gate("CZ", [2, 3])
-    for q in range(4):
-        circuit.add_parametric_gate("RY", [q])
-    params = rng.normal(size=circuit.n_params)
-    states = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    reference = EinsumBatchBackend().run_batched(circuit, states, params)
-    result = EinsumBatchBackend(policy="float32").run_batched(circuit, states,
-                                                              params)
-    np.testing.assert_allclose(result, reference, atol=F32_ATOL, rtol=0)
-
-
-def test_float32_batched_adjoint_parity_relaxed():
-    rng = np.random.default_rng(22)
-    circuit = ParameterizedCircuit(3)
-    for q in range(3):
-        circuit.add_parametric_gate("U3", [q])
-    circuit.add_gate("CNOT", [0, 1])
-    circuit.add_parametric_gate("CU3", [1, 2])
-    params = rng.normal(size=circuit.n_params)
-    states = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    signs = 1.0 - 2.0 * ((np.arange(8) >> 2) & 1)
-
-    def loss_head(psis):
-        losses = (np.abs(psis) ** 2) @ signs
-        return losses, signs * psis
-
-    loss64, grads64 = circuit_gradients_batched(
-        circuit, params, states, loss_head,
-        backend=EinsumBatchBackend(policy="float64"))
-    loss32, grads32 = circuit_gradients_batched(
-        circuit, params, states, loss_head,
-        backend=EinsumBatchBackend(policy="float32"))
-    # Gradients accumulate in float64 under both policies.
-    assert grads32.dtype == np.float64
-    np.testing.assert_allclose(loss32, loss64, atol=F32_ATOL, rtol=0)
-    np.testing.assert_allclose(grads32, grads64, atol=F32_ATOL, rtol=0)
-
-
-def test_float32_batched_propagator_parity_relaxed():
-    velocity = flat_layer_model(
-        VelocityModelConfig(shape=(24, 24), min_velocity=1500.0,
-                            max_velocity=3500.0), rng=3)
-    dt = stable_time_step(3500.0, dx=10.0, spatial_order=4)
-    config = SimulationConfig(dx=10.0, dz=10.0, dt=dt, n_steps=50,
-                              spatial_order=4,
-                              boundary=SpongeBoundary(width=4))
-    wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
-    sources = [(1, 3), (1, 12), (1, 20)]
-    receivers = [(1, c) for c in range(0, 24, 3)]
-    reference = AcousticSimulator2D(velocity, config).simulate_shots(
-        sources, wavelet, receivers)
-    result = BatchedAcousticSimulator2D(
-        velocity, config, policy="float32").simulate_shots(
-        sources, wavelet, receivers)
-    scale = np.abs(reference).max()
-    np.testing.assert_allclose(result / scale, reference / scale,
-                               atol=F32_ATOL, rtol=0)
-
-
-# --------------------------------------------------------------------------- #
-# nn / config plumbing
-# --------------------------------------------------------------------------- #
-def test_tensor_preserves_float32():
+def test_reduced_precision_input_is_promoted():
+    """float32 / complex64 input is promoted to float64 / complex128 on
+    entry, so no caller can switch a path to reduced precision."""
+    from repro.data.normalization import MinMaxNormalizer, VelocityNormalizer
     from repro.nn import Tensor
+    from repro.quantum.circuit import ParameterizedCircuit
+    from repro.quantum.statevector import Statevector
 
-    t = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-    assert t.data.dtype == np.float32
-    out = (t * 2.0 + 1.0).sum()
-    out.backward()
-    # Forward math stays in float32; gradients accumulate in float64.
-    assert t.grad.dtype == np.float64
-    explicit = Tensor([1.0, 2.0], dtype=np.float32)
-    assert explicit.data.dtype == np.float32
+    assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float64
+    vel = np.linspace(1500.0, 4500.0, 7, dtype=np.float32)
+    assert VelocityNormalizer().normalize(vel).dtype == np.float64
+    assert MinMaxNormalizer().fit(vel).transform(vel).dtype == np.float64
+    state = Statevector(np.ones(4, dtype=np.complex64))
+    assert state.amplitudes.dtype == np.complex128
+    circuit = ParameterizedCircuit(2)
+    circuit.add_parametric_gate("U3", [1])
+    circuit.add_gate("CNOT", [0, 1])
+    states = np.full((3, 4), 0.5, dtype=np.complex64)
+    for engine in (EinsumBatchBackend(), NumpyLoopBackend()):
+        out = engine.run_batched(circuit, states, np.ones(circuit.n_params))
+        assert out.dtype == np.complex128
+    for build in (lambda: Statevector(np.ones(4), dtype=np.complex64),
+                  lambda: VelocityNormalizer(dtype=np.float32),
+                  lambda: MinMaxNormalizer(dtype=np.float32),
+                  lambda: Tensor([1.0], dtype=np.float32)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_optimizer_keeps_param_dtype_and_float64_moments():
     from repro.nn import Adam, Tensor
 
-    param = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    param = Tensor(np.ones(3), requires_grad=True)
     optim = Adam([param], lr=0.1)
     assert all(m.dtype == np.float64 for m in optim._m + optim._v)
     param.grad = np.full(3, 0.5)
     optim.step()
-    assert param.data.dtype == np.float32
+    assert param.data.dtype == np.float64
     state = optim.state_dict()
     optim.load_state_dict(state)
     assert all(m.dtype == np.float64 for m in optim._m + optim._v)
 
 
-def test_normalizers_accept_dtype():
-    from repro.data.normalization import MinMaxNormalizer, VelocityNormalizer
-
-    vel = np.linspace(1500.0, 4500.0, 7)
-    default = VelocityNormalizer().normalize(vel)
-    assert default.dtype == np.float64
-    f32 = VelocityNormalizer(dtype=np.float32).normalize(vel)
-    assert f32.dtype == np.float32
-    np.testing.assert_allclose(f32, default, atol=1e-6)
-    mm = MinMaxNormalizer(dtype=np.float32).fit(vel)
-    assert mm.transform(vel).dtype == np.float32
-    assert MinMaxNormalizer().fit(vel).transform(vel).dtype == np.float64
-
-
-def test_training_config_dtype_validated_and_resolved(monkeypatch):
-    """The trainer has no precision setting (it never applied one);
-    precision is resolved where it acts, by the engine a model is built
-    with: ``QUGEO_DTYPE`` or the engine's ``policy=`` argument."""
+def test_training_config_dtype_validated_and_resolved():
+    """Neither the trainer nor an engine has a precision setting."""
     from repro.core.config import TrainingConfig
     from repro.core.training import Trainer
     from repro.core.vqc_model import QuGeoVQC
@@ -311,13 +104,13 @@ def test_training_config_dtype_validated_and_resolved(monkeypatch):
         with pytest.raises(TypeError):
             TrainingConfig(dtype=value)
     assert not hasattr(Trainer(TrainingConfig()), "policy")
-    config = _small_vqc_config()
-    monkeypatch.delenv("QUGEO_DTYPE", raising=False)
-    assert QuGeoVQC(config, rng=0).backend.policy is FLOAT64
-    explicit = EinsumBatchBackend(policy="float32")
-    assert QuGeoVQC(config, rng=0, backend=explicit).backend.policy is FLOAT32
-    with pytest.raises(ValueError, match="float16"):
-        EinsumBatchBackend(policy="float16")
+    for engine in (EinsumBatchBackend, NumpyLoopBackend):
+        for value in ("float64", "float32", None):
+            with pytest.raises(TypeError):
+                engine(policy=value)
+    model = QuGeoVQC(_small_vqc_config(), rng=0)
+    assert isinstance(model.backend, EinsumBatchBackend)
+    assert not hasattr(model.backend, "policy")
 
 
 def test_checkpoint_config_roundtrips_dtype():
@@ -340,28 +133,3 @@ def _small_vqc_config():
 
     return QuGeoVQCConfig(n_groups=1, qubits_per_group=4, n_blocks=2,
                           decoder="layer", output_shape=(4, 4))
-
-
-def test_dtype_set_after_a_model_reaches_the_next_model(monkeypatch):
-    """Each model builds its own default engine, so a ``QUGEO_DTYPE`` change
-    reaches every model built after it; nothing caches the first policy."""
-    from repro.core.vqc_model import QuGeoVQC
-
-    monkeypatch.delenv("QUGEO_DTYPE", raising=False)
-    first = QuGeoVQC(_small_vqc_config(), rng=0)
-    assert first.backend.policy is FLOAT64
-    monkeypatch.setenv("QUGEO_DTYPE", "float32")
-    assert get_dtype_policy(None) is FLOAT32
-    second = QuGeoVQC(_small_vqc_config(), rng=0)
-    assert second.backend.policy is FLOAT32
-    assert first.backend.policy is FLOAT64
-    for build in (lambda: get_backend("numpy"),
-                  lambda: QuGeoVQC(_small_vqc_config(), rng=0,
-                                   backend="einsum")):
-        with pytest.raises(TypeError) as excinfo:
-            build()
-        assert "EinsumBatchBackend" in str(excinfo.value)
-        assert "NumpyLoopBackend" in str(excinfo.value)
-    oracle = NumpyLoopBackend(policy="float64")
-    assert QuGeoVQC(_small_vqc_config(), rng=0,
-                    backend=oracle).backend.policy is FLOAT64

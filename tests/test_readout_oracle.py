@@ -4,7 +4,9 @@
 states.  ``QuGeoVQC.predict``, ``QuBatchVQC.predict_batch``, both models'
 losses and ``FiniteShotReadout`` must agree with it: at 1e-12 on exact and
 on identically drawn sampled probabilities, and within shot noise at
-``2**20`` shots against the exact maps.
+``2**20`` shots against the exact maps.  ``TestQuadraticForm`` checks the
+exact read-outs a second way, as quadratic forms of the encoded input
+under the circuit's dense unitary.
 """
 
 import numpy as np
@@ -167,3 +169,76 @@ class TestFiniteShotReadout:
                                self._state(model, row))[0]
             np.testing.assert_allclose(prediction, exact, rtol=0.0,
                                        atol=0.02)
+
+
+def _dense_unitary(model):
+    """The circuit's dense ``U``: column ``j`` is the output of basis state
+    ``j``, so the circuit is run once on the identity stack."""
+    dim = 2**model.n_qubits
+    return model.circuit.run_batched(np.eye(dim, dtype=complex),
+                                     model.theta.data,
+                                     backend=model.backend).T
+
+
+def _kron_all(factors):
+    out = np.ones((1, 1))
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
+@pytest.mark.parametrize("n_groups", [1, 2])
+class TestQuadraticForm:
+    """Each read-out is a quadratic form of the encoded input ``x``
+    (Schuld, arXiv:2101.11020): with the dense ``U`` and ``M`` a Pauli-Z or
+    a projector written with Kronecker products (qubit 0 the leftmost
+    factor), ``<x|U^dagger M U|x> = x^T Re(U^dagger M U) x`` for a real
+    ``x``.  Nothing here shares code with ``VQCCore.readout``."""
+
+    @staticmethod
+    def _model(decoder, n_groups):
+        config = QuGeoVQCConfig(n_groups=n_groups,
+                                qubits_per_group=6 // n_groups, n_blocks=2,
+                                decoder=decoder, output_shape=(4, 4))
+        model = QuGeoVQC(config, rng=11 + n_groups)
+        model.output_scale.data = np.array([1.7])
+        return model
+
+    @staticmethod
+    def _inputs(model):
+        seismic = _seismic(4, model.config.input_size, seed=5)
+        xs = np.stack([model.encode(row) for row in seismic])
+        np.testing.assert_array_equal(xs.imag, 0.0)
+        return seismic, xs.real
+
+    def test_layer_rows_are_z_quadratic_forms(self, n_groups):
+        model = self._model("layer", n_groups)
+        n = model.n_qubits
+        u = _dense_unitary(model)
+        seismic, xs = self._inputs(model)
+        maps = model.predict(seismic)
+        eye, z = np.eye(2), np.diag([1.0, -1.0])
+        for r in range(model.config.output_shape[0]):
+            z_r = _kron_all([z if q == r else eye for q in range(n)])
+            form = (u.conj().T @ z_r @ u).real
+            expected = 0.5 + 0.5 * np.einsum("bi,ij,bj->b", xs, form, xs)
+            for column in range(model.config.output_shape[1]):
+                np.testing.assert_allclose(maps[:, r, column], expected,
+                                           atol=1e-12, rtol=0)
+
+    def test_pixel_squares_are_projector_quadratic_forms(self, n_groups):
+        model = self._model("pixel", n_groups)
+        n = model.n_qubits
+        u = _dense_unitary(model)
+        seismic, xs = self._inputs(model)
+        squares = (model.predict(seismic).reshape(len(xs), -1) / 1.7) ** 2
+        cells = squares.shape[1]
+        k = int(np.ceil(np.log2(cells)))
+        for i in range(cells):
+            outcome = np.zeros((2**k, 2**k))
+            outcome[i, i] = 1.0
+            p_i = np.kron(outcome, np.eye(2**(n - k)))
+            form = (u.conj().T @ p_i @ u).real
+            expected = np.einsum("bi,ij,bj->b", xs, form, xs)
+            np.testing.assert_allclose(squares[:, i] - 1e-12, expected,
+                                       atol=1e-12, rtol=0)

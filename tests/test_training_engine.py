@@ -471,15 +471,14 @@ class TestCheckpointCorruptionRecovery:
         assert resumed.final_metrics == full.final_metrics
 
     @staticmethod
-    def _policy_run(policy, tmp_path=None, resume_from=None, stop=None):
-        """A 4-qubit layer run on an engine under ``policy``."""
+    def _policy_run(tmp_path=None, resume_from=None, stop=None):
+        """A 4-qubit layer run on the default engine."""
         rng = np.random.default_rng(0)
         source = ArrayDataSource(rng.normal(size=(6, 16)),
                                  rng.random(size=(6, 4, 4)))
         config = QuGeoVQCConfig(n_groups=1, qubits_per_group=4, n_blocks=2,
                                 decoder="layer", output_shape=(4, 4))
-        model = QuGeoVQC(config, rng=0,
-                         backend=EinsumBatchBackend(policy=policy))
+        model = QuGeoVQC(config, rng=0)
         callbacks = []
         if stop is not None:
             callbacks = [Checkpoint(str(tmp_path / "run.ckpt"), every=2),
@@ -489,20 +488,22 @@ class TestCheckpointCorruptionRecovery:
         return model
 
     def test_compute_policy_recorded_and_enforced(self, tmp_path):
-        """A float32 checkpoint resumes bit for bit under float32 and is
-        refused under float64; a file without the key still resumes."""
-        reference = self._policy_run("float32")
-        self._policy_run("float32", tmp_path, stop=2)
+        """A checkpoint records ``"float64"`` and resumes bit for bit, with
+        or without the key; one recorded under ``"float32"`` is refused."""
+        reference = self._policy_run()
+        self._policy_run(tmp_path, stop=2)
         path = str(tmp_path / "run.ckpt")
         payload = load_checkpoint(path)
-        assert payload["policy"] == "float32"
-        resumed = self._policy_run("float32", resume_from=path)
+        assert payload["policy"] == "float64"
+        resumed = self._policy_run(resume_from=path)
         np.testing.assert_array_equal(resumed.theta.data,
                                       reference.theta.data)
         with pytest.raises(ValueError, match="'float32'.*'float64'"):
-            self._policy_run("float64", resume_from=path)
+            self._policy_run(resume_from=dict(payload, policy="float32"))
         del payload["policy"]
-        self._policy_run("float64", resume_from=payload)
+        resumed = self._policy_run(resume_from=payload)
+        np.testing.assert_array_equal(resumed.theta.data,
+                                      reference.theta.data)
 
     def test_classical_checkpoint_records_no_policy(self, tiny_scaled_dataset,
                                                     tmp_path):
@@ -979,14 +980,16 @@ class TestPipelineSaveLoad:
 
     def test_compute_policy_recorded_and_enforced(self, fitted_pipeline,
                                                   tmp_path):
-        """The payload names the engine's dtype policy; loading it into a
-        model under another policy is refused, and a file without the key
-        (written before the policy was recorded) still serves."""
+        """The payload records ``"float64"`` and serves bit for bit, with or
+        without the key (files written before it was recorded); a file
+        recorded under ``"float32"`` is refused."""
         pipeline, test = fitted_pipeline
         path = str(tmp_path / "pipeline.qugeo")
         pipeline.save(path)
         payload = load_checkpoint(path)
         assert payload["policy"] == "float64"
+        np.testing.assert_array_equal(QuGeo.load(path).predict_dataset(test),
+                                      pipeline.predict_dataset(test))
         payload["policy"] = "float32"
         mismatched = str(tmp_path / "float32.qugeo")
         save_checkpoint(mismatched, payload)

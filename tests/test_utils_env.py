@@ -17,13 +17,13 @@ from repro.utils import env
 # parsing primitives
 # --------------------------------------------------------------------------- #
 def test_get_str_unset_and_empty_fall_back(monkeypatch):
-    monkeypatch.delenv(env.DTYPE, raising=False)
-    assert env.get_str(env.DTYPE, "float64") == "float64"
-    assert env.get_str(env.DTYPE) is None
-    monkeypatch.setenv(env.DTYPE, "")
-    assert env.get_str(env.DTYPE, "float64") == "float64"
-    monkeypatch.setenv(env.DTYPE, "float32")
-    assert env.get_str(env.DTYPE, "float64") == "float32"
+    monkeypatch.delenv(env.CHECKPOINT_DIR, raising=False)
+    assert env.get_str(env.CHECKPOINT_DIR, "checkpoints") == "checkpoints"
+    assert env.get_str(env.CHECKPOINT_DIR) is None
+    monkeypatch.setenv(env.CHECKPOINT_DIR, "")
+    assert env.get_str(env.CHECKPOINT_DIR, "checkpoints") == "checkpoints"
+    monkeypatch.setenv(env.CHECKPOINT_DIR, "runs")
+    assert env.get_str(env.CHECKPOINT_DIR, "checkpoints") == "runs"
 
 
 def test_get_choice_normalises_and_validates(monkeypatch):
@@ -56,18 +56,17 @@ def test_known_vars_documented_and_prefixed():
         assert var.name.startswith(env.ENV_PREFIX)
         assert var.description
     # The canonical constants all appear in the documentation table.
-    for name in (env.DTYPE,
-                 env.TELEMETRY, env.BENCH_SCALE, env.CACHE_DIR,
+    for name in (env.TELEMETRY, env.BENCH_SCALE, env.CACHE_DIR,
                  env.DATAGEN_WORKERS, env.CHECKPOINT_DIR):
         assert name in names
 
 
 def test_describe_reports_current_values(monkeypatch):
-    monkeypatch.setenv(env.DTYPE, "float32")
+    monkeypatch.setenv(env.BENCH_SCALE, "medium")
     monkeypatch.delenv(env.CACHE_DIR, raising=False)
     table = env.describe()
-    assert table[env.DTYPE]["value"] == "float32"
-    assert table[env.DTYPE]["default"] == "float64"
+    assert table[env.BENCH_SCALE]["value"] == "medium"
+    assert table[env.BENCH_SCALE]["default"] == "small"
     assert table[env.CACHE_DIR]["value"] is None
 
 
@@ -75,17 +74,15 @@ def test_describe_reports_current_values(monkeypatch):
 # the subsystems resolve through the central module
 # --------------------------------------------------------------------------- #
 def test_backend_default_resolves_via_env(monkeypatch):
-    """No variable names the engine: the default engine reads only
-    ``QUGEO_DTYPE``, when it is built."""
+    """No variable reaches the default engine: neither its name nor its
+    precision is a setting."""
     from repro.backends import EinsumBatchBackend, get_backend
 
-    assert not hasattr(env, "BACKEND")
-    assert "QUGEO_BACKEND" not in env.describe()
-    monkeypatch.setenv("QUGEO_BACKEND", "numpy")
-    monkeypatch.setenv(env.DTYPE, "float32")
-    engine = get_backend()
-    assert isinstance(engine, EinsumBatchBackend)
-    assert engine.policy.name == "float32"
+    for name in ("BACKEND", "DTYPE"):
+        assert not hasattr(env, name)
+        assert f"QUGEO_{name}" not in env.describe()
+        monkeypatch.setenv(f"QUGEO_{name}", "numpy")
+    assert isinstance(get_backend(), EinsumBatchBackend)
 
 
 def test_telemetry_mode_resolves_via_env(monkeypatch):
@@ -99,11 +96,3 @@ def test_telemetry_mode_resolves_via_env(monkeypatch):
     with pytest.raises(ValueError):
         _resolve_mode(None)
 
-
-def test_dtype_resolves_via_env(monkeypatch):
-    from repro.xm import default_policy_name
-
-    monkeypatch.setenv(env.DTYPE, "float32")
-    assert default_policy_name() == "float32"
-    monkeypatch.delenv(env.DTYPE)
-    assert default_policy_name() == "float64"

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils import env
 from repro.utils.registry import DuplicateNameError, Registry, UnknownNameError
 
 
@@ -74,9 +73,9 @@ def test_env_var_selects_default(monkeypatch):
     """No environment variable or default name selects an entry: the
     constructor takes neither, and the environment changes no lookup."""
     with pytest.raises(TypeError):
-        Registry("test engine", env.DTYPE, "alpha", Engine)
+        Registry("test engine", "QUGEO_TEST_ENGINE", "alpha", Engine)
     table = make_registry()
-    monkeypatch.setenv(env.DTYPE, "beta")
+    monkeypatch.setenv("QUGEO_TEST_ENGINE", "beta")
     assert not hasattr(table, "default_name")
     assert table.get("alpha") is not table.get("beta")
 
