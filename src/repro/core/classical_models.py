@@ -18,7 +18,7 @@ quantum models uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -227,6 +227,40 @@ class CompressionCNN(Module):
                  hidden_channels: Tuple[int, int] = (4, 8),
                  rng: RngLike = None) -> None:
         rng = ensure_rng(rng)
+        self._build(input_shape, output_size, hidden_channels,
+                    lambda c_in, c_out: Conv2d(c_in, c_out, 3, padding=1,
+                                               rng=rng),
+                    lambda n_in, n_out: Linear(n_in, n_out, rng=rng))
+
+    @classmethod
+    def from_state_dict(cls, input_shape: Tuple[int, int, int],
+                        output_size: int, hidden_channels: Tuple[int, int],
+                        state: Dict[str, np.ndarray]) -> "CompressionCNN":
+        """Rebuild a saved compressor around its :meth:`state_dict` arrays.
+
+        No initial weights are drawn and nothing is copied: the layers
+        start from unwritten placeholders, and the arrays of ``state``
+        become the parameters as they are.  Missing or unexpected entries
+        raise ``KeyError`` and mis-shaped ones ``ValueError``, as
+        :meth:`load_state_dict` does.
+        """
+        compressor = cls.__new__(cls)
+        compressor._build(
+            input_shape, output_size, hidden_channels,
+            lambda c_in, c_out: Conv2d.from_arrays(
+                np.empty((c_out, c_in, 3, 3)), np.empty(c_out), padding=1),
+            lambda n_in, n_out: Linear.from_arrays(np.empty((n_out, n_in)),
+                                                   np.empty(n_out)))
+        for param, value in compressor._matched(state):
+            param.data = value
+        return compressor
+
+    def _build(self, input_shape: Tuple[int, int, int], output_size: int,
+               hidden_channels: Tuple[int, int],
+               conv: Callable[[int, int], Conv2d],
+               linear: Callable[[int, int], Linear]) -> None:
+        """Lay out the network; ``conv(c_in, c_out)`` and ``linear(n_in,
+        n_out)`` make its parametric layers, in parameter order."""
         n_sources, n_time, n_receivers = input_shape
         if n_sources <= 0 or n_time <= 0 or n_receivers <= 0:
             raise ValueError("input_shape entries must be positive")
@@ -243,16 +277,16 @@ class CompressionCNN(Module):
         after2 = (after1[0] // pool2, after1[1] // pool2)
 
         self.features = Sequential(
-            Conv2d(n_sources, c1, 3, padding=1, rng=rng),
+            conv(n_sources, c1),
             ReLU(),
             AvgPool2d(pool1),
-            Conv2d(c1, c2, 3, padding=1, rng=rng),
+            conv(c1, c2),
             ReLU(),
             AvgPool2d(pool2),
             Flatten(),
         )
         flat_features = c2 * after2[0] * after2[1]
-        self.head = Linear(flat_features, self.output_size, rng=rng)
+        self.head = linear(flat_features, self.output_size)
 
     def forward(self, inputs: Tensor) -> Tensor:
         return self.head(self.features(inputs))
@@ -263,9 +297,11 @@ class CompressionCNN(Module):
 
         A 3-D cube is a batch of one and returns ``(output_size,)``; a 4-D
         stack or a sequence of cubes returns ``(n, output_size)``.  The
-        convolutional features run once per cube, which bounds the im2col
-        columns to one cube's worth, and the dense head runs once on the
-        stacked features.  Cubes are never stacked into a new array.
+        convolutional features run once per cube, which bounds each
+        convolution's width-unfolded input (three copies of the padded
+        cube for the 3x3 kernels) to one cube's worth, and the dense head
+        runs once on the stacked features.  Cubes are never stacked into a
+        new array.
         """
         if isinstance(seismic, np.ndarray) and seismic.ndim not in (3, 4):
             raise ValueError(f"seismic shape {seismic.shape} is neither a cube "

@@ -22,7 +22,7 @@ the configured scaled shape and whose velocity map is normalised to [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +82,11 @@ class BaseScaler:
     # -- seismic -------------------------------------------------------- #
     def scale_seismic(self, sample: FWISample) -> np.ndarray:
         raise NotImplementedError
+
+    def scale_seismic_batch(self, samples: Sequence[FWISample]) -> np.ndarray:
+        """Scale the seismic data of ``samples`` only, as one
+        ``(n, *scaled_seismic_shape)`` stack; no velocity map is scaled."""
+        return np.stack([self.scale_seismic(sample) for sample in samples])
 
     def scale_sample(self, sample: FWISample) -> ScaledSample:
         """Scale one full-resolution sample."""
@@ -272,20 +277,24 @@ class CNNScaler(BaseScaler):
                                                          dtype=np.float64))
         return compressed.reshape(self.config.scaled_seismic_shape)
 
-    def scale_dataset(self, dataset: Iterable[FWISample]) -> FWIDataset:
-        """Scale every sample with one compressor pass over their cubes.
+    def scale_seismic_batch(self, samples: Sequence[FWISample]) -> np.ndarray:
+        """Compress every sample's cube in one compressor pass.
 
         The cubes go to :meth:`CompressionCNN.compress` as a sequence, not
         a stacked copy, so peak memory does not grow with the raw data.
         """
+        compressed = self.compressor.compress([sample.seismic
+                                               for sample in samples])
+        return compressed.reshape(len(samples),
+                                  *self.config.scaled_seismic_shape)
+
+    def scale_dataset(self, dataset: Iterable[FWISample]) -> FWIDataset:
+        """Scale every sample with one compressor pass over their cubes."""
         samples = list(dataset)
         if not samples:
             return FWIDataset([], name=f"scaled-{self.name}")
-        compressed = self.compressor.compress([sample.seismic
-                                               for sample in samples])
-        shape = self.config.scaled_seismic_shape
-        scaled = [self._scaled_sample(sample, row.reshape(shape))
-                  for sample, row in zip(samples, compressed)]
+        scaled = [self._scaled_sample(sample, seismic) for sample, seismic
+                  in zip(samples, self.scale_seismic_batch(samples))]
         return FWIDataset(scaled, name=f"scaled-{self.name}")
 
     def state_dict(self) -> dict:
@@ -321,10 +330,8 @@ def scaler_from_state(payload: dict,
             simulation_shape=tuple(state["simulation_shape"]),
             simulation_steps=int(state["simulation_steps"]))
     if method == CNNScaler.name:
-        compressor = CompressionCNN(
-            input_shape=tuple(state["input_shape"]),
-            output_size=int(state["output_size"]),
-            hidden_channels=tuple(state["hidden_channels"]))
-        compressor.load_state_dict(state["network"])
+        compressor = CompressionCNN.from_state_dict(
+            tuple(state["input_shape"]), int(state["output_size"]),
+            tuple(state["hidden_channels"]), state["network"])
         return CNNScaler(compressor, config)
     raise ValueError(f"unknown scaler method {method!r}")

@@ -155,8 +155,11 @@ class QuGeo:
                         denormalize: bool = True) -> np.ndarray:
         """Predict velocity maps for every sample of a full-resolution dataset.
 
-        The samples are scaled, then predicted in stacked circuit passes of
-        at most ``config.training.eval_batch_size`` samples
+        Only the seismic data is scaled
+        (:meth:`~repro.core.data_scaling.BaseScaler.scale_seismic_batch`);
+        no velocity map is scaled and thrown away.  The scaled stack is
+        predicted in circuit passes of at most
+        ``config.training.eval_batch_size`` samples
         (:func:`~repro.core.training.predict_in_batches`), and the whole
         ``(n, depth, width)`` result is de-normalised at once.
         """
@@ -164,8 +167,9 @@ class QuGeo:
             raise RuntimeError("call fit() before predict()")
         if len(dataset) == 0:
             raise ValueError("empty dataset: no samples to predict")
-        scaled = self.scaler.scale_dataset(dataset)
-        seismic = np.stack([sample.seismic_vector() for sample in scaled])
+        samples = list(dataset)
+        seismic = self.scaler.scale_seismic_batch(samples).reshape(
+            len(samples), -1)
         predictions = predict_in_batches(
             self.model, seismic,
             batch_size=self.config.training.eval_batch_size)

@@ -5,7 +5,8 @@ the CNN-PX / CNN-LY baselines) in PyTorch; this package provides the minimal
 equivalent so the reproduction has no deep-learning framework dependency:
 
 * :class:`~repro.nn.tensor.Tensor` — reverse-mode autograd over NumPy arrays,
-* layers — ``Linear``, ``Conv2d``, ``ReLU``, ``Flatten``, pooling, ``Sequential``,
+* layers — ``Linear``, ``Conv2d``, ``ReLU``, ``Flatten``, ``AvgPool2d``,
+  ``Sequential``,
 * losses — ``MSELoss``, ``L1Loss``,
 * optimisers — ``SGD``, ``Adam``,
 * schedulers — ``CosineAnnealingLR`` (the schedule used in the paper).
@@ -21,7 +22,6 @@ from repro.nn.layers import (
     Tanh,
     Flatten,
     AvgPool2d,
-    MaxPool2d,
     Sequential,
 )
 from repro.nn.losses import MSELoss, L1Loss
@@ -38,7 +38,6 @@ __all__ = [
     "Tanh",
     "Flatten",
     "AvgPool2d",
-    "MaxPool2d",
     "Sequential",
     "MSELoss",
     "L1Loss",

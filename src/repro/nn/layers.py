@@ -1,15 +1,16 @@
 """Neural-network layers built on the autograd :class:`~repro.nn.tensor.Tensor`.
 
 Only the layers the QuGeo classical models need are provided (LeNet-style
-CNNs): convolution, linear, activations, flatten, pooling and a sequential
-container.  Every layer exposes ``parameters()`` and ``named_parameters()``
-for the optimisers and for parameter counting (Table 2 of the paper matches
-parameter budgets across quantum and classical models).
+CNNs): convolution, linear, activations, flatten, average pooling and a
+sequential container.  Every layer exposes ``parameters()`` and
+``named_parameters()`` for the optimisers and for parameter counting
+(Table 2 of the paper matches parameter budgets across quantum and
+classical models).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,19 +87,28 @@ class Module:
         return {name: tensor.data.copy() for name, tensor in self.named_tensors()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load tensor arrays produced by :meth:`state_dict`."""
+        """Load (copies of) tensor arrays produced by :meth:`state_dict`."""
+        for param, value in self._matched(state):
+            param.data = value.copy()
+
+    def _matched(self, state: Dict[str, np.ndarray]
+                 ) -> List[Tuple[Tensor, np.ndarray]]:
+        """Pair every tensor with its ``state`` array (as float64, not
+        copied); raise on missing, unexpected or mis-shaped entries."""
         own = dict(self.named_tensors())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
         if missing or unexpected:
             raise KeyError(f"state mismatch: missing={sorted(missing)}, "
                            f"unexpected={sorted(unexpected)}")
+        pairs = []
         for name, param in own.items():
             value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{value.shape} vs {param.shape}")
-            param.data = value.copy()
+            pairs.append((param, value))
+        return pairs
 
 
 class Linear(Module):
@@ -109,13 +119,24 @@ class Linear(Module):
         if in_features <= 0 or out_features <= 0:
             raise ValueError("feature counts must be positive")
         rng = ensure_rng(rng)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Tensor(init.kaiming_uniform((out_features, in_features),
-                                                  fan_in=in_features, rng=rng),
-                             requires_grad=True)
-        self.bias = (Tensor(init.uniform_bias((out_features,), in_features, rng=rng),
-                            requires_grad=True) if bias else None)
+        self._bind(init.kaiming_uniform((out_features, in_features),
+                                        fan_in=in_features, rng=rng),
+                   init.uniform_bias((out_features,), in_features, rng=rng)
+                   if bias else None)
+
+    @classmethod
+    def from_arrays(cls, weight: np.ndarray,
+                    bias: Optional[np.ndarray] = None) -> "Linear":
+        """A layer holding ``weight`` ``(out, in)`` and ``bias`` as its
+        parameters (no copy), drawing no initial weights."""
+        layer = cls.__new__(cls)
+        layer._bind(weight, bias)
+        return layer
+
+    def _bind(self, weight: np.ndarray, bias: Optional[np.ndarray]) -> None:
+        self.weight = Tensor(weight, requires_grad=True)
+        self.out_features, self.in_features = self.weight.shape
+        self.bias = None if bias is None else Tensor(bias, requires_grad=True)
 
     def forward(self, inputs: Tensor) -> Tensor:
         if inputs.ndim == 1:
@@ -134,17 +155,29 @@ class Conv2d(Module):
         rng = ensure_rng(rng)
         kh, kw = F._pair(kernel_size)
         fan_in = in_channels * kh * kw
-        self.in_channels = in_channels
-        self.out_channels = out_channels
+        self._bind(init.kaiming_uniform((out_channels, in_channels, kh, kw),
+                                        fan_in=fan_in, rng=rng),
+                   init.uniform_bias((out_channels,), fan_in, rng=rng)
+                   if bias else None,
+                   stride, padding)
+
+    @classmethod
+    def from_arrays(cls, weight: np.ndarray, bias: Optional[np.ndarray] = None,
+                    stride=1, padding=0) -> "Conv2d":
+        """A layer holding ``weight`` ``(C_out, C_in, kH, kW)`` and ``bias``
+        as its parameters (no copy), drawing no initial weights."""
+        layer = cls.__new__(cls)
+        layer._bind(weight, bias, stride, padding)
+        return layer
+
+    def _bind(self, weight: np.ndarray, bias: Optional[np.ndarray],
+              stride, padding) -> None:
+        self.weight = Tensor(weight, requires_grad=True)
+        self.out_channels, self.in_channels, kh, kw = self.weight.shape
         self.kernel_size = (kh, kw)
         self.stride = stride
         self.padding = padding
-        self.weight = Tensor(
-            init.kaiming_uniform((out_channels, in_channels, kh, kw),
-                                 fan_in=fan_in, rng=rng),
-            requires_grad=True)
-        self.bias = (Tensor(init.uniform_bias((out_channels,), fan_in, rng=rng),
-                            requires_grad=True) if bias else None)
+        self.bias = None if bias is None else Tensor(bias, requires_grad=True)
 
     def forward(self, inputs: Tensor) -> Tensor:
         return F.conv2d(inputs, self.weight, self.bias,
@@ -189,17 +222,6 @@ class AvgPool2d(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return F.avg_pool2d(inputs, self.kernel_size, self.stride)
-
-
-class MaxPool2d(Module):
-    """Max pooling layer."""
-
-    def __init__(self, kernel_size, stride=None) -> None:
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return F.max_pool2d(inputs, self.kernel_size, self.stride)
 
 
 class Sequential(Module):

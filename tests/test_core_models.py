@@ -429,6 +429,18 @@ class TestClassicalModels:
             assert out.shape == (5, 64)
             np.testing.assert_allclose(out, singles, rtol=1e-12, atol=0.0)
 
+    def test_compression_cnn_from_state_dict_checks_the_arrays(self):
+        model = CompressionCNN(input_shape=(3, 32, 16), output_size=64, rng=0)
+        state = model.state_dict()
+        rebuilt = CompressionCNN.from_state_dict((3, 32, 16), 64, (4, 8), state)
+        cube = np.random.default_rng(3).normal(size=(3, 32, 16))
+        np.testing.assert_array_equal(rebuilt.compress(cube), model.compress(cube))
+        with pytest.raises(ValueError, match="head.weight"):
+            CompressionCNN.from_state_dict((3, 32, 16), 32, (4, 8), state)
+        del state["head.bias"]
+        with pytest.raises(KeyError, match="head.bias"):
+            CompressionCNN.from_state_dict((3, 32, 16), 64, (4, 8), state)
+
     def test_compression_cnn_stack_of_one_keeps_batch_axis(self):
         model = CompressionCNN(input_shape=(3, 32, 16), output_size=64, rng=0)
         cube = np.random.default_rng(2).normal(size=(3, 32, 16))

@@ -488,7 +488,8 @@ class TestCNNScalerDataset:
 
     def test_peak_memory_holds_no_stacked_copy_of_the_cubes(self):
         # Serving-sized cubes (4 shots x 300 steps x 32 receivers): 16 of
-        # them take 4.9 MB stacked, one cube's conv1 columns take 2.8 MB.
+        # them take 4.9 MB stacked, one cube's width-unfolded conv1 input
+        # takes 0.9 MB.
         rng = np.random.default_rng(0)
         shape, n = (4, 300, 32), 16
         config = QuGeoDataConfig()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import (
     AvgPool2d,
@@ -9,7 +10,6 @@ from repro.nn import (
     Flatten,
     L1Loss,
     Linear,
-    MaxPool2d,
     MSELoss,
     ReLU,
     Sequential,
@@ -149,7 +149,8 @@ def _per_cell_reference(x, kernel, stride, padding, cell):
 
     For every batch row and output position it gathers the zero-padded
     ``(C, kH, kW)`` window element by element and reduces it with
-    ``cell(window) -> (out_channels,)``.  It shares no code with im2col.
+    ``cell(window) -> (out_channels,)``.  It shares no code with the
+    row-tap convolution or the strided pooling taps.
     """
     n, c, h, w = x.shape
     (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
@@ -179,7 +180,8 @@ def _conv_reference(x, weight, bias, stride, padding):
 
 
 class TestConv2dOracle:
-    """conv2d and the pools against the per-cell loop, off the stride-1 path."""
+    """conv2d and average pooling against the per-cell loop and adjoint
+    identities, off and on the stride-1 path."""
 
     STRIDE, PADDING = (2, 1), (1, 2)
 
@@ -200,12 +202,57 @@ class TestConv2dOracle:
     @pytest.mark.parametrize("kernel,stride", [((2, 2), None), ((3, 2), (2, 1))])
     def test_pool_forwards_match_per_cell_loop(self, kernel, stride):
         x = np.random.default_rng(12).normal(size=(2, 3, 7, 6))
-        for pool, reduce in ((F.avg_pool2d, np.mean), (F.max_pool2d, np.max)):
-            out = pool(Tensor(x), kernel, stride).numpy()
-            expected = _per_cell_reference(
-                x, kernel, stride or kernel, (0, 0),
-                lambda window: reduce(window, axis=(1, 2)))
-            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        out = F.avg_pool2d(Tensor(x), kernel, stride).numpy()
+        expected = _per_cell_reference(
+            x, kernel, stride or kernel, (0, 0),
+            lambda window: np.mean(window, axis=(1, 2)))
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride", [((2, 2), None), ((3, 2), (2, 1))])
+    def test_avg_pool_is_bit_identical_to_window_mean(self, kernel, stride):
+        """Forward: the mean over the window axis of contiguous window
+        columns.  Backward: every window adds ``g / (kH*kW)`` to its cells,
+        windows visited tap by tap in window order."""
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(2, 3, 7, 6)), requires_grad=True)
+        (kh, kw), (sh, sw) = kernel, stride or kernel
+        out = F.avg_pool2d(x, kernel, stride)
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+
+        n, c, out_h, out_w = out.shape
+        windows = sliding_window_view(x.data, kernel, axis=(2, 3))[:, :, ::sh, ::sw]
+        columns = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c, kh * kw, -1)
+        np.testing.assert_array_equal(
+            out.numpy(), columns.mean(axis=2).reshape(out.shape))
+
+        share = g / (kh * kw)
+        expected = np.zeros(x.shape)
+        for i in range(kh):
+            for j in range(kw):
+                for p in range(out_h):
+                    for q in range(out_w):
+                        expected[:, :, p * sh + i, q * sw + j] += share[:, :, p, q]
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_stride_1_tall_input_non_square_kernel(self):
+        """The compressor's regime: H >> W, "same" padding, stride 1."""
+        rng = np.random.default_rng(16)
+        x_data = rng.normal(size=(2, 3, 41, 5))
+        w_data = rng.normal(size=(4, 3, 3, 2))
+        b_data = rng.normal(size=4)
+        x = Tensor(x_data, requires_grad=True)
+        weight = Tensor(w_data, requires_grad=True)
+        out = F.conv2d(x, weight, Tensor(b_data), stride=1, padding=(1, 1))
+        expected = _conv_reference(x_data, w_data, b_data, (1, 1), (1, 1))
+        assert out.shape == expected.shape == (2, 4, 41, 6)
+        np.testing.assert_allclose(out.numpy(), expected, rtol=0, atol=1e-12)
+
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        linear_part = float(np.sum((out.numpy() - b_data[None, :, None, None]) * g))
+        assert np.sum(x_data * x.grad) == pytest.approx(linear_part, rel=1e-12)
+        assert np.sum(w_data * weight.grad) == pytest.approx(linear_part, rel=1e-12)
 
     def test_backward_satisfies_adjoint_identity(self, problem):
         x_data, w_data, b_data, g = problem
@@ -259,22 +306,10 @@ class TestPooling:
         assert out.shape == (1, 1, 2, 2)
         assert out[0, 0, 0, 0] == pytest.approx(np.mean([0, 1, 4, 5]))
 
-    def test_max_pool_value(self):
-        image = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = MaxPool2d(2)(Tensor(image)).numpy()
-        assert out[0, 0, 1, 1] == 15.0
-
     def test_avg_pool_gradient_uniform(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
         AvgPool2d(2)(x).sum().backward()
         np.testing.assert_allclose(x.grad, 0.25 * np.ones((1, 1, 4, 4)))
-
-    def test_max_pool_gradient_routes_to_argmax(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
-        MaxPool2d(2)(x).sum().backward()
-        expected = np.zeros((4, 4))
-        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
-        np.testing.assert_allclose(x.grad[0, 0], expected)
 
 
 class TestActivationsAndContainer:

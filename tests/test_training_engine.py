@@ -33,6 +33,7 @@ from repro.core.config import (
     config_to_dict,
 )
 from repro.core.data_scaling import (
+    BaseScaler,
     CNNScaler,
     DSampleScaler,
     ForwardModelingScaler,
@@ -46,6 +47,7 @@ from repro.core.training import (
     QuBatchStep,
 )
 from repro.data.dataset import train_test_split
+from repro.nn import init as nn_init
 from repro.nn import SGD, Adam, CosineAnnealingLR, Linear, ReLU, Sequential, Tensor
 from repro.utils.logging import RunLogger
 from repro.utils.serialization import load_checkpoint, save_checkpoint
@@ -925,6 +927,49 @@ class TestConfigSerialization:
         assert rebuilt == config
 
 
+@pytest.fixture(scope="module")
+def scalers(tiny_dataset, small_data_config):
+    """One scaler per method; the Q-D-CNN compressor trained for 2 epochs."""
+    reference = ForwardModelingScaler(small_data_config,
+                                      simulation_shape=(16, 16),
+                                      simulation_steps=64)
+    return {"d_sample": DSampleScaler(small_data_config),
+            "forward_modeling": reference,
+            "cnn": CNNScaler.train(tiny_dataset[:3], config=small_data_config,
+                                   reference_scaler=reference, epochs=2,
+                                   rng=0)}
+
+
+def _pipeline(method, scalers, small_data_config):
+    pipeline = QuGeo(QuGeoConfig(data=small_data_config, vqc=_vqc_config(),
+                                 scaling_method=method), rng=0)
+    pipeline.scaler = scalers[method]
+    pipeline.build_model()
+    return pipeline
+
+
+class TestPredictScalesSeismicOnly:
+    @pytest.mark.parametrize("method", ["d_sample", "forward_modeling", "cnn"])
+    def test_predictions_match_the_scale_dataset_path(
+            self, method, scalers, small_data_config, tiny_dataset,
+            monkeypatch):
+        """``predict_dataset`` predicts what scaling whole samples did, and
+        it scales no velocity map on the way."""
+        pipeline = _pipeline(method, scalers, small_data_config)
+        scaled = pipeline.scaler.scale_dataset(tiny_dataset)
+        expected = pipeline.normalizer.denormalize(predict_in_batches(
+            pipeline.model,
+            np.stack([sample.seismic_vector() for sample in scaled]),
+            batch_size=pipeline.config.training.eval_batch_size))
+
+        def no_velocity(*args, **kwargs):
+            raise AssertionError("predict_dataset scaled a velocity map")
+
+        monkeypatch.setattr(BaseScaler, "scale_velocity", no_velocity)
+        np.testing.assert_array_equal(pipeline.predict_dataset(tiny_dataset),
+                                      expected)
+
+
 class TestPipelineSaveLoad:
     @pytest.fixture(scope="class")
     def fitted_pipeline(self, tiny_dataset):
@@ -1019,3 +1064,24 @@ class TestPipelineSaveLoad:
         served = QuGeo.load(path)
         np.testing.assert_array_equal(served.predict_dataset(test),
                                       pipeline.predict_dataset(test))
+
+    def test_cnn_pipeline_loads_without_drawing_weights(
+            self, scalers, small_data_config, tiny_dataset, tmp_path,
+            monkeypatch):
+        """The compressor is rebuilt from its saved arrays: with the weight
+        initialiser patched to raise, loading still serves bit for bit."""
+        pipeline = _pipeline("cnn", scalers, small_data_config)
+        path = str(tmp_path / "cnn.qugeo")
+        pipeline.save(path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("QuGeo.load drew initial weights")
+
+        monkeypatch.setattr(nn_init, "kaiming_uniform", no_draw)
+        served = QuGeo.load(path)
+        np.testing.assert_array_equal(served.predict_dataset(tiny_dataset),
+                                      pipeline.predict_dataset(tiny_dataset))
+        for (name, saved), (_, loaded) in zip(
+                pipeline.scaler.compressor.named_tensors(),
+                served.scaler.compressor.named_tensors()):
+            np.testing.assert_array_equal(loaded.data, saved.data, err_msg=name)
