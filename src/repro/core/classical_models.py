@@ -242,7 +242,8 @@ class CompressionCNN(Module):
         start from unwritten placeholders, and the arrays of ``state``
         become the parameters as they are.  Missing or unexpected entries
         raise ``KeyError`` and mis-shaped ones ``ValueError``, as
-        :meth:`load_state_dict` does.
+        :meth:`load_state_dict` does; an array holding NaN or inf raises
+        ``ValueError`` naming its key.
         """
         compressor = cls.__new__(cls)
         compressor._build(
@@ -251,7 +252,9 @@ class CompressionCNN(Module):
                 np.empty((c_out, c_in, 3, 3)), np.empty(c_out), padding=1),
             lambda n_in, n_out: Linear.from_arrays(np.empty((n_out, n_in)),
                                                    np.empty(n_out)))
-        for param, value in compressor._matched(state):
+        for name, param, value in compressor._matched(state):
+            if not np.isfinite(value).all():
+                raise ValueError(f"compressor state {name!r} holds NaN or inf")
             param.data = value
         return compressor
 

@@ -207,10 +207,11 @@ class QuGeo:
         """Rebuild a pipeline saved with :meth:`save`, ready to predict.
 
         Pipeline files are pickles: only load files you trust (unpickling
-        executes embedded code).  A model state holding NaN or inf raises
-        ``ValueError`` naming the offending key, and so does a pipeline
-        whose recorded ``policy`` is not the rebuilt model's (``"float64"``,
-        or ``None`` for a classical model); a file without the key loads.
+        executes embedded code).  A model or Q-D-CNN compressor state
+        holding NaN or inf raises ``ValueError`` naming the offending key,
+        and so does a pipeline whose recorded ``policy`` is not the rebuilt
+        model's (``"float64"``, or ``None`` for a classical model); a file
+        without the key loads.
         """
         payload = load_checkpoint(path)
         version = payload.get("version")

@@ -52,7 +52,6 @@ import json
 import multiprocessing
 import os
 import signal
-import tempfile
 import warnings
 from pathlib import Path
 from time import perf_counter, sleep
@@ -64,6 +63,7 @@ from repro.data.dataset import FWIDataset, FWISample
 from repro.data.openfwi import OpenFWIConfig, SyntheticOpenFWI, chunk_layout
 from repro.telemetry import get_telemetry
 from repro.utils import env as _env
+from repro.utils.serialization import atomic_replace
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -173,7 +173,7 @@ def content_fingerprint(seismic_shape: Sequence[int],
 
 
 # --------------------------------------------------------------------------- #
-# atomic file helpers
+# file digests
 # --------------------------------------------------------------------------- #
 def _file_sha256(path: Path) -> str:
     """Streaming SHA-256 of a file's bytes."""
@@ -182,23 +182,6 @@ def _file_sha256(path: Path) -> str:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _atomic_replace(path: Path, write_fn) -> None:
-    """Write through a temp file + rename so readers never see partial data."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                    prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            write_fn(handle)
-        os.replace(tmp_name, str(path))
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:  # qugeo-lint: disable=QG005 -- best-effort temp cleanup; the original error re-raises below
-            pass
-        raise
 
 
 # --------------------------------------------------------------------------- #
@@ -237,8 +220,8 @@ class DatasetStore:
                        manifest: Dict[str, object]) -> None:
         blob = json.dumps(manifest, indent=2, sort_keys=True,
                           default=str) + "\n"
-        _atomic_replace(self.manifest_path(fingerprint),
-                        lambda handle: handle.write(blob.encode("utf-8")))
+        atomic_replace(self.manifest_path(fingerprint),
+                       lambda handle: handle.write(blob.encode("utf-8")))
 
     def init_manifest(self, fingerprint: str, *, n_samples: int,
                       chunk_size: int, name: str = "dataset",
@@ -309,7 +292,7 @@ class DatasetStore:
         telemetry = get_telemetry()
         telemetry.counter("store.shard_writes").inc()
         with telemetry.span("store.write_shard"):
-            _atomic_replace(path, lambda handle: np.savez(
+            atomic_replace(path, lambda handle: np.savez(
                 handle, seismic=seismic, velocity=velocity))
         record = {
             "file": path.name,

@@ -88,13 +88,14 @@ class Module:
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Load (copies of) tensor arrays produced by :meth:`state_dict`."""
-        for param, value in self._matched(state):
+        for _, param, value in self._matched(state):
             param.data = value.copy()
 
     def _matched(self, state: Dict[str, np.ndarray]
-                 ) -> List[Tuple[Tensor, np.ndarray]]:
-        """Pair every tensor with its ``state`` array (as float64, not
-        copied); raise on missing, unexpected or mis-shaped entries."""
+                 ) -> List[Tuple[str, Tensor, np.ndarray]]:
+        """``(name, tensor, state array)`` for every tensor, the array as
+        float64 and not copied; raise on missing, unexpected or mis-shaped
+        entries."""
         own = dict(self.named_tensors())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -107,7 +108,7 @@ class Module:
             if value.shape != param.shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{value.shape} vs {param.shape}")
-            pairs.append((param, value))
+            pairs.append((name, param, value))
         return pairs
 
 

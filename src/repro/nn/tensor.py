@@ -264,13 +264,10 @@ class Tensor:
     # nonlinearities
     # ------------------------------------------------------------------ #
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = self.data * mask
-
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * (self.data > 0))
 
-        return self._make(data, (self,), backward)
+        return self._make(np.maximum(self.data, 0.0), (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out = 1.0 / (1.0 + np.exp(-self.data))

@@ -30,7 +30,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -51,14 +51,35 @@ class CheckpointIntegrityError(ValueError):
     """A checkpoint file is unreadable, truncated, or fails its digest."""
 
 
+def atomic_replace(path: Path, write_fn: Callable[[BinaryIO], object]) -> None:
+    """Write ``path`` through a sibling temp file and a rename, creating
+    parent directories, so readers never see partial data.
+
+    ``write_fn(handle)`` writes the bytes; if it or the rename fails, the
+    temp file is removed and the error re-raises.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
+                                    prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write_fn(handle)
+        os.replace(tmp_name, str(path))
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            # Best-effort cleanup: the original error re-raises below.
+            pass
+        raise
+
+
 def save_checkpoint(path: PathLike, payload: Dict[str, object]) -> None:
     """Atomically write ``payload`` to ``path``, creating parent directories.
 
     The payload is pickled to bytes, digested with SHA-256, and stored inside
     the digest envelope described in the module docstring.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload_bytes = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     envelope = {
         "format": CHECKPOINT_FORMAT,
@@ -66,18 +87,8 @@ def save_checkpoint(path: PathLike, payload: Dict[str, object]) -> None:
         "sha256": hashlib.sha256(payload_bytes).hexdigest(),
         "payload": payload_bytes,
     }
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                    prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_name, str(path))
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:  # qugeo-lint: disable=QG005 -- best-effort temp cleanup; the original error re-raises below
-            pass
-        raise
+    atomic_replace(Path(path), lambda handle: pickle.dump(
+        envelope, handle, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def load_checkpoint(path: PathLike) -> Dict[str, object]:

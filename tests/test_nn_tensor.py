@@ -156,6 +156,16 @@ class TestNonlinearities:
         a.relu().sum().backward()
         np.testing.assert_allclose(a.grad, [0.0, 1.0])
 
+    def test_relu_is_maximum_without_negative_zeros(self):
+        x = np.array([-3.0, 0.0, 1e-300, 2.5, -1e-300, 0.0])
+        upstream = np.random.default_rng(0).normal(size=x.shape)
+        a = Tensor(x, requires_grad=True)
+        out = a.relu()
+        np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
+        assert not np.signbit(out.data).any()
+        (out * Tensor(upstream)).sum().backward()
+        np.testing.assert_array_equal(a.grad, upstream * (x > 0))
+
     def test_sigmoid_gradient(self):
         a = Tensor([0.0], requires_grad=True)
         a.sigmoid().backward()

@@ -1065,6 +1065,18 @@ class TestPipelineSaveLoad:
         np.testing.assert_array_equal(served.predict_dataset(test),
                                       pipeline.predict_dataset(test))
 
+    def test_non_finite_compressor_state_rejected(
+            self, scalers, small_data_config, tmp_path):
+        pipeline = _pipeline("cnn", scalers, small_data_config)
+        path = str(tmp_path / "cnn.qugeo")
+        pipeline.save(path)
+        payload = load_checkpoint(path)
+        payload["scaler"]["state"]["network"]["head.weight"][0, 0] = np.nan
+        poisoned = str(tmp_path / "poisoned.qugeo")
+        save_checkpoint(poisoned, payload)
+        with pytest.raises(ValueError, match="'head.weight' holds NaN or inf"):
+            QuGeo.load(poisoned)
+
     def test_cnn_pipeline_loads_without_drawing_weights(
             self, scalers, small_data_config, tiny_dataset, tmp_path,
             monkeypatch):
