@@ -25,8 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from common import (add_cache_dir_argument, add_json_argument,
-                    apply_cache_dir, write_json)
+from common import add_json_argument, write_json
 
 from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.quantum.ansatz import u3_cu3_ansatz
@@ -111,9 +110,7 @@ def main() -> int:
                              "the loop backend by FACTOR at batch >= 8 and "
                              ">= 6 qubits")
     add_json_argument(parser)
-    add_cache_dir_argument(parser)
     args = parser.parse_args()
-    apply_cache_dir(args.cache_dir)
 
     if args.quick:
         qubit_counts, batch_sizes = (4, 6, 8), (1, 8)

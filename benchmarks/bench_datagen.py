@@ -39,8 +39,7 @@ from typing import Dict, List
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
-from common import (add_cache_dir_argument, add_json_argument,  # noqa: E402
-                    apply_cache_dir, write_json)
+from common import add_json_argument, write_json  # noqa: E402
 
 from repro.data import OpenFWIConfig, SyntheticOpenFWI  # noqa: E402
 from repro.data.store import (  # noqa: E402
@@ -98,10 +97,9 @@ def main() -> int:
                         metavar="FACTOR",
                         help="exit non-zero unless the parallel build beats "
                              "serial by FACTOR")
+    parser.add_argument("--cache-dir", metavar="PATH", help="store root (default: a temp dir)")
     add_json_argument(parser)
-    add_cache_dir_argument(parser)
     args = parser.parse_args()
-    apply_cache_dir(args.cache_dir)
 
     config = build_config(args.quick)
     temp_root = None

@@ -7,8 +7,9 @@ SSIM 0.800 (D-Sample), 0.859 (Q-D-FW), 0.862 (Q-D-CNN); the physics-guided
 scalings clearly dominate the naive baseline.
 """
 
-from common import SCALING_METHODS, trained_quantum_model, write_json, write_result
+from common import write_json, write_result
 
+from repro.core.experiment import SCALING_METHODS, trained_quantum_model
 from repro.utils.tables import format_table
 
 

@@ -9,9 +9,15 @@ compressor reproduces the physics-guided data almost exactly.
 """
 
 import numpy as np
-from common import (data_config, raw_splits, scalers, vqc_config, write_json,
-                    write_result)
+from common import write_json, write_result
 
+from repro.core.experiment import (
+    SCALING_METHODS,
+    data_config,
+    raw_splits,
+    scaler,
+    vqc_config,
+)
 from repro.metrics import ssim
 from repro.quantum.encoding import STEncoder
 from repro.utils.tables import format_table
@@ -21,21 +27,20 @@ def run_figure6():
     """Score every scaling method's waveform against the Q-D-FW reference."""
     _, test, _ = raw_splits()
     sample = test[0]
-    methods = scalers()
     config = data_config()
     n_time = config.scaled_seismic_shape[1] * config.scaled_seismic_shape[0]
     n_receivers = config.scaled_seismic_shape[2]
 
-    reference = methods["Q-D-FW"].scale_sample(sample).seismic.reshape(n_time,
-                                                                       n_receivers)
+    reference = scaler("Q-D-FW").scale_sample(sample).seismic.reshape(
+        n_time, n_receivers)
     encoder = STEncoder(n_groups=vqc_config().n_groups,
                         qubits_per_group=vqc_config().qubits_per_group)
     reference_normalised = encoder.normalized_view(
         reference.reshape(-1)).reshape(n_time, n_receivers)
 
     rows = []
-    for name, scaler in methods.items():
-        scaled = scaler.scale_sample(sample).seismic.reshape(n_time, n_receivers)
+    for name in SCALING_METHODS:
+        scaled = scaler(name).scale_sample(sample).seismic.reshape(n_time, n_receivers)
         raw_ssim = ssim(scaled, reference,
                         data_range=float(np.ptp(reference)) or 1.0)
         normalised = encoder.normalized_view(scaled.reshape(-1)).reshape(

@@ -9,8 +9,9 @@ improves SSIM from 0.800 to 0.905 and MSE by 61.69% over the naive pipeline.
 """
 
 import numpy as np
-from common import SCALING_METHODS, trained_quantum_model, write_json, write_result
+from common import write_json, write_result
 
+from repro.core.experiment import SCALING_METHODS, trained_quantum_model
 from repro.utils.tables import format_table
 
 

@@ -8,10 +8,14 @@ relative ordering of some layers (0.9606).
 """
 
 import numpy as np
-from common import (scaled_datasets, trained_quantum_model, write_json,
-                    write_result)
+from common import write_json, write_result
 
-from repro.core.experiment import count_interface_matches, vertical_profile
+from repro.core.experiment import (
+    count_interface_matches,
+    scaled_datasets,
+    trained_quantum_model,
+    vertical_profile,
+)
 from repro.metrics import ssim
 from repro.utils.tables import format_table
 

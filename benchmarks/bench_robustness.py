@@ -36,11 +36,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from common import add_json_argument, write_json  # noqa: E402
 
 from repro.core import DSampleScaler, QuantumTrainer, QuGeoVQC  # noqa: E402
-from repro.core.config import (  # noqa: E402
-    QuGeoDataConfig,
-    QuGeoVQCConfig,
-    TrainingConfig,
-)
+from repro.core.config import QuGeoVQCConfig, TrainingConfig  # noqa: E402
+from repro.core.experiment import data_config  # noqa: E402
 from repro.core.training import ArrayDataSource  # noqa: E402
 from repro.data import build_flatvel_dataset, train_test_split  # noqa: E402
 from repro.robustness import (  # noqa: E402
@@ -71,15 +68,14 @@ def build_problem(quick: bool):
                                     n_time_steps=n_time_steps,
                                     n_sources=n_sources, rng=SEED)
     train, test = train_test_split(dataset, train_size=n_train, rng=SEED)
-    data_config = QuGeoDataConfig(scaled_seismic_shape=(1, 32, 8),
-                                  scaled_velocity_shape=(8, 8))
-    scaler = DSampleScaler(data_config)
+    scaled_config = data_config()
+    scaler = DSampleScaler(scaled_config)
     sources = []
     for split in (scaler.scale_dataset(train), scaler.scale_dataset(test)):
         seismic = np.stack([sample.seismic.reshape(-1) for sample in split])
         velocity = np.stack([sample.velocity for sample in split])
         sources.append(ArrayDataSource(seismic, velocity))
-    return sources[0], sources[1], data_config.scaled_seismic_shape
+    return sources[0], sources[1], scaled_config.scaled_seismic_shape
 
 
 def train_model(train_source, test_source, quick: bool) -> QuGeoVQC:

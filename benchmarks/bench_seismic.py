@@ -27,8 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
-from common import (add_cache_dir_argument, add_json_argument,
-                    apply_cache_dir, write_json)
+from common import add_json_argument, write_json
 
 from repro.seismic import (
     AcousticSimulator2D,
@@ -219,9 +218,7 @@ def main() -> int:
                              "the scalar engine by FACTOR on the 5-shot "
                              "single-map scenario")
     add_json_argument(parser)
-    add_cache_dir_argument(parser)
     args = parser.parse_args()
-    apply_cache_dir(args.cache_dir)
 
     if args.quick:
         n_steps, map_batch, chunk = 200, 4, 4

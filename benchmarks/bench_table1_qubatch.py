@@ -6,8 +6,9 @@ batched circuits stay competitive, with a slight degradation attributed to
 the joint-normalisation precision loss.
 """
 
-from common import trained_quantum_model, write_json, write_result
+from common import write_json, write_result
 
+from repro.core.experiment import trained_quantum_model
 from repro.utils.tables import format_table
 
 BATCH_QUBITS = (0, 1, 2)

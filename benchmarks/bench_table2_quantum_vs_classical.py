@@ -7,9 +7,9 @@ Q-D-FW): CNN-PX 0.870 / 4.34e-4, CNN-LY 0.871 / 4.36e-4, Q-M-PX 0.859 /
 classical baselines at a comparable parameter count.
 """
 
-from common import (trained_classical_model, trained_quantum_model,
-                    write_json, write_result)
+from common import write_json, write_result
 
+from repro.core.experiment import trained_classical_model, trained_quantum_model
 from repro.utils.tables import format_table
 
 DATASETS = ("Q-D-FW", "Q-D-CNN")

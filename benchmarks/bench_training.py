@@ -33,8 +33,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
-from common import (add_cache_dir_argument, add_json_argument,
-                    apply_cache_dir, write_json)  # noqa: E402
+from common import add_json_argument, write_json  # noqa: E402
 
 from repro.core.config import QuGeoVQCConfig  # noqa: E402
 from repro.core.vqc_model import QuGeoVQC  # noqa: E402
@@ -152,9 +151,7 @@ def main() -> int:
                         help="exit non-zero unless the batched path beats the "
                              "per-sample path by FACTOR at batch size 16")
     add_json_argument(parser)
-    add_cache_dir_argument(parser)
     args = parser.parse_args()
-    apply_cache_dir(args.cache_dir)
 
     if args.quick:
         batch_sizes, n_samples, repeats = (4, 16), 32, args.repeats or 1

@@ -60,8 +60,8 @@ def main() -> None:
           f"velocity {velocity.shape}; "
           f"fingerprint keys: {sorted(loader.fingerprint())}")
 
-    print("Done.  Pass cache_dir= / --cache-dir (or set QUGEO_CACHE_DIR) to "
-          "reuse one store across experiments and benchmarks.")
+    print("Done.  Pass cache_dir= (the figure/table benchmarks read "
+          "QUGEO_CACHE_DIR) to reuse one store across runs.")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Quantum vs classical learning at a matched parameter budget (Table 2 story).
 
-Trains the layer-wise QuGeoVQC and the CNN-LY baseline on the same
-physics-guided scaled dataset and compares SSIM / MSE and parameter counts.
-The paper's Table 2 reports the 576-parameter Q-M-LY beating ~620-parameter
-CNNs; at this miniature scale the point is that the two model families are
-trained and evaluated through the exact same harness.
+Trains the paper's 576-parameter layer-wise QuGeoVQC (Q-M-LY) and the
+CNN-LY baseline on the same physics-guided (Q-D-FW) scaled dataset through
+the experiment harness the Table 2 benchmark uses, then compares SSIM / MSE
+and parameter counts.  ``QUGEO_BENCH_SCALE`` picks the dataset and epoch
+budget (``small`` by default).
 
 Run with::
 
@@ -13,54 +13,19 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import (
-    ClassicalTrainer,
-    ForwardModelingScaler,
-    QuantumTrainer,
-    QuGeoVQC,
-    build_cnn_ly,
-)
-from repro.core.config import QuGeoDataConfig, QuGeoVQCConfig, TrainingConfig
-from repro.data import build_flatvel_dataset, train_test_split
+from repro.core.experiment import trained_classical_model, trained_quantum_model
 from repro.utils.tables import format_table
 
 
 def main() -> None:
-    print("Preparing physics-guided scaled data (Q-D-FW)...")
-    dataset = build_flatvel_dataset(n_samples=20, velocity_shape=(32, 32),
-                                    n_time_steps=240, n_sources=2, rng=2)
-    train, test = train_test_split(dataset, train_size=15, rng=2)
-    config = QuGeoDataConfig(scaled_seismic_shape=(1, 8, 8),
-                             scaled_velocity_shape=(6, 6))
-    scaler = ForwardModelingScaler(config, simulation_shape=(24, 24),
-                                   simulation_steps=192)
-    scaled_train = scaler.scale_dataset(train)
-    scaled_test = scaler.scale_dataset(test)
-
-    print("Training Q-M-LY (variational quantum circuit)...")
-    quantum_model = QuGeoVQC(QuGeoVQCConfig(n_groups=1, qubits_per_group=6,
-                                            n_blocks=4, decoder="layer",
-                                            output_shape=(6, 6)), rng=3)
-    quantum_result = QuantumTrainer(
-        TrainingConfig(epochs=30, learning_rate=0.1, batch_size=5,
-                       eval_every=10, seed=0)).train(quantum_model,
-                                                     scaled_train, scaled_test)
-
-    print("Training CNN-LY (classical baseline)...")
-    classical_model = build_cnn_ly(config.scaled_seismic_size, (6, 6), rng=3)
-    classical_result = ClassicalTrainer(
-        TrainingConfig(epochs=80, learning_rate=0.01, batch_size=5,
-                       eval_every=20, seed=0)).train(classical_model,
-                                                     scaled_train, scaled_test)
-
-    rows = [
-        ["Q-M-LY", quantum_model.num_parameters(),
-         quantum_result.final_metrics["test_ssim"],
-         quantum_result.final_metrics["test_mse"]],
-        ["CNN-LY", classical_model.num_parameters(),
-         classical_result.final_metrics["test_ssim"],
-         classical_result.final_metrics["test_mse"]],
-    ]
+    print("Training Q-M-LY and CNN-LY on Q-D-FW scaled data...")
+    rows = []
+    for label, outcome in (
+            ("Q-M-LY", trained_quantum_model("layer", "Q-D-FW")),
+            ("CNN-LY", trained_classical_model("layer", "Q-D-FW"))):
+        rows.append([label, outcome.model.num_parameters(),
+                     outcome.final_metrics["test_ssim"],
+                     outcome.final_metrics["test_mse"]])
     print(format_table(["model", "parameters", "SSIM", "MSE"], rows,
                        title="Quantum vs classical at a matched parameter "
                              "budget (paper Table 2: Q-M-LY 0.893 vs CNN-LY "

@@ -10,7 +10,9 @@
   (CNN-PX / CNN-LY) and the Q-D-CNN compressor,
 * :mod:`repro.core.training` — the unified callback-driven training engine
   (one :class:`Trainer`, pluggable step strategies, checkpoint/resume),
-* :mod:`repro.core.experiment` — per-figure / per-table experiment harness,
+* :mod:`repro.core.experiment` — the one experiment harness behind the
+  paper's figures and tables: scale tiers, cached dataset splits, scalers
+  and trained models, plus the Figure 7/9 profile analysis,
 * :mod:`repro.core.framework` — the end-to-end :class:`QuGeo` pipeline.
 """
 
@@ -55,12 +57,7 @@ from repro.core.training import (
     select_step_strategy,
 )
 from repro.core.framework import QuGeo
-from repro.core.experiment import (
-    ExperimentResult,
-    evaluate_model,
-    prepare_dataset,
-    train_model,
-)
+from repro.core.experiment import evaluate_model
 
 __all__ = [
     "Trainer",
@@ -75,7 +72,6 @@ __all__ = [
     "BestModelTracker",
     "Checkpoint",
     "TelemetryCallback",
-    "train_model",
     "QuGeoDataConfig",
     "QuGeoVQCConfig",
     "TrainingConfig",
@@ -95,9 +91,7 @@ __all__ = [
     "ClassicalTrainer",
     "TrainingResult",
     "QuGeo",
-    "ExperimentResult",
     "evaluate_model",
-    "prepare_dataset",
     "ArrayDataSource",
     "evaluate_data_source",
 ]

@@ -2,7 +2,7 @@
 
 Every process-level switch of the stack is an environment variable with the
 ``QUGEO_`` prefix.  Historically each subsystem parsed its own variable
-inline (``telemetry/core.py``, ``benchmarks/common.py``, ...); this module
+inline (``telemetry/core.py``, the benchmark harness, ...); this module
 is now the single place that knows the variable names, their defaults and
 how to coerce their values, so the documented behaviour cannot drift
 between call sites.

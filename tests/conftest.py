@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import QuGeoDataConfig
 from repro.core.data_scaling import DSampleScaler, ForwardModelingScaler
 from repro.data.openfwi import build_flatvel_dataset
+from repro.seismic.forward_modeling import ForwardModel
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +53,17 @@ def tiny_scaled_dataset(tiny_dataset, small_data_config):
 def tiny_dsample_dataset(tiny_dataset, small_data_config):
     """The tiny dataset scaled with the nearest-neighbour baseline."""
     return DSampleScaler(small_data_config).scale_dataset(tiny_dataset)
+
+
+@pytest.fixture()
+def counting_forward(monkeypatch):
+    """Count in-process forward-modelling calls."""
+    counter = {"calls": 0}
+    original = ForwardModel.model_shots_batch
+
+    def counting(self, *args, **kwargs):
+        counter["calls"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ForwardModel, "model_shots_batch", counting)
+    return counter

@@ -12,7 +12,6 @@ from repro.core.classical_models import (
     build_cnn_px,
 )
 from repro.core.config import QuGeoVQCConfig
-from repro.core.losses import layer_loss, pixel_loss, row_profile
 from repro.core.qubatch import QuBatchVQC
 from repro.core.vqc_model import QuGeoVQC
 
@@ -463,32 +462,3 @@ class TestClassicalModels:
             CompressionCNN(input_shape=(0, 8, 8), output_size=4)
         with pytest.raises(ValueError):
             CompressionCNN(input_shape=(1, 8, 8), output_size=0)
-
-
-class TestLosses:
-    def test_pixel_loss_zero_for_match(self):
-        target = np.random.default_rng(0).random((8, 8))
-        assert pixel_loss(target, target) == 0.0
-
-    def test_pixel_loss_known_value(self):
-        assert pixel_loss(np.ones((2, 2)), np.zeros((2, 2))) == pytest.approx(1.0)
-
-    def test_layer_loss_zero_for_flat_map(self):
-        rows = np.array([0.2, 0.5, 0.9])
-        target = np.repeat(rows[:, None], 4, axis=1)
-        assert layer_loss(rows, target) == pytest.approx(0.0)
-
-    def test_layer_loss_penalises_lateral_variation(self):
-        target = np.array([[0.0, 1.0], [0.0, 1.0]])
-        best_rows = row_profile(target)
-        assert layer_loss(best_rows, target) == pytest.approx(0.25)
-
-    def test_row_profile(self):
-        target = np.array([[0.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_allclose(row_profile(target), [0.5, 1.0])
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            pixel_loss(np.zeros((2, 2)), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            layer_loss(np.zeros(3), np.zeros((4, 4)))

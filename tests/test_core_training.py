@@ -27,12 +27,7 @@ from repro.core import (
 from repro.core.classical_models import CompressionCNN
 from repro.core.config import QuGeoDataConfig, QuGeoVQCConfig, TrainingConfig
 from repro.core.data_scaling import CNNScaler, ForwardModelingScaler
-from repro.core.experiment import (
-    ExperimentResult,
-    count_interface_matches,
-    results_table,
-    vertical_profile,
-)
+from repro.core.experiment import count_interface_matches, vertical_profile
 from repro.core.training import TrainingResult, evaluate_predictions
 from repro.data.dataset import FWIDataset, FWISample, train_test_split
 from repro.telemetry import capture
@@ -182,32 +177,6 @@ class TestEvaluateModel:
 
 
 class TestExperimentHelpers:
-    def test_final_metric_reads_either_split(self):
-        from repro.core.experiment import final_metric
-        from repro.utils.logging import RunLogger
-
-        tested = TrainingResult(model=None, logger=RunLogger(),
-                                final_metrics={"test_ssim": 0.9, "test_mse": 1e-3})
-        trained = TrainingResult(model=None, logger=RunLogger(),
-                                 final_metrics={"train_ssim": 0.5, "train_mse": 0.1})
-        assert final_metric(tested, "ssim") == pytest.approx(0.9)
-        assert final_metric(trained, "mse") == pytest.approx(0.1)
-        with pytest.raises(KeyError):
-            final_metric(trained, "missing")
-
-    def test_experiment_result_metric_access(self):
-        result = ExperimentResult(model="Q-M-LY", dataset="Q-D-FW",
-                                  metrics={"ssim": 0.9})
-        assert result.metric("ssim") == pytest.approx(0.9)
-        assert np.isnan(result.metric("missing"))
-
-    def test_results_table_rendering(self):
-        rows = [ExperimentResult("Q-M-LY", "Q-D-FW", {"ssim": 0.9, "mse": 3e-4}),
-                ExperimentResult("CNN-PX", "D-Sample", {"ssim": 0.8, "mse": 8e-4})]
-        table = results_table(rows, title="Table 2")
-        assert "Q-M-LY" in table and "CNN-PX" in table
-        assert "Table 2" in table
-
     def test_vertical_profile(self):
         velocity_map = np.arange(16.0).reshape(4, 4)
         profile = vertical_profile(velocity_map, column=1)

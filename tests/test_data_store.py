@@ -31,7 +31,6 @@ from repro.data.store import (
 )
 from repro.seismic.acoustic2d import SimulationConfig
 from repro.seismic.boundary import SpongeBoundary
-from repro.seismic.forward_modeling import ForwardModel
 from repro.seismic.survey import SurveyGeometry
 from repro.seismic.velocity_models import VelocityModelConfig
 
@@ -42,20 +41,6 @@ def small_config(**overrides) -> OpenFWIConfig:
                     boundary_width=4, chunk_size=3)
     defaults.update(overrides)
     return OpenFWIConfig(**defaults)
-
-
-@pytest.fixture()
-def counting_forward(monkeypatch):
-    """Count in-process forward-modelling calls."""
-    counter = {"calls": 0}
-    original = ForwardModel.model_shots_batch
-
-    def counting(self, *args, **kwargs):
-        counter["calls"] += 1
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(ForwardModel, "model_shots_batch", counting)
-    return counter
 
 
 class TestChunkLayout:
@@ -572,26 +557,6 @@ class TestTrainerIntegration:
         for name in memory_state:
             np.testing.assert_array_equal(memory_state[name],
                                           loader_state[name])
-
-
-class TestExperimentPreparation:
-    def test_prepare_dataset_uses_cache(self, tmp_path, counting_forward):
-        from repro.core.experiment import prepare_dataset
-
-        config = small_config(n_samples=4, chunk_size=2)
-        first = prepare_dataset(config, seed=6, cache_dir=tmp_path)
-        counting_forward["calls"] = 0
-        second = prepare_dataset(config, seed=6, cache_dir=tmp_path)
-        assert counting_forward["calls"] == 0
-        np.testing.assert_array_equal(first.seismic_array(),
-                                      second.seismic_array())
-
-    def test_prepare_dataset_without_cache(self):
-        from repro.core.experiment import prepare_dataset
-
-        config = small_config(n_samples=4, chunk_size=2)
-        dataset = prepare_dataset(config, seed=6)
-        assert len(dataset) == 4
 
 
 class TestStoreTelemetry:

@@ -49,7 +49,7 @@ from repro.seismic.velocity_models import VelocityModelConfig
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCANNED_TREES = ("src", "benchmarks", "examples")
 
-#: The tree holds 89 Python files; a glob that finds far fewer is broken.
+#: The tree holds 88 Python files; a glob that finds far fewer is broken.
 MIN_SCANNED_FILES = 80
 
 
@@ -63,6 +63,34 @@ def dotted(node):
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def import_aliases(tree):
+    """Local name -> imported dotted path, from every import in ``tree``.
+
+    ``import numpy as np`` maps ``np`` to ``numpy`` and ``from numpy import
+    random`` maps ``random`` to ``numpy.random``, so a rule can match the
+    module a name stands for rather than the spelling a file chose.
+    """
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def resolved(node, aliases):
+    """:func:`dotted` with its leading name expanded through ``aliases``."""
+    name = dotted(node)
+    if name is None:
+        return None
+    head, dot, rest = name.partition(".")
+    return aliases.get(head, head) + dot + rest
 
 
 def unargued(call):
@@ -79,9 +107,10 @@ def qg001_env_access(tree, rel_path):
     """Environment access outside ``utils/env.py``."""
     if rel_path == "src/repro/utils/env.py":
         return []
+    aliases = import_aliases(tree)
     return [node.lineno for node in ast.walk(tree)
             if (isinstance(node, ast.Attribute) and node.attr in ENV_ATTRS
-                and dotted(node.value) == "os")
+                and resolved(node.value, aliases) == "os")
             or (isinstance(node, ast.ImportFrom) and node.module == "os"
                 and any(alias.name in ENV_ATTRS for alias in node.names))]
 
@@ -97,19 +126,13 @@ def qg002_seeded_rng(tree, rel_path):
     """Unseeded constructors and global-state ``np.random`` calls in src."""
     if not rel_path.startswith("src/") or rel_path == "src/repro/utils/rng.py":
         return []
-    imported = {alias.asname or alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)
-                and node.module == "numpy.random" for alias in node.names}
+    aliases = import_aliases(tree)
     lines = []
     for node in ast.walk(tree):
-        parts = (dotted(node.func) or "").split(".") \
-            if isinstance(node, ast.Call) else []
-        if len(parts) >= 3 and parts[-3] in ("np", "numpy") \
-                and parts[-2] == "random":
-            attr = parts[-1]
-        elif len(parts) == 1 and parts[0] in imported:
-            attr = parts[0]
-        else:
+        if not isinstance(node, ast.Call):
+            continue
+        module, _, attr = (resolved(node.func, aliases) or "").rpartition(".")
+        if module != "numpy.random":
             continue
         if attr not in SAFE_RANDOM or (attr in NEED_SEED and unargued(node)):
             lines.append(node.lineno)
@@ -120,6 +143,7 @@ def qg004_monotonic_clock(tree, rel_path):
     """Wall-clock reads and naive timestamps in src."""
     if not rel_path.startswith("src/"):
         return []
+    aliases = import_aliases(tree)
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "time":
@@ -128,7 +152,7 @@ def qg004_monotonic_clock(tree, rel_path):
             continue
         if not isinstance(node, ast.Call):
             continue
-        name = dotted(node.func) or ""
+        name = resolved(node.func, aliases) or ""
         parts = name.split(".")
         if name in ("time.time", "time.clock") \
                 or (parts[-1] == "utcnow" and "datetime" in parts) \
@@ -272,6 +296,13 @@ def test_qg001_flags_direct_environ():
     """) == [2, 3]
 
 
+def test_qg001_flags_aliased_os():
+    assert flagged("QG001", """\
+        import os as _os
+        value = _os.environ.get("X")
+    """) == [2]
+
+
 def test_qg001_allows_env_module_and_flags_from_import():
     source = """\
         import os
@@ -291,6 +322,18 @@ def test_qg002_flags_unseeded_and_global_rng():
         x = np.random.normal(size=3)
         other = default_rng()
     """) == [3, 4, 5]
+
+
+def test_qg002_flags_aliased_numpy_random():
+    assert flagged("QG002", """\
+        from numpy import random
+        x = random.rand()
+    """) == [2]
+    assert flagged("QG002", """\
+        import numpy.random as npr
+        rng = npr.default_rng()
+        seeded = npr.default_rng(3)
+    """) == [2]
 
 
 def test_qg002_allows_seeded_rng_module_and_non_src():
@@ -314,6 +357,14 @@ def test_qg004_flags_wall_clock():
         naive = datetime.now()
         day = date.today()
     """) == [3, 4, 5, 6, 7]
+
+
+def test_qg004_flags_aliased_time_module():
+    assert flagged("QG004", """\
+        import time as _t
+        start = _t.time()
+        elapsed = _t.perf_counter() - start
+    """) == [2]
 
 
 def test_qg004_allows_monotonic_and_tz_aware():
