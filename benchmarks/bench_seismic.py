@@ -9,7 +9,11 @@ precision, so the speedup is pure wall-clock.  A second table times the
 batched propagator on the model edge-padded by the 20-cell sponge (90x110
 cells, so the sponge damps pad cells, not model cells); its
 wavefield-steps/s, keyed ``sponge20|float64``, are what
-``check_seismic_regression.py`` gates.
+``check_seismic_regression.py`` gates.  A third table times Q-D-FW scaling
+of fit_paper-shaped samples sample by sample
+(``ForwardModelingScaler.scale_seismic``) and as one batched pass
+(``ForwardModelingScaler.dataset_seismic``); the run fails unless both give
+``array_equal`` cubes.
 
 Run directly (CI uses ``--quick``)::
 
@@ -29,6 +33,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 from common import add_json_argument, write_json
 
+from repro.core.config import QuGeoDataConfig
+from repro.core.data_scaling import ForwardModelingScaler
+from repro.data.openfwi import build_flatvel_dataset
 from repro.seismic import (
     AcousticSimulator2D,
     BatchedAcousticSimulator2D,
@@ -196,6 +203,41 @@ def render_boundary_grid(rows: List[List[object]], n_steps: int) -> str:
               f"{SPONGE.width}-cell pads, {N_SOURCES} shots, {n_steps} steps")
 
 
+#: Samples of the Q-D-FW table, shaped like the fit_paper workload's:
+#: 32x32 maps over a 700 m domain, 4 shots, 300 time steps.
+QDFW_SAMPLES = 8
+
+
+def run_qdfw(repeats: int) -> Tuple[Dict[str, float], bool]:
+    """Best-of-``repeats`` Q-D-FW scaling time per path, and whether the
+    per-sample and batched cubes are ``array_equal``."""
+    samples = list(build_flatvel_dataset(
+        n_samples=QDFW_SAMPLES, velocity_shape=(32, 32), n_time_steps=300,
+        n_sources=4, rng=0))
+    scaler = ForwardModelingScaler(QuGeoDataConfig())
+    runs = {
+        "per-sample": lambda: np.stack([scaler.scale_seismic(sample)
+                                        for sample in samples]),
+        "batched": lambda: scaler.dataset_seismic(samples),
+    }
+    # The warm-up outputs are the ones compared.
+    outputs = {name: run() for name, run in runs.items()}
+    equal = bool(np.array_equal(outputs["per-sample"], outputs["batched"]))
+    return _time_interleaved(runs, repeats), equal
+
+
+def render_qdfw(timings: Dict[str, float], equal: bool) -> str:
+    reference = timings["per-sample"]
+    rows = [[name, f"{elapsed * 1e3:.1f}",
+             f"{elapsed * 1e3 / QDFW_SAMPLES:.2f}",
+             f"{reference / elapsed:.2f}x"]
+            for name, elapsed in timings.items()]
+    return format_table(
+        ["path", "total ms", "ms/sample", "vs per-sample"], rows,
+        title=f"Q-D-FW scaling: {QDFW_SAMPLES} fit_paper-shaped samples, "
+              f"cubes array_equal: {equal}")
+
+
 def render(rows: List[List[object]], n_steps: int) -> str:
     return format_table(
         ["propagator", "scenario", "steps", "shots", "total ms", "ms/shot",
@@ -228,8 +270,10 @@ def main() -> int:
     rows, speedups = run_benchmark(n_steps, map_batch, chunk, args.repeats)
     grid_rows, throughput, grid_cells = run_boundary_grid(n_steps,
                                                             args.repeats)
+    qdfw_timings, qdfw_equal = run_qdfw(args.repeats)
     text = (render(rows, n_steps) + "\n\n"
-            + render_boundary_grid(grid_rows, n_steps))
+            + render_boundary_grid(grid_rows, n_steps) + "\n\n"
+            + render_qdfw(qdfw_timings, qdfw_equal))
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / "bench_seismic.txt"
     path.write_text(text + "\n")
@@ -247,9 +291,16 @@ def main() -> int:
                     "boundary_grid": [dict(zip(grid_header, row))
                                       for row in grid_rows],
                     "throughput": throughput,
-                    "padded_grid_cells": grid_cells},
+                    "padded_grid_cells": grid_cells,
+                    "qdfw": {"samples": QDFW_SAMPLES,
+                             "per_sample_ms": qdfw_timings["per-sample"] * 1e3,
+                             "batched_ms": qdfw_timings["batched"] * 1e3,
+                             "array_equal": qdfw_equal}},
                    path=args.json)
 
+    if not qdfw_equal:
+        print("FAIL: batched Q-D-FW cubes differ from the per-sample path")
+        return 1
     single_map = next(iter(speedups.values()))
     for label, factor in speedups.items():
         print(f"batched vs scalar, {label}: {factor:.2f}x")

@@ -27,7 +27,6 @@ from repro.core.data_scaling import (
     DSampleScaler,
     ForwardModelingScaler,
     CNNScaler,
-    scale_dataset,
 )
 from repro.core.vqc_model import QuGeoVQC
 from repro.core.qubatch import QuBatchVQC
@@ -80,7 +79,6 @@ __all__ = [
     "DSampleScaler",
     "ForwardModelingScaler",
     "CNNScaler",
-    "scale_dataset",
     "QuGeoVQC",
     "QuBatchVQC",
     "build_cnn_px",

@@ -88,21 +88,33 @@ class BaseScaler:
         ``(n, *scaled_seismic_shape)`` stack; no velocity map is scaled."""
         return np.stack([self.scale_seismic(sample) for sample in samples])
 
-    def scale_sample(self, sample: FWISample) -> ScaledSample:
-        """Scale one full-resolution sample."""
-        return self._scaled_sample(sample, self.scale_seismic(sample))
+    def dataset_seismic(self, samples: Sequence[FWISample]) -> np.ndarray:
+        """The scaled seismic stack :meth:`scale_dataset` pairs with the
+        samples: :meth:`scale_seismic_batch`, unless a scaler has a faster
+        whole-dataset path."""
+        return self.scale_seismic_batch(samples)
 
-    def _scaled_sample(self, sample: FWISample,
-                       seismic: np.ndarray) -> ScaledSample:
-        """Pair already-scaled ``seismic`` with ``sample``'s scaled velocity."""
+    def scale_sample(self, sample: FWISample,
+                     seismic: Optional[np.ndarray] = None) -> ScaledSample:
+        """Scale one full-resolution sample.
+
+        ``seismic`` is the sample's already-scaled seismic data, when a
+        batched pass has computed it; by default :meth:`scale_seismic` runs.
+        """
+        if seismic is None:
+            seismic = self.scale_seismic(sample)
         velocity = self.scale_velocity(sample.velocity, method=self.velocity_method)
         metadata = dict(sample.metadata)
         metadata["scaling_method"] = self.name
         return ScaledSample(seismic=seismic, velocity=velocity, metadata=metadata)
 
     def scale_dataset(self, dataset: Iterable[FWISample]) -> FWIDataset:
-        """Scale every sample of ``dataset``."""
-        scaled = [self.scale_sample(sample) for sample in dataset]
+        """Scale every sample of ``dataset``, the seismic data of all of
+        them in one :meth:`dataset_seismic` call."""
+        samples = list(dataset)
+        seismic = self.dataset_seismic(samples) if samples else []
+        scaled = [self.scale_sample(sample, cube)
+                  for sample, cube in zip(samples, seismic)]
         return FWIDataset(scaled, name=f"scaled-{self.name}")
 
     # -- serialisation --------------------------------------------------- #
@@ -125,6 +137,13 @@ class DSampleScaler(BaseScaler):
         if seismic.ndim != 3:
             raise ValueError("expected seismic data of shape (sources, time, receivers)")
         return nearest_neighbor_resample(seismic, self.config.scaled_seismic_shape)
+
+
+#: Coarse maps per batched propagator call of
+#: :meth:`ForwardModelingScaler.dataset_seismic`.  Each chunk's 256-step
+#: gathers are decimated before the next chunk runs, so they are never all
+#: held at once.
+RESIMULATION_CHUNK = 4
 
 
 class ForwardModelingScaler(BaseScaler):
@@ -165,8 +184,9 @@ class ForwardModelingScaler(BaseScaler):
                                   original_steps,
                                   self.config.scaled_seismic_shape[1])
 
-    def scale_seismic(self, sample: FWISample) -> np.ndarray:
-        n_sources, n_time, n_receivers = self.config.scaled_seismic_shape
+    def _resimulation_inputs(self, sample: FWISample
+                      ) -> Tuple[np.ndarray, float, float]:
+        """``(coarse map, grid spacing, source frequency)`` of one sample."""
         velocity = np.asarray(sample.velocity, dtype=np.float64)
         coarse = bilinear_resample(velocity, self.simulation_shape)
         # Physical extent of the model is preserved, so the grid spacing grows
@@ -177,8 +197,15 @@ class ForwardModelingScaler(BaseScaler):
         original_width = velocity.shape[1] * sample_dx
         dx = original_width / self.simulation_shape[1]
         original_steps = (sample.seismic.shape[1]
-                          if np.ndim(sample.seismic) == 3 else n_time)
-        frequency = self.scaled_frequency(original_steps)
+                          if np.ndim(sample.seismic) == 3
+                          else self.config.scaled_seismic_shape[1])
+        return coarse, dx, self.scaled_frequency(original_steps)
+
+    def _resimulate(self, coarse: np.ndarray, dx: float,
+                    frequency: float) -> np.ndarray:
+        """Re-simulate one coarse map or a stack of them, then decimate the
+        time axis to the target number of samples."""
+        n_sources, n_time, n_receivers = self.config.scaled_seismic_shape
         gather = forward_model_shot_gather(
             coarse,
             n_sources=n_sources,
@@ -187,9 +214,35 @@ class ForwardModelingScaler(BaseScaler):
             dx=dx,
             peak_frequency=frequency,
         )
-        # Decimate the time axis to the target number of samples.
         time_indices = np.linspace(0, self.simulation_steps - 1, n_time).astype(int)
-        return gather[:, time_indices, :]
+        return gather[..., time_indices, :]
+
+    def scale_seismic(self, sample: FWISample) -> np.ndarray:
+        """Re-simulate one sample on its own (the serving path)."""
+        return self._resimulate(*self._resimulation_inputs(sample))
+
+    def dataset_seismic(self, samples: Sequence[FWISample]) -> np.ndarray:
+        """Re-simulate every sample in batched chunks.
+
+        Samples that share a grid spacing and a source frequency run
+        :data:`RESIMULATION_CHUNK` maps per propagator call, each map at its
+        own CFL time step, and each chunk's gathers are decimated before
+        the next chunk runs.  Every scaled cube equals
+        :meth:`scale_seismic`'s bit for bit.
+        """
+        out = np.empty((len(samples),) + tuple(self.config.scaled_seismic_shape))
+        groups = {}
+        coarse_maps = []
+        for index, sample in enumerate(samples):
+            coarse, dx, frequency = self._resimulation_inputs(sample)
+            coarse_maps.append(coarse)
+            groups.setdefault((dx, frequency), []).append(index)
+        for (dx, frequency), members in groups.items():
+            for start in range(0, len(members), RESIMULATION_CHUNK):
+                chunk = members[start:start + RESIMULATION_CHUNK]
+                out[chunk] = self._resimulate(
+                    np.stack([coarse_maps[i] for i in chunk]), dx, frequency)
+        return out
 
     def state_dict(self) -> dict:
         return {"simulation_shape": self.simulation_shape,
@@ -242,7 +295,7 @@ class CNNScaler(BaseScaler):
         rng = ensure_rng(rng)
 
         raw = np.stack([np.asarray(s.seismic, dtype=np.float64) for s in samples])
-        targets = np.stack([reference.scale_seismic(s).reshape(-1) for s in samples])
+        targets = reference.dataset_seismic(samples).reshape(len(samples), -1)
 
         compressor = CompressionCNN(input_shape=raw.shape[1:],
                                     output_size=config.scaled_seismic_size,
@@ -288,25 +341,11 @@ class CNNScaler(BaseScaler):
         return compressed.reshape(len(samples),
                                   *self.config.scaled_seismic_shape)
 
-    def scale_dataset(self, dataset: Iterable[FWISample]) -> FWIDataset:
-        """Scale every sample with one compressor pass over their cubes."""
-        samples = list(dataset)
-        if not samples:
-            return FWIDataset([], name=f"scaled-{self.name}")
-        scaled = [self._scaled_sample(sample, seismic) for sample, seismic
-                  in zip(samples, self.scale_seismic_batch(samples))]
-        return FWIDataset(scaled, name=f"scaled-{self.name}")
-
     def state_dict(self) -> dict:
         return {"input_shape": self.compressor.input_shape,
                 "output_size": self.compressor.output_size,
                 "hidden_channels": self.compressor.hidden_channels,
                 "network": self.compressor.state_dict()}
-
-
-def scale_dataset(scaler: BaseScaler, dataset: Iterable[FWISample]) -> FWIDataset:
-    """Convenience alias for ``scaler.scale_dataset(dataset)``."""
-    return scaler.scale_dataset(dataset)
 
 
 # --------------------------------------------------------------------------- #

@@ -187,15 +187,6 @@ class SyntheticOpenFWI:
             "effective_dt": sim.effective_dt,
         }
 
-    def simulate_sample(self, velocity: np.ndarray) -> FWISample:
-        """Forward-model one velocity map into a paired FWI sample.
-
-        All shots of the survey are propagated in a single batched call.
-        """
-        seismic = self._forward_model.model_shots(velocity)
-        return FWISample(seismic=seismic, velocity=velocity,
-                         metadata=self._sample_metadata())
-
     def chunk_rng(self, chunk_index: int) -> np.random.Generator:
         """The dedicated RNG stream of generation chunk ``chunk_index``."""
         if chunk_index < 0:

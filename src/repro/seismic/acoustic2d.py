@@ -165,22 +165,27 @@ def _check_positions(positions: Iterable[Tuple[int, int]], nz: int, nx: int,
     return checked
 
 
-def _shot_wavelets(source_wavelet, n_shots: int, n_steps: int) -> np.ndarray:
-    """Pad/truncate wavelet(s) to ``(n_shots, n_steps)``.
+def _shot_wavelets(source_wavelet, batch_shape: Tuple[int, ...],
+                   n_steps: int) -> np.ndarray:
+    """Pad/truncate wavelet(s) to ``(n_shots, n_steps)`` or
+    ``(n_models, n_shots, n_steps)``.
 
-    Accepts a single 1-D wavelet shared by every shot or a 2-D
-    ``(n_shots, n_samples)`` array of per-shot wavelets.
+    ``batch_shape`` is ``(n_shots,)`` or ``(n_models, n_shots)``.  Accepts
+    a single 1-D wavelet shared by every shot, a 2-D ``(n_shots,
+    n_samples)`` array of per-shot wavelets or, over a velocity stack, a
+    3-D ``(n_models, n_shots, n_samples)`` array of per-model wavelets.
     """
     src = np.asarray(source_wavelet, dtype=np.float64)
     if src.ndim == 1:
-        src = np.broadcast_to(src, (n_shots, src.size))
-    elif src.ndim != 2 or src.shape[0] != n_shots:
+        src = np.broadcast_to(src, (batch_shape[-1], src.size))
+    if src.shape[:-1] not in (batch_shape[-1:], batch_shape):
         raise ValueError(
-            f"source_wavelet must be 1-D or of shape (n_shots, n_samples); "
-            f"got {src.shape} for {n_shots} shots")
-    wavelets = np.zeros((n_shots, n_steps), dtype=np.float64)
-    n_copy = min(n_steps, src.shape[1])
-    wavelets[:, :n_copy] = src[:, :n_steps]
+            f"source_wavelet must be 1-D, of shape (n_shots, n_samples) or, "
+            f"over a velocity stack, (n_models, n_shots, n_samples); got "
+            f"{src.shape} for a batch of {batch_shape}")
+    wavelets = np.zeros(src.shape[:-1] + (n_steps,), dtype=np.float64)
+    n_copy = min(n_steps, src.shape[-1])
+    wavelets[..., :n_copy] = src[..., :n_steps]
     return wavelets
 
 
@@ -344,7 +349,7 @@ class AcousticSimulator2D:
         if not sources:
             raise ValueError("need at least one source position")
         receivers = list(receiver_positions)
-        wavelets = _shot_wavelets(source_wavelet, len(sources),
+        wavelets = _shot_wavelets(source_wavelet, (len(sources),),
                                   self.config.n_steps)
         gathers = []
         per_shot_snapshots = []
@@ -437,9 +442,10 @@ class BatchedAcousticSimulator2D:
 
     The production propagator: every forward-modelling call runs it.  One
     numpy time loop carries a leading batch axis over shots — and optionally
-    over velocity models sharing the same grid, geometry and config — so the
-    Laplacian, the leap-frog update and the sponge damping are evaluated
-    as whole-batch array operations instead of one Python loop per shot.
+    over velocity models sharing the same grid, geometry and config, each
+    optionally with its own time step — so the Laplacian, the leap-frog
+    update and the sponge damping are evaluated as whole-batch array
+    operations instead of one Python loop per shot.
 
     The Laplacian is evaluated per axis as matmuls instead of ~5 numpy
     temporaries per stencil tap: ``D_z @ p`` and ``p @ D_x^T``, whose
@@ -461,15 +467,25 @@ class BatchedAcousticSimulator2D:
         ``(n_models, nz, nx)`` stack of maps with shared geometry (each shot
         is then fired over every model).
     config:
-        Discretisation parameters.  ``config.dt`` is checked against the CFL
-        condition of the fastest cell across the whole batch.
+        Discretisation parameters.  Without ``dt``, ``config.dt`` is checked
+        against the CFL condition of the fastest cell across the whole
+        batch.
+    dt:
+        Optional ``(n_models,)`` time step per map of a velocity stack; it
+        replaces ``config.dt``.  The step scales each map's ``c^2 dt^2``
+        and source injection, and each map is checked against the CFL
+        condition at its own step.  The per-model source wavelets, which
+        depend on ``dt`` too, are the caller's: pass them to
+        :meth:`simulate_shots` as an ``(n_models, n_shots, n_samples)``
+        array.
 
     Wavefields, stencil operators, the sponge mask and the gathers are all
     float64.
     """
 
     def __init__(self, velocity: np.ndarray,
-                 config: SimulationConfig = None) -> None:
+                 config: SimulationConfig = None,
+                 dt: Optional[np.ndarray] = None) -> None:
         self.velocity = np.asarray(velocity, dtype=np.float64)
         if self.velocity.ndim not in (2, 3):
             raise ValueError(
@@ -478,7 +494,11 @@ class BatchedAcousticSimulator2D:
             raise ValueError("velocity batch must contain at least one model")
         _check_velocity(self.velocity)
         self.config = config or SimulationConfig()
-        self.config.validate_cfl(float(self.velocity.max()))
+        if dt is None:
+            self.config.validate_cfl(float(self.velocity.max()))
+            self._dt = self.config.dt
+        else:
+            self._dt = self._per_model_dt(dt)
         nz, nx = self.grid_shape
         self._mask = self.config.boundary.build_mask((nz, nx))
         self._telemetry = get_telemetry()
@@ -488,6 +508,31 @@ class BatchedAcousticSimulator2D:
         dx_op_t = (_stencil_matrix(nx, coeffs) / self.config.dx**2).T
         self._z_blocks = _band_blocks(dz_op, half, axis=0)
         self._x_blocks = _band_blocks(dx_op_t, half, axis=1)
+
+    def _per_model_dt(self, dt) -> np.ndarray:
+        """Validate a per-model ``dt`` and check each map's CFL condition."""
+        if self.velocity.ndim != 3:
+            raise ValueError(
+                "a per-model dt needs a [model, depth, offset] velocity stack")
+        dt = np.asarray(dt, dtype=np.float64)
+        if dt.shape != self.velocity.shape[:1]:
+            raise ValueError(
+                f"dt must have shape {self.velocity.shape[:1]} (one step per "
+                f"model); got {dt.shape}")
+        if not np.all(np.isfinite(dt) & (dt > 0)):
+            raise ValueError("dt must be finite and strictly positive")
+        config = self.config
+        courant = (self.velocity.max(axis=(1, 2)) * dt
+                   * np.sqrt(1.0 / config.dx**2 + 1.0 / config.dz**2))
+        limit = _CFL_LIMITS[config.spatial_order]
+        unstable = np.flatnonzero(courant > limit)
+        if unstable.size:
+            model = int(unstable[0])
+            raise ValueError(
+                f"CFL number {courant[model]:.3f} of model {model} exceeds "
+                f"stability limit {limit:.3f}; reduce dt or increase grid "
+                "spacing")
+        return dt
 
     @property
     def grid_shape(self) -> Tuple[int, int]:
@@ -539,9 +584,10 @@ class BatchedAcousticSimulator2D:
         source_positions:
             ``(row, column)`` grid index of every shot.
         source_wavelet:
-            One wavelet shared by every shot, or a ``(n_shots, n_samples)``
-            array of per-shot wavelets; padded/truncated to
-            ``config.n_steps``.
+            One wavelet shared by every shot, a ``(n_shots, n_samples)``
+            array of per-shot wavelets or, over a velocity stack, a
+            ``(n_models, n_shots, n_samples)`` array of per-model wavelets;
+            padded/truncated to ``config.n_steps``.
         receiver_positions:
             Iterable of ``(row, column)`` receiver grid indices (shared by
             every shot).
@@ -569,9 +615,6 @@ class BatchedAcousticSimulator2D:
         n_steps = self.config.n_steps
         record_every = self.config.record_every
         n_recorded = self.config.n_recorded
-        wavelets = _shot_wavelets(source_wavelet, n_shots, n_steps)
-
-        dt2 = self.config.dt**2
         c2 = self.velocity**2
         src_rows = np.array([r for r, _ in sources], dtype=np.intp)
         src_cols = np.array([c for _, c in sources], dtype=np.intp)
@@ -585,12 +628,16 @@ class BatchedAcousticSimulator2D:
         cell_area = self.config.dx * self.config.dz
         if self.velocity.ndim == 2:
             batch_shape: Tuple[int, ...] = (n_shots,)
+            dt2 = self._dt**2
             c2dt2 = dt2 * c2                                           # (nz, nx)
             src_scale = c2[src_rows, src_cols] * dt2 / cell_area       # (S,)
         else:
             batch_shape = (self.velocity.shape[0], n_shots)
-            c2dt2 = dt2 * c2[:, None]
+            # One step for the stack, or one per model: (1, 1) or (M, 1).
+            dt2 = np.reshape(np.square(self._dt), (-1, 1))
+            c2dt2 = dt2[..., None, None] * c2[:, None]                 # (M, 1, nz, nx)
             src_scale = c2[:, src_rows, src_cols] * dt2 / cell_area    # (M, S)
+        wavelets = _shot_wavelets(source_wavelet, batch_shape, n_steps)
         # Injection amplitudes for every step, scaled once up front:
         # (S, n_steps) or (M, S, n_steps).
         scaled_wavelets = src_scale[..., None] * wavelets

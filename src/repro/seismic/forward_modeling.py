@@ -70,9 +70,11 @@ class ForwardModel:
     peak_frequency: float = 15.0
     normalize: bool = True
 
-    def source_wavelet(self) -> np.ndarray:
-        """Return the Ricker source wavelet used for every shot."""
-        return ricker_wavelet(self.config.n_steps, self.config.dt,
+    def source_wavelet(self, dt: Optional[float] = None) -> np.ndarray:
+        """Return the Ricker source wavelet of every shot, sampled at ``dt``
+        (default ``config.dt``)."""
+        return ricker_wavelet(self.config.n_steps,
+                              self.config.dt if dt is None else dt,
                               self.peak_frequency)
 
     def _check_width(self, velocity: np.ndarray) -> None:
@@ -93,7 +95,8 @@ class ForwardModel:
         return self.model_shots_batch(velocity[None])[0]
 
     def model_shots_batch(self, velocities: np.ndarray,
-                          chunk_size: Optional[int] = None) -> np.ndarray:
+                          chunk_size: Optional[int] = None,
+                          dt: Optional[np.ndarray] = None) -> np.ndarray:
         """Simulate the survey over a stack of velocity maps at once.
 
         Each chunk of ``chunk_size`` maps advances in one shared time loop.
@@ -107,6 +110,10 @@ class ForwardModel:
             Maps propagated per batched call (bounds peak memory:
             each chunk holds ``chunk * n_sources`` wavefields).  ``None``
             propagates the whole stack in one call.
+        dt:
+            Optional ``(n_models,)`` time step per map, replacing
+            ``config.dt``: each map is CFL-checked, scaled and driven by a
+            Ricker wavelet sampled at its own step.
 
         Returns an array of shape
         ``(n_models, n_sources, n_steps, n_receivers)``.
@@ -120,8 +127,20 @@ class ForwardModel:
         self._check_width(velocities)
         sources = self.survey.source_positions()
         receivers = self.survey.receiver_positions()
-        wavelet = self.source_wavelet()
         n_models = velocities.shape[0]
+        per_model = dt is not None
+        if per_model:
+            dt = np.asarray(dt, dtype=np.float64)
+            if dt.shape != (n_models,):
+                raise ValueError(
+                    f"dt must have shape ({n_models},), one step per model; "
+                    f"got {dt.shape}")
+            # (n_models, n_sources, n_steps): each map's own Ricker samples.
+            wavelet = np.broadcast_to(
+                np.stack([self.source_wavelet(step) for step in dt])[:, None],
+                (n_models, len(sources), self.config.n_steps))
+        else:
+            wavelet = self.source_wavelet()
         chunk = n_models if chunk_size is None else max(1, int(chunk_size))
         telemetry = get_telemetry()
         telemetry.counter("forward_model.calls").inc()
@@ -129,10 +148,13 @@ class ForwardModel:
         with telemetry.span("forward_model.shots"):
             blocks = []
             for start in range(0, n_models, chunk):
+                maps = slice(start, start + chunk)
                 simulator = BatchedAcousticSimulator2D(
-                    velocities[start:start + chunk], self.config)
-                blocks.append(
-                    simulator.simulate_shots(sources, wavelet, receivers))
+                    velocities[maps], self.config,
+                    dt=dt[maps] if per_model else None)
+                blocks.append(simulator.simulate_shots(
+                    sources, wavelet[maps] if per_model else wavelet,
+                    receivers))
             data = np.concatenate(blocks, axis=0)
             if self.normalize:
                 data = normalize_per_shot(data)
@@ -156,24 +178,42 @@ def forward_model_shot_gather(velocity: np.ndarray,
     parameters instead of deep inside the simulator.  The receiver count
     defaults to the model width.
 
-    Returns an array of shape ``(n_sources, n_steps, n_receivers)``.
+    ``velocity`` is one ``(nz, nx)`` map, run through
+    :meth:`ForwardModel.model_shots`, or an ``(n_models, nz, nx)`` stack,
+    run through one :meth:`ForwardModel.model_shots_batch` call in which
+    every map keeps the time step (CFL-stable by default) and the Ricker
+    samples it would get on its own, so each gather equals the single-map
+    call's bit for bit.
+
+    Returns an array of shape ``(n_sources, n_steps, n_receivers)``, with a
+    leading ``n_models`` axis for a stack.
     """
     velocity = np.asarray(velocity, dtype=np.float64)
-    if velocity.ndim != 2:
-        raise ValueError("velocity must be a 2-D map [depth, offset]")
-    nz, nx = velocity.shape
+    if velocity.ndim not in (2, 3):
+        raise ValueError("velocity must be a 2-D map [depth, offset] or a "
+                         "3-D stack [model, depth, offset]")
+    if velocity.size == 0:
+        raise ValueError("velocity must contain at least one model")
+    nz, nx = velocity.shape[-2:]
     if n_receivers is None:
         n_receivers = nx
     from repro.seismic.boundary import SpongeBoundary
 
     boundary = SpongeBoundary(width=min(boundary_width, max(1, min(nz, nx) // 3 - 1)))
-    max_velocity = float(velocity.max())
+    peaks = [float(v.max()) for v in velocity.reshape(-1, nz, nx)]
     if dt is None:
-        dt = stable_time_step(max_velocity, dx=dx, dz=dx, spatial_order=4)
-    config = SimulationConfig(dx=dx, dz=dx, dt=dt, n_steps=n_steps,
+        steps = [stable_time_step(peak, dx=dx, dz=dx, spatial_order=4)
+                 for peak in peaks]
+    else:
+        steps = [dt] * len(peaks)
+    # A stack's per-model steps replace the config's dt.
+    config = SimulationConfig(dx=dx, dz=dx, dt=steps[0], n_steps=n_steps,
                               spatial_order=4, boundary=boundary)
-    config.validate_cfl(max_velocity)
+    if velocity.ndim == 2:
+        config.validate_cfl(peaks[0])
     survey = SurveyGeometry(n_sources=n_sources, n_receivers=n_receivers, nx=nx)
     model = ForwardModel(survey=survey, config=config,
                          peak_frequency=peak_frequency, normalize=normalize)
+    if velocity.ndim == 3:
+        return model.model_shots_batch(velocity, dt=steps)
     return model.model_shots(velocity)

@@ -6,12 +6,15 @@ import pytest
 from repro.core.classical_models import CompressionCNN
 from repro.core.config import QuGeoDataConfig
 from repro.core.data_scaling import (
+    RESIMULATION_CHUNK,
+    BaseScaler,
     CNNScaler,
     DSampleScaler,
     ForwardModelingScaler,
     ScaledSample,
-    scale_dataset,
 )
+from repro.data.dataset import FWIDataset, FWISample
+from repro.data.resample import bilinear_resample
 from repro.metrics import ssim
 
 
@@ -39,7 +42,7 @@ class TestDSampleScaler:
 
     def test_scale_dataset(self, tiny_dataset, small_data_config):
         scaler = DSampleScaler(small_data_config)
-        scaled = scale_dataset(scaler, tiny_dataset)
+        scaled = scaler.scale_dataset(tiny_dataset)
         assert len(scaled) == len(tiny_dataset)
 
     def test_seismic_vector_length(self, tiny_dataset, small_data_config):
@@ -94,6 +97,98 @@ class TestForwardModelingScaler:
             ForwardModelingScaler(small_data_config, simulation_steps=2)
 
 
+def _variants(dataset, count, dxs=(10.0,), time_steps=(None,)):
+    """``count`` samples built from ``dataset``'s, each map scaled by its own
+    factor (so each has its own peak velocity and CFL step), cycling through
+    ``dxs`` grid spacings and seismic time-axis lengths."""
+    base = list(dataset)
+    samples = []
+    for i in range(count):
+        sample = base[i % len(base)]
+        n_time = time_steps[i % len(time_steps)]
+        samples.append(FWISample(
+            seismic=sample.seismic[:, :n_time],
+            velocity=sample.velocity * (0.8 + 0.05 * i),
+            metadata=dict(sample.metadata, dx=dxs[i % len(dxs)])))
+    return samples
+
+
+def _per_sample(scaler, samples):
+    """The reference: one :meth:`scale_seismic` re-simulation per sample."""
+    return np.stack([scaler.scale_seismic(sample) for sample in samples])
+
+
+class TestBatchedResimulation:
+    """``ForwardModelingScaler.dataset_seismic`` against a per-sample loop."""
+
+    @pytest.fixture()
+    def scaler(self, small_data_config):
+        return ForwardModelingScaler(small_data_config,
+                                     simulation_shape=(16, 16),
+                                     simulation_steps=64)
+
+    def test_each_map_at_its_own_time_step(self, scaler, tiny_dataset,
+                                           counting_forward):
+        samples = _variants(tiny_dataset, RESIMULATION_CHUNK)
+        peaks = {float(bilinear_resample(s.velocity, (16, 16)).max())
+                 for s in samples}
+        assert len(peaks) == len(samples)
+        batched = scaler.dataset_seismic(samples)
+        assert counting_forward["calls"] == 1
+        assert np.array_equal(batched, _per_sample(scaler, samples))
+
+    def test_two_grid_spacings(self, scaler, tiny_dataset, counting_forward):
+        samples = _variants(tiny_dataset, 6, dxs=(10.0, 20.0))
+        batched = scaler.dataset_seismic(samples)
+        assert counting_forward["calls"] == 2
+        assert np.array_equal(batched, _per_sample(scaler, samples))
+
+    def test_two_source_frequencies(self, tiny_dataset, counting_forward):
+        config = QuGeoDataConfig(scaled_seismic_shape=(1, 8, 8),
+                                 scaled_velocity_shape=(6, 6),
+                                 scaled_peak_frequency=None)
+        scaler = ForwardModelingScaler(config, simulation_shape=(16, 16),
+                                       simulation_steps=64)
+        samples = _variants(tiny_dataset, 4, time_steps=(None, 60))
+        assert len({scaler.scaled_frequency(s.seismic.shape[1])
+                    for s in samples}) == 2
+        batched = scaler.dataset_seismic(samples)
+        assert counting_forward["calls"] == 2
+        assert np.array_equal(batched, _per_sample(scaler, samples))
+
+    def test_count_not_a_multiple_of_the_chunk(self, scaler, tiny_dataset,
+                                               counting_forward):
+        samples = _variants(tiny_dataset, 2 * RESIMULATION_CHUNK + 1)
+        batched = scaler.dataset_seismic(samples)
+        assert counting_forward["calls"] == 3
+        assert np.array_equal(batched, _per_sample(scaler, samples))
+
+    def test_empty_dataset(self, scaler, small_data_config):
+        assert scaler.dataset_seismic([]).shape == (
+            0, *small_data_config.scaled_seismic_shape)
+        assert len(scaler.scale_dataset(FWIDataset([]))) == 0
+
+    def test_scale_dataset_pairs_the_cubes_through_scale_sample(
+            self, scaler, tiny_dataset, monkeypatch):
+        samples = _variants(tiny_dataset, 5, dxs=(10.0, 20.0))
+        given = []
+        original = BaseScaler.scale_sample
+
+        def recording(self, sample, seismic=None):
+            given.append(seismic)
+            return original(self, sample, seismic)
+
+        monkeypatch.setattr(BaseScaler, "scale_sample", recording)
+        scaled = scaler.scale_dataset(samples)
+        assert len(given) == len(samples)
+        assert all(seismic is not None for seismic in given)
+        for sample, result in zip(samples, scaled):
+            assert np.array_equal(result.seismic, scaler.scale_seismic(sample))
+            assert np.array_equal(result.velocity, scaler.scale_velocity(
+                sample.velocity, method="bilinear"))
+            assert result.method == "Q-D-FW"
+
+
 class TestCNNScaler:
     @pytest.fixture(scope="class")
     def trained_scaler(self, tiny_dataset, small_data_config):
@@ -137,6 +232,36 @@ class TestCNNScaler:
         scaler = CNNScaler(compressor, small_data_config)
         assert scaler.scale_sample(sample).seismic.shape == \
             small_data_config.scaled_seismic_shape
+
+
+class TestCNNScalerTargets:
+    def test_batched_targets_train_the_same_compressor(
+            self, tiny_dataset, small_data_config, monkeypatch):
+        """The regression targets come from one batched re-simulation, and
+        the compressor trained on them equals one trained on per-sample
+        targets, weight for weight."""
+        reference = ForwardModelingScaler(small_data_config,
+                                          simulation_shape=(16, 16),
+                                          simulation_steps=64)
+
+        def train():
+            return CNNScaler.train(tiny_dataset, config=small_data_config,
+                                   reference_scaler=reference, epochs=3,
+                                   batch_size=3, rng=0)
+
+        batched = train()
+        looped_calls = []
+
+        def looped(self, samples):
+            looped_calls.append(len(samples))
+            return _per_sample(self, samples)
+
+        monkeypatch.setattr(ForwardModelingScaler, "dataset_seismic", looped)
+        per_sample = train()
+        assert looped_calls == [len(tiny_dataset)]
+        expected = per_sample.compressor.state_dict()
+        for name, value in batched.compressor.state_dict().items():
+            assert np.array_equal(value, expected[name]), name
 
 
 class TestScaledDataQuality:

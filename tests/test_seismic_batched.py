@@ -436,6 +436,95 @@ class TestSpongeMaskBroadcast:
             SpongeBoundary(width=2).build_mask((40,))
 
 
+def _distinct_peak_stack():
+    """Three layered maps with distinct peak velocities and, for each, the
+    CFL-stable step of its own peak.  Map 2 is faster than the 3500 m/s
+    that :func:`_config`'s shared step is stable for."""
+    velocities = np.stack([_layered_velocity(seed) for seed in (21, 22, 23)])
+    velocities[1] *= 0.7
+    velocities[2] *= 1.5
+    steps = np.array([stable_time_step(float(v.max()), dx=10.0)
+                      for v in velocities])
+    return velocities, steps
+
+
+class TestPerModelTimeStep:
+    """An ``(n_models,)`` dt: every map propagates at its own time step."""
+
+    def test_gathers_match_scalar_at_each_maps_own_step(self):
+        velocities, steps = _distinct_peak_stack()
+        assert len(set(steps)) == 3
+        config = _config(n_steps=60)
+        with pytest.raises(ValueError, match="CFL"):
+            BatchedAcousticSimulator2D(velocities, config)
+        wavelets = np.stack([ricker_wavelet(config.n_steps, step, 12.0)
+                             for step in steps])
+        per_model = np.broadcast_to(wavelets[:, None],
+                                    (3, len(SOURCES), config.n_steps))
+        result = BatchedAcousticSimulator2D(
+            velocities, config, dt=steps).simulate_shots(
+                SOURCES, per_model, RECEIVERS)
+        assert result.shape == (3, len(SOURCES), config.n_steps,
+                                len(RECEIVERS))
+        for m, (velocity, step) in enumerate(zip(velocities, steps)):
+            own = dataclasses.replace(config, dt=float(step))
+            reference = AcousticSimulator2D(velocity, own).simulate_shots(
+                SOURCES, wavelets[m], RECEIVERS)
+            assert np.abs(reference).max() > 0.1
+            np.testing.assert_allclose(result[m], reference, atol=1e-10,
+                                       rtol=0)
+
+    def test_forward_model_matches_single_map_calls(self):
+        velocities, steps = _distinct_peak_stack()
+        model = _forward_model()
+        stacked = model.model_shots_batch(velocities, chunk_size=2, dt=steps)
+        for m, (velocity, step) in enumerate(zip(velocities, steps)):
+            own = dataclasses.replace(
+                model, config=dataclasses.replace(model.config,
+                                                  dt=float(step)))
+            assert np.array_equal(stacked[m], own.model_shots(velocity))
+
+    def test_forward_model_shot_gather_stack_matches_single_maps(self):
+        velocities, _ = _distinct_peak_stack()
+        stacked = forward_model_shot_gather(velocities, n_sources=2,
+                                            n_steps=40)
+        assert stacked.shape == (3, 2, 40, 24)
+        for gather, velocity in zip(stacked, velocities):
+            assert np.array_equal(gather, forward_model_shot_gather(
+                velocity, n_sources=2, n_steps=40))
+
+    def test_rejects_bad_dt(self):
+        velocities, steps = _distinct_peak_stack()
+        config = _config(n_steps=5)
+        for bad in (steps[:2], steps[:, None], steps[0]):
+            with pytest.raises(ValueError, match="dt must have shape"):
+                BatchedAcousticSimulator2D(velocities, config, dt=bad)
+            with pytest.raises(ValueError, match="dt must have shape"):
+                _forward_model().model_shots_batch(velocities, dt=bad)
+        with pytest.raises(ValueError, match="velocity stack"):
+            BatchedAcousticSimulator2D(velocities[0], config, dt=steps[:1])
+        for bad in (0.0, -steps[1], np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and strictly"):
+                BatchedAcousticSimulator2D(
+                    velocities, config, dt=np.array([steps[0], bad, steps[2]]))
+        simulator = BatchedAcousticSimulator2D(velocities, config, dt=steps)
+        with pytest.raises(ValueError, match="source_wavelet"):
+            simulator.simulate_shots(SOURCES, np.zeros((2, len(SOURCES), 5)),
+                                     RECEIVERS)
+
+    def test_one_unstable_map_fails_the_batch(self):
+        velocities, steps = _distinct_peak_stack()
+        config = _config(n_steps=5)
+        unstable = steps.copy()
+        unstable[1] *= 1.5
+        # Map 1 is the slowest, so the step is unstable for it alone.
+        assert velocities[1].max() < velocities[[0, 2]].max()
+        with pytest.raises(ValueError, match="CFL number .* of model 1 "):
+            BatchedAcousticSimulator2D(velocities, config, dt=unstable)
+        BatchedAcousticSimulator2D(velocities[[0, 2]], config,
+                                   dt=unstable[[0, 2]])
+
+
 class TestCflUpFront:
     def test_unstable_user_dt_raises_before_simulation(self):
         velocity = np.full((20, 20), 4000.0)
