@@ -2,10 +2,10 @@
 
 Times the QuGeoData "Forward Modeling" hot path: a 5-shot survey over
 OpenFWI-sized (70x70) layered velocity maps, propagated by the ``scalar``
-engine (one Python time loop per shot) and the ``batched`` engine (one
-shared time loop advancing every shot — and, on the multi-map rows, several
-velocity models — at once).  Both compute in float64 and agree to machine
-precision, so the speedup is pure wall-clock.  A second table times the
+engine (one numpy time loop per shot) and the ``batched`` engine (one call
+of the compiled C loop over every shot — and, on the multi-map rows,
+several velocity models).  Both compute in float64 and give bit-identical
+gathers, so the speedup is pure wall-clock.  A second table times the
 batched propagator on the model edge-padded by the 20-cell sponge (90x110
 cells, so the sponge damps pad cells, not model cells); its
 wavefield-steps/s, keyed ``sponge20|float64``, are what

@@ -2,13 +2,13 @@
 
 The observability subsystem (:mod:`repro.telemetry`) instruments the hot
 paths of the whole stack — the einsum backend's forward passes, the batched
-gradient sweeps, the acoustic propagator's per-phase loop, the dataset
+gradient sweeps, the acoustic propagator's time loop, the dataset
 store's shard/LRU traffic and the trainer's epoch loop.  This example:
 
 1. switches the process-wide registry to ``trace`` mode (the same thing
    ``QUGEO_TELEMETRY=trace`` does from the environment),
 2. trains a tiny 4-qubit QuGeoVQC for a few epochs on random data,
-3. prints the ASCII profile (span tree, per-phase timers, counters), and
+3. prints the ASCII profile (span tree, timers, counters), and
 4. dumps every recorded span event as JSONL into a temporary directory,
    which is removed when the example exits.
 

@@ -73,8 +73,11 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: batched Laplacian is the banded matmul on every host, where version 1
 #: generated different rounding with and without SciPy.  Version 3: grid
 #: axes of 40 cells or more multiply only the stencil band, block by block,
-#: which moves the last bits of the gathers at some grid shapes.
-DATA_FORMAT_VERSION = 3
+#: which moves the last bits of the gathers at some grid shapes.  Version 4:
+#: the fused C time loop reproduces the scalar oracle's rounding bit for bit
+#: (its fallback is the oracle itself), which moves the gathers by ~1e-15
+#: from the banded-matmul loop's.
+DATA_FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 

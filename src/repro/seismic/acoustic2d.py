@@ -16,15 +16,16 @@ gathers that constitute OpenFWI-style seismic data.
 Two engines share the discretisation.  :class:`AcousticSimulator2D` is the
 per-shot reference oracle with per-tap stencil slicing.
 :class:`BatchedAcousticSimulator2D` is the production propagator every
-forward-modelling call runs: one vectorised numpy time loop over a batch of
-wavefields, with the Laplacian evaluated per axis as block-banded matmuls:
-each block of output rows multiplies only the columns its stencil taps
-reach (:func:`_band_blocks`).  A grid axis shorter than
-:data:`_BAND_CROSSOVER` cells keeps one block, the whole dense operator.
+forward-modelling call runs: one call of a fused C time loop
+(``leapfrog.c``, built on first use by :mod:`repro.seismic.kernels`) over a
+batch of wavefields, bit-identical to the oracle, which is also its
+fallback where no C compiler is available.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -104,8 +105,10 @@ class SimulationConfig:
         if self.spatial_order not in _LAPLACIAN_COEFFS:
             raise ValueError(
                 f"spatial_order must be one of {sorted(_LAPLACIAN_COEFFS)}")
-        if self.dx <= 0 or self.dz <= 0 or self.dt <= 0:
-            raise ValueError("dx, dz and dt must be positive")
+        # ``nan <= 0`` is False, and a NaN step passes the CFL check too.
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.dx, self.dz, self.dt)):
+            raise ValueError("dx, dz and dt must be finite and positive")
         if self.n_steps <= 0:
             raise ValueError("n_steps must be positive")
         if int(self.record_every) != self.record_every or self.record_every < 1:
@@ -176,6 +179,8 @@ def _shot_wavelets(source_wavelet, batch_shape: Tuple[int, ...],
     3-D ``(n_models, n_shots, n_samples)`` array of per-model wavelets.
     """
     src = np.asarray(source_wavelet, dtype=np.float64)
+    if not np.all(np.isfinite(src)):
+        raise ValueError("source_wavelet must be finite")
     if src.ndim == 1:
         src = np.broadcast_to(src, (batch_shape[-1], src.size))
     if src.shape[:-1] not in (batch_shape[-1:], batch_shape):
@@ -191,6 +196,10 @@ def _shot_wavelets(source_wavelet, batch_shape: Tuple[int, ...],
 
 class AcousticSimulator2D:
     """Leap-frog acoustic wave propagator on a regular 2-D grid.
+
+    The reference oracle: one numpy time loop per shot.  The production
+    :class:`BatchedAcousticSimulator2D` reproduces it bit for bit, and runs
+    it as its fallback where the compiled loop is unavailable.
 
     Parameters
     ----------
@@ -286,9 +295,7 @@ class AcousticSimulator2D:
 
         n_steps = self.config.n_steps
         record_every = self.config.record_every
-        wavelet = np.zeros(n_steps, dtype=np.float64)
-        src = np.asarray(source_wavelet, dtype=np.float64)
-        wavelet[:min(n_steps, src.size)] = src[:n_steps]
+        wavelet = _shot_wavelets(source_wavelet, (1,), n_steps)[0]
 
         dt2 = self.config.dt**2
         c2 = self.velocity**2
@@ -371,94 +378,18 @@ class AcousticSimulator2D:
         return stacked
 
 
-def _stencil_matrix(n: int, coeffs: np.ndarray) -> np.ndarray:
-    """Dense 1-D second-derivative operator with edge-replicated boundaries.
-
-    Row ``i`` holds the central-difference coefficients for grid point ``i``;
-    out-of-range taps are clamped to the border point, which is exactly the
-    ``np.pad(..., mode="edge")`` boundary treatment of the scalar reference
-    (clamped taps accumulate onto the border column).
-    """
-    pad = len(coeffs) // 2
-    matrix = np.zeros((n, n), dtype=np.float64)
-    rows = np.arange(n)
-    for k, c in enumerate(coeffs):
-        cols = np.clip(rows + k - pad, 0, n - 1)
-        np.add.at(matrix, (rows, cols), c)
-    return matrix
-
-
-#: Output rows per block of the block-banded Laplacian.  Sixteen was the
-#: fastest or tied for it at every measured grid from 40 to 110 cells
-#: (batches 4 to 20, orders 4 and 8, one BLAS thread); blocks of 8, 12, 20,
-#: 24 and even splits of the axis were no faster.
-_BAND_BLOCK = 16
-
-#: Shortest grid axis that is split into blocks.  At batch 4 the split
-#: breaks even at 32 and 36 cells and wins from 40 on.  A shorter axis
-#: keeps one block, the dense operator, where the split would save little
-#: and would move the last bits of the 32x32 Q-D-FW gathers.
-_BAND_CROSSOVER = 40
-
-
-def _band_blocks(op: np.ndarray, half: int, axis: int
-                 ) -> List[Tuple[slice, slice, np.ndarray]]:
-    """Split a banded operator into blocks that skip its zero columns.
-
-    Returns ``(rows, cols, block)`` triples covering the output axis in
-    blocks of :data:`_BAND_BLOCK`.  ``cols`` is the span
-    ``[r0 - half, r1 + half)`` (clipped to the grid) that the stencil taps
-    of output ``rows = [r0, r1)`` reach.  With ``axis=0`` ``op`` is
-    ``D_z`` and ``block = D_z[rows, cols]``, for ``out[rows] = block @
-    p[cols]``; with ``axis=1`` ``op`` is ``D_x^T`` and ``block =
-    D_x^T[cols, rows]``, for ``out[:, rows] = p[:, cols] @ block``.  Every
-    block is a contiguous copy (a strided slice of the transposed ``D_x^T``
-    view multiplies about half as fast) except a single block, which is
-    ``op`` itself, so a short axis runs exactly the dense product.
-    """
-    n = op.shape[0]
-    if n < _BAND_CROSSOVER:
-        return [(slice(0, n), slice(0, n), op)]
-    blocks = []
-    for r0 in range(0, n, _BAND_BLOCK):
-        rows = slice(r0, min(r0 + _BAND_BLOCK, n))
-        cols = slice(max(r0 - half, 0), min(rows.stop + half, n))
-        block = op[rows, cols] if axis == 0 else op[cols, rows]
-        blocks.append((rows, cols, np.ascontiguousarray(block)))
-    return blocks
-
-
-def _apply_laplacian(plan, out: np.ndarray, scratch: np.ndarray
-                     ) -> np.ndarray:
-    """Run a :meth:`BatchedAcousticSimulator2D._laplacian_plan` into ``out``."""
-    for a, b, target in plan:
-        np.matmul(a, b, out=target)
-    out += scratch
-    return out
-
-
 class BatchedAcousticSimulator2D:
-    """Leap-frog propagator advancing a batch of wavefields per time step.
+    """Leap-frog propagator over a batch of shots and velocity models.
 
     The production propagator: every forward-modelling call runs it.  One
-    numpy time loop carries a leading batch axis over shots — and optionally
-    over velocity models sharing the same grid, geometry and config, each
-    optionally with its own time step — so the Laplacian, the leap-frog
-    update and the sponge damping are evaluated as whole-batch array
-    operations instead of one Python loop per shot.
-
-    The Laplacian is evaluated per axis as matmuls instead of ~5 numpy
-    temporaries per stencil tap: ``D_z @ p`` and ``p @ D_x^T``, whose
-    operator rows (:func:`_stencil_matrix`) encode the scalar reference's
-    edge-replicated stencil.  The operators are banded, so each is split
-    into blocks of :data:`_BAND_BLOCK` output rows that multiply only the
-    ``2 * half`` extra columns their taps reach (:func:`_band_blocks`):
-    O(1) work per cell instead of O(n).  An axis shorter than
-    :data:`_BAND_CROSSOVER` keeps one block, the dense product.  The
-    products differ from the scalar loop only in floating-point summation
-    order (~1e-16 per step), so gathers agree with
-    :class:`AcousticSimulator2D` to well inside 1e-10 rather than
-    bit-for-bit.
+    :meth:`simulate_shots` call hands every wavefield of the batch (each
+    shot over each velocity model sharing the grid, geometry and config,
+    each model optionally at its own time step) to the fused C time loop of
+    :mod:`repro.seismic.kernels`, which runs each wavefield's whole time
+    history in turn.  Every cell does the scalar oracle's floating-point
+    operations in the oracle's order, so the gathers are bit-identical to
+    :class:`AcousticSimulator2D`'s.  Where no C compiler is available the
+    oracle itself runs, once per (model, shot).
 
     Parameters
     ----------
@@ -479,7 +410,7 @@ class BatchedAcousticSimulator2D:
         :meth:`simulate_shots` as an ``(n_models, n_shots, n_samples)``
         array.
 
-    Wavefields, stencil operators, the sponge mask and the gathers are all
+    Wavefields, stencil taps, the sponge mask and the gathers are all
     float64.
     """
 
@@ -499,15 +430,7 @@ class BatchedAcousticSimulator2D:
             self._dt = self.config.dt
         else:
             self._dt = self._per_model_dt(dt)
-        nz, nx = self.grid_shape
-        self._mask = self.config.boundary.build_mask((nz, nx))
-        self._telemetry = get_telemetry()
-        coeffs = _LAPLACIAN_COEFFS[self.config.spatial_order]
-        half = len(coeffs) // 2
-        dz_op = _stencil_matrix(nz, coeffs) / self.config.dz**2
-        dx_op_t = (_stencil_matrix(nx, coeffs) / self.config.dx**2).T
-        self._z_blocks = _band_blocks(dz_op, half, axis=0)
-        self._x_blocks = _band_blocks(dx_op_t, half, axis=1)
+        self._mask = self.config.boundary.build_mask(self.grid_shape)
 
     def _per_model_dt(self, dt) -> np.ndarray:
         """Validate a per-model ``dt`` and check each map's CFL condition."""
@@ -545,31 +468,6 @@ class BatchedAcousticSimulator2D:
         return None if self.velocity.ndim == 2 else self.velocity.shape[0]
 
     # ------------------------------------------------------------------ #
-    # numerics
-    # ------------------------------------------------------------------ #
-    def _laplacian_plan(self, field: np.ndarray, out: np.ndarray,
-                        scratch: np.ndarray
-                        ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The block products of the Laplacian of ``field``.
-
-        One ``(a, b, target)`` triple per block, for ``np.matmul(a, b,
-        out=target)``: the z-axis blocks write ``out``, the x-axis blocks
-        ``scratch`` (both shaped like ``field``, ``(..., nz, nx)``).  The
-        views are built once, so a time loop that keeps one plan per
-        wavefield buffer slices nothing per step.
-        """
-        return ([(block, field[..., cols, :], out[..., rows, :])
-                 for rows, cols, block in self._z_blocks]
-                + [(field[..., cols], block, scratch[..., rows])
-                   for rows, cols, block in self._x_blocks])
-
-    def _laplacian_into(self, field: np.ndarray, out: np.ndarray,
-                        scratch: np.ndarray) -> np.ndarray:
-        """Batched Laplacian of ``field`` written into ``out``."""
-        return _apply_laplacian(self._laplacian_plan(field, out, scratch),
-                                out, scratch)
-
-    # ------------------------------------------------------------------ #
     # simulation
     # ------------------------------------------------------------------ #
     def simulate_shots(self, source_positions: Iterable[Tuple[int, int]],
@@ -577,7 +475,7 @@ class BatchedAcousticSimulator2D:
                        receiver_positions: Iterable[Tuple[int, int]],
                        record_wavefield: bool = False,
                        wavefield_stride: int = 10):
-        """Propagate every shot of the batch with one shared time loop.
+        """Propagate every shot of the batch through the whole time loop.
 
         Parameters
         ----------
@@ -610,135 +508,100 @@ class BatchedAcousticSimulator2D:
             raise ValueError("need at least one source position")
         sources = _check_positions(sources, nz, nx, "source")
         receivers = _check_positions(receiver_positions, nz, nx, "receiver")
+        if record_wavefield and (int(wavefield_stride) != wavefield_stride
+                                 or wavefield_stride < 1):
+            raise ValueError("wavefield_stride must be a positive integer")
+        stride = int(wavefield_stride) if record_wavefield else 0
 
-        n_shots = len(sources)
-        n_steps = self.config.n_steps
-        record_every = self.config.record_every
-        n_recorded = self.config.n_recorded
-        c2 = self.velocity**2
-        src_rows = np.array([r for r, _ in sources], dtype=np.intp)
-        src_cols = np.array([c for _, c in sources], dtype=np.intp)
-        # Flattened-grid indices: single-axis fancy indexing on a reshaped
-        # view is measurably cheaper per step than a (row, col) index pair.
-        src_flat = src_rows * nx + src_cols
-        rec_rows = np.array([r for r, _ in receivers], dtype=np.intp)
-        rec_cols = np.array([c for _, c in receivers], dtype=np.intp)
-        rec_flat = rec_rows * nx + rec_cols
-
-        cell_area = self.config.dx * self.config.dz
-        if self.velocity.ndim == 2:
-            batch_shape: Tuple[int, ...] = (n_shots,)
-            dt2 = self._dt**2
-            c2dt2 = dt2 * c2                                           # (nz, nx)
-            src_scale = c2[src_rows, src_cols] * dt2 / cell_area       # (S,)
-        else:
-            batch_shape = (self.velocity.shape[0], n_shots)
-            # One step for the stack, or one per model: (1, 1) or (M, 1).
-            dt2 = np.reshape(np.square(self._dt), (-1, 1))
-            c2dt2 = dt2[..., None, None] * c2[:, None]                 # (M, 1, nz, nx)
-            src_scale = c2[:, src_rows, src_cols] * dt2 / cell_area    # (M, S)
+        config = self.config
+        n_shots, n_steps = len(sources), config.n_steps
+        models = self.velocity.reshape((-1, nz, nx))
+        n_models = models.shape[0]
+        batch_shape = (n_shots,) if self.n_models is None else (n_models,
+                                                                n_shots)
         wavelets = _shot_wavelets(source_wavelet, batch_shape, n_steps)
-        # Injection amplitudes for every step, scaled once up front:
-        # (S, n_steps) or (M, S, n_steps).
-        scaled_wavelets = src_scale[..., None] * wavelets
+        # The oracle's time step of each map: a Python float, squared as
+        # the oracle squares ``config.dt``.
+        steps = [float(step) for step in
+                 np.broadcast_to(np.reshape(self._dt, -1), (n_models,))]
 
-        # Three rotating wavefield buffers plus two scratch arrays: every
-        # whole-batch operation of the time loop writes into preallocated
-        # storage, so the per-step cost is a fixed number of memory passes
-        # with no allocations.  Injection and trace recording run on
-        # flattened ``(total_batch, nz*nx)`` views — single-axis fancy
-        # indexing is measurably cheaper per step than an N-d index tuple.
-        p_prev = np.zeros(batch_shape + (nz, nx))
-        p_curr = np.zeros_like(p_prev)
-        p_next = np.zeros_like(p_prev)
-        # Scratch buffers are fully overwritten before first read.
-        lap = np.empty_like(p_prev)
-        lap_x = np.empty_like(p_prev)
-        flat_views = {id(buf): buf.reshape(-1, nz * nx)
-                      for buf in (p_prev, p_curr, p_next)}
-        plans = {id(buf): self._laplacian_plan(buf, lap, lap_x)
-                 for buf in (p_prev, p_curr, p_next)}
+        # Imported on first use, so importing the package loads no ctypes.
+        from repro.seismic.kernels import load_kernel
 
-        total_batch = int(np.prod(batch_shape))
-        # Every (step, receiver) entry is assigned exactly once in the loop.
-        gather = np.empty(batch_shape + (n_recorded, len(receivers)))
-        gather_flat = gather.reshape(total_batch, n_recorded, len(receivers))
-        inject_rows = np.arange(total_batch)
-        inject_cols = np.tile(src_flat, total_batch // n_shots)
-        inject_amps = scaled_wavelets.reshape(total_batch, n_steps)
+        telemetry = get_telemetry()
+        kernel = load_kernel()
+        start = perf_counter()
+        if kernel is None:
+            telemetry.counter("propagator.fallback").inc()
+            gather, snapshots = self._run_oracle(
+                models, steps, sources,
+                np.broadcast_to(wavelets, (n_models, n_shots, n_steps)),
+                receivers, stride)
+        else:
+            gather, snapshots = self._run_kernel(
+                kernel, models, steps, sources, wavelets, receivers, stride)
+        elapsed = perf_counter() - start
 
-        mask = self._mask
-
-        snapshots: List[np.ndarray] = []
-        # Per-phase profiling accumulates into plain local floats and is
-        # flushed to the registry once after the loop; when telemetry is off
-        # the loop pays one local-bool check per phase and nothing else.
-        telemetry = self._telemetry
-        timing = telemetry.enabled
-        t_laplacian = t_update = t_inject = t_boundary = t_record = 0.0
-
-        loop_start = perf_counter()
-        for step in range(n_steps):
-            if timing:
-                t0 = perf_counter()
-            _apply_laplacian(plans[id(p_curr)], lap, lap_x)
-            if timing:
-                t1 = perf_counter()
-                t_laplacian += t1 - t0
-
-            # p_next = 2 p_curr - p_prev + dt^2 c^2 laplacian(p_curr), summed
-            # as (c2dt2 * lap - p_prev) + 2 p_curr: the rounding order every
-            # dataset fingerprint was minted with.  The doubling (exact) goes
-            # into the lap_x scratch, which is free again here.
-            np.multiply(lap, c2dt2, out=p_next)
-            p_next -= p_prev
-            np.add(p_curr, p_curr, out=lap_x)
-            p_next += lap_x
-            if timing:
-                t2 = perf_counter()
-                t_update += t2 - t1
-            p_flat = flat_views[id(p_next)]
-            p_flat[inject_rows, inject_cols] += inject_amps[:, step]
-            if timing:
-                t3 = perf_counter()
-                t_inject += t3 - t2
-
-            # Sponge damping on both time levels keeps the scheme stable;
-            # the 2-D mask broadcasts over the leading batch axes.
-            p_next *= mask
-            p_curr *= mask
-            if timing:
-                t4 = perf_counter()
-                t_boundary += t4 - t3
-                t3 = t4
-
-            if step % record_every == 0:
-                gather_flat[:, step // record_every, :] = p_flat[:, rec_flat]
-            if record_wavefield and step % wavefield_stride == 0:
-                snapshots.append(p_next.copy())
-            if timing:
-                t_record += perf_counter() - t3
-
-            p_prev, p_curr, p_next = p_curr, p_next, p_prev
-        elapsed = perf_counter() - loop_start
-
-        if timing:
-            for phase, total in (("laplacian", t_laplacian),
-                                 ("update", t_update),
-                                 ("inject", t_inject),
-                                 ("boundary", t_boundary),
-                                 ("record", t_record)):
-                telemetry.record_timer(f"propagator.{phase}", total,
-                                       count=n_steps)
+        n_wavefields = n_models * n_shots
+        if telemetry.enabled:
+            telemetry.record_timer("propagator.loop", elapsed, count=n_steps)
             telemetry.counter("propagator.steps").inc(n_steps)
             telemetry.counter("propagator.shots").inc(n_shots)
-            telemetry.counter("propagator.wavefields").inc(total_batch)
+            telemetry.counter("propagator.wavefields").inc(n_wavefields)
             if elapsed > 0:
                 telemetry.gauge("propagator.steps_per_sec").set(
                     n_steps / elapsed)
                 telemetry.gauge("propagator.wavefield_steps_per_sec").set(
-                    n_steps * total_batch / elapsed)
+                    n_steps * n_wavefields / elapsed)
 
+        gather = gather.reshape(batch_shape + gather.shape[-2:])
         if record_wavefield:
-            return gather, snapshots
+            return gather, [snap.reshape(batch_shape + (nz, nx))
+                            for snap in snapshots]
         return gather
+
+    def _run_kernel(self, kernel, models, steps, sources, wavelets,
+                    receivers, stride):
+        """Every wavefield through the compiled loop in one call."""
+        from repro.seismic.kernels import leapfrog
+
+        nz, nx = self.grid_shape
+        config = self.config
+        n_models, n_shots = models.shape[0], len(sources)
+        n_steps = config.n_steps
+        src_rows, src_cols = np.array(sources, dtype=np.int64).T
+        c2 = models**2
+        dt2 = np.array([step**2 for step in steps])
+        c2dt2 = dt2[:, None, None] * c2
+        # The oracle's injection amplitude ``wavelet * (c^2 dt^2 / (dx dz))``.
+        src_scale = (c2[:, src_rows, src_cols] * dt2[:, None]
+                     / (config.dx * config.dz))
+        amps = (src_scale[..., None]
+                * wavelets.reshape(-1, n_shots, n_steps)).reshape(-1, n_steps)
+        coeffs = _LAPLACIAN_COEFFS[config.spatial_order]
+        n_batch = n_models * n_shots
+        gather = np.empty((n_batch, config.n_recorded, len(receivers)))
+        snaps = np.empty((-(-n_steps // stride) if stride else 0, n_batch,
+                          nz, nx))
+        leapfrog(kernel, np.zeros((n_batch, 3, nz, nx)), c2dt2, self._mask,
+                 coeffs / config.dz**2, coeffs / config.dx**2,
+                 np.tile(src_rows * nx + src_cols, n_models), amps,
+                 np.array([r * nx + c for r, c in receivers], dtype=np.int64),
+                 gather, snaps, config.record_every, stride)
+        return gather, list(snaps)
+
+    def _run_oracle(self, models, steps, sources, wavelets, receivers,
+                    stride):
+        """Every map through :class:`AcousticSimulator2D`, one shot at a
+        time: the fallback where the compiled loop is unavailable."""
+        runs = [AcousticSimulator2D(velocity, dataclasses.replace(
+                    self.config, dt=step)).simulate_shots(
+                        sources, shot_wavelets, receivers,
+                        record_wavefield=bool(stride),
+                        wavefield_stride=stride or 1)
+                for velocity, step, shot_wavelets in zip(models, steps,
+                                                         wavelets)]
+        if not stride:
+            return np.stack(runs), []
+        return (np.stack([gather for gather, _ in runs]),
+                [np.stack(snaps) for snaps in zip(*(s for _, s in runs))])

@@ -7,11 +7,10 @@ it at every receiver.  The result has OpenFWI's layout
 ``(n_sources, n_time_steps, n_receivers)``.
 
 Shots are propagated by
-:class:`~repro.seismic.acoustic2d.BatchedAcousticSimulator2D`, which
-advances every shot (and, on the multi-map path, several velocity models)
-in one shared time loop while matching the scalar reference
-:class:`~repro.seismic.acoustic2d.AcousticSimulator2D` to machine
-precision.
+:class:`~repro.seismic.acoustic2d.BatchedAcousticSimulator2D`, which runs
+every shot (and, on the multi-map path, several velocity models) through
+one call of its compiled time loop, bit-identical to the scalar reference
+:class:`~repro.seismic.acoustic2d.AcousticSimulator2D`.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ class ForwardModel:
                           dt: Optional[np.ndarray] = None) -> np.ndarray:
         """Simulate the survey over a stack of velocity maps at once.
 
-        Each chunk of ``chunk_size`` maps advances in one shared time loop.
+        Each chunk of ``chunk_size`` maps runs in one propagator call.
 
         Parameters
         ----------

@@ -81,7 +81,7 @@ class TestFingerprint:
     def test_pinned_default_fingerprints(self):
         # Cached shards live under these addresses.  Moving them orphans
         # every cache, so it must be deliberate: a DATA_FORMAT_VERSION bump.
-        assert dataset_fingerprint(small_config(), 7) == "98a794d9959c7fa8"
+        assert dataset_fingerprint(small_config(), 7) == "963ae891b34f7b14"
 
     def test_default_boundary_kernel_stride_leave_fingerprint_unchanged(self):
         # The bit-identity-preserving defaults must hash exactly like configs
@@ -111,7 +111,7 @@ class TestFingerprint:
         # keep the same cache address.
         for name, value in self.STALE_ENV.items():
             monkeypatch.setenv(name, value)
-        assert dataset_fingerprint(small_config(), 7) == "98a794d9959c7fa8"
+        assert dataset_fingerprint(small_config(), 7) == "963ae891b34f7b14"
 
     def test_stale_env_builds_the_data_its_fingerprint_names(
             self, monkeypatch):

@@ -207,12 +207,12 @@ FILE_RULES = {
 #: class name -> (pinned version, pinned field names).  Changing the fields
 #: of a class means bumping its version constant and this pin together.
 FINGERPRINT_PINS = {
-    "OpenFWIConfig": (3, (
+    "OpenFWIConfig": (4, (
         "n_samples", "velocity_shape", "n_sources", "n_receivers",
         "n_time_steps", "dx", "peak_frequency", "family", "model_config",
         "boundary_width", "spatial_order", "chunk_size", "boundary",
         "record_every")),
-    "VelocityModelConfig": (3, (
+    "VelocityModelConfig": (4, (
         "shape", "min_velocity", "max_velocity", "min_layers", "max_layers",
         "increasing_velocity")),
     "TraceNoise": (1, ("snr_db", "band")),

@@ -1,15 +1,18 @@
 """Tests for the batched multi-shot acoustic propagator.
 
-The batched engine must reproduce the scalar reference
-:class:`AcousticSimulator2D` (well inside the 1e-10 acceptance tolerance) on
-random layered models across every supported spatial order, with and without
-wavefield recording, and on the multi-velocity-model path used by dataset
-generation, on grids both below and above the crossover where the
-Laplacian is split into stencil-band blocks.  Two oracles share no code
-with either engine: the Laplacian's convergence order against a closed
-form, and a trace against the 2-D Green's function of the wave equation.
+The batched engine (the fused C time loop) must reproduce the scalar
+reference :class:`AcousticSimulator2D` bit for bit, ``array_equal``, on
+random layered models across every supported spatial order: with and
+without wavefield recording, with a recording stride, with a time step per
+model, with sources and receivers on the grid's corners and edges, and on
+grids narrower than the stencil.  Two oracles share no code with either
+engine: the Laplacian's convergence order against a closed form, and a
+trace against the 2-D Green's function of the wave equation.  Where no C
+compiler is available the propagator runs the oracle itself; a test
+removes the compiler to check that path.
 """
 
+import ctypes
 import dataclasses
 
 import numpy as np
@@ -30,14 +33,10 @@ from repro.seismic import (
     ricker_wavelet,
     stable_time_step,
 )
-from repro.seismic.acoustic2d import (
-    _BAND_BLOCK,
-    _BAND_CROSSOVER,
-    _LAPLACIAN_COEFFS,
-    _band_blocks,
-    _stencil_matrix,
-)
+from repro.seismic import kernels
+from repro.seismic.acoustic2d import _LAPLACIAN_COEFFS
 from repro.seismic.propagators import default_propagator_name
+from repro.telemetry import capture
 
 
 def _layered_velocity(seed, shape=(24, 24)):
@@ -82,7 +81,7 @@ class TestBatchedScalarParity:
         reference = scalar.simulate_shots(SOURCES, wavelet, RECEIVERS)
         result = batched.simulate_shots(SOURCES, wavelet, RECEIVERS)
         assert result.shape == (len(SOURCES), config.n_steps, len(RECEIVERS))
-        np.testing.assert_allclose(result, reference, atol=1e-10, rtol=0)
+        np.testing.assert_array_equal(result, reference)
 
     @pytest.mark.parametrize("order", [2, 4, 8])
     def test_wavefield_snapshots_match(self, order):
@@ -93,11 +92,11 @@ class TestBatchedScalarParity:
             SOURCES, wavelet, RECEIVERS, record_wavefield=True, wavefield_stride=10)
         gather, snaps = BatchedAcousticSimulator2D(velocity, config).simulate_shots(
             SOURCES, wavelet, RECEIVERS, record_wavefield=True, wavefield_stride=10)
-        np.testing.assert_allclose(gather, ref_gather, atol=1e-10, rtol=0)
+        np.testing.assert_array_equal(gather, ref_gather)
         assert len(snaps) == len(ref_snaps) == 4
         for snap, ref in zip(snaps, ref_snaps):
             assert snap.shape == (len(SOURCES), 24, 24)
-            np.testing.assert_allclose(snap, ref, atol=1e-10, rtol=0)
+            np.testing.assert_array_equal(snap, ref)
 
     def test_multi_model_batch_matches_per_map_scalar(self):
         velocities = np.stack([_layered_velocity(seed) for seed in (3, 5, 7)])
@@ -110,17 +109,16 @@ class TestBatchedScalarParity:
         for m, velocity in enumerate(velocities):
             reference = AcousticSimulator2D(velocity, config).simulate_shots(
                 SOURCES, wavelet, RECEIVERS)
-            np.testing.assert_allclose(result[m], reference, atol=1e-10, rtol=0)
+            np.testing.assert_array_equal(result[m], reference)
 
     @pytest.mark.parametrize("order", [2, 4, 8])
     @pytest.mark.parametrize("shape", [(70, 70), (50, 60)],
                              ids=["70x70", "50x60"])
     def test_band_blocked_grids_match_scalar_reference(self, shape, order):
-        """Grids above the crossover, where the Laplacian runs block by block.
+        """Benchmark-sized grids, single map and stacked.
 
         Sources sit near the top, centre and bottom-right corner, so after
-        80 steps the wavefield crosses every row and column block of both
-        axes, including the clipped first and last ones.
+        80 steps the wavefield crosses the interior and all four borders.
         """
         nz, nx = shape
         sources = [(1, 3), (nz // 2, nx // 2), (nz - 8, nx - 4)]
@@ -131,7 +129,6 @@ class TestBatchedScalarParity:
         config = _config(n_steps=80, order=order)
         wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
         single = BatchedAcousticSimulator2D(velocities[0], config)
-        assert len(single._z_blocks) > 1 and len(single._x_blocks) > 1
         stacked = BatchedAcousticSimulator2D(velocities, config)
         single_result = single.simulate_shots(sources, wavelet, receivers)
         stacked_result = stacked.simulate_shots(sources, wavelet, receivers)
@@ -140,11 +137,9 @@ class TestBatchedScalarParity:
             reference = AcousticSimulator2D(velocity, config).simulate_shots(
                 sources, wavelet, receivers)
             assert np.abs(reference).max() > 0.1
-            np.testing.assert_allclose(stacked_result[m], reference,
-                                       atol=1e-10, rtol=0)
+            np.testing.assert_array_equal(stacked_result[m], reference)
             if m == 0:
-                np.testing.assert_allclose(single_result, reference,
-                                           atol=1e-10, rtol=0)
+                np.testing.assert_array_equal(single_result, reference)
 
     def test_per_shot_wavelets(self):
         velocity = _layered_velocity(seed=2)
@@ -156,10 +151,10 @@ class TestBatchedScalarParity:
         scalar_sim = AcousticSimulator2D(velocity, config)
         for s, (source, wavelet) in enumerate(zip(SOURCES, wavelets)):
             reference = scalar_sim.simulate_shot(source, wavelet, RECEIVERS)
-            np.testing.assert_allclose(batched[s], reference, atol=1e-10, rtol=0)
+            np.testing.assert_array_equal(batched[s], reference)
 
     def test_three_pass_update_matches_scalar(self):
-        """The in-place three-pass leap-frog update holds parity."""
+        """The three-term update ``(2 curr - prev) + c2dt2 lap`` holds parity."""
         velocity = _layered_velocity(seed=6)
         config = _config(n_steps=50)
         wavelet = ricker_wavelet(config.n_steps, config.dt, 12.0)
@@ -167,7 +162,7 @@ class TestBatchedScalarParity:
         result = batched.simulate_shots(SOURCES, wavelet, RECEIVERS)
         reference = AcousticSimulator2D(velocity, config).simulate_shots(
             SOURCES, wavelet, RECEIVERS)
-        np.testing.assert_allclose(result, reference, atol=1e-10, rtol=0)
+        np.testing.assert_array_equal(result, reference)
 
     def test_rejects_bad_inputs(self):
         config = _config(n_steps=5)
@@ -196,64 +191,33 @@ class TestBatchedScalarParity:
             BatchedAcousticSimulator2D(velocities[1], _config(n_steps=5))
 
 
-class TestBandBlockLayout:
-    """The block-banded Laplacian against the dense operator it splits."""
+def _engine_laplacian(field, config):
+    """The Laplacian of ``field`` as the propagator's loop computes it.
 
-    @staticmethod
-    def _reassemble(blocks, n, axis):
-        """Put the blocks back into an ``(n, n)`` operator, counting rows."""
-        matrix = np.zeros((n, n))
-        covered = np.zeros(n, dtype=int)
-        for rows, cols, block in blocks:
-            if axis == 0:
-                matrix[rows, cols] += block
-            else:
-                matrix[cols, rows] += block
-            covered[rows] += 1
-        return matrix, covered
-
-    @pytest.mark.parametrize("order", [2, 4, 8])
-    def test_blocks_rebuild_the_dense_operator(self, order):
-        coeffs = _LAPLACIAN_COEFFS[order]
-        half = len(coeffs) // 2
-        for n in range(_BAND_CROSSOVER - 12, 3 * _BAND_CROSSOVER, 3):
-            dense = _stencil_matrix(n, coeffs)
-            for axis, op in ((0, dense), (1, dense.T)):
-                blocks = _band_blocks(op, half, axis)
-                expected = (1 if n < _BAND_CROSSOVER
-                            else -(-n // _BAND_BLOCK))
-                assert len(blocks) == expected, (n, axis)
-                matrix, covered = self._reassemble(blocks, n, axis)
-                # Every output row in exactly one block, every tap kept.
-                assert np.array_equal(covered, np.ones(n, dtype=int)), n
-                assert np.array_equal(matrix, op), (n, axis)
-
-    @pytest.mark.parametrize("batch, n", [(10, 70), (20, 70),
-                                          (4, 32), (16, 32)])
-    def test_laplacian_equals_dense_product(self, batch, n):
-        """Bit-equal to ``D_z @ p + p @ D_x^T`` at the benchmark shapes.
-
-        A block skips only zero operator entries, so each output still
-        accumulates the same taps in the same column order; on a BLAS whose
-        kernels accumulate along ``k`` in order, the skipped exact zeros
-        change no bit.  Below the crossover the products are the dense ones.
-        """
-        config = _config(n_steps=1, dx=7.0)
-        coeffs = _LAPLACIAN_COEFFS[config.spatial_order]
-        simulator = BatchedAcousticSimulator2D(np.full((n, n), 2000.0),
-                                               config)
-        field = np.random.default_rng(n + batch).standard_normal(
-            (batch, n, n))
-        d_z = _stencil_matrix(n, coeffs) / config.dz**2
-        d_x = _stencil_matrix(n, coeffs) / config.dx**2
-        dense = np.matmul(d_z, field) + np.matmul(field, d_x.T)
-        lap = simulator._laplacian_into(field, np.empty_like(field),
-                                        np.empty_like(field))
-        assert np.array_equal(lap, dense)
+    One step of the compiled loop from ``prev = 2 field``, ``curr = field``
+    with ``c^2 dt^2 = 1``, no damping and no source amplitude leaves
+    ``(2 field - 2 field) + 1 * lap = lap`` exactly in the scratch slot.
+    Without a C compiler the oracle's own Laplacian, which the fallback
+    runs, is measured instead.
+    """
+    nz, nx = field.shape
+    entry = kernels.load_kernel()
+    if entry is None:
+        return AcousticSimulator2D(np.ones((nz, nx)), config)._laplacian(
+            field).copy()
+    coeffs = _LAPLACIAN_COEFFS[config.spatial_order]
+    fields = np.stack([2.0 * field, field, np.zeros_like(field)])[None]
+    kernels.leapfrog(entry, fields, np.ones((1, nz, nx)), np.ones((nz, nx)),
+                     coeffs / config.dz**2, coeffs / config.dx**2,
+                     np.zeros(1, dtype=np.int64), np.zeros((1, 1)),
+                     np.zeros(0, dtype=np.int64), np.empty((1, 1, 0)),
+                     np.empty((0, 1, nz, nx)), 1, 0)
+    return fields[0, 2]
 
 
 class TestLaplacianConvergenceOracle:
-    """The batched Laplacian against a closed form, not another propagator.
+    """The propagator's Laplacian against a closed form, not another
+    propagator.
 
     ``f = sin(2 pi x) cos(2 pi z)`` on the unit square has the Laplacian
     ``-8 pi^2 f``.  Halving the grid spacing must shrink the error on the
@@ -269,9 +233,7 @@ class TestLaplacianConvergenceOracle:
         config = SimulationConfig(
             dx=h, dz=h, dt=stable_time_step(1.0, dx=h, spatial_order=order),
             n_steps=1, spatial_order=order, boundary=SpongeBoundary(width=2))
-        simulator = BatchedAcousticSimulator2D(np.ones((n, n)), config)
-        lap = simulator._laplacian_into(field, np.empty_like(field),
-                                        np.empty_like(field))
+        lap = _engine_laplacian(field, config)
         inner = (slice(order // 2, n - order // 2),) * 2
         return np.abs(lap - (-8 * np.pi**2) * field)[inner].max()
 
@@ -352,9 +314,8 @@ class TestForwardModelBatched:
     def test_scalar_and_batched_engines_agree(self):
         velocity = _layered_velocity(seed=9)
         model = _forward_model()
-        np.testing.assert_allclose(model.model_shots(velocity),
-                                   _scalar_shots(model, velocity),
-                                   atol=1e-10, rtol=0)
+        np.testing.assert_array_equal(model.model_shots(velocity),
+                                      _scalar_shots(model, velocity))
 
     def test_model_shots_batch_matches_per_map(self):
         velocities = np.stack([_layered_velocity(seed) for seed in (11, 13, 17, 19)])
@@ -363,15 +324,15 @@ class TestForwardModelBatched:
         stacked = model.model_shots_batch(velocities)
         chunked = model.model_shots_batch(velocities, chunk_size=3)
         assert stacked.shape == (4, 3, 50, 12)
-        np.testing.assert_allclose(stacked, per_map, atol=1e-10, rtol=0)
-        np.testing.assert_allclose(chunked, per_map, atol=1e-10, rtol=0)
+        np.testing.assert_array_equal(stacked, per_map)
+        np.testing.assert_array_equal(chunked, per_map)
 
     def test_model_shots_batch_matches_scalar_per_map(self):
         velocities = np.stack([_layered_velocity(seed) for seed in (11, 13)])
         model = _forward_model()
         reference = np.stack([_scalar_shots(model, v) for v in velocities])
-        np.testing.assert_allclose(model.model_shots_batch(velocities),
-                                   reference, atol=1e-10, rtol=0)
+        np.testing.assert_array_equal(model.model_shots_batch(velocities),
+                                      reference)
 
     def test_model_shots_batch_rejects_2d(self):
         with pytest.raises(ValueError):
@@ -471,8 +432,7 @@ class TestPerModelTimeStep:
             reference = AcousticSimulator2D(velocity, own).simulate_shots(
                 SOURCES, wavelets[m], RECEIVERS)
             assert np.abs(reference).max() > 0.1
-            np.testing.assert_allclose(result[m], reference, atol=1e-10,
-                                       rtol=0)
+            np.testing.assert_array_equal(result[m], reference)
 
     def test_forward_model_matches_single_map_calls(self):
         velocities, steps = _distinct_peak_stack()
@@ -571,7 +531,7 @@ class TestRecordEveryDecimation:
         batched = BatchedAcousticSimulator2D(
             velocity, config).simulate_shots(SOURCES, wavelet, RECEIVERS)
         assert reference.shape == (3, 15, len(RECEIVERS))
-        np.testing.assert_allclose(batched, reference, atol=1e-10, rtol=0.0)
+        np.testing.assert_array_equal(batched, reference)
 
     def test_record_every_validation(self):
         with pytest.raises(ValueError, match="record_every"):
@@ -588,3 +548,162 @@ class TestRecordEveryDecimation:
         assert 1.0 / (config.dt * stride) >= 2 * 2.0 * 3.0 * 15.0
         assert nyquist_record_stride(1e-3, 15.0) == 5
         assert nyquist_record_stride(0.5, 15.0) == 1  # never below 1
+
+
+def _oracle_stack(velocities, config, steps, sources, wavelets, receivers,
+                  stride):
+    """Per-(model, shot) oracle gathers and snapshots, stacked like the
+    batched engine's ``(n_models, n_shots, ...)`` output."""
+    gathers, snapshots = [], []
+    for velocity, step, wavelet in zip(velocities, steps, wavelets):
+        own = dataclasses.replace(config, dt=float(step))
+        gather, snaps = AcousticSimulator2D(velocity, own).simulate_shots(
+            sources, wavelet, receivers, record_wavefield=True,
+            wavefield_stride=stride)
+        gathers.append(gather)
+        snapshots.append(snaps)
+    return (np.stack(gathers),
+            [np.stack(snaps) for snaps in zip(*snapshots)])
+
+
+class TestBitParityCoverage:
+    """``array_equal`` with the oracle where the loop's clamped border, its
+    unclamped interior and its source cell meet, with every option on at
+    once: a per-model ``dt``, a recording stride and wavefield snapshots."""
+
+    @staticmethod
+    def _assert_bit_equal(shape, order, sources, receivers, width=1):
+        nz, nx = shape
+        rng = np.random.default_rng(nz * 100 + nx + order)
+        velocities = rng.uniform(1500.0, 3500.0, size=(2, nz, nx))
+        steps = np.array([stable_time_step(float(v.max()), dx=10.0,
+                                           spatial_order=order)
+                          for v in velocities])
+        config = SimulationConfig(dx=10.0, dz=10.0, dt=float(steps[0]),
+                                  n_steps=41, spatial_order=order,
+                                  boundary=SpongeBoundary(width=width),
+                                  record_every=3)
+        wavelets = rng.standard_normal((2, len(sources), 30))
+        gather, snaps = BatchedAcousticSimulator2D(
+            velocities, config, dt=steps).simulate_shots(
+                sources, wavelets, receivers, record_wavefield=True,
+                wavefield_stride=4)
+        ref_gather, ref_snaps = _oracle_stack(velocities, config, steps,
+                                              sources, wavelets, receivers, 4)
+        assert gather.shape == (2, len(sources), 14, len(receivers))
+        assert np.abs(ref_gather).max() > 0
+        np.testing.assert_array_equal(gather, ref_gather)
+        assert len(snaps) == len(ref_snaps) == 11
+        for snap, ref in zip(snaps, ref_snaps):
+            np.testing.assert_array_equal(snap, ref)
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_corner_and_edge_sources_and_receivers(self, order):
+        nz, nx = 19, 23
+        corners = [(0, 0), (0, nx - 1), (nz - 1, 0), (nz - 1, nx - 1)]
+        edges = [(0, nx // 2), (nz // 2, 0), (nz - 1, 7), (5, nx - 1),
+                 (1, 1), (nz - 2, nx - 3)]
+        self._assert_bit_equal((nz, nx), order, corners + edges,
+                               edges + corners + [(nz // 2, nx // 2)],
+                               width=3)
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    @pytest.mark.parametrize("shape", [(5, 40), (40, 5), (3, 3), (7, 9)],
+                             ids=["5x40", "40x5", "3x3", "7x9"])
+    def test_grids_narrower_than_the_stencil(self, shape, order):
+        """At order 8 every one of these grids has an axis shorter than the
+        nine-tap stencil, so some rows or columns have no interior."""
+        nz, nx = shape
+        sources = [(0, 0), (nz - 1, nx - 1), (nz // 2, nx // 2)]
+        receivers = [(0, nx - 1), (nz - 1, 0), (nz // 2, nx // 2)]
+        self._assert_bit_equal(shape, order, sources, receivers)
+
+
+class TestOracleFallback:
+    """Without a C compiler the propagator warns once, counts the fallback
+    and runs the oracle, which gives the same bits."""
+
+    def test_missing_compiler_runs_the_oracle(self, monkeypatch):
+        velocities, steps = _distinct_peak_stack()
+        config = _config(n_steps=30)
+        wavelets = np.stack([ricker_wavelet(30, step, 12.0)
+                             for step in steps])[:, None].repeat(3, axis=1)
+
+        def run():
+            return BatchedAcousticSimulator2D(
+                velocities, config, dt=steps).simulate_shots(
+                    SOURCES, wavelets, RECEIVERS, record_wavefield=True,
+                    wavefield_stride=7)
+
+        assert kernels.resolve_kernel()[0].name == "c"
+        compiled_gather, compiled_snaps = run()
+        monkeypatch.setattr(kernels, "_COMPILER", "qugeo-no-such-cc")
+        monkeypatch.setattr(kernels, "_loaded", {})
+        with capture("summary") as telemetry:
+            with pytest.warns(RuntimeWarning, match="qugeo-no-such-cc"):
+                gather, snaps = run()
+            run()
+            counters = telemetry.snapshot()["counters"]
+        assert counters["propagator.fallback"] == 2
+        kernel, reason = kernels.resolve_kernel()
+        assert kernel.name == "python" and "qugeo-no-such-cc" in reason
+        np.testing.assert_array_equal(gather, compiled_gather)
+        assert len(snaps) == len(compiled_snaps) == 5
+        for snap, ref in zip(snaps, compiled_snaps):
+            np.testing.assert_array_equal(snap, ref)
+
+
+class TestInputBoundary:
+    """Non-finite inputs fail before any engine runs."""
+
+    @pytest.mark.parametrize("name", ["dx", "dz", "dt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_config_rejects_non_finite_spacing_and_step(self, name, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SimulationConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_wavelet(self, bad):
+        config = _config(n_steps=20)
+        wavelet = ricker_wavelet(20, config.dt, 12.0)
+        wavelet[5] = bad
+        velocity = _layered_velocity(3)
+        for engine in (BatchedAcousticSimulator2D(velocity, config),
+                       BatchedAcousticSimulator2D(velocity[None], config),
+                       AcousticSimulator2D(velocity, config)):
+            with pytest.raises(ValueError, match="source_wavelet"):
+                engine.simulate_shots(SOURCES, wavelet, RECEIVERS)
+        with pytest.raises(ValueError, match="source_wavelet"):
+            AcousticSimulator2D(velocity, config).simulate_shot(
+                SOURCES[0], wavelet, RECEIVERS)
+
+    def test_loop_refuses_malformed_arrays(self):
+        entry = kernels.load_kernel()
+        nz, nx = 6, 7
+
+        def args(**override):
+            arrays = dict(
+                fields=np.zeros((2, 3, nz, nx)), c2dt2=np.ones((1, nz, nx)),
+                mask=np.ones((nz, nx)), cz=np.ones(5), cx=np.ones(5),
+                src=np.zeros(2, dtype=np.int64), amps=np.zeros((2, 4)),
+                rec=np.arange(3, dtype=np.int64), gather=np.empty((2, 4, 3)),
+                snaps=np.empty((0, 2, nz, nx)))
+            arrays.update(override)
+            return list(arrays.values())
+
+        kernels.leapfrog(entry, *args(), 1, 0)
+        for bad in (dict(src=np.array([0, nz * nx], dtype=np.int64)),
+                    dict(rec=np.array([-1], dtype=np.int64)),
+                    dict(gather=np.empty((2, 3, 3))),
+                    dict(c2dt2=np.ones((3, nz, nx))),
+                    dict(cz=np.ones(7), cx=np.ones(7)),
+                    dict(mask=np.ones((nz, nx + 1)))):
+            with pytest.raises(ValueError, match="inconsistent"):
+                kernels.leapfrog(entry, *args(**bad), 1, 0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            kernels.leapfrog(entry, *args(), 0, 0)
+        for bad in (dict(fields=np.zeros((2, 3, nz, nx), dtype=np.float32)),
+                    dict(mask=np.ones((nx, nz)).T),
+                    dict(src=np.zeros(2, dtype=np.int32))):
+            with pytest.raises(ctypes.ArgumentError):
+                kernels.leapfrog(entry, *args(**bad), 1, 0)

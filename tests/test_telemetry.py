@@ -317,15 +317,18 @@ class TestInstrumentation:
         assert any(path.endswith("gradients.forward") for path in paths)
         assert any(path.endswith("gradients.backward") for path in paths)
 
-    def test_propagator_records_per_phase_timers(self):
+    def test_propagator_records_one_loop_timer(self):
         from repro.seismic.forward_modeling import forward_model_shot_gather
 
         velocity = np.full((24, 24), 2000.0)
         with capture("summary") as telemetry:
             forward_model_shot_gather(velocity, n_sources=2, n_steps=48)
             snapshot = telemetry.snapshot()
-        for phase in ("laplacian", "update", "inject", "boundary", "record"):
-            assert snapshot["timers"][f"propagator.{phase}"]["count"] == 48
+        # One fused loop: a single timer counting its steps, no phases.
+        assert snapshot["timers"]["propagator.loop"]["count"] == 48
+        assert not [name for name in snapshot["timers"]
+                    if name.startswith("propagator.")
+                    and name != "propagator.loop"]
         assert snapshot["counters"]["propagator.steps"] == 48
         assert snapshot["counters"]["propagator.wavefields"] == 2
         assert snapshot["gauges"]["propagator.steps_per_sec"] > 0
