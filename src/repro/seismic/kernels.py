@@ -5,10 +5,14 @@
 bit-identical to the oracle :class:`~repro.seismic.acoustic2d.AcousticSimulator2D`.
 The first propagator call compiles it with the system ``cc`` and loads it
 with :mod:`ctypes`; importing this module does neither.  The library is
-cached under ``~/.cache/qugeo`` (else a per-user temp directory), named by a
-sha256 of the source, the flags and ``cc --version``, and published with
+cached under ``~/.cache/qugeo``, named by a sha256 of the source, the flags
+and ``cc --version``, and published with
 :func:`~repro.utils.serialization.atomic_replace`, so concurrent processes
-never load a partial file.  If the compile or the load fails, one
+never load a partial file.  A library is loaded from there only if the
+directory and the file are the current user's and nobody else can write
+them; otherwise, or if that directory is unusable, the process builds into
+a private temporary directory that it removes after loading.  If the
+compile or the load fails, one
 :class:`RuntimeWarning` names the cause and the propagator runs the oracle,
 which gives the same bits several times slower.
 """
@@ -33,11 +37,10 @@ from repro.utils.serialization import atomic_replace
 
 _SOURCE = Path(__file__).with_name("leapfrog.c")
 _COMPILER = "cc"
-#: Portable flags (the bits do not depend on them, so neither does the
-#: cache key).  ``-ffp-contract=off`` rounds every multiply and add
-#: separately, as numpy does in the oracle.
-_FLAGS = ("-O3", "-funroll-loops", "-ffp-contract=off", "-std=c99",
-          "-fPIC", "-shared")
+#: Portable flags (no ``-march``: the bits do not depend on it, and the
+#: cache key then names no host).  ``-ffp-contract=off`` rounds every
+#: multiply and add separately, as numpy does in the oracle.
+_FLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 
 # ctypes refuses an array of the wrong dtype or rank, or a strided one.
 _F64 = [np.ctypeslib.ndpointer(np.float64, ndim=n, flags="C_CONTIGUOUS")
@@ -51,20 +54,31 @@ _loaded: dict = {}
 _load_lock = threading.Lock()
 
 
-def _build(library: Path, uid: int) -> None:
-    """Compile ``leapfrog.c`` and publish it at ``library``."""
-    with tempfile.TemporaryDirectory(prefix="qugeo-build-") as scratch:
-        built = Path(scratch) / library.name
-        result = subprocess.run(
-            [_COMPILER, *_FLAGS, "-o", str(built), str(_SOURCE)],
-            capture_output=True, text=True)
-        if result.returncode != 0:
-            raise OSError(f"{_COMPILER} exited {result.returncode}: "
-                          f"{result.stderr.strip()[:500]}")
-        library.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        if library.parent.stat().st_uid != uid:
-            raise OSError(f"{library.parent} belongs to another user")
-        atomic_replace(library, lambda handle: handle.write(built.read_bytes()))
+def _private(path: Path) -> bool:
+    """Whether ``path`` is the current user's and nobody else can write it."""
+    info = path.stat()
+    # Without getuid (not POSIX) nothing counts as private.
+    return (info.st_uid == getattr(os, "getuid", lambda: -1)()
+            and not info.st_mode & 0o022)
+
+
+def _open(library: Path):
+    """The entry point of ``library``, compiled first unless it is private."""
+    if not (library.is_file() and _private(library)):
+        with get_telemetry().span("propagator.compile"), \
+                tempfile.TemporaryDirectory(prefix="qugeo-build-") as scratch:
+            built = Path(scratch) / library.name
+            result = subprocess.run(
+                [_COMPILER, *_FLAGS, "-o", str(built), str(_SOURCE)],
+                capture_output=True, text=True)
+            if result.returncode != 0:
+                raise OSError(f"{_COMPILER} exited {result.returncode}: "
+                              f"{result.stderr.strip()[:500]}")
+            atomic_replace(library,
+                           lambda handle: handle.write(built.read_bytes()))
+    entry = ctypes.CDLL(str(library)).qugeo_leapfrog
+    entry.argtypes, entry.restype = _ARGTYPES, ctypes.c_int
+    return entry
 
 
 def _load():
@@ -75,23 +89,17 @@ def _load():
                                  capture_output=True).stdout)
     name = f"leapfrog-{digest.hexdigest()[:16]}.so"
     home = os.path.expanduser("~")
-    uid = getattr(os, "getuid", lambda: 0)()
-    directories = ([Path(home) / ".cache" / "qugeo"] if home != "~" else []) \
-        + [Path(tempfile.gettempdir()) / f"qugeo-{uid}"]
-    errors = []
-    for directory in directories:
-        library = directory / name
-        try:
-            if not library.is_file():
-                with get_telemetry().span("propagator.compile"):
-                    _build(library, uid)
-            entry = ctypes.CDLL(str(library)).qugeo_leapfrog
-        except OSError as exc:
-            errors.append(f"{directory}: {exc}")
-            continue
-        entry.argtypes, entry.restype = _ARGTYPES, ctypes.c_int
-        return entry
-    raise OSError("; ".join(errors))
+    cache = Path(home) / ".cache" / "qugeo"
+    try:
+        if home != "~":  # "~" is left as is where no home is known
+            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+            if _private(cache):
+                return _open(cache / name)
+    except OSError:
+        pass  # an unusable cache, a bad cached file or a full disk
+    # Build privately.  The library stays mapped after its directory goes.
+    with tempfile.TemporaryDirectory(prefix="qugeo-leapfrog-") as private:
+        return _open(Path(private) / name)
 
 
 def load_kernel():

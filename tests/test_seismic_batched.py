@@ -14,6 +14,8 @@ removes the compiler to check that path.
 
 import ctypes
 import dataclasses
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -37,6 +39,11 @@ from repro.seismic import kernels
 from repro.seismic.acoustic2d import _LAPLACIAN_COEFFS
 from repro.seismic.propagators import default_propagator_name
 from repro.telemetry import capture
+
+#: The tests that exercise the compiled loop itself; a host without a C
+#: compiler runs the oracle fallback, which ``TestOracleFallback`` covers.
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler on this host")
 
 
 def _layered_velocity(seed, shape=(24, 24)):
@@ -623,6 +630,7 @@ class TestOracleFallback:
     """Without a C compiler the propagator warns once, counts the fallback
     and runs the oracle, which gives the same bits."""
 
+    @needs_cc
     def test_missing_compiler_runs_the_oracle(self, monkeypatch):
         velocities, steps = _distinct_peak_stack()
         config = _config(n_steps=30)
@@ -653,6 +661,79 @@ class TestOracleFallback:
             np.testing.assert_array_equal(snap, ref)
 
 
+@needs_cc
+class TestCompileCache:
+    """The library is cached under ``~/.cache/qugeo`` and loaded from there
+    only if the directory and the file are the user's alone."""
+
+    @staticmethod
+    def _load(monkeypatch, home):
+        """Load the loop afresh with ``home`` as ``~``; the loaded paths."""
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setattr(kernels, "_loaded", {})
+        opened = []
+        real_cdll = ctypes.CDLL
+
+        def cdll(path, *args, **kwargs):
+            opened.append(path)
+            return real_cdll(path, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        with capture("summary") as telemetry:
+            entry = kernels.load_kernel()
+            spans = telemetry.snapshot()["spans"]
+        monkeypatch.setattr(ctypes, "CDLL", real_cdll)
+        assert entry is not None
+        return opened, any(path.endswith("propagator.compile")
+                           for path in spans)
+
+    def _cached_library(self, monkeypatch, home):
+        opened, compiled = self._load(monkeypatch, home)
+        cache = home / ".cache" / "qugeo"
+        (library,) = cache.glob("leapfrog-*.so")
+        assert compiled and opened == [str(library)]
+        assert cache.stat().st_mode & 0o077 == 0
+        return library
+
+    def test_second_load_hits_the_cache(self, monkeypatch, tmp_path):
+        library = self._cached_library(monkeypatch, tmp_path)
+        opened, compiled = self._load(monkeypatch, tmp_path)
+        assert not compiled and opened == [str(library)]
+
+    @pytest.mark.parametrize("plant", ["group_writable", "world_writable",
+                                       "foreign_owner"])
+    def test_planted_library_is_never_loaded(self, monkeypatch, tmp_path,
+                                             plant):
+        name = self._cached_library(monkeypatch, tmp_path / "own").name
+        cache = tmp_path / "planted" / ".cache" / "qugeo"
+        cache.mkdir(parents=True)
+        planted = cache / name
+        planted.write_bytes(b"not a library")
+        cache.chmod({"group_writable": 0o770,
+                     "world_writable": 0o777}.get(plant, 0o700))
+        if plant == "foreign_owner":
+            uid = os.getuid() + 1
+            monkeypatch.setattr(os, "getuid", lambda: uid)
+        opened, compiled = self._load(monkeypatch, tmp_path / "planted")
+        assert compiled and len(opened) == 1 and opened[0] != str(planted)
+        assert planted.read_bytes() == b"not a library"
+
+    def test_writable_cached_file_is_rebuilt(self, monkeypatch, tmp_path):
+        library = self._cached_library(monkeypatch, tmp_path)
+        library.unlink()  # this process has it mapped: never write it in place
+        library.write_bytes(b"not a library")
+        library.chmod(0o666)
+        opened, compiled = self._load(monkeypatch, tmp_path)
+        assert compiled and opened == [str(library)]
+        assert library.read_bytes() != b"not a library"
+
+    def test_unusable_cache_builds_privately(self, monkeypatch, tmp_path):
+        (tmp_path / ".cache").write_text("a file where a directory goes")
+        opened, compiled = self._load(monkeypatch, tmp_path)
+        assert compiled and len(opened) == 1
+        assert not os.path.exists(opened[0])
+
+
 class TestInputBoundary:
     """Non-finite inputs fail before any engine runs."""
 
@@ -677,6 +758,7 @@ class TestInputBoundary:
             AcousticSimulator2D(velocity, config).simulate_shot(
                 SOURCES[0], wavelet, RECEIVERS)
 
+    @needs_cc
     def test_loop_refuses_malformed_arrays(self):
         entry = kernels.load_kernel()
         nz, nx = 6, 7

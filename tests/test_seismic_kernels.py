@@ -11,6 +11,7 @@ the grids are tiny.
 from __future__ import annotations
 
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -143,6 +144,8 @@ def reference_gather(velocity, config, sources, receivers, wavelet):
 class TestKernelRegistry:
     """``resolve_kernel`` names the loop that runs, for the benchmark record."""
 
+    @pytest.mark.skipif(shutil.which("cc") is None,
+                        reason="no C compiler on this host")
     def test_default_resolves_c(self):
         kernel, fallback = resolve_kernel(None)
         assert kernel.name == "c"
