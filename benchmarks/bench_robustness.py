@@ -35,7 +35,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from common import add_json_argument, write_json  # noqa: E402
 
-from repro.core import DSampleScaler, QuantumTrainer, QuGeoVQC  # noqa: E402
+from repro.core import DSampleScaler, QuGeoVQC, Trainer  # noqa: E402
 from repro.core.config import QuGeoVQCConfig, TrainingConfig  # noqa: E402
 from repro.core.experiment import data_config  # noqa: E402
 from repro.core.training import ArrayDataSource  # noqa: E402
@@ -83,9 +83,9 @@ def train_model(train_source, test_source, quick: bool) -> QuGeoVQC:
                             n_blocks=4 if quick else 12, decoder="layer",
                             output_shape=(8, 8))
     model = QuGeoVQC(config, rng=1)
-    trainer = QuantumTrainer(TrainingConfig(epochs=4 if quick else 30,
-                                            learning_rate=0.1, batch_size=5,
-                                            eval_every=100, seed=SEED))
+    trainer = Trainer(TrainingConfig(epochs=4 if quick else 30,
+                                     learning_rate=0.1, batch_size=5,
+                                     eval_every=100, seed=SEED))
     trainer.train(model, train_source, None)
     return model
 

@@ -30,7 +30,11 @@ from repro.data import OpenFWIConfig, open_or_build
 
 
 def main() -> None:
-    cache_dir = Path(tempfile.mkdtemp(prefix="qugeo-store-"))
+    with tempfile.TemporaryDirectory(prefix="qugeo-store-") as cache_dir:
+        run(Path(cache_dir))
+
+
+def run(cache_dir: Path) -> None:
     config = OpenFWIConfig(n_samples=12, velocity_shape=(24, 24),
                            n_sources=2, n_receivers=24, n_time_steps=120,
                            dx=700.0 / 24, boundary_width=6, chunk_size=3)
@@ -60,8 +64,9 @@ def main() -> None:
           f"velocity {velocity.shape}; "
           f"fingerprint keys: {sorted(loader.fingerprint())}")
 
-    print("Done.  Pass cache_dir= (the figure/table benchmarks read "
-          "QUGEO_CACHE_DIR) to reuse one store across runs.")
+    print("Done; the temporary store is removed on exit.  Pass cache_dir= "
+          "(the figure/table benchmarks read QUGEO_CACHE_DIR) to reuse one "
+          "store across runs.")
 
 
 if __name__ == "__main__":

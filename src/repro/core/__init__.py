@@ -8,12 +8,14 @@
 * :mod:`repro.core.qubatch` — QuBatch batched forward/backward passes,
 * :mod:`repro.core.classical_models` — parameter-matched CNN baselines
   (CNN-PX / CNN-LY) and the Q-D-CNN compressor,
-* :mod:`repro.core.training` — the unified callback-driven training engine
-  (one :class:`Trainer`, pluggable step strategies, checkpoint/resume),
-* :mod:`repro.core.experiment` — the one experiment harness behind the
-  paper's figures and tables: scale tiers, cached dataset splits, scalers
-  and trained models, plus the Figure 7/9 profile analysis,
+* :mod:`repro.core.training` — the training engine: one :class:`Trainer`
+  loop for every model family, with callbacks and checkpoint/resume,
 * :mod:`repro.core.framework` — the end-to-end :class:`QuGeo` pipeline.
+
+The experiment harness behind the paper's figures and tables (scale tiers,
+cached dataset splits, scalers, trained models and ``evaluate_model``) is
+:mod:`repro.core.experiment`; it is imported on its own, not by this
+package.
 """
 
 from repro.core.config import (
@@ -38,16 +40,10 @@ from repro.core.classical_models import (
 )
 from repro.core.training import (
     ArrayDataSource,
-    BestModelTracker,
     Callback,
     Checkpoint,
-    ClassicalTrainer,
     DataSource,
-    EarlyStopping,
-    EvalCallback,
     Model,
-    QuantumTrainer,
-    StepStrategy,
     TelemetryCallback,
     Trainer,
     TrainingResult,
@@ -56,19 +52,14 @@ from repro.core.training import (
     select_step_strategy,
 )
 from repro.core.framework import QuGeo
-from repro.core.experiment import evaluate_model
 
 __all__ = [
     "Trainer",
     "Model",
     "DataSource",
-    "StepStrategy",
     "select_step_strategy",
     "predict_in_batches",
     "Callback",
-    "EvalCallback",
-    "EarlyStopping",
-    "BestModelTracker",
     "Checkpoint",
     "TelemetryCallback",
     "QuGeoDataConfig",
@@ -85,11 +76,8 @@ __all__ = [
     "build_cnn_ly",
     "CompressionCNN",
     "ClassicalFWIModel",
-    "QuantumTrainer",
-    "ClassicalTrainer",
     "TrainingResult",
     "QuGeo",
-    "evaluate_model",
     "ArrayDataSource",
     "evaluate_data_source",
 ]

@@ -44,14 +44,7 @@ from repro.core.classical_models import ClassicalFWIModel, build_cnn_ly, build_c
 from repro.core.config import QuGeoDataConfig, QuGeoVQCConfig, TrainingConfig
 from repro.core.data_scaling import CNNScaler, DSampleScaler, ForwardModelingScaler
 from repro.core.qubatch import QuBatchVQC
-from repro.core.training import (
-    ClassicalTrainer,
-    QuantumTrainer,
-    TrainingResult,
-    evaluate_data_source,
-    evaluate_predictions,
-    predict_in_batches,
-)
+from repro.core.training import Trainer, TrainingResult, evaluate_data_source
 from repro.core.vqc_model import QuGeoVQC
 from repro.data.dataset import FWIDataset, train_test_split
 from repro.data.openfwi import build_flatvel_dataset
@@ -188,7 +181,7 @@ def trained_quantum_model(decoder: str, method: str,
         model: Union[QuGeoVQC, QuBatchVQC] = QuBatchVQC(config, rng=1)
     else:
         model = QuGeoVQC(config, rng=1)
-    return QuantumTrainer(training_config()).train(model, train, test)
+    return Trainer(training_config()).train(model, train, test)
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +191,7 @@ def trained_classical_model(decoder: str, method: str) -> TrainingResult:
     input_size = data_config().scaled_seismic_size
     build = build_cnn_px if decoder == "pixel" else build_cnn_ly
     model = build(input_size, (8, 8), rng=1)
-    return ClassicalTrainer(classical_training_config()).train(model, train, test)
+    return Trainer(classical_training_config()).train(model, train, test)
 
 
 # --------------------------------------------------------------------------- #
@@ -207,24 +200,18 @@ def trained_classical_model(decoder: str, method: str) -> TrainingResult:
 def evaluate_model(model: Union[QuGeoVQC, QuBatchVQC, ClassicalFWIModel],
                    dataset: FWIDataset,
                    batch_size: Optional[int] = 256) -> Dict[str, float]:
-    """SSIM / MSE of ``model`` on a scaled dataset.
+    """SSIM / MSE of ``model`` on a scaled dataset or a data source.
 
-    Every model family satisfies the Model protocol's ``predict_batch``, so
-    the evaluation is one chunked pass regardless of the family.  The
-    default ``batch_size`` matches ``TrainingConfig.eval_batch_size`` so
-    peak memory stays bounded on large datasets; ``None`` evaluates in a
-    single pass.  A streaming source (``gather`` protocol, e.g. a
-    :class:`repro.data.store.ShardLoader`) is evaluated without stacking
-    its seismic data — one gather pass through :func:`evaluate_data_source`.
+    One chunked :func:`~repro.core.training.evaluate_data_source` pass, the
+    same evaluation the trainer runs.  The default ``batch_size`` matches
+    ``TrainingConfig.eval_batch_size`` so peak memory stays bounded on large
+    datasets; ``None`` evaluates in a single pass.  A streaming source
+    (``gather`` protocol, e.g. a :class:`repro.data.store.ShardLoader`) is
+    evaluated without stacking its seismic data.
     """
-    if hasattr(dataset, "gather"):
-        metrics = evaluate_data_source(model, dataset, split="eval",
-                                       batch_size=batch_size)
-        return {"ssim": metrics["eval_ssim"], "mse": metrics["eval_mse"]}
-    seismic = np.stack([sample.seismic.reshape(-1) for sample in dataset])
-    velocity = np.stack([sample.velocity for sample in dataset])
-    predictions = predict_in_batches(model, seismic, batch_size=batch_size)
-    return evaluate_predictions(predictions, velocity)
+    metrics = evaluate_data_source(model, dataset, split="eval",
+                                   batch_size=batch_size)
+    return {"ssim": metrics["eval_ssim"], "mse": metrics["eval_mse"]}
 
 
 def vertical_profile(velocity_map: np.ndarray, column: Optional[int] = None) -> np.ndarray:

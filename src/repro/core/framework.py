@@ -123,8 +123,9 @@ class QuGeo:
             Extra full-resolution samples used to train the Q-D-CNN
             compressor when ``scaling_method='cnn'``.
         callbacks:
-            Extra training callbacks (checkpointing, early stopping, ...)
-            passed through to the :class:`~repro.core.training.Trainer`.
+            Extra training callbacks (a :class:`~repro.core.training.Checkpoint`,
+            a timer, ...) passed through to the
+            :class:`~repro.core.training.Trainer`.
         resume_from:
             Checkpoint path to resume the model training from (see
             :class:`~repro.core.training.Checkpoint`).

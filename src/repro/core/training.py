@@ -1,32 +1,28 @@
-"""The unified training engine.
+"""The training engine.
 
-One :class:`Trainer` drives every model family in the stack.  The engine owns
-the generic machinery — epoch loop, mini-batch shuffling, Adam + cosine
-annealing, metric logging, checkpointing — while everything model-specific
-lives in a pluggable :class:`StepStrategy` (how one mini-batch turns into
-accumulated gradients) selected by :func:`select_step_strategy`:
+One :class:`Trainer` trains every model family in the stack with the paper's
+recipe: mini-batch Adam at a configurable initial learning rate (0.1 in the
+paper) with cosine annealing over the epoch budget.  The engine owns the
+epoch loop, the mini-batch shuffle, the optimiser and scheduler, metric
+logging, test-set evaluation on the ``TrainingConfig.eval_every`` cadence
+and checkpoint resume.  The model kind alone decides how one mini-batch
+becomes accumulated gradients (:func:`select_step_strategy`):
 
-* :class:`QuantumBatchedAdjointStep` — :class:`~repro.core.vqc_model.QuGeoVQC`
-  on either engine: one reversible forward/backward sweep per mini-batch.
-* :class:`QuBatchStep` — :class:`~repro.core.qubatch.QuBatchVQC`, whose
-  mini-batch size is the circuit's own batch capacity.
-* :class:`ClassicalAutogradStep` — :class:`~repro.core.classical_models.ClassicalFWIModel`
+* ``quantum-batched-adjoint`` — :class:`~repro.core.vqc_model.QuGeoVQC` on
+  either engine: one reversible forward/backward sweep per mini-batch;
+* ``qubatch`` — :class:`~repro.core.qubatch.QuBatchVQC`, whose mini-batch
+  size is the circuit's own batch capacity;
+* ``classical-autograd`` — :class:`~repro.core.classical_models.ClassicalFWIModel`
   through the reverse-mode autograd of :mod:`repro.nn`.
 
 Models plug in through the :class:`Model` protocol (``parameter_tensors`` /
-``predict_batch`` / ``state_dict`` / ``load_state_dict``), and side concerns
-ride along as :class:`Callback` objects: test-set evaluation cadence
-(:class:`EvalCallback`), :class:`EarlyStopping`, :class:`BestModelTracker`
-and periodic :class:`Checkpoint` saves.  A checkpoint captures the full
-training state — model arrays, optimiser moments, scheduler position, the
-shuffle generator's bit-generator state and the metric history — so a run
-resumed with ``Trainer.train(..., resume_from=path)`` reproduces the
-uninterrupted run's trajectory exactly.
-
-The paper's recipe is unchanged: Adam with a configurable initial learning
-rate (0.1 in the paper), cosine annealing over the epoch budget and
-mini-batch updates.  :class:`QuantumTrainer` and :class:`ClassicalTrainer`
-remain as backwards-compatible aliases of the one engine.
+``predict_batch`` / ``state_dict`` / ``load_state_dict``) and datasets
+through the :class:`DataSource` protocol.  :class:`Callback` hooks see the
+epoch loop; :class:`Checkpoint` saves the full training state — model
+arrays, optimiser moments, scheduler position, the shuffle generator's
+bit-generator state and the metric history — so a run resumed with
+``Trainer.train(..., resume_from=path)`` reproduces the uninterrupted run's
+trajectory exactly.
 """
 
 from __future__ import annotations
@@ -36,10 +32,13 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import (
+    Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -53,7 +52,6 @@ import numpy as np
 from repro.core.classical_models import ClassicalFWIModel
 from repro.core.config import TrainingConfig
 from repro.core.qubatch import QuBatchVQC
-from repro.core.vqc_model import QuGeoVQC
 from repro.data.dataset import FWIDataset
 from repro.metrics import mse, ssim
 from repro.nn import Adam, CosineAnnealingLR, MSELoss, Tensor
@@ -223,21 +221,6 @@ def _as_data_source(dataset) -> Optional[DataSource]:
     return ArrayDataSource(*_dataset_arrays(dataset))
 
 
-def _dataset_fingerprint(source: Optional[DataSource]
-                         ) -> Optional[Dict[str, object]]:
-    """Cheap identity of a dataset source.
-
-    Shapes, content sums, and a position-weighted digest — the latter makes
-    the fingerprint order-sensitive, so the same samples in a different
-    order (which changes what the restored shuffle state selects) are
-    detected too.  Delegated to the source, so a streaming ShardLoader
-    computes it from its manifest without touching the shards.
-    """
-    if source is None:
-        return None
-    return source.fingerprint()
-
-
 def evaluate_predictions(predictions: np.ndarray,
                          targets: np.ndarray) -> Dict[str, float]:
     """Average SSIM and MSE of a batch of predicted velocity maps."""
@@ -291,8 +274,10 @@ def evaluate_data_source(model: Model, source, split: str = "test",
     """Split-prefixed SSIM / MSE of ``model`` over a data source.
 
     Seismic data streams through ``source.gather`` in ``batch_size`` chunks;
-    only the (small) velocity maps and predictions are held in full.
+    only the (small) velocity maps and predictions are held in full.  A
+    dataset without ``gather`` is stacked into an :class:`ArrayDataSource`.
     """
+    source = _as_data_source(source)
     n_samples = len(source)
     if n_samples == 0:
         raise ValueError("empty evaluation set")
@@ -311,88 +296,54 @@ def evaluate_data_source(model: Model, source, split: str = "test",
 
 
 # --------------------------------------------------------------------------- #
-# step strategies
+# the gradient step of each model kind
 # --------------------------------------------------------------------------- #
-class StepStrategy:
-    """How one mini-batch becomes accumulated gradients.
+class TrainStep(NamedTuple):
+    """How one model kind turns a mini-batch into accumulated gradients.
 
     The trainer calls ``optimizer.zero_grad()`` before and
-    ``optimizer.step()`` after :meth:`step`, so a strategy only accumulates
-    gradients into the model's parameter tensors and returns the mini-batch
-    loss.
+    ``optimizer.step()`` after ``accumulate(seismic, velocity)``, which adds
+    the mini-batch gradients into the model's parameter tensors and returns
+    the mini-batch loss.
     """
 
-    name = "base"
-
-    def batch_size(self, model: Model, config: TrainingConfig) -> int:
-        """Mini-batch size this strategy trains with."""
-        return config.batch_size
-
-    def step(self, model: Model, seismic: np.ndarray,
-             velocity: np.ndarray) -> float:
-        """Accumulate gradients of one mini-batch; return its mean loss."""
-        raise NotImplementedError
+    name: str
+    accumulate: Callable[[np.ndarray, np.ndarray], float]
+    #: Mini-batch size; ``None`` trains at ``TrainingConfig.batch_size``.
+    batch_size: Optional[int] = None
 
 
-class QuantumBatchedAdjointStep(StepStrategy):
-    """One stacked forward/backward sweep per mini-batch (QuGeoVQC)."""
-
-    name = "quantum-batched-adjoint"
-
-    def step(self, model: QuGeoVQC, seismic: np.ndarray,
-             velocity: np.ndarray) -> float:
-        return model.accumulate_gradients_batch(seismic, velocity)
+_MSE = MSELoss()
 
 
-class QuBatchStep(StepStrategy):
-    """QuBatch SIMD execution: the circuit itself carries the mini-batch."""
-
-    name = "qubatch"
-
-    def batch_size(self, model: QuBatchVQC, config: TrainingConfig) -> int:
-        return model.batch_capacity
-
-    def step(self, model: QuBatchVQC, seismic: np.ndarray,
-             velocity: np.ndarray) -> float:
-        return model.accumulate_gradients(seismic, velocity)
-
-
-class ClassicalAutogradStep(StepStrategy):
+def _autograd_step(model: ClassicalFWIModel, seismic: np.ndarray,
+                   velocity: np.ndarray) -> float:
     """Reverse-mode autograd through the :mod:`repro.nn` graph."""
-
-    name = "classical-autograd"
-
-    def __init__(self) -> None:
-        self._loss_fn = MSELoss()
-
-    def step(self, model: ClassicalFWIModel, seismic: np.ndarray,
-             velocity: np.ndarray) -> float:
-        output = model.forward(seismic)
-        if model.decoder == "pixel":
-            prediction = output.reshape(*velocity.shape)
-        else:
-            prediction = model.expand_prediction(output)
-        loss = self._loss_fn(prediction, velocity)
-        loss.backward()
-        return loss.item()
+    output = model.forward(seismic)
+    if model.decoder == "pixel":
+        prediction = output.reshape(*velocity.shape)
+    else:
+        prediction = model.expand_prediction(output)
+    loss = _MSE(prediction, velocity)
+    loss.backward()
+    return loss.item()
 
 
-def select_step_strategy(model: Model) -> StepStrategy:
-    """Pick the step strategy matching ``model``.
-
-    Custom model classes must either match one of the known families or be
-    trained with an explicit ``Trainer(config, strategy=...)``.
-    """
+def select_step_strategy(model: Model) -> TrainStep:
+    """The gradient step of ``model``'s kind, bound to ``model``."""
     if isinstance(model, QuBatchVQC):
-        return QuBatchStep()
+        # QuBatch SIMD execution: the circuit itself carries the mini-batch.
+        return TrainStep("qubatch", model.accumulate_gradients,
+                         model.batch_capacity)
     if isinstance(model, ClassicalFWIModel):
-        return ClassicalAutogradStep()
+        return TrainStep("classical-autograd", partial(_autograd_step, model))
     if hasattr(model, "accumulate_gradients_batch"):
-        return QuantumBatchedAdjointStep()
+        # One stacked forward/backward sweep per mini-batch (QuGeoVQC).
+        return TrainStep("quantum-batched-adjoint",
+                         model.accumulate_gradients_batch)
     raise TypeError(
         f"no step strategy for {type(model).__name__}: the model matches no "
-        "known family and has no accumulate_gradients_batch method — pass an "
-        "explicit strategy to Trainer(config, strategy=...)")
+        "known family and has no accumulate_gradients_batch method")
 
 
 # --------------------------------------------------------------------------- #
@@ -405,7 +356,6 @@ class TrainerState:
     trainer: "Trainer"
     config: TrainingConfig
     model: Model
-    strategy: StepStrategy
     optimizer: Adam
     scheduler: CosineAnnealingLR
     rng: np.random.Generator
@@ -413,7 +363,6 @@ class TrainerState:
     #: Data sources (``ArrayDataSource`` or a streaming ShardLoader).
     train_source: object = None
     test_source: Optional[object] = None
-    callbacks: List["Callback"] = field(default_factory=list)
     #: Dataset fingerprints, computed once per run (the arrays are immutable
     #: for the whole train() call) and embedded in every checkpoint.
     train_fingerprint: Optional[Dict[str, object]] = None
@@ -422,39 +371,23 @@ class TrainerState:
     metrics: Dict[str, float] = field(default_factory=dict)
     stop_training: bool = False
     stop_reason: str = ""
-    #: Set by callbacks that overwrite the model's weights (e.g. a best-model
-    #: restore) so cached evaluations of the old weights are not reused.
-    model_mutated: bool = False
 
 
 class Callback:
     """Hooks into the engine's epoch loop.
 
     ``on_train_begin`` runs once per :meth:`Trainer.train` call, before any
-    checkpoint is restored — stateful callbacks reset their per-run state
-    there, so one instance can be reused across runs.  ``on_epoch_end`` runs
-    after the epoch's updates but *before* the metrics are logged, so
-    callbacks can contribute metrics (this is how test-set evaluation is
-    wired in).  ``on_epoch_logged`` runs after logging, so callbacks that
-    persist or act on the recorded state (checkpoints, early stopping) see a
-    history that includes the current epoch.
-
-    Checkpoints include every callback's :meth:`state_dict` (matched back by
-    position and class name on resume), so resuming with the same callback
-    list continues stateful callbacks — patience counters, best-model
-    trackers, cached evaluations — exactly where they left off.
+    checkpoint is restored, so one instance can be reused across runs.
+    ``on_epoch_end`` runs after the epoch's updates and its test-set
+    evaluation but *before* the metrics are logged, so callbacks can
+    contribute metrics.  ``on_epoch_logged`` runs after logging, so
+    callbacks that persist or act on the recorded state (checkpoints, a
+    ``state.stop_training`` request) see a history that includes the
+    current epoch.  Callbacks run in the order they are listed.
     """
 
     def on_train_begin(self, state: TrainerState) -> None:
         pass
-
-    def on_resume(self, state: TrainerState) -> None:
-        """Called after this callback's state is restored from a checkpoint.
-
-        A callback whose restored state implies the run should not continue
-        (e.g. an already-fired early stop) re-asserts ``state.stop_training``
-        here; a checkpoint that merely interrupted a healthy run resumes.
-        """
 
     def on_epoch_end(self, state: TrainerState) -> None:
         pass
@@ -462,84 +395,14 @@ class Callback:
     def on_epoch_logged(self, state: TrainerState) -> None:
         pass
 
-    def on_train_end(self, state: TrainerState) -> None:
-        pass
-
-    def state_dict(self) -> Dict[str, object]:
-        """Per-run state worth checkpointing (stateless callbacks: empty)."""
-        return {}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore state produced by :meth:`state_dict`."""
-
-    @property
-    def checkpoint_key(self) -> Optional[str]:
-        """Identity used to pair saved state with callbacks on resume.
-
-        Callbacks of the same class are told apart by this key (e.g. the
-        monitored metric), so two ``EarlyStopping`` instances cannot claim
-        each other's patience counters when the caller reorders them.
-        """
-        return None
-
-
-class EvalCallback(Callback):
-    """Evaluate the test split on the configured cadence.
-
-    Metrics are written into ``state.metrics`` before logging.  The last
-    evaluation is cached as ``(epoch, metrics)`` so the trainer can reuse a
-    final-epoch evaluation for ``final_metrics`` instead of recomputing it.
-    """
-
-    def __init__(self, every: Optional[int] = None,
-                 batch_size: Optional[int] = None) -> None:
-        if every is not None and every < 1:
-            raise ValueError("every must be at least 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        self.every = every
-        self.batch_size = batch_size
-        self.last_eval: Optional[Tuple[int, Dict[str, float]]] = None
-
-    @property
-    def checkpoint_key(self) -> str:
-        return f"{self.every}|{self.batch_size}"
-
-    def on_train_begin(self, state: TrainerState) -> None:
-        self.last_eval = None
-
-    def state_dict(self) -> Dict[str, object]:
-        if self.last_eval is None:
-            return {}
-        return {"last_eval": self.last_eval}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        cached = state.get("last_eval")
-        self.last_eval = (int(cached[0]), dict(cached[1])) if cached else None
-
-    def should_evaluate(self, state: TrainerState) -> bool:
-        every = self.every if self.every is not None else state.config.eval_every
-        return ((state.epoch + 1) % every == 0
-                or state.epoch == state.config.epochs - 1)
-
-    def on_epoch_end(self, state: TrainerState) -> None:
-        if state.test_source is None or not self.should_evaluate(state):
-            return
-        batch_size = (self.batch_size if self.batch_size is not None
-                      else state.config.eval_batch_size)
-        metrics = evaluate_data_source(state.model, state.test_source,
-                                       batch_size=batch_size)
-        state.metrics.update(metrics)
-        self.last_eval = (state.epoch, dict(metrics))
-
 
 class TelemetryCallback(Callback):
     """Feed per-epoch timing from the telemetry registry into the metric log.
 
     Added automatically by :meth:`Trainer.train` whenever telemetry is
-    recording (``QUGEO_TELEMETRY=summary``/``trace``); appended after every
-    other callback so the span totals it differences already include the
-    current epoch's evaluation.  Contributed metrics:
+    recording (``QUGEO_TELEMETRY=summary``/``trace``), after every other
+    callback; the epoch's test-set evaluation runs before any callback, so
+    the span totals it differences already include it.  Contributed metrics:
 
     * ``epoch_seconds`` — wall time since the previous epoch's hook (the
       first epoch measures from ``on_train_begin``), so it includes the
@@ -547,9 +410,9 @@ class TelemetryCallback(Callback):
     * ``step_seconds`` / ``eval_seconds`` — per-epoch deltas of the matching
       telemetry span totals (summed over every path ending in that leaf).
 
-    Stateless as far as checkpoints are concerned (``state_dict`` is empty):
-    a resumed run simply restarts its deltas from the resume point, and runs
-    recorded with telemetry off resume cleanly with it on (and vice versa).
+    Checkpoints hold none of its state: a resumed run simply restarts its
+    deltas from the resume point, and runs recorded with telemetry off
+    resume cleanly with it on (and vice versa).
     """
 
     #: span leaf name -> metric key for the per-epoch delta.
@@ -588,144 +451,25 @@ class TelemetryCallback(Callback):
         telemetry.counter("trainer.epochs").inc()
 
 
-class EarlyStopping(Callback):
-    """Stop training when a monitored metric stops improving."""
-
-    def __init__(self, monitor: str = "train_loss", patience: int = 5,
-                 min_delta: float = 0.0, mode: str = "min") -> None:
-        if patience < 1:
-            raise ValueError("patience must be at least 1")
-        if mode not in ("min", "max"):
-            raise ValueError("mode must be 'min' or 'max'")
-        self.monitor = monitor
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
-        self.mode = mode
-        self.best: Optional[float] = None
-        self.wait = 0
-        self.stopped_epoch: Optional[int] = None
-
-    def on_train_begin(self, state: TrainerState) -> None:
-        self.best = None
-        self.wait = 0
-        self.stopped_epoch = None
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"best": self.best, "wait": self.wait,
-                "stopped_epoch": self.stopped_epoch}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self.best = state["best"]
-        self.wait = int(state["wait"])
-        self.stopped_epoch = state["stopped_epoch"]
-
-    def on_resume(self, state: TrainerState) -> None:
-        # A checkpoint written at the stopping epoch stays stopped: the run
-        # converged, it was not interrupted.
-        if self.stopped_epoch is not None:
-            state.stop_training = True
-            state.stop_reason = (f"early stopping fired at epoch "
-                                 f"{self.stopped_epoch} before the checkpoint")
-
-    @property
-    def checkpoint_key(self) -> str:
-        return f"{self.monitor}|{self.mode}|{self.patience}|{self.min_delta}"
-
-    def _improved(self, value: float) -> bool:
-        if self.best is None:
-            return True
-        if self.mode == "min":
-            return value < self.best - self.min_delta
-        return value > self.best + self.min_delta
-
-    def on_epoch_logged(self, state: TrainerState) -> None:
-        value = state.metrics.get(self.monitor)
-        if value is None:
-            return
-        if self._improved(float(value)):
-            self.best = float(value)
-            self.wait = 0
-            return
-        self.wait += 1
-        if self.wait >= self.patience:
-            self.stopped_epoch = state.epoch
-            state.stop_training = True
-            state.stop_reason = (f"early stopping: no {self.monitor} "
-                                 f"improvement in {self.patience} epochs")
-
-
-class BestModelTracker(Callback):
-    """Track (and optionally restore) the best model seen during training."""
-
-    def __init__(self, monitor: str = "train_loss", mode: str = "min",
-                 restore_best: bool = False) -> None:
-        if mode not in ("min", "max"):
-            raise ValueError("mode must be 'min' or 'max'")
-        self.monitor = monitor
-        self.mode = mode
-        self.restore_best = restore_best
-        self.best_value: Optional[float] = None
-        self.best_epoch: Optional[int] = None
-        self.best_state: Optional[Dict[str, np.ndarray]] = None
-
-    def on_train_begin(self, state: TrainerState) -> None:
-        self.best_value = None
-        self.best_epoch = None
-        self.best_state = None
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"best_value": self.best_value, "best_epoch": self.best_epoch,
-                "best_state": self.best_state}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self.best_value = state["best_value"]
-        self.best_epoch = state["best_epoch"]
-        self.best_state = state["best_state"]
-
-    @property
-    def checkpoint_key(self) -> str:
-        return f"{self.monitor}|{self.mode}"
-
-    def _improved(self, value: float) -> bool:
-        if self.best_value is None:
-            return True
-        return (value < self.best_value if self.mode == "min"
-                else value > self.best_value)
-
-    def on_epoch_logged(self, state: TrainerState) -> None:
-        value = state.metrics.get(self.monitor)
-        if value is None or not self._improved(float(value)):
-            return
-        self.best_value = float(value)
-        self.best_epoch = state.epoch
-        self.best_state = state.model.state_dict()
-
-    def on_train_end(self, state: TrainerState) -> None:
-        if self.restore_best and self.best_state is not None:
-            state.model.load_state_dict(self.best_state)
-            state.model_mutated = True
-
-
 class Checkpoint(Callback):
     """Persist the full training state every ``every`` epochs.
 
     The file at ``path`` is overwritten with the latest state, captured
-    *after* the epoch's metrics are logged and after every other callback's
-    hooks have run (the trainer orders Checkpoint instances last), so
+    *after* the epoch's metrics are logged, so
     ``Trainer.train(..., resume_from=path)`` picks the run up at the next
-    epoch with an intact metric history, optimiser state, shuffle-generator
-    state and up-to-date callback state.
+    epoch with an intact metric history, optimiser state and
+    shuffle-generator state.
     """
 
-    def __init__(self, path: str, every: int = 1,
-                 save_on_train_end: bool = False) -> None:
+    def __init__(self, path: str, every: int = 1) -> None:
         if every < 1:
             raise ValueError("every must be at least 1")
         self.path = path
         self.every = int(every)
-        self.save_on_train_end = save_on_train_end
 
-    def _save(self, state: TrainerState) -> None:
+    def on_epoch_logged(self, state: TrainerState) -> None:
+        if (state.epoch + 1) % self.every:
+            return
         # Rotate the previous checkpoint to ``.bak`` before overwriting, so
         # a corrupted primary (torn copy, flipped bits after the atomic
         # write) still leaves a last-good snapshot for resume_from to fall
@@ -733,18 +477,6 @@ class Checkpoint(Callback):
         if os.path.exists(self.path):
             os.replace(self.path, str(self.path) + BACKUP_SUFFIX)
         save_checkpoint(self.path, state.trainer.capture_state(state))
-
-    def on_epoch_logged(self, state: TrainerState) -> None:
-        if (state.epoch + 1) % self.every == 0:
-            self._save(state)
-
-    def on_train_end(self, state: TrainerState) -> None:
-        # A callback that replaced the model's weights (best-model restore)
-        # left optimiser/scheduler/RNG state from a different epoch than the
-        # weights — such a mixture is not a point on any real trajectory, so
-        # it must not be written as a resumable checkpoint.
-        if self.save_on_train_end and not state.model_mutated:
-            self._save(state)
 
 
 # --------------------------------------------------------------------------- #
@@ -756,16 +488,11 @@ class Trainer:
     Parameters
     ----------
     config:
-        Optimiser settings shared by every model family.
-    strategy:
-        Explicit :class:`StepStrategy`; ``None`` selects one from the model
-        (:func:`select_step_strategy`).
+        Optimiser and evaluation settings shared by every model family.
     """
 
-    def __init__(self, config: TrainingConfig = None,
-                 strategy: Optional[StepStrategy] = None) -> None:
+    def __init__(self, config: TrainingConfig = None) -> None:
         self.config = config or TrainingConfig()
-        self.strategy = strategy
 
     def train(self, model: Model,
               train_dataset: FWIDataset,
@@ -781,14 +508,14 @@ class Trainer:
         model:
             Any object satisfying the :class:`Model` protocol.
         train_dataset, test_dataset:
-            Scaled datasets; the test split is evaluated on the
-            ``eval_every`` cadence and for ``final_metrics``.
+            Scaled datasets (or :class:`DataSource` objects); the test split
+            is evaluated every ``eval_every`` epochs, at the final epoch and
+            for ``final_metrics``.
         logger:
             Metric sink; a fresh :class:`~repro.utils.logging.RunLogger` by
             default.
         callbacks:
-            Extra :class:`Callback` hooks.  An :class:`EvalCallback` is
-            added automatically unless one is supplied.
+            Extra :class:`Callback` hooks, run in the order given.
         resume_from:
             Path to (or payload of) a checkpoint written by
             :class:`Checkpoint` / :meth:`capture_state`.  Restores model,
@@ -798,9 +525,9 @@ class Trainer:
             resume from files you trust.
         """
         config = self.config
-        strategy = self.strategy or select_step_strategy(model)
+        step = select_step_strategy(model)
         rng = ensure_rng(config.seed)
-        logger = logger or RunLogger(name=getattr(model, "name", strategy.name),
+        logger = logger or RunLogger(name=getattr(model, "name", step.name),
                                      verbose=config.verbose,
                                      print_every=config.eval_every)
         train_source = _as_data_source(train_dataset)
@@ -813,29 +540,19 @@ class Trainer:
                                       eta_min=config.eta_min)
 
         callbacks = list(callbacks)
-        evaluator = next((cb for cb in callbacks
-                          if isinstance(cb, EvalCallback)), None)
-        if evaluator is None:
-            evaluator = EvalCallback()
-            callbacks.insert(0, evaluator)
-
         telemetry = get_telemetry()
         if telemetry.enabled and not any(isinstance(cb, TelemetryCallback)
                                          for cb in callbacks):
-            # Appended last so the span totals it differences already include
-            # this epoch's evaluation (EvalCallback runs earlier).
             callbacks.append(TelemetryCallback())
 
-        state = TrainerState(trainer=self, config=config, model=model,
-                             strategy=strategy, optimizer=optimizer,
-                             scheduler=scheduler, rng=rng, logger=logger,
-                             train_source=train_source,
-                             test_source=test_source, callbacks=callbacks,
-                             train_fingerprint=_dataset_fingerprint(train_source),
-                             test_fingerprint=_dataset_fingerprint(test_source))
+        state = TrainerState(
+            trainer=self, config=config, model=model, optimizer=optimizer,
+            scheduler=scheduler, rng=rng, logger=logger,
+            train_source=train_source, test_source=test_source,
+            train_fingerprint=train_source.fingerprint(),
+            test_fingerprint=(None if test_source is None
+                              else test_source.fingerprint()))
 
-        # Reset per-run callback state first so a restore below re-loads the
-        # checkpointed state on top of a clean slate.
         for callback in callbacks:
             callback.on_train_begin(state)
 
@@ -846,18 +563,11 @@ class Trainer:
                 start_epoch = self._restore(state, payload)
 
         n_samples = len(train_source)
-        batch_size = strategy.batch_size(model, config)
-        last_epoch_run = start_epoch - 1
-        # Keep state.epoch consistent even when the loop body never runs
-        # (resuming a finished or already-stopped run): a train-end
-        # checkpoint must re-record the restored epoch, not epoch 1.
-        state.epoch = start_epoch - 1
+        batch_size = step.batch_size or config.batch_size
+        # The test-split metrics of the last epoch run, when that epoch was
+        # evaluated: final_metrics reuses them instead of a second pass.
+        test_metrics: Optional[Dict[str, float]] = None
         for epoch in range(start_epoch, config.epochs):
-            if state.stop_training:
-                # A restored checkpoint may carry a stop decision (e.g. the
-                # run early-stopped right before it was saved) — honour it
-                # instead of training past the stop.
-                break
             state.epoch = epoch
             # Capture before the scheduler advances so the log records the
             # LR the optimiser actually used for this epoch's updates.
@@ -866,14 +576,15 @@ class Trainer:
             epoch_loss = 0.0
             n_batches = 0
             nan_batch_loss: Optional[float] = None
+            test_metrics = None
             with telemetry.span("trainer.epoch"):
                 for start in range(0, n_samples, batch_size):
                     with telemetry.span("step"):
                         batch_seismic, batch_velocity = train_source.gather(
                             order[start:start + batch_size])
                         optimizer.zero_grad()
-                        batch_loss = strategy.step(model, batch_seismic,
-                                                   batch_velocity)
+                        batch_loss = step.accumulate(batch_seismic,
+                                                     batch_velocity)
                         if not np.isfinite(batch_loss):
                             # Halt before the poisoned update is applied —
                             # the model's weights are still the last finite
@@ -900,56 +611,35 @@ class Trainer:
                 state.metrics = {"train_loss": train_loss, "lr": epoch_lr}
                 if nan_batch_loss is not None:
                     state.metrics["nan_loss"] = 1.0
+                if test_source is not None and (
+                        (epoch + 1) % config.eval_every == 0
+                        or epoch == config.epochs - 1):
+                    test_metrics = evaluate_data_source(
+                        model, test_source,
+                        batch_size=config.eval_batch_size)
+                    state.metrics.update(test_metrics)
                 for callback in callbacks:
                     callback.on_epoch_end(state)
             logger.log(epoch, **state.metrics)
-            # Checkpoint hooks run after every other callback so the saved
-            # snapshot includes their up-to-date state for this epoch
-            # (patience counters, best-model trackers) regardless of the
-            # order the caller listed them in.
-            for callback in self._checkpoints_last(callbacks):
+            for callback in callbacks:
                 callback.on_epoch_logged(state)
-            last_epoch_run = epoch
             if state.stop_training:
                 if config.verbose and state.stop_reason:
                     print(f"[{logger.name}] stopping at epoch {epoch}: "
                           f"{state.stop_reason}", file=sys.stderr)
                 break
 
-        # on_train_end runs first (it may replace the model's weights, e.g.
-        # a best-model restore); the final evaluation then scores the model
-        # the caller actually receives.
-        for callback in self._checkpoints_last(callbacks):
-            callback.on_train_end(state)
-        final_metrics = self._final_metrics(state, evaluator, last_epoch_run)
+        if test_source is None:
+            final_metrics = evaluate_data_source(
+                model, train_source, split="train",
+                batch_size=config.eval_batch_size)
+        elif test_metrics is None:
+            final_metrics = evaluate_data_source(
+                model, test_source, batch_size=config.eval_batch_size)
+        else:
+            final_metrics = dict(test_metrics)
         return TrainingResult(model=model, logger=logger,
                               final_metrics=final_metrics)
-
-    @staticmethod
-    def _checkpoints_last(callbacks: Sequence[Callback]) -> List[Callback]:
-        """Stable order with every :class:`Checkpoint` moved to the end."""
-        ordinary = [cb for cb in callbacks if not isinstance(cb, Checkpoint)]
-        snapshots = [cb for cb in callbacks if isinstance(cb, Checkpoint)]
-        return ordinary + snapshots
-
-    # ------------------------------------------------------------------ #
-    # final metrics (reusing the last epoch's evaluation when possible)
-    # ------------------------------------------------------------------ #
-    def _final_metrics(self, state: TrainerState, evaluator: EvalCallback,
-                       last_epoch_run: int) -> Dict[str, float]:
-        batch_size = (evaluator.batch_size if evaluator.batch_size is not None
-                      else state.config.eval_batch_size)
-        if state.test_source is not None:
-            cached = evaluator.last_eval
-            if (cached is not None and cached[0] == last_epoch_run
-                    and not state.model_mutated):
-                # The final epoch was just evaluated in the epoch loop —
-                # reuse it instead of running the test set a second time.
-                return dict(cached[1])
-            return evaluate_data_source(state.model, state.test_source,
-                                        batch_size=batch_size)
-        return evaluate_data_source(state.model, state.train_source,
-                                    split="train", batch_size=batch_size)
 
     # ------------------------------------------------------------------ #
     # checkpoint capture / restore
@@ -999,9 +689,6 @@ class Trainer:
             "config": dataclasses.asdict(state.config),
             "train_data": state.train_fingerprint,
             "test_data": state.test_fingerprint,
-            "callbacks": [(type(callback).__name__, callback.checkpoint_key,
-                           callback.state_dict())
-                          for callback in state.callbacks],
             "stop_training": state.stop_training,
             "stop_reason": state.stop_reason,
         }
@@ -1050,55 +737,8 @@ class Trainer:
         state.scheduler.load_state_dict(payload["scheduler"])
         state.rng.bit_generator.state = payload["rng_state"]
         state.logger.load_state_dict(payload["logger"])
-        # Stateful callbacks resume where they left off.  Each current
-        # callback claims the first unclaimed saved entry matching its class
-        # AND its checkpoint_key (robust to reordering, and two same-class
-        # callbacks with different keys — e.g. different monitors — cannot
-        # swap state); saved state nobody claims is reported so a
-        # silently-reset patience counter cannot masquerade as an exact
-        # resume.
-        saved_callbacks = list(payload.get("callbacks", []))
-        claimed = [False] * len(saved_callbacks)
-        for callback in state.callbacks:
-            identity = (type(callback).__name__, callback.checkpoint_key)
-            for index, (saved_name, saved_key, saved_state) \
-                    in enumerate(saved_callbacks):
-                if not claimed[index] and identity == (saved_name, saved_key):
-                    claimed[index] = True
-                    callback.load_state_dict(saved_state)
-                    break
-        orphaned = sorted({saved_name
-                           for index, (saved_name, saved_key, saved_state)
-                           in enumerate(saved_callbacks)
-                           if not claimed[index] and saved_state})
-        if orphaned:
-            warnings.warn(
-                "checkpoint carries state for callbacks not present in this "
-                f"run ({orphaned}); their behaviour restarts from scratch",
-                stacklevel=2)
-        # Rescoring a finished run against a different test split is
-        # legitimate — but then the cached evaluation describes the old
-        # split and must not be served as final_metrics.
-        if payload.get("test_data") != state.test_fingerprint:
-            for callback in state.callbacks:
-                if isinstance(callback, EvalCallback):
-                    callback.last_eval = None
-        # The payload's stop_training/stop_reason fields are metadata only:
-        # whether a restored run should stay stopped is the stopping
-        # callback's call (EarlyStopping.on_resume re-asserts a fired stop),
-        # so a checkpoint that merely interrupted a healthy run resumes.
-        for callback in state.callbacks:
-            callback.on_resume(state)
+        # A "callbacks" entry (per-callback state in files from older
+        # releases) is ignored: no callback restores state.  The
+        # stop_training/stop_reason fields are metadata: a restored run
+        # always continues to its epoch budget.
         return int(payload["epoch"])
-
-
-class QuantumTrainer(Trainer):
-    """Backwards-compatible alias: the unified :class:`Trainer` engine.
-
-    Strategy selection (batched adjoint vs QuBatch) lives in
-    :func:`select_step_strategy` rather than the epoch loop.
-    """
-
-
-class ClassicalTrainer(Trainer):
-    """Backwards-compatible alias: the unified :class:`Trainer` engine."""

@@ -28,9 +28,7 @@ from repro.data.store import (
     ParallelGenerator,
     ShardLoader,
     dataset_fingerprint,
-    load_dataset,
     open_or_build,
-    save_dataset,
 )
 
 __all__ = [
@@ -50,7 +48,5 @@ __all__ = [
     "ParallelGenerator",
     "ShardLoader",
     "dataset_fingerprint",
-    "load_dataset",
     "open_or_build",
-    "save_dataset",
 ]

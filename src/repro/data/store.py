@@ -453,7 +453,7 @@ class ShardLoader:
     Implements the data-source duck type the training engine consumes
     (``__len__`` / ``gather`` / ``fingerprint``) plus enough of the
     :class:`~repro.data.dataset.FWIDataset` surface (iteration, indexing,
-    ``subset``, ``batches``) that ``train_test_split`` and the evaluation
+    ``subset``) that ``train_test_split`` and the evaluation
     helpers work unchanged — while keeping at most ``max_cached_shards``
     loaded shards in memory.
 
@@ -585,22 +585,6 @@ class ShardLoader:
         view.__dict__.update(self.__dict__)
         view._indices = self._indices[positions]
         return view
-
-    def shuffled(self, rng=None) -> "ShardLoader":
-        from repro.utils.rng import ensure_rng
-        order = ensure_rng(rng).permutation(len(self))
-        return self.subset(order)
-
-    def batches(self, batch_size: int,
-                drop_last: bool = False) -> Iterator[List[FWISample]]:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        for start in range(0, len(self), batch_size):
-            batch = [self[i] for i in range(start,
-                                            min(start + batch_size, len(self)))]
-            if drop_last and len(batch) < batch_size:
-                return
-            yield batch
 
     # -- data-source protocol (training engine) -------------------------- #
     def gather(self, indices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -944,47 +928,3 @@ def open_or_build(config: OpenFWIConfig, seed: int,
     generator = SyntheticOpenFWI(config, rng=int(seed))
     return build_dataset(generator, count=count, store=store,
                          workers=workers, progress=progress, stream=stream)
-
-
-def save_dataset(dataset: FWIDataset, cache_dir: PathLike,
-                 key: Optional[str] = None,
-                 chunk_size: int = 64) -> str:
-    """Persist any :class:`FWIDataset` (raw or scaled) as a sharded entry.
-
-    The entry key is an explicit ``key`` or, by default, a digest of the
-    dataset's own content.  It is deliberately *never* derived from a
-    generation ``(config, seed)`` pair: an arbitrary (possibly transformed)
-    dataset saved under a generation fingerprint would be served by
-    :func:`open_or_build` as if it were the raw generated data.  Returns the
-    key for :func:`load_dataset`.
-    """
-    if not len(dataset):
-        raise ValueError("cannot save an empty dataset")
-    store = _as_store(cache_dir)
-    seismic = dataset.seismic_array()
-    velocity = dataset.velocity_array()
-    if key is None:
-        digest = content_fingerprint(
-            seismic.shape, velocity.shape,
-            seismic.reshape(len(dataset), -1).sum(axis=1),
-            velocity.reshape(len(dataset), -1).sum(axis=1))
-        blob = json.dumps(_jsonable(digest), sort_keys=True)
-        key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-    metadata = dataset[0].metadata if len(dataset) else {}
-    manifest = store.init_manifest(key, n_samples=len(dataset),
-                                   chunk_size=chunk_size,
-                                   name=dataset.name, metadata=metadata)
-    for chunk_index, start, size in chunk_layout(len(dataset), chunk_size):
-        if str(chunk_index) in manifest["shards"]:
-            continue
-        store.write_shard(key, manifest, chunk_index, start,
-                          seismic[start:start + size],
-                          velocity[start:start + size])
-    store.finalize(key, manifest)
-    return key
-
-
-def load_dataset(cache_dir: PathLike, key: str,
-                 stream: bool = False) -> Union[FWIDataset, ShardLoader]:
-    """Load a complete entry saved by :func:`save_dataset` / built builds."""
-    return _as_store(cache_dir).load(key, stream=stream)

@@ -3,9 +3,10 @@
 The QuGeo paper follows the KAUST 2-8 finite-difference modelling lab, which
 uses a sponge (damping) layer to absorb outgoing energy at the model edges.
 :class:`SpongeBoundary` implements the classic Cerjan et al. (1985)
-exponential taper applied to the pressure wavefields after every time step.
-The free surface at the top of the model is preserved by default, mirroring
-land-acquisition geometry where receivers sit on the surface.
+exponential taper; the propagators multiply the pressure wavefields by its
+mask after every time step.  The free surface at the top of the model is
+preserved by default, mirroring land-acquisition geometry where receivers
+sit on the surface.
 
 The sponge is the only boundary kind; :func:`resolve_boundary_name` names it
 for dataset fingerprints and sample metadata, and rejects anything else.
@@ -53,17 +54,11 @@ class SpongeBoundary:
     free_surface: bool = True
 
     def build_mask(self, shape) -> np.ndarray:
-        """Return the 2-D multiplicative damping mask for a ``shape`` grid.
-
-        ``shape`` may carry leading batch axes (e.g. ``(n_shots, nz, nx)``
-        from the batched propagator); the mask is built on the trailing two
-        grid axes and returned as a 2-D array, so multiplying a batched
-        wavefield by it broadcasts the damping over every batch element.
-        """
-        if len(shape) < 2:
+        """Return the multiplicative damping mask for an ``(nz, nx)`` grid."""
+        if len(shape) != 2:
             raise ValueError(
-                f"grid shape needs at least 2 dimensions, got {tuple(shape)}")
-        nz, nx = shape[-2], shape[-1]
+                f"grid shape must be (nz, nx), got {tuple(shape)}")
+        nz, nx = shape
         if self.width * 2 >= nx or (self.width >= nz if self.free_surface
                                     else self.width * 2 >= nz):
             raise ValueError(
@@ -82,15 +77,6 @@ class SpongeBoundary:
                 top = self.width - 1 - i
                 mask[top, :] *= damping
         return mask
-
-    def apply(self, wavefield: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Damp ``wavefield`` in place with a precomputed ``mask``.
-
-        The mask broadcasts over any leading batch axes of ``wavefield``
-        (``(..., nz, nx)``), so one 2-D mask damps a whole shot batch.
-        """
-        wavefield *= mask
-        return wavefield
 
 
 def resolve_boundary_name(name=None) -> str:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.core.config import QuGeoVQCConfig, TrainingConfig
-from repro.core.training import QuantumTrainer, evaluate_predictions
+from repro.core.training import Trainer, evaluate_predictions
 from repro.core.vqc_model import QuGeoVQC
 from repro.data.dataset import FWIDataset, FWISample
 from repro.metrics import ssim, ssim_map
@@ -382,7 +382,7 @@ class TestTrainerBatchedPath:
         losses = {}
         for backend in (NumpyLoopBackend(), EinsumBatchBackend()):
             model = QuGeoVQC(_model_config(decoder), rng=5, backend=backend)
-            result = QuantumTrainer(training).train(model, dataset)
+            result = Trainer(training).train(model, dataset)
             final[backend.name] = model.theta.data.copy()
             losses[backend.name] = result.history("train_loss")
         np.testing.assert_allclose(final["einsum"], final["numpy"], atol=1e-9)
@@ -404,7 +404,7 @@ class TestTrainerBatchedPath:
         monkeypatch.setattr(model, "accumulate_gradients_batch", counting)
         training = TrainingConfig(epochs=1, learning_rate=0.1, batch_size=2,
                                   eval_every=10, seed=0)
-        QuantumTrainer(training).train(model, dataset)
+        Trainer(training).train(model, dataset)
         assert calls["batched"] == 2  # 4 samples / batch 2
 
 

@@ -14,20 +14,22 @@ import pytest
 
 from readout_oracle import state_maps
 from repro.core import (
-    ClassicalTrainer,
-    QuantumTrainer,
     QuGeo,
     QuGeoConfig,
     QuGeoVQC,
     QuBatchVQC,
+    Trainer,
     build_cnn_ly,
     build_cnn_px,
-    evaluate_model,
 )
 from repro.core.classical_models import CompressionCNN
 from repro.core.config import QuGeoDataConfig, QuGeoVQCConfig, TrainingConfig
 from repro.core.data_scaling import CNNScaler, ForwardModelingScaler
-from repro.core.experiment import count_interface_matches, vertical_profile
+from repro.core.experiment import (
+    count_interface_matches,
+    evaluate_model,
+    vertical_profile,
+)
 from repro.core.training import TrainingResult, evaluate_predictions
 from repro.data.dataset import FWIDataset, FWISample, train_test_split
 from repro.telemetry import capture
@@ -59,14 +61,14 @@ class TestEvaluatePredictions:
 class TestQuantumTrainer:
     def test_training_reduces_loss(self, tiny_scaled_dataset):
         model = QuGeoVQC(_vqc_config("layer"), rng=0)
-        trainer = QuantumTrainer(_training_config(epochs=8))
+        trainer = Trainer(_training_config(epochs=8))
         result = trainer.train(model, tiny_scaled_dataset, tiny_scaled_dataset)
         losses = result.history("train_loss")
         assert losses[-1] < losses[0]
 
     def test_result_contains_metrics(self, tiny_scaled_dataset):
         model = QuGeoVQC(_vqc_config("layer"), rng=0)
-        result = QuantumTrainer(_training_config(epochs=4)).train(
+        result = Trainer(_training_config(epochs=4)).train(
             model, tiny_scaled_dataset, tiny_scaled_dataset)
         assert isinstance(result, TrainingResult)
         assert 0.0 <= result.final_metrics["test_ssim"] <= 1.0
@@ -74,7 +76,7 @@ class TestQuantumTrainer:
 
     def test_learning_rate_follows_cosine_schedule(self, tiny_scaled_dataset):
         model = QuGeoVQC(_vqc_config("layer"), rng=0)
-        result = QuantumTrainer(_training_config(epochs=6)).train(
+        result = Trainer(_training_config(epochs=6)).train(
             model, tiny_scaled_dataset)
         lrs = result.history("lr")
         assert lrs[0] > lrs[-1]
@@ -83,7 +85,7 @@ class TestQuantumTrainer:
         """Regression: epoch 0 must log the base LR, not the post-step rate."""
         config = _training_config(epochs=3)
         model = QuGeoVQC(_vqc_config("layer"), rng=0)
-        result = QuantumTrainer(config).train(model, tiny_scaled_dataset)
+        result = Trainer(config).train(model, tiny_scaled_dataset)
         lrs = result.history("lr")
         assert lrs[0] == pytest.approx(config.learning_rate)
         # Each subsequent epoch uses the rate the scheduler set after the
@@ -92,25 +94,25 @@ class TestQuantumTrainer:
 
     def test_final_metrics_labeled_train_without_test_set(self, tiny_scaled_dataset):
         model = QuGeoVQC(_vqc_config("layer"), rng=0)
-        result = QuantumTrainer(_training_config(epochs=2)).train(
+        result = Trainer(_training_config(epochs=2)).train(
             model, tiny_scaled_dataset)
         assert set(result.final_metrics) == {"train_ssim", "train_mse"}
 
     def test_final_metrics_labeled_test_with_test_set(self, tiny_scaled_dataset):
         model = QuGeoVQC(_vqc_config("layer"), rng=0)
-        result = QuantumTrainer(_training_config(epochs=2)).train(
+        result = Trainer(_training_config(epochs=2)).train(
             model, tiny_scaled_dataset, tiny_scaled_dataset)
         assert set(result.final_metrics) == {"test_ssim", "test_mse"}
 
     def test_trains_pixel_decoder(self, tiny_scaled_dataset):
         model = QuGeoVQC(_vqc_config("pixel"), rng=0)
-        result = QuantumTrainer(_training_config(epochs=4)).train(
+        result = Trainer(_training_config(epochs=4)).train(
             model, tiny_scaled_dataset, tiny_scaled_dataset)
         assert np.isfinite(result.final_metrics["test_mse"])
 
     def test_trains_qubatch_model(self, tiny_scaled_dataset):
         model = QuBatchVQC(_vqc_config("layer", n_batch_qubits=1), rng=0)
-        result = QuantumTrainer(_training_config(epochs=4)).train(
+        result = Trainer(_training_config(epochs=4)).train(
             model, tiny_scaled_dataset, tiny_scaled_dataset)
         losses = result.history("train_loss")
         assert losses[-1] <= losses[0]
@@ -119,7 +121,7 @@ class TestQuantumTrainer:
         results = []
         for _ in range(2):
             model = QuGeoVQC(_vqc_config("layer"), rng=0)
-            result = QuantumTrainer(_training_config(epochs=3)).train(
+            result = Trainer(_training_config(epochs=3)).train(
                 model, tiny_scaled_dataset, tiny_scaled_dataset)
             results.append(result.final_metrics["test_mse"])
         assert results[0] == pytest.approx(results[1])
@@ -130,8 +132,8 @@ class TestClassicalTrainer:
         model = build_cnn_ly(64, (6, 6), rng=0)
         config = TrainingConfig(epochs=15, learning_rate=0.01, batch_size=3,
                                 eval_every=5, seed=0)
-        result = ClassicalTrainer(config).train(model, tiny_scaled_dataset,
-                                                tiny_scaled_dataset)
+        result = Trainer(config).train(model, tiny_scaled_dataset,
+                                       tiny_scaled_dataset)
         losses = result.history("train_loss")
         assert losses[-1] < losses[0]
 
@@ -139,8 +141,8 @@ class TestClassicalTrainer:
         model = build_cnn_px(64, (6, 6), rng=0)
         config = TrainingConfig(epochs=5, learning_rate=0.01, batch_size=3,
                                 eval_every=5, seed=0)
-        result = ClassicalTrainer(config).train(model, tiny_scaled_dataset,
-                                                tiny_scaled_dataset)
+        result = Trainer(config).train(model, tiny_scaled_dataset,
+                                       tiny_scaled_dataset)
         assert np.isfinite(result.final_metrics["test_mse"])
 
     def test_logged_lr_is_the_rate_used_that_epoch(self, tiny_scaled_dataset):
@@ -148,7 +150,7 @@ class TestClassicalTrainer:
         model = build_cnn_ly(64, (6, 6), rng=0)
         config = TrainingConfig(epochs=3, learning_rate=0.01, batch_size=3,
                                 eval_every=5, seed=0)
-        result = ClassicalTrainer(config).train(model, tiny_scaled_dataset)
+        result = Trainer(config).train(model, tiny_scaled_dataset)
         lrs = result.history("lr")
         assert lrs[0] == pytest.approx(config.learning_rate)
         assert all(a > b for a, b in zip(lrs, lrs[1:]))
@@ -157,7 +159,7 @@ class TestClassicalTrainer:
         model = build_cnn_ly(64, (6, 6), rng=0)
         config = TrainingConfig(epochs=2, learning_rate=0.01, batch_size=3,
                                 eval_every=5, seed=0)
-        result = ClassicalTrainer(config).train(model, tiny_scaled_dataset)
+        result = Trainer(config).train(model, tiny_scaled_dataset)
         assert set(result.final_metrics) == {"train_ssim", "train_mse"}
 
 

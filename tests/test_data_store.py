@@ -18,9 +18,7 @@ from repro.data import (
     SyntheticOpenFWI,
     chunk_layout,
     dataset_fingerprint,
-    load_dataset,
     open_or_build,
-    save_dataset,
     train_test_split,
 )
 from repro.data.store import (
@@ -33,6 +31,21 @@ from repro.seismic.acoustic2d import SimulationConfig
 from repro.seismic.boundary import SpongeBoundary
 from repro.seismic.survey import SurveyGeometry
 from repro.seismic.velocity_models import VelocityModelConfig
+
+
+def store_dataset(dataset, root, key, chunk_size):
+    """Write ``dataset`` as a complete store entry under ``key``."""
+    store = DatasetStore(root)
+    manifest = store.init_manifest(key, n_samples=len(dataset),
+                                   chunk_size=chunk_size, name=dataset.name,
+                                   metadata=dataset[0].metadata)
+    seismic, velocity = dataset.seismic_array(), dataset.velocity_array()
+    for chunk_index, start, size in chunk_layout(len(dataset), chunk_size):
+        store.write_shard(key, manifest, chunk_index, start,
+                          seismic[start:start + size],
+                          velocity[start:start + size])
+    store.finalize(key, manifest)
+    return store
 
 
 def small_config(**overrides) -> OpenFWIConfig:
@@ -196,8 +209,8 @@ class TestStoreRoundTrip:
     def test_save_and_load_generic_dataset(self, tmp_path):
         dataset = SyntheticOpenFWI(small_config(n_samples=4, chunk_size=2),
                                    rng=3).build()
-        key = save_dataset(dataset, tmp_path, chunk_size=3)
-        loaded = load_dataset(tmp_path, key)
+        store = store_dataset(dataset, tmp_path, "generic", chunk_size=3)
+        loaded = store.load("generic")
         np.testing.assert_array_equal(loaded.seismic_array(),
                                       dataset.seismic_array())
         np.testing.assert_array_equal(loaded.velocity_array(),
@@ -540,9 +553,9 @@ class TestTrainerIntegration:
         from repro.core.config import TrainingConfig
 
         scaled = tiny_scaled_dataset
-        key = save_dataset(FWIDataset(list(scaled), name="scaled"),
-                           tmp_path, key="scaled-tiny", chunk_size=2)
-        loader = load_dataset(tmp_path, key, stream=True)
+        store = store_dataset(FWIDataset(list(scaled), name="scaled"),
+                              tmp_path, "scaled-tiny", chunk_size=2)
+        loader = store.load("scaled-tiny", stream=True)
 
         def run(dataset):
             model = build_cnn_ly(int(np.prod(scaled[0].seismic.shape)),

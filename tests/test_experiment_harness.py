@@ -6,6 +6,10 @@ scaled datasets and the trained models per process.  Each test swaps the
 nothing built here leaks into another test.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,3 +96,16 @@ def test_physics_guided_scaling_does_not_train_the_compressor(tiny_tier,
 
     monkeypatch.setattr(CNNScaler, "train", refuse)
     experiment.scaled_datasets("Q-D-FW")
+
+
+def test_package_import_leaves_the_harness_unloaded():
+    """``import repro.core, repro.data`` (the library's cold start) does not
+    load the benchmark harness; callers import it by name."""
+    code = ("import sys, repro.core, repro.data; "
+            "print('repro.core.experiment' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

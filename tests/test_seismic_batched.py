@@ -382,26 +382,14 @@ class TestPerShotNormalization:
 
 
 class TestSpongeMaskBroadcast:
-    def test_batched_shape_builds_trailing_grid_mask(self):
-        boundary = SpongeBoundary(width=5)
-        flat = boundary.build_mask((40, 40))
-        batched = boundary.build_mask((3, 40, 40))
-        stacked = boundary.build_mask((2, 3, 40, 40))
-        assert batched.shape == (40, 40)
-        assert stacked.shape == (40, 40)
-        np.testing.assert_array_equal(batched, flat)
-
-    def test_apply_broadcasts_over_batch_axis(self):
-        boundary = SpongeBoundary(width=5)
-        mask = boundary.build_mask((3, 40, 40))
-        fields = np.random.default_rng(1).normal(size=(3, 40, 40))
-        expected = np.stack([f * mask for f in fields])
-        damped = boundary.apply(fields.copy(), mask)
-        np.testing.assert_allclose(damped, expected)
-
     def test_rejects_sub_2d_shape(self):
-        with pytest.raises(ValueError):
-            SpongeBoundary(width=2).build_mask((40,))
+        """The mask is built for one ``(nz, nx)`` grid; any other length,
+        batched shapes included, is refused."""
+        boundary = SpongeBoundary(width=2)
+        assert boundary.build_mask((40, 40)).shape == (40, 40)
+        for shape in ((40,), (3, 40, 40), (2, 3, 40, 40)):
+            with pytest.raises(ValueError, match=r"\(nz, nx\)"):
+                boundary.build_mask(shape)
 
 
 def _distinct_peak_stack():

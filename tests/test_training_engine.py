@@ -1,6 +1,6 @@
 """Tests for the unified training engine.
 
-Covers the engine's pluggable pieces (step-strategy selection, callbacks),
+Covers the engine's pieces (the gradient step of each model kind, callbacks),
 checkpoint/resume bit-identity for all three model families, state_dict
 round trips for optimisers, schedulers, scalers and the logger, bounded
 evaluation chunking, and pipeline save/load serving.
@@ -11,11 +11,8 @@ import pytest
 
 from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 from repro.core import (
-    BestModelTracker,
     Callback,
     Checkpoint,
-    EarlyStopping,
-    EvalCallback,
     QuBatchVQC,
     QuGeo,
     QuGeoConfig,
@@ -40,12 +37,7 @@ from repro.core.data_scaling import (
     scaler_from_state,
     scaler_state,
 )
-from repro.core.training import (
-    ArrayDataSource,
-    ClassicalAutogradStep,
-    QuantumBatchedAdjointStep,
-    QuBatchStep,
-)
+from repro.core.training import ArrayDataSource
 from repro.data.dataset import train_test_split
 from repro.nn import init as nn_init
 from repro.nn import SGD, Adam, CosineAnnealingLR, Linear, ReLU, Sequential, Tensor
@@ -87,15 +79,20 @@ class StopAfter(Callback):
 
 class TestStrategySelection:
     def test_families_map_to_strategies(self):
-        assert isinstance(select_step_strategy(MODEL_BUILDERS["qubatch"]()),
-                          QuBatchStep)
-        assert isinstance(select_step_strategy(MODEL_BUILDERS["classical"]()),
-                          ClassicalAutogradStep)
+        """The step names are a recorded interface (benchmark run records
+        carry ``select_step_strategy(model).name``), so they are pinned."""
+        qubatch = select_step_strategy(MODEL_BUILDERS["qubatch"]())
+        assert qubatch.name == "qubatch"
+        assert qubatch.batch_size == 2  # the circuit's own capacity
+        classical = select_step_strategy(MODEL_BUILDERS["classical"]())
+        assert classical.name == "classical-autograd"
+        assert classical.batch_size is None
         # One reversible adjoint sweep per mini-batch on either engine.
         for backend in (EinsumBatchBackend(), NumpyLoopBackend()):
             quantum = QuGeoVQC(_vqc_config("layer"), rng=0, backend=backend)
-            assert isinstance(select_step_strategy(quantum),
-                              QuantumBatchedAdjointStep)
+            step = select_step_strategy(quantum)
+            assert step.name == "quantum-batched-adjoint"
+            assert step.batch_size is None
 
     def test_training_on_the_oracle_matches_the_default_engine(
             self, tiny_scaled_dataset):
@@ -247,46 +244,19 @@ class TestCheckpointValidation:
             Trainer(config).train(MODEL_BUILDERS["quantum"](), reordered,
                                   resume_from=path)
 
-    def test_changed_callback_tunables_warn(self, tiny_scaled_dataset,
-                                            tmp_path):
-        """A resumed EarlyStopping with a different patience must not
-        silently claim the old counter state."""
-        path = str(tmp_path / "tunables.ckpt")
-        config = _training_config(epochs=6)
-        Trainer(config).train(
-            MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            callbacks=[EarlyStopping(monitor="train_loss", patience=50),
-                       Checkpoint(path, every=3), StopAfter(2)])
-        relaxed = EarlyStopping(monitor="train_loss", patience=2)
-        with pytest.warns(UserWarning, match="EarlyStopping"):
-            Trainer(config).train(MODEL_BUILDERS["quantum"](),
-                                  tiny_scaled_dataset, callbacks=[relaxed],
-                                  resume_from=path)
-
-    def test_train_end_save_skipped_after_best_restore(self,
-                                                       tiny_scaled_dataset,
-                                                       tmp_path):
-        """A best-restored model mixed with final-epoch optimiser state is
-        not a trajectory point and must not be written as resumable."""
-        path = tmp_path / "mixed.ckpt"
-        tracker = BestModelTracker(monitor="train_loss", restore_best=True)
-        Trainer(_training_config(epochs=4)).train(
-            MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            callbacks=[tracker,
-                       Checkpoint(str(path), every=100,
-                                  save_on_train_end=True)])
-        assert not path.exists()
-
-    def test_eval_callback_validates_arguments(self):
-        with pytest.raises(ValueError):
-            EvalCallback(every=0)
-        with pytest.raises(ValueError):
-            EvalCallback(batch_size=0)
+    def test_eval_config_validates_arguments(self):
+        """The evaluation step reads its cadence and chunk size from the
+        config, which refuses values it could not run."""
+        with pytest.raises(ValueError, match="eval_every"):
+            _training_config(eval_every=0)
+        with pytest.raises(ValueError, match="eval_batch_size"):
+            _training_config(eval_batch_size=0)
+        assert _training_config(eval_batch_size=None).eval_batch_size is None
 
     def test_zero_epoch_resume_does_not_rewind_checkpoint(
             self, tiny_scaled_dataset, tmp_path):
-        """Regression: resuming a finished run with save_on_train_end must
-        re-record the restored epoch, not rewind the file to epoch 1."""
+        """Regression: resuming a finished run with a checkpoint callback
+        trains nothing and leaves the file at the restored epoch."""
         path = str(tmp_path / "finished.ckpt")
         config = _training_config(epochs=3)
         model = MODEL_BUILDERS["quantum"]()
@@ -295,7 +265,7 @@ class TestCheckpointValidation:
         assert load_checkpoint(path)["epoch"] == 3
         resumed = Trainer(config).train(
             MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            callbacks=[Checkpoint(path, save_on_train_end=True)],
+            callbacks=[Checkpoint(path, every=1)],
             resume_from=path)
         assert load_checkpoint(path)["epoch"] == 3
         assert len(resumed.history("train_loss")) == 3
@@ -309,27 +279,30 @@ class TestCheckpointValidation:
         np.testing.assert_array_equal(loaded["array"], payload["array"])
 
 
-class NanAfter(ClassicalAutogradStep):
-    """Step strategy that poisons one batch's loss (for the NaN guard)."""
+def nan_after(monkeypatch, fail_on_call, value=float("nan")):
+    """A classical model whose ``fail_on_call``-th forward pass has
+    ``value`` added to every output, so that mini-batch's loss is
+    non-finite."""
+    model = MODEL_BUILDERS["classical"]()
+    forward = model.forward
+    calls = [0]
 
-    def __init__(self, fail_on_call, value=float("nan")):
-        super().__init__()
-        self.fail_on_call = int(fail_on_call)
-        self.value = value
-        self.calls = 0
+    def poisoned_forward(seismic):
+        calls[0] += 1
+        output = forward(seismic)
+        if calls[0] == fail_on_call:
+            output = output + value
+        return output
 
-    def step(self, model, seismic, velocity):
-        self.calls += 1
-        if self.calls == self.fail_on_call:
-            return self.value
-        return super().step(model, seismic, velocity)
+    monkeypatch.setattr(model, "forward", poisoned_forward)
+    return model
 
 
 class TestNanLossGuard:
-    def test_stop_policy_halts_with_nan_loss_flag(self, tiny_scaled_dataset):
-        model = MODEL_BUILDERS["classical"]()
-        result = Trainer(_training_config(epochs=6),
-                         strategy=NanAfter(fail_on_call=3)).train(
+    def test_stop_policy_halts_with_nan_loss_flag(self, tiny_scaled_dataset,
+                                                  monkeypatch):
+        model = nan_after(monkeypatch, fail_on_call=3)
+        result = Trainer(_training_config(epochs=6)).train(
             model, tiny_scaled_dataset)
         # the run ends in the epoch that produced the NaN, not at epochs=6
         train_loss = result.history("train_loss")
@@ -341,18 +314,21 @@ class TestNanLossGuard:
         assert all(np.isfinite(tensor.data).all()
                    for tensor in model.parameter_tensors())
 
-    def test_inf_loss_also_trips_the_guard(self, tiny_scaled_dataset):
-        result = Trainer(_training_config(epochs=4),
-                         strategy=NanAfter(1, value=float("inf"))).train(
-            MODEL_BUILDERS["classical"](), tiny_scaled_dataset)
+    def test_inf_loss_also_trips_the_guard(self, tiny_scaled_dataset,
+                                           monkeypatch):
+        model = nan_after(monkeypatch, 1, value=float("inf"))
+        with np.errstate(invalid="ignore"):  # inf - inf in the backward
+            result = Trainer(_training_config(epochs=4)).train(
+                model, tiny_scaled_dataset)
         assert result.history("nan_loss") == [1.0]
         assert len(result.history("train_loss")) == 1
 
-    def test_raise_policy_surfaces_the_batch(self, tiny_scaled_dataset):
+    def test_raise_policy_surfaces_the_batch(self, tiny_scaled_dataset,
+                                             monkeypatch):
         config = _training_config(epochs=4, nan_policy="raise")
         with pytest.raises(FloatingPointError, match="non-finite loss"):
-            Trainer(config, strategy=NanAfter(2)).train(
-                MODEL_BUILDERS["classical"](), tiny_scaled_dataset)
+            Trainer(config).train(nan_after(monkeypatch, 2),
+                                  tiny_scaled_dataset)
 
     def test_clean_run_has_no_nan_loss_history(self, tiny_scaled_dataset):
         result = Trainer(_training_config(epochs=2)).train(
@@ -472,6 +448,44 @@ class TestCheckpointCorruptionRecovery:
                                       reference.theta.data)
         assert resumed.final_metrics == full.final_metrics
 
+    def test_legacy_callbacks_entry_resumes_bit_identically(
+            self, tiny_scaled_dataset, tmp_path):
+        """Checkpoints used to carry per-callback state under "callbacks"
+        (a cached evaluation, an early-stopping counter that had fired).
+        Such a file resumes onto the uninterrupted trajectory, with the
+        entry ignored."""
+        config = _training_config(epochs=6)
+        reference = MODEL_BUILDERS["quantum"]()
+        full = Trainer(config).train(reference, tiny_scaled_dataset,
+                                     tiny_scaled_dataset)
+        path = str(tmp_path / "quantum.ckpt")
+        Trainer(config).train(MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
+                              tiny_scaled_dataset,
+                              callbacks=[Checkpoint(path, every=3),
+                                         StopAfter(2)])
+        payload = load_checkpoint(path)
+        assert "callbacks" not in payload
+        payload["callbacks"] = [
+            ("EvalCallback", "None|None",
+             {"last_eval": (2, {"test_ssim": -1.0, "test_mse": 9.0})}),
+            ("EarlyStopping", "train_loss|min|1|10.0",
+             {"best": 0.0, "wait": 1, "stopped_epoch": 2}),
+            ("Checkpoint", None, {}),
+        ]
+        legacy = str(tmp_path / "legacy.ckpt")
+        save_checkpoint(legacy, payload)
+        resumed_model = MODEL_BUILDERS["quantum"]()
+        resumed = Trainer(config).train(resumed_model, tiny_scaled_dataset,
+                                        tiny_scaled_dataset,
+                                        resume_from=legacy)
+        assert resumed.history("train_loss") == full.history("train_loss")
+        assert resumed.history("test_ssim") == full.history("test_ssim")
+        assert resumed.final_metrics == full.final_metrics
+        np.testing.assert_array_equal(resumed_model.theta.data,
+                                      reference.theta.data)
+        np.testing.assert_array_equal(resumed_model.output_scale.data,
+                                      reference.output_scale.data)
+
     @staticmethod
     def _policy_run(tmp_path=None, resume_from=None, stop=None):
         """A 4-qubit layer run on the default engine."""
@@ -541,26 +555,6 @@ class TestCallbacks:
         # metrics reuse the epoch-3 evaluation instead of a third pass.
         assert calls["count"] == 2
 
-    def test_early_stopping_halts_training(self, tiny_scaled_dataset):
-        model = MODEL_BUILDERS["quantum"]()
-        stopper = EarlyStopping(monitor="train_loss", patience=1,
-                                min_delta=10.0)  # nothing can improve by 10
-        result = Trainer(_training_config(epochs=10)).train(
-            model, tiny_scaled_dataset, callbacks=[stopper])
-        assert stopper.stopped_epoch is not None
-        assert len(result.history("train_loss")) < 10
-
-    def test_best_model_tracker_restores_best(self, tiny_scaled_dataset):
-        model = MODEL_BUILDERS["quantum"]()
-        tracker = BestModelTracker(monitor="train_loss", restore_best=True)
-        result = Trainer(_training_config(epochs=4)).train(
-            model, tiny_scaled_dataset, callbacks=[tracker])
-        losses = result.history("train_loss")
-        assert tracker.best_epoch == int(np.argmin(losses))
-        assert tracker.best_value == pytest.approx(min(losses))
-        np.testing.assert_array_equal(model.theta.data,
-                                      tracker.best_state["theta"])
-
     def test_eval_cadence_controls_metric_history(self, tiny_scaled_dataset):
         model = MODEL_BUILDERS["quantum"]()
         result = Trainer(_training_config(epochs=6, eval_every=3)).train(
@@ -568,178 +562,41 @@ class TestCallbacks:
         # Epochs 2 and 5 hit the cadence; epoch 5 is also the final epoch.
         assert result.logger.steps("test_ssim") == [2, 5]
 
-    def test_custom_eval_callback_cadence_wins(self, tiny_scaled_dataset):
-        model = MODEL_BUILDERS["quantum"]()
-        result = Trainer(_training_config(epochs=4, eval_every=1)).train(
-            model, tiny_scaled_dataset, tiny_scaled_dataset,
-            callbacks=[EvalCallback(every=2)])
-        assert result.logger.steps("test_ssim") == [1, 3]
-
     def test_callbacks_reset_between_runs(self, tiny_scaled_dataset):
-        """Reusing one callback list across runs must not leak state."""
-        stopper = EarlyStopping(monitor="train_loss", patience=1,
-                                min_delta=10.0)
-        tracker = BestModelTracker(monitor="train_loss")
-        evaluator = EvalCallback()
-        callbacks = [evaluator, stopper, tracker]
+        """Reusing one callback list across runs must not leak state:
+        ``on_train_begin`` runs once per run, before the first epoch."""
+
+        class EpochRecorder(Callback):
+            def on_train_begin(self, state):
+                self.ended, self.logged = [], []
+
+            def on_epoch_end(self, state):
+                # this epoch's evaluation is already in, its log entry not
+                self.ended.append((state.epoch, "test_ssim" in state.metrics,
+                                   len(state.logger.history("train_loss"))))
+
+            def on_epoch_logged(self, state):
+                self.logged.append(state.epoch)
+
+        recorder = EpochRecorder()
+        callbacks = [recorder, StopAfter(2)]
         histories = []
         for _ in range(2):
-            model = MODEL_BUILDERS["quantum"]()
-            result = Trainer(_training_config(epochs=4)).train(
-                model, tiny_scaled_dataset, tiny_scaled_dataset,
-                callbacks=callbacks)
+            result = Trainer(_training_config(epochs=4, eval_every=2)).train(
+                MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
+                tiny_scaled_dataset, callbacks=callbacks)
             histories.append(result.history("train_loss"))
-        # Identical seeds + a clean reset -> the two runs behave identically
-        # (a stale EarlyStopping counter would truncate the second run).
         assert histories[0] == histories[1]
-        assert tracker.best_epoch is not None
-
-    def test_stateful_callbacks_resume_from_checkpoint(self,
-                                                       tiny_scaled_dataset,
-                                                       tmp_path):
-        """Patience counters and best-model state survive a resume."""
-        path = str(tmp_path / "cb.ckpt")
-        config = _training_config(epochs=6)
-
-        def callbacks():
-            return [EarlyStopping(monitor="train_loss", patience=50),
-                    BestModelTracker(monitor="train_loss")]
-
-        full_model = MODEL_BUILDERS["quantum"]()
-        full_callbacks = callbacks()
-        Trainer(config).train(full_model, tiny_scaled_dataset,
-                              callbacks=full_callbacks)
-
-        interrupted = callbacks()
-        Trainer(config).train(MODEL_BUILDERS["quantum"](),
-                              tiny_scaled_dataset,
-                              callbacks=interrupted + [Checkpoint(path, every=3),
-                                                       StopAfter(2)])
-        resumed = callbacks()
-        Trainer(config).train(MODEL_BUILDERS["quantum"](),
-                              tiny_scaled_dataset,
-                              callbacks=resumed, resume_from=path)
-        assert resumed[1].best_epoch == full_callbacks[1].best_epoch
-        assert resumed[1].best_value == full_callbacks[1].best_value
-        assert resumed[0].best == full_callbacks[0].best
-        assert resumed[0].wait == full_callbacks[0].wait
-
-    def test_checkpoint_listed_first_still_saves_fresh_callback_state(
-            self, tiny_scaled_dataset, tmp_path):
-        """Regression: Checkpoint hooks run after other callbacks, so the
-        snapshot holds this epoch's patience counter even when the caller
-        lists Checkpoint first."""
-        path = str(tmp_path / "order.ckpt")
-        config = _training_config(epochs=8)
-
-        def stopper():
-            # min_delta too large to ever improve -> wait grows every epoch.
-            return EarlyStopping(monitor="train_loss", patience=4,
-                                 min_delta=10.0)
-
-        full_stopper = stopper()
-        full = Trainer(config).train(MODEL_BUILDERS["quantum"](),
-                                     tiny_scaled_dataset,
-                                     callbacks=[full_stopper])
-
-        interrupted = stopper()
-        Trainer(config).train(
-            MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            callbacks=[Checkpoint(path, every=1), interrupted, StopAfter(1)])
-        resumed_stopper = stopper()
-        resumed = Trainer(config).train(
-            MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            callbacks=[Checkpoint(str(tmp_path / "unused.ckpt"), every=1),
-                       resumed_stopper],
-            resume_from=path)
-        assert resumed.history("train_loss") == full.history("train_loss")
-        assert resumed_stopper.stopped_epoch == full_stopper.stopped_epoch
-
-    def test_resume_from_stopped_run_stays_stopped(self, tiny_scaled_dataset,
-                                                   tmp_path):
-        """Regression: a checkpoint written at an early-stop epoch must not
-        train further on resume."""
-        path = str(tmp_path / "stopped.ckpt")
-        config = _training_config(epochs=8)
-
-        def stopper():
-            return EarlyStopping(monitor="train_loss", patience=1,
-                                 min_delta=10.0)
-
-        reference_model = MODEL_BUILDERS["quantum"]()
-        reference = Trainer(config).train(
-            reference_model, tiny_scaled_dataset, callbacks=[stopper()])
-
-        stopped_model = MODEL_BUILDERS["quantum"]()
-        Trainer(config).train(stopped_model, tiny_scaled_dataset,
-                              callbacks=[stopper(),
-                                         Checkpoint(path, every=1)])
-        resumed_model = MODEL_BUILDERS["quantum"]()
-        resumed = Trainer(config).train(resumed_model, tiny_scaled_dataset,
-                                        callbacks=[stopper()],
-                                        resume_from=path)
-        assert resumed.history("train_loss") == reference.history("train_loss")
-        np.testing.assert_array_equal(resumed_model.theta.data,
-                                      reference_model.theta.data)
-
-    def test_callback_state_resumes_across_reordering(self,
-                                                      tiny_scaled_dataset,
-                                                      tmp_path):
-        """Saved callback state pairs by class, not list position."""
-        path = str(tmp_path / "reorder.ckpt")
-        config = _training_config(epochs=6)
-        stopper = EarlyStopping(monitor="train_loss", patience=50)
-        Trainer(config).train(MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-                              callbacks=[stopper, Checkpoint(path, every=3),
-                                         StopAfter(2)])
-        resumed_stopper = EarlyStopping(monitor="train_loss", patience=50)
-        Trainer(config).train(
-            MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            callbacks=[Checkpoint(str(tmp_path / "other.ckpt"), every=3),
-                       resumed_stopper],
-            resume_from=path)
-        # The stopper claimed its saved state although its position moved.
-        assert resumed_stopper.best is not None
-
-    def test_same_class_callbacks_pair_by_monitor(self, tiny_scaled_dataset,
-                                                  tmp_path):
-        """Two EarlyStopping instances must reclaim their own state after a
-        reorder, not swap patience counters."""
-        path = str(tmp_path / "two-stoppers.ckpt")
-        config = _training_config(epochs=6, eval_every=1)
-
-        def stoppers():
-            return {"loss": EarlyStopping(monitor="train_loss", patience=50),
-                    "ssim": EarlyStopping(monitor="test_ssim", mode="max",
-                                          patience=50)}
-
-        original = stoppers()
-        Trainer(config).train(
-            MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            tiny_scaled_dataset,
-            callbacks=[original["loss"], original["ssim"],
-                       Checkpoint(path, every=3), StopAfter(2)])
-        resumed = stoppers()
-        Trainer(config).train(
-            MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            tiny_scaled_dataset,
-            callbacks=[resumed["ssim"], resumed["loss"]],  # reversed order
-            resume_from=path)
-        # train_loss decreases (min mode) while test_ssim grows (max mode);
-        # crossed state would hand each stopper the other's best value.
-        full = stoppers()
-        Trainer(config).train(MODEL_BUILDERS["quantum"](),
-                              tiny_scaled_dataset, tiny_scaled_dataset,
-                              callbacks=[full["loss"], full["ssim"]])
-        assert resumed["loss"].best == full["loss"].best
-        assert resumed["ssim"].best == full["ssim"].best
+        assert len(histories[0]) == 3
+        assert recorder.logged == [0, 1, 2]
+        assert recorder.ended == [(0, False, 0), (1, True, 1), (2, False, 2)]
 
     def test_resume_finished_run_rescoring_new_test_set(self,
                                                         tiny_scaled_dataset,
                                                         tmp_path):
         """Resuming a finished run against a different test split must not
         serve the old split's cached metrics."""
-        from repro.core import evaluate_model
+        from repro.core.experiment import evaluate_model
 
         path = str(tmp_path / "finished-eval.ckpt")
         config = _training_config(epochs=3)
@@ -755,35 +612,6 @@ class TestCallbacks:
             expected["ssim"])
         assert rescored.final_metrics["test_mse"] == pytest.approx(
             expected["mse"])
-
-    def test_orphaned_callback_state_warns(self, tiny_scaled_dataset,
-                                           tmp_path):
-        path = str(tmp_path / "orphan.ckpt")
-        config = _training_config(epochs=6)
-        Trainer(config).train(
-            MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
-            callbacks=[EarlyStopping(monitor="train_loss", patience=50),
-                       Checkpoint(path, every=3), StopAfter(2)])
-        with pytest.warns(UserWarning, match="EarlyStopping"):
-            Trainer(config).train(MODEL_BUILDERS["quantum"](),
-                                  tiny_scaled_dataset, resume_from=path)
-
-    def test_restore_best_final_metrics_describe_returned_model(
-            self, tiny_scaled_dataset):
-        """Regression: final_metrics must score the restored-best weights."""
-        from repro.core import evaluate_model
-
-        tracker = BestModelTracker(monitor="train_loss", restore_best=True)
-        model = MODEL_BUILDERS["quantum"]()
-        result = Trainer(_training_config(epochs=4)).train(
-            model, tiny_scaled_dataset, tiny_scaled_dataset,
-            callbacks=[tracker])
-        rescored = evaluate_model(model, tiny_scaled_dataset)
-        assert result.final_metrics["test_ssim"] == pytest.approx(
-            rescored["ssim"])
-        assert result.final_metrics["test_mse"] == pytest.approx(
-            rescored["mse"])
-
 
 class TestEvaluationChunking:
     def test_eval_batch_size_does_not_change_metrics(self, tiny_scaled_dataset):
