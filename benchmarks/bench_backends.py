@@ -3,9 +3,9 @@
 Times a batched forward pass of the paper's U3+CU3 ansatz on the two
 simulation engines.  The ``numpy`` oracle (``NumpyLoopBackend``) executes the
 batch as a Python loop of per-gate statevector updates; the ``einsum`` engine
-(``EinsumBatchBackend``) updates the whole batch
-with one strided-view pass per gate, which is where QuBatch mini-batches and
-stacked parameter-shift sweeps get their speedup.
+(``EinsumBatchBackend``; the name is historical) applies the whole gate
+stream to the whole batch in one compiled C call, which is where QuBatch
+mini-batches and stacked parameter-shift sweeps get their speedup.
 
 Run directly (CI uses ``--quick``)::
 

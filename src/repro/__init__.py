@@ -7,8 +7,8 @@ The package is organised as:
   layer-wise decoders), QuBatch, parameter-matched classical baselines and
   the training / experiment harnesses.
 * :mod:`repro.quantum` — NumPy statevector simulator with analytic gradients.
-* :mod:`repro.backends` — the statevector engine (vectorised, strided-view
-  gate kernel) and its per-gate reference oracle.
+* :mod:`repro.backends` — the statevector engine (compiled C gate kernels)
+  and its per-gate reference oracle.
 * :mod:`repro.nn` — small autograd / neural-network substrate for the
   classical components.
 * :mod:`repro.seismic` — acoustic forward modelling and velocity-model

@@ -10,12 +10,15 @@ interface.  No setting selects the engine:
 >>> get_backend()                    # a fresh EinsumBatchBackend, the engine
 >>> get_backend(NumpyLoopBackend())  # an instance is used as it is
 
-:class:`EinsumBatchBackend` is the vectorised production engine.
+:class:`EinsumBatchBackend` is the production engine (the name is
+historical): one compiled C call per forward pass and one per window of the
+adjoint sweep (``statevector.c``, built on first use).
 :class:`NumpyLoopBackend` is the per-gate reference oracle; tests pass it in
-explicitly to check the engine against code it shares nothing with.  Both
-compute in ``complex128``; no setting changes the precision.  Gradients
-run as one reversible adjoint sweep on either engine (see
-:mod:`repro.quantum.autodiff`).
+explicitly to check the engine against code it shares nothing with, and
+the engine runs it itself, after one warning, where no C compiler is
+available.  Both compute in ``complex128``; no setting changes the
+precision.  Gradients run as one reversible adjoint sweep on either engine
+(see :mod:`repro.quantum.autodiff`).
 """
 
 from typing import Optional

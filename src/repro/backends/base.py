@@ -20,10 +20,11 @@ Conventions shared by all backends (see :mod:`repro.quantum.gates`):
 
 The adjoint gradient (:func:`repro.quantum.autodiff.circuit_gradients_batched`)
 needs only two calls: :meth:`SimulationBackend.run_batched` for the forward
-pass and :meth:`SimulationBackend.apply_gate_batched_inplace` to pull the
-stacked co-states and uncomputed states back through each ``U^dagger``.
-The base class provides loop fallbacks for both, so one reversible sweep
-serves every backend; vectorised engines override them to make it fast.
+pass and :meth:`SimulationBackend.backward_sweep` for the reversible
+backward pass.  The base class provides loop fallbacks for both: the
+default sweep pulls the stacked co-states and uncomputed states back
+through each ``U^dagger`` with :meth:`apply_gate_batched_inplace`.  The
+default engine overrides all three with its compiled kernels.
 """
 
 from __future__ import annotations
@@ -161,6 +162,21 @@ class SimulationBackend(ABC):
         """Apply one gate matrix to a ``(batch, 2**n)`` stack the caller owns,
         in place; the default writes :meth:`apply_gate_batched` back."""
         stack[...] = self.apply_gate_batched(stack, matrix, targets, n_qubits)
+
+    def backward_sweep(self, circuit: "ParameterizedCircuit",
+                       params: np.ndarray, lams: np.ndarray,
+                       outputs: np.ndarray, grads: np.ndarray) -> None:
+        """Add the adjoint gradients of a batch into ``grads`` in place.
+
+        ``lams`` and ``outputs`` are the ``(batch, 2**n)`` co-states and
+        output states and ``grads`` the ``(batch, n_params)`` buffer.  The
+        default is the generic reversible sweep of
+        :mod:`repro.quantum.autodiff`, one :meth:`apply_gate_batched_inplace`
+        per op.
+        """
+        from repro.quantum.autodiff import _reversible_backward_sweep
+
+        _reversible_backward_sweep(self, circuit, params, lams, outputs, grads)
 
     # ------------------------------------------------------------------ #
     # misc

@@ -1,120 +1,143 @@
-"""Vectorised batched-statevector engine: one strided-view gate kernel.
+"""The batched statevector engine: one C call per forward pass and one per
+window of the adjoint sweep.
 
-:class:`EinsumBatchBackend` updates the whole ``(batch, 2**n)`` state stack
-gate by gate, in place, with the kernel of :mod:`repro.quantum.kernel`: for
-a gate on target ``t`` the stack is viewed (reshape only, no copy) as
-``(batch, 2**t, 2, 2**(n-1-t))`` and its two halves ``x0``/``x1`` get the
-four multiply-adds of the 2x2 block.  A controlled gate — any 4x4 matrix
-with an identity control=0 block and zero off-diagonal blocks (CU3, CRX,
-CNOT, CZ) — updates only the control=1 sub-view with its 2x2 block; other
-multi-qubit gates (SWAP) mix the ``2**k`` sub-views of their targets the
-same way.  Per-row matrices (a ``(batch, n_params)`` parameter matrix)
-broadcast through the same code, and temporaries keep the stack's dtype.
+:class:`EinsumBatchBackend` (the name is historical: the engine runs no
+``einsum``) keeps a ``(batch, 2**n)`` state stack batch-innermost, as the
+``(2**n, batch)`` buffer of :func:`~repro.quantum.kernel.empty_stack`, and
+hands whole gate streams to the compiled kernels of ``statevector.c``
+through :mod:`repro.backends.kernels`, which it imports on its first call:
+:meth:`run_batched` runs the whole circuit in one call per window of gate
+tables, :meth:`apply_gate_batched` one gate in one call, and
+:meth:`backward_sweep` the reversible adjoint sweep of
+:func:`repro.quantum.autodiff.circuit_gradients_batched` in one call per
+window of ops.  The engine checks its inputs before any C code runs.
 
-The op matrices come from one constructor call per gate family and window
-of ops (:meth:`repro.quantum.circuit.ParameterizedCircuit.op_matrices`), and
-adjacent single-qubit gates on a wire are fused into one 2x2 matrix.  The
-engine's name stays ``einsum``.  Training runs the reversible adjoint sweep
-of :func:`repro.quantum.autodiff.circuit_gradients_batched` on it: one
-:meth:`EinsumBatchBackend.run_batched` forward, then one
-:meth:`EinsumBatchBackend.apply_gate_batched_inplace` per op.
+Without a C compiler the engine warns once, counts ``backend.fallback`` on
+every call and runs the per-state oracle
+:class:`~repro.backends.numpy_loop.NumpyLoopBackend`, with the generic
+sweep for gradients.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.backends.base import SimulationBackend
-from repro.quantum.kernel import apply_gate_inplace, empty_stack
+from repro.backends.numpy_loop import NumpyLoopBackend
+from repro.quantum.autodiff import _reversible_backward_sweep
+from repro.quantum.kernel import empty_stack
 from repro.telemetry import get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.circuit import ParameterizedCircuit
 
+#: The fallback engine where the compiled kernels are unavailable.
+_ORACLE = NumpyLoopBackend()
+
+
+def _kernels():
+    """:mod:`repro.backends.kernels` and its library (``None`` where it
+    cannot be built).  Imported on the first call, so importing the engine
+    neither loads the library nor imports the stream-building code."""
+    from repro.backends import kernels
+
+    return kernels, kernels.load_library()
+
 
 class EinsumBatchBackend(SimulationBackend):
-    """Batched statevector simulation via in-place strided-view gate updates."""
+    """Batched statevector simulation through the compiled gate kernels."""
 
     name = "einsum"
-
-    # ------------------------------------------------------------------ #
-    # fused gate stream
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _gate_stream(circuit: "ParameterizedCircuit", params: np.ndarray
-                     ) -> Iterator[Tuple[np.ndarray, Tuple[int, ...]]]:
-        """Yield ``(matrix, targets)`` with single-qubit fusion.
-
-        A single-qubit gate is held back per wire and composed with later
-        single-qubit gates on the same wire; it is flushed as one matrix
-        when a multi-qubit gate touches the wire (or at the end of the
-        circuit).  Deferral is safe because gates on disjoint wires commute.
-        """
-        pending: Dict[int, np.ndarray] = {}
-        for op, matrix in circuit.op_matrices(params):
-            if len(op.qubits) == 1:
-                wire = op.qubits[0]
-                held = pending.get(wire)
-                # Later gate multiplies from the left: state -> M_new M_old.
-                pending[wire] = matrix if held is None else matrix @ held
-            else:
-                for wire in op.qubits:
-                    held = pending.pop(wire, None)
-                    if held is not None:
-                        yield held, (wire,)
-                yield matrix, op.qubits
-        for wire, held in pending.items():
-            yield held, (wire,)
-
-    # ------------------------------------------------------------------ #
-    # execution
-    # ------------------------------------------------------------------ #
-    def _owned_stack(self, states: np.ndarray) -> np.ndarray:
-        """A fresh ``complex128`` :func:`empty_stack` copy of a
-        ``(batch, 2**n)`` stack, which the kernel may update in place."""
-        states = np.asarray(states)
-        if states.ndim != 2:
-            raise ValueError("states must have shape (batch, 2**n_qubits)")
-        stack = empty_stack(*states.shape)
-        stack[...] = states
-        return stack
 
     def run_batched(self, circuit: "ParameterizedCircuit", states: np.ndarray,
                     params: Optional[np.ndarray] = None) -> np.ndarray:
         n = circuit.n_qubits
-        if np.ndim(states) == 2 and np.shape(states)[1] != 2**n:
+        states = np.asarray(states)
+        if states.ndim != 2:
+            raise ValueError("states must have shape (batch, 2**n_qubits)")
+        if states.shape[1] != 2**n:
             raise ValueError(
-                f"state length {np.shape(states)[1]} does not match {n} qubits")
-        stack = self._owned_stack(states)
-        batch = stack.shape[0]
+                f"state length {states.shape[1]} does not match {n} qubits")
+        batch = states.shape[0]
         params = self._normalise_params(circuit, batch, params)
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.counter("backend.einsum.run_batched.calls").inc()
             telemetry.counter("backend.einsum.run_batched.samples").inc(batch)
             telemetry.gauge("backend.einsum.last_batch_size").set(batch)
+        kernels, library = _kernels()
+        if library is None:
+            telemetry.counter("backend.fallback").inc()
+            return _ORACLE.run_batched(circuit, states, params)
         with telemetry.span("einsum.run_batched"):
-            for matrix, targets in self._gate_stream(circuit, params):
-                apply_gate_inplace(stack, matrix, targets, n)
+            stack = empty_stack(batch, 2**n)
+            stack[...] = states
+            kernels.forward(library, circuit, params, stack)
             return np.ascontiguousarray(stack)
-
-    def apply_gate_batched(self, states: np.ndarray, matrix: np.ndarray,
-                           targets, n_qubits: int) -> np.ndarray:
-        """Apply one gate matrix to a copy of the whole stack."""
-        stack = self._owned_stack(states)
-        apply_gate_inplace(stack, matrix, targets, n_qubits)
-        return np.ascontiguousarray(stack)
-
-    def apply_gate_batched_inplace(self, stack: np.ndarray, matrix: np.ndarray,
-                                   targets, n_qubits: int) -> None:
-        apply_gate_inplace(stack, matrix, targets, n_qubits)
 
     def run(self, circuit: "ParameterizedCircuit", state: np.ndarray,
             params: Optional[np.ndarray] = None) -> np.ndarray:
         state = self.validate_state(circuit, state)
         return self.run_batched(circuit, state[None, :], params)[0]
+
+    def apply_gate_batched(self, states: np.ndarray, matrix: np.ndarray,
+                           targets: Sequence[int], n_qubits: int
+                           ) -> np.ndarray:
+        """Apply one gate matrix to a copy of the whole stack."""
+        states = np.asarray(states)
+        if states.ndim != 2:
+            raise ValueError("states must have shape (batch, 2**n_qubits)")
+        stack = empty_stack(*states.shape)
+        stack[...] = states
+        self.apply_gate_batched_inplace(stack, matrix, targets, n_qubits)
+        return np.ascontiguousarray(stack)
+
+    def apply_gate_batched_inplace(self, stack: np.ndarray,
+                                   matrix: np.ndarray,
+                                   targets: Sequence[int],
+                                   n_qubits: int) -> None:
+        """Apply a ``(2**k, 2**k)`` matrix, or a per-row ``(batch, 2**k,
+        2**k)`` stack of them, to every row of ``stack`` in place."""
+        targets = tuple(int(t) for t in targets)
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        if len(targets) not in (1, 2) or len(set(targets)) != len(targets):
+            raise ValueError(f"the engine applies gates on one or two "
+                             f"distinct qubits, got {targets}")
+        if not all(0 <= t < n_qubits for t in targets):
+            raise ValueError(f"targets {targets} outside a register of "
+                             f"{n_qubits} qubits")
+        if (stack.ndim != 2 or stack.shape[1] != 2**n_qubits
+                or stack.dtype != np.complex128):
+            raise ValueError(f"stack must be a complex128 (batch, "
+                             f"{2**n_qubits}) array, got {stack.dtype} "
+                             f"{stack.shape}")
+        dim = 2**len(targets)
+        if matrix.shape not in ((dim, dim), (stack.shape[0], dim, dim)):
+            raise ValueError(f"matrix shape {matrix.shape} does not fit "
+                             f"{len(targets)} target(s) and batch "
+                             f"{stack.shape[0]}")
+        kernels, library = _kernels()
+        if library is None:
+            get_telemetry().counter("backend.fallback").inc()
+            rows = np.broadcast_to(matrix, (len(stack), dim, dim))
+            stack[...] = [_ORACLE.apply_gate(state, row, targets, n_qubits)
+                          for state, row in zip(stack, rows)]
+            return
+        kernels.apply_gate(library, stack, matrix, targets, n_qubits)
+
+    def backward_sweep(self, circuit: "ParameterizedCircuit",
+                       params: np.ndarray, lams: np.ndarray,
+                       outputs: np.ndarray, grads: np.ndarray) -> None:
+        """The reversible sweep in one compiled call per window of ops."""
+        kernels, library = _kernels()
+        if library is None:
+            get_telemetry().counter("backend.fallback").inc()
+            _reversible_backward_sweep(_ORACLE, circuit, params, lams,
+                                       outputs, grads)
+            return
+        kernels.sweep(library, circuit, params, lams, outputs, grads)
 
     def _normalise_params(self, circuit: "ParameterizedCircuit", batch: int,
                           params: Optional[np.ndarray]) -> np.ndarray:

@@ -5,9 +5,10 @@
 with the default ``einsum`` engine.  It is the ground truth the vectorised
 engine is tested against: tests pass ``NumpyLoopBackend()`` to a model or
 a circuit as its ``backend``.  The adjoint gradient runs here through the
-base-class loop fallbacks of ``run_batched`` and
-``apply_gate_batched_inplace``: the same reversible sweep as on the default
-engine, one statevector at a time.
+base-class loop fallbacks of ``run_batched`` and ``backward_sweep``: the
+generic numpy reversible sweep, one statevector at a time per gate.  The
+default engine also falls back to this class where its C library cannot
+be built.
 """
 
 from __future__ import annotations

@@ -233,6 +233,17 @@ def evaluate_predictions(predictions: np.ndarray,
             "mse": mse(predictions, targets)}
 
 
+def _chunk_indices(n_samples: int,
+                   batch_size: Optional[int]) -> List[np.ndarray]:
+    """The sample indices of each ``batch_size`` chunk (one chunk for
+    ``None``); an empty set is an error."""
+    if n_samples == 0:
+        raise ValueError("empty evaluation set")
+    limit = n_samples if batch_size is None else max(1, int(batch_size))
+    return [np.arange(start, min(start + limit, n_samples))
+            for start in range(0, n_samples, limit)]
+
+
 def predict_in_batches(model: Model, seismic,
                        batch_size: Optional[int] = None) -> np.ndarray:
     """Predict a whole dataset in bounded-memory chunks.
@@ -245,25 +256,12 @@ def predict_in_batches(model: Model, seismic,
     their own ``predict_batch``.  Chunked and unchunked prediction agree
     because every model decodes samples independently.
     """
-    if hasattr(seismic, "gather"):
-        source = seismic
-        n_samples = len(source)
-        if n_samples == 0:
-            raise ValueError("empty evaluation set")
-        limit = n_samples if batch_size is None else max(1, int(batch_size))
-        chunks = []
-        for start in range(0, n_samples, limit):
-            block, _ = source.gather(
-                np.arange(start, min(start + limit, n_samples)))
-            chunks.append(model.predict_batch(block))
-    else:
+    stacked = not hasattr(seismic, "gather")
+    if stacked:
         seismic = np.asarray(seismic)
-        n_samples = seismic.shape[0]
-        if n_samples == 0:
-            raise ValueError("empty evaluation set")
-        limit = n_samples if batch_size is None else max(1, int(batch_size))
-        chunks = [model.predict_batch(seismic[start:start + limit])
-                  for start in range(0, n_samples, limit)]
+    chunks = [model.predict_batch(seismic[index] if stacked
+                                  else seismic.gather(index)[0])
+              for index in _chunk_indices(len(seismic), batch_size)]
     if len(chunks) == 1:
         return np.asarray(chunks[0])
     return np.concatenate(chunks, axis=0)
@@ -278,15 +276,10 @@ def evaluate_data_source(model: Model, source, split: str = "test",
     dataset without ``gather`` is stacked into an :class:`ArrayDataSource`.
     """
     source = _as_data_source(source)
-    n_samples = len(source)
-    if n_samples == 0:
-        raise ValueError("empty evaluation set")
-    limit = n_samples if batch_size is None else max(1, int(batch_size))
     predictions, targets = [], []
     with get_telemetry().span("eval"):
-        for start in range(0, n_samples, limit):
-            seismic, velocity = source.gather(
-                np.arange(start, min(start + limit, n_samples)))
+        for index in _chunk_indices(len(source), batch_size):
+            seismic, velocity = source.gather(index)
             predictions.append(model.predict_batch(seismic))
             targets.append(velocity)
         metrics = evaluate_predictions(np.concatenate(predictions, axis=0),
@@ -325,8 +318,12 @@ def _autograd_step(model: ClassicalFWIModel, seismic: np.ndarray,
     else:
         prediction = model.expand_prediction(output)
     loss = _MSE(prediction, velocity)
-    loss.backward()
-    return loss.item()
+    value = loss.item()
+    # A non-finite loss halts the trainer before its update: skip the
+    # backward pass, which would only propagate inf/NaN.
+    if np.isfinite(value):
+        loss.backward()
+    return value
 
 
 def select_step_strategy(model: Model) -> TrainStep:

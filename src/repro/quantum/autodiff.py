@@ -8,15 +8,17 @@ methods are provided:
   one parameter vector.  For a real loss ``L(psi_out)`` the gradient of a
   gate parameter is ``2 Re <lambda | dU/dtheta psi_before>`` where
   ``lambda = dL/d(psi_out*)`` is pulled backwards through the inverse gates.
-  The sweep is *reversible* (Jones & Gacon, arXiv:2009.02823): one fused
+  The sweep is *reversible* (Jones & Gacon, arXiv:2009.02823): one
   forward pass keeps only the output stack, and the backward pass
   uncomputes every pre-gate state as ``U^dagger psi`` alongside the
   co-state instead of storing it, so memory is ``O(batch * 2**n)`` at any
   circuit depth and the cost is independent of the parameter count.  Gate
   matrices and ``dU U^dagger`` products come from one vectorised call per
-  gate family; the engine updates the sweep's stack in place, and each
-  gradient reads the reduced overlap straight from strided views of it.
-  This is the one gradient path used for training, on either engine.
+  gate family and window of ops (:func:`_sweep_tables`).  The engine runs
+  the backward pass (:meth:`~repro.backends.base.SimulationBackend.backward_sweep`):
+  the default engine makes one compiled call per window, and the oracle
+  runs the generic numpy sweep of this module.  This is the one gradient
+  path used for training, on either engine.
 * :func:`circuit_gradients` — the same sweep for a single input state (a
   batch of one).
 * :func:`parameter_shift_gradients` — the hardware-compatible two-term
@@ -113,8 +115,8 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
         It is invoked exactly once per call, always on the full batch.
     backend:
         Simulation engine instance, or ``None`` for the default.  The
-        sweep needs only ``run_batched`` and ``apply_gate_batched_inplace``,
-        which both engines provide.
+        sweep needs only ``run_batched`` and ``backward_sweep``, which both
+        engines provide.
 
     Returns
     -------
@@ -145,8 +147,7 @@ def circuit_gradients_batched(circuit: ParameterizedCircuit, params: np.ndarray,
     losses, lams = _check_batched_head(loss_head(outputs), batch, dim)
     grads = np.zeros((batch, circuit.n_params))
     with telemetry.span("gradients.backward"):
-        _reversible_backward_sweep(engine, circuit, params, lams, outputs,
-                                   grads)
+        engine.backward_sweep(circuit, params, lams, outputs, grads)
     return losses, grads
 
 
@@ -170,7 +171,8 @@ def _check_batched_head(result, batch: int, dim: int
 def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
                                params: np.ndarray, lams: np.ndarray,
                                outputs: np.ndarray, grads: np.ndarray) -> None:
-    """Pull co-states and outputs back through the circuit, filling ``grads``.
+    """The generic sweep: pull co-states and outputs back through the
+    circuit one gate at a time, filling ``grads``.
 
     The co-state and output stacks travel as one ``(2 * batch, 2**n)`` stack
     the sweep owns: one in-place ``apply_gate_batched_inplace(U^dagger)`` per
@@ -180,7 +182,9 @@ def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
     overlap of ``(lam, psi_after)`` on the gate's targets (the control=1
     half for a controlled gate), read from strided views of the stack, times
     the ``dU U^dagger`` weights of :func:`_sweep_tables`.  ``grads`` is the
-    ``(batch, n_params)`` output buffer (written in place).
+    ``(batch, n_params)`` output buffer (written in place).  It is the
+    default :meth:`~repro.backends.base.SimulationBackend.backward_sweep`,
+    which the oracle runs; the default engine runs the same sweep compiled.
     """
     n = circuit.n_qubits
     batch, dim = lams.shape
@@ -194,7 +198,15 @@ def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
     stack[batch:] = outputs
     for stop in range(len(circuit.ops), first, -_SWEEP_WINDOW):
         window = range(max(first, stop - _SWEEP_WINDOW), stop)
-        inverses, weights = _sweep_tables(circuit, params, window)
+        inverses = {index: GATES[circuit.ops[index].name].conj().T
+                    for index in window
+                    if not circuit.ops[index].is_parametric}
+        weights = {}
+        for members, _, controlled, inverse, weight in _sweep_tables(
+                circuit, params, window):
+            for row, index in enumerate(members):
+                inverses[index] = inverse[row]
+                weights[index] = (controlled, weight[row])
         for index in reversed(window):
             op = circuit.ops[index]
             if op.is_parametric:
@@ -212,19 +224,19 @@ def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
 
 def _sweep_tables(circuit: ParameterizedCircuit, params: np.ndarray,
                   window: range):
-    """``U^dagger`` and overlap weights of the ops in ``window``.
+    """``U^dagger`` and overlap weights of the parametric ops in ``window``.
 
-    One vectorised constructor call per gate family builds every matrix and
-    derivative at once.  ``weights[index] = (controlled, W)`` for a
-    parametric op, where ``W`` is the ``(d * d, n_gate_params)`` matrix
-    with ``W[a * d + c, p] = (dU_p U^dagger)[a, c]`` matching
+    Yields ``(members, slots, controlled, inverse, weight)`` per gate
+    family: the op indices, their ``(m, n_gate_params)`` parameter slots,
+    whether ``dU U^dagger`` lives on the control=1 block, the ``(m, 2**k,
+    2**k)`` inverses and the ``(m, d * d, n_gate_params)`` weights with
+    ``weight[i, a * d + c, p] = (dU_p U^dagger)[a, c]``, matching
     :func:`_reduced_overlap`; ``d`` is 2 on the control=1 block of a
-    controlled gate, else ``2**k``.  Only these two tables are kept.
+    controlled gate, else ``2**k``.  One vectorised constructor call per
+    family builds every matrix and derivative at once.
     """
-    inverses = {index: GATES[circuit.ops[index].name].conj().T
-                for index in window if not circuit.ops[index].is_parametric}
-    weights = {}
-    for gate, members, columns in circuit.gate_families(params, window):
+    for gate, members, slots, columns in circuit.gate_families(params,
+                                                               window):
         inverse = gate.matrix_stack(columns).conj().swapaxes(-1, -2)
         derivatives = gate.derivative_stack(columns)
         # dU U^dagger lives on the control=1 block when both U and every dU
@@ -238,10 +250,7 @@ def _sweep_tables(circuit: ParameterizedCircuit, params: np.ndarray,
             pullback = derivatives @ inverse[:, None]
         del derivatives
         weight = pullback.reshape(pullback.shape[:2] + (-1,)).swapaxes(-1, -2)
-        for row, index in enumerate(members):
-            inverses[index] = inverse[row]
-            weights[index] = (controlled, weight[row])
-    return inverses, weights
+        yield members, slots, controlled, inverse, weight
 
 
 def _reduced_overlap(stack: np.ndarray, batch: int, n_qubits: int,
@@ -250,7 +259,7 @@ def _reduced_overlap(stack: np.ndarray, batch: int, n_qubits: int,
 
     ``stack`` is the sweep's co-state-then-state stack; the sum runs over
     every qubit but ``targets`` (on the control=1 half of the first target
-    when ``controlled``), through the gate kernel's own strided views.
+    when ``controlled``), through strided views of the stack.
     """
     if controlled:
         views = gate_views(stack, n_qubits, targets[1:], control=targets[0])

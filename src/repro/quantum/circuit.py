@@ -18,10 +18,10 @@ import numpy as np
 from repro.quantum.gates import GATES
 from repro.quantum.parametric import PARAMETRIC_GATES, ParametricGate
 
-# Most gate matrices built at once (ops times parameter rows): the tables
-# of :meth:`ParameterizedCircuit.op_matrices` and the adjoint sweep then stay
-# O(window) instead of growing with circuit depth.  Each window costs a few
-# numpy calls per gate family, which a single-state predict notices.
+# Most gate matrices built at once (ops times parameter rows): the engine's
+# gate streams and the adjoint sweep's tables then stay O(window) instead of
+# growing with circuit depth.  Each window costs a few numpy calls per gate
+# family, which a single-state predict notices.
 GATE_TABLE_WINDOW = 256
 
 
@@ -138,13 +138,15 @@ class ParameterizedCircuit:
     def gate_families(self, params: np.ndarray,
                       indices: Optional[Sequence[int]] = None
                       ) -> Iterator[Tuple[ParametricGate, List[int],
-                                          Tuple[np.ndarray, ...]]]:
-        """``(gate, op indices, parameter columns)`` per parametric family.
+                                          np.ndarray, Tuple[np.ndarray, ...]]]:
+        """``(gate, op indices, slots, parameter columns)`` per parametric
+        family.
 
         ``indices`` restricts the grouping to those ops (all by default).
-        ``params`` is a flat vector or a ``(batch, n_params)`` matrix; each
-        column then has shape ``(n_members,)`` or ``(batch, n_members)``,
-        ready for ``matrix_stack``/``derivative_stack``.
+        ``slots`` is the ``(n_members, n_gate_params)`` matrix of parameter
+        indices.  ``params`` is a flat vector or a ``(batch, n_params)``
+        matrix; each column then has shape ``(n_members,)`` or
+        ``(batch, n_members)``, ready for ``matrix_stack``/``derivative_stack``.
         """
         families: Dict[str, List[int]] = {}
         for index in range(len(self.ops)) if indices is None else indices:
@@ -154,31 +156,7 @@ class ParameterizedCircuit:
         for name, members in families.items():
             slots = np.array([self.ops[i].param_indices for i in members])
             columns = np.moveaxis(params[..., slots], -1, 0)
-            yield PARAMETRIC_GATES[name], members, tuple(columns)
-
-    def op_matrices(self, params: np.ndarray
-                    ) -> Iterator[Tuple[GateOp, np.ndarray]]:
-        """Every op with its unitary, in circuit order.
-
-        The parametric matrices of a window of ops come from one constructor
-        call per gate family.  A window holds at most
-        :data:`GATE_TABLE_WINDOW` matrices (ops times parameter rows), so
-        the tables stay bounded however deep the circuit and however tall a
-        ``(batch, n_params)`` parameter matrix is; the parametric entries
-        are then ``(batch, 2**k, 2**k)`` stacks.
-        """
-        params = np.asarray(params)
-        rows = params.shape[0] if params.ndim == 2 else 1
-        step = max(1, GATE_TABLE_WINDOW // rows)
-        for start in range(0, len(self.ops), step):
-            window = range(start, min(start + step, len(self.ops)))
-            tables = {}
-            for gate, members, columns in self.gate_families(params, window):
-                table = gate.matrix_stack(columns)
-                tables.update(zip(members, np.moveaxis(table, -3, 0)))
-            for index in window:
-                op = self.ops[index]
-                yield op, tables[index] if op.is_parametric else GATES[op.name]
+            yield PARAMETRIC_GATES[name], members, slots, tuple(columns)
 
     def run(self, state: np.ndarray, params: Optional[np.ndarray] = None,
             backend=None) -> np.ndarray:
@@ -212,9 +190,9 @@ class ParameterizedCircuit:
         """Apply the circuit to a ``(batch, 2**n_qubits)`` stack of states.
 
         ``params`` is a shared vector or a ``(batch, n_params)`` matrix.
-        The default engine updates the whole stack gate by gate; the
-        :class:`~repro.backends.NumpyLoopBackend` oracle loops over the
-        states.
+        The default engine applies the whole gate stream to the stack in
+        one compiled call; the :class:`~repro.backends.NumpyLoopBackend`
+        oracle loops over the states.
         """
         from repro.backends import get_backend
 

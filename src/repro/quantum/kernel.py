@@ -1,19 +1,20 @@
-"""The strided-view gate kernel shared by the batched engines and the
-adjoint sweep.
+"""State-stack layout and gate structure shared by the engine and the
+generic adjoint sweep.
 
-A ``(batch, 2**n)`` state stack is viewed (reshape only, no copy) with one
-length-2 axis per gate qubit; a gate on target ``t`` updates the two halves
-``x0``/``x1`` of ``(batch, 2**t, 2, 2**(n-1-t))`` in place with the four
-multiply-adds of its 2x2 block.  A controlled gate, recognised from its
-matrix, updates only the control=1 sub-view; other multi-qubit gates mix the
-``2**k`` sub-views of their targets.
+:func:`empty_stack` lays a ``(batch, 2**n)`` stack out batch-innermost, the
+layout the compiled kernels of :mod:`repro.backends.kernels` work on.
+:func:`control_block` reads a controlled gate's 2x2 block off its matrix,
+which the engine applies to the control=1 half only.  :func:`gate_views`
+views a stack (reshape only, no copy) with one length-2 axis per gate
+qubit; the generic sweep of :mod:`repro.quantum.autodiff` reads its reduced
+overlaps from those views.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -92,45 +93,3 @@ def gate_views(stack, n_qubits: int, targets: Tuple[int, ...],
     shape, indices = _view_geometry(n_qubits, targets, control)
     view = stack.reshape((stack.shape[0],) + shape)
     return [view[index] for index in indices]
-
-
-def _mix(views: List, coeffs) -> None:
-    """``views[r] <- sum_c coeffs[r][c] * views[c]``, in place.
-
-    Each row is accumulated in a fresh temporary and written back once:
-    updating the strided views in place term by term is slower.
-    """
-    mixed = []
-    for row in coeffs:
-        acc = views[0] * row[0]
-        for view, coeff in zip(views[1:], row[1:]):
-            acc += view * coeff
-        mixed.append(acc)
-    for view, value in zip(views, mixed):
-        view[...] = value
-
-
-def apply_gate_inplace(stack: np.ndarray, matrix: np.ndarray,
-                       targets: Sequence[int], n_qubits: int) -> None:
-    """Apply a gate matrix to every row of ``stack`` in place.
-
-    ``matrix`` is ``(2**k, 2**k)`` or a per-row ``(batch, 2**k, 2**k)``
-    stack.  A shared matrix enters as Python scalars, which are weakly
-    typed, so every temporary keeps the stack's dtype; a per-row stack is
-    cast to the stack's dtype.
-    """
-    matrix = np.asarray(matrix)
-    targets, control = tuple(targets), None
-    if len(targets) == 2:
-        block = control_block(matrix)
-        if block is not None:
-            control, targets, matrix = targets[0], targets[1:], block
-    views = gate_views(stack, n_qubits, targets, control)
-    if matrix.ndim == 2:
-        coeffs = matrix.tolist()
-    else:
-        rows = np.asarray(matrix.reshape((matrix.shape[0],) + (1,) * (
-            views[0].ndim - 1) + matrix.shape[1:]), dtype=stack.dtype)
-        coeffs = [[rows[..., r, c] for c in range(len(views))]
-                  for r in range(len(views))]
-    _mix(views, coeffs)

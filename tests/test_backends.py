@@ -1,14 +1,16 @@
 """Backend subsystem tests: engine parity, engine resolution, model plumbing.
 
-The vectorised :class:`EinsumBatchBackend` must agree with the bit-exact
-:class:`NumpyLoopBackend` to 1e-10 on random circuits over 1-6 qubits,
-including the fixed two-qubit gates (CNOT/CZ/SWAP) and the parameterised
-U3/CU3 family, in every execution mode (single state, batched states,
-batched parameters, batched gate application).  Its strided-view kernel is
-also checked gate by gate: every ``GATES`` and ``PARAMETRIC_GATES`` entry on
-every target (and ordered target pair) of a 5-qubit register.  No name or
-setting selects an engine: ``get_backend()`` builds the einsum engine and
-the oracle is passed in as an instance.
+The compiled :class:`EinsumBatchBackend` must agree with the per-state
+:class:`NumpyLoopBackend` oracle on random circuits: to 1e-10 over 1-6
+qubits in every execution mode (single state, batched states, batched
+parameters, batched gate application), and to 1e-12 over 1-8 qubits at
+batch 1, 3 and 16 for circuits holding every gate kind, forward and
+adjoint gradients alike.  The kernels are also checked gate by gate: every
+``GATES`` and ``PARAMETRIC_GATES`` entry on every target (and ordered
+target pair) of a 5-qubit register.  A malformed call fails before any C
+code runs, and without a C compiler the engine warns once and runs the
+oracle.  No name or setting selects an engine: ``get_backend()`` builds the
+compiled engine and the oracle is passed in as an instance.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.core.qubatch import QuBatchVQC
 from repro.core.vqc_model import QuGeoVQC
 from repro.quantum.autodiff import (
     circuit_gradients,
+    circuit_gradients_batched,
     finite_difference_gradients,
     parameter_shift_gradients,
 )
@@ -123,7 +126,8 @@ def test_batched_params_parity(n_qubits, loop, einsum):
 
 
 def test_fusion_of_adjacent_single_qubit_gates(loop, einsum):
-    """Chains of single-qubit gates on one wire are fused but still correct."""
+    """Chains of single-qubit gates on one wire (applied one by one, no
+    longer fused into one matrix) stay correct."""
     rng = np.random.default_rng(7)
     circuit = ParameterizedCircuit(3)
     for name in ("H", "S", "T"):
@@ -236,7 +240,7 @@ def test_apply_gate_batched_parity(targets, loop, einsum):
 
 
 # --------------------------------------------------------------------------- #
-# the strided-view kernel against the numpy oracle, gate by gate
+# the compiled kernels against the numpy oracle, gate by gate
 # --------------------------------------------------------------------------- #
 KERNEL_QUBITS = 5
 #: Every ordered pair: control above and below the target, adjacent, the
@@ -345,6 +349,240 @@ def test_control_block_is_read_from_the_matrix():
     # One uncontrolled row makes the whole per-row stack uncontrolled.
     mixed = np.stack([GATES["CNOT"], GATES["SWAP"]])
     assert control_block(mixed) is None
+
+
+# --------------------------------------------------------------------------- #
+# the compiled engine: every gate kind, malformed calls, the fallback
+# --------------------------------------------------------------------------- #
+def every_kind_circuit(n_qubits: int, rng) -> ParameterizedCircuit:
+    """Every gate kind the engine applies, plus a random tail.
+
+    Each two-qubit kind (CNOT, CZ, CU3, CRX, SWAP) appears with its first
+    qubit above and below the second; one qubit gets single-qubit gates
+    only.
+    """
+    circuit = ParameterizedCircuit(n_qubits)
+    for name in ("H", "S", "T"):
+        circuit.add_gate(name, [int(rng.integers(n_qubits))])
+    for name in PARAM_SINGLE:
+        circuit.add_parametric_gate(name, [int(rng.integers(n_qubits))])
+    if n_qubits >= 2:
+        for name in ("CNOT", "CZ", "CU3", "CRX", "SWAP"):
+            low, high = sorted(rng.choice(n_qubits, size=2, replace=False))
+            for qubits in ((int(low), int(high)), (int(high), int(low))):
+                if name in PARAM_DOUBLE:
+                    circuit.add_parametric_gate(name, qubits)
+                else:
+                    circuit.add_gate(name, qubits)
+    return circuit.extend(random_circuit(n_qubits, n_ops=10, rng=rng))
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("n_qubits", range(1, 9))
+def test_compiled_engine_matches_oracle(n_qubits, batch, per_row, loop,
+                                        einsum):
+    """Forward passes and adjoint gradients of the compiled kernels agree
+    with the per-state oracle to 1e-12."""
+    rng = np.random.default_rng(1000 * n_qubits + 10 * batch + per_row)
+    circuit = every_kind_circuit(n_qubits, rng)
+    states = random_states(n_qubits, batch, rng)
+    params = rng.normal(size=((batch,) if per_row else ())
+                        + (circuit.n_params,))
+    np.testing.assert_allclose(einsum.run_batched(circuit, states, params),
+                               loop.run_batched(circuit, states, params),
+                               rtol=0, atol=1e-12)
+    if per_row:
+        return
+    signs = 1.0 - 2.0 * ((np.arange(2**n_qubits) >> (n_qubits - 1)) & 1)
+    weights = rng.normal(size=2**n_qubits) * signs
+
+    def head(outputs):
+        return (np.abs(outputs)**2) @ weights, outputs * weights
+
+    losses, grads = circuit_gradients_batched(circuit, params, states, head,
+                                              backend=einsum)
+    expected_losses, expected = circuit_gradients_batched(
+        circuit, params, states, head, backend=loop)
+    np.testing.assert_allclose(losses, expected_losses, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
+
+
+def test_sweep_window_without_parametric_ops(einsum, loop):
+    """A 64-op sweep window may hold fixed gates only."""
+    rng = np.random.default_rng(26)
+    circuit = ParameterizedCircuit(3)
+    circuit.add_parametric_gate("U3", [0])
+    for index in range(150):
+        circuit.add_gate(("H", "CNOT", "SWAP")[index % 3],
+                         [index % 3, (index + 1) % 3][:1 + (index % 3 > 0)])
+    circuit.add_parametric_gate("CU3", [2, 1])
+    params = rng.normal(size=circuit.n_params)
+    state = random_states(3, 1, rng)[0]
+    loss_head = _z0_loss_head(3)
+    _, grads = circuit_gradients(circuit, params, state, loss_head,
+                                 backend=einsum)
+    _, expected = circuit_gradients(circuit, params, state, loss_head,
+                                    backend=loop)
+    np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-12)
+
+
+def test_shared_parameter_slots_accumulate(einsum):
+    """Slots listed twice, within one op and across ops of a window, add
+    their gradients up (the sweep's one scatter per window)."""
+    rng = np.random.default_rng(27)
+    circuit = ParameterizedCircuit(3)
+    circuit.add_parametric_gate("U3", [0], param_indices=(0, 0, 1))
+    circuit.add_parametric_gate("RX", [1], param_indices=(0,))
+    circuit.add_gate("CNOT", [0, 2])
+    circuit.add_parametric_gate("CU3", [1, 2], param_indices=(1, 2, 2))
+    circuit.add_parametric_gate("RY", [2], param_indices=(2,))
+    params = rng.normal(size=circuit.n_params)
+    state = random_states(3, 1, rng)[0]
+    loss_head = _z0_loss_head(3)
+    _, grads = circuit_gradients(circuit, params, state, loss_head,
+                                 backend=einsum)
+    _, expected = finite_difference_gradients(circuit, params, state,
+                                              loss_head,
+                                              backend=NumpyLoopBackend())
+    np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-8)
+
+
+def test_adjoint_matches_parameter_shift_on_u3_circuit(einsum, loop):
+    """On a U3-only circuit the shift rule is exact for every parameter, so
+    the compiled sweep must equal it; the shifted runs go through the
+    compiled forward with per-row parameters and through the oracle."""
+    rng = np.random.default_rng(23)
+    n = 4
+    circuit = ParameterizedCircuit(n)
+    for _ in range(3):
+        for qubit in range(n):
+            circuit.add_parametric_gate("U3", [qubit])
+    params = rng.uniform(-np.pi, np.pi, size=circuit.n_params)
+    state = random_states(n, 1, rng)[0]
+    loss_head = _z0_loss_head(n)
+    _, adjoint = circuit_gradients(circuit, params, state, loss_head,
+                                   backend=einsum)
+    for engine in (einsum, loop):
+        _, shifted = parameter_shift_gradients(circuit, params, state,
+                                               loss_head, backend=engine)
+        np.testing.assert_allclose(adjoint, shifted, rtol=0, atol=1e-12,
+                                   err_msg=engine.name)
+
+
+class _NoCallLibrary:
+    """A stand-in for the compiled library that fails if it is called."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"C entry point {name} was reached")
+
+
+def test_malformed_calls_fail_before_any_c_code(monkeypatch, einsum):
+    from repro.backends import kernels
+    from repro.quantum.gates import GATES
+
+    monkeypatch.setattr(kernels, "load_library", _NoCallLibrary)
+    rng = np.random.default_rng(24)
+    states = random_states(5, 3, rng)
+    for matrix, targets in ((GATES["H"], (5,)), (GATES["H"], (-1,)),
+                            (GATES["CNOT"], (1, 1)), (GATES["CNOT"], (0, 5)),
+                            (GATES["H"], (0, 1)), (np.eye(8), (0, 1, 2))):
+        with pytest.raises(ValueError):
+            einsum.apply_gate_batched_inplace(states, matrix, targets, 5)
+    for stack in (states[:, :30], states[0], states.astype(np.complex64)):
+        with pytest.raises(ValueError):
+            einsum.apply_gate_batched_inplace(stack, GATES["H"], (0,), 5)
+    with pytest.raises(ValueError):  # one matrix per row, wrong batch
+        einsum.apply_gate_batched_inplace(
+            states, np.stack([GATES["H"]] * 2), (0,), 5)
+    circuit = random_circuit(5, n_ops=6, rng=rng)
+    with pytest.raises(ValueError):
+        einsum.run_batched(circuit, states[:, :16], np.zeros(circuit.n_params))
+    # The record check itself, on streams the engine would never build.
+    buffer = np.zeros((32, 3), dtype=np.complex128)
+    for field, value in ((kernels.QA, 5), (kernels.QB, 0),
+                         (kernels.KIND, 3), (kernels.OFFSET, 1)):
+        stream = kernels._Stream([(0, 1)])
+        stream.place([0], kernels.CONTROLLED, np.eye(2), per_row=False)
+        stream.records[0, field] = value
+        with pytest.raises(ValueError, match="inconsistent"):
+            kernels._apply(_NoCallLibrary(), buffer, 5, stream)
+    with pytest.raises(ValueError, match="stack"):
+        kernels._apply(_NoCallLibrary(), buffer[:16], 5, stream)
+
+
+def test_package_import_loads_no_compiled_kernels():
+    """``import repro.core, repro.data`` neither builds nor loads a C
+    library: the kernels modules and the loader load on first use."""
+    import os
+    import subprocess
+    import sys
+
+    lazy = ("repro.backends.kernels", "repro.seismic.kernels",
+            "repro.utils.native")
+    code = ("import sys, repro.core, repro.data; "
+            f"print([m for m in {lazy!r} if m in sys.modules])")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_missing_compiler_runs_the_oracle(monkeypatch, loop):
+    """Without a C compiler the engine warns once, counts every fallback
+    call and gives exactly the oracle's outputs and gradients."""
+    import warnings
+
+    from repro.telemetry import capture
+    from repro.utils import native
+
+    monkeypatch.setattr(native, "_COMPILER", "qugeo-no-such-cc")
+    monkeypatch.setattr(native, "_loaded", {})
+    rng = np.random.default_rng(25)
+    circuit = every_kind_circuit(4, rng)
+    states = random_states(4, 3, rng)
+    params = rng.normal(size=circuit.n_params)
+    rows = rng.normal(size=(3, circuit.n_params))
+    head = _z0_loss_head(4)
+    matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    matrices = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+
+    def batched_head(outputs):
+        pairs = [head(psi) for psi in outputs]
+        return (np.array([loss for loss, _ in pairs]),
+                np.stack([lam for _, lam in pairs]))
+
+    engine = EinsumBatchBackend()
+    with warnings.catch_warnings(record=True) as caught, \
+            capture("summary") as telemetry:
+        warnings.simplefilter("always")
+        outputs = engine.run_batched(circuit, states, params)
+        per_row = engine.run_batched(circuit, states, rows)
+        pulled = engine.apply_gate_batched(states, matrix, (3, 1), 4)
+        pulled_rows = engine.apply_gate_batched(states, matrices, (2,), 4)
+        losses, grads = circuit_gradients_batched(circuit, params, states,
+                                                  batched_head,
+                                                  backend=engine)
+        counters = telemetry.snapshot()["counters"]
+    warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(warned) == 1 and "qugeo-no-such-cc" in str(warned[0].message)
+    # Two forward runs, two gates, the gradient's forward and its sweep.
+    assert counters["backend.fallback"] == 6
+    np.testing.assert_array_equal(outputs,
+                                  loop.run_batched(circuit, states, params))
+    np.testing.assert_array_equal(per_row,
+                                  loop.run_batched(circuit, states, rows))
+    np.testing.assert_array_equal(pulled, loop.apply_gate_batched(
+        states, matrix, (3, 1), 4))
+    np.testing.assert_array_equal(pulled_rows, np.stack([
+        loop.apply_gate(state, row, (2,), 4)
+        for state, row in zip(states, matrices)]))
+    expected_losses, expected = circuit_gradients_batched(
+        circuit, params, states, batched_head, backend=loop)
+    np.testing.assert_array_equal(losses, expected_losses)
+    np.testing.assert_array_equal(grads, expected)
 
 
 def test_expectation_parity(loop, einsum):

@@ -2,7 +2,7 @@
 
 No setting selects a precision: the engines take no ``policy=`` and
 ``TrainingConfig`` takes no ``dtype``.  These tests pin what is left of the
-old dtype policy: the gate kernel makes no temporary at another dtype,
+old dtype policy: the compiled gate kernels compute in complex128 only,
 optimiser moments stay float64, reduced-precision input is promoted on
 entry, and configs saved with the removed keys still load.  Refusing a
 checkpoint or pipeline file recorded under ``"float32"`` is tested with the
@@ -18,19 +18,13 @@ from repro.backends import EinsumBatchBackend, NumpyLoopBackend
 
 
 def test_einsum_kernel_computes_in_the_stack_dtype():
-    """Every view and temporary the kernel makes from a complex128 stack is
-    complex128: a shared matrix enters as weakly typed Python scalars and a
-    per-row stack is cast to the stack's dtype."""
-    from repro.quantum.kernel import apply_gate_inplace
+    """The compiled kernels update a complex128 stack in place in
+    complex128, with a shared matrix or a per-row stack, and refuse a stack
+    of any other dtype instead of computing in it."""
     from repro.quantum.gates import GATES, apply_matrix
     from repro.quantum.parametric import PARAMETRIC_GATES
 
-    class Recorder(np.ndarray):
-        dtypes = set()
-
-        def __array_finalize__(self, obj):
-            Recorder.dtypes.add(self.dtype)
-
+    engine = EinsumBatchBackend()
     rng = np.random.default_rng(3)
     u3, cu3 = PARAMETRIC_GATES["U3"], PARAMETRIC_GATES["CU3"]
     cases = [(u3.matrix(rng.normal(size=3)), (1,)),
@@ -41,14 +35,16 @@ def test_einsum_kernel_computes_in_the_stack_dtype():
              (GATES["SWAP"], (0, 2))]
     for matrix, targets in cases:
         states = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        stack = states.copy().view(Recorder)
-        apply_gate_inplace(stack, matrix, targets, 3)
+        stack = states.copy()
+        engine.apply_gate_batched_inplace(stack, matrix, targets, 3)
+        assert stack.dtype == np.complex128
         rows = matrix if matrix.ndim == 3 else [matrix] * 4
         expected = np.stack([apply_matrix(state, row, targets, 3)
                              for state, row in zip(states, rows)])
-        np.testing.assert_allclose(np.asarray(stack), expected,
-                                   atol=1e-12, rtol=0)
-    assert Recorder.dtypes == {np.dtype(np.complex128)}
+        np.testing.assert_allclose(stack, expected, atol=1e-12, rtol=0)
+        with pytest.raises(ValueError, match="complex128"):
+            engine.apply_gate_batched_inplace(
+                states.astype(np.complex64), matrix, targets, 3)
 
 
 def test_reduced_precision_input_is_promoted():

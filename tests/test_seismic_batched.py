@@ -35,10 +35,12 @@ from repro.seismic import (
     ricker_wavelet,
     stable_time_step,
 )
+from repro.backends import kernels as quantum_kernels
 from repro.seismic import kernels
 from repro.seismic.acoustic2d import _LAPLACIAN_COEFFS
 from repro.seismic.propagators import default_propagator_name
 from repro.telemetry import capture
+from repro.utils import native
 
 #: The tests that exercise the compiled loop itself; a host without a C
 #: compiler runs the oracle fallback, which ``TestOracleFallback`` covers.
@@ -633,8 +635,8 @@ class TestOracleFallback:
 
         assert kernels.resolve_kernel()[0].name == "c"
         compiled_gather, compiled_snaps = run()
-        monkeypatch.setattr(kernels, "_COMPILER", "qugeo-no-such-cc")
-        monkeypatch.setattr(kernels, "_loaded", {})
+        monkeypatch.setattr(native, "_COMPILER", "qugeo-no-such-cc")
+        monkeypatch.setattr(native, "_loaded", {})
         with capture("summary") as telemetry:
             with pytest.warns(RuntimeWarning, match="qugeo-no-such-cc"):
                 gather, snaps = run()
@@ -652,13 +654,24 @@ class TestOracleFallback:
 @needs_cc
 class TestCompileCache:
     """The library is cached under ``~/.cache/qugeo`` and loaded from there
-    only if the directory and the file are the user's alone."""
+    only if the directory and the file are the user's alone.
 
-    @staticmethod
-    def _load(monkeypatch, home):
-        """Load the loop afresh with ``home`` as ``~``; the loaded paths."""
+    These tests run the propagator's ``leapfrog.c``;
+    :class:`TestCompileCacheStatevector` runs them again on the quantum
+    engine's ``statevector.c``, so the one loader both share
+    (:mod:`repro.utils.native`) is tested on both C sources.
+    """
+
+    #: The source under test, how to load it and its compile span.
+    SOURCE = kernels._SOURCE
+    LOAD = staticmethod(kernels.load_kernel)
+    SPAN = "propagator.compile"
+
+    def _load(self, monkeypatch, home):
+        """Load the library afresh with ``home`` as ``~``; the loaded
+        paths and whether it compiled."""
         monkeypatch.setenv("HOME", str(home))
-        monkeypatch.setattr(kernels, "_loaded", {})
+        monkeypatch.setattr(native, "_loaded", {})
         opened = []
         real_cdll = ctypes.CDLL
 
@@ -668,17 +681,16 @@ class TestCompileCache:
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         with capture("summary") as telemetry:
-            entry = kernels.load_kernel()
+            entry = self.LOAD()
             spans = telemetry.snapshot()["spans"]
         monkeypatch.setattr(ctypes, "CDLL", real_cdll)
         assert entry is not None
-        return opened, any(path.endswith("propagator.compile")
-                           for path in spans)
+        return opened, any(path.endswith(self.SPAN) for path in spans)
 
     def _cached_library(self, monkeypatch, home):
         opened, compiled = self._load(monkeypatch, home)
         cache = home / ".cache" / "qugeo"
-        (library,) = cache.glob("leapfrog-*.so")
+        (library,) = cache.glob(f"{self.SOURCE.stem}-*.so")
         assert compiled and opened == [str(library)]
         assert cache.stat().st_mode & 0o077 == 0
         return library
@@ -720,6 +732,14 @@ class TestCompileCache:
         opened, compiled = self._load(monkeypatch, tmp_path)
         assert compiled and len(opened) == 1
         assert not os.path.exists(opened[0])
+
+
+class TestCompileCacheStatevector(TestCompileCache):
+    """The same cache and privacy checks on the quantum engine's kernels."""
+
+    SOURCE = quantum_kernels._SOURCE
+    LOAD = staticmethod(quantum_kernels.load_library)
+    SPAN = "backend.compile"
 
 
 class TestInputBoundary:

@@ -6,6 +6,8 @@ round trips for optimisers, schedulers, scalers and the logger, bounded
 evaluation chunking, and pipeline save/load serving.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -317,11 +319,16 @@ class TestNanLossGuard:
     def test_inf_loss_also_trips_the_guard(self, tiny_scaled_dataset,
                                            monkeypatch):
         model = nan_after(monkeypatch, 1, value=float("inf"))
-        with np.errstate(invalid="ignore"):  # inf - inf in the backward
+        # The loss is checked before the backward pass, so no inf - inf
+        # reaches a matmul and no gradient is ever set.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             result = Trainer(_training_config(epochs=4)).train(
                 model, tiny_scaled_dataset)
         assert result.history("nan_loss") == [1.0]
         assert len(result.history("train_loss")) == 1
+        assert all(tensor.grad is None
+                   for tensor in model.parameter_tensors())
 
     def test_raise_policy_surfaces_the_batch(self, tiny_scaled_dataset,
                                              monkeypatch):
