@@ -686,8 +686,6 @@ class Trainer:
             "config": dataclasses.asdict(state.config),
             "train_data": state.train_fingerprint,
             "test_data": state.test_fingerprint,
-            "stop_training": state.stop_training,
-            "stop_reason": state.stop_reason,
         }
 
     @staticmethod
@@ -734,8 +732,8 @@ class Trainer:
         state.scheduler.load_state_dict(payload["scheduler"])
         state.rng.bit_generator.state = payload["rng_state"]
         state.logger.load_state_dict(payload["logger"])
-        # A "callbacks" entry (per-callback state in files from older
-        # releases) is ignored: no callback restores state.  The
-        # stop_training/stop_reason fields are metadata: a restored run
-        # always continues to its epoch budget.
+        # Entries that files from older releases carry are ignored:
+        # "callbacks" (no callback restores state) and "stop_training" /
+        # "stop_reason" (a restored run always continues to its epoch
+        # budget).
         return int(payload["epoch"])

@@ -182,9 +182,10 @@ def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
     overlap of ``(lam, psi_after)`` on the gate's targets (the control=1
     half for a controlled gate), read from strided views of the stack, times
     the ``dU U^dagger`` weights of :func:`_sweep_tables`.  ``grads`` is the
-    ``(batch, n_params)`` output buffer (written in place).  It is the
-    default :meth:`~repro.backends.base.SimulationBackend.backward_sweep`,
-    which the oracle runs; the default engine runs the same sweep compiled.
+    C-contiguous ``(batch, n_params)`` output buffer (written in place).  It
+    is the default
+    :meth:`~repro.backends.base.SimulationBackend.backward_sweep`, which the
+    oracle runs; the default engine runs the same sweep compiled.
     """
     n = circuit.n_qubits
     batch, dim = lams.shape
@@ -192,6 +193,11 @@ def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
                   if op.is_parametric]
     if not parametric:
         return
+    if not grads.flags.c_contiguous:
+        raise ValueError("grads must be a C-contiguous (batch, n_params) "
+                         "buffer")
+    flat = grads.reshape(-1)  # a view of the caller's buffer
+    offsets = grads.shape[1] * np.arange(batch)[:, None]
     first = parametric[0]
     stack = empty_stack(2 * batch, dim)
     stack[:batch] = lams
@@ -213,9 +219,11 @@ def _reversible_backward_sweep(engine, circuit: ParameterizedCircuit,
                 controlled, weight = weights[index]
                 overlap = _reduced_overlap(stack, batch, n, op.qubits,
                                            controlled)
-                # add.at: an op may list one parameter slot twice.
-                np.add.at(grads, (slice(None), op.param_indices),
-                          2.0 * (overlap @ weight).real)
+                # add.at: an op may list one parameter slot twice.  Flat
+                # indices, because once a complex matmul has run a 2-D
+                # add.at measured ~15x slower than this 1-D one.
+                np.add.at(flat, (offsets + op.param_indices).reshape(-1),
+                          2.0 * (overlap @ weight).real.reshape(-1))
             if index > first:
                 # lam <- U^dagger lam and psi_after <- U^dagger psi_after.
                 engine.apply_gate_batched_inplace(stack, inverses[index],

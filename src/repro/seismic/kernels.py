@@ -84,5 +84,8 @@ def leapfrog(entry, fields, c2dt2, mask, cz, cx, src, amps, rec, gather,
     status = entry(fields, c2dt2, mask, cz, cx, src, amps, rec, gather, snaps,
                    n_batch, n_models, nz, nx, cz.shape[0], n_steps,
                    record_every, n_rec, snap_stride)
+    if status == -2:
+        raise MemoryError("C propagator loop could not allocate its "
+                          "scratch rows")
     if status != 0:
         raise RuntimeError(f"C propagator loop returned {status}")

@@ -16,17 +16,27 @@
  * curr is applied when the field is next read as prev, which gives the same
  * product without a second pass over the grid.
  *
- * Each row reads its z taps through row pointers clamped once per row, so
- * only the h = taps / 2 cells at each end of a row clamp their x taps; the
- * rest of the row is a plain loop the compiler vectorises, with the tap
- * count a compile-time constant.  On x86-64 an AVX2 copy of the loop is
- * picked at run time where the CPU has it; vector width changes no lane's
- * arithmetic, so every copy gives the same bits.
+ * The padded row.  Row i of next is computed from a copy of curr's row i
+ * that carries h = taps / 2 copies of its edge cell at each end, the
+ * oracle's clamp in x.  Every column reads its x taps unclamped from that
+ * padded row and its z taps through row pointers clamped once per row, so
+ * each row is one loop over all nx columns with no edge case, which the
+ * compiler vectorises with the tap count a compile-time constant.  The
+ * padded copy of row i + 1 is written by the loop of row i, from the z tap
+ * it already loads, into the second of two scratch rows; a separate copy
+ * per row (a memcpy call) cost more than it saved on 70-column rows.  Only
+ * the source cell, recomputed once per step to add its amplitude, clamps
+ * tap by tap (cell()).
+ *
+ * Three copies of the loop: a generic one, and on x86-64 an AVX2 and an
+ * AVX-512 copy, the widest the CPU has picked at run time.  Vector width
+ * changes no lane's arithmetic, so every copy gives the same bits.
  *
  * No Python C-API: the library is loaded with ctypes.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef int64_t i64;
@@ -59,37 +69,52 @@ INLINE double cell(const int taps, const double *const *rows,
     return (2.0 * c[j] - p[j] * m[j]) + v[j] * lap;
 }
 
+/* Fill the h cells at each end of a padded row with copies of its first
+ * and last cells: the oracle's clamp of the x taps. */
+INLINE void pad_edges(double *x, i64 nx, int h)
+{
+    for (int k = 0; k < h; k++) {
+        x[k] = x[h];
+        x[h + nx + k] = x[h + nx - 1];
+    }
+}
+
 /* One time step of one wavefield: next from curr and prev, with amp added
- * at the source cell s before the damping. */
+ * at the source cell s before the damping.  pad is scratch for two padded
+ * rows of nx + taps - 1 doubles: row i of curr, whose x taps the sweep of
+ * row i reads, and row i + 1, which that sweep copies in as it goes. */
 INLINE void sweep(const int taps, double *restrict next,
                   const double *restrict curr, const double *restrict prev,
                   const double *restrict c2dt2, const double *restrict mask,
                   const double *restrict cz, const double *restrict cx,
-                  i64 nz, i64 nx, i64 s, double amp)
+                  double *restrict pad, i64 nz, i64 nx, i64 s, double amp)
 {
     const int h = taps / 2;
-    const i64 lo = h < nx ? h : nx;               /* first interior column */
-    const i64 hi = nx - h > lo ? nx - h : lo;     /* end of the interior */
+    const i64 width = nx + taps - 1;
     const double *rows[9];
+    for (i64 j = 0; j < nx; j++)
+        pad[h + j] = curr[j];
+    pad_edges(pad, nx, h);
     for (i64 i = 0; i < nz; i++) {
         const i64 at = i * nx;
         const double *restrict c = curr + at, *restrict p = prev + at;
         const double *restrict v = c2dt2 + at, *restrict m = mask + at;
+        const double *restrict x = pad + (i & 1) * width;
+        double *restrict x_below = pad + (~i & 1) * width;
         double *restrict out = next + at;
         for (int k = 0; k < taps; k++)
             rows[k] = curr + clamp(i + k - h, nz) * nx;
-        for (i64 j = 0; j < lo; j++)
-            out[j] = cell(taps, rows, c, p, v, m, cz, cx, nx, j) * m[j];
-        for (i64 j = lo; j < hi; j++) {     /* cell() with no clamp */
+        const double *restrict below = rows[h + 1];   /* row i + 1, clamped */
+        for (i64 j = 0; j < nx; j++) {      /* cell() with x read off x[] */
             double lap = 0.0;
             for (int k = 0; k < taps; k++) {
                 lap += cz[k] * rows[k][j];
-                lap += cx[k] * c[j + k - h];
+                lap += cx[k] * x[j + k];
             }
             out[j] = ((2.0 * c[j] - p[j] * m[j]) + v[j] * lap) * m[j];
+            x_below[h + j] = below[j];
         }
-        for (i64 j = hi; j < nx; j++)
-            out[j] = cell(taps, rows, c, p, v, m, cz, cx, nx, j) * m[j];
+        pad_edges(x_below, nx, h);
     }
     /* The source cell once more, its amplitude added before the damping. */
     const i64 si = s / nx, sj = s % nx, at = si * nx;
@@ -101,30 +126,35 @@ INLINE void sweep(const int taps, double *restrict next,
 
 typedef void (*sweep_fn)(double *, const double *, const double *,
                          const double *, const double *, const double *,
-                         const double *, i64, i64, i64, double);
+                         const double *, double *, i64, i64, i64, double);
 
 /* One copy of sweep per tap count (and, on x86-64, per instruction set). */
 #define SWEEP(TAPS, SUFFIX, ATTR)                                             \
     ATTR static void sweep##TAPS##SUFFIX(double *next, const double *curr,    \
         const double *prev, const double *c2dt2, const double *mask,          \
-        const double *cz, const double *cx, i64 nz, i64 nx, i64 s,            \
-        double amp)                                                           \
+        const double *cz, const double *cx, double *pad, i64 nz, i64 nx,      \
+        i64 s, double amp)                                                    \
     {                                                                         \
-        sweep(TAPS, next, curr, prev, c2dt2, mask, cz, cx, nz, nx, s, amp);   \
+        sweep(TAPS, next, curr, prev, c2dt2, mask, cz, cx, pad, nz, nx, s,    \
+              amp);                                                           \
     }
 #define SWEEPS(SUFFIX, ATTR) \
     SWEEP(3, SUFFIX, ATTR) SWEEP(5, SUFFIX, ATTR) SWEEP(9, SUFFIX, ATTR)
 
 SWEEPS(, )
 #if defined(__x86_64__) && defined(__GNUC__)
-#define HAVE_AVX2 1
+#define HAVE_X86_COPIES 1
 SWEEPS(_avx2, __attribute__((target("avx2"))))
+SWEEPS(_avx512, __attribute__((target("avx512f"))))
 #endif
 
 static sweep_fn pick(i64 taps)
 {
-#ifdef HAVE_AVX2
+#ifdef HAVE_X86_COPIES
     __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return taps == 3 ? sweep3_avx512 : taps == 5 ? sweep5_avx512
+             : taps == 9 ? sweep9_avx512 : 0;
     if (__builtin_cpu_supports("avx2"))
         return taps == 3 ? sweep3_avx2 : taps == 5 ? sweep5_avx2
              : taps == 9 ? sweep9_avx2 : 0;
@@ -148,7 +178,8 @@ static sweep_fn pick(i64 taps)
  * snaps    (ceil(n_steps / snap_stride), n_batch, nz, nx)   output, when
  *                                snap_stride > 0
  *
- * Returns 0, or -1 for a tap count other than 3, 5 or 9.
+ * Returns 0, -1 for a tap count other than 3, 5 or 9, or -2 if the
+ * scratch rows cannot be allocated.
  */
 int qugeo_leapfrog(double *fields, const double *c2dt2, const double *mask,
                    const double *cz, const double *cx, const i64 *src,
@@ -160,6 +191,9 @@ int qugeo_leapfrog(double *fields, const double *c2dt2, const double *mask,
     const sweep_fn step_fn = pick(taps);
     if (!step_fn)
         return -1;
+    double *pad = malloc(2 * (size_t)(nx + taps - 1) * sizeof(double));
+    if (!pad)
+        return -2;
     const i64 cells = nz * nx;
     const i64 n_recorded = (n_steps + record_every - 1) / record_every;
     const i64 per_model = n_batch / n_models;
@@ -170,7 +204,7 @@ int qugeo_leapfrog(double *fields, const double *c2dt2, const double *mask,
         double *prev = fields + b * 3 * cells;
         double *curr = prev + cells, *next = curr + cells;
         for (i64 step = 0; step < n_steps; step++) {
-            step_fn(next, curr, prev, c2, mask, cz, cx, nz, nx, src[b],
+            step_fn(next, curr, prev, c2, mask, cz, cx, pad, nz, nx, src[b],
                     amp[step]);
             if (step % record_every == 0) {
                 double *row = out + (step / record_every) * n_rec;
@@ -186,5 +220,6 @@ int qugeo_leapfrog(double *fields, const double *c2dt2, const double *mask,
             next = done;
         }
     }
+    free(pad);
     return 0;
 }

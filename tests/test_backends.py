@@ -448,6 +448,37 @@ def test_shared_parameter_slots_accumulate(einsum):
     np.testing.assert_allclose(grads, expected, rtol=0, atol=1e-8)
 
 
+def test_oracle_sweep_scatters_shared_slots_per_sample(loop):
+    """The oracle sweep's flat scatter: each sample's gradients land in its
+    own row, a slot listed twice sums both entries, and a strided buffer,
+    which a flat view cannot write through, is refused."""
+    rng = np.random.default_rng(31)
+    circuit = ParameterizedCircuit(3)
+    circuit.add_parametric_gate("U3", [0], param_indices=(0, 0, 1))
+    circuit.add_parametric_gate("RX", [1], param_indices=(0,))
+    circuit.add_gate("CNOT", [0, 2])
+    circuit.add_parametric_gate("CU3", [1, 2], param_indices=(1, 2, 2))
+    params = rng.normal(size=circuit.n_params)
+    states = random_states(3, 3, rng)
+    loss_head = _z0_loss_head(3)
+
+    def batched_head(outputs):
+        losses, lams = zip(*(loss_head(psi) for psi in outputs))
+        return np.array(losses), np.stack(lams)
+
+    _, grads = circuit_gradients_batched(circuit, params, states,
+                                         batched_head, backend=loop)
+    for state, row in zip(states, grads):
+        _, expected = finite_difference_gradients(circuit, params, state,
+                                                  loss_head, backend=loop)
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-8)
+    outputs = loop.run_batched(circuit, states, params)
+    lams = batched_head(outputs)[1]
+    strided = np.zeros((circuit.n_params, 3)).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        loop.backward_sweep(circuit, params, lams, outputs, strided)
+
+
 def test_adjoint_matches_parameter_shift_on_u3_circuit(einsum, loop):
     """On a U3-only circuit the shift rule is exact for every parameter, so
     the compiled sweep must equal it; the shifted runs go through the

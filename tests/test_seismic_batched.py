@@ -615,6 +615,18 @@ class TestBitParityCoverage:
         receivers = [(0, nx - 1), (nz - 1, 0), (nz // 2, nx // 2)]
         self._assert_bit_equal(shape, order, sources, receivers)
 
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    @pytest.mark.parametrize("nx", [3, 5, 9, 17, 31, 33, 71])
+    def test_row_widths_and_vector_tails(self, nx, order):
+        """Every row is one loop over all ``nx`` columns, read off a padded
+        copy of the row.  These widths leave every remainder of a 4- and an
+        8-lane vector loop, and at order 8 the narrow ones are shorter than
+        the stencil, so a row's padding reaches past its other end."""
+        nz = 6
+        sources = [(0, 0), (nz - 1, nx - 1), (nz // 2, nx // 2)]
+        receivers = [(0, nx - 1), (nz - 1, 0), (2, nx - 2), (1, 1)]
+        self._assert_bit_equal((nz, nx), order, sources, receivers)
+
 
 class TestOracleFallback:
     """Without a C compiler the propagator warns once, counts the fallback
@@ -797,3 +809,8 @@ class TestInputBoundary:
                     dict(src=np.zeros(2, dtype=np.int32))):
             with pytest.raises(ctypes.ArgumentError):
                 kernels.leapfrog(entry, *args(**bad), 1, 0)
+        # The loop's statuses: -2 when its scratch rows cannot be allocated.
+        with pytest.raises(MemoryError, match="scratch rows"):
+            kernels.leapfrog(lambda *_: -2, *args(), 1, 0)
+        with pytest.raises(RuntimeError, match="returned -1"):
+            kernels.leapfrog(lambda *_: -1, *args(), 1, 0)

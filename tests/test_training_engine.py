@@ -493,6 +493,31 @@ class TestCheckpointCorruptionRecovery:
         np.testing.assert_array_equal(resumed_model.output_scale.data,
                                       reference.output_scale.data)
 
+    def test_stop_fields_are_not_written_and_legacy_ones_are_ignored(
+            self, tiny_scaled_dataset, tmp_path):
+        """A checkpoint of a run stopped early records no stop request,
+        which nothing would read; a file from an older release that does
+        carry one resumes onto the uninterrupted trajectory."""
+        config = _training_config(epochs=6)
+        reference = MODEL_BUILDERS["quantum"]()
+        full = Trainer(config).train(reference, tiny_scaled_dataset)
+        path = str(tmp_path / "quantum.ckpt")
+        Trainer(config).train(MODEL_BUILDERS["quantum"](), tiny_scaled_dataset,
+                              callbacks=[Checkpoint(path, every=3),
+                                         StopAfter(2)])
+        payload = load_checkpoint(path)
+        assert not {"stop_training", "stop_reason"} & set(payload)
+        payload.update(stop_training=True, stop_reason="test interruption")
+        legacy = str(tmp_path / "legacy.ckpt")
+        save_checkpoint(legacy, payload)
+        resumed_model = MODEL_BUILDERS["quantum"]()
+        resumed = Trainer(config).train(resumed_model, tiny_scaled_dataset,
+                                        resume_from=legacy)
+        assert resumed.history("train_loss") == full.history("train_loss")
+        assert resumed.final_metrics == full.final_metrics
+        np.testing.assert_array_equal(resumed_model.theta.data,
+                                      reference.theta.data)
+
     @staticmethod
     def _policy_run(tmp_path=None, resume_from=None, stop=None):
         """A 4-qubit layer run on the default engine."""
