@@ -5,8 +5,9 @@ Times the synthetic OpenFWI-style dataset build three ways:
 * **serial** — :meth:`SyntheticOpenFWI.build` in-process, one chunk at a
   time;
 * **parallel** — the same chunks fanned across a ``multiprocessing`` pool
-  (:class:`repro.data.store.ParallelGenerator`).  Because every chunk owns a
-  seeded RNG stream, the output is **bit-identical** to serial (asserted);
+  (``build(workers=N)``, through :func:`repro.data.store.build_dataset`).
+  Because every chunk owns a seeded RNG stream, the output is
+  **bit-identical** to serial (asserted);
 * **cache-hit** — :func:`repro.data.store.open_or_build` against a warm
   sharded store: the dataset is read back from its ``.npz`` shards with
   **zero** forward-modelling calls (asserted via an instrumented

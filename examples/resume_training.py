@@ -39,7 +39,7 @@ from repro.core.vqc_model import QuGeoVQC
 from repro.data import build_flatvel_dataset, train_test_split
 from repro.utils import env
 
-CHECKPOINT_DIR = env.get_path(env.CHECKPOINT_DIR, "checkpoints")
+CHECKPOINT_DIR = env.get_str(env.CHECKPOINT_DIR, "checkpoints")
 EPOCHS = 12
 INTERRUPT_AFTER = 5  # epochs completed before the simulated crash
 

@@ -133,7 +133,7 @@ def raw_splits() -> Tuple[FWIDataset, FWIDataset, FWIDataset]:
         n_samples=scale.n_samples + n_compressor,
         velocity_shape=scale.velocity_shape, n_time_steps=scale.n_time_steps,
         n_sources=scale.n_sources, rng=0,
-        cache_dir=env.get_path(env.CACHE_DIR),
+        cache_dir=env.get_str(env.CACHE_DIR),
         workers=env.get_int(env.DATAGEN_WORKERS, None, minimum=1))
     main = dataset[:scale.n_samples]
     compressor = dataset[scale.n_samples:]

@@ -9,9 +9,11 @@ the 400/100 train/test split of the paper; :mod:`repro.data.resample`
 implements the nearest-neighbour baseline ("D-Sample") and other resampling
 utilities; :mod:`repro.data.normalization` maps velocities to the unit range
 used by the losses and metrics; :mod:`repro.data.store` persists generated
-datasets as fingerprint-keyed ``.npz`` shards (with resumable, parallel,
-bit-identical generation) and streams them back through
-:class:`~repro.data.store.ShardLoader`.
+datasets as fingerprint-keyed ``.npz`` shards and streams them back through
+:class:`~repro.data.store.ShardLoader`; its
+:func:`~repro.data.store.build_dataset` is the one resumable, parallel,
+bit-identical chunk loop behind :meth:`SyntheticOpenFWI.build` and
+:func:`open_or_build`.
 """
 
 from repro.data.dataset import FWISample, FWIDataset, train_test_split
@@ -25,7 +27,6 @@ from repro.data.resample import nearest_neighbor_resample, bilinear_resample, re
 from repro.data.normalization import VelocityNormalizer, MinMaxNormalizer
 from repro.data.store import (
     DatasetStore,
-    ParallelGenerator,
     ShardLoader,
     dataset_fingerprint,
     open_or_build,
@@ -45,7 +46,6 @@ __all__ = [
     "VelocityNormalizer",
     "MinMaxNormalizer",
     "DatasetStore",
-    "ParallelGenerator",
     "ShardLoader",
     "dataset_fingerprint",
     "open_or_build",

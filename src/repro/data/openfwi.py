@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import FWIDataset, FWISample
+from repro.data.dataset import FWIDataset
 from repro.seismic.acoustic2d import SimulationConfig, stable_time_step
 from repro.seismic.boundary import SpongeBoundary, resolve_boundary_name
 from repro.seismic.forward_modeling import ForwardModel
@@ -90,9 +90,7 @@ def resolve_root_seed(rng: RngLike = None) -> int:
 
     An integer passes through, ``None`` draws fresh entropy, and an existing
     generator yields a seed drawn from it (so the same generator state
-    reproduces the same dataset).  Cheap — no forward-modelling engine is
-    built — so cache lookups can derive their fingerprint key without
-    instantiating a :class:`SyntheticOpenFWI`.
+    reproduces the same dataset).
     """
     if isinstance(rng, (int, np.integer)):
         return int(rng)
@@ -124,9 +122,9 @@ class SyntheticOpenFWI:
     chunk (``config.chunk_size`` velocity maps) draws from its own child RNG
     stream derived from ``SeedSequence(seed, spawn_key=(chunk_index,))``.
     Chunks are therefore independent of execution order, which makes the
-    parallel worker-pool build (:class:`repro.data.store.ParallelGenerator`)
-    bit-identical to the serial one and lets a partially-built dataset store
-    resume from its missing chunks.
+    parallel worker-pool build (:func:`repro.data.store.build_dataset` with
+    ``workers > 1``) bit-identical to the serial one and lets a
+    partially-built dataset store resume from its missing chunks.
 
     ``rng`` may be an integer seed (used directly as the root seed), ``None``
     (a fresh random root seed) or an existing generator (the root seed is
@@ -136,7 +134,6 @@ class SyntheticOpenFWI:
     def __init__(self, config: OpenFWIConfig = None, rng: RngLike = None) -> None:
         self.config = config or OpenFWIConfig()
         self._seed = resolve_root_seed(rng)
-        self._rng = ensure_rng(self._seed)
         self._forward_model = self._build_forward_model()
 
     @property
@@ -167,12 +164,6 @@ class SyntheticOpenFWI:
     def forward_model(self) -> ForwardModel:
         """The forward-modelling engine used to synthesise seismic data."""
         return self._forward_model
-
-    def sample_velocities(self, count: int = None) -> np.ndarray:
-        """Draw ``count`` velocity maps from the configured family."""
-        count = count or self.config.n_samples
-        return random_velocity_models(count, self.config.model_config,
-                                      family=self.config.family, rng=self._rng)
 
     def _sample_metadata(self) -> dict:
         sim = self._forward_model.config
@@ -212,15 +203,14 @@ class SyntheticOpenFWI:
     def dataset_name(self) -> str:
         return f"synthetic-openfwi-{self.config.family}"
 
-    def build(self, count: Optional[int] = None,
-              progress: bool = False,
-              store=None,
+    def build(self, count: Optional[int] = None, store=None,
               workers: Optional[int] = None) -> FWIDataset:
         """Generate a full dataset of ``count`` paired samples.
 
         Velocity maps are forward-modelled ``config.chunk_size`` at a time
         through :meth:`ForwardModel.model_shots_batch`, so one shared time
-        loop advances every shot of every map in the chunk.
+        loop advances every shot of every map in the chunk.  The chunk loop
+        is :func:`repro.data.store.build_dataset`.
 
         Parameters
         ----------
@@ -235,22 +225,8 @@ class SyntheticOpenFWI:
             owns a seeded RNG stream, the parallel result is bit-identical
             to the serial one.
         """
-        count = count or self.config.n_samples
-        if store is not None or (workers is not None and workers > 1):
-            from repro.data.store import build_dataset
-            return build_dataset(self, count=count, store=store,
-                                 workers=workers, progress=progress)
-        samples = []
-        metadata = self._sample_metadata()
-        for chunk_index, _, size in chunk_layout(count, self.config.chunk_size):
-            velocities, seismic_block = self.build_chunk(chunk_index, size)
-            for velocity, seismic in zip(velocities, seismic_block):
-                samples.append(FWISample(seismic=seismic, velocity=velocity,
-                                         metadata=dict(metadata)))
-                if progress and len(samples) % 10 == 0:
-                    print(f"[SyntheticOpenFWI] generated "
-                          f"{len(samples)}/{count} samples")
-        return FWIDataset(samples, name=self.dataset_name())
+        from repro.data.store import build_dataset
+        return build_dataset(self, count=count, store=store, workers=workers)
 
 
 def build_flatvel_dataset(n_samples: int = 64,
@@ -289,9 +265,5 @@ def build_flatvel_dataset(n_samples: int = 64,
         peak_frequency=peak_frequency,
         family=family,
     )
-    seed = resolve_root_seed(rng)
-    if cache_dir is not None:
-        from repro.data.store import open_or_build
-        return open_or_build(config, seed=seed, cache_dir=cache_dir,
-                             workers=workers)
-    return SyntheticOpenFWI(config, rng=seed).build(workers=workers)
+    return SyntheticOpenFWI(config, rng=rng).build(
+        store=cache_dir, workers=workers)

@@ -14,6 +14,10 @@ format version) — so that:
   output (every chunk owns a seeded RNG stream, see
   :meth:`repro.data.openfwi.SyntheticOpenFWI.chunk_rng`).
 
+:func:`build_dataset` is the one chunk loop behind all of it, called by
+:meth:`SyntheticOpenFWI.build <repro.data.openfwi.SyntheticOpenFWI.build>`
+and :func:`open_or_build`.
+
 Layout on disk::
 
     <cache_dir>/<fingerprint>/manifest.json
@@ -51,7 +55,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import signal
 import warnings
 from pathlib import Path
 from time import perf_counter, sleep
@@ -62,7 +65,6 @@ import numpy as np
 from repro.data.dataset import FWIDataset, FWISample
 from repro.data.openfwi import OpenFWIConfig, SyntheticOpenFWI, chunk_layout
 from repro.telemetry import get_telemetry
-from repro.utils import env as _env
 from repro.utils.serialization import atomic_replace
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -88,11 +90,6 @@ QUARANTINE_DIR = "quarantine"
 
 class ShardIntegrityError(ValueError):
     """A shard file is missing, truncated, or fails its checksum."""
-
-
-def _validation_enabled() -> bool:
-    """Shard checksum validation switch (``QUGEO_ROBUSTNESS_VALIDATE``)."""
-    return _env.get_flag(_env.ROBUSTNESS_VALIDATE, True)
 
 
 # --------------------------------------------------------------------------- #
@@ -341,28 +338,20 @@ class DatasetStore:
                      record: Dict[str, object]) -> Optional[str]:
         """Check one shard against its manifest record.
 
-        Returns a problem description, or ``None`` when the shard is
-        healthy.  Records carrying a ``sha256`` are verified byte-exactly;
-        records written before checksums existed fall back to a
-        read-and-count check.
+        Returns a problem description, or ``None`` when the shard's bytes
+        match the record's ``sha256``.  Every record of this format version
+        is written with one, so a record without it (edited by hand) is a
+        problem too: the shard is rebuilt, not trusted.
         """
         path = self.shard_path(fingerprint, chunk_index)
         if not path.exists():
             return "file missing"
         expected = record.get("sha256")
-        if expected is not None:
-            actual = _file_sha256(path)
-            if actual != str(expected):
-                return (f"checksum mismatch (manifest {expected}, "
-                        f"file {actual})")
-            return None
-        try:
-            seismic, _ = self.read_shard(fingerprint, chunk_index)
-        except ShardIntegrityError as exc:
-            return str(exc)
-        if int(seismic.shape[0]) != int(record["count"]):
-            return (f"sample count mismatch (manifest {record['count']}, "
-                    f"file {seismic.shape[0]})")
+        if expected is None:
+            return "no checksum in manifest"
+        actual = _file_sha256(path)
+        if actual != str(expected):
+            return f"checksum mismatch (manifest {expected}, file {actual})"
         return None
 
     def quarantine_shard(self, fingerprint: str, chunk_index: int) -> None:
@@ -380,15 +369,15 @@ class DatasetStore:
         os.replace(str(path), str(destination))
         get_telemetry().counter("store.shard_quarantined").inc()
 
-    def validate_entry(self, fingerprint: str, repair: bool = True,
+    def validate_entry(self, fingerprint: str,
                        manifest: Optional[Dict[str, object]] = None
                        ) -> List[int]:
         """Verify every registered shard of an entry; quarantine failures.
 
-        Returns the chunk indices that failed.  With ``repair=True`` (the
-        default) each failing shard is moved to quarantine, dropped from the
-        manifest, and the entry is marked incomplete — the normal resume
-        path of :func:`build_dataset` then regenerates exactly those chunks.
+        Returns the chunk indices that failed.  Each failing shard is moved
+        to quarantine and dropped from the manifest, and the entry is marked
+        incomplete — the normal resume path of :func:`build_dataset` then
+        regenerates exactly those chunks.
         Passing the already-loaded ``manifest`` keeps the caller's dict in
         sync with what lands on disk.
         """
@@ -409,7 +398,7 @@ class DatasetStore:
                     warnings.warn(
                         f"store entry {fingerprint} shard {key}: {problem}",
                         stacklevel=2)
-        if bad and repair:
+        if bad:
             for chunk in bad:
                 self.quarantine_shard(fingerprint, chunk)
                 manifest["shards"].pop(str(chunk), None)
@@ -435,13 +424,6 @@ class DatasetStore:
         """Load a complete entry: materialized by default, lazy with ``stream``."""
         loader = ShardLoader(self, fingerprint)
         return loader if stream else loader.materialize()
-
-    def entries(self) -> List[str]:
-        """Fingerprints of every entry under the store root."""
-        if not self.root.exists():
-            return []
-        return sorted(entry.name for entry in self.root.iterdir()
-                      if (entry / MANIFEST_NAME).exists())
 
 
 # --------------------------------------------------------------------------- #
@@ -639,42 +621,12 @@ class ShardLoader:
 # --------------------------------------------------------------------------- #
 # parallel generation
 # --------------------------------------------------------------------------- #
-def _maybe_inject_chaos(chunk_index: int) -> None:
-    """Honour the ``QUGEO_ROBUSTNESS_CHAOS`` fault-injection spec.
+#: Chunk-retry and pool-respawn budget of a parallel build.
+MAX_RETRIES = 2
 
-    Spec format: ``<action>:<chunk>:<marker-path>`` where action is
-    ``kill-worker`` (SIGKILL the worker process building ``chunk``) or
-    ``raise-once`` (raise a RuntimeError from it).  The marker file is
-    created with exclusive semantics before the fault fires, so each spec
-    fires exactly once across pool respawns — the retried chunk then builds
-    cleanly.  Only ever fires inside a pool worker; serial in-process builds
-    ignore the spec rather than killing the caller.
-    """
-    spec = _env.get_str(_env.ROBUSTNESS_CHAOS)
-    if not spec:
-        return
-    parts = spec.split(":", 2)
-    if len(parts) != 3:
-        raise ValueError(
-            f"{_env.ROBUSTNESS_CHAOS} must be <action>:<chunk>:<marker>, "
-            f"got {spec!r}")
-    action, target, marker = parts
-    if action not in ("kill-worker", "raise-once"):
-        raise ValueError(
-            f"{_env.ROBUSTNESS_CHAOS} action must be kill-worker or "
-            f"raise-once, got {action!r}")
-    if int(target) != int(chunk_index):
-        return
-    if multiprocessing.parent_process() is None:
-        return
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return
-    os.close(fd)
-    if action == "kill-worker":
-        os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
-    raise RuntimeError(f"chaos: injected failure in chunk {chunk_index}")
+#: Seconds between retry rounds of a parallel build, doubled per respawn
+#: and capped at ten times this value.
+RETRY_BACKOFF_S = 0.1
 
 
 def _generate_chunk(payload) -> Tuple[int, int, np.ndarray, np.ndarray]:
@@ -685,138 +637,88 @@ def _generate_chunk(payload) -> Tuple[int, int, np.ndarray, np.ndarray]:
     serial build bit-for-bit.
     """
     config, seed, chunk_index, start, count = payload
-    _maybe_inject_chaos(chunk_index)
     generator = SyntheticOpenFWI(config, rng=seed)
     velocities, seismic = generator.build_chunk(chunk_index, count)
     return chunk_index, start, velocities, seismic
 
 
-class ParallelGenerator:
-    """Fan :meth:`SyntheticOpenFWI.build` chunks across a process pool.
+def _generate_chunks(config: OpenFWIConfig, seed: int,
+                     jobs: Sequence[Tuple[int, int, int]], workers: int
+                     ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield ``(chunk_index, start, velocities, seismic)`` as pool chunks finish.
 
     Every chunk draws from its own ``SeedSequence(seed,
     spawn_key=(chunk_index,))`` stream, so the output is bit-identical to a
-    serial build regardless of worker count or completion order.
+    serial build regardless of worker count or completion order.  Chunks
+    complete out of order; the store keys shards by chunk index, so it does
+    not care.
 
-    Parameters
-    ----------
-    config, seed:
-        The generation recipe; both are part of the store fingerprint.
-        ``config`` must pickle cleanly (it is shipped to the workers).
-    workers:
-        Pool size; defaults to ``os.cpu_count()`` capped at the chunk count.
+    Fault tolerance: chunks run on a
+    :class:`concurrent.futures.ProcessPoolExecutor`, which (unlike
+    ``multiprocessing.Pool``) detects a worker that dies mid-task.  A
+    crashed worker breaks the pool; the pool is respawned and the
+    unfinished chunks resubmitted.  A chunk that *raises* is retried
+    individually.  Both budgets are :data:`MAX_RETRIES`, with
+    :data:`RETRY_BACKOFF_S` seconds between rounds (doubled per respawn,
+    capped at 10x).  Because every chunk is a pure function of
+    ``(config, seed, chunk_index)``, a retried chunk reproduces exactly the
+    bytes the crashed attempt would have written — recovery never changes
+    the dataset.
     """
-
-    def __init__(self, config: OpenFWIConfig, seed: int,
-                 workers: Optional[int] = None) -> None:
-        self.config = config
-        self.seed = int(seed)
-        self.workers = int(workers) if workers else (os.cpu_count() or 1)
-
-    def _pool_size(self, n_jobs: int) -> int:
-        return max(1, min(self.workers, n_jobs))
-
-    def generate_chunks(self, jobs: Sequence[Tuple[int, int, int]],
-                        progress: bool = False
-                        ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield ``(chunk_index, start, velocities, seismic)`` as chunks finish.
-
-        Chunks complete out of order; callers that need sample order sort by
-        ``start`` (the store keys shards by chunk index, so it does not care).
-
-        Fault tolerance: chunks run on a
-        :class:`concurrent.futures.ProcessPoolExecutor`, which (unlike
-        ``multiprocessing.Pool``) detects a worker that dies mid-task.  A
-        crashed worker breaks the pool; the pool is respawned and the
-        unfinished chunks resubmitted.  A chunk that *raises* is retried
-        individually.  Both budgets are ``QUGEO_ROBUSTNESS_MAX_RETRIES``
-        (default 2) with ``QUGEO_ROBUSTNESS_BACKOFF`` seconds between rounds
-        (doubled per respawn, capped at 10x).  Because every chunk is a pure
-        function of ``(config, seed, chunk_index)``, a retried chunk
-        reproduces exactly the bytes the crashed attempt would have written
-        — recovery never changes the dataset.
-        """
-        payloads = {int(index): (self.config, self.seed, index, start, count)
-                    for index, start, count in jobs}
-        if not payloads:
-            return
-        total = len(payloads)
-        pool_size = self._pool_size(total)
-        if pool_size == 1:
-            for done, chunk in enumerate(sorted(payloads)):
-                yield _generate_chunk(payloads[chunk])
-                if progress:
-                    print(f"[ParallelGenerator] chunk {done + 1}/"
-                          f"{total} done (serial)")
-            return
-        max_retries = _env.get_int(_env.ROBUSTNESS_MAX_RETRIES, 2, minimum=0)
-        backoff = _env.get_float(_env.ROBUSTNESS_BACKOFF, 0.1, minimum=0.0)
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        telemetry = get_telemetry()
-        pending = dict(payloads)
-        attempts: Dict[int, int] = {}
-        respawns = 0
-        done = 0
-        while pending:
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(pool_size, len(pending)), mp_context=context)
-            futures = {executor.submit(_generate_chunk, payload): chunk
-                       for chunk, payload in pending.items()}
-            try:
-                for future in concurrent.futures.as_completed(futures):
-                    chunk = futures[future]
-                    try:
-                        result = future.result()
-                    except concurrent.futures.BrokenExecutor:
-                        raise
-                    except Exception as exc:
-                        # The chunk itself raised; the pool is still healthy.
-                        attempts[chunk] = attempts.get(chunk, 0) + 1
-                        telemetry.counter("store.datagen.chunk_retries").inc()
-                        if attempts[chunk] > max_retries:
-                            raise RuntimeError(
-                                f"chunk {chunk} failed {attempts[chunk]} "
-                                f"times, last error: {exc}") from exc
-                        warnings.warn(
-                            f"chunk {chunk} failed "
-                            f"(attempt {attempts[chunk]}/{max_retries}): "
-                            f"{exc}; retrying", stacklevel=2)
-                        continue
-                    pending.pop(chunk, None)
-                    done += 1
-                    if progress:
-                        print(f"[ParallelGenerator] chunk {done}/{total} "
-                              f"done ({pool_size} workers)")
-                    yield result
-            except concurrent.futures.BrokenExecutor:
-                # A worker died (OOM-kill, segfault, chaos injection): the
-                # whole pool is unusable.  Respawn and resubmit whatever has
-                # not completed — chunk-seeded determinism makes the retried
-                # work bit-identical.
-                respawns += 1
-                telemetry.counter("store.datagen.pool_respawns").inc()
-                if respawns > max_retries:
-                    raise RuntimeError(
-                        f"worker pool crashed {respawns} times; giving up "
-                        f"with chunks {sorted(pending)} unfinished")
-                warnings.warn(
-                    f"worker pool crashed (respawn "
-                    f"{respawns}/{max_retries}); resubmitting chunks "
-                    f"{sorted(pending)}", stacklevel=2)
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
-            if pending:
-                sleep(min(backoff * (2 ** max(0, respawns - 1)),
-                          backoff * 10.0))
-
-    def generate(self, count: Optional[int] = None,
-                 progress: bool = False) -> FWIDataset:
-        """Build a full in-memory dataset through the pool."""
-        generator = SyntheticOpenFWI(self.config, rng=self.seed)
-        return build_dataset(generator, count=count, workers=self.workers,
-                             progress=progress)
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else None)
+    telemetry = get_telemetry()
+    pending = {int(index): (config, seed, index, start, count)
+               for index, start, count in jobs}
+    attempts: Dict[int, int] = {}
+    respawns = 0
+    while pending:
+        executor = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(pending)), mp_context=context)
+        futures = {executor.submit(_generate_chunk, payload): chunk
+                   for chunk, payload in pending.items()}
+        try:
+            for future in concurrent.futures.as_completed(futures):
+                chunk = futures[future]
+                try:
+                    result = future.result()
+                except concurrent.futures.BrokenExecutor:
+                    raise
+                except Exception as exc:
+                    # The chunk itself raised; the pool is still healthy.
+                    attempts[chunk] = attempts.get(chunk, 0) + 1
+                    telemetry.counter("store.datagen.chunk_retries").inc()
+                    if attempts[chunk] > MAX_RETRIES:
+                        raise RuntimeError(
+                            f"chunk {chunk} failed {attempts[chunk]} "
+                            f"times, last error: {exc}") from exc
+                    warnings.warn(
+                        f"chunk {chunk} failed "
+                        f"(attempt {attempts[chunk]}/{MAX_RETRIES}): "
+                        f"{exc}; retrying", stacklevel=2)
+                    continue
+                pending.pop(chunk, None)
+                yield result
+        except concurrent.futures.BrokenExecutor:
+            # A worker died (OOM-kill, segfault): the whole pool is
+            # unusable.  Respawn and resubmit whatever has not completed —
+            # chunk-seeded determinism makes the retried work bit-identical.
+            respawns += 1
+            telemetry.counter("store.datagen.pool_respawns").inc()
+            if respawns > MAX_RETRIES:
+                raise RuntimeError(
+                    f"worker pool crashed {respawns} times; giving up "
+                    f"with chunks {sorted(pending)} unfinished")
+            warnings.warn(
+                f"worker pool crashed (respawn "
+                f"{respawns}/{MAX_RETRIES}); resubmitting chunks "
+                f"{sorted(pending)}", stacklevel=2)
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
+        if pending:
+            sleep(min(RETRY_BACKOFF_S * (2 ** max(0, respawns - 1)),
+                      RETRY_BACKOFF_S * 10.0))
 
 
 # --------------------------------------------------------------------------- #
@@ -830,15 +732,17 @@ def build_dataset(generator: SyntheticOpenFWI,
                   count: Optional[int] = None,
                   store: Union[DatasetStore, PathLike, None] = None,
                   workers: Optional[int] = None,
-                  progress: bool = False,
                   stream: bool = False) -> Union[FWIDataset, ShardLoader]:
-    """Build (or resume building) a dataset, optionally persisting shards.
+    """Build, resume or open a dataset, optionally persisting shards.
 
-    With a ``store``, shards are written as chunks complete and previously
-    persisted chunks are **not** regenerated — an interrupted build resumes
-    from exactly the missing chunks.  With ``workers > 1`` the missing
-    chunks fan out over a process pool; the result is bit-identical to the
-    serial build either way.
+    This is the one chunk loop of dataset generation.  With a ``store``,
+    an entry that already holds shards is validated first (every shard
+    hashed once; failures quarantined), a complete entry is then served
+    with zero forward-modelling calls, and otherwise only the missing
+    chunks are generated — an interrupted build resumes from exactly those.
+    With ``workers > 1`` and more than one missing chunk the chunks fan out
+    over a process pool; otherwise ``generator.build_chunk`` runs them
+    in-process.  The result is bit-identical either way.
     """
     config = generator.config
     count = count or config.n_samples
@@ -853,12 +757,11 @@ def build_dataset(generator: SyntheticOpenFWI,
             fingerprint, n_samples=count, chunk_size=config.chunk_size,
             name=generator.dataset_name(), config=config,
             seed=generator.seed, metadata=metadata)
-        if manifest["shards"] and _validation_enabled():
-            # A resumed entry may hold a torn or truncated shard from an
-            # interrupted earlier build; quarantining it here shrinks the
+        if manifest["shards"]:
+            # A torn, truncated or corrupt shard (from an interrupted build
+            # or later damage) is quarantined here, which shrinks the
             # repair to exactly that chunk.
-            dataset_store.validate_entry(fingerprint, repair=True,
-                                         manifest=manifest)
+            dataset_store.validate_entry(fingerprint, manifest=manifest)
         if manifest.get("complete"):
             return dataset_store.load(fingerprint, stream=stream)
         missing = [job for job in layout
@@ -866,17 +769,19 @@ def build_dataset(generator: SyntheticOpenFWI,
     else:
         missing = list(layout)
 
+    if workers is None or workers <= 1 or len(missing) <= 1:
+        results = ((index, start, *generator.build_chunk(index, size))
+                   for index, start, size in missing)
+    else:
+        results = _generate_chunks(config, generator.seed, missing,
+                                   int(workers))
     chunks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    # ``workers=None`` means serial here (an explicit opt-in is required to
-    # spawn processes); ParallelGenerator's own default is all cores.
-    pool = ParallelGenerator(config, generator.seed, workers=workers or 1)
     telemetry = get_telemetry()
     timing = telemetry.enabled
     if timing and missing:
         telemetry.counter("store.datagen.chunks").inc(len(missing))
     last = perf_counter()
-    for chunk_index, start, velocities, seismic in pool.generate_chunks(
-            missing, progress=progress):
+    for chunk_index, start, velocities, seismic in results:
         if timing:
             # Wall time between completed chunks as seen by the consumer —
             # with a worker pool this measures throughput, not worker time.
@@ -906,25 +811,15 @@ def open_or_build(config: OpenFWIConfig, seed: int,
                   cache_dir: PathLike,
                   count: Optional[int] = None,
                   workers: Optional[int] = None,
-                  progress: bool = False,
                   stream: bool = False) -> Union[FWIDataset, ShardLoader]:
     """Serve the dataset from ``cache_dir``, building only what is missing.
 
-    A complete cache entry is a pure hit: zero forward-modelling calls, the
-    shards are simply read back.  A partial entry resumes from its missing
-    chunks; an absent one is built from scratch (optionally in parallel).
-    ``stream=True`` returns a :class:`ShardLoader` instead of materializing
-    every sample.
+    A complete cache entry is a pure hit: its shards are verified against
+    their checksums and read back, with zero forward-modelling calls.  A
+    partial or damaged entry resumes from its missing chunks; an absent one
+    is built from scratch (optionally in parallel).  ``stream=True``
+    returns a :class:`ShardLoader` instead of materializing every sample.
     """
-    store = _as_store(cache_dir)
-    fingerprint = dataset_fingerprint(config, seed, n_samples=count)
-    if store.is_complete(fingerprint):
-        # Validate-on-read: a complete entry whose shards fail their
-        # checksums is repaired (corrupt chunks quarantined) and falls
-        # through to the resume path below, which regenerates only them.
-        if (not _validation_enabled()
-                or not store.validate_entry(fingerprint, repair=True)):
-            return store.load(fingerprint, stream=stream)
-    generator = SyntheticOpenFWI(config, rng=int(seed))
-    return build_dataset(generator, count=count, store=store,
-                         workers=workers, progress=progress, stream=stream)
+    return build_dataset(SyntheticOpenFWI(config, rng=int(seed)),
+                         count=count, store=cache_dir, workers=workers,
+                         stream=stream)

@@ -198,28 +198,6 @@ class ParameterizedCircuit:
 
         return get_backend(backend).run_batched(self, states, params)
 
-    def depth_estimate(self) -> int:
-        """Greedy depth estimate: gates on disjoint qubits share a layer."""
-        layers: List[set] = []
-        for op in self.ops:
-            placed = False
-            for layer in reversed(layers):
-                if layer & set(op.qubits):
-                    break
-                placed = False
-            # Greedy: place in the last layer that does not conflict,
-            # scanning from the end.
-            index = len(layers)
-            while index > 0 and not (layers[index - 1] & set(op.qubits)):
-                index -= 1
-            if index == len(layers):
-                layers.append(set(op.qubits))
-            else:
-                layers[index] |= set(op.qubits)
-                placed = True
-            del placed
-        return len(layers)
-
     def __len__(self) -> int:
         return len(self.ops)
 

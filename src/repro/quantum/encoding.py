@@ -24,10 +24,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 
-def _is_power_of_two(value: int) -> bool:
-    return value > 0 and (value & (value - 1)) == 0
-
-
 def normalize_for_encoding(data: np.ndarray) -> Tuple[np.ndarray, float]:
     """L2-normalise ``data`` and return ``(normalised, norm)``.
 

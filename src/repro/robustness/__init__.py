@@ -16,9 +16,8 @@ Three layers:
 
 Fault *tolerance* (shard checksums, chunk retry, checkpoint recovery) lives
 with the code it hardens — :mod:`repro.data.store`,
-:mod:`repro.utils.serialization`, :mod:`repro.core.training` — and is
-configured by the ``QUGEO_ROBUSTNESS_*`` environment variables documented in
-:mod:`repro.utils.env`.
+:mod:`repro.utils.serialization`, :mod:`repro.core.training` — and has no
+settings: validation always runs, and the retry budgets are constants.
 """
 
 from repro.robustness.evaluate import (

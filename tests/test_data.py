@@ -10,7 +10,6 @@ from repro.data import (
     FWISample,
     MinMaxNormalizer,
     OpenFWIConfig,
-    SyntheticOpenFWI,
     VelocityNormalizer,
     bilinear_resample,
     build_flatvel_dataset,
@@ -250,12 +249,3 @@ class TestSyntheticOpenFWI:
                                         n_time_steps=30, n_sources=1, rng=0,
                                         family="curve")
         assert dataset[0].metadata["family"] == "curve"
-
-    def test_sample_velocities_only(self):
-        generator = SyntheticOpenFWI(OpenFWIConfig(n_samples=3,
-                                                   velocity_shape=(16, 16),
-                                                   n_time_steps=10,
-                                                   n_sources=1,
-                                                   n_receivers=16))
-        velocities = generator.sample_velocities(3)
-        assert velocities.shape == (3, 16, 16)

@@ -13,7 +13,6 @@ from repro.data import (
     DatasetStore,
     FWIDataset,
     OpenFWIConfig,
-    ParallelGenerator,
     ShardLoader,
     SyntheticOpenFWI,
     chunk_layout,
@@ -203,7 +202,10 @@ class TestStoreRoundTrip:
         config = small_config(n_samples=4, chunk_size=2)
         a = open_or_build(config, seed=1, cache_dir=tmp_path)
         b = open_or_build(config, seed=2, cache_dir=tmp_path)
-        assert len(DatasetStore(tmp_path).entries()) == 2
+        fingerprints = {dataset_fingerprint(config, seed) for seed in (1, 2)}
+        assert len(fingerprints) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            fingerprints)
         assert not np.array_equal(a.velocity_array(), b.velocity_array())
 
     def test_save_and_load_generic_dataset(self, tmp_path):
@@ -320,7 +322,7 @@ class TestShardCodec:
         np.testing.assert_array_equal(served.velocity_array(),
                                       serial.velocity_array())
 
-    def test_flipped_payload_byte_is_caught(self, tmp_path, monkeypatch,
+    def test_flipped_payload_byte_is_caught(self, tmp_path,
                                             counting_forward):
         config, store, fingerprint, serial = self._built_entry(tmp_path)
         record = store.read_manifest(fingerprint)["shards"]["1"]
@@ -336,11 +338,9 @@ class TestShardCodec:
 
         assert "checksum mismatch" in store.verify_shard(fingerprint, 1,
                                                          record)
-        # The zip CRC-32 catches it even with manifest checksums switched off.
-        monkeypatch.setenv("QUGEO_ROBUSTNESS_VALIDATE", "0")
+        # read_shard hashes nothing; the zip CRC-32 alone catches it.
         with pytest.raises(ShardIntegrityError, match="CRC"):
             store.read_shard(fingerprint, 1)
-        monkeypatch.delenv("QUGEO_ROBUSTNESS_VALIDATE")
 
         counting_forward["calls"] = 0
         with pytest.warns(UserWarning, match="shard 1: checksum mismatch"):
@@ -440,9 +440,10 @@ class TestParallelGeneration:
                                       stored.seismic_array())
 
     def test_parallel_generator_default_entry_point(self):
+        """One chunk per worker: each pool process builds a single chunk."""
         config = small_config(n_samples=4, chunk_size=2)
         serial = SyntheticOpenFWI(config, rng=2).build()
-        parallel = ParallelGenerator(config, seed=2, workers=2).generate()
+        parallel = SyntheticOpenFWI(config, rng=2).build(workers=2)
         np.testing.assert_array_equal(serial.seismic_array(),
                                       parallel.seismic_array())
 

@@ -140,10 +140,6 @@ class TestParameterizedCircuit:
         with pytest.raises(ValueError):
             ParameterizedCircuit(2).extend(ParameterizedCircuit(3))
 
-    def test_depth_estimate_positive(self):
-        circuit = u3_cu3_ansatz(4, n_blocks=2)
-        assert circuit.depth_estimate() >= 2
-
 
 class TestAnsatz:
     def test_parameter_count_matches_paper(self):

@@ -1,19 +1,26 @@
-"""Tests for the fault-tolerance layer: chaos injection, retry, quarantine.
+"""Tests for the fault-tolerance layer: injected faults, retry, quarantine.
 
-Exercises the recovery paths the robustness subsystem adds to dataset
-generation and the sharded store:
+Exercises the recovery paths of dataset generation and the sharded store:
 
 * a chunk that *raises* in a worker is retried (bounded by
-  ``QUGEO_ROBUSTNESS_MAX_RETRIES``) and the finished dataset is
+  ``repro.data.store.MAX_RETRIES``) and the finished dataset is
   bit-identical to a serial build;
 * a worker *killed* mid-chunk breaks the pool, which is respawned, and the
   dataset is again bit-identical;
-* shard corruption (flipped bytes, truncation, deletion) is caught by
-  checksum validation, the bad shard is quarantined, and exactly the missing
-  chunks are regenerated on the next open.
+* shard corruption (flipped bytes, truncation, deletion, a record without
+  its checksum) is caught by checksum validation, the bad shard is
+  quarantined, and exactly the missing chunks are regenerated on the next
+  open.
+
+Faults are injected by patching ``repro.data.store._generate_chunk``, the
+pool's worker entry point, with :func:`_fail_once`.  The pool forks its
+workers, so they run the patch; the in-process serial build never calls it.
 """
 
+import functools
+import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -21,13 +28,18 @@ import pytest
 from repro.data import (
     DatasetStore,
     OpenFWIConfig,
-    ParallelGenerator,
     SyntheticOpenFWI,
     dataset_fingerprint,
     open_or_build,
 )
+from repro.data import store as store_module
 from repro.data.store import QUARANTINE_DIR, ShardIntegrityError
-from repro.utils import env
+
+_generate_chunk = store_module._generate_chunk
+
+requires_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="pool workers run a patched entry point only under fork")
 
 
 def small_config(**overrides) -> OpenFWIConfig:
@@ -38,41 +50,59 @@ def small_config(**overrides) -> OpenFWIConfig:
     return OpenFWIConfig(**defaults)
 
 
-def _arrays(dataset):
-    return dataset.seismic_array(), dataset.velocity_array()
+def _fail_once(action, target, marker, payload):
+    """Pool entry point that fails chunk ``target`` once, then builds it.
+
+    The marker file is created exclusively before the fault fires, so the
+    fault fires once across retries and pool respawns.  ``action`` is
+    ``"kill"`` (SIGKILL the worker) or ``"raise"``.
+    """
+    if payload[2] == target:
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            pass
+        else:
+            os.close(fd)
+            if action == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError(f"injected failure in chunk {target}")
+    return _generate_chunk(payload)
 
 
 @pytest.fixture()
-def fast_backoff(monkeypatch):
-    monkeypatch.setenv(env.ROBUSTNESS_BACKOFF, "0.01")
+def inject(monkeypatch):
+    """Patch the pool entry point to fail one chunk once; fast backoff."""
+    monkeypatch.setattr(store_module, "RETRY_BACKOFF_S", 0.01)
+
+    def install(action, target, marker):
+        monkeypatch.setattr(store_module, "_generate_chunk",
+                            functools.partial(_fail_once, action, target,
+                                              str(marker)))
+    return install
 
 
+@requires_fork
 class TestChaosInjection:
-    def test_raise_once_is_retried_bit_identical(self, tmp_path,
-                                                 monkeypatch, fast_backoff):
+    def test_raise_once_is_retried_bit_identical(self, tmp_path, inject):
         config = small_config()
         serial = SyntheticOpenFWI(config, rng=0).build()
         marker = tmp_path / "raise.marker"
-        monkeypatch.setenv(env.ROBUSTNESS_CHAOS, f"raise-once:1:{marker}")
+        inject("raise", 1, marker)
         with pytest.warns(UserWarning, match="retrying"):
-            chunks = list(ParallelGenerator(config, seed=0, workers=2)
-                          .generate_chunks(
-                              [(0, 0, 2), (1, 2, 2), (2, 4, 2), (3, 6, 2)]))
+            parallel = SyntheticOpenFWI(config, rng=0).build(workers=2)
         assert marker.exists()  # the fault actually fired
-        assert sorted(chunk for chunk, *_ in chunks) == [0, 1, 2, 3]
-        for chunk, start, velocities, seismic in chunks:
-            np.testing.assert_array_equal(
-                seismic, serial.seismic_array()[start:start + 2])
-            np.testing.assert_array_equal(
-                velocities, serial.velocity_array()[start:start + 2])
+        np.testing.assert_array_equal(parallel.seismic_array(),
+                                      serial.seismic_array())
+        np.testing.assert_array_equal(parallel.velocity_array(),
+                                      serial.velocity_array())
 
     def test_killed_worker_respawns_pool_bit_identical(self, tmp_path,
-                                                       monkeypatch,
-                                                       fast_backoff):
+                                                       inject):
         config = small_config()
         serial = SyntheticOpenFWI(config, rng=0).build()
         marker = tmp_path / "kill.marker"
-        monkeypatch.setenv(env.ROBUSTNESS_CHAOS, f"kill-worker:2:{marker}")
+        inject("kill", 2, marker)
         with pytest.warns(UserWarning, match="respawn"):
             parallel = SyntheticOpenFWI(config, rng=0).build(workers=2)
         assert marker.exists()
@@ -82,35 +112,12 @@ class TestChaosInjection:
                                       serial.velocity_array())
 
     def test_retry_budget_exhaustion_raises(self, tmp_path, monkeypatch,
-                                            fast_backoff):
-        config = small_config()
-        # a marker path in a missing directory makes the chaos re-fire on
-        # every attempt (the exclusive create fails with FileNotFoundError
-        # only after the RuntimeError path would...), so instead: budget 0
-        # turns the single injected failure into exhaustion.
-        marker = tmp_path / "once.marker"
-        monkeypatch.setenv(env.ROBUSTNESS_CHAOS, f"raise-once:0:{marker}")
-        monkeypatch.setenv(env.ROBUSTNESS_MAX_RETRIES, "0")
+                                            inject):
+        # Budget 0 turns the single injected failure into exhaustion.
+        inject("raise", 0, tmp_path / "once.marker")
+        monkeypatch.setattr(store_module, "MAX_RETRIES", 0)
         with pytest.raises(RuntimeError, match="chunk 0 failed"):
-            list(ParallelGenerator(config, seed=0, workers=2)
-                 .generate_chunks([(0, 0, 2), (1, 2, 2)]))
-
-    def test_malformed_chaos_spec_rejected(self, monkeypatch):
-        from repro.data.store import _maybe_inject_chaos
-        monkeypatch.setenv(env.ROBUSTNESS_CHAOS, "oops")
-        with pytest.raises(ValueError, match="<action>:<chunk>:<marker>"):
-            _maybe_inject_chaos(0)
-        monkeypatch.setenv(env.ROBUSTNESS_CHAOS, "explode:0:/tmp/x")
-        with pytest.raises(ValueError, match="kill-worker or raise-once"):
-            _maybe_inject_chaos(0)
-
-    def test_chaos_never_fires_in_serial_builds(self, tmp_path, monkeypatch):
-        config = small_config()
-        marker = tmp_path / "serial.marker"
-        monkeypatch.setenv(env.ROBUSTNESS_CHAOS, f"kill-worker:0:{marker}")
-        dataset = SyntheticOpenFWI(config, rng=0).build()  # in-process
-        assert len(dataset) == config.n_samples
-        assert not marker.exists()
+            SyntheticOpenFWI(small_config(), rng=0).build(workers=2)
 
 
 class TestShardCorruptionRecovery:
@@ -162,23 +169,26 @@ class TestShardCorruptionRecovery:
         np.testing.assert_array_equal(rebuilt.seismic_array(),
                                       reference.seismic_array())
 
-    def test_validation_kill_switch(self, tmp_path, monkeypatch):
-        from repro.data.store import _validation_enabled
-        monkeypatch.setenv(env.ROBUSTNESS_VALIDATE, "off")
-        assert not _validation_enabled()
-        monkeypatch.setenv(env.ROBUSTNESS_VALIDATE, "on")
-        assert _validation_enabled()
-        # with the switch off, a corrupt shard is trusted on open: the
-        # entry stays complete and nothing is quarantined
+    def test_record_without_checksum_is_rebuilt(self, tmp_path,
+                                                counting_forward):
         config, store, fingerprint = self._built_store(tmp_path)
+        reference = store.load(fingerprint)
+        manifest = store.read_manifest(fingerprint)
+        del manifest["shards"]["1"]["sha256"]
+        store.write_manifest(fingerprint, manifest)
+        counting_forward["calls"] = 0
+        with pytest.warns(UserWarning,
+                          match="shard 1: no checksum in manifest"):
+            rebuilt = open_or_build(config, seed=0, cache_dir=tmp_path)
+        assert counting_forward["calls"] == 1
         shard = store.shard_path(fingerprint, 1)
-        payload = bytearray(shard.read_bytes())
-        payload[len(payload) // 2] ^= 0xFF
-        shard.write_bytes(bytes(payload))
-        monkeypatch.setenv(env.ROBUSTNESS_VALIDATE, "off")
-        assert store.is_complete(fingerprint)
-        quarantine = store.entry_dir(fingerprint) / QUARANTINE_DIR
-        assert not quarantine.exists()
+        assert (store.entry_dir(fingerprint) / QUARANTINE_DIR
+                / shard.name).exists()
+        assert "sha256" in store.read_manifest(fingerprint)["shards"]["1"]
+        np.testing.assert_array_equal(rebuilt.seismic_array(),
+                                      reference.seismic_array())
+        np.testing.assert_array_equal(rebuilt.velocity_array(),
+                                      reference.velocity_array())
 
     def test_read_shard_raises_typed_error_on_garbage(self, tmp_path):
         _, store, fingerprint = self._built_store(tmp_path)

@@ -8,6 +8,7 @@ it.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.utils import env
@@ -83,6 +84,41 @@ def test_backend_default_resolves_via_env(monkeypatch):
         assert f"QUGEO_{name}" not in env.describe()
         monkeypatch.setenv(f"QUGEO_{name}", "numpy")
     assert isinstance(get_backend(), EinsumBatchBackend)
+
+
+def test_removed_robustness_variables_change_nothing(monkeypatch, tmp_path):
+    """The dataset store reads no variable: with every removed switch set
+    (validation off, a kill spec, a zero budget, a malformed backoff) a
+    parallel build still matches the serial one, no worker is killed, and
+    a corrupt shard is still caught on open."""
+    from repro.data import OpenFWIConfig, SyntheticOpenFWI, open_or_build
+
+    config = OpenFWIConfig(n_samples=4, velocity_shape=(16, 16), n_sources=1,
+                           n_receivers=16, n_time_steps=30, dx=700.0 / 16,
+                           boundary_width=4, chunk_size=2)
+    serial = SyntheticOpenFWI(config, rng=0).build()
+    marker = tmp_path / "kill.marker"
+    settings = {"MAX_RETRIES": "0", "BACKOFF": "soon", "VALIDATE": "off",
+                "CHAOS": f"kill-worker:0:{marker}"}
+    for name, value in settings.items():
+        assert not hasattr(env, f"ROBUSTNESS_{name}")
+        assert f"QUGEO_ROBUSTNESS_{name}" not in env.describe()
+        monkeypatch.setenv(f"QUGEO_ROBUSTNESS_{name}", value)
+    assert len(env.KNOWN_VARS) == 5
+
+    parallel = SyntheticOpenFWI(config, rng=0).build(workers=2)
+    assert not marker.exists()
+    np.testing.assert_array_equal(parallel.seismic_array(),
+                                  serial.seismic_array())
+
+    store = tmp_path / "store"
+    open_or_build(config, seed=0, cache_dir=store)
+    shard = next(store.glob("*/shard-00001.npz"))
+    shard.write_bytes(b"not a shard")
+    with pytest.warns(UserWarning, match="shard 1: checksum mismatch"):
+        reopened = open_or_build(config, seed=0, cache_dir=store)
+    np.testing.assert_array_equal(reopened.seismic_array(),
+                                  serial.seismic_array())
 
 
 def test_telemetry_mode_resolves_via_env(monkeypatch):
