@@ -10,9 +10,10 @@ batched propagator on the model edge-padded by the 20-cell sponge (90x110
 cells, so the sponge damps pad cells, not model cells); its
 wavefield-steps/s, keyed ``sponge20|float64``, are what
 ``check_seismic_regression.py`` gates, together with those of a third
-table: the 32x32, 16-wavefield, 256-step call that Q-D-FW scaling makes on
-fit_paper (``qdfw32|float64``).  A fourth table times Q-D-FW scaling
-of fit_paper-shaped samples sample by sample
+table: the 32x32, 256-step calls that Q-D-FW scaling makes on fit_paper,
+4 maps x 4 shots when it scales a dataset (``qdfw32|float64``) and 1 map
+x 4 shots on the predict path (``qdfw32x1|float64``).  A fourth table
+times Q-D-FW scaling of fit_paper-shaped samples sample by sample
 (``ForwardModelingScaler.scale_seismic``) and as one batched pass
 (``ForwardModelingScaler.dataset_seismic``); the run fails unless both give
 ``array_equal`` cubes.
@@ -205,63 +206,70 @@ def render_boundary_grid(rows: List[List[object]], n_steps: int) -> str:
               f"{SPONGE.width}-cell pads, {N_SOURCES} shots, {n_steps} steps")
 
 
-#: The propagator call fit_paper makes most: Q-D-FW's re-simulation of
-#: 4 maps x 4 shots on a 32x32 grid over a 700 m domain, with
+#: The propagator calls fit_paper makes: Q-D-FW's re-simulation of 4 shots
+#: per map on a 32x32 grid over a 700 m domain, with
 #: ``forward_model_shot_gather``'s 8-cell sponge and each map at its own
-#: CFL step, 256 steps.  Its wavefield-steps/s, keyed ``qdfw32|float64``,
-#: are the second gated throughput cell.
-QDFW_GRID_NAME, QDFW_GRID = "qdfw32", (32, 32)
-QDFW_MAPS, QDFW_SHOTS, QDFW_STEPS = 4, 4, 256
+#: CFL step, 256 steps.  Scaling a dataset runs 4 maps per call
+#: (``qdfw32``), the predict path's ``ForwardModelingScaler.scale_seismic``
+#: one (``qdfw32x1``).  Their wavefield-steps/s, keyed ``<name>|float64``,
+#: are gated throughput cells.
+QDFW_GRID = (32, 32)
+QDFW_CALLS = {"qdfw32": 4, "qdfw32x1": 1}
+QDFW_SHOTS, QDFW_STEPS = 4, 256
 
 
 def run_qdfw_grid(repeats: int) -> Tuple[List[List[object]], Dict[str, float]]:
-    """Time one fit_paper-shaped propagator call.
+    """Time the fit_paper-shaped propagator calls.
 
-    Returns the table row and a ``"qdfw32|dtype" -> wavefield-steps/s``
-    throughput dict (a regression-gate metric).
+    Returns the table rows and a ``"<name>|dtype" -> wavefield-steps/s``
+    throughput dict (regression-gate metrics).
     """
     config = VelocityModelConfig(shape=QDFW_GRID, min_velocity=1500.0,
                                  max_velocity=MAX_VELOCITY)
-    velocities = np.stack([flat_layer_model(config, rng=seed)
-                           for seed in range(QDFW_MAPS)])
-    dx = 700.0 / QDFW_GRID[1]
-    steps = np.array([stable_time_step(float(v.max()), dx=dx)
-                      for v in velocities])
-    simulation = SimulationConfig(dx=dx, dz=dx, dt=float(steps[0]),
-                                  n_steps=QDFW_STEPS, spatial_order=4,
-                                  boundary=SpongeBoundary(width=8))
     survey = SurveyGeometry(n_sources=QDFW_SHOTS, n_receivers=8,
                             nx=QDFW_GRID[1])
-    wavelets = np.stack([ricker_wavelet(QDFW_STEPS, step, 15.0)
-                         for step in steps])
-    wavelets = np.broadcast_to(wavelets[:, None],
-                               (QDFW_MAPS, QDFW_SHOTS, QDFW_STEPS))
-    simulator = BatchedAcousticSimulator2D(velocities, simulation, dt=steps)
+    dx = 700.0 / QDFW_GRID[1]
+    rows, throughput = [], {}
+    for name, n_maps in QDFW_CALLS.items():
+        velocities = np.stack([flat_layer_model(config, rng=seed)
+                               for seed in range(n_maps)])
+        steps = np.array([stable_time_step(float(v.max()), dx=dx)
+                          for v in velocities])
+        simulation = SimulationConfig(dx=dx, dz=dx, dt=float(steps[0]),
+                                      n_steps=QDFW_STEPS, spatial_order=4,
+                                      boundary=SpongeBoundary(width=8))
+        wavelets = np.stack([ricker_wavelet(QDFW_STEPS, step, 15.0)
+                             for step in steps])
+        wavelets = np.broadcast_to(wavelets[:, None],
+                                   (n_maps, QDFW_SHOTS, QDFW_STEPS))
+        simulator = BatchedAcousticSimulator2D(velocities, simulation,
+                                               dt=steps)
 
-    def run():
-        return simulator.simulate_shots(survey.source_positions(), wavelets,
-                                        survey.receiver_positions())
-    run()  # warm-up (allocator, caches)
-    elapsed = _time_interleaved({DTYPE: run}, repeats)[DTYPE]
+        def run():
+            return simulator.simulate_shots(survey.source_positions(),
+                                            wavelets,
+                                            survey.receiver_positions())
+        run()  # warm-up (allocator, caches)
+        elapsed = _time_interleaved({DTYPE: run}, repeats)[DTYPE]
 
-    key = f"{QDFW_GRID_NAME}|{DTYPE}"
-    wavefields = QDFW_MAPS * QDFW_SHOTS
-    throughput = {key: wavefields * QDFW_STEPS / elapsed
-                  if elapsed > 0 else 0.0}
-    rows = [[QDFW_GRID_NAME, DTYPE, velocities[0].size, elapsed * 1e3,
-             elapsed * 1e3 / wavefields, throughput[key]]]
+        key = f"{name}|{DTYPE}"
+        wavefields = n_maps * QDFW_SHOTS
+        throughput[key] = (wavefields * QDFW_STEPS / elapsed
+                           if elapsed > 0 else 0.0)
+        rows.append([name, DTYPE, n_maps, velocities[0].size, elapsed * 1e3,
+                     elapsed * 1e3 / wavefields, throughput[key]])
     return rows, throughput
 
 
 def render_qdfw_grid(rows: List[List[object]]) -> str:
-    formatted = [row[:3] + [f"{row[3]:.1f}", f"{row[4]:.3f}", f"{row[5]:,.0f}"]
+    formatted = [row[:4] + [f"{row[4]:.1f}", f"{row[5]:.3f}", f"{row[6]:,.0f}"]
                  for row in rows]
     return format_table(
-        ["grid", "dtype", "cells", "total ms", "ms/wavefield",
+        ["call", "dtype", "maps", "cells", "total ms", "ms/wavefield",
          "wavefield steps/s"],
         formatted,
-        title=f"fit_paper-shaped call: {QDFW_MAPS} maps x {QDFW_SHOTS} "
-              f"shots on {QDFW_GRID[0]}x{QDFW_GRID[1]}, {QDFW_STEPS} steps")
+        title=f"fit_paper-shaped calls: {QDFW_SHOTS} shots per map on "
+              f"{QDFW_GRID[0]}x{QDFW_GRID[1]}, {QDFW_STEPS} steps")
 
 
 #: Samples of the Q-D-FW table, shaped like the fit_paper workload's:
@@ -348,8 +356,9 @@ def main() -> int:
                   "ms_per_shot", "vs_scalar"]
         grid_header = ["boundary", "dtype", "padded_grid_cells",
                        "total_ms", "ms_per_shot", "wavefield_steps_per_sec"]
-        qdfw_grid_header = ["grid", "dtype", "grid_cells", "total_ms",
-                            "ms_per_wavefield", "wavefield_steps_per_sec"]
+        qdfw_grid_header = ["call", "dtype", "maps", "grid_cells",
+                            "total_ms", "ms_per_wavefield",
+                            "wavefield_steps_per_sec"]
         write_json("bench_seismic",
                    {"n_steps": n_steps, "map_batch": map_batch,
                     "rows": [dict(zip(header, row)) for row in rows],

@@ -52,7 +52,8 @@ KIND, QA, QB, OFFSET, PER_ROW, OVERLAP = range(6)
 
 
 def _entry_points():
-    """The ``ctypes`` signatures of the two entry points.  ctypes refuses an
+    """The ``ctypes`` signatures of the two entry points and of
+    ``qugeo_isa``, the name of the SIMD copy they run.  ctypes refuses an
     array of the wrong dtype or rank, or a strided one."""
     c128 = np.ctypeslib.ndpointer(np.complex128, flags="C_CONTIGUOUS")
     records = np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS")
@@ -61,6 +62,7 @@ def _entry_points():
         "qugeo_apply": ([c128, i64, i64, records, i64, c128], ctypes.c_int),
         "qugeo_sweep": ([c128, i64, i64, records, i64, c128, c128, i64, i64],
                         ctypes.c_int),
+        "qugeo_isa": ([], ctypes.c_char_p),
     }
 
 

@@ -22,9 +22,9 @@
  *
  * Every record is checked in Python before the call; a kind outside the
  * three returns -1.  On x86-64 an AVX2 copy of the kernels is picked at run
- * time where the CPU has it; vector width changes no lane's arithmetic, so
- * both copies give the same bits.  No Python C-API: the library is loaded
- * with ctypes.
+ * time where the CPU has it, and qugeo_isa names the copy picked; vector
+ * width changes no lane's arithmetic, so both copies give the same bits.
+ * No Python C-API: the library is loaded with ctypes.
  */
 
 #include <stdint.h>
@@ -231,6 +231,12 @@ static gate_fn pick(void)
         return gate_avx2;
 #endif
     return gate_plain;
+}
+
+/* The name of the copy pick() runs: generic or avx2. */
+const char *qugeo_isa(void)
+{
+    return pick() == gate_plain ? "generic" : "avx2";
 }
 
 /*

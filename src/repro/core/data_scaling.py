@@ -140,9 +140,12 @@ class DSampleScaler(BaseScaler):
 
 
 #: Coarse maps per batched propagator call of
-#: :meth:`ForwardModelingScaler.dataset_seismic`.  Each chunk's 256-step
-#: gathers are decimated before the next chunk runs, so they are never all
-#: held at once.
+#: :meth:`ForwardModelingScaler.dataset_seismic`.  The propagator runs a
+#: call's wavefields (maps x shots) together in lane groups that fit a
+#: core's L2 cache, so more maps per call cost less per map; at 32x32 one
+#: group holds 25 wavefields, and 4 maps of 4 shots fill 16 of them.  Each
+#: chunk's 256-step gathers are decimated before the next chunk runs, so
+#: they are never all held at once.
 RESIMULATION_CHUNK = 4
 
 

@@ -40,11 +40,13 @@ class OpenFWIConfig:
     maps, 5 sources, 70 receivers, 1000 recorded time steps, a 15 Hz Ricker
     source, velocities between 1500 and 4500 m/s with 2-5 flat layers.
 
-    ``chunk_size`` bounds how many velocity maps :meth:`SyntheticOpenFWI.build`
-    propagates per batched forward-modelling call.  Each chunk holds
-    ``chunk_size * n_sources`` wavefields in memory at once, so small chunks
-    keep the working set cache-resident; large chunks only help on machines
-    with large caches.
+    ``chunk_size`` is how many velocity maps :meth:`SyntheticOpenFWI.build`
+    propagates per forward-modelling call, writes per shard and draws from
+    one child RNG, so it is part of the data layout and the fingerprint.  It
+    does not set the propagator's working set: the C loop splits a call's
+    ``chunk_size * n_sources`` wavefields into lane groups that fit a
+    core's L2 cache by itself.  A chunk's gathers are held in memory at
+    once.
 
     ``boundary`` names the absorbing boundary kind; only ``None`` and
     ``"sponge"`` (the same Cerjan sponge) are accepted.  ``record_every``

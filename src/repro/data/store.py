@@ -260,13 +260,6 @@ class DatasetStore:
         self.write_manifest(fingerprint, manifest)
         return manifest
 
-    def is_complete(self, fingerprint: str) -> bool:
-        try:
-            manifest = self.read_manifest(fingerprint)
-        except ValueError:
-            return False
-        return bool(manifest and manifest.get("complete"))
-
     # -- shards --------------------------------------------------------- #
     def write_shard(self, fingerprint: str, manifest: Dict[str, object],
                     chunk_index: int, start: int,

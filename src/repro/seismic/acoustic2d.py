@@ -18,8 +18,9 @@ per-shot reference oracle with per-tap stencil slicing.
 :class:`BatchedAcousticSimulator2D` is the production propagator every
 forward-modelling call runs: one call of a fused C time loop
 (``leapfrog.c``, built on first use by :mod:`repro.seismic.kernels`) over a
-batch of wavefields, bit-identical to the oracle, which is also its
-fallback where no C compiler is available.
+batch of wavefields, which it runs in lane groups stored wavefield
+innermost, bit-identical to the oracle, which is also its fallback where no
+C compiler is available.
 """
 
 from __future__ import annotations
@@ -385,11 +386,15 @@ class BatchedAcousticSimulator2D:
     :meth:`simulate_shots` call hands every wavefield of the batch (each
     shot over each velocity model sharing the grid, geometry and config,
     each model optionally at its own time step) to the fused C time loop of
-    :mod:`repro.seismic.kernels`, which runs each wavefield's whole time
-    history in turn.  Every cell does the scalar oracle's floating-point
-    operations in the oracle's order, so the gathers are bit-identical to
-    :class:`AcousticSimulator2D`'s.  Where no C compiler is available the
-    oracle itself runs, once per (model, shot).
+    :mod:`repro.seismic.kernels`.  The loop splits the batch into lane
+    groups sized from the wavefield count and the grid, as many wavefields
+    as stay in a core's L2 cache, and stores each group wavefield
+    innermost, so that one vector loop per grid row advances the whole
+    group.  Every cell of every wavefield does the scalar oracle's
+    floating-point operations in the oracle's order, so the gathers are
+    bit-identical to :class:`AcousticSimulator2D`'s, whatever group a
+    wavefield runs in.  Where no C compiler is available the oracle itself
+    runs, once per (model, shot).
 
     Parameters
     ----------
@@ -562,7 +567,8 @@ class BatchedAcousticSimulator2D:
 
     def _run_kernel(self, kernel, models, steps, sources, wavelets,
                     receivers, stride):
-        """Every wavefield through the compiled loop in one call."""
+        """Every wavefield through the compiled loop in one call; the loop
+        forms the lane groups itself."""
         from repro.seismic.kernels import leapfrog
 
         nz, nx = self.grid_shape

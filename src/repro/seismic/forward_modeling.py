@@ -9,8 +9,12 @@ it at every receiver.  The result has OpenFWI's layout
 Shots are propagated by
 :class:`~repro.seismic.acoustic2d.BatchedAcousticSimulator2D`, which runs
 every shot (and, on the multi-map path, several velocity models) through
-one call of its compiled time loop, bit-identical to the scalar reference
-:class:`~repro.seismic.acoustic2d.AcousticSimulator2D`.
+one call of its compiled time loop.  The loop advances the call's
+wavefields together, in lane groups sized by the grid, so a call of more
+wavefields (more shots, or more maps through
+:meth:`ForwardModel.model_shots_batch`) costs less per wavefield.  Its gathers are bit-identical to the scalar
+reference :class:`~repro.seismic.acoustic2d.AcousticSimulator2D`, whatever
+the batch.
 """
 
 from __future__ import annotations

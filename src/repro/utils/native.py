@@ -16,6 +16,11 @@ builds into a private temporary directory that it removes after loading.
 If the compile or the load fails, one :class:`RuntimeWarning` per source
 names the cause, and :func:`load` returns ``None`` so the caller runs its
 oracle.
+
+Each source compiles several SIMD copies of its hot loop and picks the
+widest the CPU can run; its ``qugeo_isa`` entry point names that copy
+(:func:`isa`), and :func:`load` counts it once in telemetry as
+``native.<stem>.<copy>``.
 """
 
 from __future__ import annotations
@@ -99,7 +104,8 @@ def load(source: Path, entries: Callable[[], Dict[str, Signature]],
     """The library built from ``source``, or ``None`` if it is unavailable.
 
     ``entries()`` maps each entry point to its ``(argtypes, restype)``; it
-    is called, and the signatures set, once when the library loads.  A
+    is called, and the signatures set, once when the library loads; it must
+    include ``qugeo_isa``, whose answer the load counts in telemetry.  A
     compile runs inside the telemetry span ``span``.  The first failure
     warns once, naming the cause and ``fallback`` (what the caller runs
     instead); later calls return ``None`` without a warning.
@@ -111,6 +117,8 @@ def load(source: Path, entries: Callable[[], Dict[str, Signature]],
                 for name, (argtypes, restype) in entries().items():
                     entry = getattr(library, name)
                     entry.argtypes, entry.restype = argtypes, restype
+                get_telemetry().counter(
+                    f"native.{source.stem}.{isa(library)}").inc()
                 _loaded[source] = (library, None)
             except (OSError, AttributeError,
                     subprocess.SubprocessError) as exc:
@@ -120,6 +128,12 @@ def load(source: Path, entries: Callable[[], Dict[str, Signature]],
                               f"({reason}); {fallback}",
                               RuntimeWarning, stacklevel=4)
         return _loaded[source][0]
+
+
+def isa(library: ctypes.CDLL) -> str:
+    """The SIMD copy ``library`` runs: ``"generic"``, ``"avx2"`` or
+    ``"avx512"``."""
+    return library.qugeo_isa().decode()
 
 
 def failure(source: Path) -> Optional[str]:

@@ -372,13 +372,13 @@ class TestResume:
             velocities, seismic = generator.build_chunk(chunk_index, count)
             store.write_shard(fingerprint, manifest, chunk_index, start,
                               seismic, velocities)
-        assert not store.is_complete(fingerprint)
+        assert not store.read_manifest(fingerprint)["complete"]
 
         counting_forward["calls"] = 0
         resumed = open_or_build(config, seed=9, cache_dir=tmp_path)
         # Only the two missing chunks were generated.
         assert counting_forward["calls"] == 2
-        assert store.is_complete(fingerprint)
+        assert store.read_manifest(fingerprint)["complete"]
         np.testing.assert_array_equal(resumed.seismic_array(),
                                       serial.seismic_array())
         np.testing.assert_array_equal(resumed.velocity_array(),
@@ -393,7 +393,7 @@ class TestResume:
         store = DatasetStore(tmp_path)
         fingerprint = dataset_fingerprint(config, 9)
         open_or_build(config, seed=9, cache_dir=tmp_path)
-        assert store.is_complete(fingerprint)
+        assert store.read_manifest(fingerprint)["complete"]
 
         shard = store.shard_path(fingerprint, 1)
         shard.write_bytes(shard.read_bytes()[: shard.stat().st_size // 2])
@@ -404,7 +404,7 @@ class TestResume:
         # Only the truncated chunk was regenerated, and the repaired entry
         # is bit-identical to an uninterrupted serial build.
         assert counting_forward["calls"] == 1
-        assert store.is_complete(fingerprint)
+        assert store.read_manifest(fingerprint)["complete"]
         assert store.validate_entry(fingerprint) == []
         np.testing.assert_array_equal(resumed.seismic_array(),
                                       serial.seismic_array())

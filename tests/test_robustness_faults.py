@@ -130,7 +130,7 @@ class TestShardCorruptionRecovery:
     def test_validate_entry_passes_on_healthy_store(self, tmp_path):
         _, store, fingerprint = self._built_store(tmp_path)
         assert store.validate_entry(fingerprint) == []
-        assert store.is_complete(fingerprint)
+        assert store.read_manifest(fingerprint)["complete"]
 
     def test_flipped_bytes_detected_and_quarantined(self, tmp_path):
         _, store, fingerprint = self._built_store(tmp_path)
@@ -144,7 +144,7 @@ class TestShardCorruptionRecovery:
         assert not shard.exists()
         quarantined = store.entry_dir(fingerprint) / QUARANTINE_DIR
         assert (quarantined / shard.name).exists()
-        assert not store.is_complete(fingerprint)
+        assert not store.read_manifest(fingerprint)["complete"]
 
     def test_corrupt_shard_is_rebuilt_on_open(self, tmp_path):
         config, store, fingerprint = self._built_store(tmp_path)
@@ -157,7 +157,7 @@ class TestShardCorruptionRecovery:
                                       reference.seismic_array())
         np.testing.assert_array_equal(rebuilt.velocity_array(),
                                       reference.velocity_array())
-        assert store.is_complete(fingerprint)
+        assert store.read_manifest(fingerprint)["complete"]
         assert store.validate_entry(fingerprint) == []
 
     def test_missing_shard_is_rebuilt_on_open(self, tmp_path):

@@ -14,6 +14,7 @@ removes the compiler to check that path.
 
 import ctypes
 import dataclasses
+import functools
 import os
 import shutil
 
@@ -628,6 +629,168 @@ class TestBitParityCoverage:
         self._assert_bit_equal((nz, nx), order, sources, receivers)
 
 
+def _group_lanes(shape):
+    """The most wavefields one lane group of the compiled loop holds on a
+    grid of ``shape``."""
+    return int(kernels.load_library().qugeo_group_lanes(*shape))
+
+
+def _lane_case(shape, order, n_models, sources, receivers, seed=0):
+    """Gathers and snapshots of ``n_models`` random maps, each at its own
+    CFL step and with its own wavelets, from the propagator and from the
+    oracle, with a recording stride and snapshots on.  The first maps and
+    wavelets of a case are those of every larger case with its seed."""
+    nz, nx = shape
+    velocities = np.random.default_rng(seed).uniform(
+        1500.0, 3500.0, size=(n_models, nz, nx))
+    steps = np.array([stable_time_step(float(v.max()), dx=10.0,
+                                       spatial_order=order)
+                      for v in velocities])
+    config = SimulationConfig(dx=10.0, dz=10.0, dt=float(steps[0]),
+                              n_steps=23, spatial_order=order,
+                              boundary=SpongeBoundary(width=3),
+                              record_every=2)
+    wavelets = np.random.default_rng(seed + 1).standard_normal(
+        (n_models, len(sources), 15))
+    engine = BatchedAcousticSimulator2D(velocities, config, dt=steps)
+    reference = functools.partial(_oracle_stack, velocities, config, steps,
+                                  sources, wavelets, receivers, 5)
+    return (engine.simulate_shots(sources, wavelets, receivers,
+                                  record_wavefield=True, wavefield_stride=5),
+            reference)
+
+
+def _assert_same(result, expected):
+    (gather, snaps), (ref_gather, ref_snaps) = result, expected
+    assert np.abs(ref_gather).max() > 0
+    np.testing.assert_array_equal(gather, ref_gather)
+    assert len(snaps) == len(ref_snaps) == 5
+    for snap, ref in zip(snaps, ref_snaps):
+        np.testing.assert_array_equal(snap, ref)
+
+
+#: A corner source, and receivers on every corner and edge.
+CORNER_SOURCE = [(0, 0)]
+
+
+def _edge_receivers(nz, nx):
+    return [(0, 0), (0, nx - 1), (nz - 1, 0), (nz - 1, nx - 1),
+            (0, nx // 2), (nz // 2, 0), (nz - 1, nx // 3), (nz // 3, nx - 1),
+            (nz // 2, nx // 2)]
+
+
+@needs_cc
+class TestLaneGroups:
+    """The compiled loop stores a call's wavefields innermost, in lane
+    groups sized by the grid, so the lanes of a group share every row loop.
+    Each lane must still give the oracle's bits, whatever the group's width
+    and whatever its neighbours run: other maps at other time steps, other
+    sources."""
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    @pytest.mark.parametrize("shape", [(40, 40), (96, 80)],
+                             ids=["40x40", "96x80"])
+    def test_every_wavefield_count(self, shape, order):
+        """Counts 1 to twice the widest group plus one: one group of every
+        width, then two and three groups, equal and unequal.  Each
+        wavefield runs its own map at its own time step, so every group
+        mixes time steps."""
+        widest = _group_lanes(shape)
+        assert 1 < widest < 40
+        n_max = 2 * widest + 1
+        receivers = _edge_receivers(*shape)
+        (gather, snaps), reference = _lane_case(
+            shape, order, n_max, CORNER_SOURCE, receivers)
+        ref_gather, ref_snaps = reference()
+        _assert_same((gather, snaps), (ref_gather, ref_snaps))
+        for count in range(1, n_max):
+            result, _ = _lane_case(shape, order, count, CORNER_SOURCE,
+                                   receivers)
+            _assert_same(result, (ref_gather[:count],
+                                  [snap[:count] for snap in ref_snaps]))
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_edge_and_corner_shots_across_groups(self, order):
+        """Ten shots on corners and edges over three maps: 30 wavefields
+        in two groups, each mixing maps, time steps and sources."""
+        nz, nx = 40, 40
+        assert 15 <= _group_lanes((nz, nx)) < 30
+        sources = [(0, 0), (0, nx - 1), (nz - 1, 0), (nz - 1, nx - 1),
+                   (0, nx // 2), (nz // 2, 0), (nz - 1, 7), (5, nx - 1),
+                   (1, 1), (nz - 2, nx - 3)]
+        result, reference = _lane_case((nz, nx), order, 3, sources,
+                                       _edge_receivers(nz, nx), seed=order)
+        _assert_same(result, reference())
+
+
+def _probe_copy(number):
+    """The status of a one-step call on a 4x4 grid, the loop forced to run
+    copy ``number`` of its row sweep."""
+    nz = nx = 4
+    return kernels.load_library().qugeo_leapfrog_copy(
+        number, np.zeros((1, 3, nz, nx)), np.ones((1, nz, nx)),
+        np.ones((nz, nx)), np.ones(3), np.ones(3),
+        np.zeros(1, dtype=np.int64), np.zeros((1, 1)),
+        np.zeros(0, dtype=np.int64), np.empty((1, 1, 0)),
+        np.empty((0, 1, nz, nx)), 1, 1, nz, nx, 3, 1, 1, 0, 0)
+
+
+def _copy_entry(copy):
+    """The compiled loop forced to run ``copy`` of its row sweep; skips
+    the test where this CPU cannot run it."""
+    number = kernels.COPIES.index(copy)
+    status = _probe_copy(number)
+    if status == -3:
+        pytest.skip(f"this CPU cannot run the {copy} copy")
+    assert status == 0
+    return functools.partial(kernels.load_library().qugeo_leapfrog_copy,
+                             number)
+
+
+@needs_cc
+class TestEveryCopy:
+    """Every SIMD copy of the row sweep this CPU can run gives the oracle's
+    bits, not only the one the loop picks."""
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    @pytest.mark.parametrize("copy", kernels.COPIES)
+    def test_copy_matches_oracle(self, copy, order, monkeypatch):
+        entry = _copy_entry(copy)
+        monkeypatch.setattr(kernels, "load_kernel", lambda: entry)
+        for shape, n_models in (((40, 40), 17), ((96, 80), 7), ((7, 33), 5)):
+            result, reference = _lane_case(
+                shape, order, n_models, CORNER_SOURCE,
+                _edge_receivers(*shape), seed=n_models)
+            _assert_same(result, reference())
+
+    def test_unknown_copy_is_refused(self):
+        """A copy number outside ``COPIES`` returns -3, as a copy the CPU
+        lacks does."""
+        assert _probe_copy(-1) == _probe_copy(len(kernels.COPIES)) == -3
+
+    def test_resolved_copy_is_the_widest_this_cpu_runs(self):
+        runnable = [copy for number, copy in enumerate(kernels.COPIES)
+                    if _probe_copy(number) == 0]
+        kernel, _ = kernels.resolve_kernel()
+        assert kernel.isa == runnable[-1]
+        assert runnable == list(kernels.COPIES[:len(runnable)])
+
+    def test_load_counts_each_librarys_copy_once(self, monkeypatch):
+        monkeypatch.setattr(native, "_loaded", {})
+        with capture("summary") as telemetry:
+            kernels.load_kernel()
+            kernels.load_kernel()
+            quantum_kernels.load_library()
+            counters = telemetry.snapshot()["counters"]
+        copies = {name: value for name, value in counters.items()
+                  if name.startswith("native.")}
+        isa = kernels.resolve_kernel()[0].isa
+        engine_isa = native.isa(quantum_kernels.load_library())
+        assert engine_isa in ("generic", "avx2")
+        assert copies == {f"native.leapfrog.{isa}": 1,
+                          f"native.statevector.{engine_isa}": 1}
+
+
 class TestOracleFallback:
     """Without a C compiler the propagator warns once, counts the fallback
     and runs the oracle, which gives the same bits."""
@@ -799,7 +962,11 @@ class TestInputBoundary:
                     dict(gather=np.empty((2, 3, 3))),
                     dict(c2dt2=np.ones((3, nz, nx))),
                     dict(cz=np.ones(7), cx=np.ones(7)),
-                    dict(mask=np.ones((nz, nx + 1)))):
+                    dict(mask=np.ones((nz, nx + 1))),
+                    dict(fields=np.zeros((0, 3, nz, nx)),
+                         src=np.zeros(0, dtype=np.int64),
+                         amps=np.zeros((0, 4)), gather=np.empty((0, 4, 3)),
+                         snaps=np.empty((0, 0, nz, nx)))):
             with pytest.raises(ValueError, match="inconsistent"):
                 kernels.leapfrog(entry, *args(**bad), 1, 0)
         with pytest.raises(ValueError, match="inconsistent"):
@@ -809,8 +976,8 @@ class TestInputBoundary:
                     dict(src=np.zeros(2, dtype=np.int32))):
             with pytest.raises(ctypes.ArgumentError):
                 kernels.leapfrog(entry, *args(**bad), 1, 0)
-        # The loop's statuses: -2 when its scratch rows cannot be allocated.
-        with pytest.raises(MemoryError, match="scratch rows"):
+        # The loop's statuses: -2 when its lane buffers cannot be allocated.
+        with pytest.raises(MemoryError, match="lane buffers"):
             kernels.leapfrog(lambda *_: -2, *args(), 1, 0)
         with pytest.raises(RuntimeError, match="returned -1"):
             kernels.leapfrog(lambda *_: -1, *args(), 1, 0)
